@@ -11,34 +11,20 @@ numerator/denominator pairs drift from that floor.
 import argparse
 import math
 
-import numpy as np
-
 from dvkit.extend import ExtensionOperator, extension_bound
 from dvkit.dvrep import represent
-from dvkit.poly2 import BivariatePolynomial, transpose_vars
-
-
-def blaschke_poly(m, alphas, phase=1.0):
-    denom = np.array([1.0 + 0.0j])
-    numer = np.array([1.0 + 0.0j])
-    for a in alphas:
-        denom = np.convolve(denom, np.array([1.0, -np.conj(a)]))
-        numer = np.convolve(numer, np.array([-a, 1.0]))
-    grid = np.zeros((len(alphas) + 1, m + 1), dtype=np.complex128)
-    grid[:, m] = denom
-    grid[:, 0] -= phase * numer
-    return BivariatePolynomial(grid)
+from dvkit.poly2 import BivariatePolynomial, blaschke_dv, transpose_vars
 
 
 def survey(seed):
     f_w = BivariatePolynomial.from_terms({(0, 1): 1})
     cases = []
     for m in (2, 3):
-        cases.append((f"w^{m} = z^{m}", blaschke_poly(m, [0.0] * m)))
-        cases.append((f"w^{m} = z^2 (monomial)", blaschke_poly(m, [0.0, 0.0])))
-        cases.append((f"w^{m} = B(z), zeros 0.5, 0", blaschke_poly(m, [0.5, 0.0])))
+        cases.append((f"w^{m} = z^{m}", blaschke_dv(m, [0.0] * m)))
+        cases.append((f"w^{m} = z^2 (monomial)", blaschke_dv(m, [0.0, 0.0])))
+        cases.append((f"w^{m} = B(z), zeros 0.5, 0", blaschke_dv(m, [0.5, 0.0])))
         cases.append(
-            (f"w^{m} = B(z), zeros 0.4, -0.3i", blaschke_poly(m, [0.4, -0.3j]))
+            (f"w^{m} = B(z), zeros 0.4, -0.3i", blaschke_dv(m, [0.4, -0.3j]))
         )
     print(f"{'curve':34s} {'m':>2s} {'C':>12s} {'C_swapped':>12s} {'sqrt(m)':>9s} {'per-point':>10s}")
     for name, p in cases:

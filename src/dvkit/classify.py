@@ -24,7 +24,9 @@ __all__ = [
     "SingularityReport",
     "FiberError",
     "fiber_polynomial",
+    "companion_roots",
     "fiber_roots",
+    "batched_fiber_roots",
     "root_count_in_disk",
     "classify_zero_set",
     "torus_singularities",
@@ -35,6 +37,9 @@ __all__ = [
 # forbidden-region sweeps: zeros of honest variety-defining polynomials
 # legitimately accumulate at the torus.
 TORUS_MARGIN = 0.02
+# Fiber coefficients at or below this fraction of the fiber's largest one
+# count as zero when the fiber's w-degree is read off.
+FIBER_TRIM = 1e-12
 
 
 class FiberError(ValueError):
@@ -75,30 +80,31 @@ class SingularityReport:
             raise ValueError("smooth_on_torus must mirror emptiness of points")
 
 
-def fiber_polynomial(p: BivariatePolynomial, z: complex, trim_tol: float = 1e-12):
+def fiber_polynomial(p: BivariatePolynomial, z: complex):
     """Coefficients (low to high in w) of p(z, .), trailing near-zeros trimmed."""
-    n, m = p.degree
-    zp = np.asarray(z, dtype=np.complex128) ** np.arange(n + 1)
-    coeffs = zp @ p.coeffs
+    coeffs = p.fibers(z)
     top = np.max(np.abs(coeffs))
     if top == 0.0:
         raise FiberError("fiber degenerate: p(z, .) is identically zero")
-    k = m
-    while k > 0 and abs(coeffs[k]) <= trim_tol * top:
+    k = p.degree[1]
+    while k > 0 and abs(coeffs[k]) <= FIBER_TRIM * top:
         k -= 1
     return coeffs[: k + 1]
 
 
-def _companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of a univariate polynomial, low-to-high coefficients, via the
-    eigenvalues of its companion matrix."""
-    deg = len(coeffs) - 1
+def companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of univariate polynomials, low-to-high coefficients along the
+    last axis, via the eigenvalues of their companion matrices.
+
+    Batched over the leading axes; every leading coefficient must be nonzero.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    deg = coeffs.shape[-1] - 1
     if deg == 0:
-        return np.zeros(0, dtype=np.complex128)
-    monic = coeffs / coeffs[-1]
-    comp = np.zeros((deg, deg), dtype=np.complex128)
-    comp[1:, :-1] = np.eye(deg - 1)
-    comp[:, -1] = -monic[:-1]
+        return np.zeros(coeffs.shape[:-1] + (0,), dtype=np.complex128)
+    comp = np.zeros(coeffs.shape[:-1] + (deg, deg), dtype=np.complex128)
+    comp[..., 1:, :-1] = np.eye(deg - 1)
+    comp[..., :, -1] = -(coeffs[..., :-1] / coeffs[..., -1:])
     return np.linalg.eigvals(comp)
 
 
@@ -108,45 +114,30 @@ def fiber_roots(p: BivariatePolynomial, z: complex) -> np.ndarray:
     The w-degree is reduced at this fiber when leading coefficients vanish;
     an identically zero fiber raises :class:`FiberError`.
     """
-    return _companion_roots(fiber_polynomial(p, z))
+    return companion_roots(fiber_polynomial(p, z))
 
 
-def batched_fiber_roots(p: BivariatePolynomial, zs: np.ndarray):
-    """Fiber roots over many z at once; (K, m) array when the w-degree stays
-    full across the batch, else a per-z list."""
+def batched_fiber_roots(p: BivariatePolynomial, zs) -> list:
+    """Fiber roots over many z at once, one entry per z.
+
+    Fibers at full w-degree share one batched companion solve; fibers that
+    lose degree go through :func:`fiber_roots` one at a time, and an
+    identically zero fiber gives None.
+    """
     zs = np.asarray(zs, dtype=np.complex128).ravel()
-    n, m = p.degree
-    if m == 0:
-        return [np.zeros(0, dtype=np.complex128) for _ in zs]
-    powers = zs[:, None] ** np.arange(n + 1)
-    fibers = powers @ p.coeffs  # (K, m+1)
-    top = np.max(np.abs(fibers), axis=1)
-    lead = np.abs(fibers[:, -1])
-    if np.min(top) > 0 and np.min(lead) > 1e-10 * np.max(top):
-        monic = fibers / fibers[:, -1:]
-        comp = np.zeros((len(zs), m, m), dtype=np.complex128)
-        comp[:, 1:, :-1] = np.eye(m - 1)
-        comp[:, :, -1] = -monic[:, :-1]
-        return np.linalg.eigvals(comp)
-    return [fiber_roots(p, complex(z)) for z in zs]
-
-
-def cluster_roots(roots: np.ndarray, radius: float = 1e-6):
-    """Group near-coincident roots; returns (representative, multiplicity) pairs."""
-    remaining = list(roots)
-    clusters = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        keep = []
-        for r in remaining:
-            if abs(r - seed) <= radius:
-                members.append(r)
-            else:
-                keep.append(r)
-        remaining = keep
-        clusters.append((np.mean(members), len(members)))
-    return clusters
+    fibers = p.fibers(zs)
+    full = np.abs(fibers[:, -1]) > FIBER_TRIM * np.max(np.abs(fibers), axis=1)
+    batched = iter(companion_roots(fibers[full]))
+    out = []
+    for z, ok in zip(zs, full):
+        if ok:
+            out.append(next(batched))
+            continue
+        try:
+            out.append(fiber_roots(p, complex(z)))
+        except FiberError:
+            out.append(None)
+    return out
 
 
 def root_count_in_disk(
@@ -204,15 +195,8 @@ def _disk_z_samples(grid_n: int, rmax: float) -> np.ndarray:
 
 
 def _fiber_sweep(p, zs):
-    """(z, roots) pairs over the sample; fibers that lose all degree yield ()."""
-    out = []
-    for z in zs:
-        try:
-            roots = fiber_roots(p, complex(z))
-        except FiberError:
-            roots = None
-        out.append((complex(z), roots))
-    return out
+    """(z, roots) pairs over the sample; identically zero fibers yield None."""
+    return [(complex(z), roots) for z, roots in zip(zs, batched_fiber_roots(p, zs))]
 
 
 def _boundary_witnesses(p, grid_n, tol):
@@ -352,11 +336,9 @@ def torus_singularities(
     fz, fw = p.partial_z(), p.partial_w()
     scale = p.scale
     found = []
-    for theta in 2 * np.pi * np.arange(grid_n) / grid_n:
-        z = complex(np.exp(1j * theta))
-        try:
-            roots = fiber_roots(p, z)
-        except FiberError:
+    circle = np.exp(1j * (2 * np.pi * np.arange(grid_n) / grid_n))
+    for z, roots in _fiber_sweep(p, circle):
+        if roots is None:
             continue
         for w in roots:
             if abs(abs(w) - 1.0) > 1e-2:
@@ -380,26 +362,22 @@ def is_squarefree(
     """Probabilistic squarefreeness check via the w-resultant of (p, p_w).
 
     Evaluates res_w(p, p_w)(z) at random z; a polynomial with a repeated
-    factor makes the resultant vanish identically.  Fibers are normalized so
-    the verdict is scale-free.
+    factor makes the resultant vanish identically.  p_w is normalized by its
+    size on a circle enclosing the fiber roots, so the verdict is scale-free.
     """
     rng = np.random.default_rng(seed)
-    n, m = p.degree
-    if m == 0:
+    if p.degree[1] == 0:
         return True
     pw = p.partial_w()
+    u = rng.uniform(size=(trials, 2))
+    zs = 0.7 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
     hits = 0
-    for _ in range(trials):
-        z = complex(0.7 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
-        try:
-            fc = fiber_polynomial(p, z)
-        except FiberError:
+    for z, roots in _fiber_sweep(p, zs):
+        if roots is None:
             hits += 1
             continue
-        fc = fc / np.max(np.abs(fc))
-        if len(fc) < 2:
+        if not len(roots):
             continue
-        roots = _companion_roots(fc)
         circle = np.exp(2j * np.pi * np.arange(32) / 32) * max(
             1.0, np.max(np.abs(roots))
         )

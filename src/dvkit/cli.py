@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import classify as classify_mod
 from . import serialize as ser
@@ -30,6 +29,7 @@ from .extend import (
 )
 from .poly2 import (
     BivariatePolynomial,
+    blaschke_dv,
     derived_dv_poly,
     reflect,
     symmetrize,
@@ -53,9 +53,6 @@ class RunConfig:
     at_degree: tuple[int, int] | None = None
     swap_check: bool = True
     expand: bool = False
-    threads: int | None = field(
-        default_factory=lambda: _env_threads(os.environ.get("DVKIT_THREADS"))
-    )
 
     def validate(self):
         if self.grid_n < 16:
@@ -66,15 +63,6 @@ class RunConfig:
             a, b = self.weights
             if a < 0 or b < 0 or (a == 0 and b == 0):
                 raise ValueError("weights must be non-negative and not both zero")
-
-
-def _env_threads(raw):
-    if not raw:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return None
 
 
 def _emit(config: RunConfig, obj: dict) -> None:
@@ -152,21 +140,7 @@ def _cmd_represent(config: RunConfig) -> int:
     cert, sample, rep, report = represent(
         p, a, b, seed=config.seed, target_count=config.samples, grid_n=config.grid_n
     )
-    report_obj = {
-        "gram_defect": report.gram_defect,
-        "gram_tolerance": report.gram_tolerance,
-        "det_on_samples": report.det_on_samples,
-        "eigen_relation": report.eigen_relation,
-        "det_vs_p_rel": report.det_vs_p_rel,
-        "unitarity": report.unitarity,
-        "boundary_unitarity": report.boundary_unitarity,
-        "contractivity_excess": report.contractivity_excess,
-        "qmatrix_min_sv": report.qmatrix_min_sv,
-        "smooth_on_torus": report.smooth_on_torus,
-        "grid": report.grid_n,
-        "seed": config.seed,
-        "passed": report.passed,
-    }
+    report_obj = {**asdict(report), "seed": config.seed, "passed": report.passed}
     _emit(config, ser.realization_to_obj(rep, cert, report_obj))
     return 0 if report.passed else 2
 
@@ -228,13 +202,7 @@ def _cmd_verify(config: RunConfig) -> int:
             "schema": ser.SCHEMA,
             "command": "verify",
             "kind": "realization",
-            "gram_defect": report.gram_defect,
-            "det_on_samples": report.det_on_samples,
-            "eigen_relation": report.eigen_relation,
-            "det_vs_p_rel": report.det_vs_p_rel,
-            "unitarity": report.unitarity,
-            "boundary_unitarity": report.boundary_unitarity,
-            "qmatrix_min_sv": report.qmatrix_min_sv,
+            **asdict(report),
             "passed": report.passed,
         }
         _emit(config, obj)
@@ -272,21 +240,15 @@ def _cmd_verify(config: RunConfig) -> int:
 # demo corpus
 
 
-def _mobius_blaschke(m: int) -> BivariatePolynomial:
-    # w^m = z (z - 1/2) / (1 - z/2), cleared of its denominator
-    return BivariatePolynomial.from_terms(
-        {(0, m): 1.0, (1, m): -0.5, (2, 0): -1.0, (1, 0): 0.5}
-    )
-
-
 def demo_corpus():
     return {
         "z3_minus_w2": BivariatePolynomial.from_terms({(3, 0): 1, (0, 2): -1}),
         "w3_minus_z2": BivariatePolynomial.from_terms({(0, 3): 1, (2, 0): -1}),
-        "blaschke_m2_cubic": BivariatePolynomial.from_terms({(0, 2): 1, (3, 0): -1}),
-        "blaschke_m3_cubic": BivariatePolynomial.from_terms({(0, 3): 1, (3, 0): -1}),
-        "blaschke_m2_mobius": _mobius_blaschke(2),
-        "blaschke_m3_mobius": _mobius_blaschke(3),
+        # w^m = z^3, and w^m = z (z - 1/2) / (1 - z/2)
+        "blaschke_m2_cubic": blaschke_dv(2, [0, 0, 0]),
+        "blaschke_m3_cubic": blaschke_dv(3, [0, 0, 0]),
+        "blaschke_m2_mobius": blaschke_dv(2, [0.5, 0]),
+        "blaschke_m3_mobius": blaschke_dv(3, [0.5, 0]),
         "two_minus_z_minus_w": BivariatePolynomial.from_terms(
             {(0, 0): 2, (1, 0): -1, (0, 1): -1}
         ),
@@ -401,11 +363,6 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    config.validate()
-    return _HANDLERS[config.command](config)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dvkit",
@@ -416,14 +373,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp, output=True):
         sp.add_argument("--grid", type=int, default=64, dest="grid_n")
-        sp.add_argument("--tol", type=float, default=1e-7)
         sp.add_argument("--seed", type=int, default=7)
-        sp.add_argument("--json", action="store_true", default=True, help="machine-readable output (default)")
         if output:
             sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("classify", help="label the zero set relative to the bidisk")
     sp.add_argument("poly")
+    sp.add_argument("--tol", type=float, default=1e-7)
     common(sp)
 
     sp = sub.add_parser("reflect", help="reflect at the formal (or given) degree")
@@ -481,7 +437,7 @@ def _config_from_args(args) -> RunConfig:
         command=args.command,
         inputs=inputs,
         grid_n=args.grid_n,
-        tol=args.tol,
+        tol=getattr(args, "tol", RunConfig.tol),
         weights=weights,
         seed=args.seed,
         samples=getattr(args, "samples", None),
@@ -493,8 +449,12 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means a failed
+        # verification; --help exits 0.
+        return 1 if exc.code else 0
     try:
         config = _config_from_args(args)
         config.validate()

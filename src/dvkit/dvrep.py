@@ -139,27 +139,27 @@ def dv_certificate(
     a: float = 1.0,
     b: float = 1.0,
     grid_size: int | None = None,
-    check_classification: bool = True,
-    classify_grid: int = 48,
 ) -> DvCertificate:
     """Build the variety certificate (P, Q) from the symmetric certificate of
     the z-reversed polynomial.
 
-    Requires p to define a distinguished variety and be squarefree.  When the
-    variety is smooth on the torus, Qmatrix(z) must be invertible on the
-    closed disk; a failure there contradicts the theory and raises."""
-    if check_classification:
-        label = classify_zero_set(p, grid_n=classify_grid).label
-        if label is not ZeroLabel.DV_DEFINING:
-            raise ValueError(
-                f"polynomial does not define a distinguished variety (classified {label.value})"
-            )
-        if not is_squarefree(p):
-            raise ValueError("polynomial has a repeated factor; certificate needs squarefree input")
+    Requires p to define a distinguished variety and be squarefree.  The
+    symmetric certificate takes the direct route when the variety is smooth
+    on the torus and the dilation route otherwise.  When the variety is
+    smooth on the torus, Qmatrix(z) must be invertible on the closed disk; a
+    failure there contradicts the theory and raises."""
+    label = classify_zero_set(p, grid_n=48).label
+    if label is not ZeroLabel.DV_DEFINING:
+        raise ValueError(
+            f"polynomial does not define a distinguished variety (classified {label.value})"
+        )
+    if not is_squarefree(p):
+        raise ValueError("polynomial has a repeated factor; certificate needs squarefree input")
     p_sym = symmetrize(p)
     n, m = p_sym.degree
+    smooth = torus_singularities(p_sym).smooth_on_torus
     q = swap_transform(p_sym)
-    cert = sym_sos_certificate(q, a, b, grid_size)
+    cert = sym_sos_certificate(q, a, b, grid_size, route="direct" if smooth else "dilation")
     vec_p = VectorPolynomial(
         tuple(
             BivariatePolynomial(c.with_degree((max(n - 1, 0), m)).coeffs[::-1, :])
@@ -173,7 +173,6 @@ def dv_certificate(
         )
     )
     qmat = _matrix_form_in_z(vec_q, m, n)
-    smooth = torus_singularities(p_sym).smooth_on_torus
     if smooth:
         sv = qmat.min_singular_value_on_disk(48)
         if sv <= 1e-8 * max(qmat.sup_norm(), 1e-300):
@@ -296,14 +295,20 @@ def lurking_isometry(
     return rep
 
 
-def phi_evaluate(rep: UnitaryRealization, z: complex) -> np.ndarray:
-    """Phi(z) = A + zB(I - zD)^{-1}C by linear solve."""
-    eye = np.eye(rep.n)
+def phi_evaluate(rep: UnitaryRealization, z) -> np.ndarray:
+    """Phi(z) = A + zB(I - zD)^{-1}C by linear solve.
+
+    A scalar z gives the (m, m) matrix; an array of z gives z.shape + (m, m).
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    zc = z[..., None, None]
     try:
-        core = np.linalg.solve(eye - z * rep.D, rep.C)
+        core = np.linalg.solve(
+            np.eye(rep.n) - zc * rep.D, np.broadcast_to(rep.C, z.shape + rep.C.shape)
+        )
     except np.linalg.LinAlgError as exc:
-        raise ValueError(f"I - zD is singular at z = {z}") from exc
-    return rep.A + z * rep.B @ core
+        raise ValueError(f"I - zD is singular at some z in {z}") from exc
+    return rep.A + (zc * rep.B) @ core
 
 
 def det_representation(rep: UnitaryRealization, degree=None) -> BivariatePolynomial:
@@ -382,12 +387,10 @@ def verify_representation(
         gram_tol = 1e-8 if cert.smooth_on_torus else 1e-6
     z, w = sample.arrays()
     qv = cert.vec_q.evaluate(z, w)
-    det_vals, eig_vals = [], []
     q_scale = max(np.max(np.abs(qv)), 1e-300)
-    for k in range(len(z)):
-        phi = phi_evaluate(rep, z[k])
-        det_vals.append(np.linalg.det(w[k] * np.eye(rep.m) - phi))
-        eig_vals.append(np.max(np.abs(phi @ qv[:, k] - w[k] * qv[:, k])))
+    phis = phi_evaluate(rep, z)
+    det_vals = np.linalg.det(w[:, None, None] * np.eye(rep.m) - phis)
+    eig_vals = np.abs(np.einsum("kij,jk->ik", phis, qv) - w * qv)
     det_poly = det_representation(rep)
     pv = p.coeffs
     dv = det_poly.with_degree(
@@ -396,17 +399,11 @@ def verify_representation(
     imax = np.unravel_index(np.argmax(np.abs(pv)), pv.shape)
     lam = pv[imax] / dv[imax]
     det_rel = float(np.max(np.abs(lam * dv - pv))) / float(np.max(np.abs(pv)))
-    angles = np.exp(2j * np.pi * np.arange(128) / 128)
-    bdry = max(
-        float(np.max(np.abs(phi_evaluate(rep, t).conj().T @ phi_evaluate(rep, t) - np.eye(rep.m))))
-        for t in angles
-    )
-    rng = np.random.default_rng(5)
-    excess = 0.0
-    for _ in range(200):
-        zz = rng.uniform(0, 1) ** 0.5 * np.exp(2j * np.pi * rng.uniform())
-        norm = np.linalg.norm(phi_evaluate(rep, zz), 2)
-        excess = max(excess, norm - 1.0)
+    bphis = phi_evaluate(rep, np.exp(2j * np.pi * np.arange(128) / 128))
+    bdry = float(np.max(np.abs(np.conj(np.swapaxes(bphis, -1, -2)) @ bphis - np.eye(rep.m))))
+    u = np.random.default_rng(5).uniform(size=(200, 2))
+    inner = phi_evaluate(rep, u[:, 0] ** 0.5 * np.exp(2j * np.pi * u[:, 1]))
+    excess = max(0.0, float(np.max(np.linalg.norm(inner, 2, axis=(-2, -1)))) - 1.0)
     sv = cert.qmatrix.min_singular_value_on_disk(grid_n) if cert.smooth_on_torus else None
     return RepresentationReport(
         gram_defect=gram_defect(cert, sample),
@@ -416,7 +413,7 @@ def verify_representation(
         det_vs_p_rel=det_rel,
         unitarity=rep.unitarity_defect(),
         boundary_unitarity=bdry,
-        contractivity_excess=float(excess),
+        contractivity_excess=excess,
         qmatrix_min_sv=sv,
         smooth_on_torus=cert.smooth_on_torus,
         grid_n=grid_n,

@@ -34,15 +34,17 @@ __all__ = [
 ]
 
 
-def eval_f_of_pair(f: BivariatePolynomial, z: complex, phi: np.ndarray) -> np.ndarray:
-    """f(z I_m, Phi) = sum_k (sum_j c_jk z^j) Phi^k, Horner in the matrix."""
-    m = phi.shape[0]
-    n_deg, m_deg = f.degree
-    zp = np.asarray(z, dtype=np.complex128) ** np.arange(n_deg + 1)
-    wcoeffs = zp @ f.coeffs  # scalar coefficient of each Phi power
-    acc = np.zeros((m, m), dtype=np.complex128)
-    for k in range(m_deg, -1, -1):
-        acc = acc @ phi + wcoeffs[k] * np.eye(m)
+def eval_f_of_pair(f: BivariatePolynomial, z, phi: np.ndarray) -> np.ndarray:
+    """f(z I_m, Phi) = sum_k (sum_j c_jk z^j) Phi^k, Horner in the matrix.
+
+    ``z`` is a scalar with ``phi`` of shape (m, m), or an array of z with
+    ``phi`` of shape z.shape + (m, m), one matrix per z.
+    """
+    wcoeffs = f.fibers(z)  # scalar coefficient of each Phi power, per z
+    eye = np.eye(phi.shape[-1])
+    acc = np.zeros(phi.shape, dtype=np.complex128)
+    for k in range(f.degree[1], -1, -1):
+        acc = acc @ phi + wcoeffs[..., k, None, None] * eye
     return acc
 
 
@@ -62,12 +64,8 @@ class ExtensionOperator:
         return self.evaluate(z, w)
 
     def evaluate(self, z: complex, w) -> complex | np.ndarray:
-        """F(z, w); ``w`` may be an array (shared z), via one linear solve."""
-        qmat = self.cert.qmatrix.evaluate(z)
-        row = np.linalg.solve(qmat.T, np.eye(self.rep.m)[0])
-        fmat = eval_f_of_pair(self.f, z, phi_evaluate(self.rep, z))
-        qvec = self.cert.vec_q.evaluate(z, w)
-        out = (row @ fmat) @ qvec
+        """F(z, w); ``w`` may be an array (shared z)."""
+        out = self.evaluate_grid([z], w)[0].reshape(np.shape(w))
         if np.ndim(w) == 0:
             return complex(out)
         return out
@@ -77,25 +75,15 @@ class ExtensionOperator:
         linear solves and matrix Horner."""
         zs = np.asarray(zs, dtype=np.complex128).ravel()
         ws = np.asarray(ws, dtype=np.complex128).ravel()
-        m, n = self.rep.m, self.rep.n
+        m = self.rep.m
         qmats = self.cert.qmatrix.evaluate(zs)  # (K, m, m)
         e1 = np.zeros((m, 1), dtype=np.complex128)
         e1[0, 0] = 1.0
         rows = np.linalg.solve(
             np.swapaxes(qmats, 1, 2), np.broadcast_to(e1, (len(zs), m, 1))
         )[..., 0]
-        core = np.linalg.solve(
-            np.eye(n) - zs[:, None, None] * self.rep.D,
-            np.broadcast_to(self.rep.C, (len(zs), n, m)),
-        )
-        phis = self.rep.A + zs[:, None, None] * (self.rep.B @ core)
-        fn, fm = self.f.degree
-        wcoeffs = (zs[:, None] ** np.arange(fn + 1)) @ self.f.coeffs  # (K, fm+1)
-        acc = np.zeros((len(zs), m, m), dtype=np.complex128)
-        eye = np.eye(m)
-        for k in range(fm, -1, -1):
-            acc = acc @ phis + wcoeffs[:, k, None, None] * eye
-        rowf = np.einsum("km,kmj->kj", rows, acc)
+        fmats = eval_f_of_pair(self.f, zs, phi_evaluate(self.rep, zs))
+        rowf = np.einsum("km,kmj->kj", rows, fmats)
         qvec = self.cert.vec_q.evaluate(zs[:, None], ws[None, :])  # (m, K, L)
         return np.einsum("kj,jkl->kl", rowf, qvec)
 
@@ -160,16 +148,18 @@ def sup_norm_on_variety(
     for r in (0.5, 0.9):
         sweeps.append((r * inner, lambda w: np.abs(w) <= 1.0))
     for zs, keep in sweeps:
-        roots = batched_fiber_roots(p, zs)
-        if isinstance(roots, np.ndarray):
-            mask = keep(roots)
-            if mask.any():
-                vals = np.abs(f.evaluate(zs[:, None], roots))
-                best = max(best, float(np.max(vals[mask])))
-        else:
-            for z, rts in zip(zs, roots):
-                for w in rts[keep(rts)] if len(rts) else ():
-                    best = max(best, abs(f.evaluate(complex(z), complex(w))))
+        pairs = [
+            (z, w)
+            for z, roots in zip(zs, batched_fiber_roots(p, zs))
+            if roots is not None
+            for w in roots
+        ]
+        if not pairs:
+            continue
+        z, w = np.array(pairs).T
+        mask = keep(w)
+        if mask.any():
+            best = max(best, float(np.max(np.abs(f.evaluate(z[mask], w[mask])))))
     return best
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "transpose_vars",
     "derived_dv_poly",
     "derived_symmetric_poly",
+    "blaschke_dv",
 ]
 
 
@@ -151,6 +152,14 @@ class BivariatePolynomial:
             return complex(acc)
         return acc
 
+    def fibers(self, z) -> np.ndarray:
+        """Coefficients, low to high in w, of the fibers p(z, .).
+
+        A scalar z gives shape (m+1,); an array of z gives z.shape + (m+1,).
+        """
+        z = np.asarray(z, dtype=np.complex128)
+        return (z[..., None] ** np.arange(self.coeffs.shape[0])) @ self.coeffs
+
     # -- arithmetic ---------------------------------------------------
 
     def _binary(self, other, sign):
@@ -187,9 +196,6 @@ class BivariatePolynomial:
         return BivariatePolynomial(self.coeffs * complex(other))
 
     __rmul__ = __mul__
-
-    def conj_coeffs(self) -> "BivariatePolynomial":
-        return BivariatePolynomial(np.conj(self.coeffs))
 
     def max_coeff_distance(self, other: "BivariatePolynomial") -> float:
         diff = self._binary(other, -1.0)
@@ -353,6 +359,24 @@ def derived_symmetric_poly(q: BivariatePolynomial) -> BivariatePolynomial:
     return BivariatePolynomial(q.coeffs * (m * n - m * i - n * j))
 
 
+def blaschke_dv(m: int, alphas) -> BivariatePolynomial:
+    """w^m * prod(1 - conj(a) z) - prod(z - a): the denominator-cleared curve
+    w^m = B(z) for the Blaschke product B with zeros ``alphas``.
+
+    Defines a distinguished variety of degree (len(alphas), m) when every
+    zero lies inside the disk.
+    """
+    denom = np.array([1.0 + 0.0j])
+    numer = np.array([1.0 + 0.0j])
+    for a in alphas:
+        denom = np.convolve(denom, np.array([1.0, -np.conj(a)]))
+        numer = np.convolve(numer, np.array([-a, 1.0]))
+    grid = np.zeros((len(alphas) + 1, m + 1), dtype=np.complex128)
+    grid[:, m] = denom
+    grid[:, 0] -= numer
+    return BivariatePolynomial(grid)
+
+
 @dataclass(frozen=True)
 class VectorPolynomial:
     """Tuple of bivariate polynomials viewed as one vector-valued polynomial."""
@@ -465,9 +489,9 @@ class MatrixPolynomial:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
 
-def unit_disk_grid(grid_n: int, include_boundary: bool = True) -> np.ndarray:
+def unit_disk_grid(grid_n: int) -> np.ndarray:
     """Deterministic sample of the closed unit disk: circles of grid_n angles."""
-    radii = np.linspace(0.0, 1.0 if include_boundary else 0.98, max(grid_n // 4, 3))
+    radii = np.linspace(0.0, 1.0, max(grid_n // 4, 3))
     angles = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
     pts = np.concatenate([[0.0 + 0.0j]] + [r * angles for r in radii[1:]])
     return pts

@@ -27,12 +27,12 @@ affordable grid -- by exact residue summation in w followed by a single
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
-from .classify import QuadratureError, ZeroLabel, classify_zero_set
+from .classify import QuadratureError, ZeroLabel, classify_zero_set, companion_roots
 from .poly2 import (
     BivariatePolynomial,
     MatrixPolynomial,
@@ -150,9 +150,8 @@ def _residue_column(q, nodes, bmax):
     inside the disk; each residue is v_k^{b+M-1} / (q(z, v_k) r'(v_k)).
     Stable fibers keep r at full degree (r's leading coefficient is
     conj(q(z, 0))), so fiber degree drops in w cost nothing here."""
-    n, m = q.degree
-    powers = nodes[:, None] ** np.arange(n + 1)
-    fiber = powers @ q.coeffs  # (N, m+1) low-to-high in w
+    m = q.degree[1]
+    fiber = q.fibers(nodes)  # (N, m+1) low-to-high in w
     if m == 0:
         dens = 1.0 / np.abs(fiber[:, 0]) ** 2
         return np.stack([dens] + [np.zeros_like(dens)] * bmax, axis=0)
@@ -160,11 +159,7 @@ def _residue_column(q, nodes, bmax):
     lead = np.abs(refl_c[:, -1])
     if np.min(lead) <= 1e-12 * np.max(np.abs(refl_c)):
         raise StabilityError("fiber vanishes at w = 0 on the contour; q is not stable")
-    monic = refl_c / refl_c[:, -1:]
-    comp = np.zeros((len(nodes), m, m), dtype=np.complex128)
-    comp[:, 1:, :-1] = np.eye(m - 1)
-    comp[:, :, -1] = -monic[:, :-1]
-    v = np.linalg.eigvals(comp)  # (N, m) poles, should lie inside the disk
+    v = companion_roots(refl_c)  # (N, m) poles, should lie inside the disk
     if np.max(np.abs(v)) >= 1.0:
         raise StabilityError("fiber root inside the closed disk on the contour")
     pair = np.abs(v[:, :, None] - v[:, None, :]) + np.eye(m)
@@ -249,7 +244,7 @@ def _gram(moments, rows, cols):
     return g
 
 
-def _complement_basis(moments, family, shifted, expect_dim, order=None):
+def _complement_basis(moments, family, shifted, expect_dim):
     """Orthonormal basis (w.r.t. the moment inner product) of the orthogonal
     complement of span(shifted) inside span(family).
 
@@ -259,8 +254,6 @@ def _complement_basis(moments, family, shifted, expect_dim, order=None):
     deficiency degrades detectably instead of catastrophically.
     """
     rest = [mono for mono in family if mono not in set(shifted)]
-    if order is not None:
-        rest = [rest[k] for k in order]
     if len(rest) != expect_dim:
         raise SubspaceError("subspace degenerate: complement dimension mismatch")
     gram_jj = _gram(moments, shifted, shifted)
@@ -304,23 +297,18 @@ def _basis_to_vector(basis, index, degree):
     return VectorPolynomial(tuple(comps))
 
 
-def subspace_kernel_pair(
-    q: BivariatePolynomial,
-    moments: MomentTable,
-    order_first=None,
-    order_second=None,
-):
+def subspace_kernel_pair(q: BivariatePolynomial, moments: MomentTable):
     """Orthonormal bases (E, F) of the two complements whose kernels build the
     certificate; E has exactly n components of degree <= (n-1, m), F exactly
     m of degree <= (n, m-1)."""
     n, m = q.degree
     fam1 = _monomials(n - 1, m)
     shift1 = [(i, j) for i in range(n) for j in range(1, m + 1)]
-    basis1, idx1 = _complement_basis(moments, fam1, shift1, n, order_first)
+    basis1, idx1 = _complement_basis(moments, fam1, shift1, n)
     vec_e = _basis_to_vector(basis1, idx1, (max(n - 1, 0), m))
     fam2 = _monomials(n, m - 1)
     shift2 = [(i, j) for i in range(n) for j in range(m)]
-    basis2, idx2 = _complement_basis(moments, fam2, shift2, m, order_second)
+    basis2, idx2 = _complement_basis(moments, fam2, shift2, m)
     vec_f = _basis_to_vector(basis2, idx2, (n, max(m - 1, 0)))
     return vec_e, vec_f
 
@@ -362,10 +350,10 @@ def _matrix_form_in_z(vec: VectorPolynomial, m: int, n: int) -> MatrixPolynomial
     return MatrixPolynomial(arr)
 
 
-def _attach_matrix_forms(kind, vec_a, vec_b, n, m, weights=None, residual=None):
+def _attach_matrix_forms(kind, vec_a, vec_b, n, m, weights=None):
     mat_a = _matrix_form_in_w(vec_a, n, m) if n > 0 else None
     mat_b = _matrix_form_in_z(vec_b, m, n) if m > 0 else None
-    return SosCertificate(kind, vec_a, vec_b, weights, mat_a, mat_b, residual)
+    return SosCertificate(kind, vec_a, vec_b, weights, mat_a, mat_b)
 
 
 def _stability_route(q, grid_n=32, tol=1e-7):
@@ -450,6 +438,14 @@ def _dilation_certificate(q, grid_size=None):
     return vec_a, vec_b
 
 
+def _route_vectors(q, grid_size, route):
+    if route == "direct":
+        return _direct_certificate(q, grid_size)
+    if route == "dilation":
+        return _dilation_certificate(q, grid_size)
+    raise ValueError(f"unknown route {route!r}")
+
+
 def sos_certificate(
     q: BivariatePolynomial,
     grid_size: int | None = None,
@@ -465,17 +461,9 @@ def sos_certificate(
     n, m = q.degree
     if route is None:
         route = _stability_route(q)
-    if route == "direct":
-        vec_a, vec_b = _direct_certificate(q, grid_size)
-    elif route == "dilation":
-        vec_a, vec_b = _dilation_certificate(q, grid_size)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    vec_a, vec_b = _route_vectors(q, grid_size, route)
     cert = _attach_matrix_forms(CertKind.COLE_WERMER, vec_a, vec_b, n, m)
-    report = verify_certificate(q, cert, grid_n=32)
-    return _attach_matrix_forms(
-        CertKind.COLE_WERMER, vec_a, vec_b, n, m, residual=report.max_residual
-    )
+    return replace(cert, residual=verify_certificate(q, cert, grid_n=32).max_residual)
 
 
 @dataclass(frozen=True)
@@ -504,7 +492,7 @@ def sym_sos_certificate(
     a: float,
     b: float,
     grid_size: int | None = None,
-    sym_tol: float = 1e-8,
+    route: str | None = None,
 ) -> SosCertificate:
     """Certificate of (an+bm)|q|^2 - 2 Re[(a z q_z + b w q_w) conj(q)] =
     (1-|z|^2)|A|^2 + (1-|w|^2)|B|^2 for torus-symmetric q without bidisk
@@ -512,32 +500,32 @@ def sym_sos_certificate(
 
     The combination g = a * reflect(q_z) + b * reflect(q_w) reflects back to
     a z q_z + b w q_w, so the plain certificate of g divided by (an + bm)
-    is exactly the stated identity.
+    is exactly the stated identity.  On the torus |g| = |a z q_z + b w q_w|,
+    so g has torus zeros exactly where the zero set of q is torus-singular;
+    a caller that knows this passes ``route`` ("direct" when smooth,
+    "dilation" otherwise) and skips classifying g.
     """
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError("weights must be non-negative and not both zero")
     n, m = q.degree
-    sym = symmetry_analysis(q, tol=sym_tol)
-    if not (sym.is_symmetric and abs(sym.constant - 1.0) <= 100 * sym_tol):
+    sym = symmetry_analysis(q, tol=1e-8)
+    if not (sym.is_symmetric and abs(sym.constant - 1.0) <= 1e-6):
         raise ValueError("polynomial is not torus-symmetric; symmetrize it first")
     qz_ref, qw_ref = reflected_derivatives(q)
     g = (a * qz_ref).with_degree((n, m)) + (b * qw_ref).with_degree((n, m))
-    try:
-        route = _stability_route(g)
-    except StabilityError as exc:
-        raise StabilityError(
-            "reflected-derivative combination vanishes on the closed bidisk"
-        ) from exc
-    base = sos_certificate(g, grid_size, route=route)
+    if route is None:
+        try:
+            route = _stability_route(g)
+        except StabilityError as exc:
+            raise StabilityError(
+                "reflected-derivative combination vanishes on the closed bidisk"
+            ) from exc
+    vec_a, vec_b = _route_vectors(g, grid_size, route)
     scale = 1.0 / math.sqrt(a * n + b * m)
-    vec_a = base.vec_first.scaled(scale)
-    vec_b = base.vec_second.scaled(scale)
-    cert = _attach_matrix_forms(CertKind.SYMMETRIC, vec_a, vec_b, n, m, weights=(a, b))
-    report = verify_certificate(q, cert, grid_n=32)
-    return _attach_matrix_forms(
-        CertKind.SYMMETRIC, vec_a, vec_b, n, m, weights=(a, b),
-        residual=report.max_residual,
+    cert = _attach_matrix_forms(
+        CertKind.SYMMETRIC, vec_a.scaled(scale), vec_b.scaled(scale), n, m, weights=(a, b)
     )
+    return replace(cert, residual=verify_certificate(q, cert, grid_n=32).max_residual)
 
 
 # ---------------------------------------------------------------------------

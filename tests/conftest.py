@@ -43,21 +43,6 @@ def poly1d_to_grid(coeffs):
     return np.array(coeffs, dtype=np.complex128)
 
 
-def blaschke_dv(m, alphas, phase=1.0):
-    """w^m * prod(1 - conj(a) z) - phase * prod(z - a): the denominator-cleared
-    curve w^m = phase * B(z) for the Blaschke product with zeros ``alphas``."""
-    denom = np.array([1.0 + 0.0j])
-    numer = np.array([1.0 + 0.0j])
-    for a in alphas:
-        denom = np.convolve(denom, np.array([1.0, -np.conj(a)]))
-        numer = np.convolve(numer, np.array([-a, 1.0]))
-    k = len(alphas)
-    grid = np.zeros((k + 1, m + 1), dtype=np.complex128)
-    grid[:, m] = denom
-    grid[:, 0] -= phase * numer
-    return BivariatePolynomial(grid)
-
-
 @pytest.fixture(scope="session")
 def pipeline_z3w2():
     from dvkit.dvrep import represent

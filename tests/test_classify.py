@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import (
-    blaschke_dv,
     four_minus_z_minus_w,
     one_minus_z3w2,
     poly,
@@ -10,10 +9,12 @@ from conftest import (
     w3_minus_z2,
     z3_minus_w2,
 )
+import dvkit.classify
 from dvkit.classify import (
     FiberError,
     QuadratureError,
     ZeroLabel,
+    batched_fiber_roots,
     classify_zero_set,
     fiber_roots,
     is_squarefree,
@@ -21,6 +22,7 @@ from dvkit.classify import (
     torus_singularities,
 )
 from dvkit.poly2 import (
+    blaschke_dv,
     derived_dv_poly,
     derived_symmetric_poly,
     reflected_derivatives,
@@ -55,6 +57,50 @@ class TestFiberRoots:
             a = np.sort_complex(fiber_roots(q, z))
             b = np.sort_complex(fiber_roots(p, 1 / z))
             assert np.allclose(a, b, atol=1e-9)
+
+
+def per_z_fiber_roots(p, zs):
+    out = []
+    for z in np.ravel(zs):
+        try:
+            out.append(fiber_roots(p, complex(z)))
+        except FiberError:
+            out.append(None)
+    return out
+
+
+class TestBatchedSweep:
+    # z w^2 + w - 1/2 drops to w-degree 1 at z = 0; z (w - 1/2) + 0.3 z^2 w^2
+    # vanishes identically there.  z = 0 is the first point of every sweep.
+    CASES = {
+        "degree_drop": (poly({(1, 2): 1, (0, 1): 1, (0, 0): -0.5}), 1),
+        "zero_fiber": (poly({(1, 1): 1, (1, 0): -0.5, (2, 2): 0.3}), None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fallback_fibers_match_per_z(self, case):
+        p, at_zero = self.CASES[case]
+        zs = np.concatenate([[0.0], 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)])
+        got = batched_fiber_roots(p, zs)
+        want = per_z_fiber_roots(p, zs)
+        if at_zero is None:
+            assert got[0] is None
+        else:
+            assert len(got[0]) == at_zero
+        for a, b in zip(got, want):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.allclose(np.sort_complex(a), np.sort_complex(b), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sweep_matches_per_z_classification(self, case, monkeypatch):
+        p, _ = self.CASES[case]
+        got = classify_zero_set(p, grid_n=32)
+        monkeypatch.setattr(dvkit.classify, "batched_fiber_roots", per_z_fiber_roots)
+        want = classify_zero_set(p, grid_n=32)
+        assert got.label is want.label is ZeroLabel.INDETERMINATE
+        assert len(got.witnesses) == len(want.witnesses) > 0
+        assert np.allclose(got.witnesses, want.witnesses, rtol=0, atol=1e-12)
 
 
 class TestRootCount:

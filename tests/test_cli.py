@@ -94,6 +94,21 @@ class TestCliCommands:
         assert main(["classify", str(bad)]) == 1
         assert "coeffs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify"],
+            ["classify", "{path}", "--bogus"],
+            ["classify", "{path}", "--json"],
+            ["sos", "{path}", "--tol", "1e-6"],
+        ],
+        ids=["missing_file_arg", "unknown_flag", "json_flag", "tol_off_classify"],
+    )
+    def test_usage_error_exit_1(self, tmp_path, capsys, argv):
+        path = write_poly(tmp_path, "p.json", z3_minus_w2())
+        assert main([a.format(path=path) for a in argv]) == 1
+        assert "usage" in capsys.readouterr().err
+
     def test_missing_file_exit_1(self, capsys):
         assert main(["classify", "/nonexistent/poly.json"]) == 1
 

@@ -1,7 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from conftest import blaschke_dv, four_minus_z_minus_w, poly, z3_minus_w2
+from conftest import four_minus_z_minus_w, poly, z3_minus_w2
 from dvkit.dvrep import (
     IsometryError,
     UnitaryRealization,
@@ -15,7 +17,7 @@ from dvkit.dvrep import (
     shift_realization,
     verify_representation,
 )
-from dvkit.poly2 import symmetrize
+from dvkit.poly2 import blaschke_dv, symmetrize
 
 
 class TestDvCertificate:
@@ -143,6 +145,14 @@ class TestPhi:
             z = np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             assert np.linalg.norm(phi_evaluate(rep, z), 2) <= 1 + 1e-8
 
+    def test_array_argument_stacks_scalar_calls(self, pipeline_z3w2):
+        _, _, rep, _ = pipeline_z3w2
+        zs = np.array([[0.0, 0.3 - 0.2j, -0.7j], [np.exp(0.4j), 0.9, -0.5 + 0.5j]])
+        got = phi_evaluate(rep, zs)
+        assert got.shape == zs.shape + (rep.m, rep.m)
+        want = np.array([[phi_evaluate(rep, z) for z in row] for row in zs])
+        assert np.max(np.abs(got - want)) <= 1e-15
+
     def test_eigen_relation_at_samples(self, pipeline_z3w2):
         cert, sample, rep, _ = pipeline_z3w2
         z, w = sample.arrays()
@@ -228,6 +238,29 @@ class TestSingularVariety:
         assert report.passed
         assert report.unitarity <= 1e-10
         assert rep.d_spectral_radius() < 1
+
+
+class TestRepresentOnce:
+    def test_one_classification_and_one_verification(self, monkeypatch):
+        import dvkit.classify
+        import dvkit.dvrep
+        import dvkit.soscert
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module in (dvkit.classify, dvkit.soscert, dvkit.dvrep):
+            for name in ("classify_zero_set", "verify_certificate"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        represent(z3_minus_w2(), seed=7)
+        assert calls == {"classify_zero_set": 1, "verify_certificate": 1}
 
 
 class TestBlaschkeFamily:

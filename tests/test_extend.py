@@ -66,14 +66,21 @@ class TestExtensionValues:
             assert abs(op(z, w) - z) < 1e-10
 
     def test_grid_evaluator_matches_scalar(self, pipeline_z3w2):
+        # F(z, w) = e1^T Q(z)^{-1} f(zI, Phi(z)) Qvec(z, w) with f = z w, from
+        # plain per-point solves
         cert, _, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, F_ZW)
         zs = np.array([0.3, -0.4j, 0.2 + 0.5j])
         ws = np.array([0.6, -0.1 + 0.3j])
         grid = op.evaluate_grid(zs, ws)
         for i, z in enumerate(zs):
+            core = np.linalg.solve(np.eye(rep.n) - z * rep.D, rep.C)
+            phi = rep.A + z * rep.B @ core
+            qmat = cert.qmatrix.evaluate(z)
             for j, w in enumerate(ws):
-                assert abs(grid[i, j] - op(complex(z), complex(w))) < 1e-12
+                want = np.linalg.solve(qmat, z * phi @ cert.vec_q.evaluate(z, w))[0]
+                assert abs(grid[i, j] - want) < 1e-12
+                assert abs(op(complex(z), complex(w)) - want) < 1e-12
 
     def test_linearity(self, pipeline_z3w2):
         cert, _, rep, _ = pipeline_z3w2

@@ -2,20 +2,21 @@ import numpy as np
 import pytest
 
 from conftest import (
-    blaschke_dv,
     four_minus_z_minus_w,
     one_minus_z3w2,
     poly,
     two_minus_z_minus_w,
     z3_minus_w2,
 )
-from dvkit.poly2 import disk_spiral, reflect, swap_transform, symmetrize
+from dvkit.poly2 import blaschke_dv, disk_spiral, reflect, swap_transform, symmetrize
 from dvkit.soscert import (
     CertKind,
     SosCertificate,
     StabilityError,
     SubspaceError,
     TorusZeroError,
+    _basis_to_vector,
+    _complement_basis,
     compute_moments,
     gw_invertibility,
     sos_certificate,
@@ -108,12 +109,18 @@ class TestSubspaces:
     def test_pivot_order_changes_basis_not_kernel(self):
         qq = poly({(0, 0): 5, (1, 0): 1, (0, 1): 0.5, (2, 2): 0.3, (1, 2): -0.4})
         mom = compute_moments(qq)
-        e1, f1 = subspace_kernel_pair(qq, mom)
-        e2, f2 = subspace_kernel_pair(
-            qq, mom, order_first=[1, 0], order_second=[1, 0]
-        )
+        n, m = qq.degree
+        fam1 = [(i, j) for i in range(n) for j in range(m + 1)]
+        shift1 = [(i, j) for i in range(n) for j in range(1, m + 1)]
+        fam2 = [(i, j) for i in range(n + 1) for j in range(m)]
+        shift2 = [(i, j) for i in range(n) for j in range(m)]
         pts = disk_spiral(12, 0.9)
-        for vec_a, vec_b in ((e1, e2), (f1, f2)):
+        for fam, shift, dim, deg in ((fam1, shift1, n, (n - 1, m)), (fam2, shift2, m, (n, m - 1))):
+            # reversing the family reverses the pivot monomials of the complement
+            vec_a, vec_b = (
+                _basis_to_vector(*_complement_basis(mom, order, shift, dim), deg)
+                for order in (fam, fam[::-1])
+            )
             ka = vec_a.kernel(pts[:, None], pts[None, :], 0.3, -0.4j)
             kb = vec_b.kernel(pts[:, None], pts[None, :], 0.3, -0.4j)
             assert np.max(np.abs(ka - kb)) < 1e-8
