@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 from . import classify as classify_mod
 from . import serialize as ser
 from .dvrep import (
+    IsometryError,
     lurking_isometry,
     represent,
     sample_variety,
@@ -179,7 +180,7 @@ def _cmd_extend(config: RunConfig) -> int:
     if config.swap_check:
         try:
             c_swapped = _swapped_constant(cert.p, f, a, b, config.seed)
-        except Exception as exc:  # the reversed orientation can degenerate
+        except (ValueError, ArithmeticError) as exc:  # the reversed orientation can degenerate
             obj["C_swapped"] = None
             obj["swap_error"] = str(exc)
         else:
@@ -218,7 +219,7 @@ def _cmd_verify(config: RunConfig) -> int:
             try:
                 lurking_isometry(dv, sample)
                 extra["gram_equality"] = True
-            except Exception:
+            except IsometryError:
                 extra["gram_equality"] = False
                 ok = False
         obj = {
@@ -371,27 +372,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, output=True):
-        sp.add_argument("--grid", type=int, default=64, dest="grid_n")
-        sp.add_argument("--seed", type=int, default=7)
+    def common(sp, grid=True, seed=True, output=True):
+        if grid:
+            sp.add_argument("--grid", type=int, default=RunConfig.grid_n, dest="grid_n")
+        if seed:
+            sp.add_argument("--seed", type=int, default=RunConfig.seed)
         if output:
             sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("classify", help="label the zero set relative to the bidisk")
     sp.add_argument("poly")
     sp.add_argument("--tol", type=float, default=1e-7)
-    common(sp)
+    common(sp, seed=False)
 
     sp = sub.add_parser("reflect", help="reflect at the formal (or given) degree")
     sp.add_argument("poly")
     sp.add_argument("--at", type=int, nargs=2, metavar=("N", "M"), default=None)
-    common(sp)
+    common(sp, grid=False, seed=False)
 
     sp = sub.add_parser("sos", help="sums-of-squares certificate")
     sp.add_argument("poly")
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--b", type=float, default=None)
-    common(sp)
+    common(sp, seed=False)
 
     sp = sub.add_parser("represent", help="determinantal representation of a distinguished variety")
     sp.add_argument("poly")
@@ -413,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, output=False)
 
     sp = sub.add_parser("demo", help="run the built-in corpus and print a pass/fail matrix")
-    common(sp)
+    common(sp, grid=False)
     return parser
 
 
@@ -436,10 +439,10 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(
         command=args.command,
         inputs=inputs,
-        grid_n=args.grid_n,
+        grid_n=getattr(args, "grid_n", RunConfig.grid_n),
         tol=getattr(args, "tol", RunConfig.tol),
         weights=weights,
-        seed=args.seed,
+        seed=getattr(args, "seed", RunConfig.seed),
         samples=getattr(args, "samples", None),
         output=getattr(args, "output", None),
         at_degree=tuple(args.at) if getattr(args, "at", None) else None,

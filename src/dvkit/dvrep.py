@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
+    FiberError,
     ZeroLabel,
     classify_zero_set,
     fiber_roots,
@@ -204,7 +205,7 @@ def sample_variety(
             z = r * np.exp(1j * (2 * np.pi * k / per + jitter))
             try:
                 roots = fiber_roots(p, complex(z))
-            except Exception:
+            except FiberError:
                 continue
             for w in roots:
                 if abs(w) >= 1.0:

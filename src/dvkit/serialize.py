@@ -8,6 +8,7 @@ compact so identical inputs produce byte-identical reports.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
@@ -32,9 +33,19 @@ def _pair2c(pair, where: str) -> complex:
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
         raise SchemaError(f"{where}: expected [re, im] pair, got {pair!r}")
     try:
-        return complex(float(pair[0]), float(pair[1]))
+        c = complex(float(pair[0]), float(pair[1]))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: non-numeric entry") from exc
+    if not cmath.isfinite(c):
+        raise SchemaError(f"{where}: non-finite entry")
+    return c
+
+
+def _is_count(d) -> bool:
+    """A non-negative integer, also when spelled as an integral float."""
+    if isinstance(d, float):
+        return d.is_integer() and d >= 0
+    return isinstance(d, int) and not isinstance(d, bool) and d >= 0
 
 
 def poly_to_obj(p: BivariatePolynomial) -> dict:
@@ -54,11 +65,15 @@ def poly_from_obj(obj: dict, where: str = "polynomial") -> BivariatePolynomial:
     if "degree" not in obj:
         raise SchemaError(f"{where}.degree: missing")
     degree = obj["degree"]
-    if not (isinstance(degree, list) and len(degree) == 2):
-        raise SchemaError(f"{where}.degree: expected [n, m]")
+    if not (isinstance(degree, list) and len(degree) == 2 and all(map(_is_count, degree))):
+        raise SchemaError(f"{where}.degree: expected [n, m], non-negative integers")
     n, m = int(degree[0]), int(degree[1])
     rows = obj["coeffs"]
-    if len(rows) != n + 1 or any(len(r) != m + 1 for r in rows):
+    if not (
+        isinstance(rows, list)
+        and len(rows) == n + 1
+        and all(isinstance(r, list) and len(r) == m + 1 for r in rows)
+    ):
         raise SchemaError(
             f"{where}.coeffs: grid must be {n + 1} x {m + 1} for degree [{n}, {m}]"
         )

@@ -21,6 +21,7 @@ from dvkit.classify import (
     root_count_in_disk,
     torus_singularities,
 )
+from dvkit.dvrep import UnitaryRealization, det_representation
 from dvkit.poly2 import (
     blaschke_dv,
     derived_dv_poly,
@@ -29,6 +30,35 @@ from dvkit.poly2 import (
     swap_transform,
     symmetrize,
 )
+
+
+def haar_unitary(rng, size):
+    """Haar-distributed unitary: QR of a complex Gaussian, phases fixed."""
+    g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    q, r = np.linalg.qr(g)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def unimodular_resultant_roots(p1, p2, nodes=32):
+    """Unimodular roots z of res_w(p1, p2), from Sylvester determinants at
+    roots of unity."""
+    a, b = p1.degree[1], p2.degree[1]
+    zs = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    vals = []
+    for z in zs:
+        f, g = p1.fibers(z)[::-1], p2.fibers(z)[::-1]
+        syl = np.zeros((a + b, a + b), dtype=np.complex128)
+        for k in range(b):
+            syl[k, k : k + a + 1] = f
+        for k in range(a):
+            syl[b + k, k : k + b + 1] = g
+        vals.append(np.linalg.det(syl))
+    # fft, not ifft: p(zeta^k) = sum_j c_j zeta^(jk) is a forward transform.
+    coeffs = np.fft.fft(vals) / nodes
+    deg = p1.degree[0] * b + p2.degree[0] * a
+    roots = np.roots(coeffs[: deg + 1][::-1])
+    return roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
 
 
 class TestFiberRoots:
@@ -229,6 +259,32 @@ class TestTorusSingularities:
         p = z3_minus_w2() * poly({(1, 0): 1, (0, 1): -1})
         report = torus_singularities(p)
         assert not report.smooth_on_torus
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_crossings_of_two_haar_varieties_all_found(self, seed):
+        # Two distinguished varieties cross on the torus exactly where their
+        # w-resultant has a unimodular root; every crossing is a node of the
+        # product, and none may be lost at the gate.
+        rng = np.random.default_rng(seed)
+        p1 = det_representation(UnitaryRealization(2, 2, haar_unitary(rng, 4)))
+        p2 = det_representation(UnitaryRealization(3, 3, haar_unitary(rng, 6)))
+        expected = len(unimodular_resultant_roots(p1, p2))
+        report = torus_singularities(p1 * p2)
+        assert len(report.points) == expected
+        for z, w in report.points:
+            assert abs(p1.evaluate(z, w)) <= 1e-10 * p1.scale
+            assert abs(p2.evaluate(z, w)) <= 1e-10 * p2.scale
+
+    def test_nodes_off_the_sweep_grid(self):
+        # (z - w)(z^3 - e^{0.7i} w) is singular exactly where z^2 = e^{0.7i}
+        # and w = z, at angles that no 128th root of unity hits.
+        p = poly({(1, 0): 1, (0, 1): -1}) * poly({(3, 0): 1, (0, 1): -np.exp(0.7j)})
+        report = torus_singularities(p)
+        root = np.exp(0.35j)
+        expected = [(root, root), (-root, -root)]
+        assert len(report.points) == 2
+        for z0, w0 in expected:
+            assert any(abs(z - z0) <= 1e-10 and abs(w - w0) <= 1e-10 for z, w in report.points)
 
 
 class TestSquarefree:

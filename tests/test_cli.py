@@ -101,13 +101,32 @@ class TestCliCommands:
             ["classify", "{path}", "--bogus"],
             ["classify", "{path}", "--json"],
             ["sos", "{path}", "--tol", "1e-6"],
+            ["reflect", "{path}", "--seed", "3"],
         ],
-        ids=["missing_file_arg", "unknown_flag", "json_flag", "tol_off_classify"],
+        ids=["missing_file_arg", "unknown_flag", "json_flag", "tol_off_classify", "seed_on_reflect"],
     )
     def test_usage_error_exit_1(self, tmp_path, capsys, argv):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
         assert main([a.format(path=path) for a in argv]) == 1
         assert "usage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"degree": [0, 1], "coeffs": [[[1, 0], [NaN, 0]]]}', ".coeffs[0][1]"),
+            ('{"degree": [-1, 0], "coeffs": []}', ".degree"),
+            ('{"degree": [0.5, 0], "coeffs": [[[1, 0]]]}', ".degree"),
+            ('{"degree": [0, 0], "coeffs": [5]}', ".coeffs"),
+        ],
+        ids=["nan_coefficient", "negative_degree", "fractional_degree", "scalar_row"],
+    )
+    def test_malformed_polynomial_exit_1(self, tmp_path, capsys, text, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["classify", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}{field}" in captured.err
 
     def test_missing_file_exit_1(self, capsys):
         assert main(["classify", "/nonexistent/poly.json"]) == 1
