@@ -27,6 +27,7 @@ __all__ = [
     "companion_roots",
     "fiber_roots",
     "batched_fiber_roots",
+    "fiber_root_pairs",
     "root_count_in_disk",
     "classify_zero_set",
     "torus_singularities",
@@ -140,6 +141,15 @@ def batched_fiber_roots(p: BivariatePolynomial, zs) -> list:
     return out
 
 
+def fiber_root_pairs(p: BivariatePolynomial, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Every fiber root over zs as flat arrays (z, w), ordered by z and then
+    by root; identically zero fibers contribute no pair."""
+    zs = np.asarray(zs, dtype=np.complex128).ravel()
+    empty = np.zeros(0, dtype=np.complex128)
+    roots = [empty if r is None else r for r in batched_fiber_roots(p, zs)]
+    return np.repeat(zs, [len(r) for r in roots]), np.concatenate([empty] + roots)
+
+
 def root_count_in_disk(
     p: BivariatePolynomial,
     z: complex,
@@ -213,6 +223,23 @@ def _boundary_witnesses(p, grid_n, tol):
     return witnesses
 
 
+def _vertical_lines(p, tol):
+    """z0 in the closed disk (to ``tol``) with p(z0, .) identically zero to
+    ``tol * scale``: the lines {z0} x C inside the zero set.
+
+    A factor in z alone is invisible to w-fiber sweeps, and a sweep point
+    that lands on such a line is skipped as an identically zero fiber, so
+    the lines are found from the coefficients: every candidate is a z-root
+    of the largest coefficient column of p."""
+    col = p.coeffs[:, int(np.argmax(np.max(np.abs(p.coeffs), axis=0)))]
+    k = len(col) - 1
+    while k > 0 and abs(col[k]) <= FIBER_TRIM * np.max(np.abs(col)):
+        k -= 1
+    z0 = companion_roots(col[: k + 1])
+    z0 = z0[np.abs(z0) <= 1.0 + tol]
+    return z0[np.max(np.abs(p.fibers(z0)), axis=1) <= tol * p.scale]
+
+
 def classify_zero_set(
     p: BivariatePolynomial, grid_n: int = 64, tol: float = 1e-7
 ) -> ZeroClass:
@@ -221,7 +248,9 @@ def classify_zero_set(
     Tested in order: DVDefining (zeros confined to disk^2 u torus^2 u
     exterior^2), SymmetricNonvanishingOffTorus, StableClosed, StableOpen;
     anything else is Indeterminate with witnesses.  Affirmative labels are
-    certified at resolution ``grid_n`` only.
+    certified at resolution ``grid_n`` only.  A line {z0} x C in the zero
+    set with |z0| < 1 is a witness; one with |z0| = 1 rules out every label
+    but StableOpen.
     """
     sym = symmetry_analysis(p, tol=1e-8)
     interior = _disk_z_samples(grid_n, 1.0 - TORUS_MARGIN)
@@ -229,6 +258,7 @@ def classify_zero_set(
     sweep_interior = _fiber_sweep(p, interior)
     sweep_closure = _fiber_sweep(p, closure)
     boundary_wit = _boundary_witnesses(p, grid_n, tol)
+    line_wit = [(complex(z0), 0.0 + 0.0j) for z0 in _vertical_lines(p, tol)]
 
     def result(label, witnesses=()):
         return ZeroClass(label, tuple(witnesses), grid_n, tol)
@@ -236,7 +266,7 @@ def classify_zero_set(
     # --- distinguished variety: symmetric, fibers over the inner disk fully
     # inside the disk at full w-degree, constant disk root count, and no
     # zeros escaping through the bidisk boundary off the torus.
-    if sym.is_symmetric and not boundary_wit:
+    if sym.is_symmetric and not boundary_wit and not line_wit:
         m = p.degree[1]
         dv_wit = []
         for z, roots in sweep_interior:
@@ -262,7 +292,7 @@ def classify_zero_set(
 
     # --- symmetric and zero-free on the closed bidisk off the torus:
     # interior fibers must have every root strictly outside the disk.
-    if sym.is_symmetric and not boundary_wit:
+    if sym.is_symmetric and not boundary_wit and not line_wit:
         off_wit = []
         for z, roots in sweep_interior:
             if roots is not None and len(roots):
@@ -275,8 +305,8 @@ def classify_zero_set(
 
     # --- stable labels: no fiber roots meeting the closed (resp. open) disk
     # for z sweeping the closed disk.
-    closed_wit = []
-    open_wit = []
+    closed_wit = list(line_wit)
+    open_wit = [(z, w) for z, w in line_wit if abs(z) < 1.0 - tol]
     for z, roots in sweep_closure:
         if roots is None or not len(roots):
             continue
@@ -313,15 +343,9 @@ def torus_singularities(
     fzz, fzw, fww = fz.partial_z(), fz.partial_w(), fw.partial_w()
     scale = p.scale
     circle = np.exp(1j * (2 * np.pi * np.arange(grid_n) / grid_n))
-    zs, ws = [], []
-    for z, roots in _fiber_sweep(p, circle):
-        if roots is None:
-            continue
-        near = roots[np.abs(np.abs(roots) - 1.0) <= 1e-2]
-        zs.extend([z] * len(near))
-        ws.extend(near)
-    z = np.array(zs, dtype=np.complex128)
-    w = np.array(ws, dtype=np.complex128)
+    z, w = fiber_root_pairs(p, circle)
+    near = np.abs(np.abs(w) - 1.0) <= 1e-2
+    z, w = z[near], w[near]
 
     active = np.arange(len(z))
     # A candidate far from any critical point may diverge; it fails the gate.

@@ -193,7 +193,7 @@ def _cmd_extend(config: RunConfig) -> int:
 def _cmd_verify(config: RunConfig) -> int:
     artifact = ser.load_path(config.inputs[0])
     p = _load_poly(config.inputs[1])
-    kind = artifact.get("kind")
+    kind = artifact.get("kind") if isinstance(artifact, dict) else None
     if kind == "realization":
         rep, cert = ser.realization_from_obj(artifact, where=config.inputs[0])
         n, m = cert.p.degree

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import batched_fiber_roots
+from .classify import fiber_root_pairs
 from .dvrep import DvCertificate, UnitaryRealization, VarietySample, phi_evaluate
 from .poly2 import BivariatePolynomial, disk_spiral
 
@@ -63,18 +63,16 @@ class ExtensionOperator:
     def __call__(self, z, w):
         return self.evaluate(z, w)
 
-    def evaluate(self, z: complex, w) -> complex | np.ndarray:
-        """F(z, w); ``w`` may be an array (shared z)."""
-        out = self.evaluate_grid([z], w)[0].reshape(np.shape(w))
-        if np.ndim(w) == 0:
-            return complex(out)
-        return out
+    def evaluate(self, z, w) -> complex | np.ndarray:
+        """F pointwise over the broadcast of z and w (a complex for scalars).
 
-    def evaluate_grid(self, zs, ws) -> np.ndarray:
-        """F on the product grid zs x ws, batched over z through stacked
-        linear solves and matrix Horner."""
-        zs = np.asarray(zs, dtype=np.complex128).ravel()
-        ws = np.asarray(ws, dtype=np.complex128).ravel()
+        The row e1^T Q(z)^{-1} f(zI, Phi(z)) is formed once per entry of z,
+        through stacked linear solves and matrix Horner, and then paired with
+        Qvec(z, w) at the broadcast shape.
+        """
+        z = np.asarray(z, dtype=np.complex128)
+        w = np.asarray(w, dtype=np.complex128)
+        zs = z.ravel()
         m = self.rep.m
         qmats = self.cert.qmatrix.evaluate(zs)  # (K, m, m)
         e1 = np.zeros((m, 1), dtype=np.complex128)
@@ -83,9 +81,16 @@ class ExtensionOperator:
             np.swapaxes(qmats, 1, 2), np.broadcast_to(e1, (len(zs), m, 1))
         )[..., 0]
         fmats = eval_f_of_pair(self.f, zs, phi_evaluate(self.rep, zs))
-        rowf = np.einsum("km,kmj->kj", rows, fmats)
-        qvec = self.cert.vec_q.evaluate(zs[:, None], ws[None, :])  # (m, K, L)
-        return np.einsum("kj,jkl->kl", rowf, qvec)
+        rowf = np.einsum("km,kmj->kj", rows, fmats).reshape(z.shape + (m,))
+        qvec = self.cert.vec_q.evaluate(z, w)  # (m,) + broadcast shape
+        out = np.einsum("...j,j...->...", rowf, qvec)
+        return complex(out) if out.ndim == 0 else out
+
+    def evaluate_grid(self, zs, ws) -> np.ndarray:
+        """F on the product grid zs x ws, shape (len(zs), len(ws))."""
+        zs = np.asarray(zs, dtype=np.complex128).ravel()
+        ws = np.asarray(ws, dtype=np.complex128).ravel()
+        return self.evaluate(zs[:, None], ws[None, :])
 
 
 @dataclass(frozen=True)
@@ -105,27 +110,21 @@ class BoundReport:
         return self.sup_F_on_bidisk / self.sup_f_on_variety
 
 
-def _condition_sup(qmatrix, zs) -> float:
-    vals = qmatrix.evaluate(np.asarray(zs))
-    svals = np.linalg.svd(vals, compute_uv=False)
-    return float(np.max(svals[..., 0] / svals[..., -1]))
-
-
 def extension_bound(op: ExtensionOperator, grid_n: int = 256) -> BoundReport:
     """Compute C on a boundary grid of grid_n angles (with an interior spot
     grid), and the per-point bound over a bidisk grid."""
     m = op.rep.m
     circle = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
     interior = 0.6 * np.exp(2j * np.pi * np.arange(16) / 16)
-    cond = max(_condition_sup(op.cert.qmatrix, circle), _condition_sup(op.cert.qmatrix, interior))
-    c_const = math.sqrt(m) * cond
-    sub = circle[:: max(1, grid_n // 32)]
-    per_point = 0.0
-    for z in sub:
-        qmat = op.cert.qmatrix.evaluate(z)
-        inv_norm = 1.0 / float(np.linalg.svd(qmat, compute_uv=False)[-1])
-        qnorm = np.sqrt(op.cert.vec_q.norm_sq(z, sub))
-        per_point = max(per_point, inv_norm * float(np.max(qnorm)))
+    svals = np.linalg.svd(
+        op.cert.qmatrix.evaluate(np.concatenate([circle, interior])), compute_uv=False
+    )
+    c_const = math.sqrt(m) * float(np.max(svals[:, 0] / svals[:, -1]))
+    step = max(1, grid_n // 32)
+    sub = circle[::step]
+    inv_norm = 1.0 / svals[:grid_n:step, -1]
+    qnorm = np.sqrt(op.cert.vec_q.norm_sq(sub[:, None], sub[None, :]))
+    per_point = float(np.max(inv_norm * np.max(qnorm, axis=1)))
     sup_f = sup_norm_on_variety(op.f, op.cert.p, max(grid_n, 128))
     pts = disk_spiral(max(grid_n, 64))
     sup_F = float(np.max(np.abs(op.evaluate_grid(pts, pts))))
@@ -148,15 +147,7 @@ def sup_norm_on_variety(
     for r in (0.5, 0.9):
         sweeps.append((r * inner, lambda w: np.abs(w) <= 1.0))
     for zs, keep in sweeps:
-        pairs = [
-            (z, w)
-            for z, roots in zip(zs, batched_fiber_roots(p, zs))
-            if roots is not None
-            for w in roots
-        ]
-        if not pairs:
-            continue
-        z, w = np.array(pairs).T
+        z, w = fiber_root_pairs(p, zs)
         mask = keep(w)
         if mask.any():
             best = max(best, float(np.max(np.abs(f.evaluate(z[mask], w[mask])))))
@@ -215,7 +206,7 @@ def verify_extension(
     """Check F = f at variety samples and the norm inflation against C."""
     z, w = sample.arrays()
     fv = np.asarray(op.f.evaluate(z, w))
-    ev = np.array([op.evaluate(complex(a), complex(b)) for a, b in zip(z, w)])
+    ev = op.evaluate(z, w)
     scale = 1.0 + float(np.max(np.abs(fv)))
     on_var = float(np.max(np.abs(ev - fv))) / scale
     bound = extension_bound(op, grid_n=max(grid_n, 128))

@@ -34,11 +34,26 @@ __all__ = [
     "derived_dv_poly",
     "derived_symmetric_poly",
     "blaschke_dv",
+    "horner",
 ]
 
 
 class DegreeMismatchError(ValueError):
     """Raised when an operation needs a formal degree the operand lacks."""
+
+
+def horner(coeffs, x) -> np.ndarray:
+    """sum_k coeffs[k] x^k by Horner's rule, coefficients low to high along
+    axis 0.
+
+    Each slice ``coeffs[k]`` broadcasts against ``x``, so one call evaluates
+    one polynomial at many points or many polynomials at their own points.
+    This is the package's one scalar Horner loop.
+    """
+    acc = np.zeros(np.broadcast_shapes(np.shape(coeffs)[1:], np.shape(x)), dtype=np.complex128)
+    for k in range(len(coeffs) - 1, -1, -1):
+        acc = acc * x + coeffs[k]
+    return acc
 
 
 def _as_grid(coeffs) -> np.ndarray:
@@ -134,20 +149,17 @@ class BivariatePolynomial:
         return self.evaluate(z, w)
 
     def evaluate(self, z, w):
-        """Evaluate by nested Horner (w innermost, z outermost).
+        """Evaluate by nested Horner: each row in w at w's own shape, the
+        rows in z at the broadcast shape.
 
         Accepts scalars or broadcastable numpy arrays and returns an array
         of the broadcast shape (a scalar for scalar inputs).
         """
         z = np.asarray(z, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
-        n, m = self.degree
-        acc = np.zeros(np.broadcast(z, w).shape, dtype=np.complex128)
-        for i in range(n, -1, -1):
-            row = np.zeros_like(acc)
-            for j in range(m, -1, -1):
-                row = row * w + self.coeffs[i, j]
-            acc = acc * z + row
+        acc = np.zeros(np.broadcast_shapes(z.shape, w.shape), dtype=np.complex128)
+        for row in self.coeffs[::-1]:
+            acc = acc * z + horner(row, w)
         if acc.ndim == 0:
             return complex(acc)
         return acc
@@ -423,22 +435,6 @@ class VectorPolynomial:
             max(c.degree[1] for c in self.components),
         )
 
-    def kernel_tensor(self) -> np.ndarray:
-        """Coefficient tensor of the kernel: T[i,j,k,l] = sum_c a_c[i,j] conj(a_c[k,l]).
-
-        Pads all components to the common degree bound.  Invariant under any
-        constant unitary mixing of the components, which makes it the right
-        object to compare or extrapolate when the basis itself is only
-        determined up to unitary equivalence.
-        """
-        n, m = self.degree_bound()
-        stack = np.stack(
-            [c.with_degree((n, m)).coeffs for c in self.components], axis=0
-        )
-        flat = stack.reshape(len(self.components), -1)
-        gram = flat.T @ np.conj(flat)  # (nm+..., nm+...) PSD
-        return gram.reshape(n + 1, m + 1, n + 1, m + 1)
-
 
 @dataclass(frozen=True)
 class MatrixPolynomial:
@@ -464,10 +460,7 @@ class MatrixPolynomial:
     def evaluate(self, t) -> np.ndarray:
         """Horner evaluation; scalar t gives (rows, cols), arrays broadcast in front."""
         t = np.asarray(t, dtype=np.complex128)
-        acc = np.zeros(t.shape + self.shape, dtype=np.complex128)
-        for k in range(self.coeffs.shape[2] - 1, -1, -1):
-            acc = acc * t[..., None, None] + self.coeffs[:, :, k]
-        return acc
+        return horner(np.moveaxis(self.coeffs, 2, 0), t[..., None, None])
 
     def reflected(self, at_degree: int) -> "MatrixPolynomial":
         """Entrywise t^d conj(entry(1/conj(t))): reversed, conjugated coefficients."""

@@ -41,6 +41,12 @@ def _pair2c(pair, where: str) -> complex:
     return c
 
 
+def _required(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise SchemaError(f"{where}.{key}: missing")
+    return obj[key]
+
+
 def _is_count(d) -> bool:
     """A non-negative integer, also when spelled as an integral float."""
     if isinstance(d, float):
@@ -89,6 +95,8 @@ def _vec_to_obj(vec: VectorPolynomial) -> list:
 
 
 def _vec_from_obj(items, where: str) -> VectorPolynomial:
+    if not isinstance(items, list):
+        raise SchemaError(f"{where}: expected a list of polynomials")
     return VectorPolynomial(
         tuple(poly_from_obj(o, f"{where}[{k}]") for k, o in enumerate(items))
     )
@@ -107,6 +115,17 @@ def _matrix_to_obj(mat: MatrixPolynomial | None):
 def _matrix_from_obj(obj, where: str) -> MatrixPolynomial | None:
     if obj is None:
         return None
+    if not (
+        isinstance(obj, list)
+        and obj
+        and all(isinstance(row, list) and row for row in obj)
+        and all(isinstance(entry, list) and entry for row in obj for entry in row)
+        and len({len(row) for row in obj}) == 1
+        and len({len(entry) for row in obj for entry in row}) == 1
+    ):
+        raise SchemaError(
+            f"{where}: expected rows x cols of equal-length coefficient lists"
+        )
     arr = np.array(
         [
             [[_pair2c(c, f"{where}[{r}][{s}]") for c in entry] for s, entry in enumerate(row)]
@@ -134,15 +153,23 @@ def cert_to_obj(cert: SosCertificate, poly: BivariatePolynomial | None = None) -
 
 
 def cert_from_obj(obj: dict, where: str = "certificate") -> SosCertificate:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
     try:
-        kind = CertKind(obj["kind"])
-    except (KeyError, ValueError) as exc:
+        kind = CertKind(obj.get("kind"))
+    except ValueError as exc:
         raise SchemaError(f"{where}.kind: unknown certificate kind") from exc
     weights = obj.get("weights")
+    if weights is not None and not (
+        isinstance(weights, list)
+        and len(weights) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in weights)
+    ):
+        raise SchemaError(f"{where}.weights: expected [a, b] numbers or null")
     return SosCertificate(
         kind,
-        _vec_from_obj(obj["vec_first"], f"{where}.vec_first"),
-        _vec_from_obj(obj["vec_second"], f"{where}.vec_second"),
+        _vec_from_obj(_required(obj, "vec_first", where), f"{where}.vec_first"),
+        _vec_from_obj(_required(obj, "vec_second", where), f"{where}.vec_second"),
         tuple(weights) if weights is not None else None,
         _matrix_from_obj(obj.get("matrix_first"), f"{where}.matrix_first"),
         _matrix_from_obj(obj.get("matrix_second"), f"{where}.matrix_second"),
@@ -157,7 +184,7 @@ def dv_cert_to_obj(cert: DvCertificate) -> dict:
 
 
 def dv_cert_from_obj(obj: dict, where: str = "certificate") -> DvCertificate:
-    if obj.get("kind") != CertKind.DV.value:
+    if not isinstance(obj, dict) or obj.get("kind") != CertKind.DV.value:
         raise SchemaError(f"{where}.kind: expected a DV certificate")
     if "poly" not in obj:
         raise SchemaError(f"{where}.poly: missing defining polynomial")
@@ -165,6 +192,8 @@ def dv_cert_from_obj(obj: dict, where: str = "certificate") -> DvCertificate:
     qmat = sos.matrix_second
     if qmat is None:
         raise SchemaError(f"{where}.matrix_second: DV certificate needs Qmatrix")
+    if sos.weights is None:
+        raise SchemaError(f"{where}.weights: DV certificate needs [a, b]")
     return DvCertificate(
         poly_from_obj(obj["poly"], f"{where}.poly"),
         tuple(sos.weights),
@@ -190,21 +219,28 @@ def realization_to_obj(
 
 
 def realization_from_obj(obj: dict, where: str = "realization"):
-    if obj.get("kind") != "realization":
+    if not isinstance(obj, dict) or obj.get("kind") != "realization":
         raise SchemaError(f"{where}.kind: expected a realization document")
     try:
         m, n = int(obj["m"]), int(obj["n"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{where}.m/n: missing block sizes") from exc
+    rows = _required(obj, "U", where)
+    if not (
+        isinstance(rows, list)
+        and len(rows) == m + n
+        and all(isinstance(row, list) and len(row) == m + n for row in rows)
+    ):
+        raise SchemaError(f"{where}.U: expected a {m + n} x {m + n} matrix")
     u = np.array(
         [
             [_pair2c(c, f"{where}.U[{r}][{s}]") for s, c in enumerate(row)]
-            for r, row in enumerate(obj["U"])
+            for r, row in enumerate(rows)
         ],
         dtype=np.complex128,
     )
     rep = UnitaryRealization(m, n, u)
-    cert = dv_cert_from_obj(obj["cert"], f"{where}.cert")
+    cert = dv_cert_from_obj(_required(obj, "cert", where), f"{where}.cert")
     return rep, cert
 
 

@@ -38,6 +38,7 @@ from .poly2 import (
     MatrixPolynomial,
     VectorPolynomial,
     disk_spiral,
+    horner,
     reflect,
     reflected_derivatives,
     symmetry_analysis,
@@ -133,15 +134,6 @@ def _fft_window(q, size):
     return _window_from_raw(lambda a, b: raw[a % size, b % size], n, m)
 
 
-def _poly_eval_batch(coeffs, x):
-    """Horner for per-row coefficient lists: coeffs (N, d+1) low-to-high at
-    x (N, K) -> (N, K)."""
-    acc = np.zeros_like(x)
-    for t in range(coeffs.shape[1] - 1, -1, -1):
-        acc = acc * x + coeffs[:, t : t + 1]
-    return acc
-
-
 def _residue_column(q, nodes, bmax):
     """J_b(z) = (1/2 pi) int w^b / |q(z, w)|^2 dtheta for b = 0..bmax.
 
@@ -166,7 +158,8 @@ def _residue_column(q, nodes, bmax):
     if np.min(pair) < 1e-8:
         raise QuadratureError("colliding fiber roots; residue backend assumes simple poles")
     dref_c = refl_c[:, 1:] * np.arange(1, m + 1)
-    denom = _poly_eval_batch(fiber, v) * _poly_eval_batch(dref_c, v)
+    # one polynomial per node (row), evaluated at that node's poles
+    denom = horner(fiber.T[..., None], v) * horner(dref_c.T[..., None], v)
     out = np.empty((bmax + 1, len(nodes)), dtype=np.complex128)
     base = v ** (m - 1)
     for b in range(bmax + 1):
@@ -201,28 +194,23 @@ def _converged_window(q, start, builder, rtol=1e-9, max_size=None):
     raise QuadratureError("quadrature unresolved: moment window did not converge")
 
 
-def compute_moments(
-    q: BivariatePolynomial,
-    grid_size: int | None = None,
-    method: str = "auto",
-) -> MomentTable:
+def compute_moments(q: BivariatePolynomial, method: str = "auto") -> MomentTable:
     """Moment table of the normalized density c^2/|q|^2 on the torus.
 
-    ``grid_size`` of None picks the smallest power of two >= max(256,
-    16(n+m)) and doubles until the window agrees with the doubled grid to
-    1e-9 relative.  ``method`` is "fft", "residue", or "auto" (fft first,
-    residue rescue for near-torus zeros).
+    The grid starts at the smallest power of two >= max(256, 16(n+m)) and
+    doubles until the window agrees with the doubled grid to 1e-9 relative;
+    the residue backend starts at 4096 or more.  ``method`` is "fft",
+    "residue", or "auto" (fft first, residue rescue for near-torus zeros).
     """
     n, m = q.degree
-    if grid_size is None:
-        grid_size = 1 << max(8, math.ceil(math.log2(max(1, 16 * (n + m)))))
+    start = 1 << max(8, math.ceil(math.log2(max(1, 16 * (n + m)))))
     if method == "fft":
-        win, used = _converged_window(q, grid_size, _fft_window, max_size=4096)
+        win, used = _converged_window(q, start, _fft_window, max_size=4096)
     elif method == "residue":
-        win, used = _converged_window(q, max(grid_size, 4096), _residue_window, max_size=1 << 20)
+        win, used = _converged_window(q, max(start, 4096), _residue_window, max_size=1 << 20)
     else:
         try:
-            win, used = _converged_window(q, grid_size, _fft_window, max_size=4096)
+            win, used = _converged_window(q, start, _fft_window, max_size=4096)
         except QuadratureError:
             win, used = _converged_window(q, 1 << 14, _residue_window, max_size=1 << 20)
     mu00 = win[n, m].real
@@ -372,9 +360,8 @@ def _stability_route(q, grid_n=32, tol=1e-7):
     )
 
 
-def _direct_certificate(q, grid_size=None, method="auto"):
-    n, m = q.degree
-    mom = compute_moments(q, grid_size, method=method)
+def _direct_certificate(q, method="auto"):
+    mom = compute_moments(q, method=method)
     vec_e, vec_f = subspace_kernel_pair(q, mom)
     c = mom.normalizer_c
     return vec_e.scaled(c), vec_f.scaled(c)
@@ -409,7 +396,23 @@ def _neville_to_zero(hs, tables):
     return tab[0]
 
 
-def _dilation_certificate(q, grid_size=None):
+def _kernel_tensor(vec, degree):
+    """Coefficient tensor of the kernel of ``vec`` padded to ``degree``:
+    T[i,j,k,l] = sum_c a_c[i,j] conj(a_c[k,l]).
+
+    Invariant under any constant unitary mixing of the components, which
+    makes it the right object to compare or extrapolate when the basis
+    itself is only determined up to unitary equivalence.  An empty vector
+    (the side of a certificate with n = 0 or m = 0) gives the zero tensor.
+    """
+    n, m = degree
+    flat = np.zeros((len(vec), (n + 1) * (m + 1)), dtype=np.complex128)
+    for k, comp in enumerate(vec):
+        flat[k] = comp.with_degree(degree).coeffs.ravel()
+    return (flat.T @ np.conj(flat)).reshape(n + 1, m + 1, n + 1, m + 1)
+
+
+def _dilation_certificate(q):
     """Certificate for q stable on the open bidisk with torus zeros.
 
     Certificates for the dilates q(rz, rw) exist by closed-bidisk stability;
@@ -422,12 +425,10 @@ def _dilation_certificate(q, grid_size=None):
     for r in DILATION_RADII:
         qr = dilate(q, r)
         method = "auto" if 1.0 - r > 5e-3 else "residue"
-        vec_a, vec_b = _direct_certificate(qr, grid_size, method=method)
-        pad_a = VectorPolynomial(tuple(c.with_degree((max(n - 1, 0), m)) for c in vec_a))
-        pad_b = VectorPolynomial(tuple(c.with_degree((n, max(m - 1, 0))) for c in vec_b))
+        vec_a, vec_b = _direct_certificate(qr, method=method)
         hs.append(math.sqrt(1.0 - r))
-        ta_list.append(pad_a.kernel_tensor())
-        tb_list.append(pad_b.kernel_tensor())
+        ta_list.append(_kernel_tensor(vec_a, (max(n - 1, 0), m)))
+        tb_list.append(_kernel_tensor(vec_b, (n, max(m - 1, 0))))
     gaps = [float(np.max(np.abs(ta_list[k + 1] - ta_list[k]))) for k in range(len(hs) - 1)]
     if gaps[-1] > gaps[0]:
         raise QuadratureError("dilation certificates are not converging toward r = 1")
@@ -438,19 +439,15 @@ def _dilation_certificate(q, grid_size=None):
     return vec_a, vec_b
 
 
-def _route_vectors(q, grid_size, route):
+def _route_vectors(q, route):
     if route == "direct":
-        return _direct_certificate(q, grid_size)
+        return _direct_certificate(q)
     if route == "dilation":
-        return _dilation_certificate(q, grid_size)
+        return _dilation_certificate(q)
     raise ValueError(f"unknown route {route!r}")
 
 
-def sos_certificate(
-    q: BivariatePolynomial,
-    grid_size: int | None = None,
-    route: str | None = None,
-) -> SosCertificate:
+def sos_certificate(q: BivariatePolynomial, route: str | None = None) -> SosCertificate:
     """Two-square certificate q qbar - reflect(q) reflect(q)bar =
     (1-|z|^2)|A|^2 + (1-|w|^2)|B|^2 for q with no zeros on the bidisk.
 
@@ -461,7 +458,7 @@ def sos_certificate(
     n, m = q.degree
     if route is None:
         route = _stability_route(q)
-    vec_a, vec_b = _route_vectors(q, grid_size, route)
+    vec_a, vec_b = _route_vectors(q, route)
     cert = _attach_matrix_forms(CertKind.COLE_WERMER, vec_a, vec_b, n, m)
     return replace(cert, residual=verify_certificate(q, cert, grid_n=32).max_residual)
 
@@ -491,7 +488,6 @@ def sym_sos_certificate(
     q: BivariatePolynomial,
     a: float,
     b: float,
-    grid_size: int | None = None,
     route: str | None = None,
 ) -> SosCertificate:
     """Certificate of (an+bm)|q|^2 - 2 Re[(a z q_z + b w q_w) conj(q)] =
@@ -520,7 +516,7 @@ def sym_sos_certificate(
             raise StabilityError(
                 "reflected-derivative combination vanishes on the closed bidisk"
             ) from exc
-    vec_a, vec_b = _route_vectors(g, grid_size, route)
+    vec_a, vec_b = _route_vectors(g, route)
     scale = 1.0 / math.sqrt(a * n + b * m)
     cert = _attach_matrix_forms(
         CertKind.SYMMETRIC, vec_a.scaled(scale), vec_b.scaled(scale), n, m, weights=(a, b)

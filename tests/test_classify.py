@@ -216,6 +216,39 @@ class TestClassification:
             )
 
 
+class TestVerticalLines:
+    """A factor in z alone puts a line {z0} x C in the zero set, which no
+    w-fiber sweep sees."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            poly({(0, 0): -1, (1, 0): 2, (0, 1): 0.5, (1, 1): -1}),  # (z - 1/2)(2 - w)
+            poly({(0, 0): -0.5, (1, 0): 1}),  # z - 1/2
+        ],
+        ids=["z_half_times_two_minus_w", "z_half"],
+    )
+    def test_line_inside_disk_is_witnessed(self, p):
+        zc = classify_zero_set(p)
+        assert zc.label is ZeroLabel.INDETERMINATE
+        assert zc.witnesses
+        for z, w in zc.witnesses:
+            assert abs(p.evaluate(z, w)) <= zc.tol * p.scale
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3])
+    def test_line_on_circle_is_stable_open(self, angle):
+        # at angle 0.3 the line misses every grid point
+        p = poly({(0, 0): 1, (1, 0): -np.exp(1j * angle)})
+        assert classify_zero_set(p).label is ZeroLabel.STABLE_OPEN
+
+    def test_line_on_circle_times_stable_factor(self):
+        p = poly({(0, 0): 1, (1, 0): -1}) * two_minus_z_minus_w()
+        assert classify_zero_set(p).label is ZeroLabel.STABLE_OPEN
+
+    def test_line_outside_disk_stays_stable_closed(self):
+        assert classify_zero_set(poly({(0, 0): 2, (1, 0): -1})).label is ZeroLabel.STABLE_CLOSED
+
+
 class TestTildeNoZeros:
     def test_reflected_derivatives_nonvanishing(self):
         # for symmetric q with no zeros off the torus, the reflected

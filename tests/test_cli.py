@@ -73,6 +73,16 @@ class TestRunConfig:
         RunConfig(command="demo").validate()
 
 
+@pytest.fixture(scope="module")
+def realization_doc(tmp_path_factory):
+    """A realization document of z^3 - w^2 and the polynomial's path."""
+    d = tmp_path_factory.mktemp("realization")
+    poly_path = write_poly(d, "p.json", z3_minus_w2())
+    rep_path = d / "rep.json"
+    assert main(["represent", poly_path, "-o", str(rep_path)]) == 0
+    return poly_path, json.loads(rep_path.read_text())
+
+
 class TestCliCommands:
     def test_classify_dv(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
@@ -127,6 +137,81 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{bad}{field}" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "extend"])
+    @pytest.mark.parametrize(
+        "path, value, field",
+        [
+            (("U",), None, ".U"),
+            (("U",), 5, ".U"),
+            (("cert",), None, ".cert"),
+            (("cert", "vec_first"), None, ".cert.vec_first"),
+            (("cert", "vec_first"), 5, ".cert.vec_first"),
+            (("cert", "weights"), 5, ".cert.weights"),
+            (("cert", "matrix_second"), 5, ".cert.matrix_second"),
+        ],
+        ids=[
+            "no_U", "scalar_U", "no_cert", "no_vec_first", "scalar_vec_first",
+            "scalar_weights", "scalar_matrix_second",
+        ],
+    )
+    def test_malformed_realization_exit_1(
+        self, realization_doc, tmp_path, capsys, command, path, value, field
+    ):
+        poly_path, doc = realization_doc
+        *outer, key = path
+        target = doc = json.loads(json.dumps(doc))
+        for part in outer:
+            target = target[part]
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
+        bad = tmp_path / "bad_rep.json"
+        bad.write_text(json.dumps(doc))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        argv = ["verify", str(bad), poly_path] if command == "verify" else ["extend", str(bad), f_path]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}{field}:" in captured.err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("vec_first", None), ("vec_second", 5), ("weights", 5), ("matrix_first", 5)],
+        ids=["no_vec_first", "scalar_vec_second", "scalar_weights", "scalar_matrix_first"],
+    )
+    def test_malformed_certificate_exit_1(self, tmp_path, capsys, key, value):
+        path = write_poly(tmp_path, "p.json", four_minus_z_minus_w())
+        cert_path = tmp_path / "cert.json"
+        assert main(["sos", path, "-o", str(cert_path)]) == 0
+        doc = json.loads(cert_path.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        cert_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cert_path}.{key}:" in captured.err
+
+    def test_verify_non_object_document_exit_1(self, tmp_path, capsys):
+        path = write_poly(tmp_path, "p.json", z3_minus_w2())
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        assert main(["verify", str(bad), path]) == 1
+        assert f"{bad}.kind" in capsys.readouterr().err
+
+    def test_sos_one_minus_z(self, tmp_path, capsys):
+        # a line on the circle: StableOpen, so the dilation route, whose
+        # w-side is empty (m = 0)
+        path = write_poly(tmp_path, "p.json", poly({(0, 0): 1, (1, 0): -1}))
+        assert main(["sos", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["vec_second"] == []
+        assert out["verification"]["residual"] <= 1e-10
 
     def test_missing_file_exit_1(self, capsys):
         assert main(["classify", "/nonexistent/poly.json"]) == 1

@@ -17,6 +17,7 @@ from dvkit.dvrep import (
     shift_realization,
     verify_representation,
 )
+from dvkit.classify import fiber_roots
 from dvkit.poly2 import blaschke_dv, symmetrize
 
 
@@ -91,6 +92,37 @@ class TestSampleVariety:
         s1 = sample_variety(p, 20, seed=3)
         s2 = sample_variety(p, 20, seed=3)
         assert s1.points == s2.points
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_matches_per_point_newton(self, seed):
+        # one fiber at a time and one scalar Newton per root, as the
+        # sampler is specified: same points, same order
+        p = symmetrize(blaschke_dv(2, [0.5, 0]))
+        n, m = p.degree
+        pw = p.partial_w()
+        scale = p.scale
+        rng = np.random.default_rng(seed)
+        radii = (0.3, 0.5, 0.7, 0.85)
+        per = max(4, int(np.ceil(30 / (len(radii) * m))) + 1)
+        want = []
+        for r in radii:
+            jitter = rng.uniform(0.0, 2 * np.pi)
+            for k in range(per):
+                z = r * np.exp(1j * (2 * np.pi * k / per + jitter))
+                for w in fiber_roots(p, complex(z)):
+                    if abs(w) >= 1.0:
+                        continue
+                    for _ in range(50):
+                        val = p.evaluate(z, w)
+                        dw = pw.evaluate(z, w)
+                        if abs(val) <= 1e-13 * scale or abs(dw) < 1e-14 * scale:
+                            break
+                        w = w - val / dw
+                    if abs(p.evaluate(z, w)) <= 1e-12 * scale and abs(w) < 1.0:
+                        want.append((z, w))
+        got = sample_variety(p, 30, seed=seed)
+        assert len(got) == len(want)
+        assert max(abs(a - c) + abs(b - d) for (a, b), (c, d) in zip(got.points, want)) < 1e-12
 
     def test_insufficient_span_raises(self):
         p = symmetrize(z3_minus_w2())

@@ -82,6 +82,17 @@ class TestExtensionValues:
                 assert abs(grid[i, j] - want) < 1e-12
                 assert abs(op(complex(z), complex(w)) - want) < 1e-12
 
+    def test_pointwise_arrays_match_scalar_calls(self, pipeline_z3w2):
+        cert, sample, rep, _ = pipeline_z3w2
+        op = ExtensionOperator(rep, cert, F_ZW + F_W2)
+        z, w = sample.arrays()
+        got = op.evaluate(z, w)
+        assert got.shape == z.shape
+        want = np.array([op(complex(a), complex(b)) for a, b in sample.points])
+        assert np.max(np.abs(got - want)) < 1e-13
+        shared = op.evaluate(z[0], w)  # one z against many w
+        assert np.max(np.abs(shared - op.evaluate_grid(z[:1], w)[0])) < 1e-13
+
     def test_linearity(self, pipeline_z3w2):
         cert, _, rep, _ = pipeline_z3w2
         op_sum = ExtensionOperator(rep, cert, F_ZW + F_W2)
@@ -148,6 +159,18 @@ class TestBounds:
         )
         bound = extension_bound(ExtensionOperator(rep, cert, F_W))
         assert abs(bound.C - math.sqrt(2)) < 1e-12
+
+    def test_per_point_bound_matches_per_z_loop(self, pipeline_z3w2):
+        cert, _, rep, _ = pipeline_z3w2
+        grid_n = 256
+        bound = extension_bound(ExtensionOperator(rep, cert, F_W), grid_n=grid_n)
+        sub = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)[:: grid_n // 32]
+        want = max(
+            np.max(np.sqrt(cert.vec_q.norm_sq(z, sub)))
+            / np.linalg.svd(cert.qmatrix.evaluate(z), compute_uv=False)[-1]
+            for z in sub
+        )
+        assert abs(bound.per_point_bound - want) <= 1e-12 * want
 
     def test_per_point_bound_not_above_c_times_sup(self, pipeline_z3w2):
         cert, _, rep, _ = pipeline_z3w2

@@ -13,9 +13,11 @@ from conftest import (
 )
 from dvkit.poly2 import (
     DegreeMismatchError,
+    MatrixPolynomial,
     SymmetryKind,
     derived_dv_poly,
     derived_symmetric_poly,
+    horner,
     reflect,
     reflected_derivatives,
     swap_transform,
@@ -54,6 +56,48 @@ class TestEvaluate:
         vals = p.evaluate(zs, ws)
         for k in range(3):
             assert abs(vals[k] - p.evaluate(zs[k], ws[k])) < 1e-12
+
+
+class TestHorner:
+    def test_one_polynomial_many_points(self):
+        coeffs = np.array([1.0, -2j, 0.5, 3.0])
+        x = np.array([[0.3 + 0.1j, -1.2], [2j, 0.0]])
+        assert np.max(np.abs(horner(coeffs, x) - np.polyval(coeffs[::-1], x))) < 1e-12
+
+    def test_one_polynomial_per_row(self):
+        # coefficients (d+1, N, 1) against points (N, K): row k at its own points
+        rng = np.random.default_rng(4)
+        coeffs = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        x = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+        got = horner(coeffs[..., None], x)
+        assert got.shape == (3, 5)
+        for k in range(3):
+            assert np.max(np.abs(got[k] - np.polyval(coeffs[::-1, k], x[k]))) < 1e-12
+
+    def test_bivariate_matches_monomial_sum(self):
+        p = random_poly(np.random.default_rng(5), 3, 4)
+        z = np.array([0.4 - 0.2j, 1.1, -0.7j])[:, None]
+        w = np.array([0.2, -0.5 + 0.5j])[None, :]
+        want = sum(
+            p.coeffs[i, j] * z**i * w**j for i in range(4) for j in range(5)
+        )
+        got = p.evaluate(z, w)
+        assert got.shape == (3, 2)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_scalar_arguments_give_complex(self):
+        assert isinstance(z3_minus_w2().evaluate(0.5, 0.25j), complex)
+
+    def test_matrix_polynomial_matches_entrywise(self):
+        rng = np.random.default_rng(6)
+        mat = MatrixPolynomial(rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4)))
+        t = np.array([0.3j, -0.8, 0.5 + 0.5j])
+        got = mat.evaluate(t)
+        assert got.shape == (3, 2, 3)
+        for r in range(2):
+            for c in range(3):
+                want = np.polyval(mat.coeffs[r, c, ::-1], t)
+                assert np.max(np.abs(got[:, r, c] - want)) < 1e-12
 
 
 class TestDerivatives:

@@ -8,6 +8,7 @@ from conftest import (
     two_minus_z_minus_w,
     z3_minus_w2,
 )
+from dvkit.classify import QuadratureError
 from dvkit.poly2 import blaschke_dv, disk_spiral, reflect, swap_transform, symmetrize
 from dvkit.soscert import (
     CertKind,
@@ -220,6 +221,31 @@ class TestBoundaryDilation:
     def test_two_certificate_grid_residual(self, cert_two):
         report = verify_certificate(two_minus_z_minus_w(), cert_two, grid_n=64)
         assert report.max_residual <= 1e-6
+
+
+class TestEmptySide:
+    """n = 0 or m = 0 leaves one side of the certificate without components;
+    the dilation route treats it as a zero kernel."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            poly({(0, 0): 1, (0, 1): -1}),  # 1 - w
+            poly({(0, 0): 3, (0, 1): -4, (0, 2): 1}),  # (1 - w)(3 - w)
+        ],
+        ids=["one_minus_w", "one_minus_w_three_minus_w"],
+    )
+    def test_certifies(self, p):
+        cert = sos_certificate(p)
+        n, m = p.degree
+        assert len(cert.vec_first) == n and len(cert.vec_second) == m
+        report = verify_certificate(p, cert, grid_n=64)
+        assert report.max_residual <= 1e-10 and report.polarized_residual <= 1e-10
+
+    def test_double_pole_refused_by_name(self):
+        p = poly({(0, 0): 1, (0, 1): -2, (0, 2): 1})  # (1 - w)^2
+        with pytest.raises(QuadratureError, match="colliding fiber roots"):
+            sos_certificate(p)
 
 
 class TestGwInvertibility:
