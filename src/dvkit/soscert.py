@@ -18,10 +18,11 @@ zero-free on the open bidisk (torus zeros allowed) are handled by dilating
 q_r(z, w) = q(rz, rw), building certificates along r -> 1, and extrapolating
 the (unitary-invariant) kernel coefficient tensors to r = 1.
 
-Moments are two-dimensional Fourier coefficients; they are computed by FFT
-on a torus grid, or -- when zeros sit too close to the torus for any
-affordable grid -- by exact residue summation in w followed by a single
-1-D quadrature in z.
+Moments are two-dimensional Fourier coefficients.  They are computed by
+exact residue summation in w followed by a single 1-D quadrature in z, whose
+grid doubles by adding the odd nodes to the columns already computed; a 2-D
+FFT on a torus grid takes over only when fiber roots collide or nearly
+collide, where the residue sum (simple poles) loses its accuracy.
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ EIG_CLIP = 1e-12
 # corpus), so extrapolation runs in h = sqrt(1 - r); the radii are geometric
 # in h, which makes polynomial extrapolation to h = 0 well conditioned.
 DILATION_RADII = (0.9, 0.97, 0.99, 0.997, 0.999, 0.9997, 0.9999)
+# Largest cancellation sum|residue| / |sum residue| of J_0 that the residue
+# backend accepts at a node; beyond it the poles count as colliding.  The
+# window error measured on near-double and near-triple poles stays below
+# 10 eps * cancellation^2, so about 2e-11 at this bound.
+RESIDUE_CANCEL_MAX = 100.0
 
 
 class TorusZeroError(ValueError):
@@ -134,6 +140,11 @@ def _fft_window(q, size):
     return _window_from_raw(lambda a, b: raw[a % size, b % size], n, m)
 
 
+class _CollidingPoles(QuadratureError):
+    """The residue backend needs simple poles; the FFT may still resolve the
+    moments."""
+
+
 def _residue_column(q, nodes, bmax):
     """J_b(z) = (1/2 pi) int w^b / |q(z, w)|^2 dtheta for b = 0..bmax.
 
@@ -141,37 +152,56 @@ def _residue_column(q, nodes, bmax):
     reflection of the fiber, whose roots v_k = 1/conj(w_k) are the poles
     inside the disk; each residue is v_k^{b+M-1} / (q(z, v_k) r'(v_k)).
     Stable fibers keep r at full degree (r's leading coefficient is
-    conj(q(z, 0))), so fiber degree drops in w cost nothing here."""
-    m = q.degree[1]
-    fiber = q.fibers(nodes)  # (N, m+1) low-to-high in w
-    if m == 0:
-        dens = 1.0 / np.abs(fiber[:, 0]) ** 2
-        return np.stack([dens] + [np.zeros_like(dens)] * bmax, axis=0)
+    conj(q(z, 0))), so fiber degree drops in w cost nothing here.  M is the
+    true w-degree of q: all-zero top coefficient columns would only add a
+    multiple pole at w = 0."""
+    live = np.flatnonzero(np.any(q.coeffs != 0, axis=0))
+    m = int(live[-1]) if len(live) else 0
+    fiber = q.fibers(nodes)[:, : m + 1]  # (N, m+1) low-to-high in w
     refl_c = np.conj(fiber[:, ::-1])  # coefficients of r, low-to-high
     lead = np.abs(refl_c[:, -1])
     if np.min(lead) <= 1e-12 * np.max(np.abs(refl_c)):
         raise StabilityError("fiber vanishes at w = 0 on the contour; q is not stable")
+    if m == 0:
+        dens = 1.0 / lead**2
+        return np.stack([dens] + [np.zeros_like(dens)] * bmax, axis=0)
     v = companion_roots(refl_c)  # (N, m) poles, should lie inside the disk
     if np.max(np.abs(v)) >= 1.0:
         raise StabilityError("fiber root inside the closed disk on the contour")
-    pair = np.abs(v[:, :, None] - v[:, None, :]) + np.eye(m)
-    if np.min(pair) < 1e-8:
-        raise QuadratureError("colliding fiber roots; residue backend assumes simple poles")
     dref_c = refl_c[:, 1:] * np.arange(1, m + 1)
     # one polynomial per node (row), evaluated at that node's poles
     denom = horner(fiber.T[..., None], v) * horner(dref_c.T[..., None], v)
-    out = np.empty((bmax + 1, len(nodes)), dtype=np.complex128)
     base = v ** (m - 1)
+    # J_0 > 0 is a mean of 1/|q|^2, so its residues cancel only where poles
+    # nearly collide.  At a double root the computed poles may also land
+    # within rounding of each other, with residues that do not cancel at all.
+    gap = np.min(np.abs(v[:, :, None] - v[:, None, :]) + np.eye(m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = base / denom
+        cancel = np.sum(np.abs(terms), axis=1) / np.abs(np.sum(terms, axis=1))
+    if gap < 1e-8 or not np.max(cancel) <= RESIDUE_CANCEL_MAX:
+        raise _CollidingPoles("colliding fiber roots; residue backend assumes simple poles")
+    out = np.empty((bmax + 1, len(nodes)), dtype=np.complex128)
     for b in range(bmax + 1):
         out[b] = np.sum(base / denom, axis=1)
         base = base * v
     return out
 
 
-def _residue_window(q, size):
+def _residue_window(q, size, cols=None):
+    """Window from the residue columns at ``size`` nodes, and those columns.
+
+    ``cols`` are the columns at size/2 nodes: those nodes are the even nodes
+    of this grid, so only the size/2 odd nodes are computed afresh."""
     n, m = q.degree
-    nodes = np.exp(2j * np.pi * np.arange(size) / size)
-    cols = _residue_column(q, nodes, m)
+    if cols is None:
+        cols = _residue_column(q, np.exp(2j * np.pi * np.arange(size) / size), m)
+    else:
+        odd = np.exp(2j * np.pi * np.arange(1, size, 2) / size)
+        both = np.empty((m + 1, size), dtype=np.complex128)
+        both[:, 0::2] = cols
+        both[:, 1::2] = _residue_column(q, odd, m)
+        cols = both
     spectra = np.fft.ifft(cols, axis=1)  # spectra[b, a % size] = raw mu(a, b)
 
     def raw(a, b):
@@ -179,14 +209,17 @@ def _residue_window(q, size):
             return np.conj(spectra[-b, (-a) % size])
         return spectra[b, a % size]
 
-    return _window_from_raw(raw, n, m)
+    return _window_from_raw(raw, n, m), cols
 
 
-def _converged_window(q, start, builder, rtol=1e-9, max_size=None):
+def _converged_window(q, start, builder, max_size, rtol=1e-9):
+    """Double the grid from ``start`` until the window agrees with the
+    doubled grid's to ``rtol`` relative; ``builder(q, size, state)`` returns
+    the window and the state handed to the next, doubled, call."""
     size = start
-    win = builder(q, size)
-    while max_size is None or size < max_size:
-        nxt = builder(q, 2 * size)
+    win, state = builder(q, size, None)
+    while size < max_size:
+        nxt, state = builder(q, 2 * size, state)
         err = np.max(np.abs(nxt - win)) / max(np.max(np.abs(nxt)), 1e-300)
         win, size = nxt, 2 * size
         if err <= rtol:
@@ -194,25 +227,40 @@ def _converged_window(q, start, builder, rtol=1e-9, max_size=None):
     raise QuadratureError("quadrature unresolved: moment window did not converge")
 
 
+def _fft_converged(q, start):
+    return _converged_window(q, start, lambda q, size, _: (_fft_window(q, size), None), 4096)
+
+
+def _residue_converged(q, start):
+    return _converged_window(q, start, _residue_window, 1 << 20)
+
+
 def compute_moments(q: BivariatePolynomial, method: str = "auto") -> MomentTable:
     """Moment table of the normalized density c^2/|q|^2 on the torus.
 
     The grid starts at the smallest power of two >= max(256, 16(n+m)) and
-    doubles until the window agrees with the doubled grid to 1e-9 relative;
-    the residue backend starts at 4096 or more.  ``method`` is "fft",
-    "residue", or "auto" (fft first, residue rescue for near-torus zeros).
+    doubles until the window agrees with the doubled grid to 1e-9 relative,
+    up to 4096^2 nodes for "fft" and 2^20 z-nodes for "residue".  ``method``
+    "auto" runs the residue backend and falls back to the FFT only when
+    fiber roots collide (residues cancelling beyond RESIDUE_CANCEL_MAX); if
+    that FFT does not converge either, the residue backend's colliding-roots
+    error is raised.  A fiber root inside the closed disk on the contour (a
+    zero of q on the closed bidisk) raises StabilityError without a fallback.
     """
     n, m = q.degree
     start = 1 << max(8, math.ceil(math.log2(max(1, 16 * (n + m)))))
     if method == "fft":
-        win, used = _converged_window(q, start, _fft_window, max_size=4096)
+        win, used = _fft_converged(q, start)
     elif method == "residue":
-        win, used = _converged_window(q, max(start, 4096), _residue_window, max_size=1 << 20)
+        win, used = _residue_converged(q, start)
     else:
         try:
-            win, used = _converged_window(q, start, _fft_window, max_size=4096)
-        except QuadratureError:
-            win, used = _converged_window(q, 1 << 14, _residue_window, max_size=1 << 20)
+            win, used = _residue_converged(q, start)
+        except _CollidingPoles as exc:
+            try:
+                win, used = _fft_converged(q, start)
+            except QuadratureError:
+                raise exc from None
     mu00 = win[n, m].real
     if not mu00 > 0:
         raise TorusZeroError("density has nonpositive mass; q vanishes on the torus")
@@ -360,8 +408,8 @@ def _stability_route(q, grid_n=32, tol=1e-7):
     )
 
 
-def _direct_certificate(q, method="auto"):
-    mom = compute_moments(q, method=method)
+def _direct_certificate(q):
+    mom = compute_moments(q)
     vec_e, vec_f = subspace_kernel_pair(q, mom)
     c = mom.normalizer_c
     return vec_e.scaled(c), vec_f.scaled(c)
@@ -423,15 +471,14 @@ def _dilation_certificate(q):
     n, m = q.degree
     hs, ta_list, tb_list = [], [], []
     for r in DILATION_RADII:
-        qr = dilate(q, r)
-        method = "auto" if 1.0 - r > 5e-3 else "residue"
-        vec_a, vec_b = _direct_certificate(qr, method=method)
+        vec_a, vec_b = _direct_certificate(dilate(q, r))
         hs.append(math.sqrt(1.0 - r))
         ta_list.append(_kernel_tensor(vec_a, (max(n - 1, 0), m)))
         tb_list.append(_kernel_tensor(vec_b, (n, max(m - 1, 0))))
-    gaps = [float(np.max(np.abs(ta_list[k + 1] - ta_list[k]))) for k in range(len(hs) - 1)]
-    if gaps[-1] > gaps[0]:
-        raise QuadratureError("dilation certificates are not converging toward r = 1")
+    for tensors in (ta_list, tb_list):
+        gaps = [float(np.max(np.abs(tensors[k + 1] - tensors[k]))) for k in range(len(hs) - 1)]
+        if gaps[-1] > gaps[0]:
+            raise QuadratureError("dilation certificates are not converging toward r = 1")
     ta0 = _neville_to_zero(hs, ta_list)
     tb0 = _neville_to_zero(hs, tb_list)
     vec_a = _refactor_kernel_tensor(ta0, n, (max(n - 1, 0), m))

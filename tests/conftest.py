@@ -28,6 +28,14 @@ def four_minus_z_minus_w():
     return poly({(0, 0): 4, (1, 0): -1, (0, 1): -1})
 
 
+def haar_unitary(rng, size):
+    """Haar-distributed unitary: QR of a complex Gaussian, phases fixed."""
+    g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    q, r = np.linalg.qr(g)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
 def random_poly(rng, n, m, scale=1.0):
     grid = rng.normal(size=(n + 1, m + 1)) + 1j * rng.normal(size=(n + 1, m + 1))
     return BivariatePolynomial(scale * grid)

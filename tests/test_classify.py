@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     four_minus_z_minus_w,
+    haar_unitary,
     one_minus_z3w2,
     poly,
     two_minus_z_minus_w,
@@ -30,14 +31,6 @@ from dvkit.poly2 import (
     swap_transform,
     symmetrize,
 )
-
-
-def haar_unitary(rng, size):
-    """Haar-distributed unitary: QR of a complex Gaussian, phases fixed."""
-    g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 def unimodular_resultant_roots(p1, p2, nodes=32):

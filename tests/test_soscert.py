@@ -3,13 +3,25 @@ import pytest
 
 from conftest import (
     four_minus_z_minus_w,
+    haar_unitary,
     one_minus_z3w2,
     poly,
     two_minus_z_minus_w,
     z3_minus_w2,
 )
+from dvkit import soscert
 from dvkit.classify import QuadratureError
-from dvkit.poly2 import blaschke_dv, disk_spiral, reflect, swap_transform, symmetrize
+from dvkit.dvrep import UnitaryRealization, det_representation
+from dvkit.poly2 import (
+    BivariatePolynomial,
+    VectorPolynomial,
+    blaschke_dv,
+    disk_spiral,
+    reflect,
+    reflected_derivatives,
+    swap_transform,
+    symmetrize,
+)
 from dvkit.soscert import (
     CertKind,
     SosCertificate,
@@ -18,6 +30,7 @@ from dvkit.soscert import (
     TorusZeroError,
     _basis_to_vector,
     _complement_basis,
+    _residue_window,
     compute_moments,
     gw_invertibility,
     sos_certificate,
@@ -31,6 +44,28 @@ RNG = np.random.default_rng(42)
 
 def minus_five():
     return poly({(0, 0): -5}, (3, 2))
+
+
+def reflected_derivative_combination(p):
+    """The g that the variety certificate of p certifies with unit weights:
+    reflect(q_z) + reflect(q_w) for q = swap_transform(symmetrize(p))."""
+    q = swap_transform(symmetrize(p))
+    n, m = q.degree
+    qz_ref, qw_ref = reflected_derivatives(q)
+    return qz_ref.with_degree((n, m)) + qw_ref.with_degree((n, m))
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    calls = []
+    fft_window = soscert._fft_window
+
+    def counted(q, size):
+        calls.append(size)
+        return fft_window(q, size)
+
+    monkeypatch.setattr(soscert, "_fft_window", counted)
+    return calls
 
 
 class TestMoments:
@@ -71,10 +106,91 @@ class TestMoments:
             compute_moments(two_minus_z_minus_w())
 
     def test_residue_backend_matches_fft(self):
-        for q in (four_minus_z_minus_w(), poly({(0, 0): 3, (1, 1): 0.4, (1, 0): -0.3})):
+        # a draw whose FFT reference converges at 1024^2 (most (6,6) draws
+        # need 4096^2, seconds and a gigabyte per window)
+        rng = np.random.default_rng(35)
+        haar_dv = det_representation(UnitaryRealization(6, 6, haar_unitary(rng, 12)))
+        g = reflected_derivative_combination(haar_dv)
+        assert g.degree == (6, 6)
+        for q in (four_minus_z_minus_w(), poly({(0, 0): 3, (1, 1): 0.4, (1, 0): -0.3}), g):
             w1 = compute_moments(q, method="fft")
             w2 = compute_moments(q, method="residue")
             assert np.max(np.abs(w1.window - w2.window)) < 1e-10
+
+
+class TestResidueFirst:
+    """``compute_moments`` runs the residue backend first, doubling its grid
+    by adding odd nodes, and uses the FFT only for colliding fiber roots."""
+
+    STABLE = poly({(0, 0): 3, (1, 1): 0.4, (1, 0): -0.3, (0, 2): 0.5})
+
+    def test_reused_columns_match_fresh_window(self):
+        _, cols = _residue_window(self.STABLE, 256)
+        reused, _ = _residue_window(self.STABLE, 512, cols)
+        fresh, _ = _residue_window(self.STABLE, 512)
+        assert np.max(np.abs(reused - fresh)) <= 1e-15
+
+    def test_doubling_computes_only_new_nodes(self, monkeypatch):
+        sizes = []
+        column = soscert._residue_column
+
+        def counted(q, nodes, bmax):
+            sizes.append(len(nodes))
+            return column(q, nodes, bmax)
+
+        monkeypatch.setattr(soscert, "_residue_column", counted)
+        mom = compute_moments(self.STABLE, method="residue")
+        assert sizes[0] == 256 and sum(sizes) == mom.grid_size
+        assert sizes[1:] == [256 << k for k in range(len(sizes) - 1)]
+
+    def test_auto_skips_fft_for_simple_poles(self, fft_calls):
+        mom = compute_moments(self.STABLE)
+        assert fft_calls == [] and mom.grid_size < 4096
+
+    def test_true_w_degree_below_declared(self, fft_calls):
+        # the combination built for z^3 - w^2 is a constant of declared
+        # degree (3, 2): the declared degree alone would put a double pole
+        # at w = 0
+        g = reflected_derivative_combination(z3_minus_w2())
+        assert g.degree == (3, 2)
+        auto = compute_moments(g)
+        assert fft_calls == []
+        fft = compute_moments(g, method="fft")
+        assert np.max(np.abs(auto.window - fft.window)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            poly({(0, 0): 9, (1, 0): -6, (0, 1): -6, (2, 0): 1, (1, 1): 2, (0, 2): 1}),
+            poly({(0, 0): 1, (0, 1): -1.8, (0, 2): 0.81}, (1, 2)),
+            poly({(0, 0): 1, (0, 1): -1.6, (0, 2): 0.64}, (1, 2)),
+            BivariatePolynomial(np.outer([1, 0.2], np.poly([1.2, 1.2001])[::-1])),
+        ],
+        ids=[
+            "three_minus_z_minus_w_squared",
+            "one_minus_0.9w_squared",
+            "one_minus_0.8w_squared",
+            "poles_7e-5_apart",
+        ],
+    )
+    def test_colliding_poles_fall_back_to_fft(self, q, fft_calls):
+        # a double root, whose computed poles land ~1e-8 apart (residues that
+        # cancel) or within rounding (residues that do not), or two poles so
+        # close that their residues cancel to a wrong sum
+        with pytest.raises(QuadratureError, match="colliding fiber roots"):
+            compute_moments(q, method="residue")
+        auto = compute_moments(q)
+        assert fft_calls
+        fft = compute_moments(q, method="fft")
+        assert np.max(np.abs(auto.window - fft.window)) <= 1e-12
+
+    def test_unitary_kummert_refused_without_fft(self, fft_calls):
+        # det(I - K diag(z, w)) for the unitary K = [[0.6, 0.8], [-0.8, 0.6]]:
+        # every fiber over the circle has its root on the circle
+        q = poly({(0, 0): 1, (1, 0): -0.6, (0, 1): -0.6, (1, 1): 1})
+        with pytest.raises(StabilityError, match="fiber root inside the closed disk"):
+            sos_certificate(q, route="direct")
+        assert fft_calls == []
 
 
 class TestSubspaces:
@@ -246,6 +362,19 @@ class TestEmptySide:
         p = poly({(0, 0): 1, (0, 1): -2, (0, 2): 1})  # (1 - w)^2
         with pytest.raises(QuadratureError, match="colliding fiber roots"):
             sos_certificate(p)
+
+    def test_second_side_gates_convergence(self, monkeypatch):
+        # 1 - w has no first side; a second side whose kernel tensors grow
+        # across the radii must still be refused
+        radius = iter(range(1, len(soscert.DILATION_RADII) + 1))
+
+        def growing(q):
+            k = next(radius)
+            return VectorPolynomial(()), VectorPolynomial((BivariatePolynomial([[k * k]]),))
+
+        monkeypatch.setattr(soscert, "_direct_certificate", growing)
+        with pytest.raises(QuadratureError, match="not converging"):
+            sos_certificate(poly({(0, 0): 1, (0, 1): -1}), route="dilation")
 
 
 class TestGwInvertibility:
