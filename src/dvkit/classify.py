@@ -1,22 +1,24 @@
 """Locate zero sets of bivariate polynomials relative to the bidisk.
 
-The tests here are sampling-based: a witness (a near-zero in a forbidden
-region) certifies failure, while affirmative labels are certified only at
-the resolution of the grid, which the report records.  Fibers p(z, .) are
-analyzed through companion-matrix roots, and the number of fiber roots
-inside the unit disk is measured by the argument-principle contour integral
-N(z) = (1/2 pi i) contour_int p_w / p dw, which is constant in z exactly
-when the zero set stays clear of the disk-times-circle region.
+Tests run on one-variable fibers, whose Schur-Cohn matrices count their
+roots inside and outside the unit disk (Schur 1917, Cohn 1922).  Over z on
+the circle T, the Schur-Cohn matrix S_w(z) of q(z, .) is the Gram matrix of
+the B side of the paper's identity, and a trigonometric polynomial in z, so
+samples bound its eigenvalues on all of T.  q has no zeros on the closed
+(open) bidisk exactly when no fiber over T has a root in the closed (open)
+disk and neither has q(., 0) (DeCarlo, Murray and Saeks 1977).  Labels say
+whether they are proven or hold at the sampled resolution.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .poly2 import BivariatePolynomial, symmetry_analysis
+from .poly2 import BivariatePolynomial, symmetry_analysis, transpose_vars
 
 __all__ = [
     "ZeroLabel",
@@ -28,16 +30,18 @@ __all__ = [
     "fiber_roots",
     "batched_fiber_roots",
     "fiber_root_pairs",
+    "schur_cohn_matrix",
     "root_count_in_disk",
     "classify_zero_set",
     "torus_singularities",
     "is_squarefree",
 ]
 
-# Sample points closer than this to the torus (max metric) are excluded from
-# forbidden-region sweeps: zeros of honest variety-defining polynomials
-# legitimately accumulate at the torus.
-TORUS_MARGIN = 0.02
+# Circle samples double up to this many while the sampling bound is undecided.
+CIRCLE_SAMPLES_MAX = 4096
+# Rounding allowance on Schur-Cohn eigenvalues, relative to the squared
+# coefficient norm of the fiber.
+EIG_ROUNDING = 1e-12
 # Fiber coefficients at or below this fraction of the fiber's largest one
 # count as zero when the fiber's w-degree is read off.
 FIBER_TRIM = 1e-12
@@ -65,6 +69,7 @@ class ZeroClass:
     witnesses: tuple = ()
     grid_n: int = 0
     tol: float = 0.0
+    proven: bool = False  # the label holds beyond the sampled resolution
 
     def __post_init__(self):
         if self.label is not ZeroLabel.INDETERMINATE and self.witnesses:
@@ -150,87 +155,83 @@ def fiber_root_pairs(p: BivariatePolynomial, zs) -> tuple[np.ndarray, np.ndarray
     return np.repeat(zs, [len(r) for r in roots]), np.concatenate([empty] + roots)
 
 
-def root_count_in_disk(
-    p: BivariatePolynomial,
-    z: complex,
-    quad_points: int | None = None,
-    zero_tol: float = 1e-9,
-) -> int:
-    """Number of roots of p(z, .) inside the unit disk, by contour integral.
+def schur_cohn_matrix(coeffs) -> np.ndarray:
+    """Schur-Cohn matrices T1^H T1 - T2^H T2 of univariate polynomials,
+    coefficients low to high along the last axis, batched over the leading
+    axes; T1 and T2 are the m x m lower-triangular Toeplitz matrices of
+    (a_0, ..., a_{m-1}) and (conj a_m, ..., conj a_1).
 
-    Trapezoidal quadrature of p_w/p * w over uniform circle nodes; the node
-    count doubles until two successive values agree, and the final value
-    must sit within 0.25 of an integer.
+    Entry (i, k) exceeds entry (i+1, k+1) by conj(a_{m-1-i}) a_{m-1-k} -
+    a_{i+1} conj(a_{k+1}), so the matrix sums that matrix's diagonal shifts.
     """
-    n, m = p.degree
-    pw = p.partial_w()
-    scale = p.scale
-    profile = {}
-
-    def quad(npts: int) -> complex:
-        w = np.exp(2j * np.pi * np.arange(npts) / npts)
-        pv = p.evaluate(z, w)
-        absv = np.abs(pv)
-        profile["min"], profile["max"] = float(np.min(absv)), float(np.max(absv))
-        if profile["min"] <= zero_tol * max(scale, 1e-300):
-            raise FiberError("zero on fiber circle: p(z, .) vanishes near |w| = 1")
-        return np.mean(pw.evaluate(z, w) / pv * w)
-
-    if quad_points is not None:
-        val = quad(quad_points)
-    else:
-        npts = max(256, 16 * (n + m))
-        val = quad(npts)
-        while npts <= 2**16:
-            nxt = quad(2 * npts)
-            if abs(nxt - val) < 1e-6:
-                val = nxt
-                break
-            val, npts = nxt, 2 * npts
-    nearest = round(val.real)
-    if abs(val - nearest) > 0.25 or nearest < 0 or nearest > m:
-        if profile["min"] <= 1e-3 * profile["max"]:
-            raise FiberError("zero on fiber circle: p(z, .) vanishes near |w| = 1")
-        raise QuadratureError(
-            f"quadrature unresolved, increase quad_points (got {val})"
-        )
-    return int(nearest)
+    a = np.asarray(coeffs, dtype=np.complex128)
+    m = a.shape[-1] - 1
+    u, v = a[..., :m][..., ::-1], a[..., 1:]
+    step = np.conj(u)[..., :, None] * u[..., None, :] - v[..., :, None] * np.conj(v)[..., None, :]
+    out = step.copy()
+    for t in range(1, m):
+        out[..., :-t, :-t] += step[..., t:, t:]
+    return out
 
 
-def _disk_z_samples(grid_n: int, rmax: float) -> np.ndarray:
-    """grid_n angles x grid_n radii covering [0, rmax], plus the center."""
-    radii = np.linspace(rmax / grid_n, rmax, grid_n)
-    angles = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
-    return np.concatenate([[0.0 + 0.0j], np.outer(radii, angles).ravel()])
+def root_count_in_disk(p: BivariatePolynomial, z: complex) -> int:
+    """Number of roots of p(z, .) inside the unit disk: the negative inertia
+    of its Schur-Cohn matrix at the formal w-degree (a root at infinity is
+    outside).  A singular matrix, from a root on the unit circle, a pair of
+    roots reflected in it or a zero fiber, raises :class:`FiberError`.
+    """
+    fiber = p.fibers(z)
+    eig = np.linalg.eigvalsh(schur_cohn_matrix(fiber))
+    if np.any(np.abs(eig) <= EIG_ROUNDING * np.sum(np.abs(fiber) ** 2)):
+        raise FiberError("zero on fiber circle: p(z, .) has a root on |w| = 1 or a reflected pair")
+    return int(np.sum(eig < 0))
 
 
-def _fiber_sweep(p, zs):
-    """(z, roots) pairs over the sample; identically zero fibers yield None."""
-    return [(complex(z), roots) for z, roots in zip(zs, batched_fiber_roots(p, zs))]
+def _sampling_slack(count, n, norm):
+    """How far the least eigenvalue of a degree-n trigonometric matrix
+    polynomial S can dip below its minimum over ``count`` equispaced samples
+    of norm <= ``norm``: there f = v^H S v (v the eigenvector) leaves the
+    chord between the neighbouring samples by <= (1/2)(pi/count)^2 max|f''|,
+    and Bernstein twice gives max|f''| <= n^2 max||S|| <= n^2 norm / (1 - (1/2)(pi n/count)^2)."""
+    half_sq = 0.5 * (np.pi * n / count) ** 2
+    return half_sq / (1.0 - half_sq) * norm if half_sq < 1.0 else np.inf
 
 
-def _boundary_witnesses(p, grid_n, tol):
-    """Near-zeros on (T x D) u (D x T), staying TORUS_MARGIN away from T^2."""
-    scale = p.scale
-    circ = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
-    radial = _disk_z_samples(max(grid_n // 2, 8), 1.0 - TORUS_MARGIN)
-    witnesses = []
-    for zs, ws in ((circ, radial), (radial, circ)):
-        vals = np.abs(p.evaluate(zs[:, None], ws[None, :]))
-        bad = np.argwhere(vals <= tol * scale)
-        for i, j in bad[:8]:
-            witnesses.append((complex(zs[i]), complex(ws[j])))
-    return witnesses
+def _definite_on_circle(p, grid_n, sign, cap=CIRCLE_SAMPLES_MAX):
+    """Circle samples z, the least eigenvalue of sign * S_w(z) at each, the
+    largest squared fiber coefficient norm, and whether sign * S_w is proven
+    positive definite on T; while undecided, the sample count doubles from
+    ``grid_n`` to the first whose bound could decide, up to ``cap``."""
+    n, count = p.degree[0], grid_n
+    while True:
+        z = np.exp(2j * np.pi * np.arange(count) / count)
+        fibers = p.fibers(z)
+        eig = np.linalg.eigvalsh(sign * schur_cohn_matrix(fibers))
+        lam = np.min(eig, axis=1, initial=np.inf)
+        norm = float(np.max(np.abs(eig), initial=0.0))
+        unit = float(np.max(np.sum(np.abs(fibers) ** 2, axis=1)))
+        low = float(np.min(lam)) - EIG_ROUNDING * unit
+        if low > _sampling_slack(count, n, norm):
+            return z, lam, unit, True
+        if count >= cap or low <= _sampling_slack(cap, n, norm):
+            return z, lam, unit, False
+        while _sampling_slack(count, n, norm) >= low:
+            count *= 2
+
+
+def _open_disk_roots(p, zs, tol):
+    """Points (z, w), z in zs, with w a root of p(z, .) inside the disk by
+    more than ``tol``."""
+    z, w = fiber_root_pairs(p, zs)
+    inside = np.abs(w) < 1.0 - tol
+    return [(complex(a), complex(b)) for a, b in zip(z[inside], w[inside])]
 
 
 def _vertical_lines(p, tol):
     """z0 in the closed disk (to ``tol``) with p(z0, .) identically zero to
     ``tol * scale``: the lines {z0} x C inside the zero set.
 
-    A factor in z alone is invisible to w-fiber sweeps, and a sweep point
-    that lands on such a line is skipped as an identically zero fiber, so
-    the lines are found from the coefficients: every candidate is a z-root
-    of the largest coefficient column of p."""
+    Every candidate is a z-root of the largest coefficient column of p."""
     col = p.coeffs[:, int(np.argmax(np.max(np.abs(p.coeffs), axis=0)))]
     k = len(col) - 1
     while k > 0 and abs(col[k]) <= FIBER_TRIM * np.max(np.abs(col)):
@@ -240,88 +241,67 @@ def _vertical_lines(p, tol):
     return z0[np.max(np.abs(p.fibers(z0)), axis=1) <= tol * p.scale]
 
 
+def _symmetric_label(p, grid_n, tol):
+    """(DVDefining or SymmetricNonvanishingOffTorus, proven) for a
+    torus-symmetric p, or None.  In both variables the self-inversive fibers
+    over T must have every root on T, as they do when the derivative fiber's
+    Schur-Cohn matrix is negative semidefinite (Cohn 1922), and no line may
+    meet the closed bidisk (unseen by that test when the other degree is at
+    most 1).  No zero then meets (D x T) u (T x D), so every fiber over the
+    disk has as many roots inside as the one at z = 0: m or 0."""
+    proven = True
+    for q in (p, transpose_vars(p)):
+        if len(_vertical_lines(q, tol)):
+            return None
+        cap = CIRCLE_SAMPLES_MAX if proven else grid_n
+        _, lam, unit, side_proven = _definite_on_circle(q.partial_w(), grid_n, -1, cap)
+        if np.min(lam) < -tol * unit:
+            return None
+        proven = proven and side_proven
+    with suppress(FiberError):
+        inside = root_count_in_disk(p, 0.0)
+        if inside == p.degree[1] > 0:
+            return ZeroLabel.DV_DEFINING, proven
+        if inside == 0:
+            return ZeroLabel.SYMMETRIC_NONVANISHING_OFF_TORUS, proven
+    return None
+
+
 def classify_zero_set(
     p: BivariatePolynomial, grid_n: int = 64, tol: float = 1e-7
 ) -> ZeroClass:
     """Label the zero set of p relative to the bidisk.
 
-    Tested in order: DVDefining (zeros confined to disk^2 u torus^2 u
-    exterior^2), SymmetricNonvanishingOffTorus, StableClosed, StableOpen;
-    anything else is Indeterminate with witnesses.  Affirmative labels are
-    certified at resolution ``grid_n`` only.  A line {z0} x C in the zero
-    set with |z0| < 1 is a witness; one with |z0| = 1 rules out every label
-    but StableOpen.
+    A torus-symmetric p is tested for DVDefining (zeros confined to
+    disk^2 u torus^2 u exterior^2) and SymmetricNonvanishingOffTorus (no
+    zeros on the closed bidisk off the torus).  Otherwise StableClosed
+    needs S_w(z) proven positive definite on T and q(., 0) without roots in
+    the closed disk; StableOpen needs no root in the open disk from q(., 0),
+    the fiber at z = 0, or the sampled fibers over T whose S_w(z) is not
+    clearly positive definite, and up to 16 such roots are the witnesses of
+    Indeterminate.  ``grid_n`` is the starting number of circle samples;
+    roots within ``tol`` of the circle and eigenvalues within ``tol`` times
+    the squared fiber coefficient norm of zero count as on it.
     """
-    sym = symmetry_analysis(p, tol=1e-8)
-    interior = _disk_z_samples(grid_n, 1.0 - TORUS_MARGIN)
-    closure = _disk_z_samples(grid_n, 1.0)
-    sweep_interior = _fiber_sweep(p, interior)
-    sweep_closure = _fiber_sweep(p, closure)
-    boundary_wit = _boundary_witnesses(p, grid_n, tol)
-    line_wit = [(complex(z0), 0.0 + 0.0j) for z0 in _vertical_lines(p, tol)]
 
-    def result(label, witnesses=()):
-        return ZeroClass(label, tuple(witnesses), grid_n, tol)
+    def result(label, proven=False, witnesses=()):
+        return ZeroClass(label, tuple(witnesses), grid_n, tol, proven)
 
-    # --- distinguished variety: symmetric, fibers over the inner disk fully
-    # inside the disk at full w-degree, constant disk root count, and no
-    # zeros escaping through the bidisk boundary off the torus.
-    if sym.is_symmetric and not boundary_wit and not line_wit:
-        m = p.degree[1]
-        dv_wit = []
-        for z, roots in sweep_interior:
-            if roots is None or len(roots) != m or np.any(np.abs(roots) >= 1.0 - tol):
-                if roots is not None:
-                    dv_wit.extend(
-                        (z, complex(w)) for w in roots if abs(w) >= 1.0 - tol
-                    )
-                else:
-                    dv_wit.append((z, 0.0 + 0.0j))
-                if len(dv_wit) >= 8:
-                    break
-        if not dv_wit and m > 0:
-            counts = set()
-            step = max(1, len(interior) // 20)
-            try:
-                for z in interior[1::step][:20]:
-                    counts.add(root_count_in_disk(p, complex(z)))
-            except (FiberError, QuadratureError):
-                counts = {-1, -2}
-            if len(counts) == 1:
-                return result(ZeroLabel.DV_DEFINING)
-
-    # --- symmetric and zero-free on the closed bidisk off the torus:
-    # interior fibers must have every root strictly outside the disk.
-    if sym.is_symmetric and not boundary_wit and not line_wit:
-        off_wit = []
-        for z, roots in sweep_interior:
-            if roots is not None and len(roots):
-                inside = roots[np.abs(roots) <= 1.0 + tol]
-                off_wit.extend((z, complex(w)) for w in inside[:4])
-            if len(off_wit) >= 8:
-                break
-        if not off_wit:
-            return result(ZeroLabel.SYMMETRIC_NONVANISHING_OFF_TORUS)
-
-    # --- stable labels: no fiber roots meeting the closed (resp. open) disk
-    # for z sweeping the closed disk.
-    closed_wit = list(line_wit)
-    open_wit = [(z, w) for z, w in line_wit if abs(z) < 1.0 - tol]
-    for z, roots in sweep_closure:
-        if roots is None or not len(roots):
-            continue
-        closed_hits = roots[np.abs(roots) <= 1.0 + tol]
-        closed_wit.extend((z, complex(w)) for w in closed_hits[:4])
-        if abs(z) <= 1.0 - TORUS_MARGIN:
-            open_hits = roots[np.abs(roots) < 1.0 - tol]
-            open_wit.extend((z, complex(w)) for w in open_hits[:4])
-    if not closed_wit:
-        return result(ZeroLabel.STABLE_CLOSED)
-    if not open_wit:
+    if symmetry_analysis(p, tol=1e-8).is_symmetric:
+        found = _symmetric_label(p, grid_n, tol)
+        if found is not None:
+            return result(*found)
+    z, lam, unit, proven = _definite_on_circle(p, grid_n, 1)
+    at_w0 = transpose_vars(p)
+    with suppress(FiberError):
+        if proven and root_count_in_disk(at_w0, 0.0) == 0:
+            return result(ZeroLabel.STABLE_CLOSED, proven=True)
+    zs = np.concatenate([[0.0], z[lam <= tol * unit]])
+    witnesses = _open_disk_roots(p, zs, tol)
+    witnesses += [(z0, w0) for w0, z0 in _open_disk_roots(at_w0, [0.0], tol)]
+    if not witnesses:
         return result(ZeroLabel.STABLE_OPEN)
-
-    witnesses = [(z, w) for z, w in (boundary_wit + closed_wit + open_wit)[:16]]
-    return result(ZeroLabel.INDETERMINATE, witnesses)
+    return result(ZeroLabel.INDETERMINATE, witnesses=witnesses[:16])
 
 
 def torus_singularities(
@@ -397,7 +377,7 @@ def is_squarefree(
     u = rng.uniform(size=(trials, 2))
     zs = 0.7 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
     hits = 0
-    for z, roots in _fiber_sweep(p, zs):
+    for z, roots in zip(zs, batched_fiber_roots(p, zs)):
         if roots is None:
             hits += 1
             continue

@@ -93,6 +93,7 @@ def _cmd_classify(config: RunConfig) -> int:
             "schema": ser.SCHEMA,
             "command": "classify",
             "label": zc.label.value,
+            "proven": zc.proven,
             "witnesses": _point_pairs(zc.witnesses),
             "grid": zc.grid_n,
             "tol": zc.tol,
@@ -261,7 +262,7 @@ def demo_corpus():
 
 def _demo_dv_row(name, p, seed, expect_sqrt_m=False):
     checks = {}
-    label = classify_mod.classify_zero_set(p, grid_n=32).label
+    label = classify_mod.classify_zero_set(p).label
     checks["classified_dv"] = label is classify_mod.ZeroLabel.DV_DEFINING
     cert, sample, rep, report = represent(p, seed=seed, grid_n=32)
     checks["representation"] = report.passed
@@ -276,7 +277,7 @@ def _demo_dv_row(name, p, seed, expect_sqrt_m=False):
 
 def _demo_stable_row(p, expect_label):
     checks = {}
-    label = classify_mod.classify_zero_set(p, grid_n=32).label
+    label = classify_mod.classify_zero_set(p).label
     checks["classified"] = label is expect_label
     cert = sos_certificate(p)
     report = verify_certificate(p, cert, grid_n=48)
@@ -327,7 +328,7 @@ def demo(config: RunConfig) -> tuple[int, dict]:
     add(
         "derived_dv_reclassifies",
         {
-            "classified_dv": classify_mod.classify_zero_set(derived, grid_n=32).label
+            "classified_dv": classify_mod.classify_zero_set(derived).label
             is classify_mod.ZeroLabel.DV_DEFINING
         },
     )

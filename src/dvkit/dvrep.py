@@ -147,7 +147,7 @@ def dv_certificate(
     on the torus and the dilation route otherwise.  When the variety is
     smooth on the torus, Qmatrix(z) must be invertible on the closed disk; a
     failure there contradicts the theory and raises."""
-    label = classify_zero_set(p, grid_n=48).label
+    label = classify_zero_set(p).label
     if label is not ZeroLabel.DV_DEFINING:
         raise ValueError(
             f"polynomial does not define a distinguished variety (classified {label.value})"

@@ -16,7 +16,8 @@ which after absorbing c into the vectors is the two-square decomposition for
 a polynomial with no zeros on the closed bidisk.  Polynomials that are only
 zero-free on the open bidisk (torus zeros allowed) are handled by dilating
 q_r(z, w) = q(rz, rw), building certificates along r -> 1, and extrapolating
-the (unitary-invariant) kernel coefficient tensors to r = 1.
+the (unitary-invariant) kernel coefficient tensors to r = 1; a torus-symmetric
+one has |q| = |reflect(q)| everywhere, so its certificate is zero.
 
 Moments are two-dimensional Fourier coefficients.  They are computed by
 exact residue summation in w followed by a single 1-D quadrature in z, whose
@@ -33,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .classify import QuadratureError, ZeroLabel, classify_zero_set, companion_roots
+from .classify import QuadratureError, ZeroLabel, classify_zero_set, companion_roots, is_squarefree
 from .poly2 import (
     BivariatePolynomial,
     MatrixPolynomial,
@@ -392,16 +393,14 @@ def _attach_matrix_forms(kind, vec_a, vec_b, n, m, weights=None):
     return SosCertificate(kind, vec_a, vec_b, weights, mat_a, mat_b)
 
 
-def _stability_route(q, grid_n=32, tol=1e-7):
-    label = classify_zero_set(q, grid_n=grid_n, tol=tol).label
+def _stability_route(q):
+    label = classify_zero_set(q).label
     if label is ZeroLabel.STABLE_CLOSED:
         return "direct"
     if label is ZeroLabel.STABLE_OPEN:
         return "dilation"
     if label is ZeroLabel.SYMMETRIC_NONVANISHING_OFF_TORUS:
-        nodes = np.exp(2j * np.pi * np.arange(512) / 512)
-        min_torus = np.min(np.abs(q.evaluate(nodes[:, None], nodes[None, :])))
-        return "direct" if min_torus > 1e-6 * q.scale else "dilation"
+        return "symmetric"
     raise StabilityError(
         f"polynomial has zeros on the open bidisk (classified {label.value}); "
         "no sums-of-squares certificate exists"
@@ -460,14 +459,26 @@ def _kernel_tensor(vec, degree):
     return (flat.T @ np.conj(flat)).reshape(n + 1, m + 1, n + 1, m + 1)
 
 
+def _zero_certificate(q):
+    """n and m zero components: reflect(q) is a unimodular multiple of a
+    torus-symmetric q, so |q|^2 - |reflect(q)|^2 vanishes identically."""
+    n, m = q.degree
+    vec_a = BivariatePolynomial.zero((max(n - 1, 0), m))
+    vec_b = BivariatePolynomial.zero((n, max(m - 1, 0)))
+    return VectorPolynomial((vec_a,) * n), VectorPolynomial((vec_b,) * m)
+
+
 def _dilation_certificate(q):
     """Certificate for q stable on the open bidisk with torus zeros.
 
     Certificates for the dilates q(rz, rw) exist by closed-bidisk stability;
     their kernel coefficient tensors (invariant under the per-radius unitary
     freedom of the orthonormal bases) are extrapolated to r = 1 in the
-    variable sqrt(1 - r) and refactored into vectors of the right rank.
+    variable sqrt(1 - r) and refactored into vectors of the right rank.  A
+    repeated factor, double fiber roots at every radius, is refused first.
     """
+    if not is_squarefree(q):
+        raise QuadratureError("colliding fiber roots at every radius: q has a repeated factor")
     n, m = q.degree
     hs, ta_list, tb_list = [], [], []
     for r in DILATION_RADII:
@@ -491,6 +502,8 @@ def _route_vectors(q, route):
         return _direct_certificate(q)
     if route == "dilation":
         return _dilation_certificate(q)
+    if route == "symmetric":
+        return _zero_certificate(q)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -499,8 +512,9 @@ def sos_certificate(q: BivariatePolynomial, route: str | None = None) -> SosCert
     (1-|z|^2)|A|^2 + (1-|w|^2)|B|^2 for q with no zeros on the bidisk.
 
     Zero-free on the closed bidisk goes through the moment construction
-    directly; torus zeros take the dilation route.  ``route`` of "direct" /
-    "dilation" skips the classification step when the caller already knows.
+    directly, torus zeros through the dilation route, and the certificate of
+    a SymmetricNonvanishingOffTorus q is zero.  A ``route`` of "direct",
+    "dilation" or "symmetric" skips the classification step.
     """
     n, m = q.degree
     if route is None:

@@ -10,16 +10,15 @@ from conftest import (
     w3_minus_z2,
     z3_minus_w2,
 )
-import dvkit.classify
 from dvkit.classify import (
     FiberError,
-    QuadratureError,
     ZeroLabel,
     batched_fiber_roots,
     classify_zero_set,
     fiber_roots,
     is_squarefree,
     root_count_in_disk,
+    schur_cohn_matrix,
     torus_singularities,
 )
 from dvkit.dvrep import UnitaryRealization, det_representation
@@ -116,14 +115,48 @@ class TestBatchedSweep:
                 assert np.allclose(np.sort_complex(a), np.sort_complex(b), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_sweep_matches_per_z_classification(self, case, monkeypatch):
+    def test_indeterminate_witnesses_are_zeros(self, case):
         p, _ = self.CASES[case]
-        got = classify_zero_set(p, grid_n=32)
-        monkeypatch.setattr(dvkit.classify, "batched_fiber_roots", per_z_fiber_roots)
-        want = classify_zero_set(p, grid_n=32)
-        assert got.label is want.label is ZeroLabel.INDETERMINATE
-        assert len(got.witnesses) == len(want.witnesses) > 0
-        assert np.allclose(got.witnesses, want.witnesses, rtol=0, atol=1e-12)
+        zc = classify_zero_set(p, grid_n=32)
+        assert zc.label is ZeroLabel.INDETERMINATE
+        assert zc.witnesses
+        for z, w in zc.witnesses:
+            assert abs(p.evaluate(z, w)) <= zc.tol * p.scale
+
+
+class TestSchurCohn:
+    @staticmethod
+    def toeplitz_definition(a):
+        m = len(a) - 1
+        t1 = np.zeros((m, m), dtype=np.complex128)
+        t2 = np.zeros((m, m), dtype=np.complex128)
+        for i in range(m):
+            for k in range(i + 1):
+                t1[i, k] = a[i - k]
+                t2[i, k] = np.conj(a[m - (i - k)])
+        return t1.conj().T @ t1 - t2.conj().T @ t2
+
+    @pytest.mark.parametrize("m", range(6))
+    def test_matches_toeplitz_definition(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=(4, m + 1)) + 1j * rng.normal(size=(4, m + 1))
+        got = schur_cohn_matrix(a)
+        assert got.shape == (4, m, m)
+        for row, mat in zip(a, got):
+            assert np.max(np.abs(mat - self.toeplitz_definition(row)), initial=0.0) <= 1e-13
+
+    def test_negative_inertia_counts_roots_inside(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            roots = rng.uniform(0.2, 1.8, 4) * np.exp(2j * np.pi * rng.uniform(size=4))
+            a = np.poly(roots)[::-1] * np.exp(2j * np.pi * rng.uniform())
+            eig = np.linalg.eigvalsh(schur_cohn_matrix(a))
+            assert np.sum(eig < 0) == np.sum(np.abs(roots) < 1)
+
+    def test_root_at_infinity_counts_outside(self):
+        # 0.3 + w at formal degree 2: one root inside, one at infinity
+        eig = np.linalg.eigvalsh(schur_cohn_matrix([0.3, 1.0, 0.0]))
+        assert np.sum(eig < 0) == 1 and np.sum(eig > 0) == 1
 
 
 class TestRootCount:
@@ -149,12 +182,6 @@ class TestRootCount:
         # 1 - zw has |w| = 1 root when |z| = 1
         with pytest.raises(FiberError):
             root_count_in_disk(poly({(0, 0): 1, (1, 1): -1}), np.exp(0.3j))
-
-    def test_explicit_quad_points_unresolved(self):
-        # fiber root just off the circle: 8 nodes give a non-integral value
-        p = poly({(0, 0): 1.05, (0, 1): -1})
-        with pytest.raises(QuadratureError):
-            root_count_in_disk(p, 0.0, quad_points=8)
 
 
 class TestClassification:

@@ -89,6 +89,7 @@ class TestCliCommands:
         assert main(["classify", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["label"] == "DVDefining"
+        assert out["proven"] is True
         assert out["witnesses"] == []
 
     def test_reflect_round_trip(self, tmp_path, capsys):
