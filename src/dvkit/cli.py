@@ -9,6 +9,7 @@ as an acceptance gate in CI.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -365,7 +366,10 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and each call to :func:`main` gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="dvkit",
         description="bivariate polynomials against the bidisk: classification, "

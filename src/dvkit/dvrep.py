@@ -144,19 +144,24 @@ def dv_certificate(
 
     Requires p to define a distinguished variety and be squarefree.  The
     symmetric certificate takes the direct route when the variety is smooth
-    on the torus and the dilation route otherwise.  When the variety is
-    smooth on the torus, Qmatrix(z) must be invertible on the closed disk; a
-    failure there contradicts the theory and raises."""
-    label = classify_zero_set(p).label
-    if label is not ZeroLabel.DV_DEFINING:
+    on the torus and the dilation route otherwise.  A proven DVDefining
+    label already proves smoothness: it shows the Schur-Cohn matrix of every
+    p_w fiber over the circle negative definite, so each fiber of p over the
+    circle has m simple roots on the circle (Cohn 1922) and p_w vanishes at
+    no torus zero.  Only an unproven label leaves the question to
+    :func:`torus_singularities`.  When the variety is smooth on the torus,
+    Qmatrix(z) must be invertible on the closed disk; a failure there
+    contradicts the theory and raises."""
+    zc = classify_zero_set(p)
+    if zc.label is not ZeroLabel.DV_DEFINING:
         raise ValueError(
-            f"polynomial does not define a distinguished variety (classified {label.value})"
+            f"polynomial does not define a distinguished variety (classified {zc.label.value})"
         )
     if not is_squarefree(p):
         raise ValueError("polynomial has a repeated factor; certificate needs squarefree input")
     p_sym = symmetrize(p)
     n, m = p_sym.degree
-    smooth = torus_singularities(p_sym).smooth_on_torus
+    smooth = zc.proven or torus_singularities(p_sym).smooth_on_torus
     q = swap_transform(p_sym)
     cert = sym_sos_certificate(q, a, b, route="direct" if smooth else "dilation")
     vec_p = VectorPolynomial(

@@ -13,6 +13,7 @@ All values are immutable; every operation returns a fresh polynomial.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -54,6 +55,25 @@ def horner(coeffs, x) -> np.ndarray:
     for k in range(len(coeffs) - 1, -1, -1):
         acc = acc * x + coeffs[k]
     return acc
+
+
+# Largest size of the values that one stacked evaluation of vector components
+# computes at once; larger ones go in groups of components, which bounds the
+# Horner temporaries near this size.
+STACK_BYTES = 1 << 18
+
+
+def _stacked_horner(grids, z, w) -> np.ndarray:
+    """Values of the polynomials with coefficient grids ``grids[..., i, j]``
+    (leading axes stack polynomials), shape grids.shape[:-2] + broadcast.
+
+    The rows go through one Horner pass in w at w's own shape, then the row
+    values through one pass in z."""
+    shape = np.broadcast_shapes(z.shape, w.shape)
+    w = w.reshape((1,) * (len(shape) - w.ndim) + w.shape)
+    by_w = grids.transpose(-1, *range(grids.ndim - 1))
+    rows = horner(by_w.reshape(by_w.shape + (1,) * w.ndim), w)  # grids.shape[:-1] + w.shape
+    return horner(rows.swapaxes(0, grids.ndim - 2), z)
 
 
 def _as_grid(coeffs) -> np.ndarray:
@@ -149,17 +169,19 @@ class BivariatePolynomial:
         return self.evaluate(z, w)
 
     def evaluate(self, z, w):
-        """Evaluate by nested Horner: each row in w at w's own shape, the
-        rows in z at the broadcast shape.
+        """Evaluate by nested Horner: one :func:`horner` call takes every
+        coefficient row in w at once, the rows stacked on a leading axis at
+        w's own shape, and a second takes the row values in z at the
+        broadcast shape.
 
-        Accepts scalars or broadcastable numpy arrays and returns an array
-        of the broadcast shape (a scalar for scalar inputs).
+        Each point sees the operations of a row-by-row loop in the same
+        order, so the values are the same to the bit.  Accepts scalars or
+        broadcastable numpy arrays and returns an array of the broadcast
+        shape (a scalar for scalar inputs).
         """
         z = np.asarray(z, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
-        acc = np.zeros(np.broadcast_shapes(z.shape, w.shape), dtype=np.complex128)
-        for row in self.coeffs[::-1]:
-            acc = acc * z + horner(row, w)
+        acc = _stacked_horner(self.coeffs, z, w)
         if acc.ndim == 0:
             return complex(acc)
         return acc
@@ -408,18 +430,41 @@ class VectorPolynomial:
         return self.components[k]
 
     def evaluate(self, z, w) -> np.ndarray:
-        """Stacked values, shape (len(self), *broadcast(z, w).shape)."""
-        vals = [np.asarray(c.evaluate(z, w)) for c in self.components]
-        return np.stack(vals, axis=0)
+        """Stacked values, shape (len(self), *broadcast(z, w).shape).
+
+        The component grids are zero-padded to the common degree and go
+        through one stacked Horner evaluation, in groups of components whose
+        values fill at most STACK_BYTES when the points are many.  Padding
+        adds only exact zeros ahead of each component's own terms, so every
+        value equals the component's own :meth:`BivariatePolynomial.evaluate`
+        to the bit."""
+        z = np.asarray(z, dtype=np.complex128)
+        w = np.asarray(w, dtype=np.complex128)
+        shape = np.broadcast_shapes(z.shape, w.shape)
+        if not self.components:
+            return np.zeros((0,) + shape, dtype=np.complex128)
+        n, m = self.degree_bound()
+        grids = np.zeros((len(self), n + 1, m + 1), dtype=np.complex128)
+        for k, comp in enumerate(self.components):
+            grids[k, : comp.coeffs.shape[0], : comp.coeffs.shape[1]] = comp.coeffs
+        group = max(1, STACK_BYTES // max(16 * math.prod(shape), 1))
+        if group >= len(self):
+            return _stacked_horner(grids, z, w)
+        out = np.empty((len(self),) + shape, dtype=np.complex128)
+        for k in range(0, len(self), group):
+            out[k : k + group] = _stacked_horner(grids[k : k + group], z, w)
+        return out
 
     def kernel(self, z, w, Z, W):
         """sum_k comp_k(z, w) * conj(comp_k(Z, W)), pointwise over the common
-        broadcast of the two point pairs."""
-        z, w, Z, W = np.broadcast_arrays(
-            *(np.asarray(x, dtype=np.complex128) for x in (z, w, Z, W))
-        )
+        broadcast of the two point pairs.
+
+        Each pair is evaluated at its own shape, and only once when (Z, W)
+        is (z, w) itself."""
         a = self.evaluate(z, w)
-        b = self.evaluate(Z, W)
+        b = a if (Z is z and W is w) else self.evaluate(Z, W)
+        nd = max(a.ndim, b.ndim)
+        a, b = (x.reshape(x.shape[:1] + (1,) * (nd - x.ndim) + x.shape[1:]) for x in (a, b))
         return np.sum(a * np.conj(b), axis=0)
 
     def norm_sq(self, z, w):

@@ -606,37 +606,44 @@ class VerificationReport:
 
 
 def _pair_residual(kind, q, cert, z, w, zz, ww, weights):
-    """Residual of the polarized identity at point pairs (z,w) x (Z,W)."""
-    qz, qw = q.partial_z(), q.partial_w()
+    """Residual of the polarized identity at point pairs (z,w) x (Z,W).
+
+    A diagonal pass hands the same arrays as (z, w) and (Z, W); every
+    polynomial and certificate component is then evaluated once."""
+    same = zz is z and ww is w
+
+    def at_both(poly):
+        first = np.asarray(poly.evaluate(z, w))
+        return first, first if same else np.asarray(poly.evaluate(zz, ww))
+
     ka = cert.vec_first.kernel(z, w, zz, ww) if len(cert.vec_first) else 0.0
     kb = cert.vec_second.kernel(z, w, zz, ww) if len(cert.vec_second) else 0.0
-    sq = np.asarray(q.evaluate(z, w))
-    sq2 = np.conj(np.asarray(q.evaluate(zz, ww)))
+    sq, sq_other = at_both(q)
+    sq2 = np.conj(sq_other)
     za = 1.0 - z * np.conj(zz)
     wa = 1.0 - w * np.conj(ww)
     if kind is CertKind.COLE_WERMER:
-        qr = reflect(q)
-        lhs = sq * sq2 - np.asarray(qr.evaluate(z, w)) * np.conj(
-            np.asarray(qr.evaluate(zz, ww))
-        )
+        qr, qr_other = at_both(reflect(q))
+        lhs = sq * sq2 - qr * np.conj(qr_other)
         rhs = za * ka + wa * kb
         terms = [lhs, za * ka, wa * kb]
-    elif kind is CertKind.SYMMETRIC:
+    elif kind is CertKind.SYMMETRIC or kind is CertKind.DV:
         a, b = weights
         n, m = q.degree
-        d1 = a * z * np.asarray(qz.evaluate(z, w)) + b * w * np.asarray(qw.evaluate(z, w))
-        d2 = a * zz * np.asarray(qz.evaluate(zz, ww)) + b * ww * np.asarray(qw.evaluate(zz, ww))
-        lhs = (a * n + b * m) * sq * sq2 - d1 * sq2 - sq * np.conj(d2)
-        rhs = za * ka + wa * kb
-        terms = [(a * n + b * m) * sq * sq2, d1 * sq2, za * ka, wa * kb]
-    elif kind is CertKind.DV:
-        a, b = weights
-        n, m = q.degree
-        d1 = a * z * np.asarray(qz.evaluate(z, w)) - b * w * np.asarray(qw.evaluate(z, w))
-        d2 = b * ww * np.asarray(qw.evaluate(zz, ww)) - a * zz * np.asarray(qz.evaluate(zz, ww))
-        lhs = (b * m - a * n) * sq * sq2 + d1 * sq2 + za * ka
-        rhs = sq * np.conj(d2) + wa * kb
-        terms = [lhs, sq * np.conj(d2), wa * kb, za * ka]
+        qz, qz_other = at_both(q.partial_z())
+        qw, qw_other = at_both(q.partial_w())
+        if kind is CertKind.SYMMETRIC:
+            d1 = a * z * qz + b * w * qw
+            d2 = a * zz * qz_other + b * ww * qw_other
+            lhs = (a * n + b * m) * sq * sq2 - d1 * sq2 - sq * np.conj(d2)
+            rhs = za * ka + wa * kb
+            terms = [(a * n + b * m) * sq * sq2, d1 * sq2, za * ka, wa * kb]
+        else:
+            d1 = a * z * qz - b * w * qw
+            d2 = b * ww * qw_other - a * zz * qz_other
+            lhs = (b * m - a * n) * sq * sq2 + d1 * sq2 + za * ka
+            rhs = sq * np.conj(d2) + wa * kb
+            terms = [lhs, sq * np.conj(d2), wa * kb, za * ka]
     else:
         raise ValueError(kind)
     denom = max(float(np.max(np.abs(np.stack(np.broadcast_arrays(*terms))))), 1.0)
@@ -653,13 +660,15 @@ def verify_certificate(
     """Grid-plus-random-point residual report for a certificate's identity.
 
     Evaluates the diagonal form on a grid_n x grid_n closed-bidisk grid and
-    500 random points, and the polarized two-point form on 100 random pairs;
-    residuals are relative to the largest participating term.
+    500 random points, and the polarized two-point form on 100 random pairs
+    of distinct points; residuals are relative to the largest participating
+    term.  The grid is the outer product of a disk spiral with itself, which
+    is evaluated as the broadcast of a column and a row, and a diagonal pass
+    evaluates each polynomial once per point.
     """
     rng = np.random.default_rng(seed)
     zg = disk_spiral(grid_n)
-    wg = disk_spiral(grid_n)
-    z, w = np.meshgrid(zg, wg, indexing="ij")
+    z, w = zg[:, None], zg[None, :]
     diag = _pair_residual(cert.kind, q, cert, z, w, z, w, cert.weights)
     zr = (rng.uniform(-1, 1, 500) + 1j * rng.uniform(-1, 1, 500)) * 0.9
     wr = (rng.uniform(-1, 1, 500) + 1j * rng.uniform(-1, 1, 500)) * 0.9

@@ -294,6 +294,15 @@ class TestTildeNoZeros:
             assert np.min(comb[common > 1e-6]) > 1e-7
 
 
+def assert_reaches_newton_search(p):
+    # dv_certificate takes smoothness from a proven DVDefining label and runs
+    # torus_singularities only on an unproven one; a singular variety must
+    # never be proven.
+    zc = classify_zero_set(p)
+    assert zc.label is ZeroLabel.DV_DEFINING
+    assert not zc.proven
+
+
 class TestTorusSingularities:
     def test_smooth_example(self):
         assert torus_singularities(z3_minus_w2()).smooth_on_torus
@@ -322,6 +331,7 @@ class TestTorusSingularities:
         p1 = det_representation(UnitaryRealization(2, 2, haar_unitary(rng, 4)))
         p2 = det_representation(UnitaryRealization(3, 3, haar_unitary(rng, 6)))
         expected = len(unimodular_resultant_roots(p1, p2))
+        assert_reaches_newton_search(p1 * p2)
         report = torus_singularities(p1 * p2)
         assert len(report.points) == expected
         for z, w in report.points:
@@ -332,6 +342,7 @@ class TestTorusSingularities:
         # (z - w)(z^3 - e^{0.7i} w) is singular exactly where z^2 = e^{0.7i}
         # and w = z, at angles that no 128th root of unity hits.
         p = poly({(1, 0): 1, (0, 1): -1}) * poly({(3, 0): 1, (0, 1): -np.exp(0.7j)})
+        assert_reaches_newton_search(p)
         report = torus_singularities(p)
         root = np.exp(0.35j)
         expected = [(root, root), (-root, -root)]

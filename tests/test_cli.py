@@ -121,6 +121,19 @@ class TestCliCommands:
         assert main([a.format(path=path) for a in argv]) == 1
         assert "usage" in capsys.readouterr().err
 
+    def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
+        # The parser is built once per process; options of one call must not
+        # leak into the next.
+        path = write_poly(tmp_path, "p.json", z3_minus_w2())
+        assert main(["classify", path, "--grid", "32"]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == 32
+        assert main(["classify", path]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == 64
+        assert main(["classify", path, "--bogus"]) == 1
+        assert "usage" in capsys.readouterr().err
+        assert main(["classify", path]) == 0
+        assert json.loads(capsys.readouterr().out)["grid"] == 64
+
     @pytest.mark.parametrize(
         "text, field",
         [

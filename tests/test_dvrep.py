@@ -288,11 +288,33 @@ class TestRepresentOnce:
             return wrapper
 
         for module in (dvkit.classify, dvkit.soscert, dvkit.dvrep):
-            for name in ("classify_zero_set", "verify_certificate"):
+            for name in ("classify_zero_set", "verify_certificate", "torus_singularities"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        represent(z3_minus_w2(), seed=7)
+        cert, _, _, _ = represent(z3_minus_w2(), seed=7)
+        # The proven DVDefining label already proves torus smoothness, so the
+        # Newton search for torus singularities never runs.
         assert calls == {"classify_zero_set": 1, "verify_certificate": 1}
+        assert calls["torus_singularities"] == 0
+        assert cert.smooth_on_torus
+
+    def test_unproven_label_runs_singularity_search(self, monkeypatch):
+        import dvkit.dvrep
+
+        calls = Counter()
+        search = dvkit.dvrep.torus_singularities
+
+        def counted(*args, **kwargs):
+            calls["torus_singularities"] += 1
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(dvkit.dvrep, "torus_singularities", counted)
+        # (z - w)(z^3 - e^{0.7i} w) is DVDefining but not proven: it has two
+        # torus nodes, and the certificate must take the dilation route.
+        p = poly({(1, 0): 1, (0, 1): -1}) * poly({(3, 0): 1, (0, 1): -np.exp(0.7j)})
+        cert = dv_certificate(p)
+        assert calls["torus_singularities"] == 1
+        assert not cert.smooth_on_torus
 
 
 class TestBlaschkeFamily:

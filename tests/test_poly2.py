@@ -15,6 +15,7 @@ from dvkit.poly2 import (
     DegreeMismatchError,
     MatrixPolynomial,
     SymmetryKind,
+    VectorPolynomial,
     derived_dv_poly,
     derived_symmetric_poly,
     horner,
@@ -98,6 +99,78 @@ class TestHorner:
             for c in range(3):
                 want = np.polyval(mat.coeffs[r, c, ::-1], t)
                 assert np.max(np.abs(got[:, r, c] - want)) < 1e-12
+
+
+def _row_by_row(p, z, w):
+    """Reference evaluation: one Horner call in w per coefficient row, the
+    rows combined in z at the broadcast shape."""
+    z = np.asarray(z, dtype=np.complex128)
+    w = np.asarray(w, dtype=np.complex128)
+    acc = np.zeros(np.broadcast_shapes(z.shape, w.shape), dtype=np.complex128)
+    for row in p.coeffs[::-1]:
+        acc = acc * z + horner(row, w)
+    return acc
+
+
+def _points(rng):
+    """Scalar, 1-D, outer-broadcast and mixed-rank point sets."""
+    def c(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    return [
+        (complex(c(1)[0]), complex(c(1)[0])),
+        (c(37), c(37)),
+        (c(33)[:, None], c(29)[None, :]),
+        (c(5, 1, 3), c(4, 1)),
+        (c(6), c(6, 6)),
+    ]
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("m", range(7))
+    def test_bit_identical_to_row_loop(self, n, m):
+        rng = np.random.default_rng(100 + 7 * n + m)
+        p = random_poly(rng, n, m)
+        for z, w in _points(rng):
+            got = np.asarray(p.evaluate(z, w))
+            want = _row_by_row(p, z, w)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_declared_constant(self):
+        p = poly({(0, 0): 2.5 - 1j}, (3, 2))
+        for z, w in _points(np.random.default_rng(9)):
+            assert np.array_equal(np.asarray(p.evaluate(z, w)), _row_by_row(p, z, w))
+
+    def test_vector_matches_component_stack(self):
+        rng = np.random.default_rng(10)
+        comps = [random_poly(rng, n, m) for n, m in [(0, 0), (3, 2), (1, 4), (4, 1), (2, 0)]]
+        comps.append(poly({(0, 0): 1.0}, (2, 3)))
+        vec = VectorPolynomial(tuple(comps))
+        # the last point set is large enough to be evaluated in groups of components
+        big = (rng.normal(size=(150, 1)) + 1j, rng.normal(size=(1, 150)) - 1j)
+        for z, w in _points(rng) + [big]:
+            want = np.stack([np.asarray(c.evaluate(z, w)) for c in comps], axis=0)
+            got = vec.evaluate(z, w)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_empty_vector_and_empty_points(self):
+        vec = VectorPolynomial((poly({(1, 1): 1.0}),))
+        assert vec.evaluate(np.zeros(0), np.zeros((3, 1))).shape == (1, 3, 0)
+        assert VectorPolynomial(()).evaluate(np.zeros(4), 0.5).shape == (0, 4)
+
+    def test_kernel_of_pair_with_itself(self):
+        rng = np.random.default_rng(11)
+        vec = VectorPolynomial(tuple(random_poly(rng, n, 2) for n in (1, 2, 3)))
+        z = rng.normal(size=(8, 1)) + 0j
+        w = rng.normal(size=(1, 5)) + 0j
+        a = vec.evaluate(z, w)
+        assert np.array_equal(vec.kernel(z, w, z, w), np.sum(a * np.conj(a), axis=0))
+        other = vec.kernel(z, w, 0.3, -0.4j)
+        want = np.sum(a * np.conj(vec.evaluate(0.3, -0.4j))[:, None, None], axis=0)
+        assert np.array_equal(other, want)
 
 
 class TestDerivatives:

@@ -480,3 +480,41 @@ class TestVerification:
     def test_report_threshold(self, cert_four):
         report = verify_certificate(four_minus_z_minus_w(), cert_four, grid_n=32)
         assert report.passed and report.threshold == 1e-7
+
+    @pytest.mark.parametrize("which", ["stable", "symmetric", "dv"])
+    def test_small_mutation_fails_both_passes(self, which, cert_four, sym_cert_z3w2, pipeline_z3w2):
+        # One coefficient of one component moved by 1e-6 of that component's
+        # scale must fail the diagonal and the polarized residual alike.
+        if which == "stable":
+            q, cert = four_minus_z_minus_w(), cert_four
+        elif which == "symmetric":
+            q, cert = sym_cert_z3w2
+        else:
+            dv = pipeline_z3w2[0]
+            q, cert = dv.p, dv.as_sos()
+        comps = list(cert.vec_first.components)
+        grid = comps[0].coeffs.copy()
+        grid[0, 0] += 1e-6 * comps[0].scale
+        comps[0] = BivariatePolynomial(grid)
+        broken = SosCertificate(cert.kind, VectorPolynomial(tuple(comps)), cert.vec_second, cert.weights)
+        assert verify_certificate(q, cert).passed
+        report = verify_certificate(q, broken)
+        assert report.max_residual > report.threshold
+        assert report.polarized_residual > report.threshold
+
+    def test_polarized_pass_pairs_distinct_points(self, cert_four, monkeypatch):
+        seen = []
+        pair_residual = soscert._pair_residual
+
+        def recorded(kind, q, cert, z, w, zz, ww, weights):
+            seen.append((z, w, zz, ww))
+            return pair_residual(kind, q, cert, z, w, zz, ww, weights)
+
+        monkeypatch.setattr(soscert, "_pair_residual", recorded)
+        verify_certificate(four_minus_z_minus_w(), cert_four, grid_n=32)
+        assert len(seen) == 3
+        for z, w, zz, ww in seen[:2]:  # the diagonal passes
+            assert zz is z and ww is w
+        z, w, zz, ww = seen[2]
+        assert np.shape(z) == np.shape(zz) == (100,)
+        assert np.all(z != zz) and np.all(w != ww)
