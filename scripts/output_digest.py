@@ -5,13 +5,15 @@
 
 Every dvkit/1 polynomial document in DIR (``*.json`` with kind
 "polynomial") goes through ``classify``, ``sos``, ``represent``, ``extend
---no-swap`` with f = w, and ``verify`` of the written realization, each run
-in-process through ``dvkit.cli.main``; ``extend`` and ``verify`` run only
-when ``represent`` exits 0.  A last line covers ``dvkit demo``.  Each line
-reads ``<file> <command> exit=<code> <sha256>``, the digest taken over
-stdout, stderr and the written file.  Outputs are written under a temporary
-working directory by relative name, so the lines do not depend on where it
-lies, and two checkouts can be compared with ``diff``:
+--no-swap`` and ``extend`` with its default swap check (command
+``extend_swap``), both with f = w, and ``verify`` of the written
+realization, each run in-process through ``dvkit.cli.main``; the extensions
+and ``verify`` run only when ``represent`` exits 0.  A last line covers
+``dvkit demo``.  Each line reads ``<file> <command> exit=<code> <sha256>``,
+the digest taken over stdout, stderr and the written file.  Outputs are
+written under a temporary working directory by relative name, so the lines
+do not depend on where it lies, and two checkouts can be compared with
+``diff``:
 
     PYTHONPATH=src python scripts/output_digest.py DIR > new.txt
 """
@@ -78,6 +80,7 @@ def digest_dir(directory):
                     continue
                 for command, argv in (
                     ("extend", ["extend", rep, "f_w.json", "--no-swap"]),
+                    ("extend_swap", ["extend", rep, "f_w.json"]),
                     ("verify", ["verify", rep, path]),
                 ):
                     rows.append((name, command, *_digest(argv)))

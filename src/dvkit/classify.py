@@ -362,13 +362,18 @@ def torus_singularities(
 
 
 def is_squarefree(
-    p: BivariatePolynomial, trials: int = 5, tol: float = 1e-9, seed: int = 11
+    p: BivariatePolynomial, trials: int = 5, tol: float = 1e-6, seed: int = 11
 ) -> bool:
-    """Probabilistic squarefreeness check via the w-resultant of (p, p_w).
+    """Probabilistic squarefreeness check on fibers over random z.
 
-    Evaluates res_w(p, p_w)(z) at random z; a polynomial with a repeated
-    factor makes the resultant vanish identically.  p_w is normalized by its
-    size on a circle enclosing the fiber roots, so the verdict is scale-free.
+    A repeated factor gives every fiber a multiple root, where p_w vanishes.
+    At each random z the check takes the least |p_w| over the fiber's
+    roots, normalized by the size of p_w on a circle enclosing them, so the
+    verdict depends neither on the scale of p nor on the number of roots.
+    A double root is computed only to about sqrt(eps) ~ 1e-8, which leaves
+    that least value near 1e-8 when a factor repeats, against the root
+    separations (above 1e-3 on seeded Haar varieties up to degree 6) when
+    none does.  p counts as squarefree when one trial stays above ``tol``.
     """
     rng = np.random.default_rng(seed)
     if p.degree[1] == 0:
@@ -387,7 +392,6 @@ def is_squarefree(
             1.0, np.max(np.abs(roots))
         )
         ref = max(float(np.max(np.abs(pw.evaluate(z, circle)))), 1e-300)
-        res = np.prod(np.asarray(pw.evaluate(z, roots)) / ref)
-        if abs(res) <= tol:
+        if np.min(np.abs(pw.evaluate(z, roots))) <= tol * ref:
             hits += 1
     return hits < trials

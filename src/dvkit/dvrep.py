@@ -351,6 +351,7 @@ def shift_realization(m: int, n: int) -> UnitaryRealization:
 class RepresentationReport:
     gram_defect: float
     gram_tolerance: float
+    qmatrix_tolerance: float
     det_on_samples: float
     eigen_relation: float
     det_vs_p_rel: float
@@ -374,7 +375,9 @@ class RepresentationReport:
             self.contractivity_excess <= 1e-8,
         ]
         if self.smooth_on_torus:
-            checks.append(self.qmatrix_min_sv is not None and self.qmatrix_min_sv > 1e-8)
+            checks.append(
+                self.qmatrix_min_sv is not None and self.qmatrix_min_sv > self.qmatrix_tolerance
+            )
         return all(checks)
 
 
@@ -412,6 +415,7 @@ def verify_representation(
     return RepresentationReport(
         gram_defect=gram_defect(cert, sample),
         gram_tolerance=gram_tol,
+        qmatrix_tolerance=1e-8 * cert.qmatrix.sup_norm(),
         det_on_samples=float(np.max(np.abs(det_vals))),
         eigen_relation=float(np.max(eig_vals)) / q_scale,
         det_vs_p_rel=det_rel,

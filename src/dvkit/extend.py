@@ -101,18 +101,20 @@ class BoundReport:
     C: float
     per_point_bound: float
     sup_f_on_variety: float
-    sup_F_on_bidisk: float
-
-    @property
-    def ratio(self) -> float:
-        if self.sup_f_on_variety == 0:
-            return 0.0
-        return self.sup_F_on_bidisk / self.sup_f_on_variety
 
 
 def extension_bound(op: ExtensionOperator, grid_n: int = 256) -> BoundReport:
-    """Compute C on a boundary grid of grid_n angles (with an interior spot
-    grid), and the per-point bound over a bidisk grid."""
+    """C from grid_n circle samples of Q(z) (with an interior spot grid), the
+    per-point bound on a torus grid, and sup |f| on the variety.
+
+    For a torus-smooth variety the certificate's gate,
+    :meth:`MatrixPolynomial.min_singular_value_on_disk`, finds every zero of
+    det Q in the closed disk by a block companion and refuses the
+    certificate if there is one.  So Q^{-1} is analytic on the closed disk,
+    log ||Q|| and log ||Q^{-1}|| are subharmonic, and by the maximum
+    principle the condition number ||Q|| ||Q^{-1}|| takes its sup over the
+    disk on the circle, which the samples stand for.
+    """
     m = op.rep.m
     circle = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
     interior = 0.6 * np.exp(2j * np.pi * np.arange(16) / 16)
@@ -126,9 +128,7 @@ def extension_bound(op: ExtensionOperator, grid_n: int = 256) -> BoundReport:
     qnorm = np.sqrt(op.cert.vec_q.norm_sq(sub[:, None], sub[None, :]))
     per_point = float(np.max(inv_norm * np.max(qnorm, axis=1)))
     sup_f = sup_norm_on_variety(op.f, op.cert.p, max(grid_n, 128))
-    pts = disk_spiral(max(grid_n, 64))
-    sup_F = float(np.max(np.abs(op.evaluate_grid(pts, pts))))
-    return BoundReport(c_const, per_point, sup_f, sup_F)
+    return BoundReport(c_const, per_point, sup_f)
 
 
 def sup_norm_on_variety(

@@ -517,22 +517,47 @@ class MatrixPolynomial:
         return MatrixPolynomial(np.conj(pad[:, :, ::-1]))
 
     def min_singular_value_on_disk(self, grid_n: int = 24) -> float:
-        """min over a closed-unit-disk grid (boundary circle plus radial interior)."""
-        pts = unit_disk_grid(grid_n)
-        vals = self.evaluate(pts)
-        svals = np.linalg.svd(vals, compute_uv=False)
-        return float(np.min(svals))
+        """Least singular value of the square matrix polynomial Q over z = 0,
+        the grid_n circle points exp(2 pi i k / grid_n) and every zero of
+        det Q in the closed disk.
+
+        The zeros come from one eigenvalue solve: the block companion of the
+        reversed polynomial z^d Q(1/z), made monic by Q(0)^{-1}, has the
+        eigenvalues mu = 1/z of the zeros z of det Q, and mu = 0 for each
+        zero at infinity (a singular top coefficient).  A zero counts as in
+        the closed disk when |mu| >= 1 - 1e-12; Q at it is singular, so its
+        singular value, about 0, enters the minimum.  With no zero of det Q
+        in the closed disk, Q^{-1} is analytic there and ||Q^{-1}|| is
+        subharmonic, so the least singular value 1 / ||Q^{-1}|| over the
+        disk is attained on the circle, which the samples stand for.  A
+        singular Q(0) already puts about 0 in the minimum at z = 0 and
+        admits no companion.
+        """
+        circle = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
+        pts = np.concatenate([[0.0 + 0.0j], circle, self._det_zeros_in_disk()])
+        return float(np.min(np.linalg.svd(self.evaluate(pts), compute_uv=False)))
+
+    def _det_zeros_in_disk(self) -> np.ndarray:
+        """Zeros of det Q with |z| <= 1 + O(1e-12), from the block companion
+        of the reversed polynomial; empty when Q(0) is singular."""
+        size, d = self.shape[0], self.var_degree
+        empty = np.zeros(0, dtype=np.complex128)
+        if d == 0:
+            return empty
+        c = np.moveaxis(self.coeffs, 2, 0)  # c[k] multiplies t^k
+        try:
+            # [C_0^{-1} C_1, ..., C_0^{-1} C_d] side by side
+            lead = np.linalg.solve(c[0], np.concatenate(list(c[1:]), axis=1))
+        except np.linalg.LinAlgError:
+            return empty
+        comp = np.zeros((d * size, d * size), dtype=np.complex128)
+        comp[:size] = -lead
+        comp[size:, :-size] = np.eye((d - 1) * size)
+        mu = np.linalg.eigvals(comp)
+        return 1.0 / mu[np.abs(mu) >= 1.0 - 1e-12]
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-
-def unit_disk_grid(grid_n: int) -> np.ndarray:
-    """Deterministic sample of the closed unit disk: circles of grid_n angles."""
-    radii = np.linspace(0.0, 1.0, max(grid_n // 4, 3))
-    angles = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
-    pts = np.concatenate([[0.0 + 0.0j]] + [r * angles for r in radii[1:]])
-    return pts
 
 
 def disk_spiral(count: int, radius: float = 1.0) -> np.ndarray:

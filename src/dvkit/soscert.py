@@ -526,9 +526,15 @@ def sos_certificate(q: BivariatePolynomial, route: str | None = None) -> SosCert
 
 @dataclass(frozen=True)
 class GwReport:
-    """Minimum singular values of A(w) on the closed disk and of the
+    """Minimum singular values over the closed disk of A(w) and of the
     z-reflected B(z) matrix; both must stay away from zero for polynomials
-    with no zeros on the closed bidisk."""
+    with no zeros on the closed bidisk (Geronimo-Woerdeman 2004).
+
+    Each minimum is taken by :meth:`MatrixPolynomial.min_singular_value_on_disk`
+    over the circle samples, z = 0 and every zero of the determinant in the
+    closed disk, found by a block companion.  A zero anywhere in the closed
+    disk, also one on the circle between samples, gives a minimum of about 0;
+    without one, the maximum principle puts the minimum on the circle."""
 
     min_sv_first: float
     min_sv_second: float

@@ -36,6 +36,31 @@ def haar_unitary(rng, size):
     return q * (d / np.abs(d))
 
 
+def from_values(fn, n, m):
+    """Coefficients of the degree-(n, m) polynomial fn(z, w), read off its
+    values at conjugate roots of unity by an inverse 2-D FFT."""
+    zs = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
+    ws = np.exp(-2j * np.pi * np.arange(m + 1) / (m + 1))
+    return np.fft.ifft2(fn(zs[:, None], ws[None, :]))
+
+
+def haar_dv(u, m, n):
+    """det [[A - wI, zB], [C, zD - I]] for U = [[A, B], [C, D]], A of size m:
+    a distinguished variety of degree (n, m) (Agler-McCarthy 2005)."""
+    a, b, c, d = u[:m, :m], u[:m, m:], u[m:, :m], u[m:, m:]
+
+    def det(z, w):
+        z, w = np.broadcast_arrays(z, w)
+        mats = np.zeros(z.shape + (m + n, m + n), dtype=np.complex128)
+        mats[..., :m, :m] = a - w[..., None, None] * np.eye(m)
+        mats[..., :m, m:] = z[..., None, None] * b
+        mats[..., m:, :m] = c
+        mats[..., m:, m:] = z[..., None, None] * d - np.eye(n)
+        return np.linalg.det(mats)
+
+    return from_values(det, n, m)
+
+
 def random_poly(rng, n, m, scale=1.0):
     grid = rng.normal(size=(n + 1, m + 1)) + 1j * rng.normal(size=(n + 1, m + 1))
     return BivariatePolynomial(scale * grid)

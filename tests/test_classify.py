@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     four_minus_z_minus_w,
+    haar_dv,
     haar_unitary,
     one_minus_z3w2,
     poly,
@@ -23,6 +24,7 @@ from dvkit.classify import (
 )
 from dvkit.dvrep import UnitaryRealization, det_representation
 from dvkit.poly2 import (
+    BivariatePolynomial,
     blaschke_dv,
     derived_dv_poly,
     derived_symmetric_poly,
@@ -361,3 +363,17 @@ class TestSquarefree:
         assert not is_squarefree(zw1 * zw1)
         p = z3_minus_w2()
         assert not is_squarefree(p * p)
+        one_minus_w = poly({(0, 0): 1, (0, 1): -1})
+        assert not is_squarefree(one_minus_w * one_minus_w)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_haar_varieties_and_their_squares(self, seed):
+        # the least |p_w| over a fiber's roots does not shrink with the
+        # number of roots, so degree 6 is accepted like degree 2
+        rng = np.random.default_rng(seed)
+        for d in range(2, 7):
+            coeffs = haar_dv(haar_unitary(rng, 2 * d), d, d)
+            for grid in (coeffs, coeffs.T):
+                p = BivariatePolynomial(grid)
+                assert is_squarefree(p)
+                assert not is_squarefree(p * p)

@@ -252,6 +252,14 @@ class TestVerifyRepresentation:
         assert not report.passed
 
 
+@pytest.mark.parametrize("scale", [1e-10, 1e-6, 1e-2, 1.0, 1e3, 1e6])
+def test_qmatrix_gate_is_scale_free(scale):
+    cert, _, _, report = represent(scale * blaschke_dv(2, [0.5, 0]), seed=7)
+    assert report.passed
+    assert report.qmatrix_tolerance == 1e-8 * cert.qmatrix.sup_norm()
+    assert report.qmatrix_min_sv > 1e6 * report.qmatrix_tolerance
+
+
 @pytest.fixture(scope="module")
 def singular_pipeline():
     p = z3_minus_w2() * poly({(1, 0): 1, (0, 1): -1})

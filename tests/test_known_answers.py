@@ -1,8 +1,8 @@
 """Seeded inputs whose labels and certificates are known from their
 construction, run through classification and the sums-of-squares route.
 
-The constructions are written out here with numpy alone, so that they do
-not move with the library:
+The constructions are written out here and in conftest with numpy alone,
+so that they do not move with the library:
 
 * Haar-unitary distinguished varieties (Agler-McCarthy, Acta Math. 2005):
   for a Haar unitary U = [[A, B], [C, D]], A of size m,
@@ -19,33 +19,11 @@ preserves every answer.
 import numpy as np
 import pytest
 
-from conftest import haar_unitary, one_minus_z3w2, poly, two_minus_z_minus_w
+from conftest import from_values, haar_dv, haar_unitary, one_minus_z3w2, poly, two_minus_z_minus_w
 from dvkit.classify import ZeroLabel, classify_zero_set
+from dvkit.dvrep import represent
 from dvkit.poly2 import BivariatePolynomial, reflected_derivatives, symmetrize
-from dvkit.soscert import sos_certificate, sym_sos_certificate, verify_certificate
-
-
-def from_values(fn, n, m):
-    """Coefficients of the degree-(n, m) polynomial fn(z, w), read off its
-    values at conjugate roots of unity by an inverse 2-D FFT."""
-    zs = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
-    ws = np.exp(-2j * np.pi * np.arange(m + 1) / (m + 1))
-    return np.fft.ifft2(fn(zs[:, None], ws[None, :]))
-
-
-def haar_dv(u, m, n):
-    a, b, c, d = u[:m, :m], u[:m, m:], u[m:, :m], u[m:, m:]
-
-    def det(z, w):
-        z, w = np.broadcast_arrays(z, w)
-        mats = np.zeros(z.shape + (m + n, m + n), dtype=np.complex128)
-        mats[..., :m, :m] = a - w[..., None, None] * np.eye(m)
-        mats[..., :m, m:] = z[..., None, None] * b
-        mats[..., m:, :m] = c
-        mats[..., m:, m:] = z[..., None, None] * d - np.eye(n)
-        return np.linalg.det(mats)
-
-    return from_values(det, n, m)
+from dvkit.soscert import gw_invertibility, sos_certificate, sym_sos_certificate, verify_certificate
 
 
 def kummert(k, n, m):
@@ -82,6 +60,16 @@ def test_rotated_two_minus_z_minus_w_is_stable_open_and_certifies(seed):
     assert_certifies(q, sos_certificate(q))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_rotated_two_minus_z_minus_w_fails_gw_invertibility(seed):
+    # A(w) and B(z) are singular at the torus zero, which falls between the
+    # circle samples; the determinant's zeros on the circle are found anyway
+    q = rotated(two_minus_z_minus_w().coeffs, np.random.default_rng(100 + seed))
+    gw = gw_invertibility(sos_certificate(q))
+    assert not gw.passed
+    assert max(gw.min_sv_first, gw.min_sv_second) <= 1e-12
+
+
 @pytest.mark.parametrize("n, m", DEGREES)
 def test_unitary_kummert_is_symmetric_off_torus_and_certifies(n, m):
     rng = np.random.default_rng(10 + n)
@@ -105,6 +93,27 @@ def test_haar_variety_is_dv_defining_both_ways(m, n):
     for grid in (coeffs, coeffs.T):
         q = rotated(grid, rng)
         assert classify_zero_set(q).label is ZeroLabel.DV_DEFINING
+
+
+def haar_family():
+    """Haar varieties of degree (d, d), d = 2..6, drawn in turn from one
+    generator seeded 0, the family of the classify_sweep benchmark."""
+    rng = np.random.default_rng(0)
+    return {d: haar_dv(haar_unitary(rng, 2 * d), d, d) for d in range(2, 7)}
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_haar_variety_round_trips_through_represent(d):
+    # the realization's block determinant reproduces p; degree 6 reads up
+    # to about 8e-13, the size of its certificate's Gram defect
+    rng = np.random.default_rng(70 + d)
+    coeffs = haar_family()[d]
+    for grid in (coeffs, coeffs.T):
+        q = rotated(grid, rng)
+        assert classify_zero_set(q).label is ZeroLabel.DV_DEFINING
+        _, _, _, report = represent(q, seed=7)
+        assert report.passed
+        assert report.det_vs_p_rel <= 1e-11
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.5)])

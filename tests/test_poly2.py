@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    haar_dv,
+    haar_unitary,
     one_minus_z3w2,
     poly,
     random_poly,
@@ -11,7 +13,9 @@ from conftest import (
     two_minus_z_minus_w,
     z3_minus_w2,
 )
+from dvkit.dvrep import dv_certificate
 from dvkit.poly2 import (
+    BivariatePolynomial,
     DegreeMismatchError,
     MatrixPolynomial,
     SymmetryKind,
@@ -26,6 +30,7 @@ from dvkit.poly2 import (
     symmetry_analysis,
     transpose_vars,
 )
+from dvkit.soscert import sos_certificate
 
 Z = poly({(1, 0): 1})
 W = poly({(0, 1): 1})
@@ -99,6 +104,76 @@ class TestHorner:
             for c in range(3):
                 want = np.polyval(mat.coeffs[r, c, ::-1], t)
                 assert np.max(np.abs(got[:, r, c] - want)) < 1e-12
+
+
+def _disk_grid_min(mat, grid_n):
+    """Reference: the former closed-disk sample, z = 0 and circles of grid_n
+    angles at the nonzero radii of linspace(0, 1, max(grid_n // 4, 3)),
+    with a full SVD at every point."""
+    radii = np.linspace(0.0, 1.0, max(grid_n // 4, 3))
+    angles = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
+    pts = np.concatenate([[0.0 + 0.0j]] + [r * angles for r in radii[1:]])
+    return float(np.min(np.linalg.svd(mat.evaluate(pts), compute_uv=False)))
+
+
+def _planted(seed, z0, size=3):
+    """(2I + zB)(I - P + (z - z0)P) with B unitary and P a rank-one projector.
+
+    The first factor has least singular value >= 1 on the closed disk, so
+    det vanishes there only at z0 (when |z0| <= 1).  The top coefficient BP
+    has rank one, so det has degree size + 1 of the formal 2 * size."""
+    rng = np.random.default_rng(seed)
+    eye = np.eye(size)
+    v = haar_unitary(rng, size)[:, :1]
+    proj = v @ v.conj().T
+    first = np.stack([2 * eye, haar_unitary(rng, size)], axis=-1)
+    second = np.stack([eye - proj - z0 * proj, proj], axis=-1)
+    coeffs = np.zeros((size, size, 3), dtype=np.complex128)
+    for k in range(2):
+        for j in range(2):
+            coeffs[:, :, k + j] += first[:, :, k] @ second[:, :, j]
+    return MatrixPolynomial(coeffs)
+
+
+class TestDiskMinimum:
+    def test_zero_inside_between_grid_nodes(self):
+        # radius between the 0.4 and 0.6 circles, angle between two rays
+        mat = _planted(1, 0.5 * np.exp(1j * np.pi / 24))
+        assert _disk_grid_min(mat, 24) > 1e-2
+        assert mat.min_singular_value_on_disk(24) <= 1e-12
+
+    def test_zero_on_circle_between_samples(self):
+        mat = _planted(2, np.exp(1j * np.pi / 24))
+        assert _disk_grid_min(mat, 24) > 1e-2
+        assert mat.min_singular_value_on_disk(24) <= 1e-12
+
+    def test_singular_top_coefficient(self):
+        # det has degree 4 of 6: two zeros at infinity, one at z = 2
+        mat = _planted(3, 2.0)
+        assert np.linalg.matrix_rank(mat.coeffs[:, :, -1]) == 1
+        circle = np.exp(2j * np.pi * np.arange(24) / 24)
+        on_circle = np.linalg.svd(mat.evaluate(np.concatenate([[0.0], circle])), compute_uv=False)
+        got = mat.min_singular_value_on_disk(24)
+        assert got == float(np.min(on_circle)) == _disk_grid_min(mat, 24)
+        assert got > 0.9
+
+    def test_singular_constant_term(self):
+        mat = _planted(4, 0.0)
+        assert mat.min_singular_value_on_disk(24) <= 1e-15
+
+    def test_zero_matrix_of_symmetric_certificate(self):
+        cert = sos_certificate(symmetrize(one_minus_z3w2()), route="symmetric")
+        for mat in (cert.matrix_first, cert.matrix_second):
+            assert mat.sup_norm() == 0.0
+            assert mat.min_singular_value_on_disk(24) == 0.0
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (4, 3), (6, 6)])
+    def test_matches_disk_grid_on_haar_qmatrices(self, m, n):
+        coeffs = haar_dv(haar_unitary(np.random.default_rng(50 + m + n), m + n), m, n)
+        for grid in (coeffs, coeffs.T):
+            qmat = dv_certificate(BivariatePolynomial(grid)).qmatrix
+            for grid_n in (48, 64):
+                assert qmat.min_singular_value_on_disk(grid_n) == _disk_grid_min(qmat, grid_n)
 
 
 def _row_by_row(p, z, w):
