@@ -159,12 +159,14 @@ def schur_cohn_matrix(coeffs) -> np.ndarray:
     """Schur-Cohn matrices T1^H T1 - T2^H T2 of univariate polynomials,
     coefficients low to high along the last axis, batched over the leading
     axes; T1 and T2 are the m x m lower-triangular Toeplitz matrices of
-    (a_0, ..., a_{m-1}) and (conj a_m, ..., conj a_1).
+    (a_0, ..., a_{m-1}) and (conj a_m, ..., conj a_1).  The matrices are
+    complex128, or long double complex for such coefficients.
 
     Entry (i, k) exceeds entry (i+1, k+1) by conj(a_{m-1-i}) a_{m-1-k} -
     a_{i+1} conj(a_{k+1}), so the matrix sums that matrix's diagonal shifts.
     """
-    a = np.asarray(coeffs, dtype=np.complex128)
+    a = np.asarray(coeffs)
+    a = a.astype(np.result_type(a, np.complex128), copy=False)
     m = a.shape[-1] - 1
     u, v = a[..., :m][..., ::-1], a[..., 1:]
     step = np.conj(u)[..., :, None] * u[..., None, :] - v[..., :, None] * np.conj(v)[..., None, :]
@@ -364,7 +366,8 @@ def torus_singularities(
 def is_squarefree(
     p: BivariatePolynomial, trials: int = 5, tol: float = 1e-6, seed: int = 11
 ) -> bool:
-    """Probabilistic squarefreeness check on fibers over random z.
+    """Probabilistic squarefreeness check on fibers over random z, and on
+    fibers over random w for a repeated factor free of w.
 
     A repeated factor gives every fiber a multiple root, where p_w vanishes.
     At each random z the check takes the least |p_w| over the fiber's
@@ -373,8 +376,13 @@ def is_squarefree(
     A double root is computed only to about sqrt(eps) ~ 1e-8, which leaves
     that least value near 1e-8 when a factor repeats, against the root
     separations (above 1e-3 on seeded Haar varieties up to degree 6) when
-    none does.  p counts as squarefree when one trial stays above ``tol``.
+    none does.  A variable counts as squarefree when one trial stays above
+    ``tol``; p needs both.
     """
+    return all(_fibers_squarefree(f, trials, tol, seed) for f in (p, transpose_vars(p)))
+
+
+def _fibers_squarefree(p, trials, tol, seed):
     rng = np.random.default_rng(seed)
     if p.degree[1] == 0:
         return True

@@ -161,8 +161,7 @@ def _cmd_extend(config: RunConfig) -> int:
     )
     f = _load_poly(config.inputs[1])
     op = ExtensionOperator(rep, cert, f)
-    n, m = cert.p.degree
-    sample = sample_variety(cert.p, 3 * (m + n) + 10, seed=config.seed)
+    sample = sample_variety(cert.p, seed=config.seed)
     er = verify_extension(op, sample, grid_n=config.grid_n)
     a, b = cert.weights
     obj = {
@@ -198,8 +197,7 @@ def _cmd_verify(config: RunConfig) -> int:
     kind = artifact.get("kind") if isinstance(artifact, dict) else None
     if kind == "realization":
         rep, cert = ser.realization_from_obj(artifact, where=config.inputs[0])
-        n, m = cert.p.degree
-        sample = sample_variety(cert.p, 3 * (m + n) + 10, seed=config.seed)
+        sample = sample_variety(cert.p, seed=config.seed)
         report = verify_representation(p, cert, rep, sample, grid_n=config.grid_n)
         obj = {
             "schema": ser.SCHEMA,

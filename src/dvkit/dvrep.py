@@ -190,12 +190,13 @@ def dv_certificate(
 
 def sample_variety(
     p: BivariatePolynomial,
-    target_count: int = 40,
+    target_count: int | None = None,
     seed: int = 7,
     radii=(0.3, 0.5, 0.7, 0.85),
 ) -> VarietySample:
     """Variety points inside the bidisk: fiber roots over jittered circles of
-    z, Newton-polished in w to residual <= 1e-12 * scale.
+    z, Newton-polished in w to residual <= 1e-12 * scale.  ``target_count``
+    defaults to 3(n + m) + 10 for p of degree (n, m).
 
     All fibers go through one batched root solve and all roots inside the
     disk through one array Newton iteration; a root stops when |p| <= 1e-13
@@ -205,6 +206,8 @@ def sample_variety(
     pw = p.partial_w()
     scale = max(p.scale, 1e-300)
     n, m = p.degree
+    if target_count is None:
+        target_count = 3 * (n + m) + 10
     per = max(4, int(np.ceil(target_count / (max(len(radii), 1) * max(m, 1)))) + 1)
     jitter = rng.uniform(0.0, 2 * np.pi, len(radii))
     angles = 2 * np.pi * np.arange(per) / per + jitter[:, None]
@@ -438,9 +441,7 @@ def represent(
 ):
     """Full pipeline: certificate, variety sample, unitary, verification."""
     cert = dv_certificate(p, a, b)
-    n, m = cert.p.degree
-    count = target_count if target_count is not None else 3 * (m + n) + 10
-    sample = sample_variety(cert.p, count, seed)
+    sample = sample_variety(cert.p, target_count, seed)
     # Certificates of torus-singular varieties pass through the dilation
     # limit and carry its extrapolation error, so the sampled-isometry gate
     # is opened up accordingly (and recorded in the report).

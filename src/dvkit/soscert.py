@@ -19,11 +19,13 @@ q_r(z, w) = q(rz, rw), building certificates along r -> 1, and extrapolating
 the (unitary-invariant) kernel coefficient tensors to r = 1; a torus-symmetric
 one has |q| = |reflect(q)| everywhere, so its certificate is zero.
 
-Moments are two-dimensional Fourier coefficients.  They are computed by
-exact residue summation in w followed by a single 1-D quadrature in z, whose
-grid doubles by adding the odd nodes to the columns already computed; a 2-D
-FFT on a torus grid takes over only when fiber roots collide or nearly
-collide, where the residue sum (simple poles) loses its accuracy.
+Moments are two-dimensional Fourier coefficients.  Their w-integrals at a
+node z are exact: the Toeplitz matrix of the fiber density 1/|q(z, .)|^2 is
+the inverse of the fiber's Schur-Cohn matrix (Gohberg-Semencul), so one
+small Cholesky factorization per node gives them, with no roots, residues
+or 2-D FFT.  A
+single 1-D quadrature in z follows, whose grid doubles by adding the odd
+nodes to the columns already computed.
 """
 
 from __future__ import annotations
@@ -34,13 +36,18 @@ from enum import Enum
 
 import numpy as np
 
-from .classify import QuadratureError, ZeroLabel, classify_zero_set, companion_roots, is_squarefree
+from .classify import (
+    QuadratureError,
+    ZeroLabel,
+    classify_zero_set,
+    is_squarefree,
+    schur_cohn_matrix,
+)
 from .poly2 import (
     BivariatePolynomial,
     MatrixPolynomial,
     VectorPolynomial,
     disk_spiral,
-    horner,
     reflect,
     reflected_derivatives,
     symmetry_analysis,
@@ -52,7 +59,6 @@ __all__ = [
     "CertKind",
     "GwReport",
     "VerificationReport",
-    "TorusZeroError",
     "SubspaceError",
     "StabilityError",
     "compute_moments",
@@ -70,15 +76,9 @@ EIG_CLIP = 1e-12
 # corpus), so extrapolation runs in h = sqrt(1 - r); the radii are geometric
 # in h, which makes polynomial extrapolation to h = 0 well conditioned.
 DILATION_RADII = (0.9, 0.97, 0.99, 0.997, 0.999, 0.9997, 0.9999)
-# Largest cancellation sum|residue| / |sum residue| of J_0 that the residue
-# backend accepts at a node; beyond it the poles count as colliding.  The
-# window error measured on near-double and near-triple poles stays below
-# 10 eps * cancellation^2, so about 2e-11 at this bound.
-RESIDUE_CANCEL_MAX = 100.0
-
-
-class TorusZeroError(ValueError):
-    """q vanishes on the torus grid; the density 1/|q|^2 is not integrable."""
+# Condition estimate J_0 tr(S) of a fiber's Schur-Cohn matrix S above which
+# its moment column is refined in long double.
+REFINE_COND = 1e2
 
 
 class SubspaceError(ValueError):
@@ -123,149 +123,87 @@ def dilate(q: BivariatePolynomial, r: float) -> BivariatePolynomial:
     return BivariatePolynomial(q.coeffs * scale)
 
 
-def _window_from_raw(raw_fn, n, m):
-    win = np.empty((2 * n + 1, 2 * m + 1), dtype=np.complex128)
-    for a in range(-n, n + 1):
-        for b in range(-m, m + 1):
-            win[a + n, b + m] = raw_fn(a, b)
-    return win
+def _moment_column(q, nodes):
+    """J_b(z) = (1/2 pi) int w^b / |q(z, w)|^2 dtheta for b = 0..m at each node.
+
+    By Gohberg-Semencul, the (m+1)-square Toeplitz matrix [J_{k-j}] of a
+    fiber f with no root in the closed disk is the inverse of the Schur-Cohn
+    matrix S of f padded with a zero top coefficient, so its last column
+    S^-1 e_m lists J_m..J_0.  S is positive definite exactly when every root
+    of the padded fiber, roots at infinity included, lies outside the closed
+    disk; degree drops and all-zero top coefficient columns need no special
+    case.  With S = L L^H, S^-1 e_m is one back substitution in L^H.
+
+    A fiber root near the circle leaves S nearly singular, and rounding S to
+    double then costs eps cond(S) relative in the column.  J_0 tr(S) lies
+    within a factor m+1 of cond(S) (|J_b| <= J_0 bounds the norm of S^-1
+    by (m+1) J_0, and tr(S) bounds that of S); where it exceeds REFINE_COND,
+    one refinement step against S formed in long double recovers the loss,
+    on platforms whose long double is wider than double."""
+    padded = np.concatenate([q.fibers(nodes), np.zeros((len(nodes), 1))], axis=1)
+    s = schur_cohn_matrix(padded)
+    try:
+        chol = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        raise StabilityError("fiber root inside the closed disk on the contour") from None
+    diag = np.einsum("nii->ni", chol).real
+    col = np.zeros(s.shape[:-1], dtype=np.complex128)
+    col[:, -1] = 1.0 / diag[:, -1] ** 2
+    for i in range(s.shape[-1] - 2, -1, -1):
+        col[:, i] = -np.sum(np.conj(chol[:, i + 1 :, i]) * col[:, i + 1 :], axis=1) / diag[:, i]
+    near = np.flatnonzero(col[:, -1].real * np.einsum("nii->n", s).real > REFINE_COND)
+    if len(near):
+        last = np.eye(s.shape[-1])[-1]
+        s_ext = schur_cohn_matrix(padded[near].astype(np.clongdouble))
+        fix = (last - np.einsum("nij,nj->ni", s_ext, col[near])).astype(np.complex128)
+        col[near] += np.linalg.solve(s[near], fix[..., None])[..., 0]
+    return col[:, ::-1].T
 
 
-def _fft_window(q, size):
-    nodes = np.exp(2j * np.pi * np.arange(size) / size)
-    vals = np.abs(q.evaluate(nodes[:, None], nodes[None, :])) ** 2
-    if np.min(vals) <= (1e-12 * max(q.scale, 1e-300)) ** 2:
-        raise TorusZeroError("zero on torus: |q| vanishes on the quadrature grid")
-    raw = np.fft.ifft2(1.0 / vals)
-    n, m = q.degree
-    return _window_from_raw(lambda a, b: raw[a % size, b % size], n, m)
-
-
-class _CollidingPoles(QuadratureError):
-    """The residue backend needs simple poles; the FFT may still resolve the
-    moments."""
-
-
-def _residue_column(q, nodes, bmax):
-    """J_b(z) = (1/2 pi) int w^b / |q(z, w)|^2 dtheta for b = 0..bmax.
-
-    On the circle 1/|q(z, w)|^2 = w^M / (q(z, w) r(w)) with r the degree-M
-    reflection of the fiber, whose roots v_k = 1/conj(w_k) are the poles
-    inside the disk; each residue is v_k^{b+M-1} / (q(z, v_k) r'(v_k)).
-    Stable fibers keep r at full degree (r's leading coefficient is
-    conj(q(z, 0))), so fiber degree drops in w cost nothing here.  M is the
-    true w-degree of q: all-zero top coefficient columns would only add a
-    multiple pole at w = 0."""
-    live = np.flatnonzero(np.any(q.coeffs != 0, axis=0))
-    m = int(live[-1]) if len(live) else 0
-    fiber = q.fibers(nodes)[:, : m + 1]  # (N, m+1) low-to-high in w
-    refl_c = np.conj(fiber[:, ::-1])  # coefficients of r, low-to-high
-    lead = np.abs(refl_c[:, -1])
-    if np.min(lead) <= 1e-12 * np.max(np.abs(refl_c)):
-        raise StabilityError("fiber vanishes at w = 0 on the contour; q is not stable")
-    if m == 0:
-        dens = 1.0 / lead**2
-        return np.stack([dens] + [np.zeros_like(dens)] * bmax, axis=0)
-    v = companion_roots(refl_c)  # (N, m) poles, should lie inside the disk
-    if np.max(np.abs(v)) >= 1.0:
-        raise StabilityError("fiber root inside the closed disk on the contour")
-    dref_c = refl_c[:, 1:] * np.arange(1, m + 1)
-    # one polynomial per node (row), evaluated at that node's poles
-    denom = horner(fiber.T[..., None], v) * horner(dref_c.T[..., None], v)
-    base = v ** (m - 1)
-    # J_0 > 0 is a mean of 1/|q|^2, so its residues cancel only where poles
-    # nearly collide.  At a double root the computed poles may also land
-    # within rounding of each other, with residues that do not cancel at all.
-    gap = np.min(np.abs(v[:, :, None] - v[:, None, :]) + np.eye(m))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = base / denom
-        cancel = np.sum(np.abs(terms), axis=1) / np.abs(np.sum(terms, axis=1))
-    if gap < 1e-8 or not np.max(cancel) <= RESIDUE_CANCEL_MAX:
-        raise _CollidingPoles("colliding fiber roots; residue backend assumes simple poles")
-    out = np.empty((bmax + 1, len(nodes)), dtype=np.complex128)
-    for b in range(bmax + 1):
-        out[b] = np.sum(base / denom, axis=1)
-        base = base * v
-    return out
-
-
-def _residue_window(q, size, cols=None):
-    """Window from the residue columns at ``size`` nodes, and those columns.
+def _moment_window(q, size, cols=None):
+    """Window from the moment columns at ``size`` nodes, and those columns.
 
     ``cols`` are the columns at size/2 nodes: those nodes are the even nodes
     of this grid, so only the size/2 odd nodes are computed afresh."""
     n, m = q.degree
     if cols is None:
-        cols = _residue_column(q, np.exp(2j * np.pi * np.arange(size) / size), m)
+        cols = _moment_column(q, np.exp(2j * np.pi * np.arange(size) / size))
     else:
         odd = np.exp(2j * np.pi * np.arange(1, size, 2) / size)
         both = np.empty((m + 1, size), dtype=np.complex128)
         both[:, 0::2] = cols
-        both[:, 1::2] = _residue_column(q, odd, m)
+        both[:, 1::2] = _moment_column(q, odd)
         cols = both
     spectra = np.fft.ifft(cols, axis=1)  # spectra[b, a % size] = raw mu(a, b)
-
-    def raw(a, b):
-        if b < 0:
-            return np.conj(spectra[-b, (-a) % size])
-        return spectra[b, a % size]
-
-    return _window_from_raw(raw, n, m), cols
+    a = np.arange(-n, n + 1)
+    # mu(a, -b) = conj(mu(-a, b)) fills the columns b < 0
+    lower = np.conj(spectra[:0:-1, (-a) % size]).T
+    return np.concatenate([lower, spectra[:, a % size].T], axis=1), cols
 
 
-def _converged_window(q, start, builder, max_size, rtol=1e-9):
-    """Double the grid from ``start`` until the window agrees with the
-    doubled grid's to ``rtol`` relative; ``builder(q, size, state)`` returns
-    the window and the state handed to the next, doubled, call."""
-    size = start
-    win, state = builder(q, size, None)
-    while size < max_size:
-        nxt, state = builder(q, 2 * size, state)
-        err = np.max(np.abs(nxt - win)) / max(np.max(np.abs(nxt)), 1e-300)
-        win, size = nxt, 2 * size
-        if err <= rtol:
-            return win, size
-    raise QuadratureError("quadrature unresolved: moment window did not converge")
-
-
-def _fft_converged(q, start):
-    return _converged_window(q, start, lambda q, size, _: (_fft_window(q, size), None), 4096)
-
-
-def _residue_converged(q, start):
-    return _converged_window(q, start, _residue_window, 1 << 20)
-
-
-def compute_moments(q: BivariatePolynomial, method: str = "auto") -> MomentTable:
+def compute_moments(q: BivariatePolynomial) -> MomentTable:
     """Moment table of the normalized density c^2/|q|^2 on the torus.
 
-    The grid starts at the smallest power of two >= max(256, 16(n+m)) and
-    doubles until the window agrees with the doubled grid to 1e-9 relative,
-    up to 4096^2 nodes for "fft" and 2^20 z-nodes for "residue".  ``method``
-    "auto" runs the residue backend and falls back to the FFT only when
-    fiber roots collide (residues cancelling beyond RESIDUE_CANCEL_MAX); if
-    that FFT does not converge either, the residue backend's colliding-roots
-    error is raised.  A fiber root inside the closed disk on the contour (a
-    zero of q on the closed bidisk) raises StabilityError without a fallback.
+    One Cholesky factorization of the fiber's Schur-Cohn matrix per z-node
+    gives the exact w-integrals J_0..J_m, refined once where a fiber root
+    nears the circle; no roots, residues or 2-D FFT are involved.  A 1-D
+    quadrature in z then gives the window.  Its grid starts at the smallest
+    power of two >= max(256, 16(n+m)) and doubles, adding only the odd
+    nodes, until the window agrees with the doubled grid's to 1e-9 relative,
+    up to 2^20 nodes.  A fiber root inside the closed disk on the contour (a zero of q
+    on the closed bidisk, or q(z, 0) = 0) raises StabilityError.
     """
     n, m = q.degree
-    start = 1 << max(8, math.ceil(math.log2(max(1, 16 * (n + m)))))
-    if method == "fft":
-        win, used = _fft_converged(q, start)
-    elif method == "residue":
-        win, used = _residue_converged(q, start)
-    else:
-        try:
-            win, used = _residue_converged(q, start)
-        except _CollidingPoles as exc:
-            try:
-                win, used = _fft_converged(q, start)
-            except QuadratureError:
-                raise exc from None
-    mu00 = win[n, m].real
-    if not mu00 > 0:
-        raise TorusZeroError("density has nonpositive mass; q vanishes on the torus")
-    return MomentTable(q, math.sqrt(1.0 / mu00), win / mu00, used)
+    size = 1 << max(8, math.ceil(math.log2(max(1, 16 * (n + m)))))
+    win, cols = _moment_window(q, size)
+    while size < 1 << 20:
+        nxt, cols = _moment_window(q, 2 * size, cols)
+        err = np.max(np.abs(nxt - win)) / max(np.max(np.abs(nxt)), 1e-300)
+        win, size = nxt, 2 * size
+        if err <= 1e-9:
+            mu00 = win[n, m].real
+            return MomentTable(q, math.sqrt(1.0 / mu00), win / mu00, size)
+    raise QuadratureError("quadrature unresolved: moment window did not converge")
 
 
 def _monomials(imax, jmax):

@@ -365,6 +365,9 @@ class TestSquarefree:
         assert not is_squarefree(p * p)
         one_minus_w = poly({(0, 0): 1, (0, 1): -1})
         assert not is_squarefree(one_minus_w * one_minus_w)
+        # a repeated factor free of w leaves every w-fiber squarefree
+        z_half = poly({(0, 0): -0.5, (1, 0): 1})
+        assert not is_squarefree(z_half * z_half * z3_minus_w2())
 
     @pytest.mark.parametrize("seed", range(8))
     def test_haar_varieties_and_their_squares(self, seed):

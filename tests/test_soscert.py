@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     four_minus_z_minus_w,
@@ -10,7 +14,7 @@ from conftest import (
     z3_minus_w2,
 )
 from dvkit import soscert
-from dvkit.classify import QuadratureError
+from dvkit.classify import QuadratureError, schur_cohn_matrix
 from dvkit.dvrep import UnitaryRealization, det_representation
 from dvkit.poly2 import (
     BivariatePolynomial,
@@ -27,10 +31,10 @@ from dvkit.soscert import (
     SosCertificate,
     StabilityError,
     SubspaceError,
-    TorusZeroError,
     _basis_to_vector,
     _complement_basis,
-    _residue_window,
+    _moment_column,
+    _moment_window,
     compute_moments,
     gw_invertibility,
     sos_certificate,
@@ -55,17 +59,14 @@ def reflected_derivative_combination(p):
     return qz_ref.with_degree((n, m)) + qw_ref.with_degree((n, m))
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    calls = []
-    fft_window = soscert._fft_window
-
-    def counted(q, size):
-        calls.append(size)
-        return fft_window(q, size)
-
-    monkeypatch.setattr(soscert, "_fft_window", counted)
-    return calls
+def fft_moment_window(q, size=1024):
+    """Reference window of the normalized 1/|q|^2 moments: a 2-D FFT of the
+    density on the size x size torus grid."""
+    nodes = np.exp(2j * np.pi * np.arange(size) / size)
+    raw = np.fft.ifft2(1.0 / np.abs(q.evaluate(nodes[:, None], nodes[None, :])) ** 2)
+    n, m = q.degree
+    win = raw[np.ix_(np.arange(-n, n + 1) % size, np.arange(-m, m + 1) % size)]
+    return win / win[n, m].real
 
 
 class TestMoments:
@@ -102,7 +103,7 @@ class TestMoments:
         assert evals[0] >= -1e-10 * np.trace(g).real
 
     def test_torus_zero_rejected(self):
-        with pytest.raises((TorusZeroError, StabilityError)):
+        with pytest.raises(StabilityError):
             compute_moments(two_minus_z_minus_w())
 
     def test_residue_backend_matches_fft(self):
@@ -113,50 +114,87 @@ class TestMoments:
         g = reflected_derivative_combination(haar_dv)
         assert g.degree == (6, 6)
         for q in (four_minus_z_minus_w(), poly({(0, 0): 3, (1, 1): 0.4, (1, 0): -0.3}), g):
-            w1 = compute_moments(q, method="fft")
-            w2 = compute_moments(q, method="residue")
-            assert np.max(np.abs(w1.window - w2.window)) < 1e-10
+            assert np.max(np.abs(compute_moments(q).window - fft_moment_window(q))) < 1e-10
+
+
+@st.composite
+def stable_fiber(draw):
+    """Coefficients, low to high, of a polynomial of degree 0-7 with every
+    root of modulus >= 1.5, padded with up to two zero top coefficients (a
+    degree drop at a node, or an all-zero top column of q).  Seven roots
+    clustered at 1.1 would make the Schur-Cohn matrix singular to rounding,
+    which the moment kernel refuses."""
+    degree = draw(st.integers(0, 7))
+    pad = draw(st.integers(0, min(2, 7 - degree)))
+    moduli = draw(st.lists(st.floats(1.5, 4.0), min_size=degree, max_size=degree))
+    angles = draw(st.lists(st.floats(0, 2 * np.pi), min_size=degree, max_size=degree))
+    lead = draw(st.floats(0.1, 10.0)) * np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+    roots = np.multiply(moduli, np.exp(1j * np.array(angles)))
+    coeffs = lead * np.atleast_1d(np.poly(roots))[::-1]
+    return np.concatenate([coeffs, np.zeros(pad)])
 
 
 class TestResidueFirst:
-    """``compute_moments`` runs the residue backend first, doubling its grid
-    by adding odd nodes, and uses the FFT only for colliding fiber roots."""
+    """``compute_moments`` takes the w-integrals of each fiber from one
+    Schur-Cohn solve, doubling its z-grid by adding odd nodes."""
 
     STABLE = poly({(0, 0): 3, (1, 1): 0.4, (1, 0): -0.3, (0, 2): 0.5})
 
+    @given(stable_fiber())
+    @settings(max_examples=60, deadline=None)
+    def test_toeplitz_inverts_schur_cohn(self, coeffs):
+        # Gohberg-Semencul: [J_{k-j}] is the inverse of the Schur-Cohn matrix
+        # S of the fiber padded with a zero top coefficient.  The identity
+        # holds to 1e-12 while cond(S) stays below about 20; beyond, to the
+        # eps cond(S)^2 that forming and solving S in double costs (clustered
+        # roots near the circle make S ill-conditioned), which the long
+        # double refinement, where the platform has one, only improves on
+        col = _moment_column(BivariatePolynomial(coeffs[None, :]), np.array([1.0]))[:, 0]
+        size = len(col)
+        lag = np.arange(size)[None, :] - np.arange(size)[:, None]
+        toeplitz = np.where(lag >= 0, col[np.abs(lag)], np.conj(col[np.abs(lag)]))
+        s = schur_cohn_matrix(np.append(coeffs, 0.0))
+        allowed = max(1e-12, 10 * np.finfo(float).eps * np.linalg.cond(s) ** 2)
+        assert np.max(np.abs(toeplitz @ s - np.eye(size))) <= allowed
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double"
+    )
+    def test_root_near_circle_refined(self):
+        # a0 + a1 w with |a1| = 1 and a0 = 1 + 1e-6: J_0 = 1/(|a0|^2 - |a1|^2)
+        # and J_1 = -conj(a1 / a0) J_0, exact in rationals; without the long
+        # double step the column is off by 1.0e-12 relative here
+        a0, a1 = 1 + 1e-6, -np.exp(0.3j)
+        col = _moment_column(BivariatePolynomial([[a0, a1]]), np.array([1.0]))[:, 0]
+        j0 = 1 / (Fraction(a0) ** 2 - Fraction(a1.real) ** 2 - Fraction(a1.imag) ** 2)
+        j1 = -complex(Fraction(a1.real) * j0 / Fraction(a0), -Fraction(a1.imag) * j0 / Fraction(a0))
+        assert np.max(np.abs(col - [float(j0), j1])) <= 2e-13 * float(j0)
+
     def test_reused_columns_match_fresh_window(self):
-        _, cols = _residue_window(self.STABLE, 256)
-        reused, _ = _residue_window(self.STABLE, 512, cols)
-        fresh, _ = _residue_window(self.STABLE, 512)
+        _, cols = _moment_window(self.STABLE, 256)
+        reused, _ = _moment_window(self.STABLE, 512, cols)
+        fresh, _ = _moment_window(self.STABLE, 512)
         assert np.max(np.abs(reused - fresh)) <= 1e-15
 
     def test_doubling_computes_only_new_nodes(self, monkeypatch):
         sizes = []
-        column = soscert._residue_column
+        column = soscert._moment_column
 
-        def counted(q, nodes, bmax):
+        def counted(q, nodes):
             sizes.append(len(nodes))
-            return column(q, nodes, bmax)
+            return column(q, nodes)
 
-        monkeypatch.setattr(soscert, "_residue_column", counted)
-        mom = compute_moments(self.STABLE, method="residue")
+        monkeypatch.setattr(soscert, "_moment_column", counted)
+        mom = compute_moments(self.STABLE)
         assert sizes[0] == 256 and sum(sizes) == mom.grid_size
         assert sizes[1:] == [256 << k for k in range(len(sizes) - 1)]
 
-    def test_auto_skips_fft_for_simple_poles(self, fft_calls):
-        mom = compute_moments(self.STABLE)
-        assert fft_calls == [] and mom.grid_size < 4096
-
-    def test_true_w_degree_below_declared(self, fft_calls):
+    def test_true_w_degree_below_declared(self):
         # the combination built for z^3 - w^2 is a constant of declared
-        # degree (3, 2): the declared degree alone would put a double pole
-        # at w = 0
+        # degree (3, 2): every fiber has two zero top coefficients
         g = reflected_derivative_combination(z3_minus_w2())
         assert g.degree == (3, 2)
-        auto = compute_moments(g)
-        assert fft_calls == []
-        fft = compute_moments(g, method="fft")
-        assert np.max(np.abs(auto.window - fft.window)) <= 1e-12
+        assert np.max(np.abs(compute_moments(g).window - fft_moment_window(g))) <= 1e-12
 
     @pytest.mark.parametrize(
         "q",
@@ -173,24 +211,17 @@ class TestResidueFirst:
             "poles_7e-5_apart",
         ],
     )
-    def test_colliding_poles_fall_back_to_fft(self, q, fft_calls):
-        # a double root, whose computed poles land ~1e-8 apart (residues that
-        # cancel) or within rounding (residues that do not), or two poles so
-        # close that their residues cancel to a wrong sum
-        with pytest.raises(QuadratureError, match="colliding fiber roots"):
-            compute_moments(q, method="residue")
-        auto = compute_moments(q)
-        assert fft_calls
-        fft = compute_moments(q, method="fft")
-        assert np.max(np.abs(auto.window - fft.window)) <= 1e-12
+    def test_colliding_poles_match_fft(self, q):
+        # double or nearly double fiber roots, which a residue sum over the
+        # poles resolves badly; the Schur-Cohn kernel finds no poles
+        assert np.max(np.abs(compute_moments(q).window - fft_moment_window(q))) <= 1e-12
 
-    def test_unitary_kummert_refused_without_fft(self, fft_calls):
+    def test_unitary_kummert_refused_without_fft(self):
         # det(I - K diag(z, w)) for the unitary K = [[0.6, 0.8], [-0.8, 0.6]]:
         # every fiber over the circle has its root on the circle
         q = poly({(0, 0): 1, (1, 0): -0.6, (0, 1): -0.6, (1, 1): 1})
         with pytest.raises(StabilityError, match="fiber root inside the closed disk"):
             sos_certificate(q, route="direct")
-        assert fft_calls == []
 
 
 class TestSubspaces:
@@ -362,6 +393,16 @@ class TestEmptySide:
         p = poly({(0, 0): 1, (0, 1): -2, (0, 2): 1})  # (1 - w)^2
         with pytest.raises(QuadratureError, match="colliding fiber roots"):
             sos_certificate(p)
+
+    def test_repeated_factor_free_of_w_refused_before_radii(self, monkeypatch):
+        # (1 - z)^2 (2 - z - w) is StableOpen; its w-fibers have simple roots
+        dilated = []
+        monkeypatch.setattr(soscert, "dilate", lambda q, r: dilated.append(r))
+        one_minus_z = poly({(0, 0): 1, (1, 0): -1})
+        p = one_minus_z * one_minus_z * two_minus_z_minus_w()
+        with pytest.raises(QuadratureError, match="repeated factor"):
+            sos_certificate(p)
+        assert dilated == []
 
     def test_second_side_gates_convergence(self, monkeypatch):
         # 1 - w has no first side; a second side whose kernel tensors grow
