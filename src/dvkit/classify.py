@@ -3,11 +3,14 @@
 Tests run on one-variable fibers, whose Schur-Cohn matrices count their
 roots inside and outside the unit disk (Schur 1917, Cohn 1922).  Over z on
 the circle T, the Schur-Cohn matrix S_w(z) of q(z, .) is the Gram matrix of
-the B side of the paper's identity, and a trigonometric polynomial in z, so
-samples bound its eigenvalues on all of T.  q has no zeros on the closed
-(open) bidisk exactly when no fiber over T has a root in the closed (open)
-disk and neither has q(., 0) (DeCarlo, Murray and Saeks 1977).  Labels say
-whether they are proven or hold at the sampled resolution.
+the B side of the paper's identity, and a trigonometric polynomial of
+degree n in z.  Between two samples h apart its least eigenvalue lies at
+most h^2 K / 8 below the smaller of theirs, K a curvature bound read off the
+Fourier coefficients that 2n + 1 samples fix, so samples bound it on all of
+T; only the arcs this leaves undecided are bisected.  q has no zeros on the
+closed (open) bidisk exactly when no fiber over T has a root in the closed
+(open) disk and neither has q(., 0) (DeCarlo, Murray and Saeks 1977).
+Labels say whether they are proven or hold at the sampled resolution.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ __all__ = [
     "classify_zero_set",
     "torus_singularities",
     "is_squarefree",
+    "repeated_root",
 ]
 
-# Circle samples double up to this many while the sampling bound is undecided.
+# Undecided arcs of the circle are bisected down to width 2 pi / this.
 CIRCLE_SAMPLES_MAX = 4096
 # Rounding allowance on Schur-Cohn eigenvalues, relative to the squared
 # coefficient norm of the fiber.
@@ -189,36 +193,83 @@ def root_count_in_disk(p: BivariatePolynomial, z: complex) -> int:
     return int(np.sum(eig < 0))
 
 
-def _sampling_slack(count, n, norm):
-    """How far the least eigenvalue of a degree-n trigonometric matrix
-    polynomial S can dip below its minimum over ``count`` equispaced samples
-    of norm <= ``norm``: there f = v^H S v (v the eigenvector) leaves the
-    chord between the neighbouring samples by <= (1/2)(pi/count)^2 max|f''|,
-    and Bernstein twice gives max|f''| <= n^2 max||S|| <= n^2 norm / (1 - (1/2)(pi n/count)^2)."""
-    half_sq = 0.5 * (np.pi * n / count) ** 2
-    return half_sq / (1.0 - half_sq) * norm if half_sq < 1.0 else np.inf
+def _fourier_curvature(s, n, unit):
+    """Bound on ||S''(theta)|| over T for a degree-n trigonometric matrix
+    polynomial S sampled as ``s`` at len(s) >= 2n + 1 equispaced points.
+
+    One FFT of the samples gives the coefficients S_k, |k| <= n, exactly up
+    to rounding, allowed for by EIG_ROUNDING * unit per coefficient; S
+    Hermitian makes S_{-k} = S_k^H, and ||S''|| <= sum k^2 ||S_k||_F."""
+    coeffs = np.fft.fft(s, axis=0)[1 : n + 1] / len(s)
+    frob = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=(1, 2)))
+    k = np.arange(1, n + 1)
+    return 2.0 * float(np.sum(k * k * (frob + EIG_ROUNDING * unit)))
 
 
 def _definite_on_circle(p, grid_n, sign, cap=CIRCLE_SAMPLES_MAX):
     """Circle samples z, the least eigenvalue of sign * S_w(z) at each, the
     largest squared fiber coefficient norm, and whether sign * S_w is proven
-    positive definite on T; while undecided, the sample count doubles from
-    ``grid_n`` to the first whose bound could decide, up to ``cap``."""
+    positive definite on T.
+
+    ``grid_n`` equispaced samples, doubled until there are 2n + 1, cut T
+    into arcs.  For a unit eigenvector v at a point of an arc of width h,
+    v^H S v leaves its chord between the arc's ends by at most h^2 K / 8,
+    K a bound on |v^H S'' v|, and lies above the least eigenvalues there;
+    so the arc is proven when the smaller end value, less the rounding
+    allowance EIG_ROUNDING * unit, exceeds h^2 K / 8.  K is Bernstein's
+    n^2 max||S||, max||S|| <= max sampled ||S|| / (1 - (1/2)(pi n / M)^2) on
+    M samples by the same chord argument at the maximum, or the smaller
+    Fourier bound of :func:`_fourier_curvature` when Bernstein's leaves a
+    base arc unproven.  Each round then bisects the unproven arcs, down to
+    width 2 pi / ``cap``; an unproven arc whose end lies at or below the
+    slack of that finest width can never be proven and ends the search.
+    The samples come back in angular order, each on the uniform grid of its
+    arc width."""
     n, count = p.degree[0], grid_n
-    while True:
-        z = np.exp(2j * np.pi * np.arange(count) / count)
+    while count < 2 * n + 1:
+        count *= 2
+    fine = count
+    while fine < cap:
+        fine *= 2
+
+    def sample(pos):
+        z = np.exp(2j * np.pi * pos / fine)
         fibers = p.fibers(z)
-        eig = np.linalg.eigvalsh(sign * schur_cohn_matrix(fibers))
-        lam = np.min(eig, axis=1, initial=np.inf)
-        norm = float(np.max(np.abs(eig), initial=0.0))
+        s = sign * schur_cohn_matrix(fibers)
+        eig = np.linalg.eigvalsh(s)
         unit = float(np.max(np.sum(np.abs(fibers) ** 2, axis=1)))
-        low = float(np.min(lam)) - EIG_ROUNDING * unit
-        if low > _sampling_slack(count, n, norm):
-            return z, lam, unit, True
-        if count >= cap or low <= _sampling_slack(cap, n, norm):
-            return z, lam, unit, False
-        while _sampling_slack(count, n, norm) >= low:
-            count *= 2
+        return z, s, eig, np.min(eig, axis=1, initial=np.inf), unit
+
+    width = fine // count
+    pos = np.arange(count) * width
+    z, s, eig, lam, unit = sample(pos)
+    half_sq = 0.5 * (np.pi * n / count) ** 2
+    norm = float(np.max(np.abs(eig), initial=0.0))
+    curve = n * n * norm / (1.0 - half_sq) if half_sq < 1.0 else np.inf
+    if float(np.min(lam)) - EIG_ROUNDING * unit > (np.pi / count) ** 2 * curve / 2:
+        return z, lam, unit, True
+    curve = min(curve, _fourier_curvature(s, n, unit))
+    # arcs: left end position and the least eigenvalues at both ends
+    left, lo, hi = pos, lam, np.roll(lam, -1)
+    all_pos, all_lam = [pos], [lam]
+    while True:
+        ends = np.minimum(lo, hi) - EIG_ROUNDING * unit
+        undecided = ends <= (np.pi * width / fine) ** 2 * curve / 2
+        proven = not np.any(undecided)
+        if proven or np.min(ends[undecided]) <= (np.pi / fine) ** 2 * curve / 2:
+            break
+        left, lo, hi = left[undecided], lo[undecided], hi[undecided]
+        width //= 2
+        mid = left + width
+        _, _, _, mid_lam, mid_unit = sample(mid)
+        unit = max(unit, mid_unit)
+        all_pos.append(mid)
+        all_lam.append(mid_lam)
+        left = np.concatenate([left, mid])
+        lo, hi = np.concatenate([lo, mid_lam]), np.concatenate([mid_lam, hi])
+    pos, lam = np.concatenate(all_pos), np.concatenate(all_lam)
+    order = np.argsort(pos)
+    return np.exp(2j * np.pi * pos[order] / fine), lam[order], unit, proven
 
 
 def _open_disk_roots(p, zs, tol):
@@ -379,27 +430,47 @@ def is_squarefree(
     none does.  A variable counts as squarefree when one trial stays above
     ``tol``; p needs both.
     """
-    return all(_fibers_squarefree(f, trials, tol, seed) for f in (p, transpose_vars(p)))
+    return repeated_root(p, trials, tol, seed) is None
 
 
-def _fibers_squarefree(p, trials, tol, seed):
+def repeated_root(p: BivariatePolynomial, trials: int = 5, tol: float = 1e-6, seed: int = 11):
+    """Where :func:`is_squarefree` fails, the multiple fiber root it found at
+    its first trial, as (variable, fiber point, root, multiplicity): the
+    variable ("w" or "z") the fiber is taken in, the root the mean of the
+    roots at which the derivative passes the test, within 10% of the least
+    one, and the multiplicity their count; a fiber that vanishes
+    identically gives root nan and its formal degree.  None where p
+    passes."""
+    for var, f in (("w", p), ("z", transpose_vars(p))):
+        found = _multiple_fiber_root(f, trials, tol, seed)
+        if found is not None:
+            return (var,) + found
+    return None
+
+
+def _multiple_fiber_root(p, trials, tol, seed):
     rng = np.random.default_rng(seed)
     if p.degree[1] == 0:
-        return True
+        return None
     pw = p.partial_w()
     u = rng.uniform(size=(trials, 2))
     zs = 0.7 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
-    hits = 0
+    first = None
     for z, roots in zip(zs, batched_fiber_roots(p, zs)):
         if roots is None:
-            hits += 1
+            first = first or (complex(z), complex(np.nan), p.degree[1])
             continue
         if not len(roots):
-            continue
+            return None
         circle = np.exp(2j * np.pi * np.arange(32) / 32) * max(
             1.0, np.max(np.abs(roots))
         )
         ref = max(float(np.max(np.abs(pw.evaluate(z, circle)))), 1e-300)
-        if np.min(np.abs(pw.evaluate(z, roots))) <= tol * ref:
-            hits += 1
-    return hits < trials
+        slope = np.abs(pw.evaluate(z, roots))
+        if np.min(slope) > tol * ref:
+            return None
+        if first is None:
+            w0 = roots[np.argmin(slope)]
+            near = (slope <= tol * ref) & (np.abs(roots - w0) <= 0.1 * max(1.0, abs(w0)))
+            first = (complex(z), complex(np.mean(roots[near])), int(np.sum(near)))
+    return first

@@ -134,7 +134,23 @@ def _cmd_sos(config: RunConfig) -> int:
             "passed": gw.passed,
         }
     _emit(config, obj)
+    if not report.passed:
+        _note_repeated_factor(target)
     return 0 if report.passed else 2
+
+
+def _note_repeated_factor(p):
+    """Name on stderr the multiple fiber root of a p with a repeated factor,
+    which costs the moment construction its accuracy."""
+    found = classify_mod.repeated_root(p)
+    if found is not None:
+        var, at, root, k = found
+        at, root = (complex(round(x.real, 6) + 0.0, round(x.imag, 6) + 0.0) for x in (at, root))
+        print(
+            f"dvkit: note: the polynomial has a repeated factor: its fiber at "
+            f"{'z' if var == 'w' else 'w'} = {at:g} has a root {var} = {root:g} of multiplicity {k}",
+            file=sys.stderr,
+        )
 
 
 def _cmd_represent(config: RunConfig) -> int:

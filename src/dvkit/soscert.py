@@ -211,12 +211,12 @@ def _monomials(imax, jmax):
 
 
 def _gram(moments, rows, cols):
+    """[mu(ic - ir, jc - jr)] over row monomials (ir, jr) and column
+    monomials (ic, jc), gathered from the moment window."""
     n, m = moments.q.degree
-    g = np.empty((len(rows), len(cols)), dtype=np.complex128)
-    for r, (ir, jr) in enumerate(rows):
-        for c, (ic, jc) in enumerate(cols):
-            g[r, c] = moments.window[ic - ir + n, jc - jr + m]
-    return g
+    r = np.asarray(rows, dtype=np.intp).reshape(-1, 2)
+    c = np.asarray(cols, dtype=np.intp).reshape(-1, 2)
+    return moments.window[c[None, :, 0] - r[:, None, 0] + n, c[None, :, 1] - r[:, None, 1] + m]
 
 
 def _complement_basis(moments, family, shifted, expect_dim):
@@ -506,12 +506,19 @@ def sym_sos_certificate(
     a caller that knows this passes ``route`` ("direct" when smooth,
     "dilation" otherwise) and skips classifying g.
     """
+    cert = _sym_certificate(q, a, b, route)
+    return replace(cert, residual=verify_certificate(q, cert, grid_n=32).max_residual)
+
+
+def _sym_certificate(q, a, b, route):
+    """:func:`sym_sos_certificate` without the verification pass that fills
+    its residual."""
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError("weights must be non-negative and not both zero")
-    n, m = q.degree
     sym = symmetry_analysis(q, tol=1e-8)
     if not (sym.is_symmetric and abs(sym.constant - 1.0) <= 1e-6):
         raise ValueError("polynomial is not torus-symmetric; symmetrize it first")
+    n, m = q.degree
     qz_ref, qw_ref = reflected_derivatives(q)
     g = (a * qz_ref).with_degree((n, m)) + (b * qw_ref).with_degree((n, m))
     if route is None:
@@ -523,10 +530,9 @@ def sym_sos_certificate(
             ) from exc
     vec_a, vec_b = _route_vectors(g, route)
     scale = 1.0 / math.sqrt(a * n + b * m)
-    cert = _attach_matrix_forms(
+    return _attach_matrix_forms(
         CertKind.SYMMETRIC, vec_a.scaled(scale), vec_b.scaled(scale), n, m, weights=(a, b)
     )
-    return replace(cert, residual=verify_certificate(q, cert, grid_n=32).max_residual)
 
 
 # ---------------------------------------------------------------------------

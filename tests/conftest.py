@@ -44,6 +44,20 @@ def from_values(fn, n, m):
     return np.fft.ifft2(fn(zs[:, None], ws[None, :]))
 
 
+def kummert(k, n, m):
+    """det(I - K diag(z I_n, w I_m)) (Kummert 1989): no zeros on the closed
+    bidisk for a strict contraction K."""
+
+    def det(z, w):
+        z, w = np.broadcast_arrays(z, w)
+        diag = np.concatenate(
+            [np.repeat(z[..., None], n, -1), np.repeat(w[..., None], m, -1)], -1
+        )
+        return np.linalg.det(np.eye(n + m) - k * diag[..., None, :])
+
+    return from_values(det, n, m)
+
+
 def haar_dv(u, m, n):
     """det [[A - wI, zB], [C, zD - I]] for U = [[A, B], [C, D]], A of size m:
     a distinguished variety of degree (n, m) (Agler-McCarthy 2005)."""

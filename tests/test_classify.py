@@ -5,6 +5,7 @@ from conftest import (
     four_minus_z_minus_w,
     haar_dv,
     haar_unitary,
+    kummert,
     one_minus_z3w2,
     poly,
     two_minus_z_minus_w,
@@ -17,7 +18,10 @@ from dvkit.classify import (
     batched_fiber_roots,
     classify_zero_set,
     fiber_roots,
+    _definite_on_circle,
+    _fourier_curvature,
     is_squarefree,
+    repeated_root,
     root_count_in_disk,
     schur_cohn_matrix,
     torus_singularities,
@@ -184,6 +188,74 @@ class TestRootCount:
         # 1 - zw has |w| = 1 root when |z| = 1
         with pytest.raises(FiberError):
             root_count_in_disk(poly({(0, 0): 1, (1, 1): -1}), np.exp(0.3j))
+
+
+class TestCircleProof:
+    """_definite_on_circle proves sign * S_w(z) positive definite on all of
+    T from finitely many samples."""
+
+    @staticmethod
+    def dense_least_eigenvalue(p, sign, count=1 << 16):
+        z = np.exp(2j * np.pi * np.arange(count) / count)
+        return float(np.min(np.linalg.eigvalsh(sign * schur_cohn_matrix(p.fibers(z)))))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_proven_means_definite_on_a_dense_grid(self, seed):
+        # Near-singular by construction: a product of two rotated
+        # 2 + delta - z - w dips to about 2 delta at one point of T, so its
+        # proof must bisect there; Kummert det(I - rho K diag(z, w)) with K
+        # Haar unitary is definite for rho < 1 and has zeros in the bidisk
+        # for rho > 1; the p_w side of a Haar variety is negative definite,
+        # and that of a product of two varieties reaches 0 where they cross.
+        rng = np.random.default_rng(600 + seed)
+        cases = []
+        for delta in 10.0 ** -rng.uniform(1, 7, size=3):
+            q = poly({(0, 0): 1})
+            for a, b in np.exp(2j * np.pi * rng.uniform(size=(2, 2))):
+                q = q * poly({(0, 0): 2 + delta, (1, 0): -a, (0, 1): -b})
+            cases.append((q, 1))
+        k = haar_unitary(rng, 3)
+        for rho in (0.999, 1.001):
+            cases.append((BivariatePolynomial(kummert(rho * k, 2, 1)), 1))
+        dv = BivariatePolynomial(haar_dv(haar_unitary(rng, 8), 4, 4))
+        one = BivariatePolynomial(haar_dv(haar_unitary(rng, 2), 1, 1))
+        two = BivariatePolynomial(haar_dv(haar_unitary(rng, 4), 2, 2))
+        cases += [(dv.partial_w(), -1), ((one * two).partial_w(), -1)]
+        outcomes = set()
+        for p, sign in cases:
+            z, _, _, proven = _definite_on_circle(p, 64, sign)
+            if proven:
+                assert self.dense_least_eigenvalue(p, sign) > 0
+            outcomes.add((proven, proven and len(z) > 64))
+        # proven on the base grid, proven after bisection, and unproven
+        assert outcomes == {(True, False), (True, True), (False, False)}
+
+    def test_fourier_curvature_bounds_second_differences(self):
+        rng = np.random.default_rng(5)
+        p = BivariatePolynomial(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
+        n, m = p.degree
+
+        def s_at(count, shift=0.0):
+            z = np.exp(1j * (2 * np.pi * np.arange(count) / count + shift))
+            fibers = p.fibers(z)
+            return schur_cohn_matrix(fibers), float(np.max(np.sum(np.abs(fibers) ** 2, axis=1)))
+
+        s, unit = s_at(2 * n + 1)
+        curve = _fourier_curvature(s, n, unit)
+        h = 1e-3
+        second = (s_at(4096, h)[0] - 2 * s_at(4096)[0] + s_at(4096, -h)[0]) / h**2
+        peak = float(np.max(np.abs(np.linalg.eigvalsh(second))))
+        assert peak <= curve
+        # k^2 ||S_k||_2 <= max ||S''|| and ||.||_F <= sqrt(m) ||.||_2 for each
+        # of the 2n nonzero frequencies
+        assert curve <= 1.01 * 2 * n * np.sqrt(m) * peak
+
+    def test_rotated_two_minus_z_minus_w_stays_unproven(self):
+        # the torus zero puts the least eigenvalue at 0 between samples
+        for a in (0.3, 1.7, 2.9):
+            p = poly({(0, 0): 2, (1, 0): -np.exp(1j * a), (0, 1): -np.exp(-0.4j)})
+            _, lam, _, proven = _definite_on_circle(p, 64, 1)
+            assert not proven and np.min(lam) > 0
 
 
 class TestClassification:
@@ -368,6 +440,15 @@ class TestSquarefree:
         # a repeated factor free of w leaves every w-fiber squarefree
         z_half = poly({(0, 0): -0.5, (1, 0): 1})
         assert not is_squarefree(z_half * z_half * z3_minus_w2())
+
+    def test_repeated_root_located(self):
+        assert repeated_root(z3_minus_w2()) is None
+        one_minus_w = poly({(0, 0): 1, (0, 1): -1})
+        var, _, root, k = repeated_root(one_minus_w * one_minus_w * z3_minus_w2())
+        assert (var, k) == ("w", 2) and abs(root - 1.0) <= 1e-8
+        z_half = poly({(0, 0): -0.5, (1, 0): 1})
+        var, _, root, k = repeated_root(z_half * z_half * z3_minus_w2())
+        assert (var, k) == ("z", 2) and abs(root - 0.5) <= 1e-8
 
     @pytest.mark.parametrize("seed", range(8))
     def test_haar_varieties_and_their_squares(self, seed):

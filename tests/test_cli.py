@@ -246,6 +246,29 @@ class TestCliCommands:
         assert out["kind"] == "Symmetric"
         assert out["weights"] == [1.0, 1.0]
         assert out["verification"]["passed"] is True
+        assert out["residual"] <= 1e-10
+
+    @pytest.mark.parametrize("r, k", [(1.1, 4), (1.5, 7)])
+    def test_sos_gate_miss_names_repeated_factor(self, tmp_path, capsys, r, k):
+        # a root of multiplicity k near the circle costs the moments their
+        # accuracy; the refusal names the multiple root as its cause
+        factor = p = poly({(0, 0): r, (0, 1): -1})
+        for _ in range(k - 1):
+            p = p * factor
+        path = write_poly(tmp_path, "p.json", p)
+        assert main(["sos", path]) == 2
+        captured = capsys.readouterr()
+        assert not json.loads(captured.out)["verification"]["passed"]
+        assert "repeated factor" in captured.err
+        assert f"root w = {r:g}+0j of multiplicity {k}" in captured.err
+
+    def test_sos_double_root_still_certifies(self, tmp_path, capsys):
+        factor = poly({(0, 0): 1.5, (0, 1): -1})
+        path = write_poly(tmp_path, "p.json", factor * factor)
+        assert main(["sos", path]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["verification"]["passed"]
+        assert captured.err == ""
 
     def test_verify_certificate_ok(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", four_minus_z_minus_w())

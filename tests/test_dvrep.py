@@ -296,13 +296,20 @@ class TestRepresentOnce:
             return wrapper
 
         for module in (dvkit.classify, dvkit.soscert, dvkit.dvrep):
-            for name in ("classify_zero_set", "verify_certificate", "torus_singularities"):
+            for name in (
+                "classify_zero_set",
+                "verify_certificate",
+                "verify_representation",
+                "torus_singularities",
+            ):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         cert, _, _, _ = represent(z3_minus_w2(), seed=7)
         # The proven DVDefining label already proves torus smoothness, so the
-        # Newton search for torus singularities never runs.
-        assert calls == {"classify_zero_set": 1, "verify_certificate": 1}
+        # Newton search for torus singularities never runs; the realization
+        # is verified once, and the certificate pass whose residual the
+        # variety certificate would drop never runs.
+        assert calls == {"classify_zero_set": 1, "verify_representation": 1}
         assert calls["torus_singularities"] == 0
         assert cert.smooth_on_torus
 

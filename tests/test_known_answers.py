@@ -10,7 +10,9 @@ so that they do not move with the library:
 * Kummert polynomials det(I - K diag(z I_n, w I_m)) (Kummert 1989): a
   contraction K gives no zeros on the closed bidisk; a unitary K gives a
   torus-symmetric polynomial whose zeros off the torus avoid the closed
-  bidisk.
+  bidisk.  K of norm 1 gives no zeros on the open bidisk, and none on the
+  torus unless K maps its top right singular vector v to a vector u with
+  v = diag(z I_n, w I_m) u at some torus point, which a generic draw avoids.
 
 A torus rotation (z, w) -> (e^{ia} z, e^{ib} w) times a unimodular factor
 preserves every answer.
@@ -19,22 +21,11 @@ preserves every answer.
 import numpy as np
 import pytest
 
-from conftest import from_values, haar_dv, haar_unitary, one_minus_z3w2, poly, two_minus_z_minus_w
+from conftest import haar_dv, haar_unitary, kummert, one_minus_z3w2, poly, two_minus_z_minus_w
 from dvkit.classify import ZeroLabel, classify_zero_set
 from dvkit.dvrep import represent
 from dvkit.poly2 import BivariatePolynomial, reflected_derivatives, symmetrize
 from dvkit.soscert import gw_invertibility, sos_certificate, sym_sos_certificate, verify_certificate
-
-
-def kummert(k, n, m):
-    def det(z, w):
-        z, w = np.broadcast_arrays(z, w)
-        diag = np.concatenate(
-            [np.repeat(z[..., None], n, -1), np.repeat(w[..., None], m, -1)], -1
-        )
-        return np.linalg.det(np.eye(n + m) - k * diag[..., None, :])
-
-    return from_values(det, n, m)
 
 
 def rotated(coeffs, rng):
@@ -44,7 +35,14 @@ def rotated(coeffs, rng):
     return BivariatePolynomial(grid)
 
 
-DEGREES = [(1, 1), (2, 2), (3, 3)]
+DEGREES = [(1, 1), (2, 2), (3, 3), (4, 4)]
+
+
+def norm_one(rng, size):
+    """Singular values (1, 0.7, ..., 0.7) between Haar unitaries."""
+    sv = np.full(size, 0.7)
+    sv[0] = 1.0
+    return (haar_unitary(rng, size) * sv) @ haar_unitary(rng, size)
 
 
 def assert_certifies(q, cert):
@@ -74,7 +72,8 @@ def test_rotated_two_minus_z_minus_w_fails_gw_invertibility(seed):
 def test_unitary_kummert_is_symmetric_off_torus_and_certifies(n, m):
     rng = np.random.default_rng(10 + n)
     q = rotated(kummert(haar_unitary(rng, n + m), n, m), rng)
-    assert classify_zero_set(q).label is ZeroLabel.SYMMETRIC_NONVANISHING_OFF_TORUS
+    zc = classify_zero_set(q)
+    assert zc.label is ZeroLabel.SYMMETRIC_NONVANISHING_OFF_TORUS and zc.proven
     assert_certifies(q, sos_certificate(q))
 
 
@@ -84,6 +83,16 @@ def test_contraction_kummert_is_proven_stable_closed(n, m):
     q = rotated(kummert(0.8 * haar_unitary(rng, n + m), n, m), rng)
     zc = classify_zero_set(q)
     assert zc.label is ZeroLabel.STABLE_CLOSED and zc.proven
+    assert_certifies(q, sos_certificate(q))
+
+
+@pytest.mark.parametrize("n, m", DEGREES)
+def test_norm_one_kummert_is_proven_stable_closed_and_certifies(n, m):
+    rng = np.random.default_rng(40 + n)
+    q = rotated(kummert(norm_one(rng, n + m), n, m), rng)
+    zc = classify_zero_set(q)
+    assert zc.label is ZeroLabel.STABLE_CLOSED and zc.proven
+    assert_certifies(q, sos_certificate(q))
 
 
 @pytest.mark.parametrize("m, n", [(1, 2), (2, 2), (3, 2), (3, 3)])
@@ -114,6 +123,26 @@ def test_haar_variety_round_trips_through_represent(d):
         _, _, _, report = represent(q, seed=7)
         assert report.passed
         assert report.det_vs_p_rel <= 1e-11
+
+
+def test_haar_6x6_transpose_is_proven_from_few_samples(monkeypatch):
+    # each side's circle proof bisects only its undecided arcs: the sides
+    # take about 470 samples where a uniform grid needed 4096
+    import dvkit.classify
+
+    samples = []
+    prove = dvkit.classify._definite_on_circle
+
+    def counted(*args, **kwargs):
+        out = prove(*args, **kwargs)
+        samples.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(dvkit.classify, "_definite_on_circle", counted)
+    q = rotated(haar_family()[6].T, np.random.default_rng(80))
+    zc = classify_zero_set(q)
+    assert zc.label is ZeroLabel.DV_DEFINING and zc.proven
+    assert len(samples) == 2 and max(samples) <= 1024
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 0.5)])

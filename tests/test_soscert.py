@@ -33,6 +33,8 @@ from dvkit.soscert import (
     SubspaceError,
     _basis_to_vector,
     _complement_basis,
+    _gram,
+    _monomials,
     _moment_column,
     _moment_window,
     compute_moments,
@@ -225,6 +227,20 @@ class TestResidueFirst:
 
 
 class TestSubspaces:
+    @pytest.mark.parametrize("degree", [(3, 3), (6, 6)])
+    def test_gram_gather_matches_entry_loop(self, degree):
+        n, m = degree
+        grid = RNG.normal(size=(n + 1, m + 1)) + 1j * RNG.normal(size=(n + 1, m + 1))
+        grid[0, 0] = 4.0 * np.sum(np.abs(grid))  # stable: |q(0, 0)| dominates
+        mom = compute_moments(BivariatePolynomial(grid))
+        rows, cols = _monomials(n - 1, m), _monomials(n, m - 1)
+        loop = np.empty((len(rows), len(cols)), dtype=np.complex128)
+        for r, (ir, jr) in enumerate(rows):
+            for c, (ic, jc) in enumerate(cols):
+                loop[r, c] = mom.window[ic - ir + n, jc - jr + m]
+        assert np.array_equal(_gram(mom, rows, cols), loop)
+        assert _gram(mom, [], cols).shape == (0, len(cols))
+
     def test_lebesgue_complements(self):
         q = minus_five()
         mom = compute_moments(q)
