@@ -334,8 +334,11 @@ def classify_zero_set(
     clearly positive definite, and up to 16 such roots are the witnesses of
     Indeterminate.  ``grid_n`` is the starting number of circle samples;
     roots within ``tol`` of the circle and eigenvalues within ``tol`` times
-    the squared fiber coefficient norm of zero count as on it.
+    the squared fiber coefficient norm of zero count as on it.  p is first
+    divided by the power of two that brings its scale into [1/2, 1), which
+    is exact, so every 2^k p that stays in range gets the same result.
     """
+    p = p.ldexp(-p.exponent)
 
     def result(label, proven=False, witnesses=()):
         return ZeroClass(label, tuple(witnesses), grid_n, tol, proven)

@@ -31,7 +31,7 @@ from .poly2 import (
     swap_transform,
     symmetrize,
 )
-from .soscert import CertKind, SosCertificate, _matrix_form_in_z, _sym_certificate
+from .soscert import CertKind, SosCertificate, _matrix_form_in_z, sym_sos_certificate
 
 __all__ = [
     "DvCertificate",
@@ -163,7 +163,7 @@ def dv_certificate(
     n, m = p_sym.degree
     smooth = zc.proven or torus_singularities(p_sym).smooth_on_torus
     q = swap_transform(p_sym)
-    cert = _sym_certificate(q, a, b, route="direct" if smooth else "dilation")
+    cert = sym_sos_certificate(q, a, b, route="direct" if smooth else "dilation")
     vec_p = VectorPolynomial(
         tuple(
             BivariatePolynomial(c.with_degree((max(n - 1, 0), m)).coeffs[::-1, :])

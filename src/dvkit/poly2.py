@@ -139,6 +139,17 @@ class BivariatePolynomial:
         """Maximum coefficient modulus; the unit for relative tolerances."""
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
 
+    @property
+    def exponent(self) -> int:
+        """The e with 2^(e-1) <= scale < 2^e, or 0 for the zero polynomial,
+        so that ``ldexp(-exponent)`` brings the scale into [1/2, 1)."""
+        return int(np.frexp(self.scale)[1])
+
+    def ldexp(self, e: int) -> "BivariatePolynomial":
+        """self * 2^e, exact unless a coefficient leaves the normal range."""
+        parts = np.ascontiguousarray(self.coeffs).view(np.float64)
+        return BivariatePolynomial(np.ldexp(parts, e).view(np.complex128))
+
     def true_degree(self, tol: float = 0.0) -> tuple[int, int]:
         """Largest (i, j) with |c[i,j]| > tol * scale, or (0, 0) if zero."""
         mask = np.abs(self.coeffs) > tol * self.scale

@@ -145,7 +145,7 @@ def cert_to_obj(cert: SosCertificate, poly: BivariatePolynomial | None = None) -
         "vec_second": _vec_to_obj(cert.vec_second),
         "matrix_first": _matrix_to_obj(cert.matrix_first),
         "matrix_second": _matrix_to_obj(cert.matrix_second),
-        "residual": cert.residual,
+        "residual": None,
     }
     if poly is not None:
         obj["poly"] = poly_to_obj(poly)
@@ -166,6 +166,10 @@ def cert_from_obj(obj: dict, where: str = "certificate") -> SosCertificate:
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in weights)
     ):
         raise SchemaError(f"{where}.weights: expected [a, b] numbers or null")
+    if weights is None and kind is not CertKind.COLE_WERMER:
+        raise SchemaError(f"{where}.weights: a {kind.value} certificate needs [a, b]")
+    if weights is not None and (min(weights) < 0 or weights == [0, 0]):
+        raise SchemaError(f"{where}.weights: weights must be non-negative and not both zero")
     return SosCertificate(
         kind,
         _vec_from_obj(_required(obj, "vec_first", where), f"{where}.vec_first"),
@@ -173,7 +177,6 @@ def cert_from_obj(obj: dict, where: str = "certificate") -> SosCertificate:
         tuple(weights) if weights is not None else None,
         _matrix_from_obj(obj.get("matrix_first"), f"{where}.matrix_first"),
         _matrix_from_obj(obj.get("matrix_second"), f"{where}.matrix_second"),
-        obj.get("residual"),
     )
 
 

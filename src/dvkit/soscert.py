@@ -26,12 +26,16 @@ small Cholesky factorization per node gives them, with no roots, residues
 or 2-D FFT.  A
 single 1-D quadrature in z follows, whose grid doubles by adding the odd
 nodes to the columns already computed.
+
+Every certificate identity is a polynomial identity in (z, w, conj Z,
+conj W), so :func:`verify_certificate` compares coefficients: one tensor of
+the difference of the two sides, with no sample points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -47,7 +51,6 @@ from .poly2 import (
     BivariatePolynomial,
     MatrixPolynomial,
     VectorPolynomial,
-    disk_spiral,
     reflect,
     reflected_derivatives,
     symmetry_analysis,
@@ -300,7 +303,6 @@ class SosCertificate:
     weights: tuple[float, float] | None = None
     matrix_first: MatrixPolynomial | None = None
     matrix_second: MatrixPolynomial | None = None
-    residual: float | None = None
 
     @property
     def degree(self):
@@ -458,8 +460,7 @@ def sos_certificate(q: BivariatePolynomial, route: str | None = None) -> SosCert
     if route is None:
         route = _stability_route(q)
     vec_a, vec_b = _route_vectors(q, route)
-    cert = _attach_matrix_forms(CertKind.COLE_WERMER, vec_a, vec_b, n, m)
-    return replace(cert, residual=verify_certificate(q, cert, grid_n=32).max_residual)
+    return _attach_matrix_forms(CertKind.COLE_WERMER, vec_a, vec_b, n, m)
 
 
 @dataclass(frozen=True)
@@ -506,13 +507,6 @@ def sym_sos_certificate(
     a caller that knows this passes ``route`` ("direct" when smooth,
     "dilation" otherwise) and skips classifying g.
     """
-    cert = _sym_certificate(q, a, b, route)
-    return replace(cert, residual=verify_certificate(q, cert, grid_n=32).max_residual)
-
-
-def _sym_certificate(q, a, b, route):
-    """:func:`sym_sos_certificate` without the verification pass that fills
-    its residual."""
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError("weights must be non-negative and not both zero")
     sym = symmetry_analysis(q, tol=1e-8)
@@ -542,89 +536,75 @@ def _sym_certificate(q, a, b, route):
 @dataclass(frozen=True)
 class VerificationReport:
     kind: CertKind
-    max_residual: float
-    polarized_residual: float
-    grid_n: int
+    residual: float
     threshold: float
 
     @property
     def passed(self) -> bool:
-        return (
-            self.max_residual <= self.threshold
-            and self.polarized_residual <= self.threshold
-        )
+        return self.residual <= self.threshold
 
 
-def _pair_residual(kind, q, cert, z, w, zz, ww, weights):
-    """Residual of the polarized identity at point pairs (z,w) x (Z,W).
-
-    A diagonal pass hands the same arrays as (z, w) and (Z, W); every
-    polynomial and certificate component is then evaluated once."""
-    same = zz is z and ww is w
-
-    def at_both(poly):
-        first = np.asarray(poly.evaluate(z, w))
-        return first, first if same else np.asarray(poly.evaluate(zz, ww))
-
-    ka = cert.vec_first.kernel(z, w, zz, ww) if len(cert.vec_first) else 0.0
-    kb = cert.vec_second.kernel(z, w, zz, ww) if len(cert.vec_second) else 0.0
-    sq, sq_other = at_both(q)
-    sq2 = np.conj(sq_other)
-    za = 1.0 - z * np.conj(zz)
-    wa = 1.0 - w * np.conj(ww)
-    if kind is CertKind.COLE_WERMER:
-        qr, qr_other = at_both(reflect(q))
-        lhs = sq * sq2 - qr * np.conj(qr_other)
-        rhs = za * ka + wa * kb
-        terms = [lhs, za * ka, wa * kb]
-    elif kind is CertKind.SYMMETRIC or kind is CertKind.DV:
-        a, b = weights
-        n, m = q.degree
-        qz, qz_other = at_both(q.partial_z())
-        qw, qw_other = at_both(q.partial_w())
-        if kind is CertKind.SYMMETRIC:
-            d1 = a * z * qz + b * w * qw
-            d2 = a * zz * qz_other + b * ww * qw_other
-            lhs = (a * n + b * m) * sq * sq2 - d1 * sq2 - sq * np.conj(d2)
-            rhs = za * ka + wa * kb
-            terms = [(a * n + b * m) * sq * sq2, d1 * sq2, za * ka, wa * kb]
-        else:
-            d1 = a * z * qz - b * w * qw
-            d2 = b * ww * qw_other - a * zz * qz_other
-            lhs = (b * m - a * n) * sq * sq2 + d1 * sq2 + za * ka
-            rhs = sq * np.conj(d2) + wa * kb
-            terms = [lhs, sq * np.conj(d2), wa * kb, za * ka]
+def _shifted_kernel(vec, degree, axis):
+    """Coefficient tensor of (1 - z conj(Z)) K (axis 0) or (1 - w conj(W)) K
+    (axis 1), K the kernel of ``vec`` padded to ``degree``, which must leave
+    the top power of that variable free."""
+    t = _kernel_tensor(vec, degree)
+    out = t.copy()
+    if axis == 0:
+        out[1:, :, 1:, :] -= t[:-1, :, :-1, :]
     else:
-        raise ValueError(kind)
-    denom = max(float(np.max(np.abs(np.stack(np.broadcast_arrays(*terms))))), 1.0)
-    return float(np.max(np.abs(lhs - rhs))) / denom
+        out[:, 1:, :, 1:] -= t[:, :-1, :, :-1]
+    return out
 
 
 def verify_certificate(
-    q: BivariatePolynomial,
-    cert: SosCertificate,
-    grid_n: int = 64,
-    threshold: float = 1e-7,
-    seed: int = 2026,
+    q: BivariatePolynomial, cert: SosCertificate, threshold: float = 1e-7
 ) -> VerificationReport:
-    """Grid-plus-random-point residual report for a certificate's identity.
+    """Coefficient check of a certificate's polarized identity.
 
-    Evaluates the diagonal form on a grid_n x grid_n closed-bidisk grid and
-    500 random points, and the polarized two-point form on 100 random pairs
-    of distinct points; residuals are relative to the largest participating
-    term.  The grid is the outer product of a disk spiral with itself, which
-    is evaluated as the broadcast of a column and a row, and a diagonal pass
-    evaluates each polynomial once per point.
+    The tensor D of the coefficients of z^i w^j conj(Z)^k conj(W)^l in
+    lhs - rhs, padded to the largest degree that q or a component declares,
+    is, with q~ = reflect(q), K_A and K_B the kernel tensors of the vectors
+    and q (x) q* that of q,
+        ColeWermer  q (x) q* - q~ (x) q~* - (1 - zZ*) K_A - (1 - wW*) K_B,
+        Symmetric   (an + bm - a(i+k) - b(j+l)) q (x) q* - (1 - zZ*) K_A - (1 - wW*) K_B,
+        DV          (bm - an + a(i+k) - b(j+l)) q (x) q* + (1 - zZ*) K_A - (1 - wW*) K_B.
+    The residual is ||D||_1 / (kappa sum |q_ij|^2), kappa = 1 for ColeWermer
+    and an + bm otherwise.  Every monomial has modulus <= 1 on the closed
+    bidisk and sum |q_ij|^2 <= sup |q|^2 on the torus, so it bounds the error
+    of the identity at every pair of closed-bidisk points, relative to
+    kappa sup |q|^2, up to rounding.  q and both vectors are first divided
+    by one power of two read off q's scale, which is exact: (2^k q, 2^k cert)
+    has the residual of (q, cert).  A residual that is not finite, as for
+    an + bm <= 0, fails.
     """
-    rng = np.random.default_rng(seed)
-    zg = disk_spiral(grid_n)
-    z, w = zg[:, None], zg[None, :]
-    diag = _pair_residual(cert.kind, q, cert, z, w, z, w, cert.weights)
-    zr = (rng.uniform(-1, 1, 500) + 1j * rng.uniform(-1, 1, 500)) * 0.9
-    wr = (rng.uniform(-1, 1, 500) + 1j * rng.uniform(-1, 1, 500)) * 0.9
-    diag_r = _pair_residual(cert.kind, q, cert, zr, wr, zr, wr, cert.weights)
-    pz = (rng.uniform(-1, 1, (4, 100)) + 1j * rng.uniform(-1, 1, (4, 100))) * 0.9
-    polar = _pair_residual(cert.kind, q, cert, pz[0], pz[1], pz[2], pz[3], cert.weights)
-    return VerificationReport(
-        cert.kind, max(diag, diag_r), polar, grid_n, threshold
+    n, m = q.degree
+    first, second = cert.vec_first, cert.vec_second
+    degree = (
+        max([n] + [c.degree[0] + 1 for c in first] + [c.degree[0] for c in second]),
+        max([m] + [c.degree[1] for c in first] + [c.degree[1] + 1 for c in second]),
     )
+    e = q.exponent
+    q = q.ldexp(-e)
+    first, second = (VectorPolynomial(tuple(c.ldexp(-e) for c in v)) for v in (first, second))
+    # components far above q's scale overflow to a residual that fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        qq = _kernel_tensor(VectorPolynomial((q,)), degree)
+        ka = _shifted_kernel(first, degree, 0)
+        kb = _shifted_kernel(second, degree, 1)
+        if cert.kind is CertKind.COLE_WERMER:
+            kappa = 1.0
+            diff = qq - _kernel_tensor(VectorPolynomial((reflect(q),)), degree) - ka - kb
+        else:
+            a, b = cert.weights
+            kappa = a * n + b * m
+            i, j, k, l = np.indices(qq.shape, sparse=True)
+            zpow, wpow = a * (i + k), b * (j + l)
+            if cert.kind is CertKind.SYMMETRIC:
+                diff = (kappa - zpow - wpow) * qq - ka - kb
+            else:
+                diff = (b * m - a * n + zpow - wpow) * qq + ka - kb
+        l1 = float(np.sum(np.abs(diff)))
+    denom = kappa * float(np.sum(np.abs(q.coeffs) ** 2))
+    residual = l1 / denom if denom > 0 else math.inf
+    return VerificationReport(cert.kind, residual, threshold)

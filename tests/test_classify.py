@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     four_minus_z_minus_w,
@@ -308,6 +310,51 @@ class TestClassification:
                 classify_zero_set(q, grid_n=32).label
                 is ZeroLabel.SYMMETRIC_NONVANISHING_OFF_TORUS
             )
+
+
+def scale_cases():
+    rng = np.random.default_rng(301)
+    gaussian = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return {
+        "two_minus_z_minus_w": two_minus_z_minus_w(),
+        "kummert_3x3": BivariatePolynomial(kummert(0.8 * haar_unitary(rng, 6), 3, 3)),
+        "kummert_unitary_2x2": BivariatePolynomial(kummert(haar_unitary(rng, 4), 2, 2)),
+        "haar_dv_3x3": BivariatePolynomial(haar_dv(haar_unitary(rng, 6), 3, 3)),
+        "haar_dv_3x3_T": BivariatePolynomial(haar_dv(haar_unitary(rng, 6), 3, 3).T),
+        "gaussian_3x3": BivariatePolynomial(gaussian),
+    }
+
+
+SCALE_CASES = scale_cases()
+
+
+def outcome(p):
+    zc = classify_zero_set(p)
+    return zc.label, zc.proven, zc.witnesses
+
+
+class TestScaleFree:
+    """Every label is covariant under p -> c p; classification divides p by
+    a power of two on entry, so 2^k p gets the result of p itself."""
+
+    @pytest.mark.parametrize("name", sorted(SCALE_CASES))
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(-1000, 1000))
+    def test_power_of_two_scales_agree(self, name, k):
+        p = SCALE_CASES[name]
+        parts = np.ascontiguousarray(p.coeffs).view(np.float64)
+        # 2^k p is exact unless a coefficient leaves the normal range
+        assume(np.array_equal(np.ldexp(np.ldexp(parts, k), -k), parts))
+        assert outcome(p.ldexp(k)) == outcome(p)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-200, 1e160, 1e200, 1e300])
+    @pytest.mark.parametrize("name", ["two_minus_z_minus_w", "kummert_3x3"])
+    def test_extreme_scales_keep_the_label(self, name, c):
+        # the squared fiber coefficients of c p overflowed or underflowed:
+        # c (2 - z - w) read as a proven StableClosed, Kummert as StableOpen
+        p = SCALE_CASES[name]
+        zc = classify_zero_set(BivariatePolynomial(c * p.coeffs))
+        assert (zc.label, zc.proven) == outcome(p)[:2]
 
 
 class TestVerticalLines:

@@ -113,8 +113,9 @@ class TestCliCommands:
             ["classify", "{path}", "--json"],
             ["sos", "{path}", "--tol", "1e-6"],
             ["reflect", "{path}", "--seed", "3"],
+            ["sos", "{path}", "--grid", "32"],
         ],
-        ids=["missing_file_arg", "unknown_flag", "json_flag", "tol_off_classify", "seed_on_reflect"],
+        ids=["missing_file_arg", "unknown_flag", "json_flag", "tol_off_classify", "seed_on_reflect", "grid_on_sos"],
     )
     def test_usage_error_exit_1(self, tmp_path, capsys, argv):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
@@ -248,6 +249,42 @@ class TestCliCommands:
         assert out["verification"]["passed"] is True
         assert out["residual"] <= 1e-10
 
+    def test_sos_reports_one_residual(self, tmp_path, capsys):
+        path = write_poly(tmp_path, "p.json", four_minus_z_minus_w())
+        assert main(["sos", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert set(out["verification"]) == {"residual", "passed"}
+        assert out["residual"] == out["verification"]["residual"] <= 1e-7
+
+    @staticmethod
+    def edited_symmetric_certificate(tmp_path, edit):
+        """(certificate path, poly path) of a Symmetric certificate of
+        1 - z^3 w^2 whose document ``edit`` has changed in place."""
+        path = write_poly(tmp_path, "p.json", poly({(0, 0): 1, (3, 2): -1}))
+        cert_path = tmp_path / "cert.json"
+        assert main(["sos", path, "--a", "1", "--b", "1", "-o", str(cert_path)]) == 0
+        doc = json.loads(cert_path.read_text())
+        edit(doc)
+        cert_path.write_text(json.dumps(doc))
+        return cert_path, path
+
+    @pytest.mark.parametrize("weights", [None, [0, 0], [-1, 1]], ids=["none", "both_zero", "negative"])
+    def test_symmetric_certificate_bad_weights_exit_1(self, tmp_path, capsys, weights):
+        cert_path, path = self.edited_symmetric_certificate(tmp_path, lambda doc: doc.update(weights=weights))
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), path]) == 1
+        assert f"{cert_path}.weights:" in capsys.readouterr().err
+
+    def test_verify_overflowing_certificate_reports_null_residual(self, tmp_path, capsys):
+        def inflate(doc):
+            doc["vec_first"][0]["coeffs"][0][0] = [1e300, 0.0]
+
+        cert_path, path = self.edited_symmetric_certificate(tmp_path, inflate)
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), path]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["residual"] is None and out["passed"] is False
+
     @pytest.mark.parametrize("r, k", [(1.1, 4), (1.5, 7)])
     def test_sos_gate_miss_names_repeated_factor(self, tmp_path, capsys, r, k):
         # a root of multiplicity k near the circle costs the moments their
@@ -276,6 +313,11 @@ class TestCliCommands:
         main(["sos", path, "-o", str(out_path)])
         capsys.readouterr()
         assert main(["verify", str(out_path), path]) == 0
+        out = capsys.readouterr().out
+        assert "polarized_residual" not in json.loads(out)
+        # the certificate check reads coefficients, not a grid
+        assert main(["verify", str(out_path), path, "--grid", "16"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_verify_corrupted_certificate_exit_2(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", four_minus_z_minus_w())

@@ -1,13 +1,15 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     four_minus_z_minus_w,
     haar_unitary,
+    kummert,
     one_minus_z3w2,
     poly,
     two_minus_z_minus_w,
@@ -311,9 +313,8 @@ class TestStableCertificate:
         )
 
     def test_four_certificate_residual(self, cert_four):
-        report = verify_certificate(four_minus_z_minus_w(), cert_four, grid_n=64)
-        assert report.max_residual <= 1e-8
-        assert report.polarized_residual <= 1e-8
+        report = verify_certificate(four_minus_z_minus_w(), cert_four)
+        assert report.residual <= 1e-8
 
     def test_appendix_identity_on_grid(self, cert_four):
         # |q|^2 - |reflect q|^2 = (1-|z|^2)|A|^2 + (1-|w|^2)|B|^2
@@ -382,8 +383,8 @@ class TestBoundaryDilation:
         assert abs(kb - 2 * (1 - z) * (1 - np.conj(zz))) < 1e-5
 
     def test_two_certificate_grid_residual(self, cert_two):
-        report = verify_certificate(two_minus_z_minus_w(), cert_two, grid_n=64)
-        assert report.max_residual <= 1e-6
+        report = verify_certificate(two_minus_z_minus_w(), cert_two)
+        assert report.residual <= 1e-6
 
 
 class TestEmptySide:
@@ -402,8 +403,26 @@ class TestEmptySide:
         cert = sos_certificate(p)
         n, m = p.degree
         assert len(cert.vec_first) == n and len(cert.vec_second) == m
-        report = verify_certificate(p, cert, grid_n=64)
-        assert report.max_residual <= 1e-10 and report.polarized_residual <= 1e-10
+        assert verify_certificate(p, cert).passed
+        # the dilation limit holds to 1e-10 of the largest term (at least 1)
+        # on a closed-bidisk grid and at pairs of closed-bidisk points
+        pts = disk_spiral(64)
+        assert self.pair_residual(p, cert, pts[:, None], pts[None, :]) <= 1e-10
+        rng = np.random.default_rng(5)
+        z, w, zz, ww = np.sqrt(rng.uniform(0, 1, (4, 500))) * np.exp(2j * np.pi * rng.uniform(0, 1, (4, 500)))
+        assert self.pair_residual(p, cert, z, w, zz, ww) <= 1e-10
+
+    @staticmethod
+    def pair_residual(p, cert, z, w, zz=None, ww=None):
+        """max |lhs - rhs| of the polarized identity at (z, w) x (zz, ww), the
+        diagonal when zz, ww are omitted, over max(1, largest term)."""
+        zz, ww = (z, w) if zz is None else (zz, ww)
+        qr = reflect(p)
+        lhs = p.evaluate(z, w) * np.conj(p.evaluate(zz, ww)) - qr.evaluate(z, w) * np.conj(qr.evaluate(zz, ww))
+        side_a = (1 - z * np.conj(zz)) * cert.vec_first.kernel(z, w, zz, ww)
+        side_b = (1 - w * np.conj(ww)) * cert.vec_second.kernel(z, w, zz, ww)
+        terms = np.abs(np.stack(np.broadcast_arrays(lhs, side_a, side_b)))
+        return np.max(np.abs(lhs - side_a - side_b)) / max(np.max(terms), 1.0)
 
     def test_double_pole_refused_by_name(self):
         p = poly({(0, 0): 1, (0, 1): -2, (0, 2): 1})  # (1 - w)^2
@@ -493,8 +512,7 @@ class TestSymmetricCertificate:
     def test_single_weight_collapse(self):
         q = symmetrize(one_minus_z3w2())
         cert = sym_sos_certificate(q, 1.0, 0.0)
-        report = verify_certificate(q, cert, grid_n=32)
-        assert report.max_residual <= 1e-9
+        assert verify_certificate(q, cert).residual <= 1e-9
 
     def test_random_symmetric_stable_residual(self):
         rng = np.random.default_rng(6)
@@ -504,8 +522,7 @@ class TestSymmetricCertificate:
             q = symmetrize(swap_transform(symmetrize(p)))
             a, b = rng.uniform(0.3, 2.0, 2)
             cert = sym_sos_certificate(q, a, b)
-            report = verify_certificate(q, cert, grid_n=64)
-            assert report.max_residual <= 1e-7
+            assert verify_certificate(q, cert).residual <= 1e-7
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -530,48 +547,116 @@ class TestVerification:
             type(cert_four.vec_first)((bumped, *comps[1:])),
             cert_four.vec_second,
         )
-        report = verify_certificate(four_minus_z_minus_w(), broken, grid_n=32)
-        assert 1e-6 < report.max_residual < 1e-1
+        report = verify_certificate(four_minus_z_minus_w(), broken)
+        assert 1e-6 < report.residual < 1e-1
         assert not report.passed
 
     def test_report_threshold(self, cert_four):
-        report = verify_certificate(four_minus_z_minus_w(), cert_four, grid_n=32)
+        report = verify_certificate(four_minus_z_minus_w(), cert_four)
         assert report.passed and report.threshold == 1e-7
 
-    @pytest.mark.parametrize("which", ["stable", "symmetric", "dv"])
-    def test_small_mutation_fails_both_passes(self, which, cert_four, sym_cert_z3w2, pipeline_z3w2):
-        # One coefficient of one component moved by 1e-6 of that component's
-        # scale must fail the diagonal and the polarized residual alike.
-        if which == "stable":
-            q, cert = four_minus_z_minus_w(), cert_four
-        elif which == "symmetric":
-            q, cert = sym_cert_z3w2
-        else:
-            dv = pipeline_z3w2[0]
-            q, cert = dv.p, dv.as_sos()
+    @pytest.fixture(params=["stable", "symmetric", "dv"])
+    def certified(self, request, cert_four, sym_cert_z3w2, pipeline_z3w2):
+        """(q, certificate) of each kind: ColeWermer, Symmetric and DV."""
+        if request.param == "stable":
+            return four_minus_z_minus_w(), cert_four
+        if request.param == "symmetric":
+            return sym_cert_z3w2
+        dv = pipeline_z3w2[0]
+        return dv.p, dv.as_sos()
+
+    @staticmethod
+    def bumped(cert, step):
+        """cert with the constant coefficient of its first component moved by step."""
         comps = list(cert.vec_first.components)
-        grid = comps[0].coeffs.copy()
-        grid[0, 0] += 1e-6 * comps[0].scale
-        comps[0] = BivariatePolynomial(grid)
-        broken = SosCertificate(cert.kind, VectorPolynomial(tuple(comps)), cert.vec_second, cert.weights)
+        comps[0] = comps[0] + step
+        return SosCertificate(cert.kind, VectorPolynomial(tuple(comps)), cert.vec_second, cert.weights)
+
+    def test_small_mutation_fails_by_ten_thresholds(self, certified):
+        # One coefficient of one component moved by 1e-6 of that component's
+        # scale fails by more than ten times the threshold on every kind.
+        q, cert = certified
         assert verify_certificate(q, cert).passed
-        report = verify_certificate(q, broken)
-        assert report.max_residual > report.threshold
-        assert report.polarized_residual > report.threshold
+        report = verify_certificate(q, self.bumped(cert, 1e-6 * cert.vec_first[0].scale))
+        assert report.residual > 10 * report.threshold
 
-    def test_polarized_pass_pairs_distinct_points(self, cert_four, monkeypatch):
-        seen = []
-        pair_residual = soscert._pair_residual
+    def test_symmetric_error_of_q_scale_fails(self, sym_cert_z3w2):
+        # an error of 1e-6 of q's scale, which the sampled diagonal residual
+        # (relative to its largest term) read as 5.9e-8 and passed
+        q, cert = sym_cert_z3w2
+        assert not verify_certificate(q, self.bumped(cert, 1e-6 * q.scale)).passed
 
-        def recorded(kind, q, cert, z, w, zz, ww, weights):
-            seen.append((z, w, zz, ww))
-            return pair_residual(kind, q, cert, z, w, zz, ww, weights)
+    @pytest.mark.parametrize("k", [-1000, -300, -20, 0, 20, 300, 1000])
+    def test_zero_certificate_refused_at_every_scale(self, k):
+        q = BivariatePolynomial(kummert(0.8 * haar_unitary(np.random.default_rng(301), 6), 3, 3))
+        cert = sos_certificate(q)
+        zero = SosCertificate(cert.kind, cert.vec_first.scaled(0.0), cert.vec_second.scaled(0.0))
+        assert verify_certificate(q, cert).passed
+        scaled = verify_certificate(q.ldexp(k), zero)
+        assert scaled.residual == verify_certificate(q, zero).residual > 0.1
+        assert not scaled.passed
 
-        monkeypatch.setattr(soscert, "_pair_residual", recorded)
-        verify_certificate(four_minus_z_minus_w(), cert_four, grid_n=32)
-        assert len(seen) == 3
-        for z, w, zz, ww in seen[:2]:  # the diagonal passes
-            assert zz is z and ww is w
-        z, w, zz, ww = seen[2]
-        assert np.shape(z) == np.shape(zz) == (100,)
-        assert np.all(z != zz) and np.all(w != ww)
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(-1000, 1000))
+    def test_residual_is_scale_free(self, cert_four, k):
+        q = four_minus_z_minus_w()
+        vecs = (cert_four.vec_first, cert_four.vec_second)
+        parts = np.concatenate([c.coeffs.ravel() for v in vecs for c in v]).view(np.float64)
+        # 2^k cert is exact unless a coefficient leaves the normal range
+        assume(np.array_equal(np.ldexp(np.ldexp(parts, k), -k), parts))
+        first, second = (VectorPolynomial(tuple(c.ldexp(k) for c in v)) for v in vecs)
+        report = verify_certificate(q.ldexp(k), SosCertificate(cert_four.kind, first, second))
+        assert report.residual == verify_certificate(q, cert_four).residual
+
+    def test_zero_padded_components_same_residual(self, certified):
+        q, cert = certified
+        n, m = q.degree
+        padded = SosCertificate(
+            cert.kind,
+            VectorPolynomial(tuple(c.with_degree((n + 1, m + 2)) for c in cert.vec_first)),
+            VectorPolynomial(tuple(c.with_degree((n + 2, m + 1)) for c in cert.vec_second)),
+            cert.weights,
+        )
+        assert verify_certificate(q, padded).residual == verify_certificate(q, cert).residual
+
+    def test_over_degree_component_is_judged(self, cert_four):
+        # a nonzero coefficient above the certificate's degree fails, not raises
+        comps = list(cert_four.vec_second.components)
+        comps[0] = comps[0] + poly({(3, 2): 1e-3})
+        broken = SosCertificate(cert_four.kind, cert_four.vec_first, VectorPolynomial(tuple(comps)))
+        assert verify_certificate(four_minus_z_minus_w(), broken).residual > 1e-5
+
+    def test_residual_bounds_polarized_error(self, certified):
+        # |lhs - rhs| at pairs of closed-bidisk points, with the kernels
+        # evaluated pointwise, over kappa sum |q_ij|^2, is at most the residual
+        q, cert = certified
+        broken = self.bumped(cert, 1e-4 * cert.vec_first[0].scale)
+        rng = np.random.default_rng(3)
+        z, w, zz, ww = np.sqrt(rng.uniform(0, 1, (4, 400))) * np.exp(2j * np.pi * rng.uniform(0, 1, (4, 400)))
+        side_a = (1 - z * np.conj(zz)) * broken.vec_first.kernel(z, w, zz, ww)
+        side_b = (1 - w * np.conj(ww)) * broken.vec_second.kernel(z, w, zz, ww)
+        q1, q2 = q.evaluate(z, w), np.conj(q.evaluate(zz, ww))
+        n, m = q.degree
+        if cert.kind is CertKind.COLE_WERMER:
+            qr = reflect(q)
+            kappa = 1.0
+            err = q1 * q2 - qr.evaluate(z, w) * np.conj(qr.evaluate(zz, ww)) - side_a - side_b
+        else:
+            a, b = cert.weights
+            kappa = a * n + b * m
+            qz, qw = q.partial_z(), q.partial_w()
+            dz1, dw1 = a * z * qz.evaluate(z, w), b * w * qw.evaluate(z, w)
+            dz2, dw2 = np.conj(a * zz * qz.evaluate(zz, ww)), np.conj(b * ww * qw.evaluate(zz, ww))
+            if cert.kind is CertKind.SYMMETRIC:
+                err = kappa * q1 * q2 - (dz1 + dw1) * q2 - q1 * (dz2 + dw2) - side_a - side_b
+            else:
+                err = (b * m - a * n) * q1 * q2 + (dz1 - dw1) * q2 + q1 * (dz2 - dw2) + side_a - side_b
+        pointwise = np.max(np.abs(err)) / (kappa * np.sum(np.abs(q.coeffs) ** 2))
+        residual = verify_certificate(q, broken).residual
+        assert 1e-3 * residual < pointwise <= residual
+
+    def test_overflowing_certificate_fails_quietly(self, cert_four):
+        big = SosCertificate(cert_four.kind, cert_four.vec_first.scaled(1e200), cert_four.vec_second)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not verify_certificate(four_minus_z_minus_w(), big).passed
