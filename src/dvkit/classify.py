@@ -443,7 +443,9 @@ def repeated_root(p: BivariatePolynomial, trials: int = 5, tol: float = 1e-6, se
     roots at which the derivative passes the test, within 10% of the least
     one, and the multiplicity their count; a fiber that vanishes
     identically gives root nan and its formal degree.  None where p
-    passes."""
+    passes.  p is first divided by a power of two, which is exact, so the
+    verdict does not depend on its scale."""
+    p = p.ldexp(-p.exponent)
     for var, f in (("w", p), ("z", transpose_vars(p))):
         found = _multiple_fiber_root(f, trials, tol, seed)
         if found is not None:

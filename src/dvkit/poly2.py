@@ -485,6 +485,10 @@ class VectorPolynomial:
     def scaled(self, factor) -> "VectorPolynomial":
         return VectorPolynomial(tuple(factor * c for c in self.components))
 
+    def ldexp(self, e: int) -> "VectorPolynomial":
+        """self * 2^e, exact unless a coefficient leaves the normal range."""
+        return VectorPolynomial(tuple(c.ldexp(e) for c in self.components))
+
     def degree_bound(self) -> tuple[int, int]:
         return (
             max(c.degree[0] for c in self.components),

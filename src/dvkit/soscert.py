@@ -454,13 +454,18 @@ def sos_certificate(q: BivariatePolynomial, route: str | None = None) -> SosCert
     Zero-free on the closed bidisk goes through the moment construction
     directly, torus zeros through the dilation route, and the certificate of
     a SymmetricNonvanishingOffTorus q is zero.  A ``route`` of "direct",
-    "dilation" or "symmetric" skips the classification step.
+    "dilation" or "symmetric" skips the classification step.  q is first
+    divided by the power of two that brings its scale into [1/2, 1) and
+    both vectors are multiplied back by it, which is exact: the certificate
+    of 2^k q is 2^k times that of q wherever both stay in range.
     """
     n, m = q.degree
+    e = q.exponent
+    q = q.ldexp(-e)
     if route is None:
         route = _stability_route(q)
     vec_a, vec_b = _route_vectors(q, route)
-    return _attach_matrix_forms(CertKind.COLE_WERMER, vec_a, vec_b, n, m)
+    return _attach_matrix_forms(CertKind.COLE_WERMER, vec_a.ldexp(e), vec_b.ldexp(e), n, m)
 
 
 @dataclass(frozen=True)
@@ -505,10 +510,14 @@ def sym_sos_certificate(
     is exactly the stated identity.  On the torus |g| = |a z q_z + b w q_w|,
     so g has torus zeros exactly where the zero set of q is torus-singular;
     a caller that knows this passes ``route`` ("direct" when smooth,
-    "dilation" otherwise) and skips classifying g.
+    "dilation" otherwise) and skips classifying g.  Like
+    :func:`sos_certificate`, it builds from q divided by a power of two and
+    multiplies both vectors back, so it is exactly covariant under 2^k q.
     """
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError("weights must be non-negative and not both zero")
+    e = q.exponent
+    q = q.ldexp(-e)
     sym = symmetry_analysis(q, tol=1e-8)
     if not (sym.is_symmetric and abs(sym.constant - 1.0) <= 1e-6):
         raise ValueError("polynomial is not torus-symmetric; symmetrize it first")
@@ -524,9 +533,8 @@ def sym_sos_certificate(
             ) from exc
     vec_a, vec_b = _route_vectors(g, route)
     scale = 1.0 / math.sqrt(a * n + b * m)
-    return _attach_matrix_forms(
-        CertKind.SYMMETRIC, vec_a.scaled(scale), vec_b.scaled(scale), n, m, weights=(a, b)
-    )
+    vec_a, vec_b = vec_a.scaled(scale).ldexp(e), vec_b.scaled(scale).ldexp(e)
+    return _attach_matrix_forms(CertKind.SYMMETRIC, vec_a, vec_b, n, m, weights=(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +594,7 @@ def verify_certificate(
     )
     e = q.exponent
     q = q.ldexp(-e)
-    first, second = (VectorPolynomial(tuple(c.ldexp(-e) for c in v)) for v in (first, second))
+    first, second = first.ldexp(-e), second.ldexp(-e)
     # components far above q's scale overflow to a residual that fails
     with np.errstate(over="ignore", invalid="ignore"):
         qq = _kernel_tensor(VectorPolynomial((q,)), degree)

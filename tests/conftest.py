@@ -75,6 +75,20 @@ def haar_dv(u, m, n):
     return from_values(det, n, m)
 
 
+def dv_corpus():
+    """The six distinguished varieties of the demo corpus and seeded Haar
+    varieties of degree (d, d), d = 2..6, with their transposes."""
+    from dvkit.cli import demo_corpus
+
+    out = {k: p for k, p in demo_corpus().items() if not k.endswith("minus_z_minus_w")}
+    rng = np.random.default_rng(301)
+    for d in range(2, 7):
+        c = haar_dv(haar_unitary(rng, 2 * d), d, d)
+        out[f"haar_dv_{d}x{d}"] = BivariatePolynomial(c)
+        out[f"haar_dv_{d}x{d}_T"] = BivariatePolynomial(c.T.copy())
+    return out
+
+
 def random_poly(rng, n, m, scale=1.0):
     grid = rng.normal(size=(n + 1, m + 1)) + 1j * rng.normal(size=(n + 1, m + 1))
     return BivariatePolynomial(scale * grid)

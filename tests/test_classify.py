@@ -497,6 +497,16 @@ class TestSquarefree:
         var, _, root, k = repeated_root(z_half * z_half * z3_minus_w2())
         assert (var, k) == ("z", 2) and abs(root - 0.5) <= 1e-8
 
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(-1000, 1000))
+    def test_repeated_root_is_scale_free(self, k):
+        # p is divided by a power of two on entry, so 2^k p finds the same root
+        one_minus_w = poly({(0, 0): 1, (0, 1): -1})
+        for p in (z3_minus_w2(), one_minus_w * one_minus_w * z3_minus_w2()):
+            parts = np.ascontiguousarray(p.coeffs).view(np.float64)
+            assume(np.array_equal(np.ldexp(np.ldexp(parts, k), -k), parts))
+            assert repeated_root(p.ldexp(k)) == repeated_root(p)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_haar_varieties_and_their_squares(self, seed):
         # the least |p_w| over a fiber's roots does not shrink with the

@@ -355,6 +355,21 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["unitarity"] > 1e-4
 
+    def test_verify_unimodular_d_eigenvalue_exit_2(self, realization_doc, tmp_path, capsys):
+        # U = diag(A, D) with unitary blocks: rho(D) = 1, so the circle
+        # samples no longer bound Phi on the disk and the report must fail
+        poly_path, doc = realization_doc
+        m, n = doc["m"], doc["n"]
+        u = np.zeros((m + n, m + n), dtype=np.complex128)
+        u[:m, :m] = np.eye(m)[::-1]
+        u[m:, m:] = np.diag(np.exp(1j * np.linspace(0.3, 2.0, n)))
+        bad_path = tmp_path / "rep.json"
+        bad_path.write_text(dumps(dict(doc, U=[[[c.real, c.imag] for c in row] for row in u])))
+        assert main(["verify", str(bad_path), poly_path]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["d_spectral_radius"] >= 1.0 - 1e-8
+        assert out["passed"] is False
+
     def test_represent_rejects_non_dv_exit_2(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", four_minus_z_minus_w())
         assert main(["represent", path]) == 2

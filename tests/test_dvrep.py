@@ -1,9 +1,17 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import four_minus_z_minus_w, poly, z3_minus_w2
+from conftest import (
+    dv_corpus,
+    four_minus_z_minus_w,
+    haar_dv,
+    haar_unitary,
+    poly,
+    z3_minus_w2,
+)
 from dvkit.dvrep import (
     IsometryError,
     UnitaryRealization,
@@ -17,8 +25,10 @@ from dvkit.dvrep import (
     shift_realization,
     verify_representation,
 )
-from dvkit.classify import fiber_roots
-from dvkit.poly2 import blaschke_dv, symmetrize
+from dvkit.classify import ZeroLabel, classify_zero_set, fiber_roots, is_squarefree
+from dvkit.poly2 import BivariatePolynomial, blaschke_dv, symmetrize, transpose_vars
+
+DV_CORPUS = dv_corpus()
 
 
 class TestDvCertificate:
@@ -249,6 +259,33 @@ class TestVerifyRepresentation:
         assert 1e-4 < report.unitarity < 1e-2
         assert not report.passed
 
+    def test_unimodular_d_eigenvalue_fails(self, pipeline_z3w2):
+        # the circle samples bound Phi on the disk only when rho(D) < 1
+        report = pipeline_z3w2[3]
+        assert report.passed and report.d_spectral_radius < 1.0 - 1e-8
+        assert not replace(report, d_spectral_radius=1.0 - 1e-8).passed
+
+
+@pytest.fixture(scope="module", params=sorted(DV_CORPUS))
+def corpus_pipeline(request):
+    return represent(DV_CORPUS[request.param], seed=7)
+
+
+class TestMaximumPrinciple:
+    """With rho(D) < 1, Phi is analytic on the closed disk and ||Phi(z)|| is
+    subharmonic, so its sup over the disk lies on the circle.  The 200
+    interior samples that the realization check once took stay below the
+    circle value it now reports."""
+
+    def test_interior_norm_below_circle_sup(self, corpus_pipeline):
+        _, _, rep, report = corpus_pipeline
+        assert report.passed
+        assert report.d_spectral_radius < 1.0 - 1e-8
+        u = np.random.default_rng(5).uniform(size=(200, 2))
+        inner = phi_evaluate(rep, u[:, 0] ** 0.5 * np.exp(2j * np.pi * u[:, 1]))
+        norms = np.linalg.norm(inner, 2, axis=(-2, -1))
+        assert np.max(norms) <= 1.0 + report.contractivity_excess + 1e-14
+
 
 @pytest.mark.parametrize("scale", [1e-10, 1e-6, 1e-2, 1.0, 1e3, 1e6])
 def test_qmatrix_gate_is_scale_free(scale):
@@ -299,6 +336,7 @@ class TestRepresentOnce:
                 "verify_certificate",
                 "verify_representation",
                 "torus_singularities",
+                "is_squarefree",
             ):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -309,6 +347,8 @@ class TestRepresentOnce:
         # variety certificate would drop never runs.
         assert calls == {"classify_zero_set": 1, "verify_representation": 1}
         assert calls["torus_singularities"] == 0
+        # the proven label also proves p squarefree
+        assert calls["is_squarefree"] == 0
         assert cert.smooth_on_torus
 
     def test_unproven_label_runs_singularity_search(self, monkeypatch):
@@ -336,3 +376,37 @@ class TestBlaschkeFamily:
         cert, sample, rep, report = represent(p, seed=5, grid_n=32)
         assert report.passed
         assert cert.smooth_on_torus
+
+
+def squared_inputs():
+    zw = poly({(1, 0): 1, (0, 1): -1})
+    h = BivariatePolynomial(haar_dv(haar_unitary(np.random.default_rng(3), 4), 2, 2))
+    return {
+        "z3_minus_w2_squared": z3_minus_w2() * z3_minus_w2(),
+        "z_minus_w_squared_z_plus_w": zw * zw * poly({(1, 0): 1, (0, 1): 1}),
+        "haar_dv_2x2_squared": h * h,
+        "haar_dv_2x2_T_squared": transpose_vars(h) * transpose_vars(h),
+    }
+
+
+SQUARED = squared_inputs()
+
+
+class TestSquarefreeFromLabel:
+    """A proven DVDefining label proves p squarefree, so the randomized
+    check runs only behind an unproven one."""
+
+    @pytest.mark.parametrize("name", sorted(DV_CORPUS))
+    def test_proven_labels_are_squarefree(self, name):
+        p = DV_CORPUS[name]
+        zc = classify_zero_set(p)
+        assert zc.label is ZeroLabel.DV_DEFINING and zc.proven
+        assert is_squarefree(p)
+
+    @pytest.mark.parametrize("name", sorted(SQUARED))
+    def test_repeated_factor_is_never_proven(self, name):
+        zc = classify_zero_set(SQUARED[name])
+        assert zc.label is ZeroLabel.DV_DEFINING
+        assert not zc.proven
+        with pytest.raises(ValueError, match="repeated factor"):
+            represent(SQUARED[name])

@@ -1,8 +1,10 @@
 import math
 
 import numpy as np
+import pytest
 
-from conftest import poly, z3_minus_w2
+from conftest import dv_corpus, poly, random_poly, z3_minus_w2
+from dvkit.classify import fiber_root_pairs
 from dvkit.dvrep import phi_evaluate, represent, shift_realization
 from dvkit.extend import (
     ExtensionOperator,
@@ -134,6 +136,28 @@ class TestSupNorm:
         cert, _, _, _ = pipeline_z3w2
         got = sup_norm_on_variety(F_Z_PLUS_W, cert.p, 512)
         assert abs(got - 2.0) < 1e-3
+
+
+DV_CORPUS = dv_corpus()
+
+
+class TestSupNormOnTorus:
+    """A distinguished variety meets the boundary of the bidisk only in the
+    torus, so the interior fiber sweeps at |z| = 0.5 and 0.9 that
+    sup_norm_on_variety once folded in never exceed its circle value."""
+
+    @pytest.mark.parametrize("name", sorted(DV_CORPUS))
+    def test_interior_sweeps_below_circle_value(self, name):
+        p = DV_CORPUS[name]
+        f_random = random_poly(np.random.default_rng(17), 2, 2)
+        inner = np.exp(2j * np.pi * np.arange(32) / 32)
+        for f in (F_W, F_Z_PLUS_W, poly({(1, 2): 1}), f_random):
+            circle_value = sup_norm_on_variety(f, p, 128)
+            assert circle_value > 0
+            for r in (0.5, 0.9):
+                z, w = fiber_root_pairs(p, r * inner)
+                keep = np.abs(w) <= 1.0
+                assert np.max(np.abs(f.evaluate(z[keep], w[keep]))) <= circle_value
 
 
 class TestBounds:

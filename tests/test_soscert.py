@@ -1,5 +1,9 @@
+import functools
+import importlib.util
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -660,3 +664,69 @@ class TestVerification:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not verify_certificate(four_minus_z_minus_w(), big).passed
+
+
+GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def kummert_contraction_3x3_seed301():
+    """The benchmark's seed-301 ``kummert_contraction_3x3.r0`` sos input."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # its dataclasses look the module up by name
+    spec.loader.exec_module(gen)
+    (found,) = [
+        x for x in gen.generate("sos_certify", 301)[0] if x.name == "kummert_contraction_3x3.r0"
+    ]
+    return BivariatePolynomial(found.coeffs)
+
+
+EXTREME_SCALE_INPUTS = {
+    "two_minus_z_minus_w": two_minus_z_minus_w,
+    "kummert_contraction_3x3": kummert_contraction_3x3_seed301,
+}
+
+
+SCALE_BUILDS = {
+    "direct": (four_minus_z_minus_w(), sos_certificate),
+    "dilation": (two_minus_z_minus_w(), sos_certificate),
+    "weighted": (symmetrize(one_minus_z3w2()), lambda q: sym_sos_certificate(q, 1.0, 2.0)),
+}
+
+
+@functools.cache
+def unscaled_components(name):
+    q, build = SCALE_BUILDS[name]
+    cert = build(q)
+    return [c for v in (cert.vec_first, cert.vec_second) for c in v]
+
+
+class TestScaleFreeConstruction:
+    """Construction divides q by a power of two on entry and multiplies both
+    vectors back, so every certificate is covariant under q -> 2^k q."""
+
+    @pytest.mark.parametrize("name", sorted(SCALE_BUILDS))
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(-1000, 1000))
+    def test_power_of_two_scales_the_certificate(self, name, k):
+        q, build = SCALE_BUILDS[name]
+        comps = unscaled_components(name)
+        parts = np.concatenate([c.coeffs.ravel() for c in [q, *comps]]).view(np.float64)
+        # 2^k q and 2^k cert are exact unless a coefficient leaves the normal range
+        assume(np.array_equal(np.ldexp(np.ldexp(parts, k), -k), parts))
+        cert = build(q.ldexp(k))
+        got = [c for v in (cert.vec_first, cert.vec_second) for c in v]
+        assert len(got) == len(comps)
+        for g, c in zip(got, comps):
+            assert np.array_equal(g.coeffs, c.ldexp(k).coeffs)
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
+    @pytest.mark.parametrize("name", sorted(EXTREME_SCALE_INPUTS))
+    def test_extreme_scales_certify(self, name, c):
+        # "moment window did not converge" after overflow warnings at large
+        # c, a false "fiber root inside the closed disk" at 1e-300
+        q = BivariatePolynomial(c * EXTREME_SCALE_INPUTS[name]().coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = sos_certificate(q)
+            assert verify_certificate(q, cert).passed
