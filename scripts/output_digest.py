@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per CLI call over a directory of polynomials.
 
-    python scripts/output_digest.py DIR
+    python scripts/output_digest.py DIR [--dump OUT]
 
 Every dvkit/1 polynomial document in DIR (``*.json`` with kind
 "polynomial") goes through ``classify``, ``sos``, ``represent``, ``extend
@@ -22,10 +22,18 @@ kernel, say) changes whole-output digests while every verdict holds.  To
 compare the exit codes alone, drop the digest column:
 
     diff <(cut -d' ' -f1-3 a.txt) <(cut -d' ' -f1-3 b.txt)
+
+With ``--dump OUT`` each call's output is also written to
+``OUT/<file>.<command>.json``: its stdout, or for ``represent`` the
+realization document it wrote (``-.demo.json`` for the demo).  Dumps of two
+checkouts then compare key by key:
+
+    diff -r old_dump new_dump
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -48,8 +56,9 @@ def _is_polynomial(path):
     return isinstance(obj, dict) and obj.get("schema") == "dvkit/1" and obj.get("kind") == "polynomial"
 
 
-def _digest(argv, written=None):
-    """Exit code of one in-process call and the sha256 of what it produced."""
+def _digest(argv, written=None, dump=None):
+    """Exit code of one in-process call and the sha256 of what it produced;
+    with ``dump`` a path, the output is also written there."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = dvkit_main(argv)
@@ -57,15 +66,29 @@ def _digest(argv, written=None):
     for text in (out.getvalue(), err.getvalue()):
         h.update(text.encode())
         h.update(b"\0")
+    produced = out.getvalue().encode()
     if written is not None and os.path.exists(written):
         with open(written, "rb") as fh:
-            h.update(fh.read())
+            produced = fh.read()
+        h.update(produced)
+    if dump is not None:
+        with open(dump, "wb") as fh:
+            fh.write(produced)
     return code, h.hexdigest()
 
 
-def digest_dir(directory):
-    """(file, command, exit code, sha256) for every call, in file order."""
+def digest_dir(directory, dump_dir=None):
+    """(file, command, exit code, sha256) for every call, in file order;
+    with ``dump_dir``, each call's output is also written there."""
     directory = os.path.abspath(directory)
+    if dump_dir is not None:
+        dump_dir = os.path.abspath(dump_dir)
+        os.makedirs(dump_dir, exist_ok=True)
+
+    def call(name, command, argv, written=None):
+        dump = None if dump_dir is None else os.path.join(dump_dir, f"{name}.{command}.json")
+        return (name, command, *_digest(argv, written, dump))
+
     names = sorted(n for n in os.listdir(directory) if n.endswith(".json"))
     paths = [os.path.join(directory, n) for n in names if _is_polynomial(os.path.join(directory, n))]
     rows = []
@@ -78,30 +101,31 @@ def digest_dir(directory):
             for path in paths:
                 name = os.path.basename(path)
                 rep = "rep_" + name
-                rows.append((name, "classify", *_digest(["classify", path])))
-                rows.append((name, "sos", *_digest(["sos", path])))
-                code, sha = _digest(["represent", path, "-o", rep], rep)
-                rows.append((name, "represent", code, sha))
-                if code != 0:
+                rows.append(call(name, "classify", ["classify", path]))
+                rows.append(call(name, "sos", ["sos", path]))
+                rows.append(call(name, "represent", ["represent", path, "-o", rep], rep))
+                if rows[-1][2] != 0:
                     continue
                 for command, argv in (
                     ("extend", ["extend", rep, "f_w.json", "--no-swap"]),
                     ("extend_swap", ["extend", rep, "f_w.json"]),
                     ("verify", ["verify", rep, path]),
                 ):
-                    rows.append((name, command, *_digest(argv)))
-            rows.append(("-", "demo", *_digest(["demo"])))
+                    rows.append(call(name, command, argv))
+            rows.append(call("-", "demo", ["demo"]))
         finally:
             os.chdir(cwd)
     return rows
 
 
 def main(argv=None):
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1 or not os.path.isdir(args[0]):
-        print("usage: python scripts/output_digest.py DIR", file=sys.stderr)
-        return 1
-    for name, command, code, sha in digest_dir(args[0]):
+    ap = argparse.ArgumentParser(description="one sha256 per CLI call over a directory of polynomials")
+    ap.add_argument("dir")
+    ap.add_argument("--dump", metavar="OUT", help="also write each call's output under OUT")
+    args = ap.parse_args(argv)
+    if not os.path.isdir(args.dir):
+        ap.error(f"{args.dir}: not a directory")
+    for name, command, code, sha in digest_dir(args.dir, args.dump):
         print(f"{name} {command} exit={code} {sha}")
     return 0
 

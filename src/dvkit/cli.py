@@ -167,7 +167,7 @@ def _cmd_represent(config: RunConfig) -> int:
 
 def _swapped_constant(p: BivariatePolynomial, f, a, b, seed):
     """Extension constant of the pipeline with z and w exchanged."""
-    cert_t, sample_t, rep_t, _ = represent(transpose_vars(p), b, a, seed=seed)
+    cert_t, _, rep_t, _ = represent(transpose_vars(p), b, a, seed=seed)
     op_t = ExtensionOperator(rep_t, cert_t, transpose_vars(f))
     return extension_bound(op_t).C
 
@@ -178,8 +178,7 @@ def _cmd_extend(config: RunConfig) -> int:
     )
     f = _load_poly(config.inputs[1])
     op = ExtensionOperator(rep, cert, f)
-    sample = sample_variety(cert.p, seed=config.seed)
-    er = verify_extension(op, sample, grid_n=config.grid_n)
+    er = verify_extension(op, grid_n=config.grid_n)
     a, b = cert.weights
     obj = {
         "schema": ser.SCHEMA,
@@ -279,10 +278,10 @@ def _demo_dv_row(name, p, seed, expect_sqrt_m=False):
     checks = {}
     label = classify_mod.classify_zero_set(p).label
     checks["classified_dv"] = label is classify_mod.ZeroLabel.DV_DEFINING
-    cert, sample, rep, report = represent(p, seed=seed, grid_n=32)
+    cert, _, rep, report = represent(p, seed=seed, grid_n=32)
     checks["representation"] = report.passed
     f = BivariatePolynomial.from_terms({(0, 1): 1})
-    er = verify_extension(ExtensionOperator(rep, cert, f), sample, grid_n=48)
+    er = verify_extension(ExtensionOperator(rep, cert, f), grid_n=48)
     checks["extension"] = er.passed
     if expect_sqrt_m:
         m = len(cert.vec_q)

@@ -121,18 +121,28 @@ class UnitaryRealization:
         return float(np.max(np.abs(np.linalg.eigvals(self.D))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VarietySample:
-    points: tuple  # of (z, w) pairs
-    residuals: tuple
+    """Variety points (z[i], w[i]) and their residuals |p(z[i], w[i])|, as
+    read-only arrays."""
+
+    z: np.ndarray
+    w: np.ndarray
+    residuals: np.ndarray
+
+    def __post_init__(self):
+        for name in ("z", "w", "residuals"):
+            arr = np.array(getattr(self, name))
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.z)
 
-    def arrays(self):
-        z = np.array([p[0] for p in self.points], dtype=np.complex128)
-        w = np.array([p[1] for p in self.points], dtype=np.complex128)
-        return z, w
+    @property
+    def points(self) -> tuple:
+        """The points as a tuple of (z, w) pairs of Python complex numbers."""
+        return tuple(zip(self.z.tolist(), self.w.tolist()))
 
 
 def dv_certificate(
@@ -185,7 +195,7 @@ def dv_certificate(
     )
     qmat = _matrix_form_in_z(vec_q, m, n)
     if smooth:
-        sv = qmat.min_singular_value_on_disk(48)
+        sv = qmat.min_singular_value_on_disk(64)
         if sv <= 1e-8 * max(qmat.sup_norm(), 1e-300):
             raise IsometryError(
                 "Qmatrix is numerically singular on the closed disk for a "
@@ -239,12 +249,13 @@ def sample_variety(
         raise IsometryError(
             f"insufficient span: found {int(np.sum(keep))} variety points, need {n + m}"
         )
-    points = tuple((complex(a), complex(b)) for a, b in zip(z[keep], w[keep]))
-    return VarietySample(points, tuple(float(v) for v in vals[keep]))
+    return VarietySample(z[keep], w[keep], vals[keep])
 
 
 def _stacked_maps(cert: DvCertificate, sample: VarietySample):
-    z, w = sample.arrays()
+    """X = (Q; zP) and Y = (wQ; P) at the samples, one column per point;
+    Q(z, w) is the first m rows of X."""
+    z, w = sample.z, sample.w
     qv = cert.vec_q.evaluate(z, w)  # (m, S)
     pv = cert.vec_p.evaluate(z, w)  # (n, S)
     x = np.vstack([qv, z[None, :] * pv])
@@ -252,13 +263,16 @@ def _stacked_maps(cert: DvCertificate, sample: VarietySample):
     return x, y
 
 
-def gram_defect(cert: DvCertificate, sample: VarietySample) -> float:
-    """Relative defect of X*X = Y*Y, the sampled form of the on-variety
-    kernel identity."""
-    x, y = _stacked_maps(cert, sample)
+def _gram_defect(x, y) -> float:
     gx = x.conj().T @ x
     gy = y.conj().T @ y
     return float(np.max(np.abs(gx - gy))) / max(float(np.max(np.abs(gx))), 1e-300)
+
+
+def gram_defect(cert: DvCertificate, sample: VarietySample) -> float:
+    """Relative defect of X*X = Y*Y, the sampled form of the on-variety
+    kernel identity."""
+    return _gram_defect(*_stacked_maps(cert, sample))
 
 
 def lurking_isometry(
@@ -277,12 +291,12 @@ def lurking_isometry(
     for a fixed sample."""
     m = len(cert.vec_q)
     n = len(cert.vec_p)
-    defect = gram_defect(cert, sample)
+    x, y = _stacked_maps(cert, sample)
+    defect = _gram_defect(x, y)
     if defect > gram_tol:
         raise IsometryError(
             f"isometry violated: Gram mismatch {defect:.3e} exceeds {gram_tol:.1e}"
         )
-    x, y = _stacked_maps(cert, sample)
     ux, sx, vxh = np.linalg.svd(x)
     rank = int(np.sum(sx > rank_tol * sx[0]))
     if x.shape[1] > rank + 10:
@@ -412,8 +426,9 @@ def verify_representation(
     fails otherwise."""
     if gram_tol is None:
         gram_tol = 1e-8 if cert.smooth_on_torus else 1e-6
-    z, w = sample.arrays()
-    qv = cert.vec_q.evaluate(z, w)
+    z, w = sample.z, sample.w
+    x, y = _stacked_maps(cert, sample)
+    qv = x[: len(cert.vec_q)]
     q_scale = max(np.max(np.abs(qv)), 1e-300)
     phis = phi_evaluate(rep, z)
     det_vals = np.linalg.det(w[:, None, None] * np.eye(rep.m) - phis)
@@ -432,7 +447,7 @@ def verify_representation(
     excess = max(0.0, math.sqrt(float(np.max(np.linalg.eigvalsh(gram)))) - 1.0)
     sv = cert.qmatrix.min_singular_value_on_disk(grid_n) if cert.smooth_on_torus else None
     return RepresentationReport(
-        gram_defect=gram_defect(cert, sample),
+        gram_defect=_gram_defect(x, y),
         gram_tolerance=gram_tol,
         qmatrix_tolerance=1e-8 * cert.qmatrix.sup_norm(),
         det_on_samples=float(np.max(np.abs(det_vals))),

@@ -7,9 +7,20 @@ variety, every polynomial f extends to the rational function
 
 equal to f on the variety because Qvec is a w-eigenvector of Phi(z) there,
 and bounded by C * sup_V |f| with C = sqrt(m) sup_z ||Q(z)^{-1}|| ||Q(z)||.
-The sup is attained on the boundary circle (log-subharmonicity of operator
-norms of analytic matrix functions), and sup_V |f| on the torus, where a
-distinguished variety meets the boundary of the bidisk.
+Since Qvec(z, w) = Q(z) (1, w, ..., w^{m-1})^t, F is a polynomial in w with
+coefficients analytic in z: F(z, w) = g(z) . (1, w, ..., w^{m-1}) for the
+row g(z) = e1^T Q(z)^{-1} f(zI, Phi(z)) Q(z).
+
+Every check is read on the torus.  Once det Q has no zero in the closed
+disk and rho(D) < 1, which :func:`extension_bound` checks first, Q^{-1} and
+Phi are analytic on a neighborhood of the closed disk, so F is analytic on
+the closed bidisk (Agler-McCarthy, "Distinguished varieties", Acta Math.
+2005).  Then the sup of ||Q|| ||Q^{-1}|| lies on the circle (log-
+subharmonicity of operator norms of analytic matrix functions), the sup of
+|F| on the torus T^2 (the maximum principle in each variable), and the sups
+of |f| and of |F - f| over the variety on its torus points, where a
+distinguished variety meets the boundary of the bidisk (the maximum
+principle on the variety).
 """
 
 from __future__ import annotations
@@ -19,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import fiber_root_pairs
-from .dvrep import DvCertificate, UnitaryRealization, VarietySample, phi_evaluate
-from .poly2 import BivariatePolynomial, disk_spiral
+from .classify import batched_fiber_roots
+from .dvrep import DvCertificate, UnitaryRealization, phi_evaluate
+from .poly2 import BivariatePolynomial, horner
 
 __all__ = [
     "ExtensionOperator",
@@ -63,27 +74,28 @@ class ExtensionOperator:
     def __call__(self, z, w):
         return self.evaluate(z, w)
 
-    def evaluate(self, z, w) -> complex | np.ndarray:
-        """F pointwise over the broadcast of z and w (a complex for scalars).
+    def rows(self, zs, qmats) -> np.ndarray:
+        """g(z) = e1^T Q(z)^{-1} f(zI, Phi(z)) Q(z) for each z of the flat
+        array ``zs``, given ``qmats`` = Q(zs); shape (len(zs), m).
 
-        The row e1^T Q(z)^{-1} f(zI, Phi(z)) is formed once per entry of z,
-        through stacked linear solves and matrix Horner, and then paired with
-        Qvec(z, w) at the broadcast shape.
-        """
+        F(z, w) is g(z) . (1, w, ..., w^{m-1}).  The row e1^T Q(z)^{-1}
+        comes from stacked linear solves and f(zI, Phi(z)) from matrix
+        Horner, once per z."""
+        m = self.rep.m
+        e1 = np.zeros((m, 1), dtype=np.complex128)
+        e1[0, 0] = 1.0
+        first = np.linalg.solve(np.swapaxes(qmats, 1, 2), np.broadcast_to(e1, (len(zs), m, 1)))
+        fmats = eval_f_of_pair(self.f, zs, phi_evaluate(self.rep, zs))
+        return (np.swapaxes(first, 1, 2) @ fmats @ qmats)[:, 0, :]
+
+    def evaluate(self, z, w) -> complex | np.ndarray:
+        """F pointwise over the broadcast of z and w (a complex for scalars):
+        g once per entry of z, then Horner in w."""
         z = np.asarray(z, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
         zs = z.ravel()
-        m = self.rep.m
-        qmats = self.cert.qmatrix.evaluate(zs)  # (K, m, m)
-        e1 = np.zeros((m, 1), dtype=np.complex128)
-        e1[0, 0] = 1.0
-        rows = np.linalg.solve(
-            np.swapaxes(qmats, 1, 2), np.broadcast_to(e1, (len(zs), m, 1))
-        )[..., 0]
-        fmats = eval_f_of_pair(self.f, zs, phi_evaluate(self.rep, zs))
-        rowf = np.einsum("km,kmj->kj", rows, fmats).reshape(z.shape + (m,))
-        qvec = self.cert.vec_q.evaluate(z, w)  # (m,) + broadcast shape
-        out = np.einsum("...j,j...->...", rowf, qvec)
+        g = self.rows(zs, self.cert.qmatrix.evaluate(zs)).reshape(z.shape + (self.rep.m,))
+        out = horner(np.moveaxis(g, -1, 0), w)
         return complex(out) if out.ndim == 0 else out
 
     def evaluate_grid(self, zs, ws) -> np.ndarray:
@@ -103,32 +115,89 @@ class BoundReport:
     sup_f_on_variety: float
 
 
-def extension_bound(op: ExtensionOperator, grid_n: int = 256) -> BoundReport:
-    """C from grid_n circle samples of Q(z) (with an interior spot grid), the
-    per-point bound on a torus grid, and sup |f| on the variety.
+def _roots_of_unity(count: int) -> np.ndarray:
+    return np.exp(2j * np.pi * np.arange(count) / count)
 
-    For a torus-smooth variety the certificate's gate,
-    :meth:`MatrixPolynomial.min_singular_value_on_disk`, finds every zero of
-    det Q in the closed disk by a block companion and refuses the
-    certificate if there is one.  So Q^{-1} is analytic on the closed disk,
-    log ||Q|| and log ||Q^{-1}|| are subharmonic, and by the maximum
-    principle the condition number ||Q|| ||Q^{-1}|| takes its sup over the
-    disk on the circle, which the samples stand for.
+
+def _torus_points(p: BivariatePolynomial, circle: np.ndarray):
+    """(k, w) for every fiber root w of p over circle[k] with |w| = 1 to
+    within 1e-6: the torus points of the variety over the circle samples."""
+    empty = np.zeros(0, dtype=np.complex128)
+    roots = [empty if r is None else r for r in batched_fiber_roots(p, circle)]
+    k = np.repeat(np.arange(len(circle)), [len(r) for r in roots])
+    w = np.concatenate([empty] + roots)
+    on_torus = np.abs(np.abs(w) - 1.0) < 1e-6
+    return k[on_torus], w[on_torus]
+
+
+def _max_abs(values) -> float:
+    return float(np.max(np.abs(values))) if np.size(values) else 0.0
+
+
+def _powers(w: np.ndarray, m: int) -> np.ndarray:
+    """(1, w, ..., w^{m-1}) as the columns of an (m, len(w)) array."""
+    return w[None, :] ** np.arange(m)[:, None]
+
+
+def _require_analytic(op: ExtensionOperator) -> None:
+    """Refuse a realization whose F may have a pole in the closed bidisk:
+    a zero of det Q in the closed disk (found by the block companion of
+    :attr:`MatrixPolynomial.det_zeros_in_disk`), or rho(D) >= 1 - 1e-8."""
+    zeros = op.cert.qmatrix.det_zeros_in_disk
+    if len(zeros):
+        raise ValueError(
+            f"Qmatrix: det Q has a zero at z = {complex(zeros[0]):.6g} in the closed disk, "
+            "so Q^-1 and the extension are not analytic on the closed bidisk"
+        )
+    rho = op.rep.d_spectral_radius()
+    if rho >= 1.0 - 1e-8:
+        raise ValueError(
+            f"realization: D has spectral radius {rho:.6g}, so Phi is not analytic on the closed disk"
+        )
+
+
+@dataclass(frozen=True)
+class _CirclePass:
+    """What the bound and the checks read off the circle samples z_k: Q(z_k),
+    the variety's torus points (z_k, w) as circle index k and w, and f at
+    them."""
+
+    circle: np.ndarray
+    qmats: np.ndarray
+    k: np.ndarray
+    w: np.ndarray
+    fv: np.ndarray
+
+
+def _circle_pass(op: ExtensionOperator, grid_n: int) -> _CirclePass:
+    _require_analytic(op)
+    circle = _roots_of_unity(grid_n)
+    k, w = _torus_points(op.cert.p, circle)
+    return _CirclePass(circle, op.cert.qmatrix.evaluate(circle), k, w, op.f.evaluate(circle[k], w))
+
+
+def _bound(op: ExtensionOperator, cp: _CirclePass) -> BoundReport:
+    svals = np.linalg.svd(cp.qmats, compute_uv=False)
+    c_const = math.sqrt(op.rep.m) * float(np.max(svals[:, 0] / svals[:, -1]))
+    # |Qvec(z, w)| = |Q(z) (1, w, ..., w^{m-1})| on a sub-grid of the torus
+    sub = slice(None, None, max(1, len(cp.circle) // 32))
+    qnorm = np.linalg.norm(cp.qmats[sub] @ _powers(cp.circle[sub], op.rep.m), axis=1)
+    per_point = float(np.max(np.max(qnorm, axis=1) / svals[sub, -1]))
+    return BoundReport(c_const, per_point, _max_abs(cp.fv))
+
+
+def extension_bound(op: ExtensionOperator, grid_n: int = 256) -> BoundReport:
+    """C from Q(z) at the grid_n roots of unity, the per-point bound on a
+    sub-grid of the torus, and sup |f| on the variety's torus points over
+    the same z.
+
+    Raises ValueError when det Q has a zero in the closed disk or rho(D) >=
+    1 - 1e-8.  Otherwise Q^{-1} is analytic on the closed disk, log ||Q||
+    and log ||Q^{-1}|| are subharmonic, and by the maximum principle the
+    condition number ||Q|| ||Q^{-1}|| takes its sup over the disk on the
+    circle, which the samples stand for.
     """
-    m = op.rep.m
-    circle = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
-    interior = 0.6 * np.exp(2j * np.pi * np.arange(16) / 16)
-    svals = np.linalg.svd(
-        op.cert.qmatrix.evaluate(np.concatenate([circle, interior])), compute_uv=False
-    )
-    c_const = math.sqrt(m) * float(np.max(svals[:, 0] / svals[:, -1]))
-    step = max(1, grid_n // 32)
-    sub = circle[::step]
-    inv_norm = 1.0 / svals[:grid_n:step, -1]
-    qnorm = np.sqrt(op.cert.vec_q.norm_sq(sub[:, None], sub[None, :]))
-    per_point = float(np.max(inv_norm * np.max(qnorm, axis=1)))
-    sup_f = sup_norm_on_variety(op.f, op.cert.p, max(grid_n, 128))
-    return BoundReport(c_const, per_point, sup_f)
+    return _bound(op, _circle_pass(op, grid_n))
 
 
 def sup_norm_on_variety(
@@ -140,12 +209,9 @@ def sup_norm_on_variety(
     torus, and |f| on the variety is subharmonic, so by the maximum
     principle the sup is attained among the unimodular fiber roots over the
     ``grid_n`` roots of unity in z."""
-    circle = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
-    z, w = fiber_root_pairs(p, circle)
-    on_torus = np.abs(np.abs(w) - 1.0) < 1e-6
-    if not on_torus.any():
-        return 0.0
-    return float(np.max(np.abs(f.evaluate(z[on_torus], w[on_torus]))))
+    circle = _roots_of_unity(grid_n)
+    k, w = _torus_points(p, circle)
+    return _max_abs(f.evaluate(circle[k], w))
 
 
 def expand_extension(op: ExtensionOperator, trim_tol: float = 1e-12):
@@ -191,22 +257,23 @@ class ExtensionReport:
     passed: bool
 
 
-def verify_extension(
-    op: ExtensionOperator,
-    sample: VarietySample,
-    grid_n: int = 64,
-    tol: float = 1e-6,
-) -> ExtensionReport:
-    """Check F = f at variety samples and the norm inflation against C."""
-    z, w = sample.arrays()
-    fv = np.asarray(op.f.evaluate(z, w))
-    ev = op.evaluate(z, w)
-    scale = 1.0 + float(np.max(np.abs(fv)))
-    on_var = float(np.max(np.abs(ev - fv))) / scale
-    bound = extension_bound(op, grid_n=max(grid_n, 128))
-    pts = disk_spiral(grid_n)
-    sup_F = float(np.max(np.abs(op.evaluate_grid(pts, pts))))
+def verify_extension(op: ExtensionOperator, grid_n: int = 64, tol: float = 1e-6) -> ExtensionReport:
+    """Check F = f on the variety and the norm inflation against C, all
+    from one pass over the max(grid_n, 128) roots of unity z_k.
+
+    The pass computes Q(z_k), the rows g(z_k) and the torus points of the
+    variety over the z_k once.  ``on_variety_residual`` is max |F - f| over
+    those torus points, relative to 1 + sup_V |f|; F - f is analytic on the
+    variety, so by the maximum principle this bounds it inside the bidisk
+    too.  ``sup_F_on_bidisk`` is max |g(z_k) . (1, w, ..., w^{m-1})| over
+    the grid z_k x z_k of the torus, where F, analytic on the closed bidisk,
+    takes its sup.  Raises ValueError as :func:`extension_bound` does."""
+    cp = _circle_pass(op, max(grid_n, 128))
+    bound = _bound(op, cp)
+    g = op.rows(cp.circle, cp.qmats)
     sup_f = bound.sup_f_on_variety
+    on_var = _max_abs(horner(g[cp.k].T, cp.w) - cp.fv) / (1.0 + sup_f)
+    sup_F = _max_abs(g @ _powers(cp.circle, op.rep.m))
     ratio = sup_F / sup_f if sup_f > 0 else 0.0
     passed = on_var <= 1e-7 and sup_F <= bound.C * sup_f + tol * max(1.0, op.f.scale)
     return ExtensionReport(on_var, sup_F, sup_f, bound.C, ratio, passed)

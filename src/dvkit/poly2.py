@@ -13,6 +13,7 @@ All values are immutable; every operation returns a fresh polynomial.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -501,6 +502,7 @@ class MatrixPolynomial:
     """Matrix of one-variable polynomials; ``coeffs[r, c, k]`` multiplies t^k."""
 
     coeffs: np.ndarray
+    _min_sv: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=np.complex128)
@@ -534,49 +536,51 @@ class MatrixPolynomial:
     def min_singular_value_on_disk(self, grid_n: int = 24) -> float:
         """Least singular value of the square matrix polynomial Q over z = 0,
         the grid_n circle points exp(2 pi i k / grid_n) and every zero of
-        det Q in the closed disk.
+        det Q in the closed disk (:attr:`det_zeros_in_disk`).
 
-        The zeros come from one eigenvalue solve: the block companion of the
+        Q at such a zero is singular, so its singular value, about 0, enters
+        the minimum.  With no zero of det Q in the closed disk, Q^{-1} is
+        analytic there and ||Q^{-1}|| is subharmonic, so the least singular
+        value 1 / ||Q^{-1}|| over the disk is attained on the circle, which
+        the samples stand for.  The value is kept per grid_n: the
+        coefficients are immutable, so a gate and a report that ask for the
+        same grid share one computation.
+        """
+        if grid_n not in self._min_sv:
+            circle = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
+            pts = np.concatenate([[0.0 + 0.0j], circle, self.det_zeros_in_disk])
+            self._min_sv[grid_n] = float(np.min(np.linalg.svd(self.evaluate(pts), compute_uv=False)))
+        return self._min_sv[grid_n]
+
+    @functools.cached_property
+    def det_zeros_in_disk(self) -> np.ndarray:
+        """Zeros of det Q with |z| <= 1 + O(1e-12), read-only, computed once.
+
+        They come from one eigenvalue solve: the block companion of the
         reversed polynomial z^d Q(1/z), made monic by Q(0)^{-1}, has the
         eigenvalues mu = 1/z of the zeros z of det Q, and mu = 0 for each
         zero at infinity (a singular top coefficient).  A zero counts as in
-        the closed disk when |mu| >= 1 - 1e-12; Q at it is singular, so its
-        singular value, about 0, enters the minimum.  With no zero of det Q
-        in the closed disk, Q^{-1} is analytic there and ||Q^{-1}|| is
-        subharmonic, so the least singular value 1 / ||Q^{-1}|| over the
-        disk is attained on the circle, which the samples stand for.  A
-        singular Q(0) already puts about 0 in the minimum at z = 0 and
-        admits no companion.
+        the closed disk when |mu| >= 1 - 1e-12.  An exactly singular Q(0)
+        admits no companion and gives the one zero z = 0.  A constant Q
+        gives none.
         """
-        circle = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
-        pts = np.concatenate([[0.0 + 0.0j], circle, self._det_zeros_in_disk()])
-        return float(np.min(np.linalg.svd(self.evaluate(pts), compute_uv=False)))
-
-    def _det_zeros_in_disk(self) -> np.ndarray:
-        """Zeros of det Q with |z| <= 1 + O(1e-12), from the block companion
-        of the reversed polynomial; empty when Q(0) is singular."""
         size, d = self.shape[0], self.var_degree
-        empty = np.zeros(0, dtype=np.complex128)
-        if d == 0:
-            return empty
-        c = np.moveaxis(self.coeffs, 2, 0)  # c[k] multiplies t^k
-        try:
-            # [C_0^{-1} C_1, ..., C_0^{-1} C_d] side by side
-            lead = np.linalg.solve(c[0], np.concatenate(list(c[1:]), axis=1))
-        except np.linalg.LinAlgError:
-            return empty
-        comp = np.zeros((d * size, d * size), dtype=np.complex128)
-        comp[:size] = -lead
-        comp[size:, :-size] = np.eye((d - 1) * size)
-        mu = np.linalg.eigvals(comp)
-        return 1.0 / mu[np.abs(mu) >= 1.0 - 1e-12]
+        zeros = np.zeros(0, dtype=np.complex128)
+        if d > 0:
+            c = np.moveaxis(self.coeffs, 2, 0)  # c[k] multiplies t^k
+            try:
+                # [C_0^{-1} C_1, ..., C_0^{-1} C_d] side by side
+                lead = np.linalg.solve(c[0], np.concatenate(list(c[1:]), axis=1))
+            except np.linalg.LinAlgError:
+                zeros = np.zeros(1, dtype=np.complex128)
+            else:
+                comp = np.zeros((d * size, d * size), dtype=np.complex128)
+                comp[:size] = -lead
+                comp[size:, :-size] = np.eye((d - 1) * size)
+                mu = np.linalg.eigvals(comp)
+                zeros = 1.0 / mu[np.abs(mu) >= 1.0 - 1e-12]
+        zeros.setflags(write=False)
+        return zeros
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-
-def disk_spiral(count: int, radius: float = 1.0) -> np.ndarray:
-    """count points on a golden-angle spiral filling the disk of given radius."""
-    k = np.arange(count)
-    golden = (1 + 5**0.5) / 2
-    return radius * np.sqrt((k + 0.5) / count) * np.exp(2j * np.pi * golden * k)

@@ -4,6 +4,11 @@ Complex numbers are [re, im] pairs of IEEE doubles throughout.  Polynomials
 are {"degree": [n, m], "coeffs": row-major grid}; matrix polynomials are
 rows x cols arrays of one-variable coefficient lists.  Dumps are sorted and
 compact so identical inputs produce byte-identical reports.
+
+A complex grid is written by one conversion of the array to nested lists,
+and read by one conversion of the nested lists to a float array; a grid that
+does not convert to finite numbers of the expected shape is read again
+entry by entry, so that the error names the first bad field.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ import json
 import numpy as np
 
 from .dvrep import DvCertificate, UnitaryRealization
-from .poly2 import BivariatePolynomial, MatrixPolynomial, VectorPolynomial
-from .soscert import CertKind, SosCertificate
+from .poly2 import BivariatePolynomial, DegreeMismatchError, MatrixPolynomial, VectorPolynomial
+from .soscert import CertKind, SosCertificate, _matrix_form_in_z
 
 SCHEMA = "dvkit/1"
 
@@ -41,6 +46,40 @@ def _pair2c(pair, where: str) -> complex:
     return c
 
 
+def _grid_to_obj(arr) -> list:
+    """Nested [re, im] pairs of a complex array, in one conversion."""
+    arr = np.ascontiguousarray(arr, dtype=np.complex128)
+    return arr.view(np.float64).reshape(arr.shape + (2,)).tolist()
+
+
+def _entries(rows, depth: int, where: str, named: int):
+    """Nested lists of complex numbers from [re, im] pairs nested ``depth``
+    lists deep, one pair at a time; the outer ``named`` levels are indexed
+    in the field an error names."""
+    if depth == 0:
+        return _pair2c(rows, where)
+    return [
+        _entries(r, depth - 1, f"{where}[{i}]" if named else where, max(named - 1, 0))
+        for i, r in enumerate(rows)
+    ]
+
+
+def _grid_from_obj(rows, shape: tuple, where: str, named: int = 2) -> np.ndarray:
+    """Complex array of the given shape from nested [re, im] pairs whose
+    outer structure the caller has checked.
+
+    A grid of finite numbers converts in one step; anything else goes
+    through :func:`_entries`, which raises SchemaError naming the first bad
+    pair as ``where[i][j]``."""
+    try:
+        arr = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is not None and arr.shape == shape + (2,) and np.isfinite(arr).all():
+        return arr.view(np.complex128)[..., 0]
+    return np.array(_entries(rows, len(shape), where, named), dtype=np.complex128)
+
+
 def _required(obj: dict, key: str, where: str):
     if key not in obj:
         raise SchemaError(f"{where}.{key}: missing")
@@ -59,7 +98,7 @@ def poly_to_obj(p: BivariatePolynomial) -> dict:
         "schema": SCHEMA,
         "kind": "polynomial",
         "degree": list(p.degree),
-        "coeffs": [[_c2pair(c) for c in row] for row in p.coeffs],
+        "coeffs": _grid_to_obj(p.coeffs),
     }
 
 
@@ -83,11 +122,7 @@ def poly_from_obj(obj: dict, where: str = "polynomial") -> BivariatePolynomial:
         raise SchemaError(
             f"{where}.coeffs: grid must be {n + 1} x {m + 1} for degree [{n}, {m}]"
         )
-    grid = [
-        [_pair2c(c, f"{where}.coeffs[{i}][{j}]") for j, c in enumerate(row)]
-        for i, row in enumerate(rows)
-    ]
-    return BivariatePolynomial(np.array(grid, dtype=np.complex128))
+    return BivariatePolynomial(_grid_from_obj(rows, (n + 1, m + 1), f"{where}.coeffs"))
 
 
 def _vec_to_obj(vec: VectorPolynomial) -> list:
@@ -105,11 +140,7 @@ def _vec_from_obj(items, where: str) -> VectorPolynomial:
 def _matrix_to_obj(mat: MatrixPolynomial | None):
     if mat is None:
         return None
-    rows, cols, _ = mat.coeffs.shape
-    return [
-        [[_c2pair(c) for c in mat.coeffs[r, s]] for s in range(cols)]
-        for r in range(rows)
-    ]
+    return _grid_to_obj(mat.coeffs)
 
 
 def _matrix_from_obj(obj, where: str) -> MatrixPolynomial | None:
@@ -126,14 +157,8 @@ def _matrix_from_obj(obj, where: str) -> MatrixPolynomial | None:
         raise SchemaError(
             f"{where}: expected rows x cols of equal-length coefficient lists"
         )
-    arr = np.array(
-        [
-            [[_pair2c(c, f"{where}[{r}][{s}]") for c in entry] for s, entry in enumerate(row)]
-            for r, row in enumerate(obj)
-        ],
-        dtype=np.complex128,
-    )
-    return MatrixPolynomial(arr)
+    shape = (len(obj), len(obj[0]), len(obj[0][0]))
+    return MatrixPolynomial(_grid_from_obj(obj, shape, where))
 
 
 def cert_to_obj(cert: SosCertificate, poly: BivariatePolynomial | None = None) -> dict:
@@ -192,13 +217,22 @@ def dv_cert_from_obj(obj: dict, where: str = "certificate") -> DvCertificate:
     if "poly" not in obj:
         raise SchemaError(f"{where}.poly: missing defining polynomial")
     sos = cert_from_obj(obj, where)
-    qmat = sos.matrix_second
-    if qmat is None:
+    if sos.matrix_second is None:
         raise SchemaError(f"{where}.matrix_second: DV certificate needs Qmatrix")
     if sos.weights is None:
         raise SchemaError(f"{where}.weights: DV certificate needs [a, b]")
+    p = poly_from_obj(obj["poly"], f"{where}.poly")
+    # Q = Qmatrix(z) (1, w, ..., w^{m-1})^t: the document's matrix must be
+    # the one the vectors give, since the checks read Q from either.
+    n, m = p.degree
+    try:
+        qmat = _matrix_form_in_z(sos.vec_second, m, n)
+    except DegreeMismatchError as exc:
+        raise SchemaError(f"{where}.vec_second: degree exceeds {(n, max(m - 1, 0))} ({exc})") from exc
+    if not np.array_equal(qmat.coeffs, sos.matrix_second.coeffs):
+        raise SchemaError(f"{where}.matrix_second: does not match the matrix form of vec_second")
     return DvCertificate(
-        poly_from_obj(obj["poly"], f"{where}.poly"),
+        p,
         tuple(sos.weights),
         sos.vec_first,
         sos.vec_second,
@@ -215,7 +249,7 @@ def realization_to_obj(
         "kind": "realization",
         "m": rep.m,
         "n": rep.n,
-        "U": [[_c2pair(c) for c in row] for row in rep.U],
+        "U": _grid_to_obj(rep.U),
         "cert": dv_cert_to_obj(cert),
         "report": report_obj,
     }
@@ -235,14 +269,7 @@ def realization_from_obj(obj: dict, where: str = "realization"):
         and all(isinstance(row, list) and len(row) == m + n for row in rows)
     ):
         raise SchemaError(f"{where}.U: expected a {m + n} x {m + n} matrix")
-    u = np.array(
-        [
-            [_pair2c(c, f"{where}.U[{r}][{s}]") for s, c in enumerate(row)]
-            for r, row in enumerate(rows)
-        ],
-        dtype=np.complex128,
-    )
-    rep = UnitaryRealization(m, n, u)
+    rep = UnitaryRealization(m, n, _grid_from_obj(rows, (m + n, m + n), f"{where}.U"))
     cert = dv_cert_from_obj(_required(obj, "cert", where), f"{where}.cert")
     return rep, cert
 

@@ -322,8 +322,10 @@ def _matrix_form_in_w(vec: VectorPolynomial, n: int, m: int) -> MatrixPolynomial
 def _matrix_form_in_z(vec: VectorPolynomial, m: int, n: int) -> MatrixPolynomial:
     arr = np.zeros((len(vec), m, n + 1), dtype=np.complex128)
     for k, comp in enumerate(vec):
-        g = comp.with_degree((n, m - 1)).coeffs
-        arr[k, :, :] = g.T
+        g = comp.coeffs
+        if g.shape[0] > n + 1 or g.shape[1] > m:
+            g = comp.with_degree((n, m - 1)).coeffs  # refuses a higher degree
+        arr[k, : g.shape[1], : g.shape[0]] = g.T
     return MatrixPolynomial(arr)
 
 
@@ -478,7 +480,9 @@ class GwReport:
     over the circle samples, z = 0 and every zero of the determinant in the
     closed disk, found by a block companion.  A zero anywhere in the closed
     disk, also one on the circle between samples, gives a minimum of about 0;
-    without one, the maximum principle puts the minimum on the circle."""
+    without one, the maximum principle puts the minimum on the circle.  Each
+    minimum passes above ``threshold`` times its matrix's largest
+    coefficient, so the verdict is the same for every multiple c q."""
 
     min_sv_first: float
     min_sv_second: float
@@ -490,9 +494,11 @@ def gw_invertibility(cert: SosCertificate, grid_n: int = 32, threshold: float = 
     if cert.matrix_first is None or cert.matrix_second is None:
         raise ValueError("certificate carries no matrix forms")
     n = cert.matrix_second.var_degree
-    sv_a = cert.matrix_first.min_singular_value_on_disk(grid_n)
-    sv_b = cert.matrix_second.reflected(n).min_singular_value_on_disk(grid_n)
-    return GwReport(sv_a, sv_b, threshold, sv_a > threshold and sv_b > threshold)
+    mat_a, mat_b = cert.matrix_first, cert.matrix_second.reflected(n)
+    sv_a = mat_a.min_singular_value_on_disk(grid_n)
+    sv_b = mat_b.min_singular_value_on_disk(grid_n)
+    passed = sv_a > threshold * mat_a.sup_norm() and sv_b > threshold * mat_b.sup_norm()
+    return GwReport(sv_a, sv_b, threshold, passed)
 
 
 def sym_sos_certificate(

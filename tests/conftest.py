@@ -28,6 +28,13 @@ def four_minus_z_minus_w():
     return poly({(0, 0): 4, (1, 0): -1, (0, 1): -1})
 
 
+def disk_spiral(count, radius=1.0):
+    """count points on a golden-angle spiral filling the disk of given radius."""
+    k = np.arange(count)
+    golden = (1 + 5**0.5) / 2
+    return radius * np.sqrt((k + 0.5) / count) * np.exp(2j * np.pi * golden * k)
+
+
 def haar_unitary(rng, size):
     """Haar-distributed unitary: QR of a complex Gaussian, phases fixed."""
     g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    disk_spiral,
     four_minus_z_minus_w,
     one_minus_z3w2,
     poly,
@@ -24,7 +25,6 @@ from dvkit.extend import ExtensionOperator, extension_bound, verify_extension
 from dvkit.poly2 import (
     BivariatePolynomial,
     derived_dv_poly,
-    disk_spiral,
     reflect,
     reflected_derivatives,
     symmetrize,
@@ -232,7 +232,7 @@ def test_criterion_8_extension():
     cs = []
     for f in (W, Z * W, W * W, Z + W):
         op = ExtensionOperator(rep, cert, f)
-        er = verify_extension(op, sample, grid_n=64)
+        er = verify_extension(op, grid_n=64)
         assert er.on_variety_residual <= 1e-7
         assert er.sup_F_on_bidisk <= math.sqrt(2) * er.sup_f_on_variety + 1e-6
         assert abs(er.bound_C - math.sqrt(2)) <= 1e-6

@@ -191,6 +191,37 @@ class TestCliCommands:
         assert captured.out == ""
         assert f"{bad}{field}:" in captured.err
 
+    @pytest.mark.parametrize("command", ["verify", "extend"])
+    def test_qmatrix_must_match_vectors_exit_1(self, realization_doc, tmp_path, capsys, command):
+        # one coefficient of the Qmatrix moved off the matrix form of vec_second
+        poly_path, doc = realization_doc
+        doc = json.loads(json.dumps(doc))
+        doc["cert"]["matrix_second"][0][1][2][0] += 1e-9
+        bad = tmp_path / "bad_rep.json"
+        bad.write_text(json.dumps(doc))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        argv = ["verify", str(bad), poly_path] if command == "verify" else ["extend", str(bad), f_path]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{bad}.cert.matrix_second:" in captured.err
+
+    def test_extend_refuses_det_q_zero_exit_2(self, realization_doc, tmp_path, capsys):
+        # the first row of Q(z) loses its constant term, in the vector and the
+        # matrix form alike: Q(0) is singular, so det Q vanishes at z = 0
+        poly_path, doc = realization_doc
+        doc = json.loads(json.dumps(doc))
+        for j, pair in enumerate(doc["cert"]["vec_second"][0]["coeffs"][0]):
+            pair[:] = [0.0, 0.0]
+            doc["cert"]["matrix_second"][0][j][0] = [0.0, 0.0]
+        bad = tmp_path / "bad_rep.json"
+        bad.write_text(json.dumps(doc))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        assert main(["extend", str(bad), f_path, "--no-swap"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False
+        assert out["error"].startswith("Qmatrix: det Q has a zero at z = 0")
+
     @pytest.mark.parametrize(
         "key, value",
         [("vec_first", None), ("vec_second", 5), ("weights", 5), ("matrix_first", 5)],
@@ -369,6 +400,22 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["d_spectral_radius"] >= 1.0 - 1e-8
         assert out["passed"] is False
+
+    def test_extend_refuses_unimodular_d_eigenvalue_exit_2(self, realization_doc, tmp_path, capsys):
+        # rho(D) = 1: Phi may have a pole on the closed disk, so the torus no
+        # longer bounds F and extend refuses before any check
+        poly_path, doc = realization_doc
+        m, n = doc["m"], doc["n"]
+        u = np.zeros((m + n, m + n), dtype=np.complex128)
+        u[:m, :m] = np.eye(m)[::-1]
+        u[m:, m:] = np.diag(np.exp(1j * np.linspace(0.3, 2.0, n)))
+        bad_path = tmp_path / "rep.json"
+        bad_path.write_text(dumps(dict(doc, U=[[[c.real, c.imag] for c in row] for row in u])))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        assert main(["extend", str(bad_path), f_path, "--no-swap"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False
+        assert out["error"].startswith("realization: D has spectral radius 1")
 
     def test_represent_rejects_non_dv_exit_2(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", four_minus_z_minus_w())

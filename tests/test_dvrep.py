@@ -50,7 +50,7 @@ class TestDvCertificate:
 
     def test_kernel_identity_on_variety_pairs(self, pipeline_z3w2):
         cert, sample, _, _ = pipeline_z3w2
-        z, w = sample.arrays()
+        z, w = sample.z, sample.w
         kp = cert.vec_p.kernel(z[:, None], w[:, None], z[None, :], w[None, :])
         kq = cert.vec_q.kernel(z[:, None], w[:, None], z[None, :], w[None, :])
         za = 1 - z[:, None] * np.conj(z[None, :])
@@ -87,7 +87,7 @@ class TestDvCertificate:
 class TestSampleVariety:
     def test_points_on_variety(self, pipeline_z3w2):
         cert, sample, _, _ = pipeline_z3w2
-        z, w = sample.arrays()
+        z, w = sample.z, sample.w
         assert np.max(np.abs(cert.p.evaluate(z, w))) <= 1e-10 * cert.p.scale
         assert np.all(np.abs(z) < 1) and np.all(np.abs(w) < 1)
 
@@ -195,7 +195,7 @@ class TestPhi:
 
     def test_eigen_relation_at_samples(self, pipeline_z3w2):
         cert, sample, rep, _ = pipeline_z3w2
-        z, w = sample.arrays()
+        z, w = sample.z, sample.w
         qv = cert.vec_q.evaluate(z, w)
         for k in range(len(z)):
             phi = phi_evaluate(rep, z[k])

@@ -1,9 +1,11 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import dv_corpus, poly, random_poly, z3_minus_w2
+from conftest import disk_spiral, dv_corpus, poly, random_poly, z3_minus_w2
 from dvkit.classify import fiber_root_pairs
 from dvkit.dvrep import phi_evaluate, represent, shift_realization
 from dvkit.extend import (
@@ -13,7 +15,7 @@ from dvkit.extend import (
     sup_norm_on_variety,
     verify_extension,
 )
-from dvkit.poly2 import transpose_vars
+from dvkit.poly2 import MatrixPolynomial, transpose_vars
 
 F_W = poly({(0, 1): 1})
 F_Z = poly({(1, 0): 1})
@@ -87,7 +89,7 @@ class TestExtensionValues:
     def test_pointwise_arrays_match_scalar_calls(self, pipeline_z3w2):
         cert, sample, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, F_ZW + F_W2)
-        z, w = sample.arrays()
+        z, w = sample.z, sample.w
         got = op.evaluate(z, w)
         assert got.shape == z.shape
         want = np.array([op(complex(a), complex(b)) for a, b in sample.points])
@@ -104,9 +106,9 @@ class TestExtensionValues:
         assert abs(op_sum(z, w) - op_a(z, w) - op_b(z, w)) < 1e-10
 
     def test_zero_function(self, pipeline_z3w2):
-        cert, sample, rep, _ = pipeline_z3w2
+        cert, _, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, poly({(0, 0): 0}))
-        report = verify_extension(op, sample, grid_n=32)
+        report = verify_extension(op, grid_n=32)
         assert report.sup_F_on_bidisk == 0 and report.on_variety_residual == 0
 
 
@@ -202,9 +204,9 @@ class TestBounds:
         assert bound.per_point_bound <= bound.C + 1e-9
 
     def test_ratio_bounded(self, pipeline_z3w2):
-        cert, sample, rep, _ = pipeline_z3w2
+        cert, _, rep, _ = pipeline_z3w2
         for f in (F_W, F_ZW, F_W2, F_Z_PLUS_W):
-            report = verify_extension(ExtensionOperator(rep, cert, f), sample)
+            report = verify_extension(ExtensionOperator(rep, cert, f))
             assert report.passed
             assert report.ratio <= report.bound_C + 1e-6
             assert (
@@ -215,7 +217,7 @@ class TestBounds:
     def test_on_variety_agreement_corpus(self, pipeline_z3w2):
         # monomials up to degree (3, 3) plus random polynomials
         cert, sample, rep, _ = pipeline_z3w2
-        z, w = sample.arrays()
+        z, w = sample.z, sample.w
         rng = np.random.default_rng(9)
         fs = [poly({(i, j): 1}) for i in range(4) for j in range(4)]
         fs += [
@@ -258,3 +260,83 @@ class TestBounds:
         bound_t = extension_bound(ExtensionOperator(rep_t, cert_t, transpose_vars(F_W)))
         best = min(math.sqrt(2), bound_t.C)
         assert best <= math.sqrt(3) + 1e-6
+
+
+@functools.cache
+def corpus_pipeline(name):
+    return represent(DV_CORPUS[name], seed=7)
+
+
+CHECK_FS = {
+    "w": F_W,
+    "z_plus_w": F_Z_PLUS_W,
+    "z_w2": poly({(1, 2): 1}),
+    "random_2x2": random_poly(np.random.default_rng(31), 2, 2),
+}
+
+
+def old_extension_formula(op, z, w):
+    """e1^T Q(z)^{-1} f(zI, Phi(z)) Qvec(z, w) pointwise, Qvec from the
+    certificate's vector polynomial."""
+    rows = np.array([np.linalg.solve(op.cert.qmatrix.evaluate(a).T, np.eye(op.rep.m)[0]) for a in z])
+    fmats = eval_f_of_pair(op.f, z, phi_evaluate(op.rep, z))
+    return np.einsum("km,kmj,jk->k", rows, fmats, op.cert.vec_q.evaluate(z, w))
+
+
+class TestChecksReadOnTorus:
+    """verify_extension reads every check on the torus.  The interior checks
+    it used to make, |F| on a disk_spiral(64)^2 grid and F = f at
+    sample_variety points, stay within what the torus checks report, as the
+    maximum principle says."""
+
+    @pytest.mark.parametrize("name", sorted(DV_CORPUS))
+    def test_interior_checks_within_torus_values(self, name):
+        cert, sample, rep, _ = corpus_pipeline(name)
+        pts = disk_spiral(64)
+        for f in CHECK_FS.values():
+            op = ExtensionOperator(rep, cert, f)
+            report = verify_extension(op)
+            assert report.passed
+            assert np.max(np.abs(op.evaluate_grid(pts, pts))) <= report.sup_F_on_bidisk + 1e-12
+            scale = 1.0 + report.sup_f_on_variety
+            residual = np.max(np.abs(op.evaluate(sample.z, sample.w) - f.evaluate(sample.z, sample.w)))
+            assert residual <= report.on_variety_residual * scale + 1e-14
+
+    @pytest.mark.parametrize("name", sorted(DV_CORPUS))
+    def test_row_form_matches_vector_form(self, name):
+        cert, _, rep, _ = corpus_pipeline(name)
+        rng = np.random.default_rng(37)
+        z = np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
+        w = np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
+        for f in CHECK_FS.values():
+            op = ExtensionOperator(rep, cert, f)
+            want = old_extension_formula(op, z, w)
+            assert np.max(np.abs(op.evaluate(z, w) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestAnalyticityGate:
+    def test_det_zero_inside_disk_raises(self, pipeline_z3w2):
+        # Q(z) diag(z - 1/2, 1): det Q vanishes at z = 1/2
+        cert, _, rep, _ = pipeline_z3w2
+        factor = np.zeros((2, 2, 2), dtype=complex)
+        factor[0, 0] = [-0.5, 1.0]
+        factor[1, 1, 0] = 1.0
+        q = cert.qmatrix.coeffs
+        prod = np.zeros((2, 2, q.shape[2] + 1), dtype=complex)
+        for i in range(q.shape[2]):
+            for j in range(2):
+                prod[:, :, i + j] += q[:, :, i] @ factor[:, :, j]
+        bad = dataclasses.replace(cert, qmatrix=MatrixPolynomial(prod))
+        zeros = bad.qmatrix.det_zeros_in_disk
+        assert np.min(np.abs(zeros - 0.5)) < 1e-12
+        for check in (verify_extension, extension_bound):
+            with pytest.raises(ValueError, match="Qmatrix: det Q has a zero"):
+                check(ExtensionOperator(rep, bad, F_W))
+
+    def test_torus_singular_variety_refused(self):
+        # (w - z)(w - z^2): the branches cross at (1, 1), where det Q vanishes
+        p = poly({(0, 2): 1, (1, 1): -1, (2, 1): -1, (3, 0): 1})
+        cert, _, rep, report = represent(p, seed=7)
+        assert report.passed and not cert.smooth_on_torus
+        with pytest.raises(ValueError, match="Qmatrix: det Q has a zero"):
+            verify_extension(ExtensionOperator(rep, cert, F_W))

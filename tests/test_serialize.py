@@ -1,0 +1,190 @@
+"""The complex-grid codec: one array conversion each way, and a per-entry
+path for grids that do not convert, which names the first bad field."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import z3_minus_w2
+from dvkit import serialize as ser
+from dvkit.cli import main
+
+GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+
+
+def load_gen():
+    """perfbench/gen.py, the benchmark's input generator, by path; it
+    builds its inputs with numpy only."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def poly_grids(doc, where):
+    yield doc["coeffs"], tuple(d + 1 for d in doc["degree"]), f"{where}.coeffs", 2
+
+
+def document_grids(doc, where):
+    """(rows, shape, field, named levels) of every complex grid in a
+    polynomial, certificate or realization document."""
+    if doc["kind"] == "polynomial":
+        yield from poly_grids(doc, where)
+        return
+    if doc["kind"] == "realization":
+        size = doc["m"] + doc["n"]
+        yield doc["U"], (size, size), f"{where}.U", 2
+        yield from document_grids(doc["cert"], f"{where}.cert")
+        return
+    for key in ("vec_first", "vec_second"):
+        for k, comp in enumerate(doc[key]):
+            yield from poly_grids(comp, f"{where}.{key}[{k}]")
+    for key in ("matrix_first", "matrix_second"):
+        mat = doc[key]
+        if mat is not None:
+            yield mat, (len(mat), len(mat[0]), len(mat[0][0])), f"{where}.{key}", 2
+    if "poly" in doc:
+        yield from poly_grids(doc["poly"], f"{where}.poly")
+
+
+@pytest.fixture(scope="module")
+def seed_301_documents(tmp_path_factory):
+    """The r0 and r1 polynomial documents of every benchmark workload at
+    seed 301, and the realization documents of the dv_pipeline r0 inputs."""
+    gen = load_gen()
+    d = tmp_path_factory.mktemp("seed301")
+    docs = {}
+    for workload in sorted(gen.WORKLOADS):
+        for rotation in gen.generate(workload, 301)[:2]:
+            for x in rotation:
+                docs[f"{workload}/{x.name}"] = gen.poly_obj(x.coeffs)
+    for x in gen.generate("dv_pipeline", 301)[0]:
+        poly_path, rep_path = d / f"{x.name}.json", d / f"rep_{x.name}.json"
+        poly_path.write_text(json.dumps(gen.poly_obj(x.coeffs)))
+        assert main(["represent", str(poly_path), "-o", str(rep_path)]) == 0
+        docs[f"rep_{x.name}"] = json.loads(rep_path.read_text())
+    return docs
+
+
+def per_pair(a):
+    return [per_pair(x) for x in a] if np.ndim(a) else ser._c2pair(a)
+
+
+def test_fast_and_per_entry_decodes_agree(seed_301_documents):
+    count = 0
+    for name, doc in seed_301_documents.items():
+        for rows, shape, where, named in document_grids(doc, name):
+            fast = ser._grid_from_obj(rows, shape, where, named)
+            slow = np.array(ser._entries(rows, len(shape), where, named), dtype=np.complex128)
+            assert fast.shape == slow.shape == shape
+            assert fast.tobytes() == slow.tobytes(), where
+            count += 1
+    assert count > len(seed_301_documents)
+
+
+def test_writer_matches_per_pair_encoding(seed_301_documents):
+    signed = np.array([[-0.0 + 0.0j, complex(5e-324, -0.0)], [np.pi, -1.5e300j]])
+    assert ser.dumps(ser._grid_to_obj(signed)) == ser.dumps(per_pair(signed))
+    for name, doc in seed_301_documents.items():
+        if doc["kind"] != "realization":
+            continue
+        rep, cert = ser.realization_from_obj(doc, name)
+        for arr in [rep.U, cert.p.coeffs, cert.qmatrix.coeffs] + [c.coeffs for c in cert.vec_p]:
+            assert ser.dumps(ser._grid_to_obj(arr)) == ser.dumps(per_pair(arr))
+        # re-encoding a loaded document gives back its bytes
+        again = ser.realization_to_obj(rep, cert, doc["report"])
+        assert ser.dumps(again) == ser.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def realization_doc(tmp_path_factory):
+    d = tmp_path_factory.mktemp("codec")
+    poly_path = d / "p.json"
+    poly_path.write_text(ser.dumps(ser.poly_to_obj(z3_minus_w2())))
+    rep_path = d / "rep.json"
+    assert main(["represent", str(poly_path), "-o", str(rep_path)]) == 0
+    f_path = d / "f.json"
+    f_path.write_text(ser.dumps(ser.poly_to_obj(z3_minus_w2())))
+    return str(poly_path), str(f_path), json.loads(rep_path.read_text())
+
+
+BAD_ENTRIES = {
+    "string": "abc",
+    "null": None,
+    "three_numbers": [1.0, 0.0, 0.0],
+    "nested_number": [0.5, [0.0, 0.0]],
+    "nan": [float("nan"), 0.0],
+    "inf": [0.0, float("-inf")],
+}
+GRID_FIELDS = {
+    # (path to the pair, the field the error names)
+    "U": (("U", 1, 2), ".U[1][2]"),
+    "matrix_form": (("cert", "matrix_second", 1, 0, 2), ".cert.matrix_second[1][0]"),
+}
+
+
+def run_on_edited(doc_paths, tmp_path, capsys, command, edit):
+    poly_path, f_path, doc = doc_paths
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    bad = tmp_path / "bad_rep.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["verify", str(bad), poly_path] if command == "verify" else ["extend", str(bad), f_path]
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured, str(bad)
+
+
+@pytest.mark.parametrize("command", ["verify", "extend"])
+@pytest.mark.parametrize("grid", sorted(GRID_FIELDS))
+@pytest.mark.parametrize("entry", sorted(BAD_ENTRIES))
+def test_bad_entry_named_exit_1(realization_doc, tmp_path, capsys, command, grid, entry):
+    path, field = GRID_FIELDS[grid]
+
+    def edit(doc):
+        target = doc
+        for part in path[:-1]:
+            target = target[part]
+        target[path[-1]] = BAD_ENTRIES[entry]
+
+    code, captured, bad = run_on_edited(realization_doc, tmp_path, capsys, command, edit)
+    assert code == 1
+    assert captured.out == ""
+    assert f"{bad}{field}:" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "extend"])
+@pytest.mark.parametrize(
+    "path, field",
+    [(("U", 1), ".U: expected a 5 x 5 matrix"), (("cert", "matrix_second", 1, 0), ".cert.matrix_second: expected")],
+    ids=["U", "matrix_form"],
+)
+def test_ragged_row_named_exit_1(realization_doc, tmp_path, capsys, command, path, field):
+    def edit(doc):
+        target = doc
+        for part in path:
+            target = target[part]
+        target.pop()
+
+    code, captured, bad = run_on_edited(realization_doc, tmp_path, capsys, command, edit)
+    assert code == 1
+    assert captured.out == ""
+    assert f"{bad}{field}" in captured.err
+
+
+def test_vec_second_above_its_degree_exit_1(realization_doc, tmp_path, capsys):
+    # a nonzero z-power beyond the variety's degree n has no place in the
+    # Qmatrix, which the load rebuilds from vec_second
+    def edit(doc):
+        comp = doc["cert"]["vec_second"][0]
+        comp["degree"][0] += 1
+        comp["coeffs"].append([[1.0, 0.0]] * len(comp["coeffs"][0]))
+
+    code, captured, bad = run_on_edited(realization_doc, tmp_path, capsys, "extend", edit)
+    assert code == 1
+    assert f"{bad}.cert.vec_second: degree exceeds" in captured.err

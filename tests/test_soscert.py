@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    disk_spiral,
     four_minus_z_minus_w,
     haar_unitary,
     kummert,
@@ -26,7 +27,6 @@ from dvkit.poly2 import (
     BivariatePolynomial,
     VectorPolynomial,
     blaschke_dv,
-    disk_spiral,
     reflect,
     reflected_derivatives,
     swap_transform,
@@ -469,6 +469,14 @@ class TestGwInvertibility:
         gw = gw_invertibility(cert_four)
         assert gw.min_sv_first > 1e-6 and gw.min_sv_second > 1e-6
         assert gw.passed
+
+    @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-7, 1e-300, 1e300])
+    def test_verdict_is_scale_free(self, cert_four, c):
+        # each least singular value is compared with its matrix's scale
+        gw = gw_invertibility(sos_certificate(BivariatePolynomial(c * four_minus_z_minus_w().coeffs)))
+        assert gw.passed
+        unit = gw_invertibility(cert_four)
+        assert abs(gw.min_sv_first / c - unit.min_sv_first) <= 1e-9 * unit.min_sv_first
 
     def test_corrupted_certificate_fails(self, cert_four):
         broken_mat = np.array(cert_four.matrix_first.coeffs)
