@@ -40,6 +40,8 @@ from .poly2 import (
 from .soscert import CertKind, sos_certificate, sym_sos_certificate, gw_invertibility, verify_certificate
 
 PASS_THRESHOLD = 1e-7
+# lurking_isometry takes a full SVD of a samples x samples matrix
+SAMPLES_MAX = 1024
 
 
 @dataclass
@@ -57,8 +59,10 @@ class RunConfig:
     expand: bool = False
 
     def validate(self):
-        if self.grid_n < 16:
-            raise ValueError("grid_n must be at least 16")
+        if not (16 <= self.grid_n <= classify_mod.CIRCLE_SAMPLES_MAX):
+            raise ValueError(f"--grid must lie in [16, {classify_mod.CIRCLE_SAMPLES_MAX}]")
+        if self.samples is not None and self.samples > SAMPLES_MAX:
+            raise ValueError(f"--samples must be at most {SAMPLES_MAX}")
         if not (0.0 < self.tol <= 1e-2):
             raise ValueError("tol must lie in (0, 1e-2]")
         if self.weights is not None:
@@ -110,6 +114,15 @@ def _cmd_classify(config: RunConfig) -> int:
 
 def _cmd_reflect(config: RunConfig) -> int:
     p = _load_poly(config.inputs[0])
+    if config.at_degree is not None:
+        degree = p.true_degree()
+        if any(d < t for d, t in zip(config.at_degree, degree)):
+            print(
+                f"dvkit: error: --at {' '.join(map(str, config.at_degree))} lies below "
+                f"the degree {degree} of {config.inputs[0]}",
+                file=sys.stderr,
+            )
+            return 1
     _emit(config, ser.poly_to_obj(reflect(p, config.at_degree)))
     return 0
 
@@ -127,7 +140,7 @@ def _cmd_sos(config: RunConfig) -> int:
     obj = ser.cert_to_obj(cert, poly=target if config.weights is not None else None)
     obj["residual"] = _finite_or_none(report.residual)
     obj["verification"] = {"residual": obj["residual"], "passed": report.passed}
-    if cert.matrix_first is not None and cert.matrix_second is not None:
+    if len(cert.vec_first) and len(cert.vec_second):
         gw = gw_invertibility(cert)
         obj["gw_invertibility"] = {
             "min_sv_first": gw.min_sv_first,

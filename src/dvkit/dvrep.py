@@ -68,15 +68,15 @@ class DvCertificate:
     qmatrix: MatrixPolynomial
     smooth_on_torus: bool
 
+    @property
+    def gram_tolerance(self) -> float:
+        """Gate on the sampled Gram defect X*X = Y*Y.  The certificate of a
+        variety singular on the torus passes through the dilation limit and
+        carries its extrapolation error, so its gate is 1e-6, not 1e-8."""
+        return 1e-8 if self.smooth_on_torus else 1e-6
+
     def as_sos(self) -> SosCertificate:
-        return SosCertificate(
-            CertKind.DV,
-            self.vec_p,
-            self.vec_q,
-            self.weights,
-            None,
-            self.qmatrix,
-        )
+        return SosCertificate(CertKind.DV, self.vec_p, self.vec_q, self.weights)
 
 
 @dataclass(frozen=True)
@@ -278,13 +278,13 @@ def gram_defect(cert: DvCertificate, sample: VarietySample) -> float:
 def lurking_isometry(
     cert: DvCertificate,
     sample: VarietySample,
-    gram_tol: float = 1e-8,
     rank_tol: float = 1e-8,
 ) -> UnitaryRealization:
     """Unitary completion of the isometry (Q; zP) -> (wQ; P) read off the
     variety samples.
 
-    The Gram equality X*X = Y*Y is asserted before any construction; the
+    The Gram equality X*X = Y*Y is asserted, to the certificate's
+    ``gram_tolerance``, before any construction; the
     partial isometry between the ranges comes from a thin SVD, and the
     completion maps the orthonormal complement of range(X) onto that of
     range(Y) in singular-vector order, which makes the result reproducible
@@ -293,9 +293,9 @@ def lurking_isometry(
     n = len(cert.vec_p)
     x, y = _stacked_maps(cert, sample)
     defect = _gram_defect(x, y)
-    if defect > gram_tol:
+    if defect > cert.gram_tolerance:
         raise IsometryError(
-            f"isometry violated: Gram mismatch {defect:.3e} exceeds {gram_tol:.1e}"
+            f"isometry violated: Gram mismatch {defect:.3e} exceeds {cert.gram_tolerance:.1e}"
         )
     ux, sx, vxh = np.linalg.svd(x)
     rank = int(np.sum(sx > rank_tol * sx[0]))
@@ -413,7 +413,6 @@ def verify_representation(
     rep: UnitaryRealization,
     sample: VarietySample,
     grid_n: int = 64,
-    gram_tol: float | None = None,
 ) -> RepresentationReport:
     """Residual maxima for every claim of the representation theorem.
 
@@ -424,8 +423,6 @@ def verify_representation(
     then analytic on a neighborhood of the closed disk, so ||Phi(z)|| is
     subharmonic and its sup over the disk lies on the circle; the report
     fails otherwise."""
-    if gram_tol is None:
-        gram_tol = 1e-8 if cert.smooth_on_torus else 1e-6
     z, w = sample.z, sample.w
     x, y = _stacked_maps(cert, sample)
     qv = x[: len(cert.vec_q)]
@@ -448,7 +445,7 @@ def verify_representation(
     sv = cert.qmatrix.min_singular_value_on_disk(grid_n) if cert.smooth_on_torus else None
     return RepresentationReport(
         gram_defect=_gram_defect(x, y),
-        gram_tolerance=gram_tol,
+        gram_tolerance=cert.gram_tolerance,
         qmatrix_tolerance=1e-8 * cert.qmatrix.sup_norm(),
         det_on_samples=float(np.max(np.abs(det_vals))),
         eigen_relation=float(np.max(eig_vals)) / q_scale,
@@ -474,10 +471,6 @@ def represent(
     """Full pipeline: certificate, variety sample, unitary, verification."""
     cert = dv_certificate(p, a, b)
     sample = sample_variety(cert.p, target_count, seed)
-    # Certificates of torus-singular varieties pass through the dilation
-    # limit and carry its extrapolation error, so the sampled-isometry gate
-    # is opened up accordingly (and recorded in the report).
-    gram_tol = 1e-8 if cert.smooth_on_torus else 1e-6
-    rep = lurking_isometry(cert, sample, gram_tol=gram_tol)
-    report = verify_representation(cert.p, cert, rep, sample, grid_n, gram_tol=gram_tol)
+    rep = lurking_isometry(cert, sample)
+    report = verify_representation(cert.p, cert, rep, sample, grid_n)
     return cert, sample, rep, report

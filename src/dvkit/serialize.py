@@ -1,9 +1,12 @@
 """JSON wire formats (schema family "dvkit/1").
 
 Complex numbers are [re, im] pairs of IEEE doubles throughout.  Polynomials
-are {"degree": [n, m], "coeffs": row-major grid}; matrix polynomials are
-rows x cols arrays of one-variable coefficient lists.  Dumps are sorted and
-compact so identical inputs produce byte-identical reports.
+are {"degree": [n, m], "coeffs": row-major grid}.  A certificate is its two
+vectors of polynomials, "vec_first" and "vec_second", with its "kind" and
+"weights"; a matrix form is built from them where it is read, and the
+"matrix_first", "matrix_second" and "residual" keys of documents written
+before that are ignored.  Dumps are sorted and compact so identical inputs
+produce byte-identical reports.
 
 A complex grid is written by one conversion of the array to nested lists,
 and read by one conversion of the nested lists to a float array; a grid that
@@ -19,7 +22,7 @@ import json
 import numpy as np
 
 from .dvrep import DvCertificate, UnitaryRealization
-from .poly2 import BivariatePolynomial, DegreeMismatchError, MatrixPolynomial, VectorPolynomial
+from .poly2 import BivariatePolynomial, DegreeMismatchError, VectorPolynomial
 from .soscert import CertKind, SosCertificate, _matrix_form_in_z
 
 SCHEMA = "dvkit/1"
@@ -52,19 +55,16 @@ def _grid_to_obj(arr) -> list:
     return arr.view(np.float64).reshape(arr.shape + (2,)).tolist()
 
 
-def _entries(rows, depth: int, where: str, named: int):
+def _entries(rows, depth: int, where: str):
     """Nested lists of complex numbers from [re, im] pairs nested ``depth``
-    lists deep, one pair at a time; the outer ``named`` levels are indexed
-    in the field an error names."""
+    lists deep, one pair at a time; each level is indexed in the field an
+    error names."""
     if depth == 0:
         return _pair2c(rows, where)
-    return [
-        _entries(r, depth - 1, f"{where}[{i}]" if named else where, max(named - 1, 0))
-        for i, r in enumerate(rows)
-    ]
+    return [_entries(r, depth - 1, f"{where}[{i}]") for i, r in enumerate(rows)]
 
 
-def _grid_from_obj(rows, shape: tuple, where: str, named: int = 2) -> np.ndarray:
+def _grid_from_obj(rows, shape: tuple, where: str) -> np.ndarray:
     """Complex array of the given shape from nested [re, im] pairs whose
     outer structure the caller has checked.
 
@@ -77,7 +77,7 @@ def _grid_from_obj(rows, shape: tuple, where: str, named: int = 2) -> np.ndarray
         arr = None
     if arr is not None and arr.shape == shape + (2,) and np.isfinite(arr).all():
         return arr.view(np.complex128)[..., 0]
-    return np.array(_entries(rows, len(shape), where, named), dtype=np.complex128)
+    return np.array(_entries(rows, len(shape), where), dtype=np.complex128)
 
 
 def _required(obj: dict, key: str, where: str):
@@ -137,30 +137,6 @@ def _vec_from_obj(items, where: str) -> VectorPolynomial:
     )
 
 
-def _matrix_to_obj(mat: MatrixPolynomial | None):
-    if mat is None:
-        return None
-    return _grid_to_obj(mat.coeffs)
-
-
-def _matrix_from_obj(obj, where: str) -> MatrixPolynomial | None:
-    if obj is None:
-        return None
-    if not (
-        isinstance(obj, list)
-        and obj
-        and all(isinstance(row, list) and row for row in obj)
-        and all(isinstance(entry, list) and entry for row in obj for entry in row)
-        and len({len(row) for row in obj}) == 1
-        and len({len(entry) for row in obj for entry in row}) == 1
-    ):
-        raise SchemaError(
-            f"{where}: expected rows x cols of equal-length coefficient lists"
-        )
-    shape = (len(obj), len(obj[0]), len(obj[0][0]))
-    return MatrixPolynomial(_grid_from_obj(obj, shape, where))
-
-
 def cert_to_obj(cert: SosCertificate, poly: BivariatePolynomial | None = None) -> dict:
     obj = {
         "schema": SCHEMA,
@@ -168,9 +144,6 @@ def cert_to_obj(cert: SosCertificate, poly: BivariatePolynomial | None = None) -
         "weights": list(cert.weights) if cert.weights is not None else None,
         "vec_first": _vec_to_obj(cert.vec_first),
         "vec_second": _vec_to_obj(cert.vec_second),
-        "matrix_first": _matrix_to_obj(cert.matrix_first),
-        "matrix_second": _matrix_to_obj(cert.matrix_second),
-        "residual": None,
     }
     if poly is not None:
         obj["poly"] = poly_to_obj(poly)
@@ -200,8 +173,6 @@ def cert_from_obj(obj: dict, where: str = "certificate") -> SosCertificate:
         _vec_from_obj(_required(obj, "vec_first", where), f"{where}.vec_first"),
         _vec_from_obj(_required(obj, "vec_second", where), f"{where}.vec_second"),
         tuple(weights) if weights is not None else None,
-        _matrix_from_obj(obj.get("matrix_first"), f"{where}.matrix_first"),
-        _matrix_from_obj(obj.get("matrix_second"), f"{where}.matrix_second"),
     )
 
 
@@ -217,20 +188,13 @@ def dv_cert_from_obj(obj: dict, where: str = "certificate") -> DvCertificate:
     if "poly" not in obj:
         raise SchemaError(f"{where}.poly: missing defining polynomial")
     sos = cert_from_obj(obj, where)
-    if sos.matrix_second is None:
-        raise SchemaError(f"{where}.matrix_second: DV certificate needs Qmatrix")
-    if sos.weights is None:
-        raise SchemaError(f"{where}.weights: DV certificate needs [a, b]")
     p = poly_from_obj(obj["poly"], f"{where}.poly")
-    # Q = Qmatrix(z) (1, w, ..., w^{m-1})^t: the document's matrix must be
-    # the one the vectors give, since the checks read Q from either.
+    # Q = Qmatrix(z) (1, w, ..., w^{m-1})^t
     n, m = p.degree
     try:
         qmat = _matrix_form_in_z(sos.vec_second, m, n)
     except DegreeMismatchError as exc:
         raise SchemaError(f"{where}.vec_second: degree exceeds {(n, max(m - 1, 0))} ({exc})") from exc
-    if not np.array_equal(qmat.coeffs, sos.matrix_second.coeffs):
-        raise SchemaError(f"{where}.matrix_second: does not match the matrix form of vec_second")
     return DvCertificate(
         p,
         tuple(sos.weights),

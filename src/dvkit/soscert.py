@@ -294,21 +294,15 @@ def subspace_kernel_pair(q: BivariatePolynomial, moments: MomentTable):
 @dataclass(frozen=True)
 class SosCertificate:
     """Vector-polynomial pair (with weights, for the symmetric/DV kinds)
-    witnessing a two-square identity; matrix forms are the one-variable
-    matrix polynomials reproducing the vectors against monomial columns."""
+    witnessing a two-square identity.  For q of degree (n, m) the first
+    vector has n components of degree <= (n-1, m) and the second m of
+    degree <= (n, m-1); the matrix forms that :func:`gw_invertibility`
+    reads are built from them where needed."""
 
     kind: CertKind
     vec_first: VectorPolynomial
     vec_second: VectorPolynomial
     weights: tuple[float, float] | None = None
-    matrix_first: MatrixPolynomial | None = None
-    matrix_second: MatrixPolynomial | None = None
-
-    @property
-    def degree(self):
-        n1, m1 = self.vec_first.degree_bound() if len(self.vec_first) else (0, 0)
-        n2, m2 = self.vec_second.degree_bound() if len(self.vec_second) else (0, 0)
-        return max(n1 + 1, n2), max(m1, m2 + 1)
 
 
 def _matrix_form_in_w(vec: VectorPolynomial, n: int, m: int) -> MatrixPolynomial:
@@ -327,12 +321,6 @@ def _matrix_form_in_z(vec: VectorPolynomial, m: int, n: int) -> MatrixPolynomial
             g = comp.with_degree((n, m - 1)).coeffs  # refuses a higher degree
         arr[k, : g.shape[1], : g.shape[0]] = g.T
     return MatrixPolynomial(arr)
-
-
-def _attach_matrix_forms(kind, vec_a, vec_b, n, m, weights=None):
-    mat_a = _matrix_form_in_w(vec_a, n, m) if n > 0 else None
-    mat_b = _matrix_form_in_z(vec_b, m, n) if m > 0 else None
-    return SosCertificate(kind, vec_a, vec_b, weights, mat_a, mat_b)
 
 
 def _stability_route(q):
@@ -461,13 +449,12 @@ def sos_certificate(q: BivariatePolynomial, route: str | None = None) -> SosCert
     both vectors are multiplied back by it, which is exact: the certificate
     of 2^k q is 2^k times that of q wherever both stay in range.
     """
-    n, m = q.degree
     e = q.exponent
     q = q.ldexp(-e)
     if route is None:
         route = _stability_route(q)
     vec_a, vec_b = _route_vectors(q, route)
-    return _attach_matrix_forms(CertKind.COLE_WERMER, vec_a.ldexp(e), vec_b.ldexp(e), n, m)
+    return SosCertificate(CertKind.COLE_WERMER, vec_a.ldexp(e), vec_b.ldexp(e))
 
 
 @dataclass(frozen=True)
@@ -490,13 +477,20 @@ class GwReport:
     passed: bool
 
 
-def gw_invertibility(cert: SosCertificate, grid_n: int = 32, threshold: float = 1e-6) -> GwReport:
-    if cert.matrix_first is None or cert.matrix_second is None:
-        raise ValueError("certificate carries no matrix forms")
-    n = cert.matrix_second.var_degree
-    mat_a, mat_b = cert.matrix_first, cert.matrix_second.reflected(n)
-    sv_a = mat_a.min_singular_value_on_disk(grid_n)
-    sv_b = mat_b.min_singular_value_on_disk(grid_n)
+def gw_invertibility(cert: SosCertificate, threshold: float = 1e-6) -> GwReport:
+    """:class:`GwReport` of the matrix forms of a certificate, built here
+    from its vectors: with n = len(vec_first) and m = len(vec_second),
+    A(z, w) = A(w) (1, z, ..., z^{n-1})^t and B(z, w) = B(z) (1, w, ...,
+    w^{m-1})^t, A and B square.  Each minimum is taken at 32 circle
+    samples.  A certificate with an empty side has no matrix form to test
+    and raises ValueError."""
+    n, m = len(cert.vec_first), len(cert.vec_second)
+    if n == 0 or m == 0:
+        raise ValueError("certificate has an empty side and no matrix forms")
+    mat_a = _matrix_form_in_w(cert.vec_first, n, m)
+    mat_b = _matrix_form_in_z(cert.vec_second, m, n).reflected(n)
+    sv_a = mat_a.min_singular_value_on_disk(32)
+    sv_b = mat_b.min_singular_value_on_disk(32)
     passed = sv_a > threshold * mat_a.sup_norm() and sv_b > threshold * mat_b.sup_norm()
     return GwReport(sv_a, sv_b, threshold, passed)
 
@@ -540,7 +534,7 @@ def sym_sos_certificate(
     vec_a, vec_b = _route_vectors(g, route)
     scale = 1.0 / math.sqrt(a * n + b * m)
     vec_a, vec_b = vec_a.scaled(scale).ldexp(e), vec_b.scaled(scale).ldexp(e)
-    return _attach_matrix_forms(CertKind.SYMMETRIC, vec_a, vec_b, n, m, weights=(a, b))
+    return SosCertificate(CertKind.SYMMETRIC, vec_a, vec_b, (a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,25 @@ class TestCliCommands:
         assert main([a.format(path=path) for a in argv]) == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["classify", "{path}", "--grid", "15"], "--grid"),
+            (["classify", "{path}", "--grid", "4097"], "--grid"),
+            (["represent", "{path}", "--samples", "1025"], "--samples"),
+            (["reflect", "{path}", "--at", "-1", "2"], "--at"),
+            (["reflect", "{path}", "--at", "3", "1"], "--at"),
+        ],
+        ids=["grid_below", "grid_above", "samples_above", "at_negative", "at_below_degree"],
+    )
+    def test_size_argument_out_of_range_exit_1(self, tmp_path, capsys, argv, flag):
+        # z^3 - w^2 has degree (3, 2)
+        path = write_poly(tmp_path, "p.json", z3_minus_w2())
+        assert main([a.format(path=path) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"dvkit: error: {flag} " in captured.err
+
     def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
         # The parser is built once per process; options of one call must not
         # leak into the next.
@@ -163,11 +182,11 @@ class TestCliCommands:
             (("cert", "vec_first"), None, ".cert.vec_first"),
             (("cert", "vec_first"), 5, ".cert.vec_first"),
             (("cert", "weights"), 5, ".cert.weights"),
-            (("cert", "matrix_second"), 5, ".cert.matrix_second"),
+            (("cert", "vec_second", 0, "coeffs"), 5, ".cert.vec_second[0].coeffs"),
         ],
         ids=[
             "no_U", "scalar_U", "no_cert", "no_vec_first", "scalar_vec_first",
-            "scalar_weights", "scalar_matrix_second",
+            "scalar_weights", "scalar_vec_second_coeffs",
         ],
     )
     def test_malformed_realization_exit_1(
@@ -192,28 +211,31 @@ class TestCliCommands:
         assert f"{bad}{field}:" in captured.err
 
     @pytest.mark.parametrize("command", ["verify", "extend"])
-    def test_qmatrix_must_match_vectors_exit_1(self, realization_doc, tmp_path, capsys, command):
-        # one coefficient of the Qmatrix moved off the matrix form of vec_second
+    def test_stale_matrix_forms_are_ignored(self, realization_doc, tmp_path, capsys, command):
+        # documents once carried matrix forms and a null residual beside the
+        # vectors; the Qmatrix is built from vec_second, so whatever those
+        # keys hold changes nothing
         poly_path, doc = realization_doc
-        doc = json.loads(json.dumps(doc))
-        doc["cert"]["matrix_second"][0][1][2][0] += 1e-9
-        bad = tmp_path / "bad_rep.json"
-        bad.write_text(json.dumps(doc))
         f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
-        argv = ["verify", str(bad), poly_path] if command == "verify" else ["extend", str(bad), f_path]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{bad}.cert.matrix_second:" in captured.err
+        outputs = []
+        for stale in (None, 5, "abc"):
+            edited = json.loads(json.dumps(doc))
+            if stale is not None:
+                edited["cert"].update(matrix_first=stale, matrix_second=stale, residual=stale)
+            path = tmp_path / "rep.json"
+            path.write_text(json.dumps(edited))
+            argv = ["verify", str(path), poly_path] if command == "verify" else ["extend", str(path), f_path]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[2] == outputs[0]
 
     def test_extend_refuses_det_q_zero_exit_2(self, realization_doc, tmp_path, capsys):
-        # the first row of Q(z) loses its constant term, in the vector and the
-        # matrix form alike: Q(0) is singular, so det Q vanishes at z = 0
+        # the first row of Q(z) loses its constant term: Q(0) is singular, so
+        # det Q vanishes at z = 0
         poly_path, doc = realization_doc
         doc = json.loads(json.dumps(doc))
-        for j, pair in enumerate(doc["cert"]["vec_second"][0]["coeffs"][0]):
+        for pair in doc["cert"]["vec_second"][0]["coeffs"][0]:
             pair[:] = [0.0, 0.0]
-            doc["cert"]["matrix_second"][0][j][0] = [0.0, 0.0]
         bad = tmp_path / "bad_rep.json"
         bad.write_text(json.dumps(doc))
         f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
@@ -223,25 +245,33 @@ class TestCliCommands:
         assert out["error"].startswith("Qmatrix: det Q has a zero at z = 0")
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("vec_first", None), ("vec_second", 5), ("weights", 5), ("matrix_first", 5)],
-        ids=["no_vec_first", "scalar_vec_second", "scalar_weights", "scalar_matrix_first"],
+        "path, value, field",
+        [
+            (("vec_first",), None, "vec_first"),
+            (("vec_second",), 5, "vec_second"),
+            (("weights",), 5, "weights"),
+            (("vec_second", 0, "coeffs"), 5, "vec_second[0].coeffs"),
+        ],
+        ids=["no_vec_first", "scalar_vec_second", "scalar_weights", "scalar_vec_second_coeffs"],
     )
-    def test_malformed_certificate_exit_1(self, tmp_path, capsys, key, value):
-        path = write_poly(tmp_path, "p.json", four_minus_z_minus_w())
+    def test_malformed_certificate_exit_1(self, tmp_path, capsys, path, value, field):
+        poly_path = write_poly(tmp_path, "p.json", four_minus_z_minus_w())
         cert_path = tmp_path / "cert.json"
-        assert main(["sos", path, "-o", str(cert_path)]) == 0
-        doc = json.loads(cert_path.read_text())
+        assert main(["sos", poly_path, "-o", str(cert_path)]) == 0
+        target = doc = json.loads(cert_path.read_text())
+        *outer, key = path
+        for part in outer:
+            target = target[part]
         if value is None:
-            del doc[key]
+            del target[key]
         else:
-            doc[key] = value
+            target[key] = value
         cert_path.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert main(["verify", str(cert_path), path]) == 1
+        assert main(["verify", str(cert_path), poly_path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{cert_path}.{key}:" in captured.err
+        assert f"{cert_path}.{field}:" in captured.err
 
     def test_verify_non_object_document_exit_1(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
@@ -372,6 +402,23 @@ class TestCliCommands:
         assert rep_obj["report"]["det_vs_p_rel"] <= 1e-7
         capsys.readouterr()
         assert main(["verify", str(rep_path), path]) == 0
+
+    def test_torus_singular_realization_and_certificate_verify(self, tmp_path, capsys):
+        # (z^2 - w)(z^3 - w) crosses itself at (1, 1): its certificate comes
+        # from the dilation limit, with a Gram defect near 1.3e-8, which the
+        # certificate's own gate of 1e-6 admits on every path
+        path = write_poly(tmp_path, "p.json", poly({(2, 0): 1, (0, 1): -1}) * poly({(3, 0): 1, (0, 1): -1}))
+        rep_path, cert_path = tmp_path / "rep.json", tmp_path / "cert.json"
+        assert main(["represent", path, "-o", str(rep_path)]) == 0
+        doc = json.loads(rep_path.read_text())
+        assert doc["cert"]["smooth_on_torus"] is False
+        assert doc["report"]["gram_tolerance"] == 1e-6
+        cert_path.write_text(json.dumps(doc["cert"]))
+        capsys.readouterr()
+        assert main(["verify", str(rep_path), path]) == 0
+        assert json.loads(capsys.readouterr().out)["gram_tolerance"] == 1e-6
+        assert main(["verify", str(cert_path), path]) == 0
+        assert json.loads(capsys.readouterr().out)["gram_equality"] is True
 
     def test_verify_corrupted_unitary_exit_2(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())

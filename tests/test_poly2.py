@@ -30,6 +30,7 @@ from dvkit.poly2 import (
     symmetry_analysis,
     transpose_vars,
 )
+from dvkit import soscert
 from dvkit.soscert import sos_certificate
 
 Z = poly({(1, 0): 1})
@@ -162,8 +163,14 @@ class TestDiskMinimum:
         assert mat.min_singular_value_on_disk(24) <= 1e-15
 
     def test_zero_matrix_of_symmetric_certificate(self):
-        cert = sos_certificate(symmetrize(one_minus_z3w2()), route="symmetric")
-        for mat in (cert.matrix_first, cert.matrix_second):
+        q = symmetrize(one_minus_z3w2())
+        cert = sos_certificate(q, route="symmetric")
+        n, m = q.degree
+        forms = (
+            soscert._matrix_form_in_w(cert.vec_first, n, m),
+            soscert._matrix_form_in_z(cert.vec_second, m, n),
+        )
+        for mat in forms:
             assert mat.sup_norm() == 0.0
             assert mat.min_singular_value_on_disk(24) == 0.0
 

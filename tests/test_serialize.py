@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import z3_minus_w2
+from conftest import four_minus_z_minus_w, poly, z3_minus_w2
 from dvkit import serialize as ser
 from dvkit.cli import main
 
 GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def load_gen():
@@ -27,27 +28,23 @@ def load_gen():
 
 
 def poly_grids(doc, where):
-    yield doc["coeffs"], tuple(d + 1 for d in doc["degree"]), f"{where}.coeffs", 2
+    yield doc["coeffs"], tuple(d + 1 for d in doc["degree"]), f"{where}.coeffs"
 
 
 def document_grids(doc, where):
-    """(rows, shape, field, named levels) of every complex grid in a
-    polynomial, certificate or realization document."""
+    """(rows, shape, field) of every complex grid in a polynomial,
+    certificate or realization document."""
     if doc["kind"] == "polynomial":
         yield from poly_grids(doc, where)
         return
     if doc["kind"] == "realization":
         size = doc["m"] + doc["n"]
-        yield doc["U"], (size, size), f"{where}.U", 2
+        yield doc["U"], (size, size), f"{where}.U"
         yield from document_grids(doc["cert"], f"{where}.cert")
         return
     for key in ("vec_first", "vec_second"):
         for k, comp in enumerate(doc[key]):
             yield from poly_grids(comp, f"{where}.{key}[{k}]")
-    for key in ("matrix_first", "matrix_second"):
-        mat = doc[key]
-        if mat is not None:
-            yield mat, (len(mat), len(mat[0]), len(mat[0][0])), f"{where}.{key}", 2
     if "poly" in doc:
         yield from poly_grids(doc["poly"], f"{where}.poly")
 
@@ -78,9 +75,9 @@ def per_pair(a):
 def test_fast_and_per_entry_decodes_agree(seed_301_documents):
     count = 0
     for name, doc in seed_301_documents.items():
-        for rows, shape, where, named in document_grids(doc, name):
-            fast = ser._grid_from_obj(rows, shape, where, named)
-            slow = np.array(ser._entries(rows, len(shape), where, named), dtype=np.complex128)
+        for rows, shape, where in document_grids(doc, name):
+            fast = ser._grid_from_obj(rows, shape, where)
+            slow = np.array(ser._entries(rows, len(shape), where), dtype=np.complex128)
             assert fast.shape == slow.shape == shape
             assert fast.tobytes() == slow.tobytes(), where
             count += 1
@@ -122,9 +119,10 @@ BAD_ENTRIES = {
     "inf": [0.0, float("-inf")],
 }
 GRID_FIELDS = {
-    # (path to the pair, the field the error names)
+    # (path to the pair, the field the error names); the load builds the
+    # Qmatrix form from the coefficient grids of vec_second
     "U": (("U", 1, 2), ".U[1][2]"),
-    "matrix_form": (("cert", "matrix_second", 1, 0, 2), ".cert.matrix_second[1][0]"),
+    "matrix_form": (("cert", "vec_second", 1, "coeffs", 2, 1), ".cert.vec_second[1].coeffs[2][1]"),
 }
 
 
@@ -161,7 +159,10 @@ def test_bad_entry_named_exit_1(realization_doc, tmp_path, capsys, command, grid
 @pytest.mark.parametrize("command", ["verify", "extend"])
 @pytest.mark.parametrize(
     "path, field",
-    [(("U", 1), ".U: expected a 5 x 5 matrix"), (("cert", "matrix_second", 1, 0), ".cert.matrix_second: expected")],
+    [
+        (("U", 1), ".U: expected a 5 x 5 matrix"),
+        (("cert", "vec_second", 1, "coeffs", 2), ".cert.vec_second[1].coeffs: grid must be 4 x 2"),
+    ],
     ids=["U", "matrix_form"],
 )
 def test_ragged_row_named_exit_1(realization_doc, tmp_path, capsys, command, path, field):
@@ -188,3 +189,34 @@ def test_vec_second_above_its_degree_exit_1(realization_doc, tmp_path, capsys):
     code, captured, bad = run_on_edited(realization_doc, tmp_path, capsys, "extend", edit)
     assert code == 1
     assert f"{bad}.cert.vec_second: degree exceeds" in captured.err
+
+
+LEGACY = {
+    # documents written while certificates still carried their matrix forms
+    # ("matrix_first", "matrix_second") and a null "residual"
+    "realization": ("legacy_rep_z3_minus_w2.json", z3_minus_w2, ["represent"]),
+    "certificate": ("legacy_sos_four_minus_z_minus_w.json", four_minus_z_minus_w, ["sos"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEGACY))
+def test_legacy_documents_read_like_fresh_ones(tmp_path, capsys, kind):
+    name, build, command = LEGACY[kind]
+    legacy = DATA / name
+    doc = json.loads(legacy.read_text())
+    assert "matrix_second" in doc.get("cert", doc)
+    poly_path, f_path, fresh = tmp_path / "p.json", tmp_path / "f.json", tmp_path / "fresh.json"
+    poly_path.write_text(ser.dumps(ser.poly_to_obj(build())))
+    f_path.write_text(ser.dumps(ser.poly_to_obj(poly({(0, 1): 1}))))
+    assert main([*command, str(poly_path), "-o", str(fresh)]) == 0
+    assert "matrix_second" not in fresh.read_text()
+    capsys.readouterr()
+    calls = [["verify", "{doc}", str(poly_path)]]
+    if kind == "realization":
+        calls.append(["extend", "{doc}", str(f_path), "--no-swap"])
+    for argv in calls:
+        outputs = []
+        for doc in (legacy, fresh):
+            assert main([a.format(doc=doc) for a in argv]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], argv[0]

@@ -368,11 +368,12 @@ class TestStableCertificate:
 
     def test_matrix_forms_reproduce_vectors(self, cert_four):
         z, w = 0.3 - 0.2j, 0.5 + 0.4j
-        a_mat = cert_four.matrix_first.evaluate(w)
+        n, m = four_minus_z_minus_w().degree
+        a_mat = soscert._matrix_form_in_w(cert_four.vec_first, n, m).evaluate(w)
         col = np.array([z**i for i in range(a_mat.shape[1])])
         want = cert_four.vec_first.evaluate(z, w)
         assert np.max(np.abs(a_mat @ col - want)) < 1e-12
-        b_mat = cert_four.matrix_second.evaluate(z)
+        b_mat = soscert._matrix_form_in_z(cert_four.vec_second, m, n).evaluate(z)
         colw = np.array([w**j for j in range(b_mat.shape[1])])
         wantb = cert_four.vec_second.evaluate(z, w)
         assert np.max(np.abs(b_mat @ colw - wantb)) < 1e-12
@@ -479,22 +480,52 @@ class TestGwInvertibility:
         assert abs(gw.min_sv_first / c - unit.min_sv_first) <= 1e-9 * unit.min_sv_first
 
     def test_corrupted_certificate_fails(self, cert_four):
-        broken_mat = np.array(cert_four.matrix_first.coeffs)
-        broken_mat[:, :, :] = 0.0
-        broken = SosCertificate(
-            cert_four.kind,
-            cert_four.vec_first,
-            cert_four.vec_second,
-            None,
-            type(cert_four.matrix_first)(broken_mat),
-            cert_four.matrix_second,
-        )
+        # the first vector loses its w^0 terms, so A(0) = 0
+        comps = [
+            BivariatePolynomial(np.where(np.arange(c.coeffs.shape[1]) == 0, 0.0, c.coeffs))
+            for c in cert_four.vec_first
+        ]
+        broken = SosCertificate(cert_four.kind, VectorPolynomial(tuple(comps)), cert_four.vec_second)
         gw = gw_invertibility(broken)
         assert not gw.passed and gw.min_sv_first < 1e-12
+        assert gw.min_sv_second == gw_invertibility(cert_four).min_sv_second
+
+    def test_empty_side_raises(self):
+        # 2 - z has degree (1, 0): no second vector, so no B(z) to test
+        cert = sos_certificate(poly({(0, 0): 2, (1, 0): -1}))
+        assert len(cert.vec_second) == 0
+        with pytest.raises(ValueError, match="empty side"):
+            gw_invertibility(cert)
 
     def test_appendix_claim_e_matrix(self, cert_four):
         # matrix form of the first subspace basis stays invertible on the disk
-        assert cert_four.matrix_first.min_singular_value_on_disk(48) > 1e-6
+        n, m = four_minus_z_minus_w().degree
+        mat = soscert._matrix_form_in_w(cert_four.vec_first, n, m)
+        assert mat.min_singular_value_on_disk(48) > 1e-6
+
+    def test_seed301_values_match_forms_built_from_q(self):
+        # gw_invertibility sizes its matrix forms by the vector lengths; on
+        # the benchmark's r0 and r1 inputs its values equal, bit for bit,
+        # those of the forms sized by q's degree that certificates once
+        # carried, tested at grid 32
+        passes = perfbench_gen().generate("sos_certify", 301)[:2]
+        count = 0
+        for x in [x for inputs in passes for x in inputs]:
+            q = BivariatePolynomial(x.coeffs)
+            try:
+                cert = sos_certificate(q)
+            except (StabilityError, QuadratureError):
+                continue
+            n, m = q.degree
+            if n == 0 or m == 0:
+                continue
+            mat_a = soscert._matrix_form_in_w(cert.vec_first, n, m)
+            mat_b = soscert._matrix_form_in_z(cert.vec_second, m, n).reflected(n)
+            gw = gw_invertibility(cert)
+            assert gw.min_sv_first == mat_a.min_singular_value_on_disk(32), x.name
+            assert gw.min_sv_second == mat_b.min_singular_value_on_disk(32), x.name
+            count += 1
+        assert count >= 16
 
 
 class TestSymmetricCertificate:
@@ -677,14 +708,22 @@ class TestVerification:
 GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
 
-def kummert_contraction_3x3_seed301():
-    """The benchmark's seed-301 ``kummert_contraction_3x3.r0`` sos input."""
+@functools.cache
+def perfbench_gen():
+    """perfbench/gen.py, the benchmark's input generator, by path."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
     gen = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = gen  # its dataclasses look the module up by name
     spec.loader.exec_module(gen)
+    return gen
+
+
+def kummert_contraction_3x3_seed301():
+    """The benchmark's seed-301 ``kummert_contraction_3x3.r0`` sos input."""
     (found,) = [
-        x for x in gen.generate("sos_certify", 301)[0] if x.name == "kummert_contraction_3x3.r0"
+        x
+        for x in perfbench_gen().generate("sos_certify", 301)[0]
+        if x.name == "kummert_contraction_3x3.r0"
     ]
     return BivariatePolynomial(found.coeffs)
 
