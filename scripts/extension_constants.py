@@ -3,9 +3,11 @@
 
 For each curve the pipeline builds the determinantal representation, then
 reports the constant C = sqrt(m) sup ||Q^{-1}|| ||Q||, the sharper per-point
-bound, and the constant of the z/w-reversed pipeline.  Monomial Blaschke
-products come out at exactly sqrt(m); the table shows how far general
-numerator/denominator pairs drift from that floor.
+bound, and the constant of the same realization with z and w exchanged.
+Monomial Blaschke products come out at exactly sqrt(m); the table shows how
+far general numerator/denominator pairs drift from that floor.
+
+    PYTHONPATH=src python scripts/extension_constants.py [--seed S]
 """
 
 import argparse
@@ -28,22 +30,20 @@ def survey(seed):
         )
     print(f"{'curve':34s} {'m':>2s} {'C':>12s} {'C_swapped':>12s} {'sqrt(m)':>9s} {'per-point':>10s}")
     for name, p in cases:
-        cert, sample, rep, report = represent(p, seed=seed, grid_n=32)
+        cert, sample, rep, report = represent(p, seed=seed)
         bound = extension_bound(ExtensionOperator(rep, cert, f_w))
         try:
-            cert_t, _, rep_t, _ = represent(transpose_vars(p), seed=seed, grid_n=32)
             c_sw = extension_bound(
-                ExtensionOperator(rep_t, cert_t, transpose_vars(f_w))
+                ExtensionOperator(rep.swapped(), cert.swapped(), transpose_vars(f_w))
             ).C
             swapped = f"{c_sw:12.6f}"
-        except Exception:
+        except ValueError:
             swapped = "        --  "
         m = len(cert.vec_q)
         print(
             f"{name:34s} {m:2d} {bound.C:12.6f} {swapped} {math.sqrt(m):9.6f} "
             f"{bound.per_point_bound:10.6f}"
         )
-
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)

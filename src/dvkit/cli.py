@@ -138,8 +138,7 @@ def _cmd_sos(config: RunConfig) -> int:
         target = p
     report = verify_certificate(target, cert)
     obj = ser.cert_to_obj(cert, poly=target if config.weights is not None else None)
-    obj["residual"] = _finite_or_none(report.residual)
-    obj["verification"] = {"residual": obj["residual"], "passed": report.passed}
+    obj["verification"] = {"residual": _finite_or_none(report.residual), "passed": report.passed}
     if len(cert.vec_first) and len(cert.vec_second):
         gw = gw_invertibility(cert)
         obj["gw_invertibility"] = {
@@ -170,19 +169,10 @@ def _note_repeated_factor(p):
 def _cmd_represent(config: RunConfig) -> int:
     p = _load_poly(config.inputs[0])
     a, b = config.weights if config.weights is not None else (1.0, 1.0)
-    cert, sample, rep, report = represent(
-        p, a, b, seed=config.seed, target_count=config.samples, grid_n=config.grid_n
-    )
+    cert, sample, rep, report = represent(p, a, b, seed=config.seed, target_count=config.samples)
     report_obj = {**asdict(report), "seed": config.seed, "passed": report.passed}
     _emit(config, ser.realization_to_obj(rep, cert, report_obj))
     return 0 if report.passed else 2
-
-
-def _swapped_constant(p: BivariatePolynomial, f, a, b, seed):
-    """Extension constant of the pipeline with z and w exchanged."""
-    cert_t, _, rep_t, _ = represent(transpose_vars(p), b, a, seed=seed)
-    op_t = ExtensionOperator(rep_t, cert_t, transpose_vars(f))
-    return extension_bound(op_t).C
 
 
 def _cmd_extend(config: RunConfig) -> int:
@@ -191,8 +181,7 @@ def _cmd_extend(config: RunConfig) -> int:
     )
     f = _load_poly(config.inputs[1])
     op = ExtensionOperator(rep, cert, f)
-    er = verify_extension(op, grid_n=config.grid_n)
-    a, b = cert.weights
+    er = verify_extension(op)
     obj = {
         "schema": ser.SCHEMA,
         "command": "extend",
@@ -208,8 +197,10 @@ def _cmd_extend(config: RunConfig) -> int:
         obj["numerator"] = ser.poly_to_obj(numerator)
         obj["denominator"] = ser.poly_to_obj(denominator)
     if config.swap_check:
+        # the same variety's realization with z and w exchanged
+        op_t = ExtensionOperator(rep.swapped(), cert.swapped(), transpose_vars(f))
         try:
-            c_swapped = _swapped_constant(cert.p, f, a, b, config.seed)
+            c_swapped = extension_bound(op_t).C
         except (ValueError, ArithmeticError) as exc:  # the reversed orientation can degenerate
             obj["C_swapped"] = None
             obj["swap_error"] = str(exc)
@@ -221,48 +212,33 @@ def _cmd_extend(config: RunConfig) -> int:
 
 
 def _cmd_verify(config: RunConfig) -> int:
-    artifact = ser.load_path(config.inputs[0])
+    where = config.inputs[0]
+    artifact = ser.load_path(where)
     p = _load_poly(config.inputs[1])
     kind = artifact.get("kind") if isinstance(artifact, dict) else None
+    obj = {"schema": ser.SCHEMA, "command": "verify", "kind": kind}
     if kind == "realization":
-        rep, cert = ser.realization_from_obj(artifact, where=config.inputs[0])
+        rep, cert = ser.realization_from_obj(artifact, where=where)
         sample = sample_variety(cert.p, seed=config.seed)
-        report = verify_representation(p, cert, rep, sample, grid_n=config.grid_n)
-        obj = {
-            "schema": ser.SCHEMA,
-            "command": "verify",
-            "kind": "realization",
-            **asdict(report),
-            "passed": report.passed,
-        }
-        _emit(config, obj)
-        return 0 if report.passed else 2
-    if kind in {k.value for k in CertKind}:
-        cert = ser.cert_from_obj(artifact, where=config.inputs[0])
+        report = verify_representation(p, cert, rep, sample)
+        obj.update(asdict(report), passed=report.passed)
+    elif kind in {k.value for k in CertKind}:
+        dv = ser.dv_cert_from_obj(artifact, where) if kind == CertKind.DV.value else None
+        cert = dv.as_sos() if dv is not None else ser.cert_from_obj(artifact, where)
         report = verify_certificate(p, cert)
-        extra = {}
-        ok = report.passed
-        if cert.kind is CertKind.DV:
-            dv = ser.dv_cert_from_obj(artifact, where=config.inputs[0])
-            sample = sample_variety(dv.p, 24, seed=config.seed)
+        residual = _finite_or_none(report.residual)
+        obj.update(residual=residual, threshold=report.threshold, passed=report.passed)
+        if dv is not None:
+            # on the variety sample that represent takes at the same seed
             try:
-                lurking_isometry(dv, sample)
-                extra["gram_equality"] = True
+                lurking_isometry(dv, sample_variety(dv.p, seed=config.seed))
+                obj["gram_equality"] = True
             except IsometryError:
-                extra["gram_equality"] = False
-                ok = False
-        obj = {
-            "schema": ser.SCHEMA,
-            "command": "verify",
-            "kind": kind,
-            "residual": _finite_or_none(report.residual),
-            "threshold": report.threshold,
-            "passed": ok,
-            **extra,
-        }
-        _emit(config, obj)
-        return 0 if ok else 2
-    raise ser.SchemaError(f"{config.inputs[0]}.kind: unrecognized artifact kind {kind!r}")
+                obj["gram_equality"] = obj["passed"] = False
+    else:
+        raise ser.SchemaError(f"{where}.kind: unrecognized artifact kind {kind!r}")
+    _emit(config, obj)
+    return 0 if obj["passed"] else 2
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +267,10 @@ def _demo_dv_row(name, p, seed, expect_sqrt_m=False):
     checks = {}
     label = classify_mod.classify_zero_set(p).label
     checks["classified_dv"] = label is classify_mod.ZeroLabel.DV_DEFINING
-    cert, _, rep, report = represent(p, seed=seed, grid_n=32)
+    cert, _, rep, report = represent(p, seed=seed)
     checks["representation"] = report.passed
     f = BivariatePolynomial.from_terms({(0, 1): 1})
-    er = verify_extension(ExtensionOperator(rep, cert, f), grid_n=48)
+    er = verify_extension(ExtensionOperator(rep, cert, f))
     checks["extension"] = er.passed
     if expect_sqrt_m:
         m = len(cert.vec_q)
@@ -403,9 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid=True, seed=True, output=True):
-        if grid:
-            sp.add_argument("--grid", type=int, default=RunConfig.grid_n, dest="grid_n")
+    def common(sp, seed=True, output=True):
         if seed:
             sp.add_argument("--seed", type=int, default=RunConfig.seed)
         if output:
@@ -414,18 +388,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="label the zero set relative to the bidisk")
     sp.add_argument("poly")
     sp.add_argument("--tol", type=float, default=1e-7)
+    sp.add_argument("--grid", type=int, default=RunConfig.grid_n, dest="grid_n")
     common(sp, seed=False)
 
     sp = sub.add_parser("reflect", help="reflect at the formal (or given) degree")
     sp.add_argument("poly")
     sp.add_argument("--at", type=int, nargs=2, metavar=("N", "M"), default=None)
-    common(sp, grid=False, seed=False)
+    common(sp, seed=False)
 
     sp = sub.add_parser("sos", help="sums-of-squares certificate")
     sp.add_argument("poly")
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--b", type=float, default=None)
-    common(sp, grid=False, seed=False)
+    common(sp, seed=False)
 
     sp = sub.add_parser("represent", help="determinantal representation of a distinguished variety")
     sp.add_argument("poly")
@@ -439,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("f")
     sp.add_argument("--no-swap", action="store_true", help="skip the z/w-reversed constant")
     sp.add_argument("--expand", action="store_true", help="include numerator/denominator polynomials")
-    common(sp)
+    common(sp, seed=False)
 
     sp = sub.add_parser("verify", help="re-verify a certificate or realization against a polynomial")
     sp.add_argument("artifact")
@@ -447,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, output=False)
 
     sp = sub.add_parser("demo", help="run the built-in corpus and print a pass/fail matrix")
-    common(sp, grid=False)
+    common(sp)
     return parser
 
 

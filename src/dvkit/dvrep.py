@@ -31,6 +31,7 @@ from .poly2 import (
     VectorPolynomial,
     swap_transform,
     symmetrize,
+    transpose_vars,
 )
 from .soscert import CertKind, SosCertificate, _matrix_form_in_z, sym_sos_certificate
 
@@ -78,6 +79,17 @@ class DvCertificate:
     def as_sos(self) -> SosCertificate:
         return SosCertificate(CertKind.DV, self.vec_p, self.vec_q, self.weights)
 
+    def swapped(self) -> "DvCertificate":
+        """The certificate of transpose_vars(p), z and w exchanged: P and Q
+        trade roles, each component transposed, and the weights trade
+        places.  The identity (1 - z conj(Z)) <P, P> = (1 - w conj(W)) <Q, Q>
+        is symmetric under that exchange."""
+        n, m = self.p.degree
+        vec_p, vec_q = (VectorPolynomial(tuple(map(transpose_vars, v))) for v in (self.vec_q, self.vec_p))
+        qmat = _matrix_form_in_z(vec_q, n, m)
+        p_t = transpose_vars(self.p)
+        return DvCertificate(p_t, self.weights[::-1], vec_p, vec_q, qmat, self.smooth_on_torus)
+
 
 @dataclass(frozen=True)
 class UnitaryRealization:
@@ -119,6 +131,15 @@ class UnitaryRealization:
         if self.n == 0:
             return 0.0
         return float(np.max(np.abs(np.linalg.eigvals(self.D))))
+
+    def swapped(self) -> "UnitaryRealization":
+        """The realization of the same variety with z and w exchanged.
+
+        U(Q; zP) = (wQ; P) and U^{-1} = U^H give (Pi U^H Pi)(P; wQ) = (zP; Q)
+        for the block swap Pi, so Pi U^H Pi = [[D^H, B^H], [C^H, A^H]], with
+        block sizes (n, m), is the isometry of :meth:`DvCertificate.swapped`,
+        and its transfer function is D^H + wB^H(I - wA^H)^{-1}C^H."""
+        return UnitaryRealization(self.n, self.m, np.roll(self.U.conj().T, (-self.m, -self.m), (0, 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,18 +202,13 @@ def dv_certificate(
     smooth = zc.proven or torus_singularities(p_sym).smooth_on_torus
     q = swap_transform(p_sym)
     cert = sym_sos_certificate(q, a, b, route="direct" if smooth else "dilation")
-    vec_p = VectorPolynomial(
-        tuple(
-            BivariatePolynomial(c.with_degree((max(n - 1, 0), m)).coeffs[::-1, :])
-            for c in cert.vec_first
-        )
-    )
-    vec_q = VectorPolynomial(
-        tuple(
-            BivariatePolynomial(c.with_degree((n, max(m - 1, 0))).coeffs[::-1, :])
-            for c in cert.vec_second
-        )
-    )
+
+    def reversed_in_z(vec, degree):
+        rows = (c.with_degree(degree).coeffs[::-1, :] for c in vec)
+        return VectorPolynomial(tuple(map(BivariatePolynomial, rows)))
+
+    vec_p = reversed_in_z(cert.vec_first, (max(n - 1, 0), m))
+    vec_q = reversed_in_z(cert.vec_second, (n, max(m - 1, 0)))
     qmat = _matrix_form_in_z(vec_q, m, n)
     if smooth:
         sv = qmat.min_singular_value_on_disk(64)
@@ -385,7 +401,6 @@ class RepresentationReport:
     d_spectral_radius: float
     qmatrix_min_sv: float | None
     smooth_on_torus: bool
-    grid_n: int
 
     @property
     def passed(self) -> bool:
@@ -412,7 +427,6 @@ def verify_representation(
     cert: DvCertificate,
     rep: UnitaryRealization,
     sample: VarietySample,
-    grid_n: int = 64,
 ) -> RepresentationReport:
     """Residual maxima for every claim of the representation theorem.
 
@@ -422,7 +436,8 @@ def verify_representation(
     circle suffices once ``d_spectral_radius``, rho(D), is below 1: Phi is
     then analytic on a neighborhood of the closed disk, so ||Phi(z)|| is
     subharmonic and its sup over the disk lies on the circle; the report
-    fails otherwise."""
+    fails otherwise.  ``qmatrix_min_sv`` is read at z = 0, 64 circle points and
+    every zero of det Q in the closed disk."""
     z, w = sample.z, sample.w
     x, y = _stacked_maps(cert, sample)
     qv = x[: len(cert.vec_q)]
@@ -442,7 +457,7 @@ def verify_representation(
     gram = np.conj(np.swapaxes(bphis, -1, -2)) @ bphis
     bdry = float(np.max(np.abs(gram - np.eye(rep.m))))
     excess = max(0.0, math.sqrt(float(np.max(np.linalg.eigvalsh(gram)))) - 1.0)
-    sv = cert.qmatrix.min_singular_value_on_disk(grid_n) if cert.smooth_on_torus else None
+    sv = cert.qmatrix.min_singular_value_on_disk(64) if cert.smooth_on_torus else None
     return RepresentationReport(
         gram_defect=_gram_defect(x, y),
         gram_tolerance=cert.gram_tolerance,
@@ -456,7 +471,6 @@ def verify_representation(
         d_spectral_radius=rep.d_spectral_radius(),
         qmatrix_min_sv=sv,
         smooth_on_torus=cert.smooth_on_torus,
-        grid_n=grid_n,
     )
 
 
@@ -466,11 +480,10 @@ def represent(
     b: float = 1.0,
     seed: int = 7,
     target_count: int | None = None,
-    grid_n: int = 64,
 ):
     """Full pipeline: certificate, variety sample, unitary, verification."""
     cert = dv_certificate(p, a, b)
     sample = sample_variety(cert.p, target_count, seed)
     rep = lurking_isometry(cert, sample)
-    report = verify_representation(cert.p, cert, rep, sample, grid_n)
+    report = verify_representation(cert.p, cert, rep, sample)
     return cert, sample, rep, report

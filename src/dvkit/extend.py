@@ -186,8 +186,8 @@ def _bound(op: ExtensionOperator, cp: _CirclePass) -> BoundReport:
     return BoundReport(c_const, per_point, _max_abs(cp.fv))
 
 
-def extension_bound(op: ExtensionOperator, grid_n: int = 256) -> BoundReport:
-    """C from Q(z) at the grid_n roots of unity, the per-point bound on a
+def extension_bound(op: ExtensionOperator) -> BoundReport:
+    """C from Q(z) at the 256th roots of unity, the per-point bound on a
     sub-grid of the torus, and sup |f| on the variety's torus points over
     the same z.
 
@@ -197,7 +197,7 @@ def extension_bound(op: ExtensionOperator, grid_n: int = 256) -> BoundReport:
     condition number ||Q|| ||Q^{-1}|| takes its sup over the disk on the
     circle, which the samples stand for.
     """
-    return _bound(op, _circle_pass(op, grid_n))
+    return _bound(op, _circle_pass(op, 256))
 
 
 def sup_norm_on_variety(
@@ -257,9 +257,9 @@ class ExtensionReport:
     passed: bool
 
 
-def verify_extension(op: ExtensionOperator, grid_n: int = 64, tol: float = 1e-6) -> ExtensionReport:
+def verify_extension(op: ExtensionOperator, tol: float = 1e-6) -> ExtensionReport:
     """Check F = f on the variety and the norm inflation against C, all
-    from one pass over the max(grid_n, 128) roots of unity z_k.
+    from one pass over the 128th roots of unity z_k.
 
     The pass computes Q(z_k), the rows g(z_k) and the torus points of the
     variety over the z_k once.  ``on_variety_residual`` is max |F - f| over
@@ -268,7 +268,7 @@ def verify_extension(op: ExtensionOperator, grid_n: int = 64, tol: float = 1e-6)
     too.  ``sup_F_on_bidisk`` is max |g(z_k) . (1, w, ..., w^{m-1})| over
     the grid z_k x z_k of the torus, where F, analytic on the closed bidisk,
     takes its sup.  Raises ValueError as :func:`extension_bound` does."""
-    cp = _circle_pass(op, max(grid_n, 128))
+    cp = _circle_pass(op, 128)
     bound = _bound(op, cp)
     g = op.rows(cp.circle, cp.qmats)
     sup_f = bound.sup_f_on_variety

@@ -22,7 +22,7 @@ import json
 import numpy as np
 
 from .dvrep import DvCertificate, UnitaryRealization
-from .poly2 import BivariatePolynomial, DegreeMismatchError, VectorPolynomial
+from .poly2 import BivariatePolynomial, VectorPolynomial
 from .soscert import CertKind, SosCertificate, _matrix_form_in_z
 
 SCHEMA = "dvkit/1"
@@ -189,20 +189,21 @@ def dv_cert_from_obj(obj: dict, where: str = "certificate") -> DvCertificate:
         raise SchemaError(f"{where}.poly: missing defining polynomial")
     sos = cert_from_obj(obj, where)
     p = poly_from_obj(obj["poly"], f"{where}.poly")
-    # Q = Qmatrix(z) (1, w, ..., w^{m-1})^t
+    # P has n components of degree <= (n-1, m) and Q has m of degree <= (n, m-1),
+    # with Q = Qmatrix(z) (1, w, ..., w^{m-1})^t
     n, m = p.degree
-    try:
-        qmat = _matrix_form_in_z(sos.vec_second, m, n)
-    except DegreeMismatchError as exc:
-        raise SchemaError(f"{where}.vec_second: degree exceeds {(n, max(m - 1, 0))} ({exc})") from exc
-    return DvCertificate(
-        p,
-        tuple(sos.weights),
-        sos.vec_first,
-        sos.vec_second,
-        qmat,
-        bool(obj.get("smooth_on_torus", True)),
-    )
+    for key, vec, count, bound in (
+        ("vec_first", sos.vec_first, n, (max(n - 1, 0), m)),
+        ("vec_second", sos.vec_second, m, (n, max(m - 1, 0))),
+    ):
+        if len(vec) != count:
+            raise SchemaError(f"{where}.{key}: expected {count} components for poly of degree {[n, m]}")
+        for k, comp in enumerate(vec):
+            if any(d > b for d, b in zip(comp.true_degree(), bound)):
+                raise SchemaError(f"{where}.{key}: degree exceeds {bound} at component {k}")
+    qmat = _matrix_form_in_z(sos.vec_second, m, n)
+    smooth = bool(obj.get("smooth_on_torus", True))
+    return DvCertificate(p, tuple(sos.weights), sos.vec_first, sos.vec_second, qmat, smooth)
 
 
 def realization_to_obj(
@@ -235,6 +236,13 @@ def realization_from_obj(obj: dict, where: str = "realization"):
         raise SchemaError(f"{where}.U: expected a {m + n} x {m + n} matrix")
     rep = UnitaryRealization(m, n, _grid_from_obj(rows, (m + n, m + n), f"{where}.U"))
     cert = dv_cert_from_obj(_required(obj, "cert", where), f"{where}.cert")
+    degree_n, degree_m = cert.p.degree
+    for key, size, degree in (("m", m, degree_m), ("n", n, degree_n)):
+        if size != degree:
+            raise SchemaError(
+                f"{where}.{key}: {size} disagrees with the degree {[degree_n, degree_m]} "
+                f"of {where}.cert.poly"
+            )
     return rep, cert
 
 

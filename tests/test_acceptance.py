@@ -232,7 +232,7 @@ def test_criterion_8_extension():
     cs = []
     for f in (W, Z * W, W * W, Z + W):
         op = ExtensionOperator(rep, cert, f)
-        er = verify_extension(op, grid_n=64)
+        er = verify_extension(op)
         assert er.on_variety_residual <= 1e-7
         assert er.sup_F_on_bidisk <= math.sqrt(2) * er.sup_f_on_variety + 1e-6
         assert abs(er.bound_C - math.sqrt(2)) <= 1e-6

@@ -1,7 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
+
+import dvkit.cli
 
 from conftest import (
     four_minus_z_minus_w,
@@ -10,6 +13,7 @@ from conftest import (
     z3_minus_w2,
 )
 from dvkit.cli import RunConfig, main
+from dvkit.dvrep import represent
 from dvkit.serialize import (
     SchemaError,
     cert_from_obj,
@@ -114,13 +118,28 @@ class TestCliCommands:
             ["sos", "{path}", "--tol", "1e-6"],
             ["reflect", "{path}", "--seed", "3"],
             ["sos", "{path}", "--grid", "32"],
+            ["extend", "{path}", "{path}", "--seed", "3"],
+            ["extend", "{path}", "{path}", "--grid", "32"],
+            ["represent", "{path}", "--grid", "32"],
+            ["verify", "{path}", "{path}", "--grid", "32"],
         ],
-        ids=["missing_file_arg", "unknown_flag", "json_flag", "tol_off_classify", "seed_on_reflect", "grid_on_sos"],
+        ids=[
+            "missing_file_arg",
+            "unknown_flag",
+            "json_flag",
+            "tol_off_classify",
+            "seed_on_reflect",
+            "grid_on_sos",
+            "seed_on_extend",
+            "grid_on_extend",
+            "grid_on_represent",
+            "grid_on_verify",
+        ],
     )
     def test_usage_error_exit_1(self, tmp_path, capsys, argv):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
         assert main([a.format(path=path) for a in argv]) == 1
-        assert "usage" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("usage: dvkit")
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -308,14 +327,15 @@ class TestCliCommands:
         assert out["kind"] == "Symmetric"
         assert out["weights"] == [1.0, 1.0]
         assert out["verification"]["passed"] is True
-        assert out["residual"] <= 1e-10
+        assert out["verification"]["residual"] <= 1e-10
 
     def test_sos_reports_one_residual(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", four_minus_z_minus_w())
         assert main(["sos", path]) == 0
         out = json.loads(capsys.readouterr().out)
+        assert "residual" not in out
         assert set(out["verification"]) == {"residual", "passed"}
-        assert out["residual"] == out["verification"]["residual"] <= 1e-7
+        assert out["verification"]["residual"] <= 1e-7
 
     @staticmethod
     def edited_symmetric_certificate(tmp_path, edit):
@@ -376,9 +396,6 @@ class TestCliCommands:
         assert main(["verify", str(out_path), path]) == 0
         out = capsys.readouterr().out
         assert "polarized_residual" not in json.loads(out)
-        # the certificate check reads coefficients, not a grid
-        assert main(["verify", str(out_path), path, "--grid", "16"]) == 0
-        assert capsys.readouterr().out == out
 
     def test_verify_corrupted_certificate_exit_2(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", four_minus_z_minus_w())
@@ -463,6 +480,68 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is False
         assert out["error"].startswith("realization: D has spectral radius 1")
+
+    def test_extend_reports_a_refused_swap(self, realization_doc, tmp_path, capsys):
+        # U = diag(J, 0) with J the reversal: rho(D) = 0 and Q is constant,
+        # so F = e1^T J (1, w)^t = w = f and the extension passes, while the
+        # swapped realization has D^H = J^H of spectral radius 1, which
+        # extension_bound refuses
+        poly_path, doc = realization_doc
+        m, n = doc["m"], doc["n"]
+        u = np.zeros((m + n, m + n), dtype=np.complex128)
+        u[:m, :m] = np.eye(m)[::-1]
+        bad_path = tmp_path / "rep.json"
+        bad_path.write_text(dumps(dict(doc, U=[[[c.real, c.imag] for c in row] for row in u])))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        assert main(["extend", str(bad_path), f_path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is True
+        assert out["C_swapped"] is None and "C_best" not in out
+        assert out["swap_error"].startswith("realization: D has spectral radius 1")
+
+    def test_extend_swap_reruns_no_pipeline(self, realization_doc, tmp_path, capsys, monkeypatch):
+        # C_swapped comes from the document's own realization and certificate
+        # with z and w exchanged: no classification, certificate or sample
+        poly_path, doc = realization_doc
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(dumps(doc))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("extend re-ran a pipeline stage")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("dvkit")]:
+            for name in ("represent", "classify_zero_set", "sym_sos_certificate", "sample_variety"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert main(["extend", str(rep_path), f_path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        # w^2 = z^3 with z and w exchanged: Q(w) is the identity on C^3
+        assert abs(out["C_swapped"] - np.sqrt(3)) <= 1e-9
+        assert out["C_best"] == min(out["C"], out["C_swapped"])
+
+    def test_verify_dv_certificate_samples_like_represent(self, tmp_path, capsys, monkeypatch):
+        # w = z^2 has m = 1, where the default of 3(n + m) + 10 points and a
+        # fixed 24 give different samples
+        p = poly({(2, 0): 1, (0, 1): -1})
+        path = write_poly(tmp_path, "p.json", p)
+        rep_path, cert_path = tmp_path / "rep.json", tmp_path / "cert.json"
+        assert main(["represent", path, "-o", str(rep_path)]) == 0
+        cert_path.write_text(json.dumps(json.loads(rep_path.read_text())["cert"]))
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        real = dvkit.cli.sample_variety
+        monkeypatch.setattr(dvkit.cli, "sample_variety", spy)
+        capsys.readouterr()
+        assert main(["verify", str(cert_path), path]) == 0
+        assert json.loads(capsys.readouterr().out)["gram_equality"] is True
+        _, sample, _, _ = represent(p)
+        assert len(seen) == 1
+        assert seen[0].points == sample.points
 
     def test_represent_rejects_non_dv_exit_2(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", four_minus_z_minus_w())

@@ -1,3 +1,4 @@
+import functools
 from collections import Counter
 from dataclasses import replace
 
@@ -26,7 +27,9 @@ from dvkit.dvrep import (
     verify_representation,
 )
 from dvkit.classify import ZeroLabel, classify_zero_set, fiber_roots, is_squarefree
+from dvkit.extend import ExtensionOperator, extension_bound
 from dvkit.poly2 import BivariatePolynomial, blaschke_dv, symmetrize, transpose_vars
+from dvkit.soscert import verify_certificate
 
 DV_CORPUS = dv_corpus()
 
@@ -373,7 +376,7 @@ class TestRepresentOnce:
 class TestBlaschkeFamily:
     def test_mobius_variety_representation(self):
         p = blaschke_dv(2, [0.5, 0.0])
-        cert, sample, rep, report = represent(p, seed=5, grid_n=32)
+        cert, sample, rep, report = represent(p, seed=5)
         assert report.passed
         assert cert.smooth_on_torus
 
@@ -410,3 +413,74 @@ class TestSquarefreeFromLabel:
         assert not zc.proven
         with pytest.raises(ValueError, match="repeated factor"):
             represent(SQUARED[name])
+
+
+def swap_inputs():
+    """The six distinguished varieties of the demo and seeded Haar
+    varieties of degree (2, 2), (3, 3) and (4, 3)."""
+    out = {k: p for k, p in DV_CORPUS.items() if not k.startswith("haar")}
+    rng = np.random.default_rng(16)
+    for n, m in ((2, 2), (3, 3), (4, 3)):
+        out[f"haar_dv_{n}x{m}"] = BivariatePolynomial(haar_dv(haar_unitary(rng, n + m), m, n))
+    return out
+
+
+SWAP_INPUTS = swap_inputs()
+F_W = poly({(0, 1): 1})
+
+
+@functools.cache
+def weighted_pipeline(name, a, b):
+    return represent(SWAP_INPUTS[name], a, b)
+
+
+@pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 2.0)], ids=["a1b1", "a1b2"])
+@pytest.mark.parametrize("name", sorted(SWAP_INPUTS))
+class TestSwapped:
+    def test_constant_matches_transposed_pipeline(self, name, weights):
+        a, b = weights
+        cert, _, rep, _ = weighted_pipeline(name, a, b)
+        got = extension_bound(ExtensionOperator(rep.swapped(), cert.swapped(), transpose_vars(F_W))).C
+        # the whole pipeline run again on the transpose serves as the reference
+        cert_t, _, rep_t, _ = represent(transpose_vars(SWAP_INPUTS[name]), b, a)
+        want = extension_bound(ExtensionOperator(rep_t, cert_t, transpose_vars(F_W))).C
+        assert abs(got - want) <= 1e-9 * want
+
+    def test_swapped_pair_verifies(self, name, weights):
+        cert, _, rep, _ = weighted_pipeline(name, *weights)
+        cert_t, rep_t = cert.swapped(), rep.swapped()
+        p_t = transpose_vars(cert.p)
+        assert np.array_equal(cert_t.p.coeffs, p_t.coeffs)
+        assert cert_t.weights == weights[::-1]
+        assert verify_representation(p_t, cert_t, rep_t, sample_variety(p_t)).passed
+        assert verify_certificate(p_t, cert_t.as_sos()).passed
+
+    def test_swap_is_an_involution(self, name, weights):
+        cert, _, rep, _ = weighted_pipeline(name, *weights)
+        rep_t, back = rep.swapped(), rep.swapped().swapped()
+        assert (rep_t.m, rep_t.n) == (rep.n, rep.m)
+        for got, want in ((rep_t.A, rep.D), (rep_t.B, rep.B), (rep_t.C, rep.C), (rep_t.D, rep.A)):
+            assert np.array_equal(got, want.conj().T)
+        assert np.array_equal(back.U, rep.U)
+        again = cert.swapped().swapped()
+        assert again.weights == cert.weights
+        for vec, orig in ((again.vec_p, cert.vec_p), (again.vec_q, cert.vec_q)):
+            assert all(np.array_equal(x.coeffs, y.coeffs) for x, y in zip(vec, orig, strict=True))
+        assert np.array_equal(again.qmatrix.coeffs, cert.qmatrix.coeffs)
+
+
+def test_torus_singular_swap_refused_like_transposed_pipeline():
+    # (z^3 - w^2)(z - w) crosses itself at (1, 1), where det Q vanishes in
+    # both orientations
+    p = poly({(3, 0): 1, (0, 2): -1}) * poly({(1, 0): 1, (0, 1): -1})
+    cert, _, rep, _ = represent(p)
+    cert_t, _, rep_t, _ = represent(transpose_vars(p))
+    zeros = []
+    for op in (
+        ExtensionOperator(rep.swapped(), cert.swapped(), transpose_vars(F_W)),
+        ExtensionOperator(rep_t, cert_t, transpose_vars(F_W)),
+    ):
+        with pytest.raises(ValueError, match="^Qmatrix: det Q has a zero at z = ") as exc:
+            extension_bound(op)
+        zeros.append(complex(str(exc.value).split("z = ")[1].split(" ")[0]))
+    assert abs(zeros[0] - 1) < 1e-5 and abs(zeros[1] - 1) < 1e-5

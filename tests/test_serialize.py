@@ -132,7 +132,8 @@ def run_on_edited(doc_paths, tmp_path, capsys, command, edit):
     edit(doc)
     bad = tmp_path / "bad_rep.json"
     bad.write_text(json.dumps(doc))
-    argv = ["verify", str(bad), poly_path] if command == "verify" else ["extend", str(bad), f_path]
+    name, *flags = command.split()
+    argv = [name, str(bad), poly_path if name == "verify" else f_path, *flags]
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured, str(bad)
@@ -189,6 +190,44 @@ def test_vec_second_above_its_degree_exit_1(realization_doc, tmp_path, capsys):
     code, captured, bad = run_on_edited(realization_doc, tmp_path, capsys, "extend", edit)
     assert code == 1
     assert f"{bad}.cert.vec_second: degree exceeds" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "extend", "extend --no-swap"], ids=["verify", "extend", "no_swap"])
+def test_vec_first_above_its_degree_exit_1(realization_doc, tmp_path, capsys, command):
+    # P has components of degree <= (n - 1, m) = (2, 2) for z^3 - w^2
+    def edit(doc):
+        comp = doc["cert"]["vec_first"][1]
+        comp["degree"][0] += 1
+        comp["coeffs"].append([[1.0, 0.0]] * len(comp["coeffs"][0]))
+
+    code, captured, bad = run_on_edited(realization_doc, tmp_path, capsys, command, edit)
+    assert code == 1
+    assert f"{bad}.cert.vec_first: degree exceeds (2, 2) at component 1" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "extend", "extend --no-swap"], ids=["verify", "extend", "no_swap"])
+@pytest.mark.parametrize("key, count", [("vec_first", 3), ("vec_second", 2)])
+def test_component_count_against_degree_exit_1(realization_doc, tmp_path, capsys, command, key, count):
+    # z^3 - w^2 has degree (3, 2): P has 3 components and Q has 2
+    code, captured, bad = run_on_edited(
+        realization_doc, tmp_path, capsys, command, lambda doc: doc["cert"][key].pop()
+    )
+    assert code == 1
+    assert captured.out == ""
+    assert f"{bad}.cert.{key}: expected {count} components for poly of degree [3, 2]" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "extend", "extend --no-swap"], ids=["verify", "extend", "no_swap"])
+def test_block_sizes_against_degree_exit_1(realization_doc, tmp_path, capsys, command):
+    # m and n exchanged keep U square of the same size, but A must be m x m
+    # for the degree (3, 2) of the certificate's polynomial
+    def edit(doc):
+        doc["m"], doc["n"] = doc["n"], doc["m"]
+
+    code, captured, bad = run_on_edited(realization_doc, tmp_path, capsys, command, edit)
+    assert code == 1
+    assert captured.out == ""
+    assert f"{bad}.m: 3 disagrees with the degree [3, 2] of {bad}.cert.poly" in captured.err
 
 
 LEGACY = {
