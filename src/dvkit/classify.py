@@ -5,9 +5,11 @@ roots inside and outside the unit disk (Schur 1917, Cohn 1922).  Over z on
 the circle T, the Schur-Cohn matrix S_w(z) of q(z, .) is the Gram matrix of
 the B side of the paper's identity, and a trigonometric polynomial of
 degree n in z.  Between two samples h apart its least eigenvalue lies at
-most h^2 K / 8 below the smaller of theirs, K a curvature bound read off the
-Fourier coefficients that 2n + 1 samples fix, so samples bound it on all of
-T; only the arcs this leaves undecided are bisected.  q has no zeros on the
+most h^2 K / 8 below the smaller of theirs, K a curvature bound on the arc
+read off the Fourier coefficients that 2n + 1 samples fix, so samples bound
+it on all of T.  One K serves all of T first; an arc it leaves undecided
+gets its own K from the second derivative at its midpoint, and only the arcs
+still undecided are bisected.  q has no zeros on the
 closed (open) bidisk exactly when no fiber over T has a root in the closed
 (open) disk and neither has q(., 0) (DeCarlo, Murray and Saeks 1977).
 Labels say whether they are proven or hold at the sampled resolution.
@@ -18,6 +20,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +45,8 @@ __all__ = [
 ]
 
 # Undecided arcs of the circle are bisected down to width 2 pi / this.
+ARC_FLOOR = 4096
+# The largest starting number of circle samples a caller may ask for.
 CIRCLE_SAMPLES_MAX = 4096
 # Rounding allowance on Schur-Cohn eigenvalues, relative to the squared
 # coefficient norm of the fiber.
@@ -193,20 +198,51 @@ def root_count_in_disk(p: BivariatePolynomial, z: complex) -> int:
     return int(np.sum(eig < 0))
 
 
-def _fourier_curvature(s, n, unit):
-    """Bound on ||S''(theta)|| over T for a degree-n trigonometric matrix
-    polynomial S sampled as ``s`` at len(s) >= 2n + 1 equispaced points.
+class _FourierSeries:
+    """A Hermitian trigonometric matrix polynomial S(t) = sum_{|k| <= n}
+    S_k e^{ikt} of degree n, sampled as ``s`` at len(s) >= 2n + 1
+    equispaced points from t = 0.
 
-    One FFT of the samples gives the coefficients S_k, |k| <= n, exactly up
-    to rounding, allowed for by EIG_ROUNDING * unit per coefficient; S
-    Hermitian makes S_{-k} = S_k^H, and ||S''|| <= sum k^2 ||S_k||_F."""
-    coeffs = np.fft.fft(s, axis=0)[1 : n + 1] / len(s)
-    frob = np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=(1, 2)))
-    k = np.arange(1, n + 1)
-    return 2.0 * float(np.sum(k * k * (frob + EIG_ROUNDING * unit)))
+    One FFT of the samples gives S_1, ..., S_n exactly up to rounding,
+    allowed for by EIG_ROUNDING * unit per coefficient; S Hermitian makes
+    S_{-k} = S_k^H.  Both curvature bounds read off these coefficients."""
+
+    def __init__(self, s, n):
+        self.coeffs = np.fft.fft(s, axis=0)[1 : n + 1] / len(s)
+        self.k = np.arange(1, n + 1)
+        self.frob = np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=(1, 2)))
+
+    def curvature(self, unit):
+        """Bound sum_{|k| <= n} k^2 ||S_k||_F on ||S''(t)|| over T."""
+        k = self.k
+        return 2.0 * float(np.sum(k * k * (self.frob + EIG_ROUNDING * unit)))
+
+    @cached_property
+    def _derivative_terms(self):
+        # -S''(t) = sum_{k >= 1} cos(kt) P_k + sin(kt) Q_k with P_k, Q_k =
+        # k^2 (S_k + S_k^H), i k^2 (S_k - S_k^H), flattened to real rows;
+        # sum_{|k| <= n} k^2 and |k|^3, and sum |k|^3 ||S_k||_F.  Set up
+        # only once an arc needs its own K.
+        k = self.k
+        n, m = self.coeffs.shape[:2]
+        scaled = (k * k)[:, None, None] * self.coeffs
+        adjoint = scaled.conj().swapaxes(1, 2)
+        rows = np.concatenate([scaled + adjoint, 1j * (scaled - adjoint)])
+        rows = rows.reshape(2 * n, m * m).view(float)
+        return rows, 2.0 * float(k @ k), 2.0 * float(np.sum(k**3)), 2.0 * float(k**3 @ self.frob)
+
+    def arc_curvature(self, mid, unit):
+        """(a, b) with ||S''(t)|| <= a + b |t - mid| on T, one entry of a per
+        entry of ``mid``: a bounds ||S''(mid)||_F and b = sum_{|k| <= n}
+        |k|^3 ||S_k||_F bounds ||S'''||."""
+        rows, k2, k3, third = self._derivative_terms
+        err = EIG_ROUNDING * unit
+        t = np.multiply.outer(mid, self.k)
+        second = np.hstack([np.cos(t), np.sin(t)]) @ rows
+        return np.sqrt(np.einsum("ij,ij->i", second, second)) + k2 * err, third + k3 * err
 
 
-def _definite_on_circle(p, grid_n, sign, cap=CIRCLE_SAMPLES_MAX):
+def _definite_on_circle(p, grid_n, sign, cap=ARC_FLOOR):
     """Circle samples z, the least eigenvalue of sign * S_w(z) at each, the
     largest squared fiber coefficient norm, and whether sign * S_w is proven
     positive definite on T.
@@ -214,16 +250,24 @@ def _definite_on_circle(p, grid_n, sign, cap=CIRCLE_SAMPLES_MAX):
     ``grid_n`` equispaced samples, doubled until there are 2n + 1, cut T
     into arcs.  For a unit eigenvector v at a point of an arc of width h,
     v^H S v leaves its chord between the arc's ends by at most h^2 K / 8,
-    K a bound on |v^H S'' v|, and lies above the least eigenvalues there;
-    so the arc is proven when the smaller end value, less the rounding
-    allowance EIG_ROUNDING * unit, exceeds h^2 K / 8.  K is Bernstein's
-    n^2 max||S||, max||S|| <= max sampled ||S|| / (1 - (1/2)(pi n / M)^2) on
-    M samples by the same chord argument at the maximum, or the smaller
-    Fourier bound of :func:`_fourier_curvature` when Bernstein's leaves a
-    base arc unproven.  Each round then bisects the unproven arcs, down to
-    width 2 pi / ``cap``; an unproven arc whose end lies at or below the
-    slack of that finest width can never be proven and ends the search.
-    The samples come back in angular order, each on the uniform grid of its
+    K a bound on |v^H S'' v| over the arc, and lies above the least
+    eigenvalues there; so the arc is proven when the smaller end value,
+    less the rounding allowance EIG_ROUNDING * unit, exceeds h^2 K / 8.
+    The base arcs first try one K for all of T: Bernstein's n^2 max||S||,
+    max||S|| <= max sampled ||S|| / (1 - (1/2)(pi n / M)^2) on M samples by
+    the same chord argument at the maximum, then the smaller Fourier bound
+    sum k^2 ||S_k|| when Bernstein's leaves a base arc unproven.  An arc
+    this global K leaves undecided is judged by its own K, capped by the
+    global one: on an arc of width h about c, S''(t) differs from S''(c) by
+    at most |t - c| max||S'''|| <= (h/2) sum |k|^3 ||S_k||, so
+    K = ||S''(c)|| + (h/2) sum |k|^3 ||S_k|| bounds ||S''|| there.  The
+    coefficients S_k come from one FFT of the base samples
+    (:class:`_FourierSeries`).  Each round bisects the unproven arcs, down
+    to width 2 pi / ``cap``.  An arc end at or below zero ends the search,
+    and so does an unproven arc whose end lies at or below the slack its
+    own K, taken at the finest width about its midpoint, leaves at that
+    width; neither exit proves anything, they only stop a search.  The
+    samples come back in angular order, each on the uniform grid of their
     arc width."""
     n, count = p.degree[0], grid_n
     while count < 2 * n + 1:
@@ -246,17 +290,34 @@ def _definite_on_circle(p, grid_n, sign, cap=CIRCLE_SAMPLES_MAX):
     half_sq = 0.5 * (np.pi * n / count) ** 2
     norm = float(np.max(np.abs(eig), initial=0.0))
     curve = n * n * norm / (1.0 - half_sq) if half_sq < 1.0 else np.inf
-    if float(np.min(lam)) - EIG_ROUNDING * unit > (np.pi / count) ** 2 * curve / 2:
+    least = float(np.min(lam)) - EIG_ROUNDING * unit
+    if least > (np.pi / count) ** 2 * curve / 2:
         return z, lam, unit, True
-    curve = min(curve, _fourier_curvature(s, n, unit))
+    if least <= 0.0:
+        return z, lam, unit, False
+    series = _FourierSeries(s, n)
+    curve = min(curve, series.curvature(unit))
     # arcs: left end position and the least eigenvalues at both ends
-    left, lo, hi = pos, lam, np.roll(lam, -1)
+    left, lo, hi = pos, lam, np.concatenate([lam[1:], lam[:1]])
     all_pos, all_lam = [pos], [lam]
+    floor = (np.pi / fine) ** 2 / 2
     while True:
+        # an arc of this width is proven when its end exceeds slack * K
+        slack = (np.pi * width / fine) ** 2 / 2
         ends = np.minimum(lo, hi) - EIG_ROUNDING * unit
-        undecided = ends <= (np.pi * width / fine) ** 2 * curve / 2
-        proven = not np.any(undecided)
-        if proven or np.min(ends[undecided]) <= (np.pi / fine) ** 2 * curve / 2:
+        undecided = ends <= slack * curve
+        proven = not undecided.any()
+        if proven or ends[undecided].min() <= 0.0:
+            break
+        left, lo, hi, ends = left[undecided], lo[undecided], hi[undecided], ends[undecided]
+        at_mid, third = series.arc_curvature(2 * np.pi * (left + 0.5 * width) / fine, unit)
+        undecided = ends <= slack * np.minimum(curve, at_mid + np.pi * width / fine * third)
+        proven = not undecided.any()
+        if proven:
+            break
+        # the arc's own K on the finest arc about its midpoint
+        finest = np.minimum(curve, at_mid[undecided] + np.pi / fine * third)
+        if (ends[undecided] <= floor * finest).any():
             break
         left, lo, hi = left[undecided], lo[undecided], hi[undecided]
         width //= 2
@@ -306,7 +367,7 @@ def _symmetric_label(p, grid_n, tol):
     for q in (p, transpose_vars(p)):
         if len(_vertical_lines(q, tol)):
             return None
-        cap = CIRCLE_SAMPLES_MAX if proven else grid_n
+        cap = ARC_FLOOR if proven else grid_n
         _, lam, unit, side_proven = _definite_on_circle(q.partial_w(), grid_n, -1, cap)
         if np.min(lam) < -tol * unit:
             return None

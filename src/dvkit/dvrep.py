@@ -51,6 +51,10 @@ __all__ = [
     "shift_realization",
 ]
 
+# Singular values of the stacked sample map at or below this fraction of
+# the largest count as zero when :func:`lurking_isometry` reads its rank.
+RANK_TOL = 1e-8
+
 
 class IsometryError(ValueError):
     pass
@@ -291,11 +295,7 @@ def gram_defect(cert: DvCertificate, sample: VarietySample) -> float:
     return _gram_defect(*_stacked_maps(cert, sample))
 
 
-def lurking_isometry(
-    cert: DvCertificate,
-    sample: VarietySample,
-    rank_tol: float = 1e-8,
-) -> UnitaryRealization:
+def lurking_isometry(cert: DvCertificate, sample: VarietySample) -> UnitaryRealization:
     """Unitary completion of the isometry (Q; zP) -> (wQ; P) read off the
     variety samples.
 
@@ -314,10 +314,10 @@ def lurking_isometry(
             f"isometry violated: Gram mismatch {defect:.3e} exceeds {cert.gram_tolerance:.1e}"
         )
     ux, sx, vxh = np.linalg.svd(x)
-    rank = int(np.sum(sx > rank_tol * sx[0]))
+    rank = int(np.sum(sx > RANK_TOL * sx[0]))
     if x.shape[1] > rank + 10:
         sx_head = np.linalg.svd(x[:, :-10], compute_uv=False)
-        if int(np.sum(sx_head > rank_tol * sx_head[0])) != rank:
+        if int(np.sum(sx_head > RANK_TOL * sx_head[0])) != rank:
             raise IsometryError("sample rank not saturated; add variety points")
     w_basis = y @ vxh.conj().T[:, :rank] / sx[:rank]
     uy = np.linalg.svd(y)[0]

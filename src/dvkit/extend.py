@@ -44,6 +44,10 @@ __all__ = [
     "verify_extension",
 ]
 
+# Absolute allowance, per unit of f's coefficient scale, on the inflation
+# check sup|F| <= C sup_V |f| of :func:`verify_extension`.
+INFLATION_SLACK = 1e-6
+
 
 def eval_f_of_pair(f: BivariatePolynomial, z, phi: np.ndarray) -> np.ndarray:
     """f(z I_m, Phi) = sum_k (sum_j c_jk z^j) Phi^k, Horner in the matrix.
@@ -257,7 +261,7 @@ class ExtensionReport:
     passed: bool
 
 
-def verify_extension(op: ExtensionOperator, tol: float = 1e-6) -> ExtensionReport:
+def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     """Check F = f on the variety and the norm inflation against C, all
     from one pass over the 128th roots of unity z_k.
 
@@ -275,5 +279,5 @@ def verify_extension(op: ExtensionOperator, tol: float = 1e-6) -> ExtensionRepor
     on_var = _max_abs(horner(g[cp.k].T, cp.w) - cp.fv) / (1.0 + sup_f)
     sup_F = _max_abs(g @ _powers(cp.circle, op.rep.m))
     ratio = sup_F / sup_f if sup_f > 0 else 0.0
-    passed = on_var <= 1e-7 and sup_F <= bound.C * sup_f + tol * max(1.0, op.f.scale)
+    passed = on_var <= 1e-7 and sup_F <= bound.C * sup_f + INFLATION_SLACK * max(1.0, op.f.scale)
     return ExtensionReport(on_var, sup_F, sup_f, bound.C, ratio, passed)

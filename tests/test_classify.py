@@ -21,7 +21,7 @@ from dvkit.classify import (
     classify_zero_set,
     fiber_roots,
     _definite_on_circle,
-    _fourier_curvature,
+    _FourierSeries,
     is_squarefree,
     repeated_root,
     root_count_in_disk,
@@ -37,6 +37,7 @@ from dvkit.poly2 import (
     reflected_derivatives,
     swap_transform,
     symmetrize,
+    transpose_vars,
 )
 
 
@@ -201,6 +202,18 @@ class TestCircleProof:
         z = np.exp(2j * np.pi * np.arange(count) / count)
         return float(np.min(np.linalg.eigvalsh(sign * schur_cohn_matrix(p.fibers(z)))))
 
+    @staticmethod
+    def dense_definite(p, sign, count=1 << 16):
+        # Cholesky succeeds exactly where the least eigenvalue is positive,
+        # at a third of the cost of computing it
+        z = np.exp(2j * np.pi * np.arange(count) / count)
+        try:
+            for f in np.split(p.fibers(z), 64):
+                np.linalg.cholesky(sign * schur_cohn_matrix(f))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
     @pytest.mark.parametrize("seed", range(3))
     def test_proven_means_definite_on_a_dense_grid(self, seed):
         # Near-singular by construction: a product of two rotated
@@ -232,18 +245,19 @@ class TestCircleProof:
         # proven on the base grid, proven after bisection, and unproven
         assert outcomes == {(True, False), (True, True), (False, False)}
 
-    def test_fourier_curvature_bounds_second_differences(self):
+    @staticmethod
+    def random_samples(count, shift=0.0):
+        # S_w of a random degree-(3, 2) polynomial at count points of T
+        # turned by shift, with the largest squared fiber coefficient norm
         rng = np.random.default_rng(5)
         p = BivariatePolynomial(rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3)))
-        n, m = p.degree
+        fibers = p.fibers(np.exp(1j * (2 * np.pi * np.arange(count) / count + shift)))
+        return schur_cohn_matrix(fibers), float(np.max(np.sum(np.abs(fibers) ** 2, axis=1)))
 
-        def s_at(count, shift=0.0):
-            z = np.exp(1j * (2 * np.pi * np.arange(count) / count + shift))
-            fibers = p.fibers(z)
-            return schur_cohn_matrix(fibers), float(np.max(np.sum(np.abs(fibers) ** 2, axis=1)))
-
+    def test_fourier_curvature_bounds_second_differences(self):
+        n, m, s_at = 3, 2, self.random_samples  # the polynomial's degree
         s, unit = s_at(2 * n + 1)
-        curve = _fourier_curvature(s, n, unit)
+        curve = _FourierSeries(s, n).curvature(unit)
         h = 1e-3
         second = (s_at(4096, h)[0] - 2 * s_at(4096)[0] + s_at(4096, -h)[0]) / h**2
         peak = float(np.max(np.abs(np.linalg.eigvalsh(second))))
@@ -251,6 +265,34 @@ class TestCircleProof:
         # k^2 ||S_k||_2 <= max ||S''|| and ||.||_F <= sqrt(m) ||.||_2 for each
         # of the 2n nonzero frequencies
         assert curve <= 1.01 * 2 * n * np.sqrt(m) * peak
+
+    def test_arc_curvature_bounds_second_differences_inside_its_arc(self):
+        n, s_at = 3, self.random_samples
+        s, unit = s_at(2 * n + 1)
+        series = _FourierSeries(s, n)
+        # 64 arcs of width 2 pi / 64, each holding 64 of 4096 points
+        arcs, count, h = 64, 4096, 1e-3
+        at_mid, third = series.arc_curvature(2 * np.pi * (np.arange(arcs) + 0.5) / arcs, unit)
+        own = at_mid + np.pi / arcs * third
+        shift = np.pi / count
+        second = (s_at(count, shift + h)[0] - 2 * s_at(count, shift)[0] + s_at(count, shift - h)[0]) / h**2
+        peak = np.max(np.abs(np.linalg.eigvalsh(second)), axis=1)
+        assert np.all(peak.reshape(arcs, -1) <= own[:, None])
+        # and on most arcs it is well below the one K for all of T
+        assert np.median(own) < 0.75 * series.curvature(unit)
+
+    @pytest.mark.parametrize("d", [8, 14])
+    def test_haar_variety_sides_are_proven(self, d):
+        # The p_w sides of a Haar variety are negative definite on T.  At
+        # d = 14 the one K for all of T cannot prove the arcs about the
+        # least eigenvalue even at width 2 pi / 4096; each arc's own K
+        # proves both sides in about 500 samples.
+        rng = np.random.default_rng(1000 * d + 1)
+        p = BivariatePolynomial(haar_dv(haar_unitary(rng, 2 * d), d, d))
+        for q in (p, transpose_vars(p)):
+            side = q.partial_w()
+            _, _, _, proven = _definite_on_circle(side, 64, -1)
+            assert proven and self.dense_definite(side, -1)
 
     def test_rotated_two_minus_z_minus_w_stays_unproven(self):
         # the torus zero puts the least eigenvalue at 0 between samples
