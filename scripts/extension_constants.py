@@ -7,10 +7,9 @@ bound, and the constant of the same realization with z and w exchanged.
 Monomial Blaschke products come out at exactly sqrt(m); the table shows how
 far general numerator/denominator pairs drift from that floor.
 
-    PYTHONPATH=src python scripts/extension_constants.py [--seed S]
+    PYTHONPATH=src python scripts/extension_constants.py
 """
 
-import argparse
 import math
 
 from dvkit.extend import ExtensionOperator, extension_bound
@@ -18,7 +17,7 @@ from dvkit.dvrep import represent
 from dvkit.poly2 import BivariatePolynomial, blaschke_dv, transpose_vars
 
 
-def survey(seed):
+def survey():
     f_w = BivariatePolynomial.from_terms({(0, 1): 1})
     cases = []
     for m in (2, 3):
@@ -30,7 +29,7 @@ def survey(seed):
         )
     print(f"{'curve':34s} {'m':>2s} {'C':>12s} {'C_swapped':>12s} {'sqrt(m)':>9s} {'per-point':>10s}")
     for name, p in cases:
-        cert, sample, rep, report = represent(p, seed=seed)
+        cert, sample, rep, report = represent(p)
         bound = extension_bound(ExtensionOperator(rep, cert, f_w))
         try:
             c_sw = extension_bound(
@@ -45,7 +44,6 @@ def survey(seed):
             f"{bound.per_point_bound:10.6f}"
         )
 
+
 if __name__ == "__main__":
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seed", type=int, default=7)
-    survey(ap.parse_args().seed)
+    survey()

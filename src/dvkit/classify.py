@@ -44,16 +44,25 @@ __all__ = [
     "repeated_root",
 ]
 
+# Equispaced circle samples the label search starts from.
+CIRCLE_SAMPLES = 64
 # Undecided arcs of the circle are bisected down to width 2 pi / this.
 ARC_FLOOR = 4096
-# The largest starting number of circle samples a caller may ask for.
-CIRCLE_SAMPLES_MAX = 4096
 # Rounding allowance on Schur-Cohn eigenvalues, relative to the squared
 # coefficient norm of the fiber.
 EIG_ROUNDING = 1e-12
 # Fiber coefficients at or below this fraction of the fiber's largest one
 # count as zero when the fiber's w-degree is read off.
 FIBER_TRIM = 1e-12
+# Roots of unity in z over which torus_singularities seeks candidates, and
+# its gate on |p|, |p_z| and |p_w| relative to the coefficient scale.
+TORUS_SWEEP = 128
+TORUS_TOL = 1e-8
+# is_squarefree: random fibers tried per variable, the gate on the least
+# normalized |p_w| at their roots, and the seed of the fiber points.
+SQUAREFREE_TRIALS = 5
+SQUAREFREE_TOL = 1e-6
+SQUAREFREE_SEED = 11
 
 
 class FiberError(ValueError):
@@ -76,7 +85,6 @@ class ZeroLabel(Enum):
 class ZeroClass:
     label: ZeroLabel
     witnesses: tuple = ()
-    grid_n: int = 0
     tol: float = 0.0
     proven: bool = False  # the label holds beyond the sampled resolution
 
@@ -156,12 +164,13 @@ def batched_fiber_roots(p: BivariatePolynomial, zs) -> list:
 
 
 def fiber_root_pairs(p: BivariatePolynomial, zs) -> tuple[np.ndarray, np.ndarray]:
-    """Every fiber root over zs as flat arrays (z, w), ordered by z and then
-    by root; identically zero fibers contribute no pair."""
+    """Every fiber root over the flattened zs as flat arrays (k, w), w a
+    root of p(zs[k], .), ordered by k and then by root; identically zero
+    fibers contribute no pair."""
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     empty = np.zeros(0, dtype=np.complex128)
     roots = [empty if r is None else r for r in batched_fiber_roots(p, zs)]
-    return np.repeat(zs, [len(r) for r in roots]), np.concatenate([empty] + roots)
+    return np.repeat(np.arange(len(zs)), [len(r) for r in roots]), np.concatenate([empty] + roots)
 
 
 def schur_cohn_matrix(coeffs) -> np.ndarray:
@@ -336,9 +345,10 @@ def _definite_on_circle(p, grid_n, sign, cap=ARC_FLOOR):
 def _open_disk_roots(p, zs, tol):
     """Points (z, w), z in zs, with w a root of p(z, .) inside the disk by
     more than ``tol``."""
-    z, w = fiber_root_pairs(p, zs)
+    zs = np.asarray(zs, dtype=np.complex128)
+    k, w = fiber_root_pairs(p, zs)
     inside = np.abs(w) < 1.0 - tol
-    return [(complex(a), complex(b)) for a, b in zip(z[inside], w[inside])]
+    return [(complex(a), complex(b)) for a, b in zip(zs[k[inside]], w[inside])]
 
 
 def _vertical_lines(p, tol):
@@ -355,7 +365,7 @@ def _vertical_lines(p, tol):
     return z0[np.max(np.abs(p.fibers(z0)), axis=1) <= tol * p.scale]
 
 
-def _symmetric_label(p, grid_n, tol):
+def _symmetric_label(p, tol):
     """(DVDefining or SymmetricNonvanishingOffTorus, proven) for a
     torus-symmetric p, or None.  In both variables the self-inversive fibers
     over T must have every root on T, as they do when the derivative fiber's
@@ -367,8 +377,8 @@ def _symmetric_label(p, grid_n, tol):
     for q in (p, transpose_vars(p)):
         if len(_vertical_lines(q, tol)):
             return None
-        cap = ARC_FLOOR if proven else grid_n
-        _, lam, unit, side_proven = _definite_on_circle(q.partial_w(), grid_n, -1, cap)
+        cap = ARC_FLOOR if proven else CIRCLE_SAMPLES
+        _, lam, unit, side_proven = _definite_on_circle(q.partial_w(), CIRCLE_SAMPLES, -1, cap)
         if np.min(lam) < -tol * unit:
             return None
         proven = proven and side_proven
@@ -381,9 +391,7 @@ def _symmetric_label(p, grid_n, tol):
     return None
 
 
-def classify_zero_set(
-    p: BivariatePolynomial, grid_n: int = 64, tol: float = 1e-7
-) -> ZeroClass:
+def classify_zero_set(p: BivariatePolynomial, tol: float = 1e-7) -> ZeroClass:
     """Label the zero set of p relative to the bidisk.
 
     A torus-symmetric p is tested for DVDefining (zeros confined to
@@ -393,7 +401,7 @@ def classify_zero_set(
     the closed disk; StableOpen needs no root in the open disk from q(., 0),
     the fiber at z = 0, or the sampled fibers over T whose S_w(z) is not
     clearly positive definite, and up to 16 such roots are the witnesses of
-    Indeterminate.  ``grid_n`` is the starting number of circle samples;
+    Indeterminate.  The search starts from CIRCLE_SAMPLES circle samples;
     roots within ``tol`` of the circle and eigenvalues within ``tol`` times
     the squared fiber coefficient norm of zero count as on it.  p is first
     divided by the power of two that brings its scale into [1/2, 1), which
@@ -402,13 +410,13 @@ def classify_zero_set(
     p = p.ldexp(-p.exponent)
 
     def result(label, proven=False, witnesses=()):
-        return ZeroClass(label, tuple(witnesses), grid_n, tol, proven)
+        return ZeroClass(label, tuple(witnesses), tol, proven)
 
     if symmetry_analysis(p, tol=1e-8).is_symmetric:
-        found = _symmetric_label(p, grid_n, tol)
+        found = _symmetric_label(p, tol)
         if found is not None:
             return result(*found)
-    z, lam, unit, proven = _definite_on_circle(p, grid_n, 1)
+    z, lam, unit, proven = _definite_on_circle(p, CIRCLE_SAMPLES, 1)
     at_w0 = transpose_vars(p)
     with suppress(FiberError):
         if proven and root_count_in_disk(at_w0, 0.0) == 0:
@@ -421,12 +429,10 @@ def classify_zero_set(
     return result(ZeroLabel.INDETERMINATE, witnesses=witnesses[:16])
 
 
-def torus_singularities(
-    p: BivariatePolynomial, grid_n: int = 128, tol: float = 1e-8
-) -> SingularityReport:
+def torus_singularities(p: BivariatePolynomial) -> SingularityReport:
     """Points of the torus where p, p_z and p_w vanish together.
 
-    Sweeps z over ``grid_n`` roots of unity and takes the fiber roots within
+    Sweeps z over TORUS_SWEEP roots of unity and takes the fiber roots within
     1e-2 of the unit circle as candidates.  All candidates are refined at
     once by Newton's method on grad p = (p_z, p_w) = 0, whose Jacobian is the
     Hessian of p; it is nonsingular at an ordinary node, so convergence there
@@ -434,15 +440,15 @@ def torus_singularities(
     Hessian determinant is exactly 0 (it then sits on a singular curve, as
     along a repeated factor), after at most 30 steps.  The points kept lie
     within 1e-6 of the torus with |p|, |p_z| and |p_w| all below
-    ``tol * scale``, de-duplicated at 1e-5.
+    TORUS_TOL * scale, de-duplicated at 1e-5.
     """
     fz, fw = p.partial_z(), p.partial_w()
     fzz, fzw, fww = fz.partial_z(), fz.partial_w(), fw.partial_w()
     scale = p.scale
-    circle = np.exp(1j * (2 * np.pi * np.arange(grid_n) / grid_n))
-    z, w = fiber_root_pairs(p, circle)
+    circle = np.exp(1j * (2 * np.pi * np.arange(TORUS_SWEEP) / TORUS_SWEEP))
+    k, w = fiber_root_pairs(p, circle)
     near = np.abs(np.abs(w) - 1.0) <= 1e-2
-    z, w = z[near], w[near]
+    z, w = circle[k[near]], w[near]
 
     active = np.arange(len(z))
     # A candidate far from any critical point may diverge; it fails the gate.
@@ -463,7 +469,7 @@ def torus_singularities(
             step = np.abs(dz) + np.abs(dw)
             active = active[step >= 1e-14]
 
-        bound = tol * scale
+        bound = TORUS_TOL * scale
         keep = (
             (np.abs(np.abs(z) - 1.0) < 1e-6)
             & (np.abs(np.abs(w) - 1.0) < 1e-6)
@@ -478,26 +484,25 @@ def torus_singularities(
     return SingularityReport(tuple(found), smooth_on_torus=not found)
 
 
-def is_squarefree(
-    p: BivariatePolynomial, trials: int = 5, tol: float = 1e-6, seed: int = 11
-) -> bool:
+def is_squarefree(p: BivariatePolynomial) -> bool:
     """Probabilistic squarefreeness check on fibers over random z, and on
     fibers over random w for a repeated factor free of w.
 
     A repeated factor gives every fiber a multiple root, where p_w vanishes.
-    At each random z the check takes the least |p_w| over the fiber's
-    roots, normalized by the size of p_w on a circle enclosing them, so the
-    verdict depends neither on the scale of p nor on the number of roots.
+    At each of SQUAREFREE_TRIALS random z the check takes the least |p_w|
+    over the fiber's roots, normalized by the size of p_w on a circle
+    enclosing them, so the verdict depends neither on the scale of p nor on
+    the number of roots.
     A double root is computed only to about sqrt(eps) ~ 1e-8, which leaves
     that least value near 1e-8 when a factor repeats, against the root
     separations (above 1e-3 on seeded Haar varieties up to degree 6) when
     none does.  A variable counts as squarefree when one trial stays above
-    ``tol``; p needs both.
+    SQUAREFREE_TOL; p needs both.
     """
-    return repeated_root(p, trials, tol, seed) is None
+    return repeated_root(p) is None
 
 
-def repeated_root(p: BivariatePolynomial, trials: int = 5, tol: float = 1e-6, seed: int = 11):
+def repeated_root(p: BivariatePolynomial):
     """Where :func:`is_squarefree` fails, the multiple fiber root it found at
     its first trial, as (variable, fiber point, root, multiplicity): the
     variable ("w" or "z") the fiber is taken in, the root the mean of the
@@ -508,18 +513,18 @@ def repeated_root(p: BivariatePolynomial, trials: int = 5, tol: float = 1e-6, se
     verdict does not depend on its scale."""
     p = p.ldexp(-p.exponent)
     for var, f in (("w", p), ("z", transpose_vars(p))):
-        found = _multiple_fiber_root(f, trials, tol, seed)
+        found = _multiple_fiber_root(f)
         if found is not None:
             return (var,) + found
     return None
 
 
-def _multiple_fiber_root(p, trials, tol, seed):
-    rng = np.random.default_rng(seed)
+def _multiple_fiber_root(p):
+    rng = np.random.default_rng(SQUAREFREE_SEED)
     if p.degree[1] == 0:
         return None
     pw = p.partial_w()
-    u = rng.uniform(size=(trials, 2))
+    u = rng.uniform(size=(SQUAREFREE_TRIALS, 2))
     zs = 0.7 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
     first = None
     for z, roots in zip(zs, batched_fiber_roots(p, zs)):
@@ -533,10 +538,10 @@ def _multiple_fiber_root(p, trials, tol, seed):
         )
         ref = max(float(np.max(np.abs(pw.evaluate(z, circle)))), 1e-300)
         slope = np.abs(pw.evaluate(z, roots))
-        if np.min(slope) > tol * ref:
+        if np.min(slope) > SQUAREFREE_TOL * ref:
             return None
         if first is None:
             w0 = roots[np.argmin(slope)]
-            near = (slope <= tol * ref) & (np.abs(roots - w0) <= 0.1 * max(1.0, abs(w0)))
+            near = (slope <= SQUAREFREE_TOL * ref) & (np.abs(roots - w0) <= 0.1 * max(1.0, abs(w0)))
             first = (complex(z), complex(np.mean(roots[near])), int(np.sum(near)))
     return first

@@ -2,8 +2,8 @@
 verify / demo, JSON in and JSON out.
 
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure.  All
-reports are deterministic for a fixed config and seed, so the demo doubles
-as an acceptance gate in CI.
+reports are deterministic, the same input giving the same bytes, so the demo
+doubles as an acceptance gate in CI.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import classify as classify_mod
 from . import serialize as ser
@@ -39,44 +39,13 @@ from .poly2 import (
 )
 from .soscert import CertKind, sos_certificate, sym_sos_certificate, gw_invertibility, verify_certificate
 
-PASS_THRESHOLD = 1e-7
-# lurking_isometry takes a full SVD of a samples x samples matrix
-SAMPLES_MAX = 1024
 
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: tuple[str, ...] = ()
-    grid_n: int = 64
-    tol: float = 1e-7
-    weights: tuple[float, float] | None = None
-    seed: int = 7
-    samples: int | None = None
-    output: str | None = None
-    at_degree: tuple[int, int] | None = None
-    swap_check: bool = True
-    expand: bool = False
-
-    def validate(self):
-        if not (16 <= self.grid_n <= classify_mod.CIRCLE_SAMPLES_MAX):
-            raise ValueError(f"--grid must lie in [16, {classify_mod.CIRCLE_SAMPLES_MAX}]")
-        if self.samples is not None and self.samples > SAMPLES_MAX:
-            raise ValueError(f"--samples must be at most {SAMPLES_MAX}")
-        if not (0.0 < self.tol <= 1e-2):
-            raise ValueError("tol must lie in (0, 1e-2]")
-        if self.weights is not None:
-            a, b = self.weights
-            if a < 0 or b < 0 or (a == 0 and b == 0):
-                raise ValueError("weights must be non-negative and not both zero")
-
-
-def _emit(config: RunConfig, obj: dict) -> None:
+def _emit(args: argparse.Namespace, obj: dict) -> None:
     text = ser.dumps(obj)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        print(ser.dumps({"schema": ser.SCHEMA, "written": config.output}))
+        print(ser.dumps({"schema": ser.SCHEMA, "written": args.output}))
     else:
         print(text)
 
@@ -94,50 +63,51 @@ def _point_pairs(points):
     return [[ser._c2pair(z), ser._c2pair(w)] for z, w in points]
 
 
-def _cmd_classify(config: RunConfig) -> int:
-    p = _load_poly(config.inputs[0])
-    zc = classify_mod.classify_zero_set(p, grid_n=config.grid_n, tol=config.tol)
+def _cmd_classify(args: argparse.Namespace) -> int:
+    p = _load_poly(args.poly)
+    zc = classify_mod.classify_zero_set(p, tol=args.tol)
     _emit(
-        config,
+        args,
         {
             "schema": ser.SCHEMA,
             "command": "classify",
             "label": zc.label.value,
             "proven": zc.proven,
             "witnesses": _point_pairs(zc.witnesses),
-            "grid": zc.grid_n,
             "tol": zc.tol,
         },
     )
     return 0
 
 
-def _cmd_reflect(config: RunConfig) -> int:
-    p = _load_poly(config.inputs[0])
-    if config.at_degree is not None:
+def _cmd_reflect(args: argparse.Namespace) -> int:
+    p = _load_poly(args.poly)
+    at_degree = tuple(args.at) if args.at else None
+    if at_degree is not None:
         degree = p.true_degree()
-        if any(d < t for d, t in zip(config.at_degree, degree)):
+        if any(d < t for d, t in zip(at_degree, degree)):
             print(
-                f"dvkit: error: --at {' '.join(map(str, config.at_degree))} lies below "
-                f"the degree {degree} of {config.inputs[0]}",
+                f"dvkit: error: --at {' '.join(map(str, at_degree))} lies below "
+                f"the degree {degree} of {args.poly}",
                 file=sys.stderr,
             )
             return 1
-    _emit(config, ser.poly_to_obj(reflect(p, config.at_degree)))
+    _emit(args, ser.poly_to_obj(reflect(p, at_degree)))
     return 0
 
 
-def _cmd_sos(config: RunConfig) -> int:
-    p = _load_poly(config.inputs[0])
-    if config.weights is not None:
+def _cmd_sos(args: argparse.Namespace) -> int:
+    p = _load_poly(args.poly)
+    weighted = args.a is not None
+    if weighted:
         q = symmetrize(p)
-        cert = sym_sos_certificate(q, *config.weights)
+        cert = sym_sos_certificate(q, args.a, args.b)
         target = q
     else:
         cert = sos_certificate(p)
         target = p
     report = verify_certificate(target, cert)
-    obj = ser.cert_to_obj(cert, poly=target if config.weights is not None else None)
+    obj = ser.cert_to_obj(cert, poly=target if weighted else None)
     obj["verification"] = {"residual": _finite_or_none(report.residual), "passed": report.passed}
     if len(cert.vec_first) and len(cert.vec_second):
         gw = gw_invertibility(cert)
@@ -146,7 +116,7 @@ def _cmd_sos(config: RunConfig) -> int:
             "min_sv_second": gw.min_sv_second,
             "passed": gw.passed,
         }
-    _emit(config, obj)
+    _emit(args, obj)
     if not report.passed:
         _note_repeated_factor(target)
     return 0 if report.passed else 2
@@ -166,20 +136,17 @@ def _note_repeated_factor(p):
         )
 
 
-def _cmd_represent(config: RunConfig) -> int:
-    p = _load_poly(config.inputs[0])
-    a, b = config.weights if config.weights is not None else (1.0, 1.0)
-    cert, sample, rep, report = represent(p, a, b, seed=config.seed, target_count=config.samples)
-    report_obj = {**asdict(report), "seed": config.seed, "passed": report.passed}
-    _emit(config, ser.realization_to_obj(rep, cert, report_obj))
+def _cmd_represent(args: argparse.Namespace) -> int:
+    p = _load_poly(args.poly)
+    cert, sample, rep, report = represent(p, args.a, args.b)
+    report_obj = {**asdict(report), "passed": report.passed}
+    _emit(args, ser.realization_to_obj(rep, cert, report_obj))
     return 0 if report.passed else 2
 
 
-def _cmd_extend(config: RunConfig) -> int:
-    rep, cert = ser.realization_from_obj(
-        ser.load_path(config.inputs[0]), where=config.inputs[0]
-    )
-    f = _load_poly(config.inputs[1])
+def _cmd_extend(args: argparse.Namespace) -> int:
+    rep, cert = ser.realization_from_obj(ser.load_path(args.realization), where=args.realization)
+    f = _load_poly(args.f)
     op = ExtensionOperator(rep, cert, f)
     er = verify_extension(op)
     obj = {
@@ -192,11 +159,11 @@ def _cmd_extend(config: RunConfig) -> int:
         "ratio": er.ratio,
         "passed": er.passed,
     }
-    if config.expand:
+    if args.expand:
         numerator, denominator = expand_extension(op)
         obj["numerator"] = ser.poly_to_obj(numerator)
         obj["denominator"] = ser.poly_to_obj(denominator)
-    if config.swap_check:
+    if not args.no_swap:
         # the same variety's realization with z and w exchanged
         op_t = ExtensionOperator(rep.swapped(), cert.swapped(), transpose_vars(f))
         try:
@@ -207,19 +174,19 @@ def _cmd_extend(config: RunConfig) -> int:
         else:
             obj["C_swapped"] = c_swapped
             obj["C_best"] = min(er.bound_C, c_swapped)
-    _emit(config, obj)
+    _emit(args, obj)
     return 0 if er.passed else 2
 
 
-def _cmd_verify(config: RunConfig) -> int:
-    where = config.inputs[0]
+def _cmd_verify(args: argparse.Namespace) -> int:
+    where = args.artifact
     artifact = ser.load_path(where)
-    p = _load_poly(config.inputs[1])
+    p = _load_poly(args.poly)
     kind = artifact.get("kind") if isinstance(artifact, dict) else None
     obj = {"schema": ser.SCHEMA, "command": "verify", "kind": kind}
     if kind == "realization":
         rep, cert = ser.realization_from_obj(artifact, where=where)
-        sample = sample_variety(cert.p, seed=config.seed)
+        sample = sample_variety(cert.p)
         report = verify_representation(p, cert, rep, sample)
         obj.update(asdict(report), passed=report.passed)
     elif kind in {k.value for k in CertKind}:
@@ -229,15 +196,15 @@ def _cmd_verify(config: RunConfig) -> int:
         residual = _finite_or_none(report.residual)
         obj.update(residual=residual, threshold=report.threshold, passed=report.passed)
         if dv is not None:
-            # on the variety sample that represent takes at the same seed
+            # on the variety sample that represent takes
             try:
-                lurking_isometry(dv, sample_variety(dv.p, seed=config.seed))
+                lurking_isometry(dv, sample_variety(dv.p))
                 obj["gram_equality"] = True
             except IsometryError:
                 obj["gram_equality"] = obj["passed"] = False
     else:
         raise ser.SchemaError(f"{where}.kind: unrecognized artifact kind {kind!r}")
-    _emit(config, obj)
+    _emit(args, obj)
     return 0 if obj["passed"] else 2
 
 
@@ -263,11 +230,11 @@ def demo_corpus():
     }
 
 
-def _demo_dv_row(name, p, seed, expect_sqrt_m=False):
+def _demo_dv_row(p, expect_sqrt_m=False):
     checks = {}
     label = classify_mod.classify_zero_set(p).label
     checks["classified_dv"] = label is classify_mod.ZeroLabel.DV_DEFINING
-    cert, _, rep, report = represent(p, seed=seed)
+    cert, _, rep, report = represent(p)
     checks["representation"] = report.passed
     f = BivariatePolynomial.from_terms({(0, 1): 1})
     er = verify_extension(ExtensionOperator(rep, cert, f))
@@ -293,7 +260,7 @@ def _demo_stable_row(p, expect_label):
     return checks, detail
 
 
-def demo(config: RunConfig) -> tuple[int, dict]:
+def demo() -> tuple[int, dict]:
     corpus = demo_corpus()
     rows = []
 
@@ -315,7 +282,7 @@ def demo(config: RunConfig) -> tuple[int, dict]:
         ("blaschke_m2_mobius", False),
         ("blaschke_m3_mobius", False),
     ]:
-        checks, detail = _demo_dv_row(name, corpus[name], config.seed, expect_c)
+        checks, detail = _demo_dv_row(corpus[name], expect_c)
         add(name, checks, detail)
 
     checks, detail = _demo_stable_row(
@@ -342,7 +309,6 @@ def demo(config: RunConfig) -> tuple[int, dict]:
         "command": "demo",
         "rows": rows,
         "passed": passed,
-        "seed": config.seed,
     }
     width = max(len(r["name"]) for r in rows)
     for r in rows:
@@ -351,9 +317,9 @@ def demo(config: RunConfig) -> tuple[int, dict]:
     return (0 if passed else 2), obj
 
 
-def _cmd_demo(config: RunConfig) -> int:
-    code, obj = demo(config)
-    _emit(config, obj)
+def _cmd_demo(args: argparse.Namespace) -> int:
+    code, obj = demo()
+    _emit(args, obj)
     return code
 
 
@@ -379,82 +345,63 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True, output=True):
-        if seed:
-            sp.add_argument("--seed", type=int, default=RunConfig.seed)
-        if output:
-            sp.add_argument("-o", "--output", default=None)
+    def output(sp):
+        sp.add_argument("-o", "--output", default=None)
 
     sp = sub.add_parser("classify", help="label the zero set relative to the bidisk")
     sp.add_argument("poly")
     sp.add_argument("--tol", type=float, default=1e-7)
-    sp.add_argument("--grid", type=int, default=RunConfig.grid_n, dest="grid_n")
-    common(sp, seed=False)
+    output(sp)
 
     sp = sub.add_parser("reflect", help="reflect at the formal (or given) degree")
     sp.add_argument("poly")
     sp.add_argument("--at", type=int, nargs=2, metavar=("N", "M"), default=None)
-    common(sp, seed=False)
+    output(sp)
 
     sp = sub.add_parser("sos", help="sums-of-squares certificate")
     sp.add_argument("poly")
     sp.add_argument("--a", type=float, default=None)
     sp.add_argument("--b", type=float, default=None)
-    common(sp, seed=False)
+    output(sp)
 
     sp = sub.add_parser("represent", help="determinantal representation of a distinguished variety")
     sp.add_argument("poly")
     sp.add_argument("--a", type=float, default=1.0)
     sp.add_argument("--b", type=float, default=1.0)
-    sp.add_argument("--samples", type=int, default=None)
-    common(sp)
+    output(sp)
 
     sp = sub.add_parser("extend", help="bounded extension of f from the variety")
     sp.add_argument("realization")
     sp.add_argument("f")
     sp.add_argument("--no-swap", action="store_true", help="skip the z/w-reversed constant")
     sp.add_argument("--expand", action="store_true", help="include numerator/denominator polynomials")
-    common(sp, seed=False)
+    output(sp)
 
     sp = sub.add_parser("verify", help="re-verify a certificate or realization against a polynomial")
     sp.add_argument("artifact")
     sp.add_argument("poly")
-    common(sp, output=False)
+    sp.set_defaults(output=None)
 
     sp = sub.add_parser("demo", help="run the built-in corpus and print a pass/fail matrix")
-    common(sp)
+    output(sp)
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    weights = None
-    if args.command == "sos":
-        if (args.a is None) != (args.b is None):
-            raise ValueError("--a and --b must be given together")
-        if args.a is not None:
-            weights = (args.a, args.b)
-    elif args.command == "represent":
-        weights = (args.a, args.b)
-    inputs = tuple(
-        getattr(args, name)
-        for name in ("poly", "realization", "f", "artifact")
-        if hasattr(args, name)
-    )
-    if args.command == "verify":
-        inputs = (args.artifact, args.poly)
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        grid_n=getattr(args, "grid_n", RunConfig.grid_n),
-        tol=getattr(args, "tol", RunConfig.tol),
-        weights=weights,
-        seed=getattr(args, "seed", RunConfig.seed),
-        samples=getattr(args, "samples", None),
-        output=getattr(args, "output", None),
-        at_degree=tuple(args.at) if getattr(args, "at", None) else None,
-        swap_check=not getattr(args, "no_swap", False),
-        expand=getattr(args, "expand", False),
-    )
+def _argument_error(args: argparse.Namespace) -> str | None:
+    """What is wrong with the parsed option values, naming the flag, or
+    None; checked before any work."""
+    if hasattr(args, "tol") and not 0.0 < args.tol <= 1e-2:
+        return "--tol must lie in (0, 1e-2]"
+    if hasattr(args, "a"):
+        a, b = args.a, args.b
+        if (a is None) != (b is None):
+            return "--a and --b must be given together"
+        if a is not None:
+            if not (math.isfinite(a) and math.isfinite(b)):
+                return "--a and --b must be finite"
+            if a < 0 or b < 0 or a == b == 0:
+                return "--a and --b must be non-negative and not both zero"
+    return None
 
 
 def main(argv=None) -> int:
@@ -464,14 +411,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, which here means a failed
         # verification; --help exits 0.
         return 1 if exc.code else 0
-    try:
-        config = _config_from_args(args)
-        config.validate()
-    except ValueError as exc:
-        print(f"dvkit: error: {exc}", file=sys.stderr)
+    error = _argument_error(args)
+    if error is not None:
+        print(f"dvkit: error: {error}", file=sys.stderr)
         return 1
     try:
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[args.command](args)
     except (ser.SchemaError, FileNotFoundError, OSError) as exc:
         print(f"dvkit: error: {exc}", file=sys.stderr)
         return 1

@@ -54,6 +54,10 @@ __all__ = [
 # Singular values of the stacked sample map at or below this fraction of
 # the largest count as zero when :func:`lurking_isometry` reads its rank.
 RANK_TOL = 1e-8
+# The circles |z| = r of the variety sample, and the seed of their angular
+# jitter.
+SAMPLE_RADII = (0.3, 0.5, 0.7, 0.85)
+SAMPLE_SEED = 7
 
 
 class IsometryError(ValueError):
@@ -215,7 +219,7 @@ def dv_certificate(
     vec_q = reversed_in_z(cert.vec_second, (n, max(m - 1, 0)))
     qmat = _matrix_form_in_z(vec_q, m, n)
     if smooth:
-        sv = qmat.min_singular_value_on_disk(64)
+        sv = qmat.min_singular_value_on_disk
         if sv <= 1e-8 * max(qmat.sup_norm(), 1e-300):
             raise IsometryError(
                 "Qmatrix is numerically singular on the closed disk for a "
@@ -225,33 +229,32 @@ def dv_certificate(
     return DvCertificate(p_sym, (a, b), vec_p, vec_q, qmat, smooth)
 
 
-def sample_variety(
-    p: BivariatePolynomial,
-    target_count: int | None = None,
-    seed: int = 7,
-    radii=(0.3, 0.5, 0.7, 0.85),
-) -> VarietySample:
+def sample_variety(p: BivariatePolynomial) -> VarietySample:
     """Variety points inside the bidisk: fiber roots over jittered circles of
-    z, Newton-polished in w to residual <= 1e-12 * scale.  ``target_count``
-    defaults to 3(n + m) + 10 for p of degree (n, m).
+    z, Newton-polished in w to residual <= 1e-12 * scale.  For p of degree
+    (n, m) the circles |z| in SAMPLE_RADII carry enough equispaced z, each
+    circle turned by a random angle from SAMPLE_SEED, for at least 3(n + m)
+    + 10 points on a distinguished variety, whose fibers over the disk keep
+    all m roots inside it.  Once the points span C^{n+m} the isometry they
+    fix does not depend on where they lie, so one layout serves every
+    input.
 
     All fibers go through one batched root solve and all roots inside the
     disk through one array Newton iteration; a root stops when |p| <= 1e-13
     * scale or |p_w| < 1e-14 * scale, after at most 50 steps.  Points come
     in the order radius, angle, root."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SAMPLE_SEED)
     pw = p.partial_w()
     scale = max(p.scale, 1e-300)
     n, m = p.degree
-    if target_count is None:
-        target_count = 3 * (n + m) + 10
-    per = max(4, int(np.ceil(target_count / (max(len(radii), 1) * max(m, 1)))) + 1)
+    radii = np.array(SAMPLE_RADII)
+    per = max(4, int(np.ceil((3 * (n + m) + 10) / (len(radii) * max(m, 1)))) + 1)
     jitter = rng.uniform(0.0, 2 * np.pi, len(radii))
     angles = 2 * np.pi * np.arange(per) / per + jitter[:, None]
-    zs = (np.asarray(radii, dtype=float)[:, None] * np.exp(1j * angles)).ravel()
-    z, w = fiber_root_pairs(p, zs)
+    zs = (radii[:, None] * np.exp(1j * angles)).ravel()
+    k, w = fiber_root_pairs(p, zs)
     inside = np.abs(w) < 1.0
-    z, w = z[inside], w[inside]
+    z, w = zs[k[inside]], w[inside]
     active = np.arange(len(w))
     # A root far from the variety may diverge; it fails the gate.
     with np.errstate(all="ignore"):
@@ -317,8 +320,12 @@ def lurking_isometry(cert: DvCertificate, sample: VarietySample) -> UnitaryReali
     rank = int(np.sum(sx > RANK_TOL * sx[0]))
     if x.shape[1] > rank + 10:
         sx_head = np.linalg.svd(x[:, :-10], compute_uv=False)
-        if int(np.sum(sx_head > RANK_TOL * sx_head[0])) != rank:
-            raise IsometryError("sample rank not saturated; add variety points")
+        head = int(np.sum(sx_head > RANK_TOL * sx_head[0]))
+        if head != rank:
+            raise IsometryError(
+                f"sample rank not saturated: {x.shape[1]} points span rank {rank} of "
+                f"m + n = {m + n}, their first {x.shape[1] - 10} rank {head}"
+            )
     w_basis = y @ vxh.conj().T[:, :rank] / sx[:rank]
     uy = np.linalg.svd(y)[0]
     u = w_basis @ ux[:, :rank].conj().T
@@ -457,7 +464,7 @@ def verify_representation(
     gram = np.conj(np.swapaxes(bphis, -1, -2)) @ bphis
     bdry = float(np.max(np.abs(gram - np.eye(rep.m))))
     excess = max(0.0, math.sqrt(float(np.max(np.linalg.eigvalsh(gram)))) - 1.0)
-    sv = cert.qmatrix.min_singular_value_on_disk(64) if cert.smooth_on_torus else None
+    sv = cert.qmatrix.min_singular_value_on_disk if cert.smooth_on_torus else None
     return RepresentationReport(
         gram_defect=_gram_defect(x, y),
         gram_tolerance=cert.gram_tolerance,
@@ -474,16 +481,10 @@ def verify_representation(
     )
 
 
-def represent(
-    p: BivariatePolynomial,
-    a: float = 1.0,
-    b: float = 1.0,
-    seed: int = 7,
-    target_count: int | None = None,
-):
+def represent(p: BivariatePolynomial, a: float = 1.0, b: float = 1.0):
     """Full pipeline: certificate, variety sample, unitary, verification."""
     cert = dv_certificate(p, a, b)
-    sample = sample_variety(cert.p, target_count, seed)
+    sample = sample_variety(cert.p)
     rep = lurking_isometry(cert, sample)
     report = verify_representation(cert.p, cert, rep, sample)
     return cert, sample, rep, report

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import batched_fiber_roots
+from .classify import fiber_root_pairs
 from .dvrep import DvCertificate, UnitaryRealization, phi_evaluate
 from .poly2 import BivariatePolynomial, horner
 
@@ -47,6 +47,8 @@ __all__ = [
 # Absolute allowance, per unit of f's coefficient scale, on the inflation
 # check sup|F| <= C sup_V |f| of :func:`verify_extension`.
 INFLATION_SLACK = 1e-6
+# Fiber roots over the circle within this of |w| = 1 are torus points.
+ON_TORUS = 1e-6
 
 
 def eval_f_of_pair(f: BivariatePolynomial, z, phi: np.ndarray) -> np.ndarray:
@@ -123,17 +125,6 @@ def _roots_of_unity(count: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(count) / count)
 
 
-def _torus_points(p: BivariatePolynomial, circle: np.ndarray):
-    """(k, w) for every fiber root w of p over circle[k] with |w| = 1 to
-    within 1e-6: the torus points of the variety over the circle samples."""
-    empty = np.zeros(0, dtype=np.complex128)
-    roots = [empty if r is None else r for r in batched_fiber_roots(p, circle)]
-    k = np.repeat(np.arange(len(circle)), [len(r) for r in roots])
-    w = np.concatenate([empty] + roots)
-    on_torus = np.abs(np.abs(w) - 1.0) < 1e-6
-    return k[on_torus], w[on_torus]
-
-
 def _max_abs(values) -> float:
     return float(np.max(np.abs(values))) if np.size(values) else 0.0
 
@@ -176,7 +167,9 @@ class _CirclePass:
 def _circle_pass(op: ExtensionOperator, grid_n: int) -> _CirclePass:
     _require_analytic(op)
     circle = _roots_of_unity(grid_n)
-    k, w = _torus_points(op.cert.p, circle)
+    k, w = fiber_root_pairs(op.cert.p, circle)
+    on_torus = np.abs(np.abs(w) - 1.0) < ON_TORUS
+    k, w = k[on_torus], w[on_torus]
     return _CirclePass(circle, op.cert.qmatrix.evaluate(circle), k, w, op.f.evaluate(circle[k], w))
 
 
@@ -214,8 +207,9 @@ def sup_norm_on_variety(
     principle the sup is attained among the unimodular fiber roots over the
     ``grid_n`` roots of unity in z."""
     circle = _roots_of_unity(grid_n)
-    k, w = _torus_points(p, circle)
-    return _max_abs(f.evaluate(circle[k], w))
+    k, w = fiber_root_pairs(p, circle)
+    on_torus = np.abs(np.abs(w) - 1.0) < ON_TORUS
+    return _max_abs(f.evaluate(circle[k[on_torus]], w[on_torus]))
 
 
 def expand_extension(op: ExtensionOperator, trim_tol: float = 1e-12):

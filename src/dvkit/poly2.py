@@ -502,7 +502,6 @@ class MatrixPolynomial:
     """Matrix of one-variable polynomials; ``coeffs[r, c, k]`` multiplies t^k."""
 
     coeffs: np.ndarray
-    _min_sv: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.array(self.coeffs, dtype=np.complex128)
@@ -533,24 +532,21 @@ class MatrixPolynomial:
         pad[:, :, : self.coeffs.shape[2]] = self.coeffs
         return MatrixPolynomial(np.conj(pad[:, :, ::-1]))
 
-    def min_singular_value_on_disk(self, grid_n: int = 24) -> float:
+    @functools.cached_property
+    def min_singular_value_on_disk(self) -> float:
         """Least singular value of the square matrix polynomial Q over z = 0,
-        the grid_n circle points exp(2 pi i k / grid_n) and every zero of
-        det Q in the closed disk (:attr:`det_zeros_in_disk`).
+        the 64 circle points exp(2 pi i k / 64) and every zero of det Q in
+        the closed disk (:attr:`det_zeros_in_disk`), computed once.
 
         Q at such a zero is singular, so its singular value, about 0, enters
         the minimum.  With no zero of det Q in the closed disk, Q^{-1} is
         analytic there and ||Q^{-1}|| is subharmonic, so the least singular
         value 1 / ||Q^{-1}|| over the disk is attained on the circle, which
-        the samples stand for.  The value is kept per grid_n: the
-        coefficients are immutable, so a gate and a report that ask for the
-        same grid share one computation.
+        the samples stand for.
         """
-        if grid_n not in self._min_sv:
-            circle = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)
-            pts = np.concatenate([[0.0 + 0.0j], circle, self.det_zeros_in_disk])
-            self._min_sv[grid_n] = float(np.min(np.linalg.svd(self.evaluate(pts), compute_uv=False)))
-        return self._min_sv[grid_n]
+        circle = np.exp(2j * np.pi * np.arange(64) / 64)
+        pts = np.concatenate([[0.0 + 0.0j], circle, self.det_zeros_in_disk])
+        return float(np.min(np.linalg.svd(self.evaluate(pts), compute_uv=False)))
 
     @functools.cached_property
     def det_zeros_in_disk(self) -> np.ndarray:

@@ -481,7 +481,7 @@ def gw_invertibility(cert: SosCertificate, threshold: float = 1e-6) -> GwReport:
     """:class:`GwReport` of the matrix forms of a certificate, built here
     from its vectors: with n = len(vec_first) and m = len(vec_second),
     A(z, w) = A(w) (1, z, ..., z^{n-1})^t and B(z, w) = B(z) (1, w, ...,
-    w^{m-1})^t, A and B square.  Each minimum is taken at 32 circle
+    w^{m-1})^t, A and B square.  Each minimum is taken at 64 circle
     samples.  A certificate with an empty side has no matrix form to test
     and raises ValueError."""
     n, m = len(cert.vec_first), len(cert.vec_second)
@@ -489,8 +489,8 @@ def gw_invertibility(cert: SosCertificate, threshold: float = 1e-6) -> GwReport:
         raise ValueError("certificate has an empty side and no matrix forms")
     mat_a = _matrix_form_in_w(cert.vec_first, n, m)
     mat_b = _matrix_form_in_z(cert.vec_second, m, n).reflected(n)
-    sv_a = mat_a.min_singular_value_on_disk(32)
-    sv_b = mat_b.min_singular_value_on_disk(32)
+    sv_a = mat_a.min_singular_value_on_disk
+    sv_b = mat_b.min_singular_value_on_disk
     passed = sv_a > threshold * mat_a.sup_norm() and sv_b > threshold * mat_b.sup_norm()
     return GwReport(sv_a, sv_b, threshold, passed)
 

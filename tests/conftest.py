@@ -115,14 +115,14 @@ def poly1d_to_grid(coeffs):
 def pipeline_z3w2():
     from dvkit.dvrep import represent
 
-    return represent(z3_minus_w2(), seed=7)
+    return represent(z3_minus_w2())
 
 
 @pytest.fixture(scope="session")
 def pipeline_w3z2():
     from dvkit.dvrep import represent
 
-    return represent(w3_minus_z2(), seed=11)
+    return represent(w3_minus_z2())
 
 
 @pytest.fixture(scope="session")

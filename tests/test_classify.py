@@ -126,7 +126,7 @@ class TestBatchedSweep:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_indeterminate_witnesses_are_zeros(self, case):
         p, _ = self.CASES[case]
-        zc = classify_zero_set(p, grid_n=32)
+        zc = classify_zero_set(p)
         assert zc.label is ZeroLabel.INDETERMINATE
         assert zc.witnesses
         for z, w in zc.witnesses:
@@ -328,20 +328,20 @@ class TestClassification:
     def test_indeterminate_collects_witnesses(self):
         # zeros crossing both (D x T) and (D x D): (w - 1/2)(w - 2) = scaled
         p = poly({(0, 0): 1, (0, 1): -2.5, (0, 2): 1}, (1, 2)) + poly({(1, 0): 1e-3})
-        zc = classify_zero_set(p, grid_n=32)
+        zc = classify_zero_set(p)
         assert zc.label is ZeroLabel.INDETERMINATE
         assert len(zc.witnesses) > 0
 
     def test_swap_duality_both_directions(self):
         for p in (z3_minus_w2(), w3_minus_z2(), blaschke_dv(2, [0.4, -0.2]), derived_dv_poly(z3_minus_w2())):
-            assert classify_zero_set(p, grid_n=32).label is ZeroLabel.DV_DEFINING
+            assert classify_zero_set(p).label is ZeroLabel.DV_DEFINING
             q = swap_transform(symmetrize(p))
             assert (
-                classify_zero_set(q, grid_n=32).label
+                classify_zero_set(q).label
                 is ZeroLabel.SYMMETRIC_NONVANISHING_OFF_TORUS
             )
             back = swap_transform(q)
-            assert classify_zero_set(back, grid_n=32).label is ZeroLabel.DV_DEFINING
+            assert classify_zero_set(back).label is ZeroLabel.DV_DEFINING
 
     def test_derived_symmetric_reclassifies_iterated(self):
         q = symmetrize(one_minus_z3w2())
@@ -349,7 +349,7 @@ class TestClassification:
             q = derived_symmetric_poly(q)
             q = symmetrize(q)
             assert (
-                classify_zero_set(q, grid_n=32).label
+                classify_zero_set(q).label
                 is ZeroLabel.SYMMETRIC_NONVANISHING_OFF_TORUS
             )
 

@@ -12,7 +12,7 @@ from conftest import (
     two_minus_z_minus_w,
     z3_minus_w2,
 )
-from dvkit.cli import RunConfig, main
+from dvkit.cli import main
 from dvkit.dvrep import represent
 from dvkit.serialize import (
     SchemaError,
@@ -61,20 +61,41 @@ class TestSerialization:
 
 
 class TestRunConfig:
-    def test_grid_floor(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="classify", grid_n=8).validate()
+    """Option values are checked once, after parsing: a bad one exits 1
+    with a message naming its flag, before the input file is even read."""
 
-    def test_tol_range(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="classify", tol=0.5).validate()
+    @staticmethod
+    def assert_refused(capsys, argv, flag):
+        # the input does not exist, so a check that ran late would report
+        # the missing file instead
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"dvkit: error: {flag} ")
 
-    def test_weights_not_both_zero(self):
-        with pytest.raises(ValueError):
-            RunConfig(command="sos", weights=(0.0, 0.0)).validate()
+    def test_tol_range(self, capsys):
+        for tol in ("0.5", "0", "-1e-7", "nan", "inf"):
+            self.assert_refused(capsys, ["classify", "missing.json", f"--tol={tol}"], "--tol")
 
-    def test_defaults_valid(self):
-        RunConfig(command="demo").validate()
+    def test_weights_not_both_zero(self, capsys):
+        for command in ("sos", "represent"):
+            self.assert_refused(capsys, [command, "missing.json", "--a", "0", "--b", "0"], "--a")
+            self.assert_refused(capsys, [command, "missing.json", "--a", "-1", "--b", "1"], "--a")
+
+    @pytest.mark.parametrize("command", ["sos", "represent"])
+    @pytest.mark.parametrize("a, b", [("nan", "1"), ("inf", "1"), ("1", "-inf")])
+    def test_weights_finite(self, capsys, command, a, b):
+        self.assert_refused(capsys, [command, "missing.json", f"--a={a}", f"--b={b}"], "--a")
+
+    def test_sos_weights_together(self, capsys):
+        self.assert_refused(capsys, ["sos", "missing.json", "--a", "1"], "--a")
+
+    def test_defaults_valid(self, tmp_path, capsys):
+        dv = write_poly(tmp_path, "dv.json", z3_minus_w2())
+        stable = write_poly(tmp_path, "stable.json", four_minus_z_minus_w())
+        for argv in (["classify", dv], ["reflect", dv], ["represent", dv], ["sos", stable]):
+            assert main(argv) == 0, argv
+        assert capsys.readouterr().err == ""
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +143,11 @@ class TestCliCommands:
             ["extend", "{path}", "{path}", "--grid", "32"],
             ["represent", "{path}", "--grid", "32"],
             ["verify", "{path}", "{path}", "--grid", "32"],
+            ["classify", "{path}", "--grid", "64"],
+            ["represent", "{path}", "--seed", "7"],
+            ["represent", "{path}", "--samples", "30"],
+            ["verify", "{path}", "{path}", "--seed", "7"],
+            ["demo", "--seed", "7"],
         ],
         ids=[
             "missing_file_arg",
@@ -134,6 +160,11 @@ class TestCliCommands:
             "grid_on_extend",
             "grid_on_represent",
             "grid_on_verify",
+            "grid_on_classify",
+            "seed_on_represent",
+            "samples_on_represent",
+            "seed_on_verify",
+            "seed_on_demo",
         ],
     )
     def test_usage_error_exit_1(self, tmp_path, capsys, argv):
@@ -144,13 +175,10 @@ class TestCliCommands:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["classify", "{path}", "--grid", "15"], "--grid"),
-            (["classify", "{path}", "--grid", "4097"], "--grid"),
-            (["represent", "{path}", "--samples", "1025"], "--samples"),
             (["reflect", "{path}", "--at", "-1", "2"], "--at"),
             (["reflect", "{path}", "--at", "3", "1"], "--at"),
         ],
-        ids=["grid_below", "grid_above", "samples_above", "at_negative", "at_below_degree"],
+        ids=["at_negative", "at_below_degree"],
     )
     def test_size_argument_out_of_range_exit_1(self, tmp_path, capsys, argv, flag):
         # z^3 - w^2 has degree (3, 2)
@@ -164,14 +192,14 @@ class TestCliCommands:
         # The parser is built once per process; options of one call must not
         # leak into the next.
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
-        assert main(["classify", path, "--grid", "32"]) == 0
-        assert json.loads(capsys.readouterr().out)["grid"] == 32
+        assert main(["classify", path, "--tol", "1e-6"]) == 0
+        assert json.loads(capsys.readouterr().out)["tol"] == 1e-6
         assert main(["classify", path]) == 0
-        assert json.loads(capsys.readouterr().out)["grid"] == 64
+        assert json.loads(capsys.readouterr().out)["tol"] == 1e-7
         assert main(["classify", path, "--bogus"]) == 1
         assert "usage" in capsys.readouterr().err
         assert main(["classify", path]) == 0
-        assert json.loads(capsys.readouterr().out)["grid"] == 64
+        assert json.loads(capsys.readouterr().out)["tol"] == 1e-7
 
     @pytest.mark.parametrize(
         "text, field",
@@ -413,7 +441,7 @@ class TestCliCommands:
     def test_represent_and_verify_realization(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
         rep_path = tmp_path / "rep.json"
-        assert main(["represent", path, "--seed", "7", "-o", str(rep_path)]) == 0
+        assert main(["represent", path, "-o", str(rep_path)]) == 0
         rep_obj = json.loads(rep_path.read_text())
         assert rep_obj["m"] == 2 and rep_obj["n"] == 3
         assert rep_obj["report"]["det_vs_p_rel"] <= 1e-7
@@ -440,7 +468,7 @@ class TestCliCommands:
     def test_verify_corrupted_unitary_exit_2(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
         rep_path = tmp_path / "rep.json"
-        main(["represent", path, "--seed", "7", "-o", str(rep_path)])
+        main(["represent", path, "-o", str(rep_path)])
         rep_obj = json.loads(rep_path.read_text())
         rep_obj["U"][0][0][0] += 1e-3
         bad_path = tmp_path / "bad_rep.json"
@@ -555,7 +583,7 @@ class TestCliCommands:
     def test_extend_pipeline(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
         rep_path = tmp_path / "rep.json"
-        main(["represent", path, "--seed", "7", "-o", str(rep_path)])
+        main(["represent", path, "-o", str(rep_path)])
         f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
         capsys.readouterr()
         assert main(["extend", str(rep_path), f_path, "--no-swap"]) == 0
@@ -566,7 +594,7 @@ class TestCliCommands:
     def test_extend_swap_reports_best(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
         rep_path = tmp_path / "rep.json"
-        main(["represent", path, "--seed", "7", "-o", str(rep_path)])
+        main(["represent", path, "-o", str(rep_path)])
         f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
         capsys.readouterr()
         assert main(["extend", str(rep_path), f_path]) == 0
@@ -603,12 +631,12 @@ class TestDeterminism:
     def test_represent_byte_identical(self, tmp_path):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
         p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-        main(["represent", path, "--seed", "3", "-o", str(p1)])
-        main(["represent", path, "--seed", "3", "-o", str(p2)])
+        main(["represent", path, "-o", str(p1)])
+        main(["represent", path, "-o", str(p2)])
         assert p1.read_text() == p2.read_text()
 
     def test_reports_reparse(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
         rep_path = tmp_path / "rep.json"
-        main(["represent", path, "--seed", "7", "-o", str(rep_path)])
+        main(["represent", path, "-o", str(rep_path)])
         realization_from_obj(json.loads(rep_path.read_text()))

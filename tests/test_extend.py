@@ -157,9 +157,9 @@ class TestSupNormOnTorus:
             circle_value = sup_norm_on_variety(f, p, 128)
             assert circle_value > 0
             for r in (0.5, 0.9):
-                z, w = fiber_root_pairs(p, r * inner)
+                k, w = fiber_root_pairs(p, r * inner)
                 keep = np.abs(w) <= 1.0
-                assert np.max(np.abs(f.evaluate(z[keep], w[keep]))) <= circle_value
+                assert np.max(np.abs(f.evaluate(r * inner[k[keep]], w[keep]))) <= circle_value
 
 
 class TestBounds:
@@ -261,7 +261,7 @@ class TestBounds:
 
 @functools.cache
 def corpus_pipeline(name):
-    return represent(DV_CORPUS[name], seed=7)
+    return represent(DV_CORPUS[name])
 
 
 CHECK_FS = {
@@ -333,7 +333,7 @@ class TestAnalyticityGate:
     def test_torus_singular_variety_refused(self):
         # (w - z)(w - z^2): the branches cross at (1, 1), where det Q vanishes
         p = poly({(0, 2): 1, (1, 1): -1, (2, 1): -1, (3, 0): 1})
-        cert, _, rep, report = represent(p, seed=7)
+        cert, _, rep, report = represent(p)
         assert report.passed and not cert.smooth_on_torus
         with pytest.raises(ValueError, match="Qmatrix: det Q has a zero"):
             verify_extension(ExtensionOperator(rep, cert, F_W))

@@ -16,7 +16,7 @@ def load_script():
 
 
 def test_survey_prints_one_row_per_curve(capsys):
-    load_script().survey(7)
+    load_script().survey()
     header, *rows = capsys.readouterr().out.splitlines()
     assert header.split() == ["curve", "m", "C", "C_swapped", "sqrt(m)", "per-point"]
     assert len(rows) == 8

@@ -501,13 +501,13 @@ class TestGwInvertibility:
         # matrix form of the first subspace basis stays invertible on the disk
         n, m = four_minus_z_minus_w().degree
         mat = soscert._matrix_form_in_w(cert_four.vec_first, n, m)
-        assert mat.min_singular_value_on_disk(48) > 1e-6
+        assert mat.min_singular_value_on_disk > 1e-6
 
     def test_seed301_values_match_forms_built_from_q(self):
         # gw_invertibility sizes its matrix forms by the vector lengths; on
         # the benchmark's r0 and r1 inputs its values equal, bit for bit,
         # those of the forms sized by q's degree that certificates once
-        # carried, tested at grid 32
+        # carried
         passes = perfbench_gen().generate("sos_certify", 301)[:2]
         count = 0
         for x in [x for inputs in passes for x in inputs]:
@@ -522,8 +522,8 @@ class TestGwInvertibility:
             mat_a = soscert._matrix_form_in_w(cert.vec_first, n, m)
             mat_b = soscert._matrix_form_in_z(cert.vec_second, m, n).reflected(n)
             gw = gw_invertibility(cert)
-            assert gw.min_sv_first == mat_a.min_singular_value_on_disk(32), x.name
-            assert gw.min_sv_second == mat_b.min_singular_value_on_disk(32), x.name
+            assert gw.min_sv_first == mat_a.min_singular_value_on_disk, x.name
+            assert gw.min_sv_second == mat_b.min_singular_value_on_disk, x.name
             count += 1
         assert count >= 16
 
