@@ -29,6 +29,12 @@ realization document it wrote (``-.demo.json`` for the demo).  Dumps of two
 checkouts then compare key by key:
 
     diff -r old_dump new_dump
+
+For a change that moves floats in their last bits, compare the dumps by
+value instead: ``scripts/compare_dumps.py old_dump new_dump`` prints the
+largest relative difference of every numeric key and exits 1 only when a
+verdict (``passed``, ``label``, ``proven``, ``gram_equality``, ``error``)
+differs or a call's output is missing on one side.
 """
 
 from __future__ import annotations

@@ -412,7 +412,7 @@ def classify_zero_set(p: BivariatePolynomial, tol: float = 1e-7) -> ZeroClass:
     def result(label, proven=False, witnesses=()):
         return ZeroClass(label, tuple(witnesses), tol, proven)
 
-    if symmetry_analysis(p, tol=1e-8).is_symmetric:
+    if symmetry_analysis(p).is_symmetric:
         found = _symmetric_label(p, tol)
         if found is not None:
             return result(*found)

@@ -64,7 +64,7 @@ class IsometryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DvCertificate:
     """(P, Q) pair for a distinguished variety: P has n components of degree
     <= (n-1, m), Q has m components of degree <= (n, m-1), and Qmatrix is the
@@ -99,7 +99,7 @@ class DvCertificate:
         return DvCertificate(p_t, self.weights[::-1], vec_p, vec_q, qmat, self.smooth_on_torus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnitaryRealization:
     """Block unitary on C^m + C^n driving the transfer function
     Phi(z) = A + zB(I - zD)^{-1}C."""

@@ -65,7 +65,7 @@ def eval_f_of_pair(f: BivariatePolynomial, z, phi: np.ndarray) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionOperator:
     """Evaluator for the extension F of f off the variety of cert.p."""
 
@@ -151,7 +151,7 @@ def _require_analytic(op: ExtensionOperator) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _CirclePass:
     """What the bound and the checks read off the circle samples z_k: Q(z_k),
     the variety's torus points (z_k, w) as circle index k and w, and f at

@@ -62,6 +62,10 @@ def horner(coeffs, x) -> np.ndarray:
 # computes at once; larger ones go in groups of components, which bounds the
 # Horner temporaries near this size.
 STACK_BYTES = 1 << 18
+# Relative proportionality tolerance of q against reflect(q), shared by every
+# caller of symmetry_analysis, so a polynomial that classifies as symmetric
+# also symmetrizes.
+SYMMETRY_TOL = 1e-8
 
 
 def _stacked_horner(grids, z, w) -> np.ndarray:
@@ -87,7 +91,7 @@ def _as_grid(coeffs) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BivariatePolynomial:
     """Dense bivariate polynomial with an explicit formal degree.
 
@@ -325,12 +329,12 @@ class SymmetryResult:
         return self.kind is not SymmetryKind.NOT_SYMMETRIC
 
 
-def symmetry_analysis(q: BivariatePolynomial, tol: float = 1e-9) -> SymmetryResult:
+def symmetry_analysis(q: BivariatePolynomial) -> SymmetryResult:
     """Classify q as torus-symmetric, essentially so, or neither.
 
     The ratio c is estimated at the largest-modulus coefficient of the
     reflection and validated against every coefficient of the grid; grids
-    that fail proportionality within ``tol * scale`` give NotSymmetric.
+    that fail proportionality within ``SYMMETRY_TOL * scale`` give NotSymmetric.
     """
     if q.is_zero():
         raise ValueError("symmetry analysis of the zero polynomial")
@@ -340,22 +344,22 @@ def symmetry_analysis(q: BivariatePolynomial, tol: float = 1e-9) -> SymmetryResu
     idx = np.unravel_index(k, qr.coeffs.shape)
     c = q.coeffs[idx] / qr.coeffs[idx]
     residual = float(np.max(np.abs(q.coeffs - c * qr.coeffs)))
-    if residual > tol * scale or abs(abs(c) - 1.0) > tol:
+    if residual > SYMMETRY_TOL * scale or abs(abs(c) - 1.0) > SYMMETRY_TOL:
         return SymmetryResult(SymmetryKind.NOT_SYMMETRIC, residual=residual)
     s = cmath.sqrt(np.conj(c))
     if s.real < 0 or (s.real == 0 and s.imag < 0):
         s = -s
     kind = (
         SymmetryKind.T2_SYMMETRIC
-        if abs(c - 1.0) <= tol
+        if abs(c - 1.0) <= SYMMETRY_TOL
         else SymmetryKind.ESSENTIALLY_T2_SYMMETRIC
     )
     return SymmetryResult(kind, complex(c), complex(s), residual)
 
 
-def symmetrize(q: BivariatePolynomial, tol: float = 1e-9) -> BivariatePolynomial:
+def symmetrize(q: BivariatePolynomial) -> BivariatePolynomial:
     """Multiply q by its symmetrizing factor so the result is torus-symmetric."""
-    res = symmetry_analysis(q, tol)
+    res = symmetry_analysis(q)
     if not res.is_symmetric:
         raise ValueError("polynomial is not essentially torus-symmetric")
     if res.kind is SymmetryKind.T2_SYMMETRIC:
@@ -423,7 +427,7 @@ def blaschke_dv(m: int, alphas) -> BivariatePolynomial:
     return BivariatePolynomial(grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorPolynomial:
     """Tuple of bivariate polynomials viewed as one vector-valued polynomial."""
 
@@ -497,7 +501,7 @@ class VectorPolynomial:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixPolynomial:
     """Matrix of one-variable polynomials; ``coeffs[r, c, k]`` multiplies t^k."""
 

@@ -21,6 +21,7 @@ import json
 
 import numpy as np
 
+from .classify import torus_singularities
 from .dvrep import DvCertificate, UnitaryRealization
 from .poly2 import BivariatePolynomial, VectorPolynomial
 from .soscert import CertKind, SosCertificate, _matrix_form_in_z
@@ -203,6 +204,11 @@ def dv_cert_from_obj(obj: dict, where: str = "certificate") -> DvCertificate:
                 raise SchemaError(f"{where}.{key}: degree exceeds {bound} at component {k}")
     qmat = _matrix_form_in_z(sos.vec_second, m, n)
     smooth = bool(obj.get("smooth_on_torus", True))
+    # false loosens the Gram gate and skips the Qmatrix gate, so it is checked
+    if not smooth and torus_singularities(p).smooth_on_torus:
+        raise SchemaError(
+            f"{where}.smooth_on_torus: false, but {where}.poly has no singular point on the torus"
+        )
     return DvCertificate(p, tuple(sos.weights), sos.vec_first, sos.vec_second, qmat, smooth)
 
 

@@ -8,7 +8,9 @@ inner product,
     S1 = {degree <= (n-1, m)}  minus  w * {degree <= (n-1, m-1)}
     S2 = {degree <= (n, m-1)}  minus  {degree <= (n-1, m-1)},
 
-have dimensions exactly n and m, and orthonormal bases E, F of them satisfy
+have dimensions exactly n and m.  Gram-Schmidt in that inner product, with
+the shifted monomials first, is one Cholesky factor of the family's moment
+Gram matrix; it gives orthonormal bases E, F of the complements, which satisfy
 
     |q|^2 - |reflect(q)|^2 = c^2 [ (1-|z|^2) |E|^2 + (1-|w|^2) |F|^2 ],
 
@@ -73,7 +75,6 @@ __all__ = [
     "dilate",
 ]
 
-EIG_CLIP = 1e-12
 # Certificate coefficients of the dilated family q(rz, rw) approach the
 # boundary-zero limit like sqrt(1 - r) (measured, and stable across the
 # corpus), so extrapolation runs in h = sqrt(1 - r); the radii are geometric
@@ -98,7 +99,7 @@ class CertKind(Enum):
     DV = "DV"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentTable:
     """Window of torus moments mu(a, b) of the normalized 1/|q|^2 density.
 
@@ -209,10 +210,6 @@ def compute_moments(q: BivariatePolynomial) -> MomentTable:
     raise QuadratureError("quadrature unresolved: moment window did not converge")
 
 
-def _monomials(imax, jmax):
-    return [(i, j) for i in range(imax + 1) for j in range(jmax + 1)]
-
-
 def _gram(moments, rows, cols):
     """[mu(ic - ir, jc - jr)] over row monomials (ir, jr) and column
     monomials (ic, jc), gathered from the moment window."""
@@ -222,57 +219,26 @@ def _gram(moments, rows, cols):
     return moments.window[c[None, :, 0] - r[:, None, 0] + n, c[None, :, 1] - r[:, None, 1] + m]
 
 
-def _complement_basis(moments, family, shifted, expect_dim):
-    """Orthonormal basis (w.r.t. the moment inner product) of the orthogonal
-    complement of span(shifted) inside span(family).
+def _complement_basis(moments, shifted, rest, degree):
+    """Orthonormal basis, in the moment inner product, of the complement of
+    span(shifted) in span(shifted + rest): len(rest) components of ``degree``.
 
-    Projection coefficients come from a linear solve against the shifted
-    block's Gram; the complement vectors are then orthonormalized through a
-    Hermitian eigendecomposition with eigenvalue clipping, so near-rank-
-    deficiency degrades detectably instead of catastrophically.
-    """
-    rest = [mono for mono in family if mono not in set(shifted)]
-    if len(rest) != expect_dim:
-        raise SubspaceError("subspace degenerate: complement dimension mismatch")
-    gram_jj = _gram(moments, shifted, shifted)
-    gram_jr = _gram(moments, shifted, rest)
-    if shifted:
-        proj = np.linalg.solve(gram_jj, gram_jr)  # (|J|, |rest|)
-    else:
-        proj = np.zeros((0, len(rest)), dtype=np.complex128)
-    index = {mono: k for k, mono in enumerate(family)}
-    vecs = np.zeros((len(family), len(rest)), dtype=np.complex128)
-    for t, mono in enumerate(rest):
-        vecs[index[mono], t] = 1.0
-        for s, smono in enumerate(shifted):
-            vecs[index[smono], t] -= proj[s, t]
-    gram_ff = _gram(moments, family, family)
-    small = vecs.conj().T @ gram_ff @ vecs
-    small = 0.5 * (small + small.conj().T)
-    evals, evecs = np.linalg.eigh(small)
-    keep = evals > EIG_CLIP * max(np.trace(small).real, 1e-300)
-    if int(np.sum(keep)) != expect_dim:
-        raise SubspaceError(
-            f"subspace degenerate: rank {int(np.sum(keep))}, expected {expect_dim}"
-        )
-    order_desc = np.argsort(evals[keep])[::-1]
-    basis = (vecs @ evecs[:, keep] / np.sqrt(evals[keep]))[:, order_desc]
-    for k in range(basis.shape[1]):
-        piv = int(np.argmax(np.abs(basis[:, k])))
-        phase = basis[piv, k] / abs(basis[piv, k])
-        basis[:, k] /= phase
-    return basis, index
-
-
-def _basis_to_vector(basis, index, degree):
-    n, m = degree
-    comps = []
-    for k in range(basis.shape[1]):
-        grid = np.zeros((n + 1, m + 1), dtype=np.complex128)
-        for mono, pos in index.items():
-            grid[mono] = basis[pos, k]
-        comps.append(BivariatePolynomial(grid))
-    return VectorPolynomial(tuple(comps))
+    With the Gram matrix G of shifted + rest factored as L L^H, B = L^-H is
+    upper triangular with B^H G B = I, and G B = L is lower triangular, so
+    the trailing len(rest) columns of B, one solve against L^H, are
+    orthonormal and orthogonal to every shifted monomial.  No threshold is
+    involved; a G that is not numerically positive definite raises
+    SubspaceError."""
+    family = shifted + rest
+    try:
+        chol = np.linalg.cholesky(_gram(moments, family, family))
+    except np.linalg.LinAlgError:
+        raise SubspaceError("subspace degenerate: Gram matrix not positive definite") from None
+    basis = np.linalg.solve(chol.conj().T, np.eye(len(family))[:, len(shifted) :])
+    grids = np.zeros((len(rest), degree[0] + 1, degree[1] + 1), dtype=np.complex128)
+    i, j = np.asarray(family, dtype=np.intp).reshape(-1, 2).T
+    grids[:, i, j] = basis.T
+    return VectorPolynomial(tuple(BivariatePolynomial(g) for g in grids))
 
 
 def subspace_kernel_pair(q: BivariatePolynomial, moments: MomentTable):
@@ -280,18 +246,14 @@ def subspace_kernel_pair(q: BivariatePolynomial, moments: MomentTable):
     certificate; E has exactly n components of degree <= (n-1, m), F exactly
     m of degree <= (n, m-1)."""
     n, m = q.degree
-    fam1 = _monomials(n - 1, m)
     shift1 = [(i, j) for i in range(n) for j in range(1, m + 1)]
-    basis1, idx1 = _complement_basis(moments, fam1, shift1, n)
-    vec_e = _basis_to_vector(basis1, idx1, (max(n - 1, 0), m))
-    fam2 = _monomials(n, m - 1)
+    vec_e = _complement_basis(moments, shift1, [(i, 0) for i in range(n)], (max(n - 1, 0), m))
     shift2 = [(i, j) for i in range(n) for j in range(m)]
-    basis2, idx2 = _complement_basis(moments, fam2, shift2, m)
-    vec_f = _basis_to_vector(basis2, idx2, (n, max(m - 1, 0)))
+    vec_f = _complement_basis(moments, shift2, [(n, j) for j in range(m)], (n, max(m - 1, 0)))
     return vec_e, vec_f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SosCertificate:
     """Vector-polynomial pair (with weights, for the symmetric/DV kinds)
     witnessing a two-square identity.  For q of degree (n, m) the first
@@ -518,7 +480,7 @@ def sym_sos_certificate(
         raise ValueError("weights must be non-negative and not both zero")
     e = q.exponent
     q = q.ldexp(-e)
-    sym = symmetry_analysis(q, tol=1e-8)
+    sym = symmetry_analysis(q)
     if not (sym.is_symmetric and abs(sym.constant - 1.0) <= 1e-6):
         raise ValueError("polynomial is not torus-symmetric; symmetrize it first")
     n, m = q.degree

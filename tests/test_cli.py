@@ -451,7 +451,8 @@ class TestCliCommands:
     def test_torus_singular_realization_and_certificate_verify(self, tmp_path, capsys):
         # (z^2 - w)(z^3 - w) crosses itself at (1, 1): its certificate comes
         # from the dilation limit, with a Gram defect near 1.3e-8, which the
-        # certificate's own gate of 1e-6 admits on every path
+        # certificate's own gate of 1e-6 admits on every path; its claim
+        # smooth_on_torus: false holds, so both documents still load
         path = write_poly(tmp_path, "p.json", poly({(2, 0): 1, (0, 1): -1}) * poly({(3, 0): 1, (0, 1): -1}))
         rep_path, cert_path = tmp_path / "rep.json", tmp_path / "cert.json"
         assert main(["represent", path, "-o", str(rep_path)]) == 0
@@ -570,6 +571,18 @@ class TestCliCommands:
         _, sample, _, _ = represent(p)
         assert len(seen) == 1
         assert seen[0].points == sample.points
+
+    @pytest.mark.parametrize("rel", [3e-9, 5e-10])
+    def test_near_symmetric_dv_classifies_and_represents(self, tmp_path, capsys, rel):
+        # z^3 - w^2 with its z^3 coefficient scaled by 1 + rel: classify and
+        # represent read one symmetry tolerance, so a proven DVDefining label
+        # is also represented
+        path = write_poly(tmp_path, "p.json", poly({(3, 0): 1 + rel, (0, 2): -1}))
+        assert main(["classify", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["label"] == "DVDefining" and out["proven"] is True
+        assert main(["represent", path]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["passed"] is True
 
     def test_represent_rejects_non_dv_exit_2(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", four_minus_z_minus_w())

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import math
@@ -337,3 +338,26 @@ class TestAnalyticityGate:
         assert report.passed and not cert.smooth_on_torus
         with pytest.raises(ValueError, match="Qmatrix: det Q has a zero"):
             verify_extension(ExtensionOperator(rep, cert, F_W))
+
+
+def test_array_holding_types_compare_by_identity_and_hash(pipeline_z3w2, cert_four):
+    # each public type that holds an array compares by identity: == between
+    # copies is False rather than numpy's ambiguous truth value, and hash()
+    # works
+    from dvkit.soscert import compute_moments
+
+    cert, _, rep, _ = pipeline_z3w2
+    objects = [
+        cert.p,
+        cert.vec_p,
+        cert.qmatrix,
+        compute_moments(poly({(0, 0): 4, (1, 0): -1, (0, 1): -1})),
+        cert_four,
+        cert,
+        rep,
+        ExtensionOperator(rep, cert, F_W),
+    ]
+    for obj in objects:
+        dup = copy.copy(obj)
+        assert obj == obj and (obj == dup) is False, type(obj).__name__
+        assert isinstance(hash(obj), int) and isinstance(hash(dup), int)

@@ -1,5 +1,5 @@
-"""Smoke test of scripts/output_digest.py, the tool that compares the CLI
-outputs of two checkouts."""
+"""Smoke tests of scripts/output_digest.py and scripts/compare_dumps.py, the
+tools that compare the CLI outputs of two checkouts."""
 
 import importlib.util
 import json
@@ -9,11 +9,11 @@ from pathlib import Path
 from conftest import four_minus_z_minus_w, z3_minus_w2
 from dvkit.serialize import dumps, poly_to_obj
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+def load_script(name="output_digest"):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -48,3 +48,28 @@ def test_one_line_and_one_dump_per_call(tmp_path, capsys):
     for name in dumps_written:
         assert isinstance(json.loads((dump / name).read_text()), dict), name
     assert json.loads((dump / "z3w2.json.represent.json").read_text())["kind"] == "realization"
+
+
+def test_compare_dumps_tells_a_changed_verdict(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "four.json").write_text(dumps(poly_to_obj(four_minus_z_minus_w())))
+    (corpus / "z3w2.json").write_text(dumps(poly_to_obj(z3_minus_w2())))
+    digest, compare = load_script(), load_script("compare_dumps")
+    old, new = tmp_path / "old", tmp_path / "new"
+    for dump in (old, new):
+        assert digest.main([str(corpus), "--dump", str(dump)]) == 0
+    capsys.readouterr()
+    assert compare.main([str(old), str(new)]) == 0
+    out = capsys.readouterr().out
+    assert "verify gram_defect count=1 max_rel=0\n" in out
+    assert "VERDICT" not in out
+    verify = new / "z3w2.json.verify.json"
+    doc = json.loads(verify.read_text())
+    doc["passed"] = False
+    verify.write_text(json.dumps(doc))
+    assert compare.main([str(old), str(new)]) == 1
+    assert "VERDICT: z3w2.json.verify.json passed: true -> false" in capsys.readouterr().out
+    verify.unlink()
+    assert compare.main([str(old), str(new)]) == 1
+    assert f"VERDICT: z3w2.json.verify.json: only in {old}" in capsys.readouterr().out

@@ -230,6 +230,19 @@ def test_block_sizes_against_degree_exit_1(realization_doc, tmp_path, capsys, co
     assert f"{bad}.m: 3 disagrees with the degree [3, 2] of {bad}.cert.poly" in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "extend", "extend --no-swap"], ids=["verify", "extend", "no_swap"])
+def test_false_smooth_on_torus_claim_exit_1(realization_doc, tmp_path, capsys, command):
+    # z^3 - w^2 is smooth on the torus; the claim false would buy a 100x
+    # looser Gram gate and no Qmatrix gate
+    def edit(doc):
+        doc["cert"]["smooth_on_torus"] = False
+
+    code, captured, bad = run_on_edited(realization_doc, tmp_path, capsys, command, edit)
+    assert code == 1
+    assert captured.out == ""
+    assert f"{bad}.cert.smooth_on_torus: false, but {bad}.cert.poly has no singular point" in captured.err
+
+
 LEGACY = {
     # documents written while certificates still carried their matrix forms
     # ("matrix_first", "matrix_second") and a null "residual"
@@ -240,11 +253,20 @@ LEGACY = {
 
 @pytest.mark.parametrize("kind", sorted(LEGACY))
 def test_legacy_documents_read_like_fresh_ones(tmp_path, capsys, kind):
+    # the legacy keys are ignored: verify and extend read a legacy document
+    # exactly as the same document without them, and a fresh document, which
+    # never has them, passes the same calls
     name, build, command = LEGACY[kind]
     legacy = DATA / name
     doc = json.loads(legacy.read_text())
-    assert "matrix_second" in doc.get("cert", doc)
-    poly_path, f_path, fresh = tmp_path / "p.json", tmp_path / "f.json", tmp_path / "fresh.json"
+    cert = doc.get("cert", doc)
+    assert "matrix_second" in cert
+    for key in ("matrix_first", "matrix_second", "residual"):
+        del cert[key]
+    stripped, poly_path, f_path, fresh = (
+        tmp_path / "stripped.json", tmp_path / "p.json", tmp_path / "f.json", tmp_path / "fresh.json"
+    )
+    stripped.write_text(ser.dumps(doc))
     poly_path.write_text(ser.dumps(ser.poly_to_obj(build())))
     f_path.write_text(ser.dumps(ser.poly_to_obj(poly({(0, 1): 1}))))
     assert main([*command, str(poly_path), "-o", str(fresh)]) == 0
@@ -255,7 +277,8 @@ def test_legacy_documents_read_like_fresh_ones(tmp_path, capsys, kind):
         calls.append(["extend", "{doc}", str(f_path), "--no-swap"])
     for argv in calls:
         outputs = []
-        for doc in (legacy, fresh):
-            assert main([a.format(doc=doc) for a in argv]) == 0
+        for path in (legacy, stripped, fresh):
+            assert main([a.format(doc=path) for a in argv]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1], argv[0]
+        assert json.loads(outputs[2])["passed"] is True, argv[0]

@@ -37,10 +37,7 @@ from dvkit.soscert import (
     SosCertificate,
     StabilityError,
     SubspaceError,
-    _basis_to_vector,
-    _complement_basis,
     _gram,
-    _monomials,
     _moment_column,
     _moment_window,
     compute_moments,
@@ -239,7 +236,8 @@ class TestSubspaces:
         grid = RNG.normal(size=(n + 1, m + 1)) + 1j * RNG.normal(size=(n + 1, m + 1))
         grid[0, 0] = 4.0 * np.sum(np.abs(grid))  # stable: |q(0, 0)| dominates
         mom = compute_moments(BivariatePolynomial(grid))
-        rows, cols = _monomials(n - 1, m), _monomials(n, m - 1)
+        rows = [(i, j) for i in range(n) for j in range(m + 1)]
+        cols = [(i, j) for i in range(n + 1) for j in range(m)]
         loop = np.empty((len(rows), len(cols)), dtype=np.complex128)
         for r, (ir, jr) in enumerate(rows):
             for c, (ic, jc) in enumerate(cols):
@@ -276,24 +274,38 @@ class TestSubspaces:
         root = -c[0] / c[1]
         assert abs(root) > 1.0
 
-    def test_pivot_order_changes_basis_not_kernel(self):
-        qq = poly({(0, 0): 5, (1, 0): 1, (0, 1): 0.5, (2, 2): 0.3, (1, 2): -0.4})
-        mom = compute_moments(qq)
-        n, m = qq.degree
-        fam1 = [(i, j) for i in range(n) for j in range(m + 1)]
-        shift1 = [(i, j) for i in range(n) for j in range(1, m + 1)]
-        fam2 = [(i, j) for i in range(n + 1) for j in range(m)]
-        shift2 = [(i, j) for i in range(n) for j in range(m)]
-        pts = disk_spiral(12, 0.9)
-        for fam, shift, dim, deg in ((fam1, shift1, n, (n - 1, m)), (fam2, shift2, m, (n, m - 1))):
-            # reversing the family reverses the pivot monomials of the complement
-            vec_a, vec_b = (
-                _basis_to_vector(*_complement_basis(mom, order, shift, dim), deg)
-                for order in (fam, fam[::-1])
-            )
-            ka = vec_a.kernel(pts[:, None], pts[None, :], 0.3, -0.4j)
-            kb = vec_b.kernel(pts[:, None], pts[None, :], 0.3, -0.4j)
-            assert np.max(np.abs(ka - kb)) < 1e-8
+    @given(
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.floats(1.2, 4.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_complements_orthonormal_and_orthogonal(self, n, m, margin, seed):
+        # the coefficient matrix C of each basis over its family has
+        # C^H G C = I and is orthogonal to every shifted monomial, which fixes
+        # the kernel; |q(0, 0)| above the sum of the other moduli keeps q
+        # zero-free on the closed bidisk
+        assume(n + m > 0)
+        rng = np.random.default_rng(seed)
+        grid = rng.normal(size=(n + 1, m + 1)) + 1j * rng.normal(size=(n + 1, m + 1))
+        grid[0, 0] = margin * (np.sum(np.abs(grid)) - abs(grid[0, 0]))
+        q = BivariatePolynomial(grid)
+        mom = compute_moments(q)
+        vec_e, vec_f = subspace_kernel_pair(q, mom)
+        assert len(vec_e) == n and len(vec_f) == m
+        sides = (
+            (vec_e, [(i, j) for i in range(n) for j in range(m + 1)], lambda i, j: j >= 1),
+            (vec_f, [(i, j) for i in range(n + 1) for j in range(m)], lambda i, j: i < n),
+        )
+        for vec, family, is_shifted in sides:
+            shifted = [mono for mono in family if is_shifted(*mono)]
+            coeffs = np.array([[comp.coeffs[mono] for comp in vec] for mono in family])
+            coeffs = coeffs.reshape(len(family), len(vec))
+            gram = _gram(mom, family, family)
+            defect = coeffs.conj().T @ gram @ coeffs - np.eye(len(vec))
+            assert np.max(np.abs(defect), initial=0.0) <= 1e-10
+            assert np.max(np.abs(_gram(mom, shifted, family) @ coeffs), initial=0.0) <= 1e-10
 
     def test_degenerate_subspace_raises(self):
         q = minus_five()
@@ -301,7 +313,7 @@ class TestSubspaces:
         bad = np.array(mom.window)
         bad[:, :] = 1.0  # rank-one Gram (a point mass) kills every complement
         broken = type(mom)(q, mom.normalizer_c, bad, mom.grid_size)
-        with pytest.raises((SubspaceError, np.linalg.LinAlgError)):
+        with pytest.raises(SubspaceError, match="subspace degenerate"):
             subspace_kernel_pair(q, broken)
 
 
