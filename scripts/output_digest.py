@@ -4,12 +4,16 @@
     python scripts/output_digest.py DIR [--dump OUT]
 
 Every dvkit/1 polynomial document in DIR (``*.json`` with kind
-"polynomial") goes through ``classify``, ``sos``, ``represent``, ``extend
---no-swap`` and ``extend`` with its default swap check (command
+"polynomial") goes through ``classify``, ``reflect``, ``sos``, ``represent``,
+``extend --no-swap`` and ``extend`` with its default swap check (command
 ``extend_swap``), both with f = w, and ``verify`` of the written
 realization, each run in-process through ``dvkit.cli.main``; the extensions
-and ``verify`` run only when ``represent`` exits 0.  A last line covers
-``dvkit demo``.  Each line reads ``<file> <command> exit=<code> <sha256>``,
+and ``verify`` run only when ``represent`` exits 0.  Documents are also read
+back: ``sos_verify`` is ``verify`` of the certificate ``sos -o`` wrote,
+``sos_weighted`` is ``sos --a 1 --b 1 -o`` and ``sos_weighted_verify`` the
+``verify`` of its certificate when it exits 0, and ``verify_dv`` is
+``verify`` of the ``cert`` member of the written realization.  A last line
+covers ``dvkit demo``.  Each line reads ``<file> <command> exit=<code> <sha256>``,
 the digest taken over stdout, stderr and the written file.  Outputs are
 written under a temporary working directory by relative name, so the lines
 do not depend on where it lies, and two checkouts can be compared with
@@ -24,8 +28,8 @@ compare the exit codes alone, drop the digest column:
     diff <(cut -d' ' -f1-3 a.txt) <(cut -d' ' -f1-3 b.txt)
 
 With ``--dump OUT`` each call's output is also written to
-``OUT/<file>.<command>.json``: its stdout, or for ``represent`` the
-realization document it wrote (``-.demo.json`` for the demo).  Dumps of two
+``OUT/<file>.<command>.json``: its stdout, or for ``represent`` and
+``sos_weighted`` the document it wrote (``-.demo.json`` for the demo).  Dumps of two
 checkouts then compare key by key:
 
     diff -r old_dump new_dump
@@ -107,15 +111,29 @@ def digest_dir(directory, dump_dir=None):
             for path in paths:
                 name = os.path.basename(path)
                 rep = "rep_" + name
+                sos, weighted, dv = "sos_" + name, "weighted_" + name, "dv_" + name
                 rows.append(call(name, "classify", ["classify", path]))
+                rows.append(call(name, "reflect", ["reflect", path]))
                 rows.append(call(name, "sos", ["sos", path]))
+                _digest(["sos", path, "-o", sos])
+                if os.path.exists(sos):
+                    rows.append(call(name, "sos_verify", ["verify", sos, path]))
+                argv = ["sos", path, "--a", "1", "--b", "1", "-o", weighted]
+                rows.append(call(name, "sos_weighted", argv, weighted))
+                if rows[-1][2] == 0:
+                    rows.append(call(name, "sos_weighted_verify", ["verify", weighted, path]))
                 rows.append(call(name, "represent", ["represent", path, "-o", rep], rep))
                 if rows[-1][2] != 0:
                     continue
+                with open(rep, encoding="utf-8") as fh:
+                    cert = json.load(fh)["cert"]
+                with open(dv, "w", encoding="utf-8") as fh:
+                    json.dump(cert, fh)
                 for command, argv in (
                     ("extend", ["extend", rep, "f_w.json", "--no-swap"]),
                     ("extend_swap", ["extend", rep, "f_w.json"]),
                     ("verify", ["verify", rep, path]),
+                    ("verify_dv", ["verify", dv, path]),
                 ):
                     rows.append(call(name, command, argv))
             rows.append(call("-", "demo", ["demo"]))

@@ -13,6 +13,7 @@ multiple of the block determinant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,7 @@ from .poly2 import (
     symmetrize,
     transpose_vars,
 )
-from .soscert import CertKind, SosCertificate, _matrix_form_in_z, sym_sos_certificate
+from .soscert import CertKind, SosCertificate, sym_sos_certificate
 
 __all__ = [
     "DvCertificate",
@@ -66,16 +67,20 @@ class IsometryError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DvCertificate:
-    """(P, Q) pair for a distinguished variety: P has n components of degree
-    <= (n-1, m), Q has m components of degree <= (n, m-1), and Qmatrix is the
-    m x m one-variable matrix with Q = Qmatrix(z) (1, w, ..., w^{m-1})^t."""
+    """(P, Q) pair for a distinguished variety: P has n components at degree
+    (n-1, m) and Q has m components at degree (n, m-1)."""
 
     p: BivariatePolynomial
     weights: tuple[float, float]
     vec_p: VectorPolynomial
     vec_q: VectorPolynomial
-    qmatrix: MatrixPolynomial
     smooth_on_torus: bool
+
+    @functools.cached_property
+    def qmatrix(self) -> MatrixPolynomial:
+        """The m x m one-variable matrix with Q = Qmatrix(z) (1, w, ...,
+        w^{m-1})^t, read from the coefficients of Q."""
+        return self.vec_q.matrix_in_z()
 
     @property
     def gram_tolerance(self) -> float:
@@ -92,11 +97,8 @@ class DvCertificate:
         trade roles, each component transposed, and the weights trade
         places.  The identity (1 - z conj(Z)) <P, P> = (1 - w conj(W)) <Q, Q>
         is symmetric under that exchange."""
-        n, m = self.p.degree
-        vec_p, vec_q = (VectorPolynomial(tuple(map(transpose_vars, v))) for v in (self.vec_q, self.vec_p))
-        qmat = _matrix_form_in_z(vec_q, n, m)
-        p_t = transpose_vars(self.p)
-        return DvCertificate(p_t, self.weights[::-1], vec_p, vec_q, qmat, self.smooth_on_torus)
+        vec_p, vec_q = (VectorPolynomial(v.coeffs.transpose(0, 2, 1)) for v in (self.vec_q, self.vec_p))
+        return DvCertificate(transpose_vars(self.p), self.weights[::-1], vec_p, vec_q, self.smooth_on_torus)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,8 +198,8 @@ def dv_certificate(
     where g(z, .) has a root, all but finitely many, if g involves w, and to
     every p(., w) at a root of g if g is free of w.  So only an unproven
     label runs the randomized :func:`is_squarefree`.  When the variety is
-    smooth on the torus, Qmatrix(z) must be invertible on the closed disk; a
-    failure there contradicts the theory and raises."""
+    smooth on the torus, Qmatrix(z) must be invertible on the closed disk,
+    which :func:`verify_representation` gates."""
     zc = classify_zero_set(p)
     if zc.label is not ZeroLabel.DV_DEFINING:
         raise ValueError(
@@ -206,27 +208,12 @@ def dv_certificate(
     if not zc.proven and not is_squarefree(p):
         raise ValueError("polynomial has a repeated factor; certificate needs squarefree input")
     p_sym = symmetrize(p)
-    n, m = p_sym.degree
     smooth = zc.proven or torus_singularities(p_sym).smooth_on_torus
     q = swap_transform(p_sym)
     cert = sym_sos_certificate(q, a, b, route="direct" if smooth else "dilation")
-
-    def reversed_in_z(vec, degree):
-        rows = (c.with_degree(degree).coeffs[::-1, :] for c in vec)
-        return VectorPolynomial(tuple(map(BivariatePolynomial, rows)))
-
-    vec_p = reversed_in_z(cert.vec_first, (max(n - 1, 0), m))
-    vec_q = reversed_in_z(cert.vec_second, (n, max(m - 1, 0)))
-    qmat = _matrix_form_in_z(vec_q, m, n)
-    if smooth:
-        sv = qmat.min_singular_value_on_disk
-        if sv <= 1e-8 * max(qmat.sup_norm(), 1e-300):
-            raise IsometryError(
-                "Qmatrix is numerically singular on the closed disk for a "
-                "torus-smooth variety; this contradicts the refined "
-                "representation and signals a certificate bug"
-            )
-    return DvCertificate(p_sym, (a, b), vec_p, vec_q, qmat, smooth)
+    # both vectors come at their side's degree; reversing z undoes the swap
+    vec_p, vec_q = (VectorPolynomial(v.coeffs[:, ::-1]) for v in (cert.vec_first, cert.vec_second))
+    return DvCertificate(p_sym, (a, b), vec_p, vec_q, smooth)
 
 
 def sample_variety(p: BivariatePolynomial) -> VarietySample:
@@ -307,7 +294,8 @@ def lurking_isometry(cert: DvCertificate, sample: VarietySample) -> UnitaryReali
     partial isometry between the ranges comes from a thin SVD, and the
     completion maps the orthonormal complement of range(X) onto that of
     range(Y) in singular-vector order, which makes the result reproducible
-    for a fixed sample."""
+    for a fixed sample.  Its unitarity and rho(D) are gated by
+    :func:`verify_representation`, and rho(D) again by the extension."""
     m = len(cert.vec_q)
     n = len(cert.vec_p)
     x, y = _stacked_maps(cert, sample)
@@ -334,16 +322,7 @@ def lurking_isometry(cert: DvCertificate, sample: VarietySample) -> UnitaryReali
     # The Gram defect of inexact certificates pushes the completion off the
     # unitary group; the polar projection returns to the nearest unitary.
     pu, _, qvh = np.linalg.svd(u)
-    u = pu @ qvh
-    rep = UnitaryRealization(m, n, u)
-    if rep.unitarity_defect() > 1e-10:
-        raise IsometryError("unitary completion failed the unitarity check")
-    if rep.d_spectral_radius() >= 1.0 - 1e-8:
-        raise IsometryError(
-            "unimodular D eigenvalue: the representation degenerates, which "
-            "cannot happen for a minimal-degree distinguished variety"
-        )
-    return rep
+    return UnitaryRealization(m, n, pu @ qvh)
 
 
 def phi_evaluate(rep: UnitaryRealization, z) -> np.ndarray:
@@ -362,24 +341,21 @@ def phi_evaluate(rep: UnitaryRealization, z) -> np.ndarray:
     return rep.A + (zc * rep.B) @ core
 
 
-def det_representation(rep: UnitaryRealization, degree=None) -> BivariatePolynomial:
+def det_representation(rep: UnitaryRealization) -> BivariatePolynomial:
     """Coefficient grid of det [[A - wI, zB], [C, zD - I]].
 
     The determinant has degree at most (n, m), so evaluation on roots-of-
     unity nodes followed by a 2-D inverse FFT reconstructs it exactly."""
     m, n = rep.m, rep.n
-    if degree is None:
-        degree = (n, m)
-    dn, dm = degree
-    zs = np.exp(2j * np.pi * np.arange(dn + 1) / (dn + 1))
-    ws = np.exp(2j * np.pi * np.arange(dm + 1) / (dm + 1))
-    mats = np.zeros((dn + 1, dm + 1, m + n, m + n), dtype=np.complex128)
+    zs = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
+    ws = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
+    mats = np.zeros((n + 1, m + 1, m + n, m + n), dtype=np.complex128)
     mats[:, :, :m, :m] = rep.A - ws[None, :, None, None] * np.eye(m)
     mats[:, :, :m, m:] = zs[:, None, None, None] * rep.B
     mats[:, :, m:, :m] = rep.C
     mats[:, :, m:, m:] = zs[:, None, None, None] * rep.D - np.eye(n)
     dets = np.linalg.det(mats)
-    coeffs = np.fft.fft2(dets) / ((dn + 1) * (dm + 1))
+    coeffs = np.fft.fft2(dets) / ((n + 1) * (m + 1))
     return BivariatePolynomial(coeffs)
 
 
@@ -468,7 +444,7 @@ def verify_representation(
     return RepresentationReport(
         gram_defect=_gram_defect(x, y),
         gram_tolerance=cert.gram_tolerance,
-        qmatrix_tolerance=1e-8 * cert.qmatrix.sup_norm(),
+        qmatrix_tolerance=1e-8 * cert.qmatrix.max_singular_value_on_disk,
         det_on_samples=float(np.max(np.abs(det_vals))),
         eigen_relation=float(np.max(eig_vals)) / q_scale,
         det_vs_p_rel=det_rel,

@@ -212,14 +212,14 @@ def sup_norm_on_variety(
     return _max_abs(f.evaluate(circle[k[on_torus]], w[on_torus]))
 
 
-def expand_extension(op: ExtensionOperator, trim_tol: float = 1e-12):
+def expand_extension(op: ExtensionOperator):
     """Numerator/denominator display form of F: a bivariate numerator and a
     one-variable denominator det(Q(z)) det(I - zD)^K, K the w-degree of f.
 
     F itself stays an evaluator; this expansion exists for inspection and
     serialization only.  Both parts are recovered by evaluation on
     roots-of-unity nodes and exact inverse DFT, then trimmed of trailing
-    zero coefficients."""
+    coefficients at or below 1e-12 of the largest."""
     m, n = op.rep.m, op.rep.n
     fz, fw = op.f.degree
     dz_deg = m * n + fw * n
@@ -238,8 +238,8 @@ def expand_extension(op: ExtensionOperator, trim_tol: float = 1e-12):
     num_coeffs = np.fft.fft2(fvals) / ((nz_deg + 1) * max(m, 1))
     numerator = BivariatePolynomial(num_coeffs)
     denominator = BivariatePolynomial(den_coeffs[:, None])
-    tn = numerator.true_degree(trim_tol)
-    td = denominator.true_degree(trim_tol)
+    tn = numerator.true_degree(1e-12)
+    td = denominator.true_degree(1e-12)
     numerator = BivariatePolynomial(numerator.coeffs[: tn[0] + 1, : tn[1] + 1])
     denominator = BivariatePolynomial(denominator.coeffs[: td[0] + 1, :1])
     return numerator, denominator

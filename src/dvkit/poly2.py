@@ -6,6 +6,12 @@ degree: reflection depends on the declared degree, so the degree is carried
 explicitly by the data and never inferred from which entries happen to be
 nonzero.  A constant declared at degree (3,2) is a 4x3 grid with one nonzero
 entry, and it reflects differently from the same constant at degree (0,0).
+A degree may be re-declared at or above the true degree, also below the
+declared one.
+
+A vector of polynomials is one (len, n+1, m+1) array at one degree, so the
+two sides of a certificate are each one array; its matrix forms A(w) and
+B(z) are views of it, read along z or along w.
 
 All values are immutable; every operation returns a fresh polynomial.
 """
@@ -29,6 +35,7 @@ __all__ = [
     "DegreeMismatchError",
     "reflect",
     "reflected_derivatives",
+    "side_degrees",
     "symmetry_analysis",
     "symmetrize",
     "swap_transform",
@@ -81,12 +88,31 @@ def _stacked_horner(grids, z, w) -> np.ndarray:
     return horner(rows.swapaxes(0, grids.ndim - 2), z)
 
 
-def _as_grid(coeffs) -> np.ndarray:
+def _redeclared(coeffs, degree) -> np.ndarray:
+    """The grids on the last two axes of ``coeffs`` at ``degree``: the block
+    both degrees share is copied and the rest is zero.  Raises
+    :class:`DegreeMismatchError` when a coefficient beyond ``degree`` is
+    nonzero."""
+    n, m = degree
+    if np.any(coeffs[..., n + 1 :, :]) or np.any(coeffs[..., m + 1 :]):
+        raise DegreeMismatchError(f"cannot declare degree {(n, m)} below the true degree")
+    out = np.zeros(coeffs.shape[:-2] + (n + 1, m + 1), dtype=np.complex128)
+    rows, cols = min(n + 1, coeffs.shape[-2]), min(m + 1, coeffs.shape[-1])
+    out[..., :rows, :cols] = coeffs[..., :rows, :cols]
+    return out
+
+
+def side_degrees(n: int, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """((n - 1, m), (n, m - 1)), each clamped at 0: the degrees of q_z and
+    q_w for q of degree (n, m), and of the two vectors of its certificate."""
+    return (max(n - 1, 0), m), (n, max(m - 1, 0))
+
+
+def _frozen(coeffs, ndim: int) -> np.ndarray:
+    """Read-only complex copy of ``coeffs``, which must have ``ndim`` axes."""
     arr = np.array(coeffs, dtype=np.complex128)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    if arr.ndim != 2:
-        raise ValueError(f"coefficient grid must be 2-D, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"coefficients must be {ndim}-D, got shape {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -105,7 +131,8 @@ class BivariatePolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _as_grid(self.coeffs))
+        coeffs = np.reshape(self.coeffs, (1, 1)) if np.ndim(self.coeffs) == 0 else self.coeffs
+        object.__setattr__(self, "coeffs", _frozen(coeffs, 2))
 
     # -- constructors -------------------------------------------------
 
@@ -165,16 +192,9 @@ class BivariatePolynomial:
         return int(rows[-1]), int(cols[-1])
 
     def with_degree(self, degree) -> "BivariatePolynomial":
-        """Re-declare the formal degree; pads with zeros, never truncates."""
-        n, m = degree
-        tn, tm = self.true_degree()
-        if n < tn or m < tm:
-            raise DegreeMismatchError(
-                f"cannot declare degree {(n, m)} on a polynomial of true degree {(tn, tm)}"
-            )
-        grid = np.zeros((n + 1, m + 1), dtype=np.complex128)
-        grid[: self.coeffs.shape[0], : self.coeffs.shape[1]] = self.coeffs
-        return BivariatePolynomial(grid)
+        """Re-declare the formal degree at or above the true degree; pads
+        with zeros, never truncates a nonzero coefficient."""
+        return BivariatePolynomial(_redeclared(self.coeffs, degree))
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return bool(np.all(np.abs(self.coeffs) <= tol))
@@ -296,10 +316,8 @@ def reflected_derivatives(q: BivariatePolynomial):
     identities (z*q_z + reflected(q_z) = n*q for torus-symmetric q, and the
     w analogue) hold at the coefficient level.
     """
-    n, m = q.degree
-    qz_ref = reflect(q.partial_z(), (max(n - 1, 0), m))
-    qw_ref = reflect(q.partial_w(), (n, max(m - 1, 0)))
-    return qz_ref, qw_ref
+    deg_z, deg_w = side_degrees(*q.degree)
+    return reflect(q.partial_z(), deg_z), reflect(q.partial_w(), deg_w)
 
 
 class SymmetryKind(Enum):
@@ -358,25 +376,26 @@ def symmetry_analysis(q: BivariatePolynomial) -> SymmetryResult:
 
 
 def symmetrize(q: BivariatePolynomial) -> BivariatePolynomial:
-    """Multiply q by its symmetrizing factor so the result is torus-symmetric."""
+    """Multiply q by its symmetrizing factor so the result is torus-symmetric.
+
+    The factor is applied also when q classifies as T2Symmetric: within
+    SYMMETRY_TOL of c = 1 the rotation it undoes still exceeds rounding."""
     res = symmetry_analysis(q)
     if not res.is_symmetric:
         raise ValueError("polynomial is not essentially torus-symmetric")
-    if res.kind is SymmetryKind.T2_SYMMETRIC:
-        return q
     return res.symmetrizing_factor * q
 
 
-def swap_transform(p: BivariatePolynomial, tol: float = 1e-12) -> BivariatePolynomial:
+def swap_transform(p: BivariatePolynomial) -> BivariatePolynomial:
     """q(z, w) = z^n p(1/z, w): the z-index reversal, no conjugation.
 
     Carries polynomials defining a distinguished variety to torus-symmetric
     polynomials with no zeros on the closed bidisk off the torus, and back.
-    Requires exact degree n in z (nonzero top coefficient row); self-inverse
-    when degrees are exact.
+    Requires exact degree n in z (top coefficient row above 1e-12 of the
+    scale); self-inverse when degrees are exact.
     """
     n, _ = p.degree
-    if np.max(np.abs(p.coeffs[n, :])) <= tol * p.scale:
+    if np.max(np.abs(p.coeffs[n, :])) <= 1e-12 * p.scale:
         raise DegreeMismatchError(
             f"z-degree is declared {n} but coefficient row {n} vanishes"
         )
@@ -429,46 +448,71 @@ def blaschke_dv(m: int, alphas) -> BivariatePolynomial:
 
 @dataclass(frozen=True, eq=False)
 class VectorPolynomial:
-    """Tuple of bivariate polynomials viewed as one vector-valued polynomial."""
+    """Vector of bivariate polynomials at one formal degree: ``coeffs[k, i,
+    j]`` multiplies z^i w^j in component k, and the grid shape (len, n+1,
+    m+1) declares the degree (n, m) of every component.  Its matrix forms
+    are views of the same array (:meth:`matrix_in_w`, :meth:`matrix_in_z`)."""
 
-    components: tuple[BivariatePolynomial, ...]
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
+        object.__setattr__(self, "coeffs", _frozen(self.coeffs, 3))
+
+    @classmethod
+    def of(cls, components) -> "VectorPolynomial":
+        """Stack polynomials, each padded to the largest degree any of them
+        declares; no components give an empty vector of degree (0, 0)."""
+        components = tuple(components)
+        n, m = (max((c.degree[a] for c in components), default=0) for a in (0, 1))
+        grids = [c.with_degree((n, m)).coeffs for c in components]
+        return cls(np.reshape(grids, (len(grids), n + 1, m + 1)))
+
+    @property
+    def degree(self) -> tuple[int, int]:
+        """Formal degree (n, m) of every component, declared by the shape."""
+        return self.coeffs.shape[1] - 1, self.coeffs.shape[2] - 1
+
+    def with_degree(self, degree) -> "VectorPolynomial":
+        """Re-declare the formal degree of every component at once, at or
+        above their true degree."""
+        return VectorPolynomial(_redeclared(self.coeffs, degree))
 
     def __len__(self):
-        return len(self.components)
+        return self.coeffs.shape[0]
 
     def __iter__(self):
-        return iter(self.components)
+        return (BivariatePolynomial(g) for g in self.coeffs)
 
-    def __getitem__(self, k):
-        return self.components[k]
+    def __getitem__(self, k) -> BivariatePolynomial:
+        return BivariatePolynomial(self.coeffs[k])
+
+    def matrix_in_w(self) -> "MatrixPolynomial":
+        """A(w), len x (n+1), with V(z, w) = A(w) (1, z, ..., z^n)^t."""
+        return MatrixPolynomial(self.coeffs)
+
+    def matrix_in_z(self) -> "MatrixPolynomial":
+        """B(z), len x (m+1), with V(z, w) = B(z) (1, w, ..., w^m)^t."""
+        return MatrixPolynomial(self.coeffs.transpose(0, 2, 1))
 
     def evaluate(self, z, w) -> np.ndarray:
         """Stacked values, shape (len(self), *broadcast(z, w).shape).
 
-        The component grids are zero-padded to the common degree and go
-        through one stacked Horner evaluation, in groups of components whose
-        values fill at most STACK_BYTES when the points are many.  Padding
-        adds only exact zeros ahead of each component's own terms, so every
-        value equals the component's own :meth:`BivariatePolynomial.evaluate`
-        to the bit."""
+        The components go through one stacked Horner evaluation, in groups
+        whose values fill at most STACK_BYTES when the points are many.
+        Components declared at a lower degree and padded carry only exact
+        zeros ahead of their own terms, so every value equals the
+        component's own :meth:`BivariatePolynomial.evaluate` to the bit."""
         z = np.asarray(z, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
         shape = np.broadcast_shapes(z.shape, w.shape)
-        if not self.components:
+        if not len(self):
             return np.zeros((0,) + shape, dtype=np.complex128)
-        n, m = self.degree_bound()
-        grids = np.zeros((len(self), n + 1, m + 1), dtype=np.complex128)
-        for k, comp in enumerate(self.components):
-            grids[k, : comp.coeffs.shape[0], : comp.coeffs.shape[1]] = comp.coeffs
         group = max(1, STACK_BYTES // max(16 * math.prod(shape), 1))
         if group >= len(self):
-            return _stacked_horner(grids, z, w)
+            return _stacked_horner(self.coeffs, z, w)
         out = np.empty((len(self),) + shape, dtype=np.complex128)
         for k in range(0, len(self), group):
-            out[k : k + group] = _stacked_horner(grids[k : k + group], z, w)
+            out[k : k + group] = _stacked_horner(self.coeffs[k : k + group], z, w)
         return out
 
     def kernel(self, z, w, Z, W):
@@ -488,17 +532,12 @@ class VectorPolynomial:
         return np.sum(np.abs(a) ** 2, axis=0)
 
     def scaled(self, factor) -> "VectorPolynomial":
-        return VectorPolynomial(tuple(factor * c for c in self.components))
+        return VectorPolynomial(self.coeffs * complex(factor))
 
     def ldexp(self, e: int) -> "VectorPolynomial":
         """self * 2^e, exact unless a coefficient leaves the normal range."""
-        return VectorPolynomial(tuple(c.ldexp(e) for c in self.components))
-
-    def degree_bound(self) -> tuple[int, int]:
-        return (
-            max(c.degree[0] for c in self.components),
-            max(c.degree[1] for c in self.components),
-        )
+        parts = np.ascontiguousarray(self.coeffs).view(np.float64)
+        return VectorPolynomial(np.ldexp(parts, e).view(np.complex128))
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,11 +547,7 @@ class MatrixPolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=np.complex128)
-        if arr.ndim != 3:
-            raise ValueError("matrix polynomial needs a (rows, cols, deg+1) array")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
+        object.__setattr__(self, "coeffs", _frozen(self.coeffs, 3))
 
     @property
     def shape(self):
@@ -537,10 +572,16 @@ class MatrixPolynomial:
         return MatrixPolynomial(np.conj(pad[:, :, ::-1]))
 
     @functools.cached_property
+    def _singular_values_on_disk(self) -> np.ndarray:
+        circle = np.exp(2j * np.pi * np.arange(64) / 64)
+        pts = np.concatenate([[0.0 + 0.0j], circle, self.det_zeros_in_disk])
+        return np.linalg.svd(self.evaluate(pts), compute_uv=False)
+
+    @property
     def min_singular_value_on_disk(self) -> float:
         """Least singular value of the square matrix polynomial Q over z = 0,
         the 64 circle points exp(2 pi i k / 64) and every zero of det Q in
-        the closed disk (:attr:`det_zeros_in_disk`), computed once.
+        the closed disk (:attr:`det_zeros_in_disk`), from one cached SVD.
 
         Q at such a zero is singular, so its singular value, about 0, enters
         the minimum.  With no zero of det Q in the closed disk, Q^{-1} is
@@ -548,9 +589,14 @@ class MatrixPolynomial:
         value 1 / ||Q^{-1}|| over the disk is attained on the circle, which
         the samples stand for.
         """
-        circle = np.exp(2j * np.pi * np.arange(64) / 64)
-        pts = np.concatenate([[0.0 + 0.0j], circle, self.det_zeros_in_disk])
-        return float(np.min(np.linalg.svd(self.evaluate(pts), compute_uv=False)))
+        return float(np.min(self._singular_values_on_disk))
+
+    @property
+    def max_singular_value_on_disk(self) -> float:
+        """Largest singular value over the same points, from the same SVD:
+        the scale of a gate on the least one, which no constant unitary
+        mixing of the rows of Q moves."""
+        return float(np.max(self._singular_values_on_disk))
 
     @functools.cached_property
     def det_zeros_in_disk(self) -> np.ndarray:
@@ -581,6 +627,3 @@ class MatrixPolynomial:
                 zeros = 1.0 / mu[np.abs(mu) >= 1.0 - 1e-12]
         zeros.setflags(write=False)
         return zeros
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0

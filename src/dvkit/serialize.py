@@ -23,8 +23,8 @@ import numpy as np
 
 from .classify import torus_singularities
 from .dvrep import DvCertificate, UnitaryRealization
-from .poly2 import BivariatePolynomial, VectorPolynomial
-from .soscert import CertKind, SosCertificate, _matrix_form_in_z
+from .poly2 import BivariatePolynomial, VectorPolynomial, side_degrees
+from .soscert import CertKind, SosCertificate
 
 SCHEMA = "dvkit/1"
 
@@ -133,9 +133,7 @@ def _vec_to_obj(vec: VectorPolynomial) -> list:
 def _vec_from_obj(items, where: str) -> VectorPolynomial:
     if not isinstance(items, list):
         raise SchemaError(f"{where}: expected a list of polynomials")
-    return VectorPolynomial(
-        tuple(poly_from_obj(o, f"{where}[{k}]") for k, o in enumerate(items))
-    )
+    return VectorPolynomial.of(poly_from_obj(o, f"{where}[{k}]") for k, o in enumerate(items))
 
 
 def cert_to_obj(cert: SosCertificate, poly: BivariatePolynomial | None = None) -> dict:
@@ -191,25 +189,27 @@ def dv_cert_from_obj(obj: dict, where: str = "certificate") -> DvCertificate:
     sos = cert_from_obj(obj, where)
     p = poly_from_obj(obj["poly"], f"{where}.poly")
     # P has n components of degree <= (n-1, m) and Q has m of degree <= (n, m-1),
-    # with Q = Qmatrix(z) (1, w, ..., w^{m-1})^t
+    # each re-declared at that degree
     n, m = p.degree
+    deg_p, deg_q = side_degrees(n, m)
+    vecs = []
     for key, vec, count, bound in (
-        ("vec_first", sos.vec_first, n, (max(n - 1, 0), m)),
-        ("vec_second", sos.vec_second, m, (n, max(m - 1, 0))),
+        ("vec_first", sos.vec_first, n, deg_p),
+        ("vec_second", sos.vec_second, m, deg_q),
     ):
         if len(vec) != count:
             raise SchemaError(f"{where}.{key}: expected {count} components for poly of degree {[n, m]}")
         for k, comp in enumerate(vec):
             if any(d > b for d, b in zip(comp.true_degree(), bound)):
                 raise SchemaError(f"{where}.{key}: degree exceeds {bound} at component {k}")
-    qmat = _matrix_form_in_z(sos.vec_second, m, n)
+        vecs.append(vec.with_degree(bound))
     smooth = bool(obj.get("smooth_on_torus", True))
     # false loosens the Gram gate and skips the Qmatrix gate, so it is checked
     if not smooth and torus_singularities(p).smooth_on_torus:
         raise SchemaError(
             f"{where}.smooth_on_torus: false, but {where}.poly has no singular point on the torus"
         )
-    return DvCertificate(p, tuple(sos.weights), sos.vec_first, sos.vec_second, qmat, smooth)
+    return DvCertificate(p, tuple(sos.weights), *vecs, smooth)
 
 
 def realization_to_obj(

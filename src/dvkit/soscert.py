@@ -51,10 +51,10 @@ from .classify import (
 )
 from .poly2 import (
     BivariatePolynomial,
-    MatrixPolynomial,
     VectorPolynomial,
     reflect,
     reflected_derivatives,
+    side_degrees,
     symmetry_analysis,
 )
 
@@ -238,7 +238,7 @@ def _complement_basis(moments, shifted, rest, degree):
     grids = np.zeros((len(rest), degree[0] + 1, degree[1] + 1), dtype=np.complex128)
     i, j = np.asarray(family, dtype=np.intp).reshape(-1, 2).T
     grids[:, i, j] = basis.T
-    return VectorPolynomial(tuple(BivariatePolynomial(g) for g in grids))
+    return VectorPolynomial(grids)
 
 
 def subspace_kernel_pair(q: BivariatePolynomial, moments: MomentTable):
@@ -246,10 +246,11 @@ def subspace_kernel_pair(q: BivariatePolynomial, moments: MomentTable):
     certificate; E has exactly n components of degree <= (n-1, m), F exactly
     m of degree <= (n, m-1)."""
     n, m = q.degree
+    deg_e, deg_f = side_degrees(n, m)
     shift1 = [(i, j) for i in range(n) for j in range(1, m + 1)]
-    vec_e = _complement_basis(moments, shift1, [(i, 0) for i in range(n)], (max(n - 1, 0), m))
+    vec_e = _complement_basis(moments, shift1, [(i, 0) for i in range(n)], deg_e)
     shift2 = [(i, j) for i in range(n) for j in range(m)]
-    vec_f = _complement_basis(moments, shift2, [(n, j) for j in range(m)], (n, max(m - 1, 0)))
+    vec_f = _complement_basis(moments, shift2, [(n, j) for j in range(m)], deg_f)
     return vec_e, vec_f
 
 
@@ -259,30 +260,12 @@ class SosCertificate:
     witnessing a two-square identity.  For q of degree (n, m) the first
     vector has n components of degree <= (n-1, m) and the second m of
     degree <= (n, m-1); the matrix forms that :func:`gw_invertibility`
-    reads are built from them where needed."""
+    reads are views of their coefficient arrays."""
 
     kind: CertKind
     vec_first: VectorPolynomial
     vec_second: VectorPolynomial
     weights: tuple[float, float] | None = None
-
-
-def _matrix_form_in_w(vec: VectorPolynomial, n: int, m: int) -> MatrixPolynomial:
-    arr = np.zeros((len(vec), n, m + 1), dtype=np.complex128)
-    for k, comp in enumerate(vec):
-        g = comp.with_degree((n - 1, m)).coeffs
-        arr[k, :, :] = g
-    return MatrixPolynomial(arr)
-
-
-def _matrix_form_in_z(vec: VectorPolynomial, m: int, n: int) -> MatrixPolynomial:
-    arr = np.zeros((len(vec), m, n + 1), dtype=np.complex128)
-    for k, comp in enumerate(vec):
-        g = comp.coeffs
-        if g.shape[0] > n + 1 or g.shape[1] > m:
-            g = comp.with_degree((n, m - 1)).coeffs  # refuses a higher degree
-        arr[k, : g.shape[1], : g.shape[0]] = g.T
-    return MatrixPolynomial(arr)
 
 
 def _stability_route(q):
@@ -306,22 +289,17 @@ def _direct_certificate(q):
     return vec_e.scaled(c), vec_f.scaled(c)
 
 
-def _refactor_kernel_tensor(tensor, rank, degree):
-    """Recover a component list from a kernel coefficient tensor: eigh of the
-    PSD Gram-in-coefficient-space form, keeping the leading ``rank`` modes."""
-    n, m = degree
-    d = (n + 1) * (m + 1)
-    gram = tensor.reshape(d, d)
+def _refactor_kernel_tensor(tensor, rank):
+    """Recover a vector at the tensor's degree from a kernel coefficient
+    tensor: eigh of the PSD Gram-in-coefficient-space form, keeping the
+    leading ``rank`` modes."""
+    rows, cols = tensor.shape[:2]
+    gram = tensor.reshape(rows * cols, rows * cols)
     gram = 0.5 * (gram + gram.conj().T)
     evals, evecs = np.linalg.eigh(gram)
-    order = np.argsort(evals)[::-1]
-    comps = []
-    for k in order[:rank]:
-        lam = max(evals[k], 0.0)
-        comps.append(
-            BivariatePolynomial((evecs[:, k] * math.sqrt(lam)).reshape(n + 1, m + 1))
-        )
-    return VectorPolynomial(tuple(comps))
+    keep = np.argsort(evals)[::-1][:rank]
+    modes = evecs[:, keep] * np.sqrt(np.maximum(evals[keep], 0.0))
+    return VectorPolynomial(modes.T.reshape(rank, rows, cols))
 
 
 def _neville_to_zero(hs, tables):
@@ -335,8 +313,8 @@ def _neville_to_zero(hs, tables):
     return tab[0]
 
 
-def _kernel_tensor(vec, degree):
-    """Coefficient tensor of the kernel of ``vec`` padded to ``degree``:
+def _kernel_tensor(vec):
+    """Coefficient tensor of the kernel of ``vec`` at its degree:
     T[i,j,k,l] = sum_c a_c[i,j] conj(a_c[k,l]).
 
     Invariant under any constant unitary mixing of the components, which
@@ -344,20 +322,19 @@ def _kernel_tensor(vec, degree):
     itself is only determined up to unitary equivalence.  An empty vector
     (the side of a certificate with n = 0 or m = 0) gives the zero tensor.
     """
-    n, m = degree
-    flat = np.zeros((len(vec), (n + 1) * (m + 1)), dtype=np.complex128)
-    for k, comp in enumerate(vec):
-        flat[k] = comp.with_degree(degree).coeffs.ravel()
-    return (flat.T @ np.conj(flat)).reshape(n + 1, m + 1, n + 1, m + 1)
+    count, rows, cols = vec.coeffs.shape
+    flat = vec.coeffs.reshape(count, rows * cols)
+    return (flat.T @ np.conj(flat)).reshape(rows, cols, rows, cols)
 
 
 def _zero_certificate(q):
     """n and m zero components: reflect(q) is a unimodular multiple of a
     torus-symmetric q, so |q|^2 - |reflect(q)|^2 vanishes identically."""
     n, m = q.degree
-    vec_a = BivariatePolynomial.zero((max(n - 1, 0), m))
-    vec_b = BivariatePolynomial.zero((n, max(m - 1, 0)))
-    return VectorPolynomial((vec_a,) * n), VectorPolynomial((vec_b,) * m)
+    return tuple(
+        VectorPolynomial(np.zeros((count, rows + 1, cols + 1)))
+        for count, (rows, cols) in zip((n, m), side_degrees(n, m))
+    )
 
 
 def _dilation_certificate(q):
@@ -376,17 +353,15 @@ def _dilation_certificate(q):
     for r in DILATION_RADII:
         vec_a, vec_b = _direct_certificate(dilate(q, r))
         hs.append(math.sqrt(1.0 - r))
-        ta_list.append(_kernel_tensor(vec_a, (max(n - 1, 0), m)))
-        tb_list.append(_kernel_tensor(vec_b, (n, max(m - 1, 0))))
+        ta_list.append(_kernel_tensor(vec_a))
+        tb_list.append(_kernel_tensor(vec_b))
     for tensors in (ta_list, tb_list):
         gaps = [float(np.max(np.abs(tensors[k + 1] - tensors[k]))) for k in range(len(hs) - 1)]
         if gaps[-1] > gaps[0]:
             raise QuadratureError("dilation certificates are not converging toward r = 1")
     ta0 = _neville_to_zero(hs, ta_list)
     tb0 = _neville_to_zero(hs, tb_list)
-    vec_a = _refactor_kernel_tensor(ta0, n, (max(n - 1, 0), m))
-    vec_b = _refactor_kernel_tensor(tb0, m, (n, max(m - 1, 0)))
-    return vec_a, vec_b
+    return _refactor_kernel_tensor(ta0, n), _refactor_kernel_tensor(tb0, m)
 
 
 def _route_vectors(q, route):
@@ -430,8 +405,9 @@ class GwReport:
     closed disk, found by a block companion.  A zero anywhere in the closed
     disk, also one on the circle between samples, gives a minimum of about 0;
     without one, the maximum principle puts the minimum on the circle.  Each
-    minimum passes above ``threshold`` times its matrix's largest
-    coefficient, so the verdict is the same for every multiple c q."""
+    minimum passes above ``threshold`` = 1e-6 times its matrix's largest
+    singular value over the same points, so the verdict is the same for
+    every multiple c q and every unitary mixing of a vector's components."""
 
     min_sv_first: float
     min_sv_second: float
@@ -439,7 +415,7 @@ class GwReport:
     passed: bool
 
 
-def gw_invertibility(cert: SosCertificate, threshold: float = 1e-6) -> GwReport:
+def gw_invertibility(cert: SosCertificate) -> GwReport:
     """:class:`GwReport` of the matrix forms of a certificate, built here
     from its vectors: with n = len(vec_first) and m = len(vec_second),
     A(z, w) = A(w) (1, z, ..., z^{n-1})^t and B(z, w) = B(z) (1, w, ...,
@@ -449,11 +425,16 @@ def gw_invertibility(cert: SosCertificate, threshold: float = 1e-6) -> GwReport:
     n, m = len(cert.vec_first), len(cert.vec_second)
     if n == 0 or m == 0:
         raise ValueError("certificate has an empty side and no matrix forms")
-    mat_a = _matrix_form_in_w(cert.vec_first, n, m)
-    mat_b = _matrix_form_in_z(cert.vec_second, m, n).reflected(n)
+    deg_a, deg_b = side_degrees(n, m)
+    mat_a = cert.vec_first.with_degree(deg_a).matrix_in_w()
+    mat_b = cert.vec_second.with_degree(deg_b).matrix_in_z().reflected(n)
     sv_a = mat_a.min_singular_value_on_disk
     sv_b = mat_b.min_singular_value_on_disk
-    passed = sv_a > threshold * mat_a.sup_norm() and sv_b > threshold * mat_b.sup_norm()
+    threshold = 1e-6
+    passed = (
+        sv_a > threshold * mat_a.max_singular_value_on_disk
+        and sv_b > threshold * mat_b.max_singular_value_on_disk
+    )
     return GwReport(sv_a, sv_b, threshold, passed)
 
 
@@ -514,11 +495,11 @@ class VerificationReport:
         return self.residual <= self.threshold
 
 
-def _shifted_kernel(vec, degree, axis):
+def _shifted_kernel(vec, axis):
     """Coefficient tensor of (1 - z conj(Z)) K (axis 0) or (1 - w conj(W)) K
-    (axis 1), K the kernel of ``vec`` padded to ``degree``, which must leave
-    the top power of that variable free."""
-    t = _kernel_tensor(vec, degree)
+    (axis 1), K the kernel of ``vec``, whose degree must leave the top power
+    of that variable free."""
+    t = _kernel_tensor(vec)
     out = t.copy()
     if axis == 0:
         out[1:, :, 1:, :] -= t[:-1, :, :-1, :]
@@ -527,9 +508,7 @@ def _shifted_kernel(vec, degree, axis):
     return out
 
 
-def verify_certificate(
-    q: BivariatePolynomial, cert: SosCertificate, threshold: float = 1e-7
-) -> VerificationReport:
+def verify_certificate(q: BivariatePolynomial, cert: SosCertificate) -> VerificationReport:
     """Coefficient check of a certificate's polarized identity.
 
     The tensor D of the coefficients of z^i w^j conj(Z)^k conj(W)^l in
@@ -545,26 +524,26 @@ def verify_certificate(
     of the identity at every pair of closed-bidisk points, relative to
     kappa sup |q|^2, up to rounding.  q and both vectors are first divided
     by one power of two read off q's scale, which is exact: (2^k q, 2^k cert)
-    has the residual of (q, cert).  A residual that is not finite, as for
-    an + bm <= 0, fails.
+    has the residual of (q, cert).  The report passes at or below 1e-7; a
+    residual that is not finite, as for an + bm <= 0, fails.
     """
     n, m = q.degree
     first, second = cert.vec_first, cert.vec_second
-    degree = (
-        max([n] + [c.degree[0] + 1 for c in first] + [c.degree[0] for c in second]),
-        max([m] + [c.degree[1] for c in first] + [c.degree[1] + 1 for c in second]),
-    )
+    # the first vector is multiplied by z and the second by w; an empty one
+    # needs no degree
+    needs = [np.add(v.degree, shift) for v, shift in ((first, (1, 0)), (second, (0, 1))) if len(v)]
+    degree = tuple(int(d) for d in np.max([(n, m), *needs], axis=0))
     e = q.exponent
     q = q.ldexp(-e)
-    first, second = first.ldexp(-e), second.ldexp(-e)
+    first, second = first.ldexp(-e).with_degree(degree), second.ldexp(-e).with_degree(degree)
     # components far above q's scale overflow to a residual that fails
     with np.errstate(over="ignore", invalid="ignore"):
-        qq = _kernel_tensor(VectorPolynomial((q,)), degree)
-        ka = _shifted_kernel(first, degree, 0)
-        kb = _shifted_kernel(second, degree, 1)
+        qq = _kernel_tensor(VectorPolynomial.of([q]).with_degree(degree))
+        ka = _shifted_kernel(first, 0)
+        kb = _shifted_kernel(second, 1)
         if cert.kind is CertKind.COLE_WERMER:
             kappa = 1.0
-            diff = qq - _kernel_tensor(VectorPolynomial((reflect(q),)), degree) - ka - kb
+            diff = qq - _kernel_tensor(VectorPolynomial.of([reflect(q)]).with_degree(degree)) - ka - kb
         else:
             a, b = cert.weights
             kappa = a * n + b * m
@@ -577,4 +556,4 @@ def verify_certificate(
         l1 = float(np.sum(np.abs(diff)))
     denom = kappa * float(np.sum(np.abs(q.coeffs) ** 2))
     residual = l1 / denom if denom > 0 else math.inf
-    return VerificationReport(cert.kind, residual, threshold)
+    return VerificationReport(cert.kind, residual, 1e-7)

@@ -124,6 +124,33 @@ class TestCliCommands:
         got = poly_from_obj(out)
         assert got.max_coeff_distance(poly({(1, 1): 2, (1, 0): -1, (0, 1): -1})) == 0
 
+    def test_reflect_at_degree_below_the_declared_one(self, tmp_path, capsys):
+        # declared (1, 2) with a zero last column: (1, 1) is at its true degree
+        p = poly({(0, 0): 2, (1, 0): -1, (0, 1): -1}, (1, 2))
+        assert main(["reflect", write_poly(tmp_path, "p.json", p), "--at", "1", "1"]) == 0
+        got = poly_from_obj(json.loads(capsys.readouterr().out))
+        assert got.degree == (1, 1)
+        assert got.max_coeff_distance(poly({(1, 1): 2, (1, 0): -1, (0, 1): -1})) == 0
+
+    @pytest.mark.parametrize("command", ["verify", "extend"])
+    def test_component_declared_above_its_degree_loads(self, realization_doc, tmp_path, capsys, command):
+        # a zero w-column appended to a component of Q: its true degree
+        # still fits (n, m - 1), so the load re-declares it there
+        poly_path, doc = realization_doc
+        doc = json.loads(json.dumps(doc))
+        comp = doc["cert"]["vec_second"][0]
+        comp["degree"][1] += 1
+        for row in comp["coeffs"]:
+            row.append([0.0, 0.0])
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(json.dumps(doc))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        assert main([command, str(rep_path), poly_path if command == "verify" else f_path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is True
+        if command == "extend":
+            assert abs(out["C"] - np.sqrt(2)) <= 1e-6
+
     def test_parse_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"degree": [1, 1], "coeffs": [[[0, 0]]]}')

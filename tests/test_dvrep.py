@@ -28,7 +28,7 @@ from dvkit.dvrep import (
 )
 from dvkit.classify import ZeroLabel, classify_zero_set, fiber_roots, is_squarefree
 from dvkit.extend import ExtensionOperator, extension_bound
-from dvkit.poly2 import BivariatePolynomial, blaschke_dv, symmetrize, transpose_vars
+from dvkit.poly2 import BivariatePolynomial, VectorPolynomial, blaschke_dv, symmetrize, transpose_vars
 from dvkit.soscert import verify_certificate
 
 DV_CORPUS = dv_corpus()
@@ -162,8 +162,7 @@ class TestLurkingIsometry:
             cert.p,
             cert.weights,
             cert.vec_p,
-            type(cert.vec_q)(tuple(1.01 * c for c in cert.vec_q)),
-            cert.qmatrix,
+            cert.vec_q.scaled(1.01),
             cert.smooth_on_torus,
         )
         with pytest.raises(IsometryError):
@@ -303,8 +302,26 @@ class TestMaximumPrinciple:
 def test_qmatrix_gate_is_scale_free(scale):
     cert, _, _, report = represent(scale * blaschke_dv(2, [0.5, 0]))
     assert report.passed
-    assert report.qmatrix_tolerance == 1e-8 * cert.qmatrix.sup_norm()
+    assert report.qmatrix_tolerance == 1e-8 * cert.qmatrix.max_singular_value_on_disk
     assert report.qmatrix_min_sv > 1e6 * report.qmatrix_tolerance
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_qmatrix_gate_is_basis_invariant(seed):
+    # a constant unitary mixing of the components of P and of Q keeps every
+    # kernel, so it moves neither the Qmatrix gate's scale nor the verdict
+    cert, sample, _, report = represent(blaschke_dv(2, [0.5, 0]))
+    rng = np.random.default_rng(seed)
+    mixed = replace(
+        cert,
+        **{
+            key: VectorPolynomial(np.einsum("kl,lij->kij", haar_unitary(rng, len(vec)), vec.coeffs))
+            for key, vec in (("vec_p", cert.vec_p), ("vec_q", cert.vec_q))
+        },
+    )
+    again = verify_representation(cert.p, mixed, lurking_isometry(mixed, sample), sample)
+    assert again.passed and report.passed
+    assert abs(again.qmatrix_tolerance - report.qmatrix_tolerance) <= 1e-12 * report.qmatrix_tolerance
 
 
 @pytest.fixture(scope="module")

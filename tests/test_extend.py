@@ -16,7 +16,7 @@ from dvkit.extend import (
     sup_norm_on_variety,
     verify_extension,
 )
-from dvkit.poly2 import MatrixPolynomial, transpose_vars
+from dvkit.poly2 import VectorPolynomial, transpose_vars
 
 F_W = poly({(0, 1): 1})
 F_Z = poly({(1, 0): 1})
@@ -172,18 +172,15 @@ class TestBounds:
     def test_identity_qmatrix_gives_sqrt_m(self):
         # hand-built realization of w^2 = z^3 with Qvec = (1, w): Q = I_2
         from dvkit.dvrep import DvCertificate
-        from dvkit.poly2 import MatrixPolynomial, VectorPolynomial, symmetrize
+        from dvkit.poly2 import symmetrize
 
         rep = shift_realization(2, 3)
-        qvec = VectorPolynomial((poly({(0, 0): 1}, (3, 1)), poly({(0, 1): 1}, (3, 1))))
-        pvec = VectorPolynomial(
-            (poly({(2, 0): 1}, (2, 2)), poly({(1, 0): 1}, (2, 2)), poly({(0, 0): 1}, (2, 2)))
+        qvec = VectorPolynomial.of([poly({(0, 0): 1}, (3, 1)), poly({(0, 1): 1}, (3, 1))])
+        pvec = VectorPolynomial.of(
+            [poly({(2, 0): 1}, (2, 2)), poly({(1, 0): 1}, (2, 2)), poly({(0, 0): 1}, (2, 2))]
         )
-        qmat = np.zeros((2, 2, 4), dtype=complex)
-        qmat[0, 0, 0] = qmat[1, 1, 0] = 1.0
-        cert = DvCertificate(
-            symmetrize(z3_minus_w2()), (1.0, 1.0), pvec, qvec, MatrixPolynomial(qmat), True
-        )
+        cert = DvCertificate(symmetrize(z3_minus_w2()), (1.0, 1.0), pvec, qvec, True)
+        assert np.array_equal(cert.qmatrix.evaluate(0.7), np.eye(2))
         bound = extension_bound(ExtensionOperator(rep, cert, F_W))
         assert abs(bound.C - math.sqrt(2)) < 1e-12
 
@@ -324,7 +321,7 @@ class TestAnalyticityGate:
         for i in range(q.shape[2]):
             for j in range(2):
                 prod[:, :, i + j] += q[:, :, i] @ factor[:, :, j]
-        bad = dataclasses.replace(cert, qmatrix=MatrixPolynomial(prod))
+        bad = dataclasses.replace(cert, vec_q=VectorPolynomial(prod.transpose(0, 2, 1)))
         zeros = bad.qmatrix.det_zeros_in_disk
         assert np.min(np.abs(zeros - 0.5)) < 1e-12
         for check in (verify_extension, extension_bound):

@@ -6,7 +6,7 @@ import json
 import re
 from pathlib import Path
 
-from conftest import four_minus_z_minus_w, z3_minus_w2
+from conftest import four_minus_z_minus_w, one_minus_z3w2, z3_minus_w2
 from dvkit.serialize import dumps, poly_to_obj
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -23,24 +23,40 @@ def test_one_line_and_one_dump_per_call(tmp_path, capsys):
     corpus, dump = tmp_path / "corpus", tmp_path / "dump"
     corpus.mkdir()
     (corpus / "four.json").write_text(dumps(poly_to_obj(four_minus_z_minus_w())))
+    (corpus / "one.json").write_text(dumps(poly_to_obj(one_minus_z3w2())))
     (corpus / "z3w2.json").write_text(dumps(poly_to_obj(z3_minus_w2())))
     (corpus / "notes.json").write_text('{"kind": "other"}')
     assert load_script().main([str(corpus), "--dump", str(dump)]) == 0
     lines = capsys.readouterr().out.splitlines()
     rows = [re.fullmatch(r"(\S+) (\S+) exit=(\d) ([0-9a-f]{64})", line).groups() for line in lines]
     # 4 - z - w is no distinguished variety, so represent fails and the
-    # commands that read its realization do not run; z^3 - w^2 has no
-    # sums-of-squares certificate
+    # commands that read its realization do not run, and it is not
+    # torus-symmetric, so weighted sos fails; 1 - z^3 w^2 is symmetric and
+    # no variety; z^3 - w^2 has no sums-of-squares certificate, so no
+    # certificate document is read back
     assert [(name, command, int(code)) for name, command, code, _ in rows] == [
         ("four.json", "classify", 0),
+        ("four.json", "reflect", 0),
         ("four.json", "sos", 0),
+        ("four.json", "sos_verify", 0),
+        ("four.json", "sos_weighted", 2),
         ("four.json", "represent", 2),
+        ("one.json", "classify", 0),
+        ("one.json", "reflect", 0),
+        ("one.json", "sos", 0),
+        ("one.json", "sos_verify", 0),
+        ("one.json", "sos_weighted", 0),
+        ("one.json", "sos_weighted_verify", 0),
+        ("one.json", "represent", 2),
         ("z3w2.json", "classify", 0),
+        ("z3w2.json", "reflect", 0),
         ("z3w2.json", "sos", 2),
+        ("z3w2.json", "sos_weighted", 2),
         ("z3w2.json", "represent", 0),
         ("z3w2.json", "extend", 0),
         ("z3w2.json", "extend_swap", 0),
         ("z3w2.json", "verify", 0),
+        ("z3w2.json", "verify_dv", 0),
         ("-", "demo", 0),
     ]
     dumps_written = sorted(p.name for p in dump.iterdir())
@@ -48,6 +64,9 @@ def test_one_line_and_one_dump_per_call(tmp_path, capsys):
     for name in dumps_written:
         assert isinstance(json.loads((dump / name).read_text()), dict), name
     assert json.loads((dump / "z3w2.json.represent.json").read_text())["kind"] == "realization"
+    assert json.loads((dump / "one.json.sos_weighted.json").read_text())["kind"] == "Symmetric"
+    verify_dv = json.loads((dump / "z3w2.json.verify_dv.json").read_text())
+    assert (verify_dv["kind"], verify_dv["gram_equality"]) == ("DV", True)
 
 
 def test_compare_dumps_tells_a_changed_verdict(tmp_path, capsys):

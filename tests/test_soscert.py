@@ -29,6 +29,7 @@ from dvkit.poly2 import (
     blaschke_dv,
     reflect,
     reflected_derivatives,
+    side_degrees,
     swap_transform,
     symmetrize,
 )
@@ -269,7 +270,7 @@ class TestSubspaces:
         # closed disk
         q = four_minus_z_minus_w()
         vec_e, _ = subspace_kernel_pair(q, compute_moments(q))
-        (comp,) = vec_e.components
+        (comp,) = vec_e
         c = comp.coeffs[0]  # degree (0, 1) polynomial in w
         root = -c[0] / c[1]
         assert abs(root) > 1.0
@@ -381,11 +382,11 @@ class TestStableCertificate:
     def test_matrix_forms_reproduce_vectors(self, cert_four):
         z, w = 0.3 - 0.2j, 0.5 + 0.4j
         n, m = four_minus_z_minus_w().degree
-        a_mat = soscert._matrix_form_in_w(cert_four.vec_first, n, m).evaluate(w)
+        a_mat = cert_four.vec_first.matrix_in_w().evaluate(w)
         col = np.array([z**i for i in range(a_mat.shape[1])])
         want = cert_four.vec_first.evaluate(z, w)
         assert np.max(np.abs(a_mat @ col - want)) < 1e-12
-        b_mat = soscert._matrix_form_in_z(cert_four.vec_second, m, n).evaluate(z)
+        b_mat = cert_four.vec_second.matrix_in_z().evaluate(z)
         colw = np.array([w**j for j in range(b_mat.shape[1])])
         wantb = cert_four.vec_second.evaluate(z, w)
         assert np.max(np.abs(b_mat @ colw - wantb)) < 1e-12
@@ -463,7 +464,7 @@ class TestEmptySide:
 
         def growing(q):
             k = next(radius)
-            return VectorPolynomial(()), VectorPolynomial((BivariatePolynomial([[k * k]]),))
+            return VectorPolynomial.of([]), VectorPolynomial.of([BivariatePolynomial([[k * k]])])
 
         monkeypatch.setattr(soscert, "_direct_certificate", growing)
         with pytest.raises(QuadratureError, match="not converging"):
@@ -491,13 +492,28 @@ class TestGwInvertibility:
         unit = gw_invertibility(cert_four)
         assert abs(gw.min_sv_first / c - unit.min_sv_first) <= 1e-9 * unit.min_sv_first
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_verdict_is_basis_invariant(self, seed):
+        # a constant unitary mixing of each vector's components moves
+        # neither least singular value nor the scale they are gated against
+        rng = np.random.default_rng(seed)
+        cert = sos_certificate(BivariatePolynomial(kummert(0.8 * haar_unitary(rng, 6), 3, 3)))
+        first, second = (
+            VectorPolynomial(np.einsum("kl,lij->kij", haar_unitary(rng, len(v)), v.coeffs))
+            for v in (cert.vec_first, cert.vec_second)
+        )
+        gw, mixed = gw_invertibility(cert), gw_invertibility(SosCertificate(cert.kind, first, second))
+        assert gw.passed and mixed.passed
+        for got, want in ((mixed.min_sv_first, gw.min_sv_first), (mixed.min_sv_second, gw.min_sv_second)):
+            assert abs(got - want) <= 1e-12 * want
+
     def test_corrupted_certificate_fails(self, cert_four):
         # the first vector loses its w^0 terms, so A(0) = 0
         comps = [
             BivariatePolynomial(np.where(np.arange(c.coeffs.shape[1]) == 0, 0.0, c.coeffs))
             for c in cert_four.vec_first
         ]
-        broken = SosCertificate(cert_four.kind, VectorPolynomial(tuple(comps)), cert_four.vec_second)
+        broken = SosCertificate(cert_four.kind, VectorPolynomial.of(comps), cert_four.vec_second)
         gw = gw_invertibility(broken)
         assert not gw.passed and gw.min_sv_first < 1e-12
         assert gw.min_sv_second == gw_invertibility(cert_four).min_sv_second
@@ -511,8 +527,7 @@ class TestGwInvertibility:
 
     def test_appendix_claim_e_matrix(self, cert_four):
         # matrix form of the first subspace basis stays invertible on the disk
-        n, m = four_minus_z_minus_w().degree
-        mat = soscert._matrix_form_in_w(cert_four.vec_first, n, m)
+        mat = cert_four.vec_first.matrix_in_w()
         assert mat.min_singular_value_on_disk > 1e-6
 
     def test_seed301_values_match_forms_built_from_q(self):
@@ -531,8 +546,9 @@ class TestGwInvertibility:
             n, m = q.degree
             if n == 0 or m == 0:
                 continue
-            mat_a = soscert._matrix_form_in_w(cert.vec_first, n, m)
-            mat_b = soscert._matrix_form_in_z(cert.vec_second, m, n).reflected(n)
+            deg_a, deg_b = side_degrees(n, m)
+            mat_a = cert.vec_first.with_degree(deg_a).matrix_in_w()
+            mat_b = cert.vec_second.with_degree(deg_b).matrix_in_z().reflected(n)
             gw = gw_invertibility(cert)
             assert gw.min_sv_first == mat_a.min_singular_value_on_disk, x.name
             assert gw.min_sv_second == mat_b.min_singular_value_on_disk, x.name
@@ -595,11 +611,11 @@ class TestSymmetricCertificate:
 
 class TestVerification:
     def test_perturbation_reported(self, cert_four):
-        comps = list(cert_four.vec_first.components)
+        comps = list(cert_four.vec_first)
         bumped = comps[0] + poly({(0, 0): 1e-3})
         broken = SosCertificate(
             cert_four.kind,
-            type(cert_four.vec_first)((bumped, *comps[1:])),
+            VectorPolynomial.of((bumped, *comps[1:])),
             cert_four.vec_second,
         )
         report = verify_certificate(four_minus_z_minus_w(), broken)
@@ -623,9 +639,9 @@ class TestVerification:
     @staticmethod
     def bumped(cert, step):
         """cert with the constant coefficient of its first component moved by step."""
-        comps = list(cert.vec_first.components)
+        comps = list(cert.vec_first)
         comps[0] = comps[0] + step
-        return SosCertificate(cert.kind, VectorPolynomial(tuple(comps)), cert.vec_second, cert.weights)
+        return SosCertificate(cert.kind, VectorPolynomial.of(comps), cert.vec_second, cert.weights)
 
     def test_small_mutation_fails_by_ten_thresholds(self, certified):
         # One coefficient of one component moved by 1e-6 of that component's
@@ -659,7 +675,7 @@ class TestVerification:
         parts = np.concatenate([c.coeffs.ravel() for v in vecs for c in v]).view(np.float64)
         # 2^k cert is exact unless a coefficient leaves the normal range
         assume(np.array_equal(np.ldexp(np.ldexp(parts, k), -k), parts))
-        first, second = (VectorPolynomial(tuple(c.ldexp(k) for c in v)) for v in vecs)
+        first, second = (v.ldexp(k) for v in vecs)
         report = verify_certificate(q.ldexp(k), SosCertificate(cert_four.kind, first, second))
         assert report.residual == verify_certificate(q, cert_four).residual
 
@@ -668,17 +684,17 @@ class TestVerification:
         n, m = q.degree
         padded = SosCertificate(
             cert.kind,
-            VectorPolynomial(tuple(c.with_degree((n + 1, m + 2)) for c in cert.vec_first)),
-            VectorPolynomial(tuple(c.with_degree((n + 2, m + 1)) for c in cert.vec_second)),
+            cert.vec_first.with_degree((n + 1, m + 2)),
+            cert.vec_second.with_degree((n + 2, m + 1)),
             cert.weights,
         )
         assert verify_certificate(q, padded).residual == verify_certificate(q, cert).residual
 
     def test_over_degree_component_is_judged(self, cert_four):
         # a nonzero coefficient above the certificate's degree fails, not raises
-        comps = list(cert_four.vec_second.components)
+        comps = list(cert_four.vec_second)
         comps[0] = comps[0] + poly({(3, 2): 1e-3})
-        broken = SosCertificate(cert_four.kind, cert_four.vec_first, VectorPolynomial(tuple(comps)))
+        broken = SosCertificate(cert_four.kind, cert_four.vec_first, VectorPolynomial.of(comps))
         assert verify_certificate(four_minus_z_minus_w(), broken).residual > 1e-5
 
     def test_residual_bounds_polarized_error(self, certified):
