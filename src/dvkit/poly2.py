@@ -267,10 +267,6 @@ class BivariatePolynomial:
 
     __rmul__ = __mul__
 
-    def max_coeff_distance(self, other: "BivariatePolynomial") -> float:
-        diff = self._binary(other, -1.0)
-        return float(np.max(np.abs(diff.coeffs)))
-
     # -- calculus -----------------------------------------------------
 
     def partial_z(self) -> "BivariatePolynomial":
@@ -526,10 +522,6 @@ class VectorPolynomial:
         nd = max(a.ndim, b.ndim)
         a, b = (x.reshape(x.shape[:1] + (1,) * (nd - x.ndim) + x.shape[1:]) for x in (a, b))
         return np.sum(a * np.conj(b), axis=0)
-
-    def norm_sq(self, z, w):
-        a = self.evaluate(z, w)
-        return np.sum(np.abs(a) ** 2, axis=0)
 
     def scaled(self, factor) -> "VectorPolynomial":
         return VectorPolynomial(self.coeffs * complex(factor))

@@ -25,9 +25,13 @@ Moments are two-dimensional Fourier coefficients.  Their w-integrals at a
 node z are exact: the Toeplitz matrix of the fiber density 1/|q(z, .)|^2 is
 the inverse of the fiber's Schur-Cohn matrix (Gohberg-Semencul), so one
 small Cholesky factorization per node gives them, with no roots, residues
-or 2-D FFT.  A
-single 1-D quadrature in z follows, whose grid doubles by adding the odd
-nodes to the columns already computed.
+or 2-D FFT.  A single 1-D quadrature in z follows, whose grid doubles by
+adding the odd nodes to the columns already computed.  The dilates of the
+dilation route share that loop: each level computes the new nodes of every
+dilate not yet converged in one batch, each dilate converges on its own,
+and one basis factorization per side serves them all.  Every step acts on
+each node or matrix alone, so each dilate gets, to the bit, what it would
+get alone.
 
 Every certificate identity is a polynomial identity in (z, w, conj Z,
 conj W), so :func:`verify_certificate` compares coefficients: one tensor of
@@ -83,6 +87,9 @@ DILATION_RADII = (0.9, 0.97, 0.99, 0.997, 0.999, 0.9997, 0.9999)
 # Condition estimate J_0 tr(S) of a fiber's Schur-Cohn matrix S above which
 # its moment column is refined in long double.
 REFINE_COND = 1e2
+# Largest quadrature grid of a moment table; the polynomials of a batch
+# that double their grids together hold at most this many nodes between them.
+GRID_CAP = 1 << 20
 
 
 class SubspaceError(ValueError):
@@ -127,8 +134,10 @@ def dilate(q: BivariatePolynomial, r: float) -> BivariatePolynomial:
     return BivariatePolynomial(q.coeffs * scale)
 
 
-def _moment_column(q, nodes):
-    """J_b(z) = (1/2 pi) int w^b / |q(z, w)|^2 dtheta for b = 0..m at each node.
+def _moment_column(fibers):
+    """J_b(z) = (1/2 pi) int w^b / |q(z, w)|^2 dtheta for b = 0..m, along
+    the last axis, for each fiber (coefficients low to high in w, shape
+    (..., m+1)).
 
     By Gohberg-Semencul, the (m+1)-square Toeplitz matrix [J_{k-j}] of a
     fiber f with no root in the closed disk is the inverse of the Schur-Cohn
@@ -143,8 +152,10 @@ def _moment_column(q, nodes):
     within a factor m+1 of cond(S) (|J_b| <= J_0 bounds the norm of S^-1
     by (m+1) J_0, and tr(S) bounds that of S); where it exceeds REFINE_COND,
     one refinement step against S formed in long double recovers the loss,
-    on platforms whose long double is wider than double."""
-    padded = np.concatenate([q.fibers(nodes), np.zeros((len(nodes), 1))], axis=1)
+    on platforms whose long double is wider than double.  Every step acts on
+    each fiber alone, so a fiber's column does not depend on the others."""
+    shape = np.shape(fibers)
+    padded = np.concatenate([fibers, np.zeros(shape[:-1] + (1,))], axis=-1).reshape(-1, shape[-1] + 1)
     s = schur_cohn_matrix(padded)
     try:
         chol = np.linalg.cholesky(s)
@@ -161,28 +172,71 @@ def _moment_column(q, nodes):
         s_ext = schur_cohn_matrix(padded[near].astype(np.clongdouble))
         fix = (last - np.einsum("nij,nj->ni", s_ext, col[near])).astype(np.complex128)
         col[near] += np.linalg.solve(s[near], fix[..., None])[..., 0]
-    return col[:, ::-1].T
+    return col[:, ::-1].reshape(shape)
 
 
-def _moment_window(q, size, cols=None):
-    """Window from the moment columns at ``size`` nodes, and those columns.
+def _moment_window(qs, size, cols=None):
+    """Windows of the same-degree polynomials ``qs`` from their moment
+    columns at ``size`` nodes, and those columns, shaped (len(qs), m+1,
+    size).
 
-    ``cols`` are the columns at size/2 nodes: those nodes are the even nodes
-    of this grid, so only the size/2 odd nodes are computed afresh."""
-    n, m = q.degree
+    ``cols`` are each polynomial's columns at size/2 nodes: those nodes are
+    the even nodes of this grid, so only the size/2 odd nodes are computed
+    afresh.  The new fibers of every polynomial go through one
+    :func:`_moment_column` call and every column through one inverse FFT."""
+    n, m = qs[0].degree
+    step = 1 if cols is None else 2
+    nodes = np.exp(2j * np.pi * np.arange(step - 1, size, step) / size)
+    fresh = _moment_column(np.stack([q.fibers(nodes) for q in qs])).transpose(0, 2, 1)
     if cols is None:
-        cols = _moment_column(q, np.exp(2j * np.pi * np.arange(size) / size))
+        cols = fresh
     else:
-        odd = np.exp(2j * np.pi * np.arange(1, size, 2) / size)
-        both = np.empty((m + 1, size), dtype=np.complex128)
-        both[:, 0::2] = cols
-        both[:, 1::2] = _moment_column(q, odd)
+        both = np.empty((len(qs), m + 1, size), dtype=np.complex128)
+        for k, old in enumerate(cols):
+            both[k, :, 0::2] = old
+        both[:, :, 1::2] = fresh
         cols = both
-    spectra = np.fft.ifft(cols, axis=1)  # spectra[b, a % size] = raw mu(a, b)
+    spectra = np.fft.ifft(cols, axis=-1)  # spectra[k, b, a % size] = raw mu(a, b) of qs[k]
     a = np.arange(-n, n + 1)
     # mu(a, -b) = conj(mu(-a, b)) fills the columns b < 0
-    lower = np.conj(spectra[:0:-1, (-a) % size]).T
-    return np.concatenate([lower, spectra[:, a % size].T], axis=1), cols
+    lower = np.conj(spectra[:, :0:-1, (-a) % size]).transpose(0, 2, 1)
+    return np.concatenate([lower, spectra[:, :, a % size].transpose(0, 2, 1)], axis=-1), cols
+
+
+def _moment_tables(qs):
+    """Moment tables of the same-degree polynomials ``qs``, climbing their
+    quadrature grids together.
+
+    Each level doubles the grids of the unconverged polynomials in one
+    :func:`_moment_window` call; each leaves at the level where its own
+    window agrees with the one before to 1e-9 relative.  The polynomials
+    advancing together hold at most GRID_CAP nodes between them, so a
+    batch that converges late climbs its last levels in smaller groups, the
+    first unconverged polynomial always among them; it raises
+    QuadratureError once that one reaches GRID_CAP nodes unconverged.
+    """
+    n, m = qs[0].degree
+    size = 1 << max(8, math.ceil(math.log2(max(1, 16 * (n + m)))))
+    wins, cols = _moment_window(qs, size)
+    wins, cols, sizes = list(wins), list(cols), [size] * len(qs)
+    tables = [None] * len(qs)
+    pending = list(range(len(qs)))
+    while pending:
+        size = sizes[pending[0]]
+        if size >= GRID_CAP:
+            raise QuadratureError("quadrature unresolved: moment window did not converge")
+        group = [k for k in pending if sizes[k] == size][: max(1, GRID_CAP // (2 * size))]
+        nxt, both = _moment_window([qs[k] for k in group], 2 * size, [cols[k] for k in group])
+        prev = np.stack([wins[k] for k in group])
+        scale = np.maximum(np.max(np.abs(nxt), axis=(1, 2)), 1e-300)
+        errs = np.max(np.abs(nxt - prev), axis=(1, 2)) / scale
+        for k, win, col, err in zip(group, nxt, both, errs):
+            wins[k], cols[k], sizes[k] = win, col, 2 * size
+            if err <= 1e-9:
+                mu00 = win[n, m].real
+                tables[k] = MomentTable(qs[k], math.sqrt(1.0 / mu00), win / mu00, 2 * size)
+                pending.remove(k)
+    return tables
 
 
 def compute_moments(q: BivariatePolynomial) -> MomentTable:
@@ -194,64 +248,67 @@ def compute_moments(q: BivariatePolynomial) -> MomentTable:
     quadrature in z then gives the window.  Its grid starts at the smallest
     power of two >= max(256, 16(n+m)) and doubles, adding only the odd
     nodes, until the window agrees with the doubled grid's to 1e-9 relative,
-    up to 2^20 nodes.  A fiber root inside the closed disk on the contour (a zero of q
-    on the closed bidisk, or q(z, 0) = 0) raises StabilityError.
+    up to GRID_CAP = 2^20 nodes.  A fiber root inside the closed disk on the
+    contour (a zero of q on the closed bidisk, or q(z, 0) = 0) raises
+    StabilityError.  This is the batch of one of the loop that the dilates
+    of the dilation route share: they climb the grid together, one
+    Schur-Cohn solve and one inverse FFT per level, each converging on its
+    own, and every table is the one q alone would get, to the bit.
     """
-    n, m = q.degree
-    size = 1 << max(8, math.ceil(math.log2(max(1, 16 * (n + m)))))
-    win, cols = _moment_window(q, size)
-    while size < 1 << 20:
-        nxt, cols = _moment_window(q, 2 * size, cols)
-        err = np.max(np.abs(nxt - win)) / max(np.max(np.abs(nxt)), 1e-300)
-        win, size = nxt, 2 * size
-        if err <= 1e-9:
-            mu00 = win[n, m].real
-            return MomentTable(q, math.sqrt(1.0 / mu00), win / mu00, size)
-    raise QuadratureError("quadrature unresolved: moment window did not converge")
+    return _moment_tables([q])[0]
 
 
-def _gram(moments, rows, cols):
+def _gram(window, rows, cols):
     """[mu(ic - ir, jc - jr)] over row monomials (ir, jr) and column
-    monomials (ic, jc), gathered from the moment window."""
-    n, m = moments.q.degree
+    monomials (ic, jc), gathered from a moment window, or from each window
+    of a stack of them."""
+    n, m = (window.shape[-2] - 1) // 2, (window.shape[-1] - 1) // 2
     r = np.asarray(rows, dtype=np.intp).reshape(-1, 2)
     c = np.asarray(cols, dtype=np.intp).reshape(-1, 2)
-    return moments.window[c[None, :, 0] - r[:, None, 0] + n, c[None, :, 1] - r[:, None, 1] + m]
+    return window[..., c[None, :, 0] - r[:, None, 0] + n, c[None, :, 1] - r[:, None, 1] + m]
 
 
-def _complement_basis(moments, shifted, rest, degree):
-    """Orthonormal basis, in the moment inner product, of the complement of
-    span(shifted) in span(shifted + rest): len(rest) components of ``degree``.
+def _complement_basis(windows, shifted, rest, degree):
+    """For each window of the stack ``windows``, an orthonormal basis, in
+    its moment inner product, of the complement of span(shifted) in
+    span(shifted + rest): len(rest) components of ``degree``.
 
     With the Gram matrix G of shifted + rest factored as L L^H, B = L^-H is
     upper triangular with B^H G B = I, and G B = L is lower triangular, so
     the trailing len(rest) columns of B, one solve against L^H, are
-    orthonormal and orthogonal to every shifted monomial.  No threshold is
-    involved; a G that is not numerically positive definite raises
-    SubspaceError."""
+    orthonormal and orthogonal to every shifted monomial.  The stack's Gram
+    matrices go through one Cholesky and one solve call, each matrix on its
+    own.  No threshold is involved; a G that is not numerically positive
+    definite raises SubspaceError."""
     family = shifted + rest
     try:
-        chol = np.linalg.cholesky(_gram(moments, family, family))
+        chol = np.linalg.cholesky(_gram(windows, family, family))
     except np.linalg.LinAlgError:
         raise SubspaceError("subspace degenerate: Gram matrix not positive definite") from None
-    basis = np.linalg.solve(chol.conj().T, np.eye(len(family))[:, len(shifted) :])
-    grids = np.zeros((len(rest), degree[0] + 1, degree[1] + 1), dtype=np.complex128)
+    basis = np.linalg.solve(np.conj(chol).swapaxes(-1, -2), np.eye(len(family))[:, len(shifted) :])
+    grids = np.zeros((len(windows), len(rest), degree[0] + 1, degree[1] + 1), dtype=np.complex128)
     i, j = np.asarray(family, dtype=np.intp).reshape(-1, 2).T
-    grids[:, i, j] = basis.T
-    return VectorPolynomial(grids)
+    grids[:, :, i, j] = basis.swapaxes(-1, -2)
+    return [VectorPolynomial(g) for g in grids]
+
+
+def _kernel_pairs(degree, windows):
+    """(E, F) of :func:`subspace_kernel_pair` for each window of a stack of
+    same-degree moment windows."""
+    n, m = degree
+    deg_e, deg_f = side_degrees(n, m)
+    shift1 = [(i, j) for i in range(n) for j in range(1, m + 1)]
+    vecs_e = _complement_basis(windows, shift1, [(i, 0) for i in range(n)], deg_e)
+    shift2 = [(i, j) for i in range(n) for j in range(m)]
+    vecs_f = _complement_basis(windows, shift2, [(n, j) for j in range(m)], deg_f)
+    return list(zip(vecs_e, vecs_f))
 
 
 def subspace_kernel_pair(q: BivariatePolynomial, moments: MomentTable):
     """Orthonormal bases (E, F) of the two complements whose kernels build the
     certificate; E has exactly n components of degree <= (n-1, m), F exactly
     m of degree <= (n, m-1)."""
-    n, m = q.degree
-    deg_e, deg_f = side_degrees(n, m)
-    shift1 = [(i, j) for i in range(n) for j in range(1, m + 1)]
-    vec_e = _complement_basis(moments, shift1, [(i, 0) for i in range(n)], deg_e)
-    shift2 = [(i, j) for i in range(n) for j in range(m)]
-    vec_f = _complement_basis(moments, shift2, [(n, j) for j in range(m)], deg_f)
-    return vec_e, vec_f
+    return _kernel_pairs(q.degree, moments.window[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,11 +339,13 @@ def _stability_route(q):
     )
 
 
-def _direct_certificate(q):
-    mom = compute_moments(q)
-    vec_e, vec_f = subspace_kernel_pair(q, mom)
-    c = mom.normalizer_c
-    return vec_e.scaled(c), vec_f.scaled(c)
+def _certificate_vectors(tables):
+    """Certificate vectors from the moment tables of same-degree polynomials
+    zero-free on the closed bidisk: each table's complement bases scaled by
+    its normalizer.  One factorization per side serves all the tables, and
+    each pair is the one its table alone would give."""
+    pairs = _kernel_pairs(tables[0].q.degree, np.stack([t.window for t in tables]))
+    return [(e.scaled(t.normalizer_c), f.scaled(t.normalizer_c)) for t, (e, f) in zip(tables, pairs)]
 
 
 def _refactor_kernel_tensor(tensor, rank):
@@ -345,16 +404,18 @@ def _dilation_certificate(q):
     freedom of the orthonormal bases) are extrapolated to r = 1 in the
     variable sqrt(1 - r) and refactored into vectors of the right rank.  A
     repeated factor, double fiber roots at every radius, is refused first.
+    The dilates are certified as one batch: they share each level of the
+    moment quadrature and one basis factorization per side, and each
+    converges on its own, so every radius gets the certificate it would get
+    alone.
     """
     if not is_squarefree(q):
         raise QuadratureError("colliding fiber roots at every radius: q has a repeated factor")
     n, m = q.degree
-    hs, ta_list, tb_list = [], [], []
-    for r in DILATION_RADII:
-        vec_a, vec_b = _direct_certificate(dilate(q, r))
-        hs.append(math.sqrt(1.0 - r))
-        ta_list.append(_kernel_tensor(vec_a))
-        tb_list.append(_kernel_tensor(vec_b))
+    hs = [math.sqrt(1.0 - r) for r in DILATION_RADII]
+    pairs = _certificate_vectors(_moment_tables([dilate(q, r) for r in DILATION_RADII]))
+    ta_list = [_kernel_tensor(vec_a) for vec_a, _ in pairs]
+    tb_list = [_kernel_tensor(vec_b) for _, vec_b in pairs]
     for tensors in (ta_list, tb_list):
         gaps = [float(np.max(np.abs(tensors[k + 1] - tensors[k]))) for k in range(len(hs) - 1)]
         if gaps[-1] > gaps[0]:
@@ -366,7 +427,7 @@ def _dilation_certificate(q):
 
 def _route_vectors(q, route):
     if route == "direct":
-        return _direct_certificate(q)
+        return _certificate_vectors([compute_moments(q)])[0]
     if route == "dilation":
         return _dilation_certificate(q)
     if route == "symmetric":

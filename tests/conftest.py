@@ -28,6 +28,17 @@ def four_minus_z_minus_w():
     return poly({(0, 0): 4, (1, 0): -1, (0, 1): -1})
 
 
+def max_coeff_distance(p, q):
+    """Largest coefficient modulus of p - q, each padded to the larger
+    degree."""
+    return float(np.max(np.abs((p - q).coeffs)))
+
+
+def norm_sq(vec, z, w):
+    """sum_k |comp_k(z, w)|^2 of a vector polynomial, pointwise."""
+    return np.sum(np.abs(vec.evaluate(z, w)) ** 2, axis=0)
+
+
 def disk_spiral(count, radius=1.0):
     """count points on a golden-angle spiral filling the disk of given radius."""
     k = np.arange(count)

@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     disk_spiral,
     four_minus_z_minus_w,
+    norm_sq,
     one_minus_z3w2,
     poly,
     random_symmetric_poly,
@@ -138,9 +139,9 @@ def test_criterion_3_appendix_construction():
     pts = disk_spiral(64)
     z, w = pts[:, None], pts[None, :]
     lhs = np.abs(q4.evaluate(z, w)) ** 2 - np.abs(qr.evaluate(z, w)) ** 2
-    rhs = (1 - np.abs(z) ** 2) * cert4.vec_first.norm_sq(z, w) + (
+    rhs = (1 - np.abs(z) ** 2) * norm_sq(cert4.vec_first, z, w) + (
         1 - np.abs(w) ** 2
-    ) * cert4.vec_second.norm_sq(z, w)
+    ) * norm_sq(cert4.vec_second, z, w)
     scale = max(np.max(np.abs(lhs)), 1.0)
     resid = np.max(np.abs(lhs - rhs)) / scale
     assert resid <= 1e-7
@@ -187,7 +188,7 @@ def test_criterion_5_symmetric_certificate(sym_cert_z3w2):
     z, w = pts[:, None], pts[None, :]
     az, aw = np.abs(z), np.abs(w)
     lhs = 5 * (1 - az**6 * aw**4)
-    rhs = (1 - az**2) * cert.vec_first.norm_sq(z, w) + (1 - aw**2) * cert.vec_second.norm_sq(z, w)
+    rhs = (1 - az**2) * norm_sq(cert.vec_first, z, w) + (1 - aw**2) * norm_sq(cert.vec_second, z, w)
     identity_resid = np.max(np.abs(lhs - rhs))
     assert identity_resid <= 1e-8 * np.max(np.abs(lhs) + 1)
     stamp(5, f"kernel {worst:.2e}, identity {identity_resid:.2e}")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import disk_spiral, dv_corpus, poly, random_poly, z3_minus_w2
+from conftest import disk_spiral, dv_corpus, norm_sq, poly, random_poly, z3_minus_w2
 from dvkit.classify import fiber_root_pairs
 from dvkit.dvrep import phi_evaluate, represent, shift_realization
 from dvkit.extend import (
@@ -190,7 +190,7 @@ class TestBounds:
         bound = extension_bound(ExtensionOperator(rep, cert, F_W))
         sub = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)[:: grid_n // 32]
         want = max(
-            np.max(np.sqrt(cert.vec_q.norm_sq(z, sub)))
+            np.max(np.sqrt(norm_sq(cert.vec_q, z, sub)))
             / np.linalg.svd(cert.qmatrix.evaluate(z), compute_uv=False)[-1]
             for z in sub
         )

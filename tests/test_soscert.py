@@ -15,6 +15,7 @@ from conftest import (
     four_minus_z_minus_w,
     haar_unitary,
     kummert,
+    norm_sq,
     one_minus_z3w2,
     poly,
     two_minus_z_minus_w,
@@ -155,7 +156,7 @@ class TestResidueFirst:
         # eps cond(S)^2 that forming and solving S in double costs (clustered
         # roots near the circle make S ill-conditioned), which the long
         # double refinement, where the platform has one, only improves on
-        col = _moment_column(BivariatePolynomial(coeffs[None, :]), np.array([1.0]))[:, 0]
+        col = _moment_column(coeffs[None, :])[0]
         size = len(col)
         lag = np.arange(size)[None, :] - np.arange(size)[:, None]
         toeplitz = np.where(lag >= 0, col[np.abs(lag)], np.conj(col[np.abs(lag)]))
@@ -171,24 +172,24 @@ class TestResidueFirst:
         # and J_1 = -conj(a1 / a0) J_0, exact in rationals; without the long
         # double step the column is off by 1.0e-12 relative here
         a0, a1 = 1 + 1e-6, -np.exp(0.3j)
-        col = _moment_column(BivariatePolynomial([[a0, a1]]), np.array([1.0]))[:, 0]
+        col = _moment_column(np.array([[a0, a1]]))[0]
         j0 = 1 / (Fraction(a0) ** 2 - Fraction(a1.real) ** 2 - Fraction(a1.imag) ** 2)
         j1 = -complex(Fraction(a1.real) * j0 / Fraction(a0), -Fraction(a1.imag) * j0 / Fraction(a0))
         assert np.max(np.abs(col - [float(j0), j1])) <= 2e-13 * float(j0)
 
     def test_reused_columns_match_fresh_window(self):
-        _, cols = _moment_window(self.STABLE, 256)
-        reused, _ = _moment_window(self.STABLE, 512, cols)
-        fresh, _ = _moment_window(self.STABLE, 512)
+        _, cols = _moment_window([self.STABLE], 256)
+        reused, _ = _moment_window([self.STABLE], 512, cols)
+        fresh, _ = _moment_window([self.STABLE], 512)
         assert np.max(np.abs(reused - fresh)) <= 1e-15
 
     def test_doubling_computes_only_new_nodes(self, monkeypatch):
         sizes = []
         column = soscert._moment_column
 
-        def counted(q, nodes):
-            sizes.append(len(nodes))
-            return column(q, nodes)
+        def counted(fibers):
+            sizes.append(np.shape(fibers)[-2])
+            return column(fibers)
 
         monkeypatch.setattr(soscert, "_moment_column", counted)
         mom = compute_moments(self.STABLE)
@@ -243,8 +244,8 @@ class TestSubspaces:
         for r, (ir, jr) in enumerate(rows):
             for c, (ic, jc) in enumerate(cols):
                 loop[r, c] = mom.window[ic - ir + n, jc - jr + m]
-        assert np.array_equal(_gram(mom, rows, cols), loop)
-        assert _gram(mom, [], cols).shape == (0, len(cols))
+        assert np.array_equal(_gram(mom.window, rows, cols), loop)
+        assert _gram(mom.window, [], cols).shape == (0, len(cols))
 
     def test_lebesgue_complements(self):
         q = minus_five()
@@ -303,10 +304,10 @@ class TestSubspaces:
             shifted = [mono for mono in family if is_shifted(*mono)]
             coeffs = np.array([[comp.coeffs[mono] for comp in vec] for mono in family])
             coeffs = coeffs.reshape(len(family), len(vec))
-            gram = _gram(mom, family, family)
+            gram = _gram(mom.window, family, family)
             defect = coeffs.conj().T @ gram @ coeffs - np.eye(len(vec))
             assert np.max(np.abs(defect), initial=0.0) <= 1e-10
-            assert np.max(np.abs(_gram(mom, shifted, family) @ coeffs), initial=0.0) <= 1e-10
+            assert np.max(np.abs(_gram(mom.window, shifted, family) @ coeffs), initial=0.0) <= 1e-10
 
     def test_degenerate_subspace_raises(self):
         q = minus_five()
@@ -340,9 +341,9 @@ class TestStableCertificate:
         pts = disk_spiral(64)
         z, w = pts[:, None], pts[None, :]
         lhs = np.abs(q.evaluate(z, w)) ** 2 - np.abs(qr.evaluate(z, w)) ** 2
-        rhs = (1 - np.abs(z) ** 2) * cert_four.vec_first.norm_sq(z, w) + (
+        rhs = (1 - np.abs(z) ** 2) * norm_sq(cert_four.vec_first, z, w) + (
             1 - np.abs(w) ** 2
-        ) * cert_four.vec_second.norm_sq(z, w)
+        ) * norm_sq(cert_four.vec_second, z, w)
         assert np.max(np.abs(lhs - rhs)) <= 1e-7 * np.max(np.abs(lhs) + 1)
 
     @pytest.mark.parametrize(
@@ -363,9 +364,9 @@ class TestStableCertificate:
         lhs = np.abs(q.evaluate(z, w)) ** 2 - np.abs(qr.evaluate(z, w)) ** 2
         rhs = np.zeros_like(lhs)
         if len(cert.vec_first):
-            rhs = rhs + (1 - np.abs(z) ** 2) * cert.vec_first.norm_sq(z, w)
+            rhs = rhs + (1 - np.abs(z) ** 2) * norm_sq(cert.vec_first, z, w)
         if len(cert.vec_second):
-            rhs = rhs + (1 - np.abs(w) ** 2) * cert.vec_second.norm_sq(z, w)
+            rhs = rhs + (1 - np.abs(w) ** 2) * norm_sq(cert.vec_second, z, w)
         assert np.max(np.abs(lhs - rhs)) <= 1e-7 * max(np.max(np.abs(lhs)), q.scale**2)
 
     def test_degree_bounds_exact(self, cert_four):
@@ -404,6 +405,81 @@ class TestBoundaryDilation:
         report = verify_certificate(two_minus_z_minus_w(), cert_two)
         assert report.residual <= 1e-6
 
+
+
+def rotated_two_minus_z_minus_w():
+    q = two_minus_z_minus_w()
+    return BivariatePolynomial(q.coeffs * np.exp(0.7j * np.arange(2))[:, None] * np.exp(-1.3j * np.arange(2)))
+
+
+class TestDilationBatch:
+    """The dilates of the dilation route climb one quadrature grid together
+    and share one basis factorization per side; each must get, to the bit,
+    what it gets as a batch of one."""
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            two_minus_z_minus_w(),
+            rotated_two_minus_z_minus_w(),
+            two_minus_z_minus_w() * four_minus_z_minus_w(),  # StableOpen at degree (2, 2)
+        ],
+        ids=["two_minus_z_minus_w", "rotated", "times_four_minus_z_minus_w"],
+    )
+    def test_members_match_batch_of_one(self, q):
+        dilates = [soscert.dilate(q, r) for r in soscert.DILATION_RADII]
+        tables = soscert._moment_tables(dilates)
+        pairs = soscert._kernel_pairs(q.degree, np.stack([t.window for t in tables]))
+        for d, table, pair in zip(dilates, tables, pairs):
+            alone = compute_moments(d)
+            assert np.array_equal(table.window, alone.window)
+            assert table.normalizer_c == alone.normalizer_c
+            assert table.grid_size == alone.grid_size
+            for got, want in zip(pair, subspace_kernel_pair(d, alone)):
+                assert np.array_equal(got.coeffs, want.coeffs)
+        assert verify_certificate(q, sos_certificate(q)).passed
+
+    def test_late_members_advance_in_groups(self, monkeypatch):
+        # at a cap of 4096 nodes the nine dilates below cannot all double
+        # together past 1024 nodes; the groups that do advance hold at most
+        # the cap between them, and every table is still the one its
+        # polynomial gets alone
+        q = two_minus_z_minus_w()
+        radii = soscert.DILATION_RADII + (0.9999, 0.9999)
+        alone = [compute_moments(soscert.dilate(q, r)) for r in radii]
+        held = []
+        window = soscert._moment_window
+
+        def counted(qs, size, cols=None):
+            held.append(len(qs) * size)
+            return window(qs, size, cols)
+
+        monkeypatch.setattr(soscert, "GRID_CAP", 4096)
+        monkeypatch.setattr(soscert, "_moment_window", counted)
+        tables = soscert._moment_tables([soscert.dilate(q, r) for r in radii])
+        assert max(held) <= 4096 and max(t.grid_size for t in tables) == 4096
+        for table, want in zip(tables, alone):
+            assert np.array_equal(table.window, want.window)
+            assert table.grid_size == want.grid_size
+
+    def test_cap_raises_quadrature_error(self, monkeypatch):
+        # the dilate at r = 0.9999 needs 4096 nodes
+        monkeypatch.setattr(soscert, "GRID_CAP", 2048)
+        with pytest.raises(QuadratureError, match="quadrature unresolved"):
+            sos_certificate(two_minus_z_minus_w(), route="dilation")
+        with pytest.raises(QuadratureError, match="quadrature unresolved"):
+            compute_moments(soscert.dilate(two_minus_z_minus_w(), 0.9999))
+
+    def test_torus_zero_in_batch_raises_stability_error(self):
+        q = two_minus_z_minus_w()
+        with pytest.raises(StabilityError, match="fiber root inside the closed disk"):
+            soscert._moment_tables([soscert.dilate(q, 0.9), q])
+
+    def test_degenerate_member_raises_subspace_error(self):
+        q = four_minus_z_minus_w()
+        window = compute_moments(q).window
+        with pytest.raises(SubspaceError, match="subspace degenerate"):
+            soscert._kernel_pairs(q.degree, np.stack([window, np.ones_like(window)]))
 
 class TestEmptySide:
     """n = 0 or m = 0 leaves one side of the certificate without components;
@@ -460,13 +536,14 @@ class TestEmptySide:
     def test_second_side_gates_convergence(self, monkeypatch):
         # 1 - w has no first side; a second side whose kernel tensors grow
         # across the radii must still be refused
-        radius = iter(range(1, len(soscert.DILATION_RADII) + 1))
+        def growing(tables):
+            assert len(tables) == len(soscert.DILATION_RADII)
+            return [
+                (VectorPolynomial.of([]), VectorPolynomial.of([BivariatePolynomial([[k * k]])]))
+                for k in range(1, len(tables) + 1)
+            ]
 
-        def growing(q):
-            k = next(radius)
-            return VectorPolynomial.of([]), VectorPolynomial.of([BivariatePolynomial([[k * k]])])
-
-        monkeypatch.setattr(soscert, "_direct_certificate", growing)
+        monkeypatch.setattr(soscert, "_certificate_vectors", growing)
         with pytest.raises(QuadratureError, match="not converging"):
             sos_certificate(poly({(0, 0): 1, (0, 1): -1}), route="dilation")
 
@@ -575,9 +652,9 @@ class TestSymmetricCertificate:
         z, w = pts[:, None], pts[None, :]
         az, aw = np.abs(z), np.abs(w)
         lhs = 5 * (1 - az**6 * aw**4)
-        rhs = (1 - az**2) * cert.vec_first.norm_sq(z, w) + (
+        rhs = (1 - az**2) * norm_sq(cert.vec_first, z, w) + (
             1 - aw**2
-        ) * cert.vec_second.norm_sq(z, w)
+        ) * norm_sq(cert.vec_second, z, w)
         assert np.max(np.abs(lhs - rhs)) <= 1e-8 * np.max(np.abs(lhs) + 1)
 
     def test_single_weight_collapse(self):
