@@ -406,7 +406,6 @@ class TestBoundaryDilation:
         assert report.residual <= 1e-6
 
 
-
 def rotated_two_minus_z_minus_w():
     q = two_minus_z_minus_w()
     return BivariatePolynomial(q.coeffs * np.exp(0.7j * np.arange(2))[:, None] * np.exp(-1.3j * np.arange(2)))
@@ -441,8 +440,8 @@ class TestDilationBatch:
 
     def test_late_members_advance_in_groups(self, monkeypatch):
         # at a cap of 4096 nodes the nine dilates below cannot all double
-        # together past 1024 nodes; the groups that do advance hold at most
-        # the cap between them, and every table is still the one its
+        # together even from 256 nodes; the groups that do advance hold at
+        # most the cap between them, and every table is still the one its
         # polynomial gets alone
         q = two_minus_z_minus_w()
         radii = soscert.DILATION_RADII + (0.9999, 0.9999)
