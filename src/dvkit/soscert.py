@@ -183,7 +183,9 @@ def _moment_window(qs, size, cols=None):
     ``cols`` are each polynomial's columns at size/2 nodes: those nodes are
     the even nodes of this grid, so only the size/2 odd nodes are computed
     afresh.  The new fibers of every polynomial go through one
-    :func:`_moment_column` call and every column through one inverse FFT."""
+    :func:`_moment_column` call and every column through one inverse FFT.
+    Each polynomial's returned columns are an array of its own, so holding
+    them holds nothing of the others'."""
     n, m = qs[0].degree
     step = 1 if cols is None else 2
     nodes = np.exp(2j * np.pi * np.arange(step - 1, size, step) / size)
@@ -200,7 +202,8 @@ def _moment_window(qs, size, cols=None):
     a = np.arange(-n, n + 1)
     # mu(a, -b) = conj(mu(-a, b)) fills the columns b < 0
     lower = np.conj(spectra[:, :0:-1, (-a) % size]).transpose(0, 2, 1)
-    return np.concatenate([lower, spectra[:, :, a % size].transpose(0, 2, 1)], axis=-1), cols
+    windows = np.concatenate([lower, spectra[:, :, a % size].transpose(0, 2, 1)], axis=-1)
+    return windows, [col.copy() for col in cols]
 
 
 def _moment_tables(qs):
@@ -213,12 +216,13 @@ def _moment_tables(qs):
     advancing together hold at most GRID_CAP nodes between them, so a
     batch that converges late climbs its last levels in smaller groups, the
     first unconverged polynomial always among them; it raises
-    QuadratureError once that one reaches GRID_CAP nodes unconverged.
+    QuadratureError once that one reaches GRID_CAP nodes unconverged.  Only
+    the unconverged polynomials hold columns, each its own.
     """
     n, m = qs[0].degree
     size = 1 << max(8, math.ceil(math.log2(max(1, 16 * (n + m)))))
     wins, cols = _moment_window(qs, size)
-    wins, cols, sizes = list(wins), list(cols), [size] * len(qs)
+    wins, sizes = list(wins), [size] * len(qs)
     tables = [None] * len(qs)
     pending = list(range(len(qs)))
     while pending:
@@ -230,12 +234,15 @@ def _moment_tables(qs):
         prev = np.stack([wins[k] for k in group])
         scale = np.maximum(np.max(np.abs(nxt), axis=(1, 2)), 1e-300)
         errs = np.max(np.abs(nxt - prev), axis=(1, 2)) / scale
-        for k, win, col, err in zip(group, nxt, both, errs):
-            wins[k], cols[k], sizes[k] = win, col, 2 * size
-            if err <= 1e-9:
-                mu00 = win[n, m].real
-                tables[k] = MomentTable(qs[k], math.sqrt(1.0 / mu00), win / mu00, 2 * size)
+        for i, k in enumerate(group):
+            if errs[i] <= 1e-9:
+                mu00 = nxt[i, n, m].real
+                tables[k] = MomentTable(qs[k], math.sqrt(1.0 / mu00), nxt[i] / mu00, 2 * size)
+                wins[k] = cols[k] = None
                 pending.remove(k)
+            else:
+                wins[k], cols[k], sizes[k] = nxt[i], both[i], 2 * size
+        del both  # a converged member's columns go now, not after the next level
     return tables
 
 
@@ -285,7 +292,10 @@ def _complement_basis(windows, shifted, rest, degree):
         chol = np.linalg.cholesky(_gram(windows, family, family))
     except np.linalg.LinAlgError:
         raise SubspaceError("subspace degenerate: Gram matrix not positive definite") from None
-    basis = np.linalg.solve(np.conj(chol).swapaxes(-1, -2), np.eye(len(family))[:, len(shifted) :])
+    # b carries the batch axis, so solve reads it as a stack of matrices
+    # under numpy 1.x's broadcasting rule as well as numpy 2's
+    tail = np.broadcast_to(np.eye(len(family))[:, len(shifted) :], chol.shape[:-1] + (len(rest),))
+    basis = np.linalg.solve(np.conj(chol).swapaxes(-1, -2), tail)
     grids = np.zeros((len(windows), len(rest), degree[0] + 1, degree[1] + 1), dtype=np.complex128)
     i, j = np.asarray(family, dtype=np.intp).reshape(-1, 2).T
     grids[:, :, i, j] = basis.swapaxes(-1, -2)

@@ -258,9 +258,7 @@ class TestDerivatives:
         assert max_coeff_distance(z3_minus_w2().partial_w(), poly({(0, 1): -2}, (3, 1))) == 0
 
     def test_power_rule_mixed(self):
-        assert max_coeff_distance(one_minus_z3w2().partial_z(), 
-            poly({(2, 2): -3}, (2, 2))
-        ) == 0
+        assert max_coeff_distance(one_minus_z3w2().partial_z(), poly({(2, 2): -3}, (2, 2))) == 0
 
     def test_degree_clamp_at_zero(self):
         p = poly({(0, 2): 1})

@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import sys
 import warnings
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -461,6 +462,57 @@ class TestDilationBatch:
             assert np.array_equal(table.window, want.window)
             assert table.grid_size == want.grid_size
 
+    def test_only_pending_members_hold_columns(self, monkeypatch):
+        # at a cap of 4096 nodes the nine dilates converge at different
+        # levels and some wait while others double; at the start of every
+        # level, and after the loop, the live columns are exactly the latest
+        # ones of the members still unconverged, each an array of its own
+        q = two_minus_z_minus_w()
+        dilates = [soscert.dilate(q, r) for r in soscert.DILATION_RADII + (0.9999, 0.9999)]
+        index = {id(d): k for k, d in enumerate(dilates)}
+        calls, seen = [], []
+        window = soscert._moment_window
+
+        def snapshot():
+            seen.append({(t, k): r() is not None for t, (_, refs) in enumerate(calls) for k, r in refs.items()})
+
+        def watched(qs, size, cols=None):
+            snapshot()
+            wins, grown = window(qs, size, cols)
+            assert all(col.base is None for col in grown)
+            members = [index[id(p)] for p in qs]
+            calls.append((members, {k: weakref.ref(col) for k, col in zip(members, grown)}))
+            return wins, grown
+
+        monkeypatch.setattr(soscert, "GRID_CAP", 4096)
+        monkeypatch.setattr(soscert, "_moment_window", watched)
+        soscert._moment_tables(dilates)
+        snapshot()
+        assert len({len(members) for members, _ in calls}) > 2  # groups of several sizes
+        for now, alive in enumerate(seen):
+            for (t, k), live in alive.items():
+                latest = max(u for u in range(now) if k in calls[u][0]) == t
+                pending = any(k in members for members, _ in calls[now:])
+                assert live == (latest and pending), (now, t, k)
+
+    @pytest.mark.parametrize(
+        "q",
+        [four_minus_z_minus_w(), two_minus_z_minus_w(), poly({(0, 0): 3, (0, 1): -4, (0, 2): 1})],
+        ids=["direct", "dilation", "empty_shifted_family"],
+    )
+    def test_stacked_solves_read_alike_under_numpy_1_and_2(self, q, monkeypatch):
+        # for a stack of matrices a, numpy 1.x reads a b with one axis fewer
+        # as a stack of vectors and numpy 2 as one matrix; a b with as many
+        # axes as a is a stack of matrices under both
+        solve = np.linalg.solve
+
+        def checked(a, b):
+            assert np.ndim(a) == 2 or np.ndim(b) == np.ndim(a)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", checked)
+        assert verify_certificate(q, sos_certificate(q)).passed
+
     def test_cap_raises_quadrature_error(self, monkeypatch):
         # the dilate at r = 0.9999 needs 4096 nodes
         monkeypatch.setattr(soscert, "GRID_CAP", 2048)
@@ -479,6 +531,7 @@ class TestDilationBatch:
         window = compute_moments(q).window
         with pytest.raises(SubspaceError, match="subspace degenerate"):
             soscert._kernel_pairs(q.degree, np.stack([window, np.ones_like(window)]))
+
 
 class TestEmptySide:
     """n = 0 or m = 0 leaves one side of the certificate without components;
