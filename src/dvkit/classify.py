@@ -31,10 +31,8 @@ __all__ = [
     "ZeroClass",
     "SingularityReport",
     "FiberError",
-    "fiber_polynomial",
     "companion_roots",
     "fiber_roots",
-    "batched_fiber_roots",
     "fiber_root_pairs",
     "schur_cohn_matrix",
     "root_count_in_disk",
@@ -103,16 +101,14 @@ class SingularityReport:
             raise ValueError("smooth_on_torus must mirror emptiness of points")
 
 
-def fiber_polynomial(p: BivariatePolynomial, z: complex):
-    """Coefficients (low to high in w) of p(z, .), trailing near-zeros trimmed."""
-    coeffs = p.fibers(z)
-    top = np.max(np.abs(coeffs))
-    if top == 0.0:
-        raise FiberError("fiber degenerate: p(z, .) is identically zero")
-    k = p.degree[1]
-    while k > 0 and abs(coeffs[k]) <= FIBER_TRIM * top:
-        k -= 1
-    return coeffs[: k + 1]
+def _trimmed_degree(coeffs) -> np.ndarray:
+    """Degree of each polynomial, coefficients low to high along the last
+    axis, once trailing coefficients at or below FIBER_TRIM times its
+    largest one are dropped; -1 for an identically zero polynomial."""
+    mag = np.abs(coeffs)
+    kept = mag > FIBER_TRIM * np.max(mag, axis=-1, keepdims=True)
+    top = mag.shape[-1] - 1 - np.argmax(kept[..., ::-1], axis=-1)
+    return np.where(kept.any(axis=-1), top, -1)
 
 
 def companion_roots(coeffs: np.ndarray) -> np.ndarray:
@@ -132,45 +128,33 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
 
 
 def fiber_roots(p: BivariatePolynomial, z: complex) -> np.ndarray:
-    """All w with p(z, w) = 0, multiplicities included.
+    """All w with p(z, w) = 0, multiplicities included: the batch of one of
+    :func:`fiber_root_pairs`.
 
     The w-degree is reduced at this fiber when leading coefficients vanish;
     an identically zero fiber raises :class:`FiberError`.
     """
-    return companion_roots(fiber_polynomial(p, z))
-
-
-def batched_fiber_roots(p: BivariatePolynomial, zs) -> list:
-    """Fiber roots over many z at once, one entry per z.
-
-    Fibers at full w-degree share one batched companion solve; fibers that
-    lose degree go through :func:`fiber_roots` one at a time, and an
-    identically zero fiber gives None.
-    """
-    zs = np.asarray(zs, dtype=np.complex128).ravel()
-    fibers = p.fibers(zs)
-    full = np.abs(fibers[:, -1]) > FIBER_TRIM * np.max(np.abs(fibers), axis=1)
-    batched = iter(companion_roots(fibers[full]))
-    out = []
-    for z, ok in zip(zs, full):
-        if ok:
-            out.append(next(batched))
-            continue
-        try:
-            out.append(fiber_roots(p, complex(z)))
-        except FiberError:
-            out.append(None)
-    return out
+    if not np.any(p.fibers(z)):
+        raise FiberError("fiber degenerate: p(z, .) is identically zero")
+    return fiber_root_pairs(p, [z])[1]
 
 
 def fiber_root_pairs(p: BivariatePolynomial, zs) -> tuple[np.ndarray, np.ndarray]:
     """Every fiber root over the flattened zs as flat arrays (k, w), w a
-    root of p(zs[k], .), ordered by k and then by root; identically zero
-    fibers contribute no pair."""
+    root of p(zs[k], .), ordered by k and then by root.
+
+    Each fiber is cut to its own w-degree by the FIBER_TRIM rule, so it
+    contributes as many pairs as that degree; a constant or identically
+    zero fiber contributes none.  The fibers of each degree share one
+    batched :func:`companion_roots` solve."""
     zs = np.asarray(zs, dtype=np.complex128).ravel()
-    empty = np.zeros(0, dtype=np.complex128)
-    roots = [empty if r is None else r for r in batched_fiber_roots(p, zs)]
-    return np.repeat(np.arange(len(zs)), [len(r) for r in roots]), np.concatenate([empty] + roots)
+    fibers = p.fibers(zs)
+    deg = _trimmed_degree(fibers)
+    k = np.repeat(np.arange(len(zs)), np.maximum(deg, 0))
+    w = np.empty(len(k), dtype=np.complex128)
+    for d in set(deg[k].tolist()):
+        w[deg[k] == d] = companion_roots(fibers[deg == d, : d + 1]).ravel()
+    return k, w
 
 
 def schur_cohn_matrix(coeffs) -> np.ndarray:
@@ -357,10 +341,7 @@ def _vertical_lines(p, tol):
 
     Every candidate is a z-root of the largest coefficient column of p."""
     col = p.coeffs[:, int(np.argmax(np.max(np.abs(p.coeffs), axis=0)))]
-    k = len(col) - 1
-    while k > 0 and abs(col[k]) <= FIBER_TRIM * np.max(np.abs(col)):
-        k -= 1
-    z0 = companion_roots(col[: k + 1])
+    z0 = companion_roots(col[: int(_trimmed_degree(col)) + 1])
     z0 = z0[np.abs(z0) <= 1.0 + tol]
     return z0[np.max(np.abs(p.fibers(z0)), axis=1) <= tol * p.scale]
 
@@ -526,13 +507,15 @@ def _multiple_fiber_root(p):
     pw = p.partial_w()
     u = rng.uniform(size=(SQUAREFREE_TRIALS, 2))
     zs = 0.7 * np.sqrt(u[:, 0]) * np.exp(2j * np.pi * u[:, 1])
+    k, w = fiber_root_pairs(p, zs)
     first = None
-    for z, roots in zip(zs, batched_fiber_roots(p, zs)):
-        if roots is None:
+    for i, z in enumerate(zs):
+        roots = w[k == i]
+        if not len(roots):
+            if np.any(p.fibers(z)):  # a nonzero constant fiber has no root
+                return None
             first = first or (complex(z), complex(np.nan), p.degree[1])
             continue
-        if not len(roots):
-            return None
         circle = np.exp(2j * np.pi * np.arange(32) / 32) * max(
             1.0, np.max(np.abs(roots))
         )

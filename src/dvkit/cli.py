@@ -55,6 +55,12 @@ def _finite_or_none(x: float) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _report_obj(report) -> dict:
+    """A report's fields and its verdict for JSON, non-finite values as null."""
+    fields = {k: _finite_or_none(v) if isinstance(v, float) else v for k, v in asdict(report).items()}
+    return {**fields, "passed": report.passed}
+
+
 def _load_poly(path: str) -> BivariatePolynomial:
     return ser.poly_from_obj(ser.load_path(path), where=path)
 
@@ -139,8 +145,7 @@ def _note_repeated_factor(p):
 def _cmd_represent(args: argparse.Namespace) -> int:
     p = _load_poly(args.poly)
     cert, sample, rep, report = represent(p, args.a, args.b)
-    report_obj = {**asdict(report), "passed": report.passed}
-    _emit(args, ser.realization_to_obj(rep, cert, report_obj))
+    _emit(args, ser.realization_to_obj(rep, cert, _report_obj(report)))
     return 0 if report.passed else 2
 
 
@@ -188,7 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         rep, cert = ser.realization_from_obj(artifact, where=where)
         sample = sample_variety(cert.p)
         report = verify_representation(p, cert, rep, sample)
-        obj.update(asdict(report), passed=report.passed)
+        obj.update(_report_obj(report))
     elif kind in {k.value for k in CertKind}:
         dv = ser.dv_cert_from_obj(artifact, where) if kind == CertKind.DV.value else None
         cert = dv.as_sos() if dv is not None else ser.cert_from_obj(artifact, where)

@@ -59,6 +59,10 @@ RANK_TOL = 1e-8
 # jitter.
 SAMPLE_RADII = (0.3, 0.5, 0.7, 0.85)
 SAMPLE_SEED = 7
+# rho(D) must stay below this for Phi(z) = A + zB(I - zD)^{-1}C to be
+# analytic on a neighborhood of the closed disk; the representation report
+# and the extension both gate on it.
+RHO_D_MAX = 1.0 - 1e-8
 
 
 class IsometryError(ValueError):
@@ -396,7 +400,7 @@ class RepresentationReport:
             self.unitarity <= 1e-10,
             self.boundary_unitarity <= 1e-8,
             self.contractivity_excess <= 1e-8,
-            self.d_spectral_radius < 1.0 - 1e-8,
+            self.d_spectral_radius < RHO_D_MAX,
         ]
         if self.smooth_on_torus:
             checks.append(
@@ -420,7 +424,10 @@ def verify_representation(
     then analytic on a neighborhood of the closed disk, so ||Phi(z)|| is
     subharmonic and its sup over the disk lies on the circle; the report
     fails otherwise.  ``qmatrix_min_sv`` is read at z = 0, 64 circle points and
-    every zero of det Q in the closed disk."""
+    every zero of det Q in the closed disk.  ``det_vs_p_rel`` compares p
+    with the multiple of the block determinant that matches its largest
+    coefficient, and is inf when p is zero or the determinant has no term
+    there."""
     z, w = sample.z, sample.w
     x, y = _stacked_maps(cert, sample)
     qv = x[: len(cert.vec_q)]
@@ -434,8 +441,11 @@ def verify_representation(
         (max(p.degree[0], det_poly.degree[0]), max(p.degree[1], det_poly.degree[1]))
     ).coeffs[: pv.shape[0], : pv.shape[1]]
     imax = np.unravel_index(np.argmax(np.abs(pv)), pv.shape)
-    lam = pv[imax] / dv[imax]
-    det_rel = float(np.max(np.abs(lam * dv - pv))) / float(np.max(np.abs(pv)))
+    if dv[imax] == 0 or pv[imax] == 0:
+        det_rel = math.inf
+    else:
+        lam = pv[imax] / dv[imax]
+        det_rel = float(np.max(np.abs(lam * dv - pv))) / float(np.max(np.abs(pv)))
     bphis = phi_evaluate(rep, np.exp(2j * np.pi * np.arange(128) / 128))
     gram = np.conj(np.swapaxes(bphis, -1, -2)) @ bphis
     bdry = float(np.max(np.abs(gram - np.eye(rep.m))))

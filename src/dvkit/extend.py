@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import fiber_root_pairs
-from .dvrep import DvCertificate, UnitaryRealization, phi_evaluate
+from .dvrep import RHO_D_MAX, DvCertificate, UnitaryRealization, phi_evaluate
 from .poly2 import BivariatePolynomial, horner
 
 __all__ = [
@@ -137,7 +137,7 @@ def _powers(w: np.ndarray, m: int) -> np.ndarray:
 def _require_analytic(op: ExtensionOperator) -> None:
     """Refuse a realization whose F may have a pole in the closed bidisk:
     a zero of det Q in the closed disk (found by the block companion of
-    :attr:`MatrixPolynomial.det_zeros_in_disk`), or rho(D) >= 1 - 1e-8."""
+    :attr:`MatrixPolynomial.det_zeros_in_disk`), or rho(D) >= RHO_D_MAX."""
     zeros = op.cert.qmatrix.det_zeros_in_disk
     if len(zeros):
         raise ValueError(
@@ -145,7 +145,7 @@ def _require_analytic(op: ExtensionOperator) -> None:
             "so Q^-1 and the extension are not analytic on the closed bidisk"
         )
     rho = op.rep.d_spectral_radius()
-    if rho >= 1.0 - 1e-8:
+    if rho >= RHO_D_MAX:
         raise ValueError(
             f"realization: D has spectral radius {rho:.6g}, so Phi is not analytic on the closed disk"
         )
@@ -189,7 +189,7 @@ def extension_bound(op: ExtensionOperator) -> BoundReport:
     the same z.
 
     Raises ValueError when det Q has a zero in the closed disk or rho(D) >=
-    1 - 1e-8.  Otherwise Q^{-1} is analytic on the closed disk, log ||Q||
+    RHO_D_MAX.  Otherwise Q^{-1} is analytic on the closed disk, log ||Q||
     and log ||Q^{-1}|| are subharmonic, and by the maximum principle the
     condition number ||Q|| ||Q^{-1}|| takes its sup over the disk on the
     circle, which the samples stand for.

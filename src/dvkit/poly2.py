@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -65,10 +64,6 @@ def horner(coeffs, x) -> np.ndarray:
     return acc
 
 
-# Largest size of the values that one stacked evaluation of vector components
-# computes at once; larger ones go in groups of components, which bounds the
-# Horner temporaries near this size.
-STACK_BYTES = 1 << 18
 # Relative proportionality tolerance of q against reflect(q), shared by every
 # caller of symmetry_analysis, so a polynomial that classifies as symmetric
 # also symmetrizes.
@@ -493,23 +488,13 @@ class VectorPolynomial:
     def evaluate(self, z, w) -> np.ndarray:
         """Stacked values, shape (len(self), *broadcast(z, w).shape).
 
-        The components go through one stacked Horner evaluation, in groups
-        whose values fill at most STACK_BYTES when the points are many.
-        Components declared at a lower degree and padded carry only exact
-        zeros ahead of their own terms, so every value equals the
-        component's own :meth:`BivariatePolynomial.evaluate` to the bit."""
+        All components go through one stacked Horner evaluation.  Components
+        declared at a lower degree and padded carry only exact zeros ahead
+        of their own terms, so every value equals the component's own
+        :meth:`BivariatePolynomial.evaluate` to the bit."""
         z = np.asarray(z, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
-        shape = np.broadcast_shapes(z.shape, w.shape)
-        if not len(self):
-            return np.zeros((0,) + shape, dtype=np.complex128)
-        group = max(1, STACK_BYTES // max(16 * math.prod(shape), 1))
-        if group >= len(self):
-            return _stacked_horner(self.coeffs, z, w)
-        out = np.empty((len(self),) + shape, dtype=np.complex128)
-        for k in range(0, len(self), group):
-            out[k : k + group] = _stacked_horner(self.coeffs[k : k + group], z, w)
-        return out
+        return _stacked_horner(self.coeffs, z, w)
 
     def kernel(self, z, w, Z, W):
         """sum_k comp_k(z, w) * conj(comp_k(Z, W)), pointwise over the common

@@ -445,23 +445,21 @@ def _route_vectors(q, route):
     raise ValueError(f"unknown route {route!r}")
 
 
-def sos_certificate(q: BivariatePolynomial, route: str | None = None) -> SosCertificate:
+def sos_certificate(q: BivariatePolynomial) -> SosCertificate:
     """Two-square certificate q qbar - reflect(q) reflect(q)bar =
     (1-|z|^2)|A|^2 + (1-|w|^2)|B|^2 for q with no zeros on the bidisk.
 
-    Zero-free on the closed bidisk goes through the moment construction
-    directly, torus zeros through the dilation route, and the certificate of
-    a SymmetricNonvanishingOffTorus q is zero.  A ``route`` of "direct",
-    "dilation" or "symmetric" skips the classification step.  q is first
-    divided by the power of two that brings its scale into [1/2, 1) and
-    both vectors are multiplied back by it, which is exact: the certificate
-    of 2^k q is 2^k times that of q wherever both stay in range.
+    The route follows from classifying q: zero-free on the closed bidisk
+    goes through the moment construction directly, torus zeros through the
+    dilation route, and the certificate of a SymmetricNonvanishingOffTorus
+    q is zero.  q is first divided by the power of two that brings its
+    scale into [1/2, 1) and both vectors are multiplied back by it, which
+    is exact: the certificate of 2^k q is 2^k times that of q wherever both
+    stay in range.
     """
     e = q.exponent
     q = q.ldexp(-e)
-    if route is None:
-        route = _stability_route(q)
-    vec_a, vec_b = _route_vectors(q, route)
+    vec_a, vec_b = _route_vectors(q, _stability_route(q))
     return SosCertificate(CertKind.COLE_WERMER, vec_a.ldexp(e), vec_b.ldexp(e))
 
 

@@ -17,8 +17,8 @@ from conftest import (
 from dvkit.classify import (
     FiberError,
     ZeroLabel,
-    batched_fiber_roots,
     classify_zero_set,
+    fiber_root_pairs,
     fiber_roots,
     _definite_on_circle,
     _FourierSeries,
@@ -90,42 +90,40 @@ class TestFiberRoots:
             assert np.allclose(a, b, atol=1e-9)
 
 
-def per_z_fiber_roots(p, zs):
-    out = []
-    for z in np.ravel(zs):
-        try:
-            out.append(fiber_roots(p, complex(z)))
-        except FiberError:
-            out.append(None)
-    return out
-
-
 class TestBatchedSweep:
     # z w^2 + w - 1/2 drops to w-degree 1 at z = 0; z (w - 1/2) + 0.3 z^2 w^2
     # vanishes identically there.  z = 0 is the first point of every sweep.
     CASES = {
-        "degree_drop": (poly({(1, 2): 1, (0, 1): 1, (0, 0): -0.5}), 1),
-        "zero_fiber": (poly({(1, 1): 1, (1, 0): -0.5, (2, 2): 0.3}), None),
+        "degree_drop": poly({(1, 2): 1, (0, 1): 1, (0, 0): -0.5}),
+        "zero_fiber": poly({(1, 1): 1, (1, 0): -0.5, (2, 2): 0.3}),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_fallback_fibers_match_per_z(self, case):
-        p, at_zero = self.CASES[case]
-        zs = np.concatenate([[0.0], 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)])
-        got = batched_fiber_roots(p, zs)
-        want = per_z_fiber_roots(p, zs)
-        if at_zero is None:
-            assert got[0] is None
-        else:
-            assert len(got[0]) == at_zero
-        for a, b in zip(got, want):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert np.allclose(np.sort_complex(a), np.sort_complex(b), rtol=0, atol=1e-12)
+    def test_pairs_match_per_fiber_roots(self):
+        # w-coefficient columns c_j(z), dyadic so that they vanish exactly:
+        # the fiber is cubic in general, linear at z = 0, quadratic at
+        # z = 1/2, a nonzero constant at z = -1/2 and zero at z = i/2
+        cols = [[0.5j], [-0.5, 0.5j], [0, -0.5, 0.5j], [0, 0.5, -0.5, 0.5j]]
+        grid = np.zeros((5, 4), dtype=np.complex128)
+        for j, roots in enumerate(cols):
+            c = np.polynomial.polynomial.polyfromroots(roots)
+            grid[: len(c), j] = c
+        p = BivariatePolynomial(grid)
+        full = 0.8 * np.exp(2j * np.pi * np.arange(4) / 4 + 0.3j)
+        zs = np.array([full[0], 0.5, 0.0, -0.5, full[1], 0.5j, full[2], 0.0, 0.5, full[3]])
+        degrees = [3, 2, 1, 0, 3, -1, 3, 1, 2, 3]
+        k, w = fiber_root_pairs(p, zs)
+        assert np.all(np.diff(k) >= 0)
+        assert np.bincount(k, minlength=len(zs)).tolist() == [max(d, 0) for d in degrees]
+        for i, (z, d) in enumerate(zip(zs, degrees)):
+            fiber = p.fibers(z)
+            assert not np.any(fiber[d + 1 :]) and (d < 0 or fiber[d] != 0)
+            if d > 0:
+                dist = np.abs(w[k == i][:, None] - np.roots(fiber[: d + 1][::-1]))
+                assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-12
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_indeterminate_witnesses_are_zeros(self, case):
-        p, _ = self.CASES[case]
+        p = self.CASES[case]
         zc = classify_zero_set(p)
         assert zc.label is ZeroLabel.INDETERMINATE
         assert zc.witnesses

@@ -11,6 +11,7 @@ from conftest import (
     max_coeff_distance,
     poly,
     two_minus_z_minus_w,
+    w3_minus_z2,
     z3_minus_w2,
 )
 from dvkit.cli import main
@@ -521,6 +522,23 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["d_spectral_radius"] >= 1.0 - 1e-8
         assert out["passed"] is False
+
+    @pytest.mark.parametrize("other", ["higher_degree", "zero"])
+    def test_verify_against_mismatched_polynomial_exit_2(self, realization_doc, tmp_path, capsys, other):
+        # the determinant of the z^3 - w^2 realization has no w^3 term, where
+        # w^3 - z^2 has its largest coefficient, and no multiple of it is
+        # relatively close to zero
+        _, doc = realization_doc
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(dumps(doc))
+        p = w3_minus_z2() if other == "higher_degree" else poly({}, (3, 2))
+        poly_path = write_poly(tmp_path, "p.json", p)
+        capsys.readouterr()
+        assert main(["verify", str(rep_path), poly_path]) == 2
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["kind"] == "realization" and out["passed"] is False
+        assert out["det_vs_p_rel"] is None and captured.err == ""
 
     def test_extend_refuses_unimodular_d_eigenvalue_exit_2(self, realization_doc, tmp_path, capsys):
         # rho(D) = 1: Phi may have a pole on the closed disk, so the torus no

@@ -165,7 +165,7 @@ class TestDiskMinimum:
 
     def test_zero_matrix_of_symmetric_certificate(self):
         q = symmetrize(one_minus_z3w2())
-        cert = sos_certificate(q, route="symmetric")
+        cert = sos_certificate(q)
         for mat in (cert.vec_first.matrix_in_w(), cert.vec_second.matrix_in_z()):
             assert not mat.coeffs.any()
             assert mat.min_singular_value_on_disk == 0.0
@@ -225,7 +225,7 @@ class TestStackedKernel:
         comps = [random_poly(rng, n, m) for n, m in [(0, 0), (3, 2), (1, 4), (4, 1), (2, 0)]]
         comps.append(poly({(0, 0): 1.0}, (2, 3)))
         vec = VectorPolynomial.of(comps)
-        # the last point set is large enough to be evaluated in groups of components
+        # the last point set broadcasts to a 150 x 150 grid
         big = (rng.normal(size=(150, 1)) + 1j, rng.normal(size=(1, 150)) - 1j)
         for z, w in _points(rng) + [big]:
             want = np.stack([np.asarray(c.evaluate(z, w)) for c in comps], axis=0)

@@ -229,7 +229,7 @@ class TestResidueFirst:
         # every fiber over the circle has its root on the circle
         q = poly({(0, 0): 1, (1, 0): -0.6, (0, 1): -0.6, (1, 1): 1})
         with pytest.raises(StabilityError, match="fiber root inside the closed disk"):
-            sos_certificate(q, route="direct")
+            compute_moments(q)
 
 
 class TestSubspaces:
@@ -322,7 +322,7 @@ class TestSubspaces:
 
 class TestStableCertificate:
     def test_constant_certificate(self):
-        cert = sos_certificate(minus_five(), route="direct")
+        cert = sos_certificate(minus_five())
         z, w, zz, ww = 0.4, 0.3j, -0.2, 0.6 - 0.1j
         u = z * np.conj(zz)
         assert abs(cert.vec_first.kernel(z, w, zz, ww) - 25 * (1 + u + u**2)) < 1e-9
@@ -358,7 +358,7 @@ class TestStableCertificate:
     )
     def test_two_square_identity_across_stable_corpus(self, terms):
         q = poly(terms)
-        cert = sos_certificate(q, route="direct")
+        cert = sos_certificate(q)
         qr = reflect(q)
         pts = disk_spiral(64)
         z, w = pts[:, None], pts[None, :]
@@ -517,7 +517,7 @@ class TestDilationBatch:
         # the dilate at r = 0.9999 needs 4096 nodes
         monkeypatch.setattr(soscert, "GRID_CAP", 2048)
         with pytest.raises(QuadratureError, match="quadrature unresolved"):
-            sos_certificate(two_minus_z_minus_w(), route="dilation")
+            sos_certificate(two_minus_z_minus_w())
         with pytest.raises(QuadratureError, match="quadrature unresolved"):
             compute_moments(soscert.dilate(two_minus_z_minus_w(), 0.9999))
 
@@ -597,12 +597,12 @@ class TestEmptySide:
 
         monkeypatch.setattr(soscert, "_certificate_vectors", growing)
         with pytest.raises(QuadratureError, match="not converging"):
-            sos_certificate(poly({(0, 0): 1, (0, 1): -1}), route="dilation")
+            sos_certificate(poly({(0, 0): 1, (0, 1): -1}))
 
 
 class TestGwInvertibility:
     def test_constant_case(self):
-        cert = sos_certificate(minus_five(), route="direct")
+        cert = sos_certificate(minus_five())
         gw = gw_invertibility(cert)
         assert abs(gw.min_sv_first - 5.0) < 1e-9
         assert abs(gw.min_sv_second - 5.0) < 1e-9
