@@ -525,9 +525,9 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("other", ["higher_degree", "zero"])
     def test_verify_against_mismatched_polynomial_exit_2(self, realization_doc, tmp_path, capsys, other):
-        # the determinant of the z^3 - w^2 realization has no w^3 term, where
-        # w^3 - z^2 has its largest coefficient, and no multiple of it is
-        # relatively close to zero
+        # w^3 - z^2 has its largest coefficient at w^3, where the determinant
+        # of the z^3 - w^2 realization has no term; the zero polynomial has
+        # no largest coefficient to match
         _, doc = realization_doc
         rep_path = tmp_path / "rep.json"
         rep_path.write_text(dumps(doc))
