@@ -90,13 +90,42 @@ class TestFiberRoots:
             assert np.allclose(a, b, atol=1e-9)
 
 
+def per_z_fiber_roots(p, zs):
+    out = []
+    for z in np.ravel(zs):
+        try:
+            out.append(fiber_roots(p, complex(z)))
+        except FiberError:
+            out.append(None)
+    return out
+
+
 class TestBatchedSweep:
     # z w^2 + w - 1/2 drops to w-degree 1 at z = 0; z (w - 1/2) + 0.3 z^2 w^2
     # vanishes identically there.  z = 0 is the first point of every sweep.
     CASES = {
-        "degree_drop": poly({(1, 2): 1, (0, 1): 1, (0, 0): -0.5}),
-        "zero_fiber": poly({(1, 1): 1, (1, 0): -0.5, (2, 2): 0.3}),
+        "degree_drop": (poly({(1, 2): 1, (0, 1): 1, (0, 0): -0.5}), 1),
+        "zero_fiber": (poly({(1, 1): 1, (1, 0): -0.5, (2, 2): 0.3}), None),
     }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_fallback_fibers_match_per_z(self, case):
+        # the sweep's fibers of reduced or zero degree sit in the same batch
+        # as the full ones; each must get the roots a lone solve gives it
+        p, at_zero = self.CASES[case]
+        zs = np.concatenate([[0.0], 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)])
+        k, w = fiber_root_pairs(p, zs)
+        got = [w[k == i] for i in range(len(zs))]
+        want = per_z_fiber_roots(p, zs)
+        if at_zero is None:
+            assert want[0] is None and len(got[0]) == 0
+        else:
+            assert len(got[0]) == at_zero
+        for a, b in zip(got, want):
+            if b is None:
+                assert len(a) == 0
+            else:
+                assert np.allclose(np.sort_complex(a), np.sort_complex(b), rtol=0, atol=1e-12)
 
     def test_pairs_match_per_fiber_roots(self):
         # w-coefficient columns c_j(z), dyadic so that they vanish exactly:
@@ -123,7 +152,7 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_indeterminate_witnesses_are_zeros(self, case):
-        p = self.CASES[case]
+        p, _ = self.CASES[case]
         zc = classify_zero_set(p)
         assert zc.label is ZeroLabel.INDETERMINATE
         assert zc.witnesses
