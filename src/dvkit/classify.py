@@ -235,34 +235,31 @@ class _FourierSeries:
         return np.sqrt(np.einsum("ij,ij->i", second, second)) + k2 * err, third + k3 * err
 
 
-def _definite_on_circle(p, grid_n, sign, cap=ARC_FLOOR):
+def _definite_on_circle(p, sign, cap=ARC_FLOOR):
     """Circle samples z, the least eigenvalue of sign * S_w(z) at each, the
     largest squared fiber coefficient norm, and whether sign * S_w is proven
     positive definite on T.
 
-    ``grid_n`` equispaced samples, doubled until there are 2n + 1, cut T
-    into arcs.  For a unit eigenvector v at a point of an arc of width h,
+    CIRCLE_SAMPLES equispaced samples, doubled until there are 2n + 1, cut
+    T into arcs.  For a unit eigenvector v at a point of an arc of width h,
     v^H S v leaves its chord between the arc's ends by at most h^2 K / 8,
     K a bound on |v^H S'' v| over the arc, and lies above the least
     eigenvalues there; so the arc is proven when the smaller end value,
     less the rounding allowance EIG_ROUNDING * unit, exceeds h^2 K / 8.
-    The base arcs first try one K for all of T: Bernstein's n^2 max||S||,
-    max||S|| <= max sampled ||S|| / (1 - (1/2)(pi n / M)^2) on M samples by
-    the same chord argument at the maximum, then the smaller Fourier bound
-    sum k^2 ||S_k|| when Bernstein's leaves a base arc unproven.  An arc
-    this global K leaves undecided is judged by its own K, capped by the
-    global one: on an arc of width h about c, S''(t) differs from S''(c) by
-    at most |t - c| max||S'''|| <= (h/2) sum |k|^3 ||S_k||, so
-    K = ||S''(c)|| + (h/2) sum |k|^3 ||S_k|| bounds ||S''|| there.  The
-    coefficients S_k come from one FFT of the base samples
-    (:class:`_FourierSeries`).  Each round bisects the unproven arcs, down
-    to width 2 pi / ``cap``.  An arc end at or below zero ends the search,
+    Every arc first tries one K for all of T, sum k^2 ||S_k|| over the
+    coefficients S_k that one FFT of the base samples gives
+    (:class:`_FourierSeries`).  An arc this global K leaves undecided is
+    judged by its own K, capped by the global one: on an arc of width h
+    about c, S''(t) differs from S''(c) by at most |t - c| max||S'''|| <=
+    (h/2) sum |k|^3 ||S_k||, so K = ||S''(c)|| + (h/2) sum |k|^3 ||S_k||
+    bounds ||S''|| there.  Each round bisects the unproven arcs, down to
+    width 2 pi / ``cap``.  An arc end at or below zero ends the search,
     and so does an unproven arc whose end lies at or below the slack its
     own K, taken at the finest width about its midpoint, leaves at that
     width; neither exit proves anything, they only stop a search.  The
     samples come back in angular order, each on the uniform grid of their
     arc width."""
-    n, count = p.degree[0], grid_n
+    n, count = p.degree[0], CIRCLE_SAMPLES
     while count < 2 * n + 1:
         count *= 2
     fine = count
@@ -270,26 +267,16 @@ def _definite_on_circle(p, grid_n, sign, cap=ARC_FLOOR):
         fine *= 2
 
     def sample(pos):
-        z = np.exp(2j * np.pi * pos / fine)
-        fibers = p.fibers(z)
+        fibers = p.fibers(np.exp(2j * np.pi * pos / fine))
         s = sign * schur_cohn_matrix(fibers)
-        eig = np.linalg.eigvalsh(s)
-        unit = float(np.max(np.sum(np.abs(fibers) ** 2, axis=1)))
-        return z, s, eig, np.min(eig, axis=1, initial=np.inf), unit
+        lam = np.min(np.linalg.eigvalsh(s), axis=1, initial=np.inf)
+        return s, lam, float(np.max(np.sum(np.abs(fibers) ** 2, axis=1)))
 
     width = fine // count
     pos = np.arange(count) * width
-    z, s, eig, lam, unit = sample(pos)
-    half_sq = 0.5 * (np.pi * n / count) ** 2
-    norm = float(np.max(np.abs(eig), initial=0.0))
-    curve = n * n * norm / (1.0 - half_sq) if half_sq < 1.0 else np.inf
-    least = float(np.min(lam)) - EIG_ROUNDING * unit
-    if least > (np.pi / count) ** 2 * curve / 2:
-        return z, lam, unit, True
-    if least <= 0.0:
-        return z, lam, unit, False
+    s, lam, unit = sample(pos)
     series = _FourierSeries(s, n)
-    curve = min(curve, series.curvature(unit))
+    curve = series.curvature(unit)
     # arcs: left end position and the least eigenvalues at both ends
     left, lo, hi = pos, lam, np.concatenate([lam[1:], lam[:1]])
     all_pos, all_lam = [pos], [lam]
@@ -315,7 +302,7 @@ def _definite_on_circle(p, grid_n, sign, cap=ARC_FLOOR):
         left, lo, hi = left[undecided], lo[undecided], hi[undecided]
         width //= 2
         mid = left + width
-        _, _, _, mid_lam, mid_unit = sample(mid)
+        _, mid_lam, mid_unit = sample(mid)
         unit = max(unit, mid_unit)
         all_pos.append(mid)
         all_lam.append(mid_lam)
@@ -359,7 +346,7 @@ def _symmetric_label(p, tol):
         if len(_vertical_lines(q, tol)):
             return None
         cap = ARC_FLOOR if proven else CIRCLE_SAMPLES
-        _, lam, unit, side_proven = _definite_on_circle(q.partial_w(), CIRCLE_SAMPLES, -1, cap)
+        _, lam, unit, side_proven = _definite_on_circle(q.partial_w(), -1, cap)
         if np.min(lam) < -tol * unit:
             return None
         proven = proven and side_proven
@@ -397,7 +384,7 @@ def classify_zero_set(p: BivariatePolynomial, tol: float = 1e-7) -> ZeroClass:
         found = _symmetric_label(p, tol)
         if found is not None:
             return result(*found)
-    z, lam, unit, proven = _definite_on_circle(p, CIRCLE_SAMPLES, 1)
+    z, lam, unit, proven = _definite_on_circle(p, 1)
     at_w0 = transpose_vars(p)
     with suppress(FiberError):
         if proven and root_count_in_disk(at_w0, 0.0) == 0:

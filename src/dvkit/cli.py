@@ -39,6 +39,9 @@ from .poly2 import (
 )
 from .soscert import CertKind, sos_certificate, sym_sos_certificate, gw_invertibility, verify_certificate
 
+# Largest coefficient grid ``reflect --at`` may ask for.
+MAX_COEFFS = 1 << 20
+
 
 def _emit(args: argparse.Namespace, obj: dict) -> None:
     text = ser.dumps(obj)
@@ -65,12 +68,26 @@ def _load_poly(path: str) -> BivariatePolynomial:
     return ser.poly_from_obj(ser.load_path(path), where=path)
 
 
+def _load_nonzero_poly(path: str) -> BivariatePolynomial:
+    """The polynomial of a command that reads its zero set, which p = 0 lacks."""
+    p = _load_poly(path)
+    if p.is_zero():
+        raise ser.SchemaError(f"{path}.coeffs: every coefficient is zero")
+    return p
+
+
+def _refuse(message) -> int:
+    """Exit code 1, with the message on stderr."""
+    print(f"dvkit: error: {message}", file=sys.stderr)
+    return 1
+
+
 def _point_pairs(points):
     return [[ser._c2pair(z), ser._c2pair(w)] for z, w in points]
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    p = _load_poly(args.poly)
+    p = _load_nonzero_poly(args.poly)
     zc = classify_mod.classify_zero_set(p, tol=args.tol)
     _emit(
         args,
@@ -92,20 +109,20 @@ def _cmd_reflect(args: argparse.Namespace) -> int:
     if at_degree is not None:
         degree = p.true_degree()
         if any(d < t for d, t in zip(at_degree, degree)):
-            print(
-                f"dvkit: error: --at {' '.join(map(str, at_degree))} lies below "
-                f"the degree {degree} of {args.poly}",
-                file=sys.stderr,
-            )
-            return 1
+            at = " ".join(map(str, at_degree))
+            return _refuse(f"--at {at} lies below the degree {degree} of {args.poly}")
     _emit(args, ser.poly_to_obj(reflect(p, at_degree)))
     return 0
 
 
 def _cmd_sos(args: argparse.Namespace) -> int:
-    p = _load_poly(args.poly)
+    p = _load_nonzero_poly(args.poly)
     weighted = args.a is not None
     if weighted:
+        n, m = p.degree
+        if args.a * n + args.b * m == 0:
+            weights = f"--a {args.a:g} and --b {args.b:g}"
+            return _refuse(f"{weights} give a n + b m = 0 at the degree {(n, m)} of {args.poly}")
         q = symmetrize(p)
         cert = sym_sos_certificate(q, args.a, args.b)
         target = q
@@ -143,7 +160,7 @@ def _note_repeated_factor(p):
 
 
 def _cmd_represent(args: argparse.Namespace) -> int:
-    p = _load_poly(args.poly)
+    p = _load_nonzero_poly(args.poly)
     cert, sample, rep, report = represent(p, args.a, args.b)
     _emit(args, ser.realization_to_obj(rep, cert, _report_obj(report)))
     return 0 if report.passed else 2
@@ -397,6 +414,10 @@ def _argument_error(args: argparse.Namespace) -> str | None:
     None; checked before any work."""
     if hasattr(args, "tol") and not 0.0 < args.tol <= 1e-2:
         return "--tol must lie in (0, 1e-2]"
+    if getattr(args, "at", None) and min(args.at) >= 0:
+        n, m = args.at
+        if (n + 1) * (m + 1) > MAX_COEFFS:
+            return f"--at {n} {m} asks for {(n + 1) * (m + 1)} coefficients, more than {MAX_COEFFS}"
     if hasattr(args, "a"):
         a, b = args.a, args.b
         if (a is None) != (b is None):
@@ -418,13 +439,11 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     error = _argument_error(args)
     if error is not None:
-        print(f"dvkit: error: {error}", file=sys.stderr)
-        return 1
+        return _refuse(error)
     try:
         return _HANDLERS[args.command](args)
     except (ser.SchemaError, FileNotFoundError, OSError) as exc:
-        print(f"dvkit: error: {exc}", file=sys.stderr)
-        return 1
+        return _refuse(exc)
     except (ValueError, ArithmeticError) as exc:
         # precondition and verification failures from the pipeline itself
         print(ser.dumps({"schema": ser.SCHEMA, "error": str(exc), "passed": False}))

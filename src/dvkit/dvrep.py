@@ -319,9 +319,9 @@ def lurking_isometry(cert: DvCertificate, sample: VarietySample) -> UnitaryReali
                 f"m + n = {m + n}, their first {x.shape[1] - 10} rank {head}"
             )
     w_basis = y @ vxh.conj().T[:, :rank] / sx[:rank]
-    uy = np.linalg.svd(y)[0]
     u = w_basis @ ux[:, :rank].conj().T
     if rank < m + n:
+        uy = np.linalg.svd(y)[0]
         u = u + uy[:, rank:] @ ux[:, rank:].conj().T
     # The Gram defect of inexact certificates pushes the completion off the
     # unitary group; the polar projection returns to the nearest unitary.

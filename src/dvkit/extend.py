@@ -118,7 +118,6 @@ class BoundReport:
 
     C: float
     per_point_bound: float
-    sup_f_on_variety: float
 
 
 def _roots_of_unity(count: int) -> np.ndarray:
@@ -151,42 +150,28 @@ def _require_analytic(op: ExtensionOperator) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class _CirclePass:
-    """What the bound and the checks read off the circle samples z_k: Q(z_k),
-    the variety's torus points (z_k, w) as circle index k and w, and f at
-    them."""
-
-    circle: np.ndarray
-    qmats: np.ndarray
-    k: np.ndarray
-    w: np.ndarray
-    fv: np.ndarray
-
-
-def _circle_pass(op: ExtensionOperator, grid_n: int) -> _CirclePass:
+def _circle_q(op: ExtensionOperator, grid_n: int):
+    """The ``grid_n``-th roots of unity z_k, Q(z_k), the singular values of
+    each Q(z_k) and C = sqrt(m) max_k ||Q(z_k)|| ||Q(z_k)^{-1}||, once
+    :func:`_require_analytic` passes."""
     _require_analytic(op)
     circle = _roots_of_unity(grid_n)
-    k, w = fiber_root_pairs(op.cert.p, circle)
+    qmats = op.cert.qmatrix.evaluate(circle)
+    svals = np.linalg.svd(qmats, compute_uv=False)
+    return circle, qmats, svals, math.sqrt(op.rep.m) * float(np.max(svals[:, 0] / svals[:, -1]))
+
+
+def _torus_points(p: BivariatePolynomial, circle: np.ndarray):
+    """The torus points of the variety of p over the circle samples: the
+    fiber roots within ON_TORUS of |w| = 1, as circle index k and w."""
+    k, w = fiber_root_pairs(p, circle)
     on_torus = np.abs(np.abs(w) - 1.0) < ON_TORUS
-    k, w = k[on_torus], w[on_torus]
-    return _CirclePass(circle, op.cert.qmatrix.evaluate(circle), k, w, op.f.evaluate(circle[k], w))
-
-
-def _bound(op: ExtensionOperator, cp: _CirclePass) -> BoundReport:
-    svals = np.linalg.svd(cp.qmats, compute_uv=False)
-    c_const = math.sqrt(op.rep.m) * float(np.max(svals[:, 0] / svals[:, -1]))
-    # |Qvec(z, w)| = |Q(z) (1, w, ..., w^{m-1})| on a sub-grid of the torus
-    sub = slice(None, None, max(1, len(cp.circle) // 32))
-    qnorm = np.linalg.norm(cp.qmats[sub] @ _powers(cp.circle[sub], op.rep.m), axis=1)
-    per_point = float(np.max(np.max(qnorm, axis=1) / svals[sub, -1]))
-    return BoundReport(c_const, per_point, _max_abs(cp.fv))
+    return k[on_torus], w[on_torus]
 
 
 def extension_bound(op: ExtensionOperator) -> BoundReport:
-    """C from Q(z) at the 256th roots of unity, the per-point bound on a
-    sub-grid of the torus, and sup |f| on the variety's torus points over
-    the same z.
+    """C from Q(z) at the 256th roots of unity and the per-point bound on
+    every eighth of them; Q alone, neither f nor the variety.
 
     Raises ValueError when det Q has a zero in the closed disk or rho(D) >=
     RHO_D_MAX.  Otherwise Q^{-1} is analytic on the closed disk, log ||Q||
@@ -194,7 +179,11 @@ def extension_bound(op: ExtensionOperator) -> BoundReport:
     condition number ||Q|| ||Q^{-1}|| takes its sup over the disk on the
     circle, which the samples stand for.
     """
-    return _bound(op, _circle_pass(op, 256))
+    circle, qmats, svals, c_const = _circle_q(op, 256)
+    # |Qvec(z, w)| = |Q(z) (1, w, ..., w^{m-1})| on a 32 x 32 sub-grid of the torus
+    qnorm = np.linalg.norm(qmats[::8] @ _powers(circle[::8], op.rep.m), axis=1)
+    per_point = float(np.max(np.max(qnorm, axis=1) / svals[::8, -1]))
+    return BoundReport(c_const, per_point)
 
 
 def sup_norm_on_variety(
@@ -207,9 +196,8 @@ def sup_norm_on_variety(
     principle the sup is attained among the unimodular fiber roots over the
     ``grid_n`` roots of unity in z."""
     circle = _roots_of_unity(grid_n)
-    k, w = fiber_root_pairs(p, circle)
-    on_torus = np.abs(np.abs(w) - 1.0) < ON_TORUS
-    return _max_abs(f.evaluate(circle[k[on_torus]], w[on_torus]))
+    k, w = _torus_points(p, circle)
+    return _max_abs(f.evaluate(circle[k], w))
 
 
 def expand_extension(op: ExtensionOperator):
@@ -266,12 +254,13 @@ def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     too.  ``sup_F_on_bidisk`` is max |g(z_k) . (1, w, ..., w^{m-1})| over
     the grid z_k x z_k of the torus, where F, analytic on the closed bidisk,
     takes its sup.  Raises ValueError as :func:`extension_bound` does."""
-    cp = _circle_pass(op, 128)
-    bound = _bound(op, cp)
-    g = op.rows(cp.circle, cp.qmats)
-    sup_f = bound.sup_f_on_variety
-    on_var = _max_abs(horner(g[cp.k].T, cp.w) - cp.fv) / (1.0 + sup_f)
-    sup_F = _max_abs(g @ _powers(cp.circle, op.rep.m))
+    circle, qmats, _, c_const = _circle_q(op, 128)
+    k, w = _torus_points(op.cert.p, circle)
+    fv = op.f.evaluate(circle[k], w)
+    sup_f = _max_abs(fv)
+    g = op.rows(circle, qmats)
+    on_var = _max_abs(horner(g[k].T, w) - fv) / (1.0 + sup_f)
+    sup_F = _max_abs(g @ _powers(circle, op.rep.m))
     ratio = sup_F / sup_f if sup_f > 0 else 0.0
-    passed = on_var <= 1e-7 and sup_F <= bound.C * sup_f + INFLATION_SLACK * max(1.0, op.f.scale)
-    return ExtensionReport(on_var, sup_F, sup_f, bound.C, ratio, passed)
+    passed = on_var <= 1e-7 and sup_F <= c_const * sup_f + INFLATION_SLACK * max(1.0, op.f.scale)
+    return ExtensionReport(on_var, sup_F, sup_f, c_const, ratio, passed)

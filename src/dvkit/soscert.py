@@ -519,7 +519,8 @@ def sym_sos_certificate(
 
     The combination g = a * reflect(q_z) + b * reflect(q_w) reflects back to
     a z q_z + b w q_w, so the plain certificate of g divided by (an + bm)
-    is exactly the stated identity.  On the torus |g| = |a z q_z + b w q_w|,
+    is exactly the stated identity; weights with an + bm = 0 raise
+    ValueError.  On the torus |g| = |a z q_z + b w q_w|,
     so g has torus zeros exactly where the zero set of q is torus-singular;
     a caller that knows this passes ``route`` ("direct" when smooth,
     "dilation" otherwise) and skips classifying g.  Like
@@ -528,12 +529,14 @@ def sym_sos_certificate(
     """
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError("weights must be non-negative and not both zero")
+    n, m = q.degree
+    if a * n + b * m == 0:
+        raise ValueError(f"a n + b m = 0 for weights ({a:g}, {b:g}) at degree {(n, m)}")
     e = q.exponent
     q = q.ldexp(-e)
     sym = symmetry_analysis(q)
     if not (sym.is_symmetric and abs(sym.constant - 1.0) <= 1e-6):
         raise ValueError("polynomial is not torus-symmetric; symmetrize it first")
-    n, m = q.degree
     qz_ref, qw_ref = reflected_derivatives(q)
     g = (a * qz_ref).with_degree((n, m)) + (b * qw_ref).with_degree((n, m))
     if route is None:

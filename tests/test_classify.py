@@ -265,7 +265,7 @@ class TestCircleProof:
         cases += [(dv.partial_w(), -1), ((one * two).partial_w(), -1)]
         outcomes = set()
         for p, sign in cases:
-            z, _, _, proven = _definite_on_circle(p, 64, sign)
+            z, _, _, proven = _definite_on_circle(p, sign)
             if proven:
                 assert self.dense_least_eigenvalue(p, sign) > 0
             outcomes.add((proven, proven and len(z) > 64))
@@ -318,14 +318,14 @@ class TestCircleProof:
         p = BivariatePolynomial(haar_dv(haar_unitary(rng, 2 * d), d, d))
         for q in (p, transpose_vars(p)):
             side = q.partial_w()
-            _, _, _, proven = _definite_on_circle(side, 64, -1)
+            _, _, _, proven = _definite_on_circle(side, -1)
             assert proven and self.dense_definite(side, -1)
 
     def test_rotated_two_minus_z_minus_w_stays_unproven(self):
         # the torus zero puts the least eigenvalue at 0 between samples
         for a in (0.3, 1.7, 2.9):
             p = poly({(0, 0): 2, (1, 0): -np.exp(1j * a), (0, 1): -np.exp(-0.4j)})
-            _, lam, _, proven = _definite_on_circle(p, 64, 1)
+            _, lam, _, proven = _definite_on_circle(p, 1)
             assert not proven and np.min(lam) > 0
 
 

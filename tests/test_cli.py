@@ -100,6 +100,55 @@ class TestRunConfig:
         assert capsys.readouterr().err == ""
 
 
+class TestDegenerateInputs:
+    """Inputs the pipeline cannot take exit 1 with a message naming the
+    option or field at fault, before any allocation sized by them."""
+
+    @staticmethod
+    def assert_refused(capsys, argv, *names):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("dvkit: error: ")
+        for name in names:
+            assert name in captured.err
+
+    @pytest.mark.parametrize(
+        "terms, degree, a, b",
+        [
+            ({(0, 0): 2}, (0, 0), "1", "1"),
+            ({(0, 0): 1, (0, 2): -1}, (0, 2), "1", "0"),
+            ({(0, 0): 1, (2, 0): -1}, (2, 0), "0", "1"),
+        ],
+        ids=["constant", "one_minus_w2_a_only", "one_minus_z2_b_only"],
+    )
+    def test_weighted_sos_with_vanishing_an_plus_bm_exit_1(self, tmp_path, capsys, terms, degree, a, b):
+        # the weighted identity divides by a n + b m
+        path = write_poly(tmp_path, "p.json", poly(terms, degree))
+        self.assert_refused(capsys, ["sos", path, "--a", a, "--b", b], "--a", "--b", str(degree))
+
+    def test_weighted_sos_of_one_minus_w2_on_its_w_weight(self, tmp_path, capsys):
+        path = write_poly(tmp_path, "p.json", poly({(0, 0): 1, (0, 2): -1}))
+        assert main(["sos", path, "--a", "0", "--b", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["verification"]["passed"] is True
+
+    @pytest.mark.parametrize("command", ["classify", "sos", "represent"])
+    def test_zero_polynomial_exit_1(self, tmp_path, capsys, command):
+        path = write_poly(tmp_path, "p.json", poly({}, (1, 1)))
+        self.assert_refused(capsys, [command, path], f"{path}.coeffs")
+
+    def test_zero_polynomial_reflects(self, tmp_path, capsys):
+        path = write_poly(tmp_path, "p.json", poly({}, (1, 1)))
+        assert main(["reflect", path]) == 0
+        assert poly_from_obj(json.loads(capsys.readouterr().out)).is_zero()
+
+    @pytest.mark.parametrize("at", [("1000000", "1000000"), ("3", str(1 << 40))], ids=["square", "wide"])
+    def test_huge_reflect_degree_exit_1(self, tmp_path, capsys, at):
+        # the padded grid would take terabytes
+        path = write_poly(tmp_path, "p.json", z3_minus_w2())
+        self.assert_refused(capsys, ["reflect", path, "--at", *at], "--at")
+
+
 @pytest.fixture(scope="module")
 def realization_doc(tmp_path_factory):
     """A realization document of z^3 - w^2 and the polynomial's path."""

@@ -169,6 +169,18 @@ class TestBounds:
         bound = extension_bound(ExtensionOperator(rep, cert, F_W))
         assert abs(bound.C - math.sqrt(2)) <= 1e-6
 
+    def test_constant_reads_q_alone(self, pipeline_z3w2, monkeypatch):
+        # C needs Q on the circle, not the variety's torus points
+        import dvkit.extend
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("extension_bound solved for fiber roots")
+
+        monkeypatch.setattr(dvkit.extend, "fiber_root_pairs", refuse)
+        cert, _, rep, _ = pipeline_z3w2
+        bound = extension_bound(ExtensionOperator(rep, cert, F_W))
+        assert abs(bound.C - math.sqrt(2)) <= 1e-6
+
     def test_identity_qmatrix_gives_sqrt_m(self):
         # hand-built realization of w^2 = z^3 with Qvec = (1, w): Q = I_2
         from dvkit.dvrep import DvCertificate

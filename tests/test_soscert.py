@@ -733,6 +733,16 @@ class TestSymmetricCertificate:
         with pytest.raises(ValueError):
             sym_sos_certificate(q, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "terms, degree, a, b",
+        [({(0, 0): 2}, (0, 0), 1.0, 1.0), ({(0, 0): 1, (0, 2): -1}, (0, 2), 1.0, 0.0)],
+        ids=["constant", "one_minus_w2_a_only"],
+    )
+    def test_rejects_vanishing_an_plus_bm(self, terms, degree, a, b):
+        q = symmetrize(poly(terms, degree))
+        with pytest.raises(ValueError, match=r"a n \+ b m = 0"):
+            sym_sos_certificate(q, a, b)
+
     def test_weights_recorded(self, sym_cert_z3w2):
         _, cert = sym_cert_z3w2
         assert cert.weights == (1.0, 1.0)
