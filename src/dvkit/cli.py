@@ -39,7 +39,8 @@ from .poly2 import (
 )
 from .soscert import CertKind, sos_certificate, sym_sos_certificate, gw_invertibility, verify_certificate
 
-# Largest coefficient grid ``reflect --at`` may ask for.
+# Largest coefficient grid ``reflect --at`` may ask for; writing a grid of
+# this size already peaks at about 200 MiB.
 MAX_COEFFS = 1 << 20
 
 
