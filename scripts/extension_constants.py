@@ -12,13 +12,12 @@ far general numerator/denominator pairs drift from that floor.
 
 import math
 
-from dvkit.extend import ExtensionOperator, extension_bound
+from dvkit.extend import extension_bound
 from dvkit.dvrep import represent
-from dvkit.poly2 import BivariatePolynomial, blaschke_dv, transpose_vars
+from dvkit.poly2 import blaschke_dv
 
 
 def survey():
-    f_w = BivariatePolynomial.from_terms({(0, 1): 1})
     cases = []
     for m in (2, 3):
         cases.append((f"w^{m} = z^{m}", blaschke_dv(m, [0.0] * m)))
@@ -30,11 +29,9 @@ def survey():
     print(f"{'curve':34s} {'m':>2s} {'C':>12s} {'C_swapped':>12s} {'sqrt(m)':>9s} {'per-point':>10s}")
     for name, p in cases:
         cert, sample, rep, report = represent(p)
-        bound = extension_bound(ExtensionOperator(rep, cert, f_w))
+        bound = extension_bound(rep, cert)
         try:
-            c_sw = extension_bound(
-                ExtensionOperator(rep.swapped(), cert.swapped(), transpose_vars(f_w))
-            ).C
+            c_sw = extension_bound(rep.swapped(), cert.swapped()).C
             swapped = f"{c_sw:12.6f}"
         except ValueError:
             swapped = "        --  "

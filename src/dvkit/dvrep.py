@@ -304,7 +304,7 @@ def lurking_isometry(cert: DvCertificate, sample: VarietySample) -> UnitaryReali
     n = len(cert.vec_p)
     x, y = _stacked_maps(cert, sample)
     defect = _gram_defect(x, y)
-    if defect > cert.gram_tolerance:
+    if not defect <= cert.gram_tolerance:
         raise IsometryError(
             f"isometry violated: Gram mismatch {defect:.3e} exceeds {cert.gram_tolerance:.1e}"
         )

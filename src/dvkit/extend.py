@@ -133,32 +133,33 @@ def _powers(w: np.ndarray, m: int) -> np.ndarray:
     return w[None, :] ** np.arange(m)[:, None]
 
 
-def _require_analytic(op: ExtensionOperator) -> None:
+def _require_analytic(rep: UnitaryRealization, cert: DvCertificate) -> None:
     """Refuse a realization whose F may have a pole in the closed bidisk:
     a zero of det Q in the closed disk (found by the block companion of
-    :attr:`MatrixPolynomial.det_zeros_in_disk`), or rho(D) >= RHO_D_MAX."""
-    zeros = op.cert.qmatrix.det_zeros_in_disk
+    :attr:`MatrixPolynomial.det_zeros_in_disk`), or rho(D) not below
+    RHO_D_MAX, a NaN radius included."""
+    zeros = cert.qmatrix.det_zeros_in_disk
     if len(zeros):
         raise ValueError(
             f"Qmatrix: det Q has a zero at z = {complex(zeros[0]):.6g} in the closed disk, "
             "so Q^-1 and the extension are not analytic on the closed bidisk"
         )
-    rho = op.rep.d_spectral_radius()
-    if rho >= RHO_D_MAX:
+    rho = rep.d_spectral_radius()
+    if not rho < RHO_D_MAX:
         raise ValueError(
             f"realization: D has spectral radius {rho:.6g}, so Phi is not analytic on the closed disk"
         )
 
 
-def _circle_q(op: ExtensionOperator, grid_n: int):
+def _circle_q(rep: UnitaryRealization, cert: DvCertificate, grid_n: int):
     """The ``grid_n``-th roots of unity z_k, Q(z_k), the singular values of
     each Q(z_k) and C = sqrt(m) max_k ||Q(z_k)|| ||Q(z_k)^{-1}||, once
     :func:`_require_analytic` passes."""
-    _require_analytic(op)
+    _require_analytic(rep, cert)
     circle = _roots_of_unity(grid_n)
-    qmats = op.cert.qmatrix.evaluate(circle)
+    qmats = cert.qmatrix.evaluate(circle)
     svals = np.linalg.svd(qmats, compute_uv=False)
-    return circle, qmats, svals, math.sqrt(op.rep.m) * float(np.max(svals[:, 0] / svals[:, -1]))
+    return circle, qmats, svals, math.sqrt(rep.m) * float(np.max(svals[:, 0] / svals[:, -1]))
 
 
 def _torus_points(p: BivariatePolynomial, circle: np.ndarray):
@@ -169,19 +170,20 @@ def _torus_points(p: BivariatePolynomial, circle: np.ndarray):
     return k[on_torus], w[on_torus]
 
 
-def extension_bound(op: ExtensionOperator) -> BoundReport:
+def extension_bound(rep: UnitaryRealization, cert: DvCertificate) -> BoundReport:
     """C from Q(z) at the 256th roots of unity and the per-point bound on
-    every eighth of them; Q alone, neither f nor the variety.
+    every eighth of them; Q and the rho(D) gate alone, neither f nor the
+    variety.
 
-    Raises ValueError when det Q has a zero in the closed disk or rho(D) >=
-    RHO_D_MAX.  Otherwise Q^{-1} is analytic on the closed disk, log ||Q||
+    Raises ValueError when det Q has a zero in the closed disk or rho(D) is
+    not below RHO_D_MAX.  Otherwise Q^{-1} is analytic on the closed disk, log ||Q||
     and log ||Q^{-1}|| are subharmonic, and by the maximum principle the
     condition number ||Q|| ||Q^{-1}|| takes its sup over the disk on the
     circle, which the samples stand for.
     """
-    circle, qmats, svals, c_const = _circle_q(op, 256)
+    circle, qmats, svals, c_const = _circle_q(rep, cert, 256)
     # |Qvec(z, w)| = |Q(z) (1, w, ..., w^{m-1})| on a 32 x 32 sub-grid of the torus
-    qnorm = np.linalg.norm(qmats[::8] @ _powers(circle[::8], op.rep.m), axis=1)
+    qnorm = np.linalg.norm(qmats[::8] @ _powers(circle[::8], rep.m), axis=1)
     per_point = float(np.max(np.max(qnorm, axis=1) / svals[::8, -1]))
     return BoundReport(c_const, per_point)
 
@@ -254,7 +256,7 @@ def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     too.  ``sup_F_on_bidisk`` is max |g(z_k) . (1, w, ..., w^{m-1})| over
     the grid z_k x z_k of the torus, where F, analytic on the closed bidisk,
     takes its sup.  Raises ValueError as :func:`extension_bound` does."""
-    circle, qmats, _, c_const = _circle_q(op, 128)
+    circle, qmats, _, c_const = _circle_q(op.rep, op.cert, 128)
     k, w = _torus_points(op.cert.p, circle)
     fv = op.f.evaluate(circle[k], w)
     sup_f = _max_abs(fv)

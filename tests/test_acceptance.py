@@ -239,7 +239,7 @@ def test_criterion_8_extension():
         assert abs(er.bound_C - math.sqrt(2)) <= 1e-6
         cs.append(er.bound_C)
     cert3, sample3, rep3, _ = represent(poly({(0, 3): 1, (3, 0): -1}))
-    bound3 = extension_bound(ExtensionOperator(rep3, cert3, W))
+    bound3 = extension_bound(rep3, cert3)
     assert abs(bound3.C - math.sqrt(3)) <= 1e-6
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

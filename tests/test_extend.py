@@ -16,7 +16,7 @@ from dvkit.extend import (
     sup_norm_on_variety,
     verify_extension,
 )
-from dvkit.poly2 import VectorPolynomial, transpose_vars
+from dvkit.poly2 import VectorPolynomial
 
 F_W = poly({(0, 1): 1})
 F_Z = poly({(1, 0): 1})
@@ -166,7 +166,7 @@ class TestSupNormOnTorus:
 class TestBounds:
     def test_constant_c_sqrt2(self, pipeline_z3w2):
         cert, _, rep, _ = pipeline_z3w2
-        bound = extension_bound(ExtensionOperator(rep, cert, F_W))
+        bound = extension_bound(rep, cert)
         assert abs(bound.C - math.sqrt(2)) <= 1e-6
 
     def test_constant_reads_q_alone(self, pipeline_z3w2, monkeypatch):
@@ -178,7 +178,7 @@ class TestBounds:
 
         monkeypatch.setattr(dvkit.extend, "fiber_root_pairs", refuse)
         cert, _, rep, _ = pipeline_z3w2
-        bound = extension_bound(ExtensionOperator(rep, cert, F_W))
+        bound = extension_bound(rep, cert)
         assert abs(bound.C - math.sqrt(2)) <= 1e-6
 
     def test_identity_qmatrix_gives_sqrt_m(self):
@@ -193,13 +193,13 @@ class TestBounds:
         )
         cert = DvCertificate(symmetrize(z3_minus_w2()), (1.0, 1.0), pvec, qvec, True)
         assert np.array_equal(cert.qmatrix.evaluate(0.7), np.eye(2))
-        bound = extension_bound(ExtensionOperator(rep, cert, F_W))
+        bound = extension_bound(rep, cert)
         assert abs(bound.C - math.sqrt(2)) < 1e-12
 
     def test_per_point_bound_matches_per_z_loop(self, pipeline_z3w2):
         cert, _, rep, _ = pipeline_z3w2
         grid_n = 256
-        bound = extension_bound(ExtensionOperator(rep, cert, F_W))
+        bound = extension_bound(rep, cert)
         sub = np.exp(2j * np.pi * np.arange(grid_n) / grid_n)[:: grid_n // 32]
         want = max(
             np.max(np.sqrt(norm_sq(cert.vec_q, z, sub)))
@@ -210,7 +210,7 @@ class TestBounds:
 
     def test_per_point_bound_not_above_c_times_sup(self, pipeline_z3w2):
         cert, _, rep, _ = pipeline_z3w2
-        bound = extension_bound(ExtensionOperator(rep, cert, F_W))
+        bound = extension_bound(rep, cert)
         assert bound.per_point_bound <= bound.C + 1e-9
 
     def test_ratio_bounded(self, pipeline_z3w2):
@@ -264,7 +264,7 @@ class TestBounds:
         # the realization with z and w exchanged yields its own constant;
         # both are valid
         cert, _, rep, _ = pipeline_z3w2
-        bound_t = extension_bound(ExtensionOperator(rep.swapped(), cert.swapped(), transpose_vars(F_W)))
+        bound_t = extension_bound(rep.swapped(), cert.swapped())
         best = min(math.sqrt(2), bound_t.C)
         assert best <= math.sqrt(3) + 1e-6
 
@@ -336,9 +336,10 @@ class TestAnalyticityGate:
         bad = dataclasses.replace(cert, vec_q=VectorPolynomial(prod.transpose(0, 2, 1)))
         zeros = bad.qmatrix.det_zeros_in_disk
         assert np.min(np.abs(zeros - 0.5)) < 1e-12
-        for check in (verify_extension, extension_bound):
-            with pytest.raises(ValueError, match="Qmatrix: det Q has a zero"):
-                check(ExtensionOperator(rep, bad, F_W))
+        with pytest.raises(ValueError, match="Qmatrix: det Q has a zero"):
+            verify_extension(ExtensionOperator(rep, bad, F_W))
+        with pytest.raises(ValueError, match="Qmatrix: det Q has a zero"):
+            extension_bound(rep, bad)
 
     def test_torus_singular_variety_refused(self):
         # (w - z)(w - z^2): the branches cross at (1, 1), where det Q vanishes
