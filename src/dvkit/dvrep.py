@@ -283,9 +283,11 @@ def _gram_defect(x, y) -> float:
     return float(np.max(np.abs(gx - gy))) / max(float(np.max(np.abs(gx))), 1e-300)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gram_defect(cert: DvCertificate, sample: VarietySample) -> float:
     """Relative defect of X*X = Y*Y, the sampled form of the on-variety
-    kernel identity."""
+    kernel identity.  A certificate far above the unit scale overflows to a
+    defect that is not finite, which fails the Gram gate."""
     return _gram_defect(*_stacked_maps(cert, sample))
 
 
@@ -409,6 +411,7 @@ class RepresentationReport:
         return all(checks)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_representation(
     p: BivariatePolynomial,
     cert: DvCertificate,
@@ -427,7 +430,8 @@ def verify_representation(
     every zero of det Q in the closed disk.  ``det_vs_p_rel`` compares p
     with the multiple of the block determinant that matches its largest
     coefficient, and is inf when p is zero or the determinant has no term
-    there."""
+    there.  Entries far above the unit scale overflow to residuals that are
+    not finite, which fail their gates."""
     z, w = sample.z, sample.w
     x, y = _stacked_maps(cert, sample)
     qv = x[: len(cert.vec_q)]
@@ -449,7 +453,8 @@ def verify_representation(
     bphis = phi_evaluate(rep, np.exp(2j * np.pi * np.arange(128) / 128))
     gram = np.conj(np.swapaxes(bphis, -1, -2)) @ bphis
     bdry = float(np.max(np.abs(gram - np.eye(rep.m))))
-    excess = max(0.0, math.sqrt(float(np.max(np.linalg.eigvalsh(gram)))) - 1.0)
+    # np.maximum, unlike max, keeps a NaN, so a non-finite Phi fails the gate
+    excess = float(np.maximum(0.0, np.sqrt(np.max(np.linalg.eigvalsh(gram))) - 1.0))
     sv = cert.qmatrix.min_singular_value_on_disk if cert.smooth_on_torus else None
     return RepresentationReport(
         gram_defect=_gram_defect(x, y),

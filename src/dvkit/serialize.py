@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 
 import numpy as np
 
@@ -165,8 +166,8 @@ def cert_from_obj(obj: dict, where: str = "certificate") -> SosCertificate:
         raise SchemaError(f"{where}.weights: expected [a, b] numbers or null")
     if weights is None and kind is not CertKind.COLE_WERMER:
         raise SchemaError(f"{where}.weights: a {kind.value} certificate needs [a, b]")
-    if weights is not None and (min(weights) < 0 or weights == [0, 0]):
-        raise SchemaError(f"{where}.weights: weights must be non-negative and not both zero")
+    if weights is not None and not (all(map(math.isfinite, weights)) and min(weights) >= 0 and weights != [0, 0]):
+        raise SchemaError(f"{where}.weights: weights must be finite, non-negative and not both zero")
     return SosCertificate(
         kind,
         _vec_from_obj(_required(obj, "vec_first", where), f"{where}.vec_first"),
@@ -203,7 +204,9 @@ def dv_cert_from_obj(obj: dict, where: str = "certificate") -> DvCertificate:
             if any(d > b for d, b in zip(comp.true_degree(), bound)):
                 raise SchemaError(f"{where}.{key}: degree exceeds {bound} at component {k}")
         vecs.append(vec.with_degree(bound))
-    smooth = bool(obj.get("smooth_on_torus", True))
+    smooth = obj.get("smooth_on_torus", True)
+    if not isinstance(smooth, bool):
+        raise SchemaError(f"{where}.smooth_on_torus: expected true or false, got {json.dumps(smooth)}")
     # false loosens the Gram gate and skips the Qmatrix gate, so it is checked
     if not smooth and torus_singularities(p).smooth_on_torus:
         raise SchemaError(
@@ -229,10 +232,10 @@ def realization_to_obj(
 def realization_from_obj(obj: dict, where: str = "realization"):
     if not isinstance(obj, dict) or obj.get("kind") != "realization":
         raise SchemaError(f"{where}.kind: expected a realization document")
-    try:
-        m, n = int(obj["m"]), int(obj["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}.m/n: missing block sizes") from exc
+    for key in ("m", "n"):
+        if not _is_count(_required(obj, key, where)):
+            raise SchemaError(f"{where}.{key}: expected a non-negative integer, got {json.dumps(obj[key])}")
+    m, n = int(obj["m"]), int(obj["n"])
     rows = _required(obj, "U", where)
     if not (
         isinstance(rows, list)

@@ -37,6 +37,7 @@ from dvkit.poly2 import (
     reflected_derivatives,
     swap_transform,
     symmetrize,
+    symmetry_analysis,
     transpose_vars,
 )
 
@@ -358,6 +359,28 @@ class TestClassification:
         zc = classify_zero_set(p)
         assert zc.label is ZeroLabel.INDETERMINATE
         assert len(zc.witnesses) > 0
+
+    def test_symmetric_with_fibers_off_the_circle_is_indeterminate(self):
+        # (2w - 1)(2 - w) is torus-symmetric, but its w-fibers keep the roots
+        # 1/2 and 2 off the circle: the sampled fiber check refuses both
+        # symmetric labels, and the sweep finds zeros on w = 1/2
+        p = poly({(0, 1): 2, (0, 0): -1}) * poly({(0, 0): 2, (0, 1): -1})
+        assert symmetry_analysis(p).is_symmetric
+        zc = classify_zero_set(p)
+        assert zc.label is ZeroLabel.INDETERMINATE
+        assert len(zc.witnesses) == 16
+        assert all(abs(w - 0.5) <= 1e-12 for _, w in zc.witnesses)
+
+    def test_symmetric_with_split_fiber_at_zero_is_indeterminate(self):
+        # (w - z)(1 - zw) passes both circle checks unproven, but its fiber
+        # at z = 0 is w alone: one root in the disk of the m = 2 a fiber has
+        # elsewhere, so the count there gives neither m nor 0
+        p = poly({(0, 1): 1, (1, 0): -1}) * poly({(0, 0): 1, (1, 1): -1})
+        assert symmetry_analysis(p).is_symmetric
+        zc = classify_zero_set(p)
+        assert zc.label is ZeroLabel.INDETERMINATE
+        assert zc.witnesses
+        assert all(abs(z) + abs(w) <= 1e-12 for z, w in zc.witnesses)
 
     def test_swap_duality_both_directions(self):
         for p in (z3_minus_w2(), w3_minus_z2(), blaschke_dv(2, [0.4, -0.2]), derived_dv_poly(z3_minus_w2())):

@@ -472,6 +472,56 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["residual"] is None and out["passed"] is False
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_verify_dv_certificate_non_finite_weight_exit_1(self, realization_doc, tmp_path, capsys, weight):
+        # Python's json reads the NaN and Infinity tokens; a certificate
+        # carrying them is refused on load, as --a and --b are
+        poly_path, doc = realization_doc
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(dict(doc["cert"], weights=[weight, 1.0])))
+        assert main(["verify", str(cert_path), poly_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cert_path}.weights:" in captured.err
+
+    @pytest.mark.parametrize("edit", ["scaled", "overflowing"])
+    def test_verify_dv_certificate_failing_gram_gate_exit_2(self, realization_doc, tmp_path, capsys, edit):
+        # one vec_first component scaled by 1.1 breaks X*X = Y*Y; a
+        # coefficient of 1e308 overflows the Gram matrices to a defect that
+        # is not finite, which fails the gate too
+        poly_path, doc = realization_doc
+        cert = json.loads(json.dumps(doc["cert"]))
+        rows = cert["vec_first"][0]["coeffs"]
+        if edit == "scaled":
+            for row in rows:
+                for pair in row:
+                    pair[:] = [1.1 * x for x in pair]
+        else:
+            rows[0][0] = [1e308, 1e308]
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        assert main(["verify", str(cert_path), poly_path]) == 2
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["gram_equality"] is False and out["passed"] is False
+        assert captured.err == ""
+
+    def test_verify_overflowing_unitary_exit_2(self, realization_doc, tmp_path, capsys):
+        # an entry of 1e300 overflows U^H U and Phi^H Phi: those residuals
+        # read null and fail, and no numpy warning reaches stderr
+        poly_path, doc = realization_doc
+        doc = json.loads(json.dumps(doc))
+        doc["U"][0][0] = [1e300, 0.0]
+        bad_path = tmp_path / "rep.json"
+        bad_path.write_text(json.dumps(doc))
+        assert main(["verify", str(bad_path), poly_path]) == 2
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert out["passed"] is False
+        for key in ("unitarity", "boundary_unitarity", "contractivity_excess"):
+            assert out[key] is None
+        assert captured.err == ""
+
     @pytest.mark.parametrize("r, k", [(1.1, 4), (1.5, 7)])
     def test_sos_gate_miss_names_repeated_factor(self, tmp_path, capsys, r, k):
         # a root of multiplicity k near the circle costs the moments their

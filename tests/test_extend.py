@@ -341,6 +341,12 @@ class TestAnalyticityGate:
         with pytest.raises(ValueError, match="Qmatrix: det Q has a zero"):
             extension_bound(rep, bad)
 
+    def test_operator_refuses_mismatched_m(self, pipeline_z3w2):
+        # the swapped realization has m = 3 where the certificate has 2
+        cert, _, rep, _ = pipeline_z3w2
+        with pytest.raises(ValueError, match="certificate and realization disagree on m"):
+            ExtensionOperator(rep.swapped(), cert, F_W)
+
     def test_torus_singular_variety_refused(self):
         # (w - z)(w - z^2): the branches cross at (1, 1), where det Q vanishes
         p = poly({(0, 2): 1, (1, 1): -1, (2, 1): -1, (3, 0): 1})

@@ -243,6 +243,41 @@ def test_false_smooth_on_torus_claim_exit_1(realization_doc, tmp_path, capsys, c
     assert f"{bad}.cert.smooth_on_torus: false, but {bad}.cert.poly has no singular point" in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "extend"])
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("m",), 2.5),
+        (("m",), True),
+        (("n",), "3"),
+        (("cert", "smooth_on_torus"), "false"),
+        (("cert", "smooth_on_torus"), 0),
+    ],
+    ids=["fractional_m", "boolean_m", "string_n", "string_flag", "integer_flag"],
+)
+def test_block_size_or_flag_of_the_wrong_type_exit_1(realization_doc, tmp_path, capsys, command, path, value):
+    # the block sizes are JSON integers and smooth_on_torus a JSON boolean:
+    # 2.5 would truncate to 2, true would count as 1 and "false" as true
+    def edit(doc):
+        target = doc
+        for part in path[:-1]:
+            target = target[part]
+        target[path[-1]] = value
+
+    code, captured, bad = run_on_edited(realization_doc, tmp_path, capsys, command, edit)
+    assert code == 1
+    assert captured.out == ""
+    assert f"{bad}.{'.'.join(path)}: expected" in captured.err
+
+
+def test_missing_smooth_on_torus_reads_true(realization_doc, tmp_path, capsys):
+    code, captured, _ = run_on_edited(
+        realization_doc, tmp_path, capsys, "verify", lambda doc: doc["cert"].pop("smooth_on_torus")
+    )
+    assert code == 0
+    assert json.loads(captured.out)["smooth_on_torus"] is True
+
+
 LEGACY = {
     # documents written while certificates still carried their matrix forms
     # ("matrix_first", "matrix_second") and a null "residual"
