@@ -176,10 +176,10 @@ def extension_bound(rep: UnitaryRealization, cert: DvCertificate) -> BoundReport
     variety.
 
     Raises ValueError when det Q has a zero in the closed disk or rho(D) is
-    not below RHO_D_MAX.  Otherwise Q^{-1} is analytic on the closed disk, log ||Q||
-    and log ||Q^{-1}|| are subharmonic, and by the maximum principle the
-    condition number ||Q|| ||Q^{-1}|| takes its sup over the disk on the
-    circle, which the samples stand for.
+    not below RHO_D_MAX.  Otherwise Q^{-1} is analytic on the closed disk,
+    log ||Q|| and log ||Q^{-1}|| are subharmonic, and by the maximum
+    principle the condition number ||Q|| ||Q^{-1}|| takes its sup over the
+    disk on the circle, which the samples stand for.
     """
     circle, qmats, svals, c_const = _circle_q(rep, cert, 256)
     # |Qvec(z, w)| = |Q(z) (1, w, ..., w^{m-1})| on a 32 x 32 sub-grid of the torus

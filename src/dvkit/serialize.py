@@ -166,7 +166,10 @@ def cert_from_obj(obj: dict, where: str = "certificate") -> SosCertificate:
         raise SchemaError(f"{where}.weights: expected [a, b] numbers or null")
     if weights is None and kind is not CertKind.COLE_WERMER:
         raise SchemaError(f"{where}.weights: a {kind.value} certificate needs [a, b]")
-    if weights is not None and not (all(map(math.isfinite, weights)) and min(weights) >= 0 and weights != [0, 0]):
+    # Python's json reads NaN and Infinity, which no certificate can carry
+    if weights is not None and not (
+        all(map(math.isfinite, weights)) and min(weights) >= 0 and weights != [0, 0]
+    ):
         raise SchemaError(f"{where}.weights: weights must be finite, non-negative and not both zero")
     return SosCertificate(
         kind,

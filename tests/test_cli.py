@@ -506,6 +506,22 @@ class TestCliCommands:
         assert out["gram_equality"] is False and out["passed"] is False
         assert captured.err == ""
 
+    def test_verify_dv_certificate_without_variety_sample_exit_2(self, tmp_path, capsys):
+        # w - 2 has no zero in the bidisk, so there is no sample to read the
+        # Gram identity on; the failure names the sample, as for a realization
+        p = poly({(0, 0): -2, (0, 1): 1})
+        path = write_poly(tmp_path, "p.json", p)
+        cert = {
+            "schema": "dvkit/1", "kind": "DV", "weights": [1.0, 1.0], "poly": poly_to_obj(p),
+            "vec_first": [], "vec_second": [poly_to_obj(poly({(0, 0): 1}))],
+        }
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(dumps(cert))
+        assert main(["verify", str(cert_path), path]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False
+        assert out["error"].startswith("insufficient span")
+
     def test_verify_overflowing_unitary_exit_2(self, realization_doc, tmp_path, capsys):
         # an entry of 1e300 overflows U^H U and Phi^H Phi: those residuals
         # read null and fail, and no numpy warning reaches stderr
