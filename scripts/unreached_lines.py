@@ -90,16 +90,20 @@ def _run_tests() -> int:
         os.chdir(cwd)
 
 
-def unreached(reached: set[tuple[str, int]]) -> list[tuple[Path, int, str]]:
+def unreached(reached: set[tuple[str, int]]) -> tuple[list[tuple[Path, int, str]], int]:
     """(file, line, source) of every executable package line not in
-    ``reached``, in file and line order."""
-    rows = []
+    ``reached``, in file and line order, and the count of executable lines."""
+    rows, total = [], 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8").splitlines()
-        for line in sorted(executable_lines(path)):
-            if (str(path), line) not in reached:
-                rows.append((path, line, source[line - 1].strip()))
-    return rows
+        lines = executable_lines(path)
+        total += len(lines)
+        rows += [
+            (path, line, source[line - 1].strip())
+            for line in sorted(lines)
+            if (str(path), line) not in reached
+        ]
+    return rows, total
 
 
 def main(argv=None) -> int:
@@ -118,8 +122,7 @@ def main(argv=None) -> int:
             digest.digest_dir(directory)
         if args.tests and _run_tests() != 0:
             print("unreached_lines: the test suite failed", file=sys.stderr)
-    rows = unreached(tracer.reached)
-    total = sum(len(executable_lines(p)) for p in PACKAGE.glob("*.py"))
+    rows, total = unreached(tracer.reached)
     for path, line, text in rows:
         print(f"{path.relative_to(ROOT)}:{line}: {text}")
     print(f"unreached_lines: {total - len(rows)} of {total} executable lines reached", file=sys.stderr)
