@@ -221,21 +221,19 @@ def dv_certificate(
 
 
 def sample_variety(p: BivariatePolynomial) -> VarietySample:
-    """Variety points inside the bidisk: fiber roots over jittered circles of
-    z, Newton-polished in w to residual <= 1e-12 * scale.  For p of degree
-    (n, m) the circles |z| in SAMPLE_RADII carry enough equispaced z, each
-    circle turned by a random angle from SAMPLE_SEED, for at least 3(n + m)
-    + 10 points on a distinguished variety, whose fibers over the disk keep
-    all m roots inside it.  Once the points span C^{n+m} the isometry they
-    fix does not depend on where they lie, so one layout serves every
-    input.
+    """Variety points inside the bidisk: the fiber roots over jittered circles
+    of z that lie in the disk.  For p of degree (n, m) the circles |z| in
+    SAMPLE_RADII carry enough equispaced z, each circle turned by a random
+    angle from SAMPLE_SEED, for at least 3(n + m) + 10 points on a
+    distinguished variety, whose fibers over the disk keep all m roots
+    inside it.  Once the points span C^{n+m} the isometry they fix does not
+    depend on where they lie, so one layout serves every input.
 
-    All fibers go through one batched root solve and all roots inside the
-    disk through one array Newton iteration; a root stops when |p| <= 1e-13
-    * scale or |p_w| < 1e-14 * scale, after at most 50 steps.  Points come
-    in the order radius, angle, root."""
+    All fibers go through one batched companion root solve.  The roots are
+    not polished: a root is kept when |p| <= 1e-12 * scale there, and one
+    that misses the gate, or whose residual overflows, is dropped, never
+    used.  Points come in the order radius, angle, root."""
     rng = np.random.default_rng(SAMPLE_SEED)
-    pw = p.partial_w()
     scale = max(p.scale, 1e-300)
     n, m = p.degree
     radii = np.array(SAMPLE_RADII)
@@ -246,19 +244,9 @@ def sample_variety(p: BivariatePolynomial) -> VarietySample:
     k, w = fiber_root_pairs(p, zs)
     inside = np.abs(w) < 1.0
     z, w = zs[k[inside]], w[inside]
-    active = np.arange(len(w))
-    # A root far from the variety may diverge; it fails the gate.
-    with np.errstate(all="ignore"):
-        for _ in range(50):
-            if not len(active):
-                break
-            val = p.evaluate(z[active], w[active])
-            dw = pw.evaluate(z[active], w[active])
-            moving = ~(np.abs(val) <= 1e-13 * scale) & ~(np.abs(dw) < 1e-14 * scale)
-            active = active[moving]
-            w[active] = w[active] - val[moving] / dw[moving]
+    with np.errstate(over="ignore", invalid="ignore"):
         vals = np.abs(p.evaluate(z, w))
-    keep = (vals <= 1e-12 * scale) & (np.abs(w) < 1.0)
+    keep = vals <= 1e-12 * scale
     if int(np.sum(keep)) < n + m:
         raise IsometryError(
             f"insufficient span: found {int(np.sum(keep))} variety points, need {n + m}"

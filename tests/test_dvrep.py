@@ -1,6 +1,8 @@
 import functools
+import importlib.util
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from conftest import (
     z3_minus_w2,
 )
 from dvkit.dvrep import (
+    SAMPLE_RADII,
     IsometryError,
     UnitaryRealization,
     det_representation,
@@ -32,6 +35,16 @@ from dvkit.poly2 import BivariatePolynomial, VectorPolynomial, blaschke_dv, symm
 from dvkit.soscert import verify_certificate
 
 DV_CORPUS = dv_corpus()
+
+
+@functools.cache
+def degree_survey():
+    """scripts/degree_survey.py as a module, for its Haar variety generator."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "degree_survey.py"
+    spec = importlib.util.spec_from_file_location("degree_survey", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestDvCertificate:
@@ -134,6 +147,19 @@ class TestSampleVariety:
         got = sample_variety(p)
         assert len(got) == len(want)
         assert max(abs(a - c) + abs(b - d) for (a, b), (c, d) in zip(got.points, want)) < 1e-12
+
+    @pytest.mark.parametrize("d", [8, 12, 16, 20])
+    def test_companion_roots_need_no_polish(self, d):
+        # on the generated Haar varieties of scripts/degree_survey.py every
+        # fiber over the sample circles keeps its m roots in the disk, and
+        # the companion roots meet p to 1e-13 * scale unpolished
+        p = symmetrize(degree_survey().haar_variety(d, 1))
+        n, m = p.degree
+        sample = sample_variety(p)
+        per = max(4, int(np.ceil((3 * (n + m) + 10) / (len(SAMPLE_RADII) * m))) + 1)
+        _, counts = np.unique(sample.z, return_counts=True)
+        assert len(counts) == per * len(SAMPLE_RADII) and set(counts.tolist()) == {m}
+        assert np.max(sample.residuals) <= 1e-13 * p.scale
 
     def test_insufficient_span_raises(self):
         # w - 2 has no fiber root in the disk
