@@ -5,8 +5,9 @@
 
 Every dvkit/1 polynomial document in DIR (``*.json`` with kind
 "polynomial") goes through ``classify``, ``reflect``, ``sos``, ``represent``,
-``extend --no-swap`` and ``extend`` with its default swap check (command
-``extend_swap``), both with f = w, and ``verify`` of the written
+``extend --no-swap``, ``extend`` with its default swap check (command
+``extend_swap``) and ``extend --no-swap --expand`` (command
+``extend_expand``), all with f = w, and ``verify`` of the written
 realization, each run in-process through ``dvkit.cli.main``; the extensions
 and ``verify`` run only when ``represent`` exits 0.  Documents are also read
 back: ``sos_verify`` is ``verify`` of the certificate ``sos -o`` wrote,
@@ -132,6 +133,7 @@ def digest_dir(directory, dump_dir=None):
                 for command, argv in (
                     ("extend", ["extend", rep, "f_w.json", "--no-swap"]),
                     ("extend_swap", ["extend", rep, "f_w.json"]),
+                    ("extend_expand", ["extend", rep, "f_w.json", "--no-swap", "--expand"]),
                     ("verify", ["verify", rep, path]),
                     ("verify_dv", ["verify", dv, path]),
                 ):

@@ -417,8 +417,9 @@ def verify_representation(
     fails otherwise.  ``qmatrix_min_sv`` is read at z = 0, 64 circle points and
     every zero of det Q in the closed disk.  ``det_vs_p_rel`` compares p
     with the multiple of the block determinant that matches its largest
-    coefficient, and is inf when p is zero or the determinant has no term
-    there.  Entries far above the unit scale overflow to residuals that are
+    coefficient, over the coefficients of both degrees, so a determinant
+    term beyond p's degree counts against it; it is inf when p is zero or
+    the determinant has no term there.  Entries far above the unit scale overflow to residuals that are
     not finite, which fail their gates."""
     z, w = sample.z, sample.w
     x, y = _stacked_maps(cert, sample)
@@ -428,10 +429,8 @@ def verify_representation(
     det_vals = np.linalg.det(w[:, None, None] * np.eye(rep.m) - phis)
     eig_vals = np.abs(np.einsum("kij,jk->ik", phis, qv) - w * qv)
     det_poly = det_representation(rep)
-    pv = p.coeffs
-    dv = det_poly.with_degree(
-        (max(p.degree[0], det_poly.degree[0]), max(p.degree[1], det_poly.degree[1]))
-    ).coeffs[: pv.shape[0], : pv.shape[1]]
+    both = tuple(max(a, b) for a, b in zip(p.degree, det_poly.degree))
+    pv, dv = p.with_degree(both).coeffs, det_poly.with_degree(both).coeffs
     imax = np.unravel_index(np.argmax(np.abs(pv)), pv.shape)
     if dv[imax] == 0 or pv[imax] == 0:
         det_rel = math.inf

@@ -208,8 +208,9 @@ def expand_extension(op: ExtensionOperator):
 
     F itself stays an evaluator; this expansion exists for inspection and
     serialization only.  Both parts are recovered by evaluation on
-    roots-of-unity nodes and exact inverse DFT, then trimmed of trailing
-    coefficients at or below 1e-12 of the largest."""
+    roots-of-unity nodes and exact inverse DFT; every coefficient at or
+    below 1e-12 of the part's largest is then set to zero, and the trailing
+    zeros are trimmed."""
     m, n = op.rep.m, op.rep.n
     fz, fw = op.f.degree
     dz_deg = m * n + fw * n
@@ -226,13 +227,13 @@ def expand_extension(op: ExtensionOperator):
     ws2 = np.exp(2j * np.pi * np.arange(m) / max(m, 1))
     fvals = op.evaluate_grid(zs2, ws2) * denom_at(zs2)[:, None]
     num_coeffs = np.fft.fft2(fvals) / ((nz_deg + 1) * max(m, 1))
-    numerator = BivariatePolynomial(num_coeffs)
-    denominator = BivariatePolynomial(den_coeffs[:, None])
-    tn = numerator.true_degree(1e-12)
-    td = denominator.true_degree(1e-12)
-    numerator = BivariatePolynomial(numerator.coeffs[: tn[0] + 1, : tn[1] + 1])
-    denominator = BivariatePolynomial(denominator.coeffs[: td[0] + 1, :1])
-    return numerator, denominator
+
+    def cut(coeffs):
+        part = BivariatePolynomial(np.where(np.abs(coeffs) > 1e-12 * np.max(np.abs(coeffs)), coeffs, 0))
+        tz, tw = part.true_degree()
+        return BivariatePolynomial(part.coeffs[: tz + 1, : tw + 1])
+
+    return cut(num_coeffs), cut(den_coeffs[:, None])
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ import dvkit.cli
 
 from conftest import (
     four_minus_z_minus_w,
+    haar_dv,
+    haar_unitary,
     max_coeff_distance,
     poly,
     two_minus_z_minus_w,
@@ -16,6 +18,8 @@ from conftest import (
 )
 from dvkit.cli import main
 from dvkit.dvrep import represent
+from dvkit.extend import ExtensionOperator
+from dvkit.poly2 import BivariatePolynomial
 from dvkit.serialize import (
     SchemaError,
     cert_from_obj,
@@ -655,6 +659,22 @@ class TestCliCommands:
         assert out["kind"] == "realization" and out["passed"] is False
         assert out["det_vs_p_rel"] is None and captured.err == ""
 
+    @pytest.mark.parametrize("case", ["mobius_vs_half_z", "haar_3x3_truncated"])
+    def test_verify_against_lower_degree_polynomial_exit_2(self, tmp_path, capsys, case):
+        # the block determinant keeps its terms beyond the degree of the
+        # polynomial it is checked against, and they count against it
+        if case == "mobius_vs_half_z":
+            p, other = dvkit.cli.demo_corpus()["blaschke_m2_mobius"], poly({(1, 0): 0.5})
+        else:
+            grid = haar_dv(haar_unitary(np.random.default_rng(3), 6), 3, 3)
+            p, other = BivariatePolynomial(grid), BivariatePolynomial(grid[:-1, :-1])
+        rep_path = tmp_path / "rep.json"
+        assert main(["represent", write_poly(tmp_path, "p.json", p), "-o", str(rep_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(rep_path), write_poly(tmp_path, "other.json", other)]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False and out["det_vs_p_rel"] > 0.1
+
     def test_extend_refuses_unimodular_d_eigenvalue_exit_2(self, realization_doc, tmp_path, capsys):
         # rho(D) = 1: Phi may have a pole on the closed disk, so the torus no
         # longer bounds F and extend refuses before any check
@@ -688,6 +708,23 @@ class TestCliCommands:
         assert out["passed"] is True
         assert out["C_swapped"] is None and "C_best" not in out
         assert out["swap_error"].startswith("realization: D has spectral radius 1")
+
+    def test_extend_expand_prints_no_rounding_noise(self, realization_doc, tmp_path, capsys):
+        # f = w on z^3 - w^2 extends to F = w: the numerator is c w, with
+        # every other coefficient exactly zero
+        _, doc = realization_doc
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(dumps(doc))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        assert main(["extend", str(rep_path), f_path, "--expand"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        num, den = poly_from_obj(out["numerator"]), poly_from_obj(out["denominator"])
+        assert num.coeffs[0, 1] != 0 and np.count_nonzero(num.coeffs) == 1
+        rep, cert = realization_from_obj(doc)
+        op = ExtensionOperator(rep, cert, poly({(0, 1): 1}))
+        t = np.exp(2j * np.pi * np.arange(16) / 16)
+        z, w = t[:, None], t[None, :]
+        assert np.max(np.abs(num.evaluate(z, w) / den.evaluate(z, 0) - op.evaluate(z, w))) <= 1e-10
 
     def test_extend_swap_reruns_no_pipeline(self, realization_doc, tmp_path, capsys, monkeypatch):
         # C_swapped comes from the document's own realization and certificate

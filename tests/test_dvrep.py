@@ -194,6 +194,22 @@ class TestLurkingIsometry:
         with pytest.raises(IsometryError):
             lurking_isometry(broken, sample)
 
+    def test_completion_below_full_rank(self, pipeline_z3w2):
+        # m + n - 1 points are too few for the saturation check, and they
+        # span less than m + n: the two roots over each z share the
+        # direction of w in X = sqrt(5) (1, w, z, z^2, z^3) up to a unitary,
+        # so the missing columns come from the completion
+        cert, sample, _, _ = pipeline_z3w2
+        k = len(cert.vec_q) + len(cert.vec_p) - 1
+        thin = type(sample)(sample.z[:k], sample.w[:k], sample.residuals[:k])
+        rep = lurking_isometry(cert, thin)
+        qv, pv = cert.vec_q.evaluate(thin.z, thin.w), cert.vec_p.evaluate(thin.z, thin.w)
+        x = np.vstack([qv, thin.z * pv])
+        y = np.vstack([thin.w * qv, pv])
+        assert np.linalg.matrix_rank(x, 1e-8 * np.linalg.norm(x, 2)) == k - 1
+        assert rep.unitarity_defect() <= 1e-12
+        assert np.linalg.norm(rep.U @ x - y) <= 1e-12 * np.linalg.norm(y)
+
     def test_unsaturated_rank_names_both_ranks(self, pipeline_z3w2):
         # 30 copies of one point, then 10 others: the rank still grows in
         # the last 10 points
