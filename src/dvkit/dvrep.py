@@ -419,8 +419,8 @@ def verify_representation(
     with the multiple of the block determinant that matches its largest
     coefficient, over the coefficients of both degrees, so a determinant
     term beyond p's degree counts against it; it is inf when p is zero or
-    the determinant has no term there.  Entries far above the unit scale overflow to residuals that are
-    not finite, which fail their gates."""
+    the determinant has no term there.  Entries far above the unit scale
+    overflow to residuals that are not finite, which fail their gates."""
     z, w = sample.z, sample.w
     x, y = _stacked_maps(cert, sample)
     qv = x[: len(cert.vec_q)]
