@@ -27,7 +27,10 @@ SEEDS = (1, 2)
 
 
 def haar_unitary(rng, size):
-    """Haar-distributed unitary: QR of a complex Gaussian, phases fixed."""
+    """Haar-distributed unitary: QR of a complex Gaussian, phases fixed.
+
+    ``tests/conftest.py`` loads this copy, so the tests and the survey
+    share one generator."""
     g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     q, r = np.linalg.qr(g)
     d = np.diag(r)

@@ -2,8 +2,8 @@
 """Survey extension constants over the family w^m = b(z).
 
 For each curve the pipeline builds the determinantal representation, then
-reports the constant C = sqrt(m) sup ||Q^{-1}|| ||Q||, the sharper per-point
-bound, and the constant of the same realization with z and w exchanged.
+reports the constant C = sqrt(m) sup ||Q^{-1}|| ||Q|| and the constant of
+the same realization with z and w exchanged.
 Monomial Blaschke products come out at exactly sqrt(m); the table shows how
 far general numerator/denominator pairs drift from that floor.
 
@@ -26,20 +26,17 @@ def survey():
         cases.append(
             (f"w^{m} = B(z), zeros 0.4, -0.3i", blaschke_dv(m, [0.4, -0.3j]))
         )
-    print(f"{'curve':34s} {'m':>2s} {'C':>12s} {'C_swapped':>12s} {'sqrt(m)':>9s} {'per-point':>10s}")
+    print(f"{'curve':34s} {'m':>2s} {'C':>12s} {'C_swapped':>12s} {'sqrt(m)':>9s}")
     for name, p in cases:
         cert, sample, rep, report = represent(p)
-        bound = extension_bound(rep, cert)
+        c = extension_bound(rep, cert).C
         try:
             c_sw = extension_bound(rep.swapped(), cert.swapped()).C
             swapped = f"{c_sw:12.6f}"
         except ValueError:
             swapped = "        --  "
         m = len(cert.vec_q)
-        print(
-            f"{name:34s} {m:2d} {bound.C:12.6f} {swapped} {math.sqrt(m):9.6f} "
-            f"{bound.per_point_bound:10.6f}"
-        )
+        print(f"{name:34s} {m:2d} {c:12.6f} {swapped} {math.sqrt(m):9.6f}")
 
 
 if __name__ == "__main__":

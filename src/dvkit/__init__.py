@@ -5,20 +5,4 @@ representations of distinguished varieties, and bounded analytic extension
 with explicit constants.
 """
 
-from .poly2 import (
-    BivariatePolynomial,
-    VectorPolynomial,
-    MatrixPolynomial,
-    SymmetryKind,
-    SymmetryResult,
-    reflect,
-    reflected_derivatives,
-    symmetry_analysis,
-    symmetrize,
-    swap_transform,
-    transpose_vars,
-    derived_dv_poly,
-    derived_symmetric_poly,
-)
-
 __version__ = "0.1.0"

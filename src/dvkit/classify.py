@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .poly2 import BivariatePolynomial, symmetry_analysis, transpose_vars
+from .poly2 import BivariatePolynomial, roots_of_unity, symmetry_analysis, transpose_vars
 
 __all__ = [
     "ZeroLabel",
@@ -413,7 +413,7 @@ def torus_singularities(p: BivariatePolynomial) -> SingularityReport:
     fz, fw = p.partial_z(), p.partial_w()
     fzz, fzw, fww = fz.partial_z(), fz.partial_w(), fw.partial_w()
     scale = p.scale
-    circle = np.exp(1j * (2 * np.pi * np.arange(TORUS_SWEEP) / TORUS_SWEEP))
+    circle = roots_of_unity(TORUS_SWEEP)
     k, w = fiber_root_pairs(p, circle)
     near = np.abs(np.abs(w) - 1.0) <= 1e-2
     z, w = circle[k[near]], w[near]
@@ -503,9 +503,7 @@ def _multiple_fiber_root(p):
                 return None
             first = first or (complex(z), complex(np.nan), p.degree[1])
             continue
-        circle = np.exp(2j * np.pi * np.arange(32) / 32) * max(
-            1.0, np.max(np.abs(roots))
-        )
+        circle = roots_of_unity(32) * max(1.0, np.max(np.abs(roots)))
         ref = max(float(np.max(np.abs(pw.evaluate(z, circle)))), 1e-300)
         slope = np.abs(pw.evaluate(z, roots))
         if np.min(slope) > SQUAREFREE_TOL * ref:

@@ -204,7 +204,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sample = sample_variety(cert.p)
         report = verify_representation(p, cert, rep, sample)
         obj.update(_report_obj(report))
-    elif kind in {k.value for k in CertKind}:
+    elif isinstance(kind, str) and kind in {k.value for k in CertKind}:
         dv = ser.dv_cert_from_obj(artifact, where) if kind == CertKind.DV.value else None
         cert = dv.as_sos() if dv is not None else ser.cert_from_obj(artifact, where)
         report = verify_certificate(p, cert)

@@ -30,6 +30,7 @@ from .poly2 import (
     BivariatePolynomial,
     MatrixPolynomial,
     VectorPolynomial,
+    roots_of_unity,
     swap_transform,
     symmetrize,
     transpose_vars,
@@ -49,7 +50,6 @@ __all__ = [
     "det_representation",
     "verify_representation",
     "represent",
-    "shift_realization",
 ]
 
 # Singular values of the stacked sample map at or below this fraction of
@@ -341,8 +341,8 @@ def det_representation(rep: UnitaryRealization) -> BivariatePolynomial:
     The determinant has degree at most (n, m), so evaluation on roots-of-
     unity nodes followed by a 2-D inverse FFT reconstructs it exactly."""
     m, n = rep.m, rep.n
-    zs = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))
-    ws = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))
+    zs = roots_of_unity(n + 1)
+    ws = roots_of_unity(m + 1)
     mats = np.zeros((n + 1, m + 1, m + n, m + n), dtype=np.complex128)
     mats[:, :, :m, :m] = rep.A - ws[None, :, None, None] * np.eye(m)
     mats[:, :, :m, m:] = zs[:, None, None, None] * rep.B
@@ -351,17 +351,6 @@ def det_representation(rep: UnitaryRealization) -> BivariatePolynomial:
     dets = np.linalg.det(mats)
     coeffs = np.fft.fft2(dets) / ((n + 1) * (m + 1))
     return BivariatePolynomial(coeffs)
-
-
-def shift_realization(m: int, n: int) -> UnitaryRealization:
-    """Cyclic-shift unitary whose transfer function is the companion inner
-    function [[0, I_{m-1}], [z^n, 0]]; realizes the curve w^m = z^n."""
-    size = m + n
-    u = np.zeros((size, size), dtype=np.complex128)
-    for i in range(size - 1):
-        u[i, i + 1] = 1.0
-    u[size - 1, 0] = 1.0
-    return UnitaryRealization(m, n, u)
 
 
 @dataclass(frozen=True)
@@ -437,7 +426,7 @@ def verify_representation(
     else:
         lam = pv[imax] / dv[imax]
         det_rel = float(np.max(np.abs(lam * dv - pv))) / float(np.max(np.abs(pv)))
-    bphis = phi_evaluate(rep, np.exp(2j * np.pi * np.arange(128) / 128))
+    bphis = phi_evaluate(rep, roots_of_unity(128))
     gram = np.conj(np.swapaxes(bphis, -1, -2)) @ bphis
     bdry = float(np.max(np.abs(gram - np.eye(rep.m))))
     # np.maximum, unlike max, keeps a NaN, so a non-finite Phi fails the gate

@@ -32,7 +32,7 @@ import numpy as np
 
 from .classify import fiber_root_pairs
 from .dvrep import RHO_D_MAX, DvCertificate, UnitaryRealization, phi_evaluate
-from .poly2 import BivariatePolynomial, horner
+from .poly2 import BivariatePolynomial, horner, roots_of_unity
 
 __all__ = [
     "ExtensionOperator",
@@ -113,15 +113,9 @@ class ExtensionOperator:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Extension constant C = sqrt(m) sup ||Q^{-1}|| ||Q|| and the sharper
-    per-point bound sup ||Q(z)^{-1}|| |Qvec(z, w)|."""
+    """Extension constant C = sqrt(m) sup ||Q^{-1}|| ||Q||."""
 
     C: float
-    per_point_bound: float
-
-
-def _roots_of_unity(count: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(count) / count)
 
 
 def _max_abs(values) -> float:
@@ -152,14 +146,14 @@ def _require_analytic(rep: UnitaryRealization, cert: DvCertificate) -> None:
 
 
 def _circle_q(rep: UnitaryRealization, cert: DvCertificate, grid_n: int):
-    """The ``grid_n``-th roots of unity z_k, Q(z_k), the singular values of
-    each Q(z_k) and C = sqrt(m) max_k ||Q(z_k)|| ||Q(z_k)^{-1}||, once
+    """The ``grid_n``-th roots of unity z_k, Q(z_k) and
+    C = sqrt(m) max_k ||Q(z_k)|| ||Q(z_k)^{-1}||, once
     :func:`_require_analytic` passes."""
     _require_analytic(rep, cert)
-    circle = _roots_of_unity(grid_n)
+    circle = roots_of_unity(grid_n)
     qmats = cert.qmatrix.evaluate(circle)
     svals = np.linalg.svd(qmats, compute_uv=False)
-    return circle, qmats, svals, math.sqrt(rep.m) * float(np.max(svals[:, 0] / svals[:, -1]))
+    return circle, qmats, math.sqrt(rep.m) * float(np.max(svals[:, 0] / svals[:, -1]))
 
 
 def _torus_points(p: BivariatePolynomial, circle: np.ndarray):
@@ -171,9 +165,8 @@ def _torus_points(p: BivariatePolynomial, circle: np.ndarray):
 
 
 def extension_bound(rep: UnitaryRealization, cert: DvCertificate) -> BoundReport:
-    """C from Q(z) at the 256th roots of unity and the per-point bound on
-    every eighth of them; Q and the rho(D) gate alone, neither f nor the
-    variety.
+    """C from Q(z) at the 256th roots of unity; Q and the rho(D) gate
+    alone, neither f nor the variety.
 
     Raises ValueError when det Q has a zero in the closed disk or rho(D) is
     not below RHO_D_MAX.  Otherwise Q^{-1} is analytic on the closed disk,
@@ -181,11 +174,8 @@ def extension_bound(rep: UnitaryRealization, cert: DvCertificate) -> BoundReport
     principle the condition number ||Q|| ||Q^{-1}|| takes its sup over the
     disk on the circle, which the samples stand for.
     """
-    circle, qmats, svals, c_const = _circle_q(rep, cert, 256)
-    # |Qvec(z, w)| = |Q(z) (1, w, ..., w^{m-1})| on a 32 x 32 sub-grid of the torus
-    qnorm = np.linalg.norm(qmats[::8] @ _powers(circle[::8], rep.m), axis=1)
-    per_point = float(np.max(np.max(qnorm, axis=1) / svals[::8, -1]))
-    return BoundReport(c_const, per_point)
+    _, _, c_const = _circle_q(rep, cert, 256)
+    return BoundReport(c_const)
 
 
 def sup_norm_on_variety(
@@ -197,7 +187,7 @@ def sup_norm_on_variety(
     torus, and |f| on the variety is subharmonic, so by the maximum
     principle the sup is attained among the unimodular fiber roots over the
     ``grid_n`` roots of unity in z."""
-    circle = _roots_of_unity(grid_n)
+    circle = roots_of_unity(grid_n)
     k, w = _torus_points(p, circle)
     return _max_abs(f.evaluate(circle[k], w))
 
@@ -208,9 +198,9 @@ def expand_extension(op: ExtensionOperator):
 
     F itself stays an evaluator; this expansion exists for inspection and
     serialization only.  Both parts are recovered by evaluation on
-    roots-of-unity nodes and exact inverse DFT; every coefficient at or
-    below 1e-12 of the part's largest is then set to zero, and the trailing
-    zeros are trimmed."""
+    roots-of-unity nodes and exact inverse DFT; every real or imaginary part
+    of a coefficient at or below 1e-12 of the part's largest modulus is then
+    set to zero, and the trailing zeros are trimmed."""
     m, n = op.rep.m, op.rep.n
     fz, fw = op.f.degree
     dz_deg = m * n + fw * n
@@ -221,15 +211,17 @@ def expand_extension(op: ExtensionOperator):
         core = np.linalg.det(np.eye(n) - np.asarray(z)[..., None, None] * op.rep.D)
         return qdet * core**fw
 
-    zs = np.exp(2j * np.pi * np.arange(dz_deg + 1) / (dz_deg + 1))
+    zs = roots_of_unity(dz_deg + 1)
     den_coeffs = np.fft.fft(denom_at(zs)) / (dz_deg + 1)
-    zs2 = np.exp(2j * np.pi * np.arange(nz_deg + 1) / (nz_deg + 1))
-    ws2 = np.exp(2j * np.pi * np.arange(m) / max(m, 1))
+    zs2 = roots_of_unity(nz_deg + 1)
+    ws2 = roots_of_unity(m)
     fvals = op.evaluate_grid(zs2, ws2) * denom_at(zs2)[:, None]
     num_coeffs = np.fft.fft2(fvals) / ((nz_deg + 1) * max(m, 1))
 
     def cut(coeffs):
-        part = BivariatePolynomial(np.where(np.abs(coeffs) > 1e-12 * np.max(np.abs(coeffs)), coeffs, 0))
+        parts = np.ascontiguousarray(coeffs).view(np.float64)
+        kept = np.where(np.abs(parts) > 1e-12 * np.max(np.abs(coeffs)), parts, 0.0)
+        part = BivariatePolynomial(kept.view(np.complex128))
         tz, tw = part.true_degree()
         return BivariatePolynomial(part.coeffs[: tz + 1, : tw + 1])
 
@@ -257,7 +249,7 @@ def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     too.  ``sup_F_on_bidisk`` is max |g(z_k) . (1, w, ..., w^{m-1})| over
     the grid z_k x z_k of the torus, where F, analytic on the closed bidisk,
     takes its sup.  Raises ValueError as :func:`extension_bound` does."""
-    circle, qmats, _, c_const = _circle_q(op.rep, op.cert, 128)
+    circle, qmats, c_const = _circle_q(op.rep, op.cert, 128)
     k, w = _torus_points(op.cert.p, circle)
     fv = op.f.evaluate(circle[k], w)
     sup_f = _max_abs(fv)

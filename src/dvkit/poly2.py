@@ -40,9 +40,9 @@ __all__ = [
     "swap_transform",
     "transpose_vars",
     "derived_dv_poly",
-    "derived_symmetric_poly",
     "blaschke_dv",
     "horner",
+    "roots_of_unity",
 ]
 
 
@@ -62,6 +62,11 @@ def horner(coeffs, x) -> np.ndarray:
     for k in range(len(coeffs) - 1, -1, -1):
         acc = acc * x + coeffs[k]
     return acc
+
+
+def roots_of_unity(count: int) -> np.ndarray:
+    """The ``count``-th roots of unity exp(2 pi i k / count), k = 0..count-1."""
+    return np.exp(2j * np.pi * np.arange(count) / count)
 
 
 # Relative proportionality tolerance of q against reflect(q), shared by every
@@ -243,9 +248,6 @@ class BivariatePolynomial:
     def __sub__(self, other):
         return self._binary(other, -1.0)
 
-    def __neg__(self):
-        return BivariatePolynomial(-self.coeffs)
-
     def __mul__(self, other):
         if isinstance(other, BivariatePolynomial):
             a, b = self.coeffs, other.coeffs
@@ -411,14 +413,6 @@ def derived_dv_poly(p: BivariatePolynomial) -> BivariatePolynomial:
     return BivariatePolynomial(p.coeffs * (m * i - n * j))
 
 
-def derived_symmetric_poly(q: BivariatePolynomial) -> BivariatePolynomial:
-    """m*n*q - m*z*q_z - n*w*q_w at formal degree (n, m); entry scale (mn - mi - nj)."""
-    n, m = q.degree
-    i = np.arange(n + 1)[:, None]
-    j = np.arange(m + 1)[None, :]
-    return BivariatePolynomial(q.coeffs * (m * n - m * i - n * j))
-
-
 def blaschke_dv(m: int, alphas) -> BivariatePolynomial:
     """w^m * prod(1 - conj(a) z) - prod(z - a): the denominator-cleared curve
     w^m = B(z) for the Blaschke product B with zeros ``alphas``.
@@ -496,18 +490,6 @@ class VectorPolynomial:
         w = np.asarray(w, dtype=np.complex128)
         return _stacked_horner(self.coeffs, z, w)
 
-    def kernel(self, z, w, Z, W):
-        """sum_k comp_k(z, w) * conj(comp_k(Z, W)), pointwise over the common
-        broadcast of the two point pairs.
-
-        Each pair is evaluated at its own shape, and only once when (Z, W)
-        is (z, w) itself."""
-        a = self.evaluate(z, w)
-        b = a if (Z is z and W is w) else self.evaluate(Z, W)
-        nd = max(a.ndim, b.ndim)
-        a, b = (x.reshape(x.shape[:1] + (1,) * (nd - x.ndim) + x.shape[1:]) for x in (a, b))
-        return np.sum(a * np.conj(b), axis=0)
-
     def scaled(self, factor) -> "VectorPolynomial":
         return VectorPolynomial(self.coeffs * complex(factor))
 
@@ -550,8 +532,7 @@ class MatrixPolynomial:
 
     @functools.cached_property
     def _singular_values_on_disk(self) -> np.ndarray:
-        circle = np.exp(2j * np.pi * np.arange(64) / 64)
-        pts = np.concatenate([[0.0 + 0.0j], circle, self.det_zeros_in_disk])
+        pts = np.concatenate([[0.0 + 0.0j], roots_of_unity(64), self.det_zeros_in_disk])
         return np.linalg.svd(self.evaluate(pts), compute_uv=False)
 
     @property

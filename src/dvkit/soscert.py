@@ -71,7 +71,6 @@ __all__ = [
     "SubspaceError",
     "StabilityError",
     "compute_moments",
-    "subspace_kernel_pair",
     "sos_certificate",
     "gw_invertibility",
     "sym_sos_certificate",
@@ -119,12 +118,6 @@ class MomentTable:
     normalizer_c: float
     window: np.ndarray
     grid_size: int
-
-    def mu(self, a: int, b: int) -> complex:
-        n, m = self.q.degree
-        if abs(a) > n or abs(b) > m:
-            raise KeyError(f"moment ({a},{b}) outside stored window")
-        return complex(self.window[a + n, b + m])
 
 
 def dilate(q: BivariatePolynomial, r: float) -> BivariatePolynomial:
@@ -303,8 +296,10 @@ def _complement_basis(windows, shifted, rest, degree):
 
 
 def _kernel_pairs(degree, windows):
-    """(E, F) of :func:`subspace_kernel_pair` for each window of a stack of
-    same-degree moment windows."""
+    """Orthonormal bases (E, F) of the two complements whose kernels build
+    the certificate, for each window of a stack of same-degree moment
+    windows; for q of degree (n, m), E has exactly n components of degree
+    <= (n-1, m) and F exactly m of degree <= (n, m-1)."""
     n, m = degree
     deg_e, deg_f = side_degrees(n, m)
     shift1 = [(i, j) for i in range(n) for j in range(1, m + 1)]
@@ -312,13 +307,6 @@ def _kernel_pairs(degree, windows):
     shift2 = [(i, j) for i in range(n) for j in range(m)]
     vecs_f = _complement_basis(windows, shift2, [(n, j) for j in range(m)], deg_f)
     return list(zip(vecs_e, vecs_f))
-
-
-def subspace_kernel_pair(q: BivariatePolynomial, moments: MomentTable):
-    """Orthonormal bases (E, F) of the two complements whose kernels build the
-    certificate; E has exactly n components of degree <= (n-1, m), F exactly
-    m of degree <= (n, m-1)."""
-    return _kernel_pairs(q.degree, moments.window[None])[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,20 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dvkit.poly2 import BivariatePolynomial, reflect
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    """scripts/<name>.py as a fresh module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def poly(terms, degree=None):
@@ -34,6 +47,47 @@ def max_coeff_distance(p, q):
     return float(np.max(np.abs((p - q).coeffs)))
 
 
+def kernel(vec, z, w, Z, W):
+    """sum_k comp_k(z, w) * conj(comp_k(Z, W)) of a vector polynomial,
+    pointwise over the common broadcast of the two point pairs."""
+    a, b = vec.evaluate(z, w), vec.evaluate(Z, W)
+    nd = max(a.ndim, b.ndim)
+    a, b = (x.reshape(x.shape[:1] + (1,) * (nd - x.ndim) + x.shape[1:]) for x in (a, b))
+    return np.sum(a * np.conj(b), axis=0)
+
+
+def derived_symmetric_poly(q):
+    """m*n*q - m*z*q_z - n*w*q_w at formal degree (n, m); entry scale (mn - mi - nj)."""
+    n, m = q.degree
+    i = np.arange(n + 1)[:, None]
+    j = np.arange(m + 1)[None, :]
+    return BivariatePolynomial(q.coeffs * (m * n - m * i - n * j))
+
+
+def shift_realization(m, n):
+    """Cyclic-shift unitary whose transfer function is the companion inner
+    function [[0, I_{m-1}], [z^n, 0]]; realizes the curve w^m = z^n."""
+    from dvkit.dvrep import UnitaryRealization
+
+    return UnitaryRealization(m, n, np.roll(np.eye(m + n, dtype=np.complex128), 1, axis=1))
+
+
+def mu(table, a, b):
+    """The moment mu(a, b) of a moment table, |a| <= n and |b| <= m."""
+    n, m = table.q.degree
+    if abs(a) > n or abs(b) > m:
+        raise KeyError(f"moment ({a},{b}) outside stored window")
+    return complex(table.window[a + n, b + m])
+
+
+def subspace_kernel_pair(q, moments):
+    """Orthonormal bases (E, F) of the two complements whose kernels build
+    the certificate of q, from its moment table alone."""
+    from dvkit.soscert import _kernel_pairs
+
+    return _kernel_pairs(q.degree, moments.window[None])[0]
+
+
 def norm_sq(vec, z, w):
     """sum_k |comp_k(z, w)|^2 of a vector polynomial, pointwise."""
     return np.sum(np.abs(vec.evaluate(z, w)) ** 2, axis=0)
@@ -46,12 +100,8 @@ def disk_spiral(count, radius=1.0):
     return radius * np.sqrt((k + 0.5) / count) * np.exp(2j * np.pi * golden * k)
 
 
-def haar_unitary(rng, size):
-    """Haar-distributed unitary: QR of a complex Gaussian, phases fixed."""
-    g = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+# the one Haar generator, shared with the degree survey
+haar_unitary = load_script("degree_survey").haar_unitary
 
 
 def from_values(fn, n, m):

@@ -11,17 +11,20 @@ import pytest
 from conftest import (
     disk_spiral,
     four_minus_z_minus_w,
+    kernel,
     norm_sq,
     one_minus_z3w2,
     poly,
     random_symmetric_poly,
+    shift_realization,
+    subspace_kernel_pair,
     two_minus_z_minus_w,
     w3_minus_z2,
     z3_minus_w2,
 )
 from dvkit.classify import ZeroLabel, classify_zero_set, root_count_in_disk
 from dvkit.cli import main
-from dvkit.dvrep import gram_defect, phi_evaluate, represent, shift_realization
+from dvkit.dvrep import gram_defect, phi_evaluate, represent
 from dvkit.extend import ExtensionOperator, extension_bound, verify_extension
 from dvkit.poly2 import (
     BivariatePolynomial,
@@ -35,7 +38,6 @@ from dvkit.soscert import (
     compute_moments,
     gw_invertibility,
     sos_certificate,
-    subspace_kernel_pair,
     verify_certificate,
 )
 
@@ -128,8 +130,8 @@ def test_criterion_3_appendix_construction():
         u = z * np.conj(zz)
         worst = max(
             worst,
-            abs(vec_e.kernel(z, w, zz, ww) - (1 + u + u**2)),
-            abs(vec_f.kernel(z, w, zz, ww) - u**3 * (1 + w * np.conj(ww))),
+            abs(kernel(vec_e, z, w, zz, ww) - (1 + u + u**2)),
+            abs(kernel(vec_f, z, w, zz, ww) - u**3 * (1 + w * np.conj(ww))),
         )
     assert worst <= 1e-9
 
@@ -158,8 +160,8 @@ def test_criterion_4_boundary_dilation(cert_two):
     worst = 0.0
     for _ in range(25):
         z, w, zz, ww = (rng.uniform(-0.9, 0.9, 4) + 1j * rng.uniform(-0.9, 0.9, 4))
-        ka = cert_two.vec_first.kernel(z, w, zz, ww)
-        kb = cert_two.vec_second.kernel(z, w, zz, ww)
+        ka = kernel(cert_two.vec_first, z, w, zz, ww)
+        kb = kernel(cert_two.vec_second, z, w, zz, ww)
         worst = max(
             worst,
             abs(ka - 2 * (1 - w) * (1 - np.conj(ww))),
@@ -180,8 +182,8 @@ def test_criterion_5_symmetric_certificate(sym_cert_z3w2):
         u = z * np.conj(zz)
         worst = max(
             worst,
-            abs(cert.vec_first.kernel(z, w, zz, ww) - 5 * (1 + u + u**2)),
-            abs(cert.vec_second.kernel(z, w, zz, ww) - 5 * u**3 * (1 + w * np.conj(ww))),
+            abs(kernel(cert.vec_first, z, w, zz, ww) - 5 * (1 + u + u**2)),
+            abs(kernel(cert.vec_second, z, w, zz, ww) - 5 * u**3 * (1 + w * np.conj(ww))),
         )
     assert worst <= 1e-8
     pts = disk_spiral(48)

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    derived_symmetric_poly,
     four_minus_z_minus_w,
     haar_dv,
     haar_unitary,
@@ -33,7 +34,6 @@ from dvkit.poly2 import (
     BivariatePolynomial,
     blaschke_dv,
     derived_dv_poly,
-    derived_symmetric_poly,
     reflected_derivatives,
     swap_transform,
     symmetrize,

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from conftest import (
     four_minus_z_minus_w,
     haar_dv,
     haar_unitary,
+    kernel,
     max_coeff_distance,
     poly,
     two_minus_z_minus_w,
@@ -53,7 +57,7 @@ class TestSerialization:
         assert back.kind == cert_four.kind
         z, w, zz, ww = 0.3, 0.2j, -0.1, 0.4
         assert (
-            abs(back.vec_first.kernel(z, w, zz, ww) - cert_four.vec_first.kernel(z, w, zz, ww))
+            abs(kernel(back.vec_first, z, w, zz, ww) - kernel(cert_four.vec_first, z, w, zz, ww))
             < 1e-15
         )
 
@@ -409,6 +413,17 @@ class TestCliCommands:
         assert main(["verify", str(bad), path]) == 1
         assert f"{bad}.kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [["realization"], {"kind": "DV"}], ids=["list", "object"])
+    def test_verify_non_string_kind_exit_1(self, realization_doc, tmp_path, capsys, kind):
+        poly_path, doc = realization_doc
+        bad = tmp_path / "rep.json"
+        bad.write_text(dumps({**doc, "kind": kind}))
+        capsys.readouterr()
+        assert main(["verify", str(bad), poly_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"dvkit: error: {bad}.kind: ")
+
     def test_sos_one_minus_z(self, tmp_path, capsys):
         # a line on the circle: StableOpen, so the dilation route, whose
         # w-side is empty (m = 0)
@@ -726,6 +741,20 @@ class TestCliCommands:
         z, w = t[:, None], t[None, :]
         assert np.max(np.abs(num.evaluate(z, w) / den.evaluate(z, 0) - op.evaluate(z, w))) <= 1e-10
 
+    def test_extend_expand_zeroes_imaginary_noise(self, realization_doc, tmp_path, capsys):
+        # F = w on z^3 - w^2 has real numerator and denominator coefficients;
+        # the cut reads real and imaginary parts one by one, so rounding in
+        # the imaginary part of a kept coefficient comes out exactly 0
+        _, doc = realization_doc
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(dumps(doc))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        assert main(["extend", str(rep_path), f_path, "--expand", "--no-swap"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        num, den = poly_from_obj(out["numerator"]), poly_from_obj(out["denominator"])
+        assert num.coeffs[0, 1].real != 0 and num.coeffs[0, 1].imag == 0
+        assert den.coeffs[0, 0].real != 0 and not np.any(den.coeffs.imag)
+
     def test_extend_swap_reruns_no_pipeline(self, realization_doc, tmp_path, capsys, monkeypatch):
         # C_swapped comes from the document's own realization and certificate
         # with z and w exchanged: no classification, certificate or sample
@@ -851,3 +880,12 @@ class TestDeterminism:
         rep_path = tmp_path / "rep.json"
         main(["represent", path, "-o", str(rep_path)])
         realization_from_obj(json.loads(rep_path.read_text()))
+
+
+def test_import_dvkit_loads_no_numpy():
+    # the package root re-exports nothing, so a front door can set the BLAS
+    # thread variables before numpy loads
+    code = "import sys, dvkit; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(dvkit.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout == "False\n"

@@ -1,8 +1,6 @@
 import functools
-import importlib.util
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +10,10 @@ from conftest import (
     four_minus_z_minus_w,
     haar_dv,
     haar_unitary,
+    kernel,
+    load_script,
     poly,
+    shift_realization,
     z3_minus_w2,
 )
 from dvkit.dvrep import (
@@ -26,7 +27,6 @@ from dvkit.dvrep import (
     phi_evaluate,
     represent,
     sample_variety,
-    shift_realization,
     verify_representation,
 )
 from dvkit.classify import ZeroLabel, classify_zero_set, fiber_roots, is_squarefree
@@ -40,11 +40,7 @@ DV_CORPUS = dv_corpus()
 @functools.cache
 def degree_survey():
     """scripts/degree_survey.py as a module, for its Haar variety generator."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "degree_survey.py"
-    spec = importlib.util.spec_from_file_location("degree_survey", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("degree_survey")
 
 
 class TestDvCertificate:
@@ -52,8 +48,8 @@ class TestDvCertificate:
         cert, _, _, _ = pipeline_z3w2
         z, w, zz, ww = 0.3 + 0.1j, -0.2j, 0.15 - 0.4j, 0.7
         u = z * np.conj(zz)
-        kp = cert.vec_p.kernel(z, w, zz, ww)
-        kq = cert.vec_q.kernel(z, w, zz, ww)
+        kp = kernel(cert.vec_p, z, w, zz, ww)
+        kq = kernel(cert.vec_q, z, w, zz, ww)
         assert abs(kp - 5 * (1 + u + u**2)) < 1e-8
         assert abs(kq - 5 * (1 + w * np.conj(ww))) < 1e-8
 
@@ -67,8 +63,8 @@ class TestDvCertificate:
     def test_kernel_identity_on_variety_pairs(self, pipeline_z3w2):
         cert, sample, _, _ = pipeline_z3w2
         z, w = sample.z, sample.w
-        kp = cert.vec_p.kernel(z[:, None], w[:, None], z[None, :], w[None, :])
-        kq = cert.vec_q.kernel(z[:, None], w[:, None], z[None, :], w[None, :])
+        kp = kernel(cert.vec_p, z[:, None], w[:, None], z[None, :], w[None, :])
+        kq = kernel(cert.vec_q, z[:, None], w[:, None], z[None, :], w[None, :])
         za = 1 - z[:, None] * np.conj(z[None, :])
         wa = 1 - w[:, None] * np.conj(w[None, :])
         resid = np.max(np.abs(za * kp - wa * kq))
