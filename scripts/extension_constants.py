@@ -29,9 +29,9 @@ def survey():
     print(f"{'curve':34s} {'m':>2s} {'C':>12s} {'C_swapped':>12s} {'sqrt(m)':>9s}")
     for name, p in cases:
         cert, sample, rep, report = represent(p)
-        c = extension_bound(rep, cert).C
+        c = extension_bound(rep, cert)
         try:
-            c_sw = extension_bound(rep.swapped(), cert.swapped()).C
+            c_sw = extension_bound(rep.swapped(), cert.swapped())
             swapped = f"{c_sw:12.6f}"
         except ValueError:
             swapped = "        --  "

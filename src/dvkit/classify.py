@@ -7,11 +7,11 @@ the B side of the paper's identity, and a trigonometric polynomial of
 degree n in z.  Between two samples h apart its least eigenvalue lies at
 most h^2 K / 8 below the smaller of theirs, K a curvature bound on the arc
 read off the Fourier coefficients that 2n + 1 samples fix, so samples bound
-it on all of T.  One K serves all of T first; an arc it leaves undecided
-gets its own K from the second derivative at its midpoint, and only the arcs
-still undecided are bisected.  q has no zeros on the
-closed (open) bidisk exactly when no fiber over T has a root in the closed
-(open) disk and neither has q(., 0) (DeCarlo, Murray and Saeks 1977).
+it on all of T.  Each arc gets its own K from the second derivative at its
+midpoint, capped by one K for all of T, and only the arcs left undecided
+are bisected.  q has no zeros on the closed (open) bidisk exactly when no
+fiber over T has a root in the closed (open) disk and neither has q(., 0)
+(DeCarlo, Murray and Saeks 1977).
 Labels say whether they are proven or hold at the sampled resolution.
 """
 
@@ -215,7 +215,7 @@ class _FourierSeries:
         # -S''(t) = sum_{k >= 1} cos(kt) P_k + sin(kt) Q_k with P_k, Q_k =
         # k^2 (S_k + S_k^H), i k^2 (S_k - S_k^H), flattened to real rows;
         # sum_{|k| <= n} k^2 and |k|^3, and sum |k|^3 ||S_k||_F.  Set up
-        # only once an arc needs its own K.
+        # once, for every bisection round.
         k = self.k
         n, m = self.coeffs.shape[:2]
         scaled = (k * k)[:, None, None] * self.coeffs
@@ -246,11 +246,10 @@ def _definite_on_circle(p, sign, cap=ARC_FLOOR):
     K a bound on |v^H S'' v| over the arc, and lies above the least
     eigenvalues there; so the arc is proven when the smaller end value,
     less the rounding allowance EIG_ROUNDING * unit, exceeds h^2 K / 8.
-    Every arc first tries one K for all of T, sum k^2 ||S_k|| over the
-    coefficients S_k that one FFT of the base samples gives
-    (:class:`_FourierSeries`).  An arc this global K leaves undecided is
-    judged by its own K, capped by the global one: on an arc of width h
-    about c, S''(t) differs from S''(c) by at most |t - c| max||S'''|| <=
+    Each arc is judged by its own K, capped by one K for all of T, sum k^2
+    ||S_k|| over the coefficients S_k that one FFT of the base samples
+    gives (:class:`_FourierSeries`): on an arc of width h about c, S''(t)
+    differs from S''(c) by at most |t - c| max||S'''|| <=
     (h/2) sum |k|^3 ||S_k||, so K = ||S''(c)|| + (h/2) sum |k|^3 ||S_k||
     bounds ||S''|| there.  Each round bisects the unproven arcs, down to
     width 2 pi / ``cap``.  An arc end at or below zero ends the search,
@@ -281,19 +280,17 @@ def _definite_on_circle(p, sign, cap=ARC_FLOOR):
     left, lo, hi = pos, lam, np.concatenate([lam[1:], lam[:1]])
     all_pos, all_lam = [pos], [lam]
     floor = (np.pi / fine) ** 2 / 2
+    proven = False
     while True:
         # an arc of this width is proven when its end exceeds slack * K
         slack = (np.pi * width / fine) ** 2 / 2
         ends = np.minimum(lo, hi) - EIG_ROUNDING * unit
-        undecided = ends <= slack * curve
-        proven = not undecided.any()
-        if proven or ends[undecided].min() <= 0.0:
+        if ends.min() <= 0.0:
             break
-        left, lo, hi, ends = left[undecided], lo[undecided], hi[undecided], ends[undecided]
         at_mid, third = series.arc_curvature(2 * np.pi * (left + 0.5 * width) / fine, unit)
         undecided = ends <= slack * np.minimum(curve, at_mid + np.pi * width / fine * third)
-        proven = not undecided.any()
-        if proven:
+        if not undecided.any():
+            proven = True
             break
         # the arc's own K on the finest arc about its midpoint
         finest = np.minimum(curve, at_mid[undecided] + np.pi / fine * third)

@@ -165,16 +165,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     f = _load_poly(args.f)
     op = ExtensionOperator(rep, cert, f)
     er = verify_extension(op)
-    obj = {
-        "schema": ser.SCHEMA,
-        "command": "extend",
-        "C": er.bound_C,
-        "on_variety_residual": er.on_variety_residual,
-        "sup_F_on_bidisk": er.sup_F_on_bidisk,
-        "sup_f_on_variety": er.sup_f_on_variety,
-        "ratio": er.ratio,
-        "passed": er.passed,
-    }
+    obj = {"schema": ser.SCHEMA, "command": "extend", **_report_obj(er)}
     if args.expand:
         numerator, denominator = expand_extension(op)
         obj["numerator"] = ser.poly_to_obj(numerator)
@@ -182,13 +173,13 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     if not args.no_swap:
         # the same variety's realization with z and w exchanged
         try:
-            c_swapped = extension_bound(rep.swapped(), cert.swapped()).C
+            c_swapped = extension_bound(rep.swapped(), cert.swapped())
         except (ValueError, ArithmeticError) as exc:  # the reversed orientation can degenerate
             obj["C_swapped"] = None
             obj["swap_error"] = str(exc)
         else:
-            obj["C_swapped"] = c_swapped
-            obj["C_best"] = min(er.bound_C, c_swapped)
+            obj["C_swapped"] = _finite_or_none(c_swapped)
+            obj["C_best"] = _finite_or_none(min(er.C, c_swapped))
     _emit(args, obj)
     return 0 if er.passed else 2
 
@@ -253,8 +244,8 @@ def _demo_dv_row(p, expect_sqrt_m=False):
     checks["extension"] = er.passed
     if expect_sqrt_m:
         m = len(cert.vec_q)
-        checks["bound_is_sqrt_m"] = abs(er.bound_C - math.sqrt(m)) <= 1e-6
-    return checks, {"C": er.bound_C, "det_vs_p_rel": report.det_vs_p_rel}
+        checks["bound_is_sqrt_m"] = abs(er.C - math.sqrt(m)) <= 1e-6
+    return checks, {"C": er.C, "det_vs_p_rel": report.det_vs_p_rel}
 
 
 def _demo_stable_row(p, expect_label):

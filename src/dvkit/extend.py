@@ -36,7 +36,6 @@ from .poly2 import BivariatePolynomial, horner, roots_of_unity
 
 __all__ = [
     "ExtensionOperator",
-    "BoundReport",
     "ExtensionReport",
     "eval_f_of_pair",
     "extension_bound",
@@ -111,13 +110,6 @@ class ExtensionOperator:
         return self.evaluate(zs[:, None], ws[None, :])
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Extension constant C = sqrt(m) sup ||Q^{-1}|| ||Q||."""
-
-    C: float
-
-
 def _max_abs(values) -> float:
     return float(np.max(np.abs(values))) if np.size(values) else 0.0
 
@@ -145,17 +137,6 @@ def _require_analytic(rep: UnitaryRealization, cert: DvCertificate) -> None:
         )
 
 
-def _circle_q(rep: UnitaryRealization, cert: DvCertificate, grid_n: int):
-    """The ``grid_n``-th roots of unity z_k, Q(z_k) and
-    C = sqrt(m) max_k ||Q(z_k)|| ||Q(z_k)^{-1}||, once
-    :func:`_require_analytic` passes."""
-    _require_analytic(rep, cert)
-    circle = roots_of_unity(grid_n)
-    qmats = cert.qmatrix.evaluate(circle)
-    svals = np.linalg.svd(qmats, compute_uv=False)
-    return circle, qmats, math.sqrt(rep.m) * float(np.max(svals[:, 0] / svals[:, -1]))
-
-
 def _torus_points(p: BivariatePolynomial, circle: np.ndarray):
     """The torus points of the variety of p over the circle samples: the
     fiber roots within ON_TORUS of |w| = 1, as circle index k and w."""
@@ -164,18 +145,21 @@ def _torus_points(p: BivariatePolynomial, circle: np.ndarray):
     return k[on_torus], w[on_torus]
 
 
-def extension_bound(rep: UnitaryRealization, cert: DvCertificate) -> BoundReport:
-    """C from Q(z) at the 256th roots of unity; Q and the rho(D) gate
-    alone, neither f nor the variety.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def extension_bound(rep: UnitaryRealization, cert: DvCertificate) -> float:
+    """C = sqrt(m) max ||Q(z)|| ||Q(z)^{-1}|| over the 256th roots of unity;
+    Q and the rho(D) gate alone, neither f nor the variety.
 
     Raises ValueError when det Q has a zero in the closed disk or rho(D) is
     not below RHO_D_MAX.  Otherwise Q^{-1} is analytic on the closed disk,
     log ||Q|| and log ||Q^{-1}|| are subharmonic, and by the maximum
     principle the condition number ||Q|| ||Q^{-1}|| takes its sup over the
-    disk on the circle, which the samples stand for.
+    disk on the circle, which the samples stand for.  A Q too large to
+    sample gives a C that is not finite.
     """
-    _, _, c_const = _circle_q(rep, cert, 256)
-    return BoundReport(c_const)
+    _require_analytic(rep, cert)
+    svals = np.linalg.svd(cert.qmatrix.evaluate(roots_of_unity(256)), compute_uv=False)
+    return math.sqrt(rep.m) * float(np.max(svals[:, 0] / svals[:, -1]))
 
 
 def sup_norm_on_variety(
@@ -192,6 +176,7 @@ def sup_norm_on_variety(
     return _max_abs(f.evaluate(circle[k], w))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def expand_extension(op: ExtensionOperator):
     """Numerator/denominator display form of F: a bivariate numerator and a
     one-variable denominator det(Q(z)) det(I - zD)^K, K the w-degree of f.
@@ -200,7 +185,8 @@ def expand_extension(op: ExtensionOperator):
     serialization only.  Both parts are recovered by evaluation on
     roots-of-unity nodes and exact inverse DFT; every real or imaginary part
     of a coefficient at or below 1e-12 of the part's largest modulus is then
-    set to zero, and the trailing zeros are trimmed."""
+    set to zero, and the trailing zeros are trimmed.  Raises ValueError,
+    naming the part, when its samples or coefficients are not finite."""
     m, n = op.rep.m, op.rep.n
     fz, fw = op.f.degree
     dz_deg = m * n + fw * n
@@ -211,12 +197,18 @@ def expand_extension(op: ExtensionOperator):
         core = np.linalg.det(np.eye(n) - np.asarray(z)[..., None, None] * op.rep.D)
         return qdet * core**fw
 
+    def finite(part, coeffs):
+        # a sample that overflows leaves a coefficient that is not finite
+        if not np.isfinite(coeffs).all():
+            raise ValueError(f"{part}: the extension overflows, so its coefficients are not finite")
+        return coeffs
+
     zs = roots_of_unity(dz_deg + 1)
-    den_coeffs = np.fft.fft(denom_at(zs)) / (dz_deg + 1)
+    den_coeffs = finite("denominator", np.fft.fft(denom_at(zs)) / (dz_deg + 1))
     zs2 = roots_of_unity(nz_deg + 1)
     ws2 = roots_of_unity(m)
     fvals = op.evaluate_grid(zs2, ws2) * denom_at(zs2)[:, None]
-    num_coeffs = np.fft.fft2(fvals) / ((nz_deg + 1) * max(m, 1))
+    num_coeffs = finite("numerator", np.fft.fft2(fvals) / ((nz_deg + 1) * max(m, 1)))
 
     def cut(coeffs):
         parts = np.ascontiguousarray(coeffs).view(np.float64)
@@ -233,14 +225,16 @@ class ExtensionReport:
     on_variety_residual: float
     sup_F_on_bidisk: float
     sup_f_on_variety: float
-    bound_C: float
+    C: float
     ratio: float
     passed: bool
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_extension(op: ExtensionOperator) -> ExtensionReport:
-    """Check F = f on the variety and the norm inflation against C, all
-    from one pass over the 128th roots of unity z_k.
+    """Check F = f on the variety and the norm inflation against C of
+    :func:`extension_bound`, from one pass over the 128th roots of unity
+    z_k, which are every other one of the 256 that C reads.
 
     The pass computes Q(z_k), the rows g(z_k) and the torus points of the
     variety over the z_k once.  ``on_variety_residual`` is max |F - f| over
@@ -248,12 +242,14 @@ def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     variety, so by the maximum principle this bounds it inside the bidisk
     too.  ``sup_F_on_bidisk`` is max |g(z_k) . (1, w, ..., w^{m-1})| over
     the grid z_k x z_k of the torus, where F, analytic on the closed bidisk,
-    takes its sup.  Raises ValueError as :func:`extension_bound` does."""
-    circle, qmats, c_const = _circle_q(op.rep, op.cert, 128)
+    takes its sup.  A value that overflows is not finite and fails the
+    check.  Raises ValueError as :func:`extension_bound` does."""
+    c_const = extension_bound(op.rep, op.cert)
+    circle = roots_of_unity(128)
     k, w = _torus_points(op.cert.p, circle)
     fv = op.f.evaluate(circle[k], w)
     sup_f = _max_abs(fv)
-    g = op.rows(circle, qmats)
+    g = op.rows(circle, op.cert.qmatrix.evaluate(circle))
     on_var = _max_abs(horner(g[k].T, w) - fv) / (1.0 + sup_f)
     sup_F = _max_abs(g @ _powers(circle, op.rep.m))
     ratio = sup_F / sup_f if sup_f > 0 else 0.0

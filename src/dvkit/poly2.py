@@ -182,9 +182,9 @@ class BivariatePolynomial:
         parts = np.ascontiguousarray(self.coeffs).view(np.float64)
         return BivariatePolynomial(np.ldexp(parts, e).view(np.complex128))
 
-    def true_degree(self, tol: float = 0.0) -> tuple[int, int]:
-        """Largest (i, j) with |c[i,j]| > tol * scale, or (0, 0) if zero."""
-        mask = np.abs(self.coeffs) > tol * self.scale
+    def true_degree(self) -> tuple[int, int]:
+        """Largest (i, j) with c[i,j] nonzero, or (0, 0) if zero."""
+        mask = np.abs(self.coeffs) > 0
         if not mask.any():
             return 0, 0
         rows = np.nonzero(mask.any(axis=1))[0]
@@ -196,8 +196,8 @@ class BivariatePolynomial:
         with zeros, never truncates a nonzero coefficient."""
         return BivariatePolynomial(_redeclared(self.coeffs, degree))
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return bool(np.all(np.abs(self.coeffs) <= tol))
+    def is_zero(self) -> bool:
+        return bool(np.all(self.coeffs == 0))
 
     # -- evaluation ---------------------------------------------------
 

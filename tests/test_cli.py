@@ -10,6 +10,7 @@ import pytest
 import dvkit.cli
 
 from conftest import (
+    dv_corpus,
     four_minus_z_minus_w,
     haar_dv,
     haar_unitary,
@@ -754,6 +755,40 @@ class TestCliCommands:
         num, den = poly_from_obj(out["numerator"]), poly_from_obj(out["denominator"])
         assert num.coeffs[0, 1].real != 0 and num.coeffs[0, 1].imag == 0
         assert den.coeffs[0, 0].real != 0 and not np.any(den.coeffs.imag)
+
+    def test_extend_expand_refuses_an_overflowing_extension(self, realization_doc, tmp_path, capsys):
+        # f = 1e308 + w overflows the samples of F: the expansion is refused,
+        # naming its part, where a zero numerator used to pass
+        _, doc = realization_doc
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(dumps(doc))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 0): 1e308, (0, 1): 1}))
+        assert main(["extend", str(rep_path), f_path, "--expand", "--no-swap"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False and out["error"].startswith("numerator: ")
+
+    @pytest.mark.parametrize("entry", ["U", "Q"])
+    def test_extend_overflow_prints_nulls_and_no_numpy_text(self, tmp_path, entry):
+        # one entry of 1e308, of U or of a Q coefficient, overflows F or C:
+        # extend fails with nulls for the values that overflowed, and stderr
+        # carries no numpy warning
+        path = write_poly(tmp_path, "p.json", dv_corpus()["haar_dv_3x3"])
+        rep_path = tmp_path / "rep.json"
+        assert main(["represent", path, "-o", str(rep_path)]) == 0
+        doc = json.loads(rep_path.read_text())
+        if entry == "U":
+            doc["U"][0][1] = [1e308, 0.0]
+        else:
+            doc["cert"]["vec_second"][0]["coeffs"][0][0] = [1e308, 0.0]
+        rep_path.write_text(dumps(doc))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        env = {**os.environ, "PYTHONPATH": str(Path(dvkit.__file__).parents[1])}
+        cmd = [sys.executable, "-m", "dvkit.cli", "extend", str(rep_path), f_path]
+        run = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        out = json.loads(run.stdout)
+        assert out["passed"] is False and None in out.values()
+        assert all(line.startswith("dvkit:") for line in run.stderr.splitlines())
 
     def test_extend_swap_reruns_no_pipeline(self, realization_doc, tmp_path, capsys, monkeypatch):
         # C_swapped comes from the document's own realization and certificate

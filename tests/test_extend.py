@@ -16,7 +16,7 @@ from dvkit.extend import (
     sup_norm_on_variety,
     verify_extension,
 )
-from dvkit.poly2 import VectorPolynomial
+from dvkit.poly2 import VectorPolynomial, roots_of_unity
 
 F_W = poly({(0, 1): 1})
 F_Z = poly({(1, 0): 1})
@@ -166,8 +166,7 @@ class TestSupNormOnTorus:
 class TestBounds:
     def test_constant_c_sqrt2(self, pipeline_z3w2):
         cert, _, rep, _ = pipeline_z3w2
-        bound = extension_bound(rep, cert)
-        assert abs(bound.C - math.sqrt(2)) <= 1e-6
+        assert abs(extension_bound(rep, cert) - math.sqrt(2)) <= 1e-6
 
     def test_constant_reads_q_alone(self, pipeline_z3w2, monkeypatch):
         # C needs Q on the circle, not the variety's torus points
@@ -178,8 +177,7 @@ class TestBounds:
 
         monkeypatch.setattr(dvkit.extend, "fiber_root_pairs", refuse)
         cert, _, rep, _ = pipeline_z3w2
-        bound = extension_bound(rep, cert)
-        assert abs(bound.C - math.sqrt(2)) <= 1e-6
+        assert abs(extension_bound(rep, cert) - math.sqrt(2)) <= 1e-6
 
     def test_identity_qmatrix_gives_sqrt_m(self):
         # hand-built realization of w^2 = z^3 with Qvec = (1, w): Q = I_2
@@ -193,15 +191,23 @@ class TestBounds:
         )
         cert = DvCertificate(symmetrize(z3_minus_w2()), (1.0, 1.0), pvec, qvec, True)
         assert np.array_equal(cert.qmatrix.evaluate(0.7), np.eye(2))
-        bound = extension_bound(rep, cert)
-        assert abs(bound.C - math.sqrt(2)) < 1e-12
+        assert abs(extension_bound(rep, cert) - math.sqrt(2)) < 1e-12
+
+    def test_verify_reads_the_one_constant(self):
+        # verify_extension's C is extension_bound's, read at the 256th roots
+        # of unity, of which its 128-point check pass takes every other one
+        cert, _, rep, _ = corpus_pipeline("haar_dv_6x6")
+        c = verify_extension(ExtensionOperator(rep, cert, F_W)).C
+        assert c == extension_bound(rep, cert)
+        svals = np.linalg.svd(cert.qmatrix.evaluate(roots_of_unity(128)), compute_uv=False)
+        assert c >= math.sqrt(rep.m) * np.max(svals[:, 0] / svals[:, -1])
 
     def test_ratio_bounded(self, pipeline_z3w2):
         cert, _, rep, _ = pipeline_z3w2
         for f in (F_W, F_ZW, F_W2, F_Z_PLUS_W):
             report = verify_extension(ExtensionOperator(rep, cert, f))
             assert report.passed
-            assert report.ratio <= report.bound_C + 1e-6
+            assert report.ratio <= report.C + 1e-6
             assert (
                 report.sup_F_on_bidisk
                 <= math.sqrt(2) * report.sup_f_on_variety + 1e-6
@@ -247,8 +253,7 @@ class TestBounds:
         # the realization with z and w exchanged yields its own constant;
         # both are valid
         cert, _, rep, _ = pipeline_z3w2
-        bound_t = extension_bound(rep.swapped(), cert.swapped())
-        best = min(math.sqrt(2), bound_t.C)
+        best = min(math.sqrt(2), extension_bound(rep.swapped(), cert.swapped()))
         assert best <= math.sqrt(3) + 1e-6
 
 
