@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .poly2 import BivariatePolynomial, roots_of_unity, symmetry_analysis, transpose_vars
+from .poly2 import BivariatePolynomial, roots_of_unity, symmetry_constant, transpose_vars
 
 __all__ = [
     "ZeroLabel",
@@ -64,10 +64,6 @@ SQUAREFREE_SEED = 11
 
 
 class FiberError(ValueError):
-    pass
-
-
-class QuadratureError(ValueError):
     pass
 
 
@@ -272,19 +268,20 @@ def _definite_on_circle(p, sign, cap=ARC_FLOOR):
         return s, lam, float(np.max(np.sum(np.abs(fibers) ** 2, axis=1)))
 
     width = fine // count
-    pos = np.arange(count) * width
-    s, lam, unit = sample(pos)
+    # the least eigenvalue at each sampled position of the fine grid; an arc
+    # is its left end, and its ends read lam[left] and lam[left + width]
+    lam, seen = np.empty(fine), np.zeros(fine, dtype=bool)
+    left = np.arange(count) * width
+    s, lam[left], unit = sample(left)
+    seen[left] = True
     series = _FourierSeries(s, n)
     curve = series.curvature(unit)
-    # arcs: left end position and the least eigenvalues at both ends
-    left, lo, hi = pos, lam, np.concatenate([lam[1:], lam[:1]])
-    all_pos, all_lam = [pos], [lam]
     floor = (np.pi / fine) ** 2 / 2
     proven = False
     while True:
         # an arc of this width is proven when its end exceeds slack * K
         slack = (np.pi * width / fine) ** 2 / 2
-        ends = np.minimum(lo, hi) - EIG_ROUNDING * unit
+        ends = np.minimum(lam[left], lam[(left + width) % fine]) - EIG_ROUNDING * unit
         if ends.min() <= 0.0:
             break
         at_mid, third = series.arc_curvature(2 * np.pi * (left + 0.5 * width) / fine, unit)
@@ -296,18 +293,15 @@ def _definite_on_circle(p, sign, cap=ARC_FLOOR):
         finest = np.minimum(curve, at_mid[undecided] + np.pi / fine * third)
         if (ends[undecided] <= floor * finest).any():
             break
-        left, lo, hi = left[undecided], lo[undecided], hi[undecided]
+        left = left[undecided]
         width //= 2
         mid = left + width
-        _, mid_lam, mid_unit = sample(mid)
+        _, lam[mid], mid_unit = sample(mid)
+        seen[mid] = True
         unit = max(unit, mid_unit)
-        all_pos.append(mid)
-        all_lam.append(mid_lam)
         left = np.concatenate([left, mid])
-        lo, hi = np.concatenate([lo, mid_lam]), np.concatenate([mid_lam, hi])
-    pos, lam = np.concatenate(all_pos), np.concatenate(all_lam)
-    order = np.argsort(pos)
-    return np.exp(2j * np.pi * pos[order] / fine), lam[order], unit, proven
+    pos = np.flatnonzero(seen)
+    return np.exp(2j * np.pi * pos / fine), lam[pos], unit, proven
 
 
 def _open_disk_roots(p, zs, tol):
@@ -377,7 +371,7 @@ def classify_zero_set(p: BivariatePolynomial, tol: float = 1e-7) -> ZeroClass:
     def result(label, proven=False, witnesses=()):
         return ZeroClass(label, tuple(witnesses), tol, proven)
 
-    if symmetry_analysis(p).is_symmetric:
+    if symmetry_constant(p) is not None:
         found = _symmetric_label(p, tol)
         if found is not None:
             return result(*found)

@@ -214,7 +214,7 @@ def dv_certificate(
     p_sym = symmetrize(p)
     smooth = zc.proven or torus_singularities(p_sym).smooth_on_torus
     q = swap_transform(p_sym)
-    cert = sym_sos_certificate(q, a, b, route="direct" if smooth else "dilation")
+    cert = sym_sos_certificate(q, a, b, smooth)
     # both vectors come at their side's degree; reversing z undoes the swap
     vec_p, vec_q = (VectorPolynomial(v.coeffs[:, ::-1]) for v in (cert.vec_first, cert.vec_second))
     return DvCertificate(p_sym, (a, b), vec_p, vec_q, smooth)
@@ -429,8 +429,11 @@ def verify_representation(
     bphis = phi_evaluate(rep, roots_of_unity(128))
     gram = np.conj(np.swapaxes(bphis, -1, -2)) @ bphis
     bdry = float(np.max(np.abs(gram - np.eye(rep.m))))
-    # np.maximum, unlike max, keeps a NaN, so a non-finite Phi fails the gate
-    excess = float(np.maximum(0.0, np.sqrt(np.max(np.linalg.eigvalsh(gram))) - 1.0))
+    # np.maximum, unlike max, keeps a NaN, so a non-finite Phi fails the
+    # gate; eigvalsh cannot read a Gram matrix that is not finite
+    excess = math.nan
+    if np.isfinite(gram).all():
+        excess = float(np.maximum(0.0, np.sqrt(np.max(np.linalg.eigvalsh(gram))) - 1.0))
     sv = cert.qmatrix.min_singular_value_on_disk if cert.smooth_on_torus else None
     return RepresentationReport(
         gram_defect=_gram_defect(x, y),

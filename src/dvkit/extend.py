@@ -79,9 +79,9 @@ class ExtensionOperator:
     def __call__(self, z, w):
         return self.evaluate(z, w)
 
-    def rows(self, zs, qmats) -> np.ndarray:
+    def rows(self, zs) -> np.ndarray:
         """g(z) = e1^T Q(z)^{-1} f(zI, Phi(z)) Q(z) for each z of the flat
-        array ``zs``, given ``qmats`` = Q(zs); shape (len(zs), m).
+        array ``zs``; shape (len(zs), m).
 
         F(z, w) is g(z) . (1, w, ..., w^{m-1}).  The row e1^T Q(z)^{-1}
         comes from stacked linear solves and f(zI, Phi(z)) from matrix
@@ -89,6 +89,7 @@ class ExtensionOperator:
         m = self.rep.m
         e1 = np.zeros((m, 1), dtype=np.complex128)
         e1[0, 0] = 1.0
+        qmats = self.cert.qmatrix.evaluate(zs)
         first = np.linalg.solve(np.swapaxes(qmats, 1, 2), np.broadcast_to(e1, (len(zs), m, 1)))
         fmats = eval_f_of_pair(self.f, zs, phi_evaluate(self.rep, zs))
         return (np.swapaxes(first, 1, 2) @ fmats @ qmats)[:, 0, :]
@@ -99,7 +100,7 @@ class ExtensionOperator:
         z = np.asarray(z, dtype=np.complex128)
         w = np.asarray(w, dtype=np.complex128)
         zs = z.ravel()
-        g = self.rows(zs, self.cert.qmatrix.evaluate(zs)).reshape(z.shape + (self.rep.m,))
+        g = self.rows(zs).reshape(z.shape + (self.rep.m,))
         out = horner(np.moveaxis(g, -1, 0), w)
         return complex(out) if out.ndim == 0 else out
 
@@ -243,15 +244,18 @@ def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     too.  ``sup_F_on_bidisk`` is max |g(z_k) . (1, w, ..., w^{m-1})| over
     the grid z_k x z_k of the torus, where F, analytic on the closed bidisk,
     takes its sup.  A value that overflows is not finite and fails the
-    check.  Raises ValueError as :func:`extension_bound` does."""
+    check, and so does a C that is not finite, against which the inflation
+    check would hold vacuously.  Raises ValueError as
+    :func:`extension_bound` does."""
     c_const = extension_bound(op.rep, op.cert)
     circle = roots_of_unity(128)
     k, w = _torus_points(op.cert.p, circle)
     fv = op.f.evaluate(circle[k], w)
     sup_f = _max_abs(fv)
-    g = op.rows(circle, op.cert.qmatrix.evaluate(circle))
+    g = op.rows(circle)
     on_var = _max_abs(horner(g[k].T, w) - fv) / (1.0 + sup_f)
     sup_F = _max_abs(g @ _powers(circle, op.rep.m))
     ratio = sup_F / sup_f if sup_f > 0 else 0.0
-    passed = on_var <= 1e-7 and sup_F <= c_const * sup_f + INFLATION_SLACK * max(1.0, op.f.scale)
+    bound = c_const * sup_f + INFLATION_SLACK * max(1.0, op.f.scale)
+    passed = on_var <= 1e-7 and math.isfinite(c_const) and sup_F <= bound
     return ExtensionReport(on_var, sup_F, sup_f, c_const, ratio, passed)

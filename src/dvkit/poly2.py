@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +28,11 @@ __all__ = [
     "BivariatePolynomial",
     "VectorPolynomial",
     "MatrixPolynomial",
-    "SymmetryKind",
-    "SymmetryResult",
     "DegreeMismatchError",
     "reflect",
     "reflected_derivatives",
     "side_degrees",
-    "symmetry_analysis",
+    "symmetry_constant",
     "symmetrize",
     "swap_transform",
     "transpose_vars",
@@ -70,7 +67,7 @@ def roots_of_unity(count: int) -> np.ndarray:
 
 
 # Relative proportionality tolerance of q against reflect(q), shared by every
-# caller of symmetry_analysis, so a polynomial that classifies as symmetric
+# caller of symmetry_constant, so a polynomial that classifies as symmetric
 # also symmetrizes.
 SYMMETRY_TOL = 1e-8
 
@@ -313,70 +310,43 @@ def reflected_derivatives(q: BivariatePolynomial):
     return reflect(q.partial_z(), deg_z), reflect(q.partial_w(), deg_w)
 
 
-class SymmetryKind(Enum):
-    T2_SYMMETRIC = "T2Symmetric"
-    ESSENTIALLY_T2_SYMMETRIC = "EssentiallyT2Symmetric"
-    NOT_SYMMETRIC = "NotSymmetric"
+def symmetry_constant(q: BivariatePolynomial) -> complex | None:
+    """The unimodular c with q = c * reflect(q), or None when q is not
+    essentially torus-symmetric; c = 1 makes q torus-symmetric itself.
 
-
-@dataclass(frozen=True)
-class SymmetryResult:
-    """Outcome of comparing q against its reflection.
-
-    ``constant`` is the unimodular c with q = c * reflect(q); the
-    ``symmetrizing_factor`` s is the principal square root of conj(c)
-    (Re s >= 0, and Im s > 0 when Re s = 0), which is the unique-up-to-sign
-    unimodular factor making s*q torus-symmetric.  For real c (every
-    polynomial in this package's corpus) s*s equals c itself.
-    """
-
-    kind: SymmetryKind
-    constant: complex | None = None
-    symmetrizing_factor: complex | None = None
-    residual: float = field(default=0.0)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.kind is not SymmetryKind.NOT_SYMMETRIC
-
-
-def symmetry_analysis(q: BivariatePolynomial) -> SymmetryResult:
-    """Classify q as torus-symmetric, essentially so, or neither.
-
-    The ratio c is estimated at the largest-modulus coefficient of the
-    reflection and validated against every coefficient of the grid; grids
-    that fail proportionality within ``SYMMETRY_TOL * scale`` give NotSymmetric.
+    c is estimated at the largest-modulus coefficient of the reflection and
+    validated against every coefficient of the grid; a grid that fails
+    proportionality within ``SYMMETRY_TOL * scale``, or a c whose modulus
+    misses 1 by more than SYMMETRY_TOL, gives None.
     """
     if q.is_zero():
         raise ValueError("symmetry analysis of the zero polynomial")
     qr = reflect(q)
-    scale = q.scale
     k = int(np.argmax(np.abs(qr.coeffs)))
     idx = np.unravel_index(k, qr.coeffs.shape)
     c = q.coeffs[idx] / qr.coeffs[idx]
     residual = float(np.max(np.abs(q.coeffs - c * qr.coeffs)))
-    if residual > SYMMETRY_TOL * scale or abs(abs(c) - 1.0) > SYMMETRY_TOL:
-        return SymmetryResult(SymmetryKind.NOT_SYMMETRIC, residual=residual)
-    s = cmath.sqrt(np.conj(c))
-    if s.real < 0 or (s.real == 0 and s.imag < 0):
-        s = -s
-    kind = (
-        SymmetryKind.T2_SYMMETRIC
-        if abs(c - 1.0) <= SYMMETRY_TOL
-        else SymmetryKind.ESSENTIALLY_T2_SYMMETRIC
-    )
-    return SymmetryResult(kind, complex(c), complex(s), residual)
+    if residual > SYMMETRY_TOL * q.scale or abs(abs(c) - 1.0) > SYMMETRY_TOL:
+        return None
+    return complex(c)
 
 
 def symmetrize(q: BivariatePolynomial) -> BivariatePolynomial:
-    """Multiply q by its symmetrizing factor so the result is torus-symmetric.
+    """s * q, s the principal square root of conj(c) for c the
+    :func:`symmetry_constant` of q (Re s >= 0, and Im s > 0 when Re s = 0):
+    the unimodular factor, unique up to sign, that makes s * q
+    torus-symmetric.  For real c (every polynomial in this package's corpus)
+    s * s equals c itself.
 
-    The factor is applied also when q classifies as T2Symmetric: within
-    SYMMETRY_TOL of c = 1 the rotation it undoes still exceeds rounding."""
-    res = symmetry_analysis(q)
-    if not res.is_symmetric:
+    The factor is applied also when c is within SYMMETRY_TOL of 1: the
+    rotation it undoes still exceeds rounding."""
+    c = symmetry_constant(q)
+    if c is None:
         raise ValueError("polynomial is not essentially torus-symmetric")
-    return res.symmetrizing_factor * q
+    s = cmath.sqrt(c.conjugate())
+    if s.real == 0 and s.imag < 0:
+        s = -s
+    return s * q
 
 
 def swap_transform(p: BivariatePolynomial) -> BivariatePolynomial:

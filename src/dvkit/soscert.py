@@ -47,7 +47,6 @@ from enum import Enum
 import numpy as np
 
 from .classify import (
-    QuadratureError,
     ZeroLabel,
     classify_zero_set,
     is_squarefree,
@@ -59,7 +58,7 @@ from .poly2 import (
     reflect,
     reflected_derivatives,
     side_degrees,
-    symmetry_analysis,
+    symmetry_constant,
 )
 
 __all__ = [
@@ -70,6 +69,7 @@ __all__ = [
     "VerificationReport",
     "SubspaceError",
     "StabilityError",
+    "QuadratureError",
     "compute_moments",
     "sos_certificate",
     "gw_invertibility",
@@ -96,6 +96,10 @@ class SubspaceError(ValueError):
 
 
 class StabilityError(ValueError):
+    pass
+
+
+class QuadratureError(ValueError):
     pass
 
 
@@ -324,13 +328,14 @@ class SosCertificate:
 
 
 def _stability_route(q):
+    """The certificate builder that the classification of q calls for."""
     label = classify_zero_set(q).label
     if label is ZeroLabel.STABLE_CLOSED:
-        return "direct"
+        return _direct_certificate
     if label is ZeroLabel.STABLE_OPEN:
-        return "dilation"
+        return _dilation_certificate
     if label is ZeroLabel.SYMMETRIC_NONVANISHING_OFF_TORUS:
-        return "symmetric"
+        return _zero_certificate
     raise StabilityError(
         f"polynomial has zeros on the open bidisk (classified {label.value}); "
         "no sums-of-squares certificate exists"
@@ -344,6 +349,12 @@ def _certificate_vectors(tables):
     each pair is the one its table alone would give."""
     pairs = _kernel_pairs(tables[0].q.degree, np.stack([t.window for t in tables]))
     return [(e.scaled(t.normalizer_c), f.scaled(t.normalizer_c)) for t, (e, f) in zip(tables, pairs)]
+
+
+def _direct_certificate(q):
+    """Certificate vectors for q with no zeros on the closed bidisk, from
+    its own moment table."""
+    return _certificate_vectors([compute_moments(q)])[0]
 
 
 def _refactor_kernel_tensor(tensor, rank):
@@ -423,16 +434,6 @@ def _dilation_certificate(q):
     return _refactor_kernel_tensor(ta0, n), _refactor_kernel_tensor(tb0, m)
 
 
-def _route_vectors(q, route):
-    if route == "direct":
-        return _certificate_vectors([compute_moments(q)])[0]
-    if route == "dilation":
-        return _dilation_certificate(q)
-    if route == "symmetric":
-        return _zero_certificate(q)
-    raise ValueError(f"unknown route {route!r}")
-
-
 def sos_certificate(q: BivariatePolynomial) -> SosCertificate:
     """Two-square certificate q qbar - reflect(q) reflect(q)bar =
     (1-|z|^2)|A|^2 + (1-|w|^2)|B|^2 for q with no zeros on the bidisk.
@@ -447,7 +448,7 @@ def sos_certificate(q: BivariatePolynomial) -> SosCertificate:
     """
     e = q.exponent
     q = q.ldexp(-e)
-    vec_a, vec_b = _route_vectors(q, _stability_route(q))
+    vec_a, vec_b = _stability_route(q)(q)
     return SosCertificate(CertKind.COLE_WERMER, vec_a.ldexp(e), vec_b.ldexp(e))
 
 
@@ -499,7 +500,7 @@ def sym_sos_certificate(
     q: BivariatePolynomial,
     a: float,
     b: float,
-    route: str | None = None,
+    smooth: bool | None = None,
 ) -> SosCertificate:
     """Certificate of (an+bm)|q|^2 - 2 Re[(a z q_z + b w q_w) conj(q)] =
     (1-|z|^2)|A|^2 + (1-|w|^2)|B|^2 for torus-symmetric q without bidisk
@@ -509,11 +510,12 @@ def sym_sos_certificate(
     a z q_z + b w q_w, so the plain certificate of g divided by (an + bm)
     is exactly the stated identity; weights with an + bm = 0 raise
     ValueError.  On the torus |g| = |a z q_z + b w q_w|,
-    so g has torus zeros exactly where the zero set of q is torus-singular;
-    a caller that knows this passes ``route`` ("direct" when smooth,
-    "dilation" otherwise) and skips classifying g.  Like
-    :func:`sos_certificate`, it builds from q divided by a power of two and
-    multiplies both vectors back, so it is exactly covariant under 2^k q.
+    so g has torus zeros exactly where the zero set of q is torus-singular.
+    A caller that knows whether it is passes ``smooth``, which takes the
+    direct route when True and the dilation route when False, and skips
+    classifying g; None classifies g.  Like :func:`sos_certificate`, it
+    builds from q divided by a power of two and multiplies both vectors
+    back, so it is exactly covariant under 2^k q.
     """
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError("weights must be non-negative and not both zero")
@@ -522,19 +524,21 @@ def sym_sos_certificate(
         raise ValueError(f"a n + b m = 0 for weights ({a:g}, {b:g}) at degree {(n, m)}")
     e = q.exponent
     q = q.ldexp(-e)
-    sym = symmetry_analysis(q)
-    if not (sym.is_symmetric and abs(sym.constant - 1.0) <= 1e-6):
+    c = symmetry_constant(q)
+    if c is None or abs(c - 1) > 1e-6:
         raise ValueError("polynomial is not torus-symmetric; symmetrize it first")
     qz_ref, qw_ref = reflected_derivatives(q)
     g = (a * qz_ref).with_degree((n, m)) + (b * qw_ref).with_degree((n, m))
-    if route is None:
+    if smooth is None:
         try:
-            route = _stability_route(g)
+            build = _stability_route(g)
         except StabilityError as exc:
             raise StabilityError(
                 "reflected-derivative combination vanishes on the closed bidisk"
             ) from exc
-    vec_a, vec_b = _route_vectors(g, route)
+    else:
+        build = _direct_certificate if smooth else _dilation_certificate
+    vec_a, vec_b = build(g)
     scale = 1.0 / math.sqrt(a * n + b * m)
     vec_a, vec_b = vec_a.scaled(scale).ldexp(e), vec_b.scaled(scale).ldexp(e)
     return SosCertificate(CertKind.SYMMETRIC, vec_a, vec_b, (a, b))

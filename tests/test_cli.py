@@ -767,11 +767,11 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is False and out["error"].startswith("numerator: ")
 
-    @pytest.mark.parametrize("entry", ["U", "Q"])
-    def test_extend_overflow_prints_nulls_and_no_numpy_text(self, tmp_path, entry):
-        # one entry of 1e308, of U or of a Q coefficient, overflows F or C:
-        # extend fails with nulls for the values that overflowed, and stderr
-        # carries no numpy warning
+    @staticmethod
+    def _run_overflowing(tmp_path, entry, command):
+        """``python -m dvkit.cli`` of ``command`` on the haar_dv_3x3
+        realization with one entry of 1e308, of U or of a Q coefficient;
+        exit 2 with one JSON report and no numpy text on stderr."""
         path = write_poly(tmp_path, "p.json", dv_corpus()["haar_dv_3x3"])
         rep_path = tmp_path / "rep.json"
         assert main(["represent", path, "-o", str(rep_path)]) == 0
@@ -781,14 +781,27 @@ class TestCliCommands:
         else:
             doc["cert"]["vec_second"][0]["coeffs"][0][0] = [1e308, 0.0]
         rep_path.write_text(dumps(doc))
-        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        last = write_poly(tmp_path, "f.json", poly({(0, 1): 1})) if command == "extend" else path
         env = {**os.environ, "PYTHONPATH": str(Path(dvkit.__file__).parents[1])}
-        cmd = [sys.executable, "-m", "dvkit.cli", "extend", str(rep_path), f_path]
+        cmd = [sys.executable, "-m", "dvkit.cli", command, str(rep_path), last]
         run = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert run.returncode == 2
+        assert all(line.startswith("dvkit:") for line in run.stderr.splitlines())
         out = json.loads(run.stdout)
         assert out["passed"] is False and None in out.values()
-        assert all(line.startswith("dvkit:") for line in run.stderr.splitlines())
+        return out
+
+    @pytest.mark.parametrize("entry", ["U", "Q"])
+    def test_extend_overflow_prints_nulls_and_no_numpy_text(self, tmp_path, entry):
+        # one entry of 1e308, of U or of a Q coefficient, overflows F or C:
+        # extend fails with nulls for the values that overflowed
+        self._run_overflowing(tmp_path, entry, "extend")
+
+    def test_verify_overflow_prints_a_report(self, tmp_path):
+        # one U entry of 1e308 leaves Phi^H Phi not finite: verify fails with
+        # its report, not with numpy's "Eigenvalues did not converge"
+        out = self._run_overflowing(tmp_path, "U", "verify")
+        assert "error" not in out and out["contractivity_excess"] is None
 
     def test_extend_swap_reruns_no_pipeline(self, realization_doc, tmp_path, capsys, monkeypatch):
         # C_swapped comes from the document's own realization and certificate

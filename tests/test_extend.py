@@ -202,6 +202,17 @@ class TestBounds:
         svals = np.linalg.svd(cert.qmatrix.evaluate(roots_of_unity(128)), compute_uv=False)
         assert c >= math.sqrt(rep.m) * np.max(svals[:, 0] / svals[:, -1])
 
+    def test_infinite_constant_fails(self, pipeline_z3w2, monkeypatch):
+        # a Q singular on the circle gives C = inf, against which the
+        # inflation check sup|F| <= C sup|f| would hold for every F
+        import dvkit.extend
+
+        monkeypatch.setattr(dvkit.extend, "extension_bound", lambda rep, cert: math.inf)
+        cert, _, rep, _ = pipeline_z3w2
+        report = verify_extension(ExtensionOperator(rep, cert, F_W))
+        assert report.C == math.inf and report.on_variety_residual <= 1e-7
+        assert not report.passed
+
     def test_ratio_bounded(self, pipeline_z3w2):
         cert, _, rep, _ = pipeline_z3w2
         for f in (F_W, F_ZW, F_W2, F_Z_PLUS_W):

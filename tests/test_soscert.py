@@ -26,7 +26,7 @@ from conftest import (
     z3_minus_w2,
 )
 from dvkit import soscert
-from dvkit.classify import QuadratureError, schur_cohn_matrix
+from dvkit.classify import schur_cohn_matrix
 from dvkit.dvrep import UnitaryRealization, det_representation
 from dvkit.poly2 import (
     BivariatePolynomial,
@@ -40,6 +40,7 @@ from dvkit.poly2 import (
 )
 from dvkit.soscert import (
     CertKind,
+    QuadratureError,
     SosCertificate,
     StabilityError,
     SubspaceError,
@@ -744,6 +745,23 @@ class TestSymmetricCertificate:
         q = symmetrize(poly(terms, degree))
         with pytest.raises(ValueError, match=r"a n \+ b m = 0"):
             sym_sos_certificate(q, a, b)
+
+    @pytest.mark.parametrize(
+        "p, smooth",
+        [
+            (z3_minus_w2(), True),
+            (poly({(2, 0): 1, (0, 1): -1}) * poly({(3, 0): 1, (0, 1): -1}), False),
+        ],
+        ids=["smooth_direct", "singular_dilation"],
+    )
+    def test_known_smoothness_builds_the_classified_route(self, p, smooth):
+        # a caller that knows whether the variety is smooth on the torus
+        # gets the certificate that classifying g would have chosen
+        q = swap_transform(symmetrize(p))
+        known = sym_sos_certificate(q, 1.0, 1.0, smooth=smooth)
+        classified = sym_sos_certificate(q, 1.0, 1.0)
+        assert np.array_equal(known.vec_first.coeffs, classified.vec_first.coeffs)
+        assert np.array_equal(known.vec_second.coeffs, classified.vec_second.coeffs)
 
     def test_weights_recorded(self, sym_cert_z3w2):
         _, cert = sym_cert_z3w2
