@@ -90,11 +90,10 @@ class ZeroClass:
 @dataclass(frozen=True)
 class SingularityReport:
     points: tuple
-    smooth_on_torus: bool
 
-    def __post_init__(self):
-        if self.smooth_on_torus != (len(self.points) == 0):
-            raise ValueError("smooth_on_torus must mirror emptiness of points")
+    @property
+    def smooth_on_torus(self) -> bool:
+        return not self.points
 
 
 def _trimmed_degree(coeffs) -> np.ndarray:
@@ -440,7 +439,7 @@ def torus_singularities(p: BivariatePolynomial) -> SingularityReport:
     for zz, ww in zip(z[keep], w[keep]):
         if all(abs(zz - a) + abs(ww - b) > 1e-5 for a, b in found):
             found.append((complex(zz), complex(ww)))
-    return SingularityReport(tuple(found), smooth_on_torus=not found)
+    return SingularityReport(tuple(found))
 
 
 def is_squarefree(p: BivariatePolynomial) -> bool:

@@ -127,12 +127,7 @@ def _cmd_sos(args: argparse.Namespace) -> int:
     obj = ser.cert_to_obj(cert, poly=target if weighted else None)
     obj["verification"] = {"residual": _finite_or_none(report.residual), "passed": report.passed}
     if len(cert.vec_first) and len(cert.vec_second):
-        gw = gw_invertibility(cert)
-        obj["gw_invertibility"] = {
-            "min_sv_first": gw.min_sv_first,
-            "min_sv_second": gw.min_sv_second,
-            "passed": gw.passed,
-        }
+        obj["gw_invertibility"] = _report_obj(gw_invertibility(cert))
     _emit(args, obj)
     if not report.passed:
         _note_repeated_factor(target)
@@ -198,9 +193,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif isinstance(kind, str) and kind in {k.value for k in CertKind}:
         dv = ser.dv_cert_from_obj(artifact, where) if kind == CertKind.DV.value else None
         cert = dv.as_sos() if dv is not None else ser.cert_from_obj(artifact, where)
-        report = verify_certificate(p, cert)
-        residual = _finite_or_none(report.residual)
-        obj.update(residual=residual, threshold=report.threshold, passed=report.passed)
+        obj.update(_report_obj(verify_certificate(p, cert)))
         if dv is not None:
             # the Gram identity X*X = Y*Y on the variety sample that represent takes
             obj["gram_equality"] = gram_defect(dv, sample_variety(dv.p)) <= dv.gram_tolerance
@@ -234,11 +227,10 @@ def demo_corpus():
 
 
 def _demo_dv_row(p, expect_sqrt_m=False):
-    checks = {}
-    label = classify_mod.classify_zero_set(p).label
-    checks["classified_dv"] = label is classify_mod.ZeroLabel.DV_DEFINING
+    # represent refuses every label but DVDefining, so a row that gets past
+    # it was classified as one
     cert, _, rep, report = represent(p)
-    checks["representation"] = report.passed
+    checks = {"classified_dv": True, "representation": report.passed}
     f = BivariatePolynomial.from_terms({(0, 1): 1})
     er = verify_extension(ExtensionOperator(rep, cert, f))
     checks["extension"] = er.passed

@@ -30,6 +30,8 @@ from .poly2 import (
     BivariatePolynomial,
     MatrixPolynomial,
     VectorPolynomial,
+    _exponent,
+    _ldexp,
     roots_of_unity,
     swap_transform,
     symmetrize,
@@ -241,7 +243,9 @@ def sample_variety(p: BivariatePolynomial) -> VarietySample:
     jitter = rng.uniform(0.0, 2 * np.pi, len(radii))
     angles = 2 * np.pi * np.arange(per) / per + jitter[:, None]
     zs = (radii[:, None] * np.exp(1j * angles)).ravel()
-    k, w = fiber_root_pairs(p, zs)
+    # the roots are those of p divided by its power of two, which stay in
+    # range at every scale of p
+    k, w = fiber_root_pairs(p.ldexp(-p.exponent), zs)
     inside = np.abs(w) < 1.0
     z, w = zs[k[inside]], w[inside]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -255,14 +259,18 @@ def sample_variety(p: BivariatePolynomial) -> VarietySample:
 
 
 def _stacked_maps(cert: DvCertificate, sample: VarietySample):
-    """X = (Q; zP) and Y = (wQ; P) at the samples, one column per point;
-    Q(z, w) is the first m rows of X."""
+    """X = (Q; zP) and Y = (wQ; P) at the samples, one column per point,
+    both divided by the power of two of their largest entry, so that X*X
+    and Y*Y neither underflow nor overflow; the division is exact, and
+    every use of the maps is invariant under it.  Q(z, w) is the first m
+    rows of X."""
     z, w = sample.z, sample.w
     qv = cert.vec_q.evaluate(z, w)  # (m, S)
     pv = cert.vec_p.evaluate(z, w)  # (n, S)
     x = np.vstack([qv, z[None, :] * pv])
     y = np.vstack([w[None, :] * qv, pv])
-    return x, y
+    e = max(_exponent(x), _exponent(y))
+    return _ldexp(x, -e), _ldexp(y, -e)
 
 
 def _gram_defect(x, y) -> float:

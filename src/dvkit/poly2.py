@@ -70,6 +70,9 @@ def roots_of_unity(count: int) -> np.ndarray:
 # caller of symmetry_constant, so a polynomial that classifies as symmetric
 # also symmetrizes.
 SYMMETRY_TOL = 1e-8
+# MatrixPolynomial's SVD and block companion divide by a power of two only a
+# largest coefficient beyond 2^+-RANGE_BOUND, and only down to that bound.
+RANGE_BOUND = 500
 
 
 def _stacked_horner(grids, z, w) -> np.ndarray:
@@ -103,6 +106,19 @@ def side_degrees(n: int, m: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """((n - 1, m), (n, m - 1)), each clamped at 0: the degrees of q_z and
     q_w for q of degree (n, m), and of the two vectors of its certificate."""
     return (max(n - 1, 0), m), (n, max(m - 1, 0))
+
+
+def _exponent(arr) -> int:
+    """The e with 2^(e-1) <= max |arr| < 2^e, or 0 when the maximum is zero
+    or not finite, so that ``_ldexp(arr, -e)`` brings it into [1/2, 1)."""
+    return int(np.frexp(np.max(np.abs(arr), initial=0.0))[1])
+
+
+def _ldexp(arr, e: int) -> np.ndarray:
+    """Complex ``arr`` times 2^e, exact unless an entry leaves the normal
+    range."""
+    parts = np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64)
+    return np.ldexp(parts, e).view(np.complex128)
 
 
 def _frozen(coeffs, ndim: int) -> np.ndarray:
@@ -172,12 +188,11 @@ class BivariatePolynomial:
     def exponent(self) -> int:
         """The e with 2^(e-1) <= scale < 2^e, or 0 for the zero polynomial,
         so that ``ldexp(-exponent)`` brings the scale into [1/2, 1)."""
-        return int(np.frexp(self.scale)[1])
+        return _exponent(self.coeffs)
 
     def ldexp(self, e: int) -> "BivariatePolynomial":
         """self * 2^e, exact unless a coefficient leaves the normal range."""
-        parts = np.ascontiguousarray(self.coeffs).view(np.float64)
-        return BivariatePolynomial(np.ldexp(parts, e).view(np.complex128))
+        return BivariatePolynomial(_ldexp(self.coeffs, e))
 
     def true_degree(self) -> tuple[int, int]:
         """Largest (i, j) with c[i,j] nonzero, or (0, 0) if zero."""
@@ -321,6 +336,9 @@ def symmetry_constant(q: BivariatePolynomial) -> complex | None:
     """
     if q.is_zero():
         raise ValueError("symmetry analysis of the zero polynomial")
+    # the ratio of two coefficients is the same at every power-of-two scale,
+    # and at unit scale it neither overflows nor underflows
+    q = q.ldexp(-q.exponent)
     qr = reflect(q)
     k = int(np.argmax(np.abs(qr.coeffs)))
     idx = np.unravel_index(k, qr.coeffs.shape)
@@ -362,12 +380,12 @@ def swap_transform(p: BivariatePolynomial) -> BivariatePolynomial:
         raise DegreeMismatchError(
             f"z-degree is declared {n} but coefficient row {n} vanishes"
         )
-    return BivariatePolynomial(p.coeffs[::-1, :].copy())
+    return BivariatePolynomial(p.coeffs[::-1, :])
 
 
 def transpose_vars(p: BivariatePolynomial) -> BivariatePolynomial:
     """p with the roles of z and w exchanged (grid transpose)."""
-    return BivariatePolynomial(p.coeffs.T.copy())
+    return BivariatePolynomial(p.coeffs.T)
 
 
 def derived_dv_poly(p: BivariatePolynomial) -> BivariatePolynomial:
@@ -465,8 +483,7 @@ class VectorPolynomial:
 
     def ldexp(self, e: int) -> "VectorPolynomial":
         """self * 2^e, exact unless a coefficient leaves the normal range."""
-        parts = np.ascontiguousarray(self.coeffs).view(np.float64)
-        return VectorPolynomial(np.ldexp(parts, e).view(np.complex128))
+        return VectorPolynomial(_ldexp(self.coeffs, e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,9 +518,23 @@ class MatrixPolynomial:
         return MatrixPolynomial(np.conj(pad[:, :, ::-1]))
 
     @functools.cached_property
-    def _singular_values_on_disk(self) -> np.ndarray:
+    def _range_exponent(self) -> int:
+        """The e for which the SVD and the block companion read Q / 2^e: 0
+        while the largest coefficient lies within 2^+-RANGE_BOUND, and
+        otherwise the excess, which brings it to that bound.  Q / 2^e then
+        neither overflows nor underflows at any scale of Q, and coefficients
+        up to 2^RANGE_BOUND below the largest stay normal."""
+        e = _exponent(self.coeffs)
+        return e - int(np.clip(e, -RANGE_BOUND, RANGE_BOUND))
+
+    @functools.cached_property
+    def _singular_values_on_disk(self) -> tuple[np.ndarray, int]:
+        """(s, e): the singular values at the points of
+        :attr:`min_singular_value_on_disk` are s * 2^e, s those of Q / 2^e."""
+        e = self._range_exponent
+        ranged = MatrixPolynomial(_ldexp(self.coeffs, -e))
         pts = np.concatenate([[0.0 + 0.0j], roots_of_unity(64), self.det_zeros_in_disk])
-        return np.linalg.svd(self.evaluate(pts), compute_uv=False)
+        return np.linalg.svd(ranged.evaluate(pts), compute_uv=False), e
 
     @property
     def min_singular_value_on_disk(self) -> float:
@@ -517,14 +548,24 @@ class MatrixPolynomial:
         value 1 / ||Q^{-1}|| over the disk is attained on the circle, which
         the samples stand for.
         """
-        return float(np.min(self._singular_values_on_disk))
+        s, e = self._singular_values_on_disk
+        return float(np.ldexp(np.min(s), e))
 
     @property
     def max_singular_value_on_disk(self) -> float:
         """Largest singular value over the same points, from the same SVD:
         the scale of a gate on the least one, which no constant unitary
-        mixing of the rows of Q moves."""
-        return float(np.max(self._singular_values_on_disk))
+        mixing of the rows of Q moves; inf beyond the float range."""
+        s, e = self._singular_values_on_disk
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(np.max(s), e))
+
+    def invertible_on_disk(self, rel: float) -> bool:
+        """Whether the least singular value over the same points exceeds
+        ``rel`` times the largest, compared before they are multiplied back
+        by 2^e, so that the verdict is the same at every scale of Q."""
+        s, _ = self._singular_values_on_disk
+        return bool(np.min(s) > rel * np.max(s))
 
     @functools.cached_property
     def det_zeros_in_disk(self) -> np.ndarray:
@@ -536,12 +577,14 @@ class MatrixPolynomial:
         zero at infinity (a singular top coefficient).  A zero counts as in
         the closed disk when |mu| >= 1 - 1e-12.  An exactly singular Q(0)
         admits no companion and gives the one zero z = 0.  A constant Q
-        gives none.
+        gives none.  The solve reads Q / 2^e for the e of
+        :attr:`_range_exponent`, which has the zeros of Q.
         """
         size, d = self.shape[0], self.var_degree
         zeros = np.zeros(0, dtype=np.complex128)
         if d > 0:
-            c = np.moveaxis(self.coeffs, 2, 0)  # c[k] multiplies t^k
+            # c[k] multiplies t^k
+            c = np.moveaxis(_ldexp(self.coeffs, -self._range_exponent), 2, 0)
             try:
                 # [C_0^{-1} C_1, ..., C_0^{-1} C_d] side by side
                 lead = np.linalg.solve(c[0], np.concatenate(list(c[1:]), axis=1))

@@ -463,13 +463,12 @@ class GwReport:
     closed disk, found by a block companion.  A zero anywhere in the closed
     disk, also one on the circle between samples, gives a minimum of about 0;
     without one, the maximum principle puts the minimum on the circle.  Each
-    minimum passes above ``threshold`` = 1e-6 times its matrix's largest
-    singular value over the same points, so the verdict is the same for
-    every multiple c q and every unitary mixing of a vector's components."""
+    minimum passes above 1e-6 times its matrix's largest singular value over
+    the same points, so the verdict is the same for every multiple c q and
+    every unitary mixing of a vector's components."""
 
     min_sv_first: float
     min_sv_second: float
-    threshold: float
     passed: bool
 
 
@@ -486,14 +485,8 @@ def gw_invertibility(cert: SosCertificate) -> GwReport:
     deg_a, deg_b = side_degrees(n, m)
     mat_a = cert.vec_first.with_degree(deg_a).matrix_in_w()
     mat_b = cert.vec_second.with_degree(deg_b).matrix_in_z().reflected(n)
-    sv_a = mat_a.min_singular_value_on_disk
-    sv_b = mat_b.min_singular_value_on_disk
-    threshold = 1e-6
-    passed = (
-        sv_a > threshold * mat_a.max_singular_value_on_disk
-        and sv_b > threshold * mat_b.max_singular_value_on_disk
-    )
-    return GwReport(sv_a, sv_b, threshold, passed)
+    passed = mat_a.invertible_on_disk(1e-6) and mat_b.invertible_on_disk(1e-6)
+    return GwReport(mat_a.min_singular_value_on_disk, mat_b.min_singular_value_on_disk, passed)
 
 
 def sym_sos_certificate(
@@ -550,7 +543,6 @@ def sym_sos_certificate(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    kind: CertKind
     residual: float
     threshold: float
 
@@ -620,4 +612,4 @@ def verify_certificate(q: BivariatePolynomial, cert: SosCertificate) -> Verifica
         l1 = float(np.sum(np.abs(diff)))
     denom = kappa * float(np.sum(np.abs(q.coeffs) ** 2))
     residual = l1 / denom if denom > 0 else math.inf
-    return VerificationReport(cert.kind, residual, 1e-7)
+    return VerificationReport(residual, 1e-7)

@@ -1,4 +1,6 @@
+import functools
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,12 +9,24 @@ import pytest
 from dvkit.poly2 import BivariatePolynomial, reflect
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
 
 def load_script(name):
     """scripts/<name>.py as a fresh module."""
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.cache
+def load_gen():
+    """perfbench/gen.py, the benchmark's input generator, by path; it
+    builds its inputs with numpy only."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 

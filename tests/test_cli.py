@@ -15,7 +15,9 @@ from conftest import (
     haar_dv,
     haar_unitary,
     kernel,
+    load_gen,
     max_coeff_distance,
+    one_minus_z3w2,
     poly,
     two_minus_z_minus_w,
     w3_minus_z2,
@@ -69,6 +71,18 @@ class TestSerialization:
     def test_bad_coeff_named_in_error(self):
         with pytest.raises(SchemaError, match="coeffs"):
             poly_from_obj({"degree": [0, 0], "coeffs": [[[1, 0], [2, 0]]]})
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [([], "cert: expected an object"), ({"kind": "Bogus"}, "cert.kind: unknown certificate kind")],
+        ids=["non_object", "unknown_kind"],
+    )
+    def test_certificate_refusal_names_the_field(self, obj, message):
+        # verify reads the kind before it loads a certificate, so no command
+        # reaches these refusals; main turns a SchemaError into exit 1
+        with pytest.raises(SchemaError) as exc:
+            cert_from_obj(obj, "cert")
+        assert str(exc.value) == message
 
 
 class TestRunConfig:
@@ -295,8 +309,14 @@ class TestCliCommands:
             ('{"degree": [-1, 0], "coeffs": []}', ".degree"),
             ('{"degree": [0.5, 0], "coeffs": [[[1, 0]]]}', ".degree"),
             ('{"degree": [0, 0], "coeffs": [5]}', ".coeffs"),
+            ('{"degree": [0', ": invalid JSON"),
+            ("[1, 2]", ": expected an object"),
+            ('{"degree": [0, 0]}', ".coeffs: missing"),
         ],
-        ids=["nan_coefficient", "negative_degree", "fractional_degree", "scalar_row"],
+        ids=[
+            "nan_coefficient", "negative_degree", "fractional_degree", "scalar_row",
+            "invalid_json", "non_object", "no_coeffs",
+        ],
     )
     def test_malformed_polynomial_exit_1(self, tmp_path, capsys, text, field):
         bad = tmp_path / "bad.json"
@@ -317,10 +337,12 @@ class TestCliCommands:
             (("cert", "vec_first"), 5, ".cert.vec_first"),
             (("cert", "weights"), 5, ".cert.weights"),
             (("cert", "vec_second", 0, "coeffs"), 5, ".cert.vec_second[0].coeffs"),
+            (("cert", "kind"), "ColeWermer", ".cert.kind"),
+            (("cert", "poly"), None, ".cert.poly"),
         ],
         ids=[
             "no_U", "scalar_U", "no_cert", "no_vec_first", "scalar_vec_first",
-            "scalar_weights", "scalar_vec_second_coeffs",
+            "scalar_weights", "scalar_vec_second_coeffs", "cole_wermer_cert", "no_cert_poly",
         ],
     )
     def test_malformed_realization_exit_1(
@@ -406,6 +428,14 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{cert_path}.{field}:" in captured.err
+
+    def test_extend_non_realization_document_exit_1(self, tmp_path, capsys):
+        # verify dispatches on the kind itself; extend reads a realization
+        path = write_poly(tmp_path, "p.json", z3_minus_w2())
+        assert main(["extend", path, path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}.kind: expected a realization document" in captured.err
 
     def test_verify_non_object_document_exit_1(self, tmp_path, capsys):
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
@@ -890,6 +920,112 @@ class TestCliCommands:
         assert "C_swapped" in out
         if out["C_swapped"] is not None:
             assert out["C_best"] == min(out["C"], out["C_swapped"])
+
+
+def haar_dv_3x3_seed301():
+    """The benchmark's seed-301 ``haar_dv_3x3.r0`` dv_pipeline input."""
+    (found,) = [x for x in load_gen().generate("dv_pipeline", 301)[0] if x.name == "haar_dv_3x3.r0"]
+    return BivariatePolynomial(found.coeffs)
+
+
+EXTREME_EXPONENTS = [-1000, 1000]
+
+
+@pytest.fixture(scope="module")
+def scaled_haar_run(tmp_path_factory):
+    """``represent`` of haar_dv_3x3_seed301() times 2^k, run once per k: the
+    polynomial's path, the exit code and the realization document."""
+    d = tmp_path_factory.mktemp("scaled")
+    runs = {}
+
+    def run(k):
+        if k not in runs:
+            path = write_poly(d, f"p{k}.json", haar_dv_3x3_seed301().ldexp(k))
+            rep_path = d / f"rep{k}.json"
+            code = main(["represent", path, "-o", str(rep_path)])
+            runs[k] = path, code, json.loads(rep_path.read_text()) if code == 0 else None
+        return runs[k]
+
+    return run
+
+
+class TestPowerOfTwoScale:
+    """p and 2^k p get the same verdicts: X*X and Y*Y, the singular values
+    and determinant zeros of a matrix polynomial, and the symmetry constant
+    are each read at a scale that neither overflows nor underflows."""
+
+    @pytest.mark.parametrize("k", EXTREME_EXPONENTS)
+    def test_pipeline_at_extreme_scale(self, scaled_haar_run, tmp_path, capsys, k):
+        # represent used to overflow X*X at 2^1000; its U is now that of p
+        # to the bit, and extend and verify pass on the document
+        path, code, doc = scaled_haar_run(k)
+        assert code == 0
+        assert np.array_equal(np.array(doc["U"]), np.array(scaled_haar_run(0)[2]["U"]))
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(dumps(doc))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        assert main(["extend", str(rep_path), f_path]) == 0
+        assert main(["verify", str(rep_path), path]) == 0
+
+    def test_corrupted_realization_fails_at_small_scale(self, scaled_haar_run, tmp_path, capsys):
+        # P times 1.5 breaks X*X = Y*Y; at 2^-1000 both Gram matrices used to
+        # underflow to 0, so the defect read 0 and verify passed
+        defects = {}
+        for k in (0, -1000):
+            path, _, doc = scaled_haar_run(k)
+            doc = json.loads(json.dumps(doc))
+            first = doc["cert"]["vec_first"][0]
+            first["coeffs"] = [[[1.5 * re, 1.5 * im] for re, im in row] for row in first["coeffs"]]
+            bad = tmp_path / f"bad{k}.json"
+            bad.write_text(dumps(doc))
+            capsys.readouterr()
+            assert main(["verify", str(bad), path]) == 2
+            defects[k] = json.loads(capsys.readouterr().out)["gram_defect"]
+            cert_path = tmp_path / f"cert{k}.json"
+            cert_path.write_text(dumps(doc["cert"]))
+            assert main(["verify", str(cert_path), path]) == 2
+            assert json.loads(capsys.readouterr().out)["gram_equality"] is False
+        assert defects[-1000] == defects[0] > 1e-2
+
+    @pytest.mark.parametrize(
+        "build, scale",
+        [(two_minus_z_minus_w, 1e-310), (four_minus_z_minus_w, 1e-310), (four_minus_z_minus_w, 4e307)],
+        ids=["two_tiny", "four_tiny", "four_huge"],
+    )
+    def test_sos_keeps_a_verified_certificate(self, tmp_path, capsys, build, scale):
+        # the certificates verify; the invertibility check after them used to
+        # stop on numpy's NaN refusal (tiny) or an overflow in Horner (huge)
+        path = write_poly(tmp_path, "p.json", build() * scale)
+        assert main(["sos", path]) == 0
+        captured = capsys.readouterr()
+        assert all(line.startswith("dvkit:") for line in captured.err.splitlines())
+        out = json.loads(captured.out)
+        assert out["verification"]["passed"] is True
+        # 4 - z - w has no zero on the closed bidisk; 2 - z - w vanishes at (1, 1)
+        assert out["gw_invertibility"]["passed"] is (build is four_minus_z_minus_w)
+
+    @pytest.mark.parametrize(
+        "command, build",
+        [
+            ("sos", two_minus_z_minus_w),
+            ("sos", four_minus_z_minus_w),
+            ("sos", z3_minus_w2),
+            ("sos", one_minus_z3w2),
+            ("represent", z3_minus_w2),
+        ],
+        ids=["sos_two", "sos_four", "sos_z3w2", "sos_one_minus_z3w2", "represent_z3w2"],
+    )
+    def test_tiny_input_gets_the_unit_scale_verdict(self, tmp_path, capsys, command, build):
+        # the symmetry constant is a ratio of two coefficients, which used to
+        # overflow when both were near 1e-310
+        flags = ["--a", "1", "--b", "1"] if command == "sos" else []
+        codes = []
+        for scale in (1.0, 1e-310):
+            path = write_poly(tmp_path, "p.json", build() * scale)
+            codes.append(main([command, path, *flags]))
+            err = capsys.readouterr().err
+            assert all(line.startswith("dvkit:") for line in err.splitlines())
+        assert codes[0] == codes[1]
 
 
 class TestDemo:

@@ -1,30 +1,17 @@
 """The complex-grid codec: one array conversion each way, and a per-entry
 path for grids that do not convert, which names the first bad field."""
 
-import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import four_minus_z_minus_w, poly, z3_minus_w2
+from conftest import four_minus_z_minus_w, load_gen, poly, z3_minus_w2
 from dvkit import serialize as ser
 from dvkit.cli import main
 
-GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 DATA = Path(__file__).resolve().parent / "data"
-
-
-def load_gen():
-    """perfbench/gen.py, the benchmark's input generator, by path; it
-    builds its inputs with numpy only."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def poly_grids(doc, where):

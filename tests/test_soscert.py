@@ -1,10 +1,7 @@
 import functools
-import importlib.util
-import sys
 import warnings
 import weakref
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +14,7 @@ from conftest import (
     haar_unitary,
     kernel,
     kummert,
+    load_gen,
     mu,
     norm_sq,
     one_minus_z3w2,
@@ -667,7 +665,7 @@ class TestGwInvertibility:
         # the benchmark's r0 and r1 inputs its values equal, bit for bit,
         # those of the forms sized by q's degree that certificates once
         # carried
-        passes = perfbench_gen().generate("sos_certify", 301)[:2]
+        passes = load_gen().generate("sos_certify", 301)[:2]
         count = 0
         for x in [x for inputs in passes for x in inputs]:
             q = BivariatePolynomial(x.coeffs)
@@ -892,24 +890,11 @@ class TestVerification:
             assert not verify_certificate(four_minus_z_minus_w(), big).passed
 
 
-GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-
-
-@functools.cache
-def perfbench_gen():
-    """perfbench/gen.py, the benchmark's input generator, by path."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", GEN_PATH)
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen  # its dataclasses look the module up by name
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def kummert_contraction_3x3_seed301():
     """The benchmark's seed-301 ``kummert_contraction_3x3.r0`` sos input."""
     (found,) = [
         x
-        for x in perfbench_gen().generate("sos_certify", 301)[0]
+        for x in load_gen().generate("sos_certify", 301)[0]
         if x.name == "kummert_contraction_3x3.r0"
     ]
     return BivariatePolynomial(found.coeffs)
