@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 per CLI call over a directory of polynomials.
 
-    python scripts/output_digest.py DIR [--dump OUT]
+    python scripts/output_digest.py DIR [--dump OUT] [--scale K]
 
 Every dvkit/1 polynomial document in DIR (``*.json`` with kind
 "polynomial") goes through ``classify``, ``reflect``, ``sos``, ``represent``,
@@ -40,6 +40,13 @@ value instead: ``scripts/compare_dumps.py old_dump new_dump`` prints the
 largest relative difference of every numeric key and exits 1 only when a
 verdict (``passed``, ``label``, ``proven``, ``gram_equality``, ``error``)
 differs or a call's output is missing on one side.
+
+With ``--scale K`` every polynomial document is multiplied by 2^K before
+the calls, which read a copy written under the working directory; f = w
+and the demo stay as they are.  Every verdict should match the unscaled
+run, so the exit codes of the two compare with ``diff``:
+
+    diff <(cut -d' ' -f1-3 a.txt) <(python scripts/output_digest.py DIR --scale 1000 | cut -d' ' -f1-3)
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ import sys
 import tempfile
 
 from dvkit.cli import main as dvkit_main
+from dvkit.serialize import dumps, load_path, poly_from_obj, poly_to_obj
 
 F_W = {"schema": "dvkit/1", "kind": "polynomial", "degree": [0, 1], "coeffs": [[[0.0, 0.0], [1.0, 0.0]]]}
 
@@ -88,9 +96,10 @@ def _digest(argv, written=None, dump=None):
     return code, h.hexdigest()
 
 
-def digest_dir(directory, dump_dir=None):
+def digest_dir(directory, dump_dir=None, scale=0):
     """(file, command, exit code, sha256) for every call, in file order;
-    with ``dump_dir``, each call's output is also written there."""
+    with ``dump_dir``, each call's output is also written there, and every
+    polynomial is first multiplied by 2^``scale``."""
     directory = os.path.abspath(directory)
     if dump_dir is not None:
         dump_dir = os.path.abspath(dump_dir)
@@ -111,6 +120,11 @@ def digest_dir(directory, dump_dir=None):
                 json.dump(F_W, fh)
             for path in paths:
                 name = os.path.basename(path)
+                if scale:
+                    p = poly_from_obj(load_path(path), where=path).ldexp(scale)
+                    path = "scaled_" + name
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(dumps(poly_to_obj(p)))
                 rep = "rep_" + name
                 sos, weighted, dv = "sos_" + name, "weighted_" + name, "dv_" + name
                 rows.append(call(name, "classify", ["classify", path]))
@@ -148,10 +162,11 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description="one sha256 per CLI call over a directory of polynomials")
     ap.add_argument("dir")
     ap.add_argument("--dump", metavar="OUT", help="also write each call's output under OUT")
+    ap.add_argument("--scale", type=int, default=0, metavar="K", help="multiply every polynomial by 2^K")
     args = ap.parse_args(argv)
     if not os.path.isdir(args.dir):
         ap.error(f"{args.dir}: not a directory")
-    for name, command, code, sha in digest_dir(args.dir, args.dump):
+    for name, command, code, sha in digest_dir(args.dir, args.dump, args.scale):
         print(f"{name} {command} exit={code} {sha}")
     return 0
 

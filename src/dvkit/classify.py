@@ -45,7 +45,7 @@ __all__ = [
 # Equispaced circle samples the label search starts from.
 CIRCLE_SAMPLES = 64
 # Undecided arcs of the circle are bisected down to width 2 pi / this.
-ARC_FLOOR = 4096
+ARC_FLOOR = 1 << 16
 # Rounding allowance on Schur-Cohn eigenvalues, relative to the squared
 # coefficient norm of the fiber.
 EIG_ROUNDING = 1e-12
@@ -230,7 +230,7 @@ class _FourierSeries:
         return np.sqrt(np.einsum("ij,ij->i", second, second)) + k2 * err, third + k3 * err
 
 
-def _definite_on_circle(p, sign, cap=ARC_FLOOR):
+def _definite_on_circle(p, sign):
     """Circle samples z, the least eigenvalue of sign * S_w(z) at each, the
     largest squared fiber coefficient norm, and whether sign * S_w is proven
     positive definite on T.
@@ -247,7 +247,7 @@ def _definite_on_circle(p, sign, cap=ARC_FLOOR):
     differs from S''(c) by at most |t - c| max||S'''|| <=
     (h/2) sum |k|^3 ||S_k||, so K = ||S''(c)|| + (h/2) sum |k|^3 ||S_k||
     bounds ||S''|| there.  Each round bisects the unproven arcs, down to
-    width 2 pi / ``cap``.  An arc end at or below zero ends the search,
+    width 2 pi / ARC_FLOOR.  An arc end at or below zero ends the search,
     and so does an unproven arc whose end lies at or below the slack its
     own K, taken at the finest width about its midpoint, leaves at that
     width; neither exit proves anything, they only stop a search.  The
@@ -257,7 +257,7 @@ def _definite_on_circle(p, sign, cap=ARC_FLOOR):
     while count < 2 * n + 1:
         count *= 2
     fine = count
-    while fine < cap:
+    while fine < ARC_FLOOR:
         fine *= 2
 
     def sample(pos):
@@ -335,8 +335,7 @@ def _symmetric_label(p, tol):
     for q in (p, transpose_vars(p)):
         if len(_vertical_lines(q, tol)):
             return None
-        cap = ARC_FLOOR if proven else CIRCLE_SAMPLES
-        _, lam, unit, side_proven = _definite_on_circle(q.partial_w(), -1, cap)
+        _, lam, unit, side_proven = _definite_on_circle(q.partial_w(), -1)
         if np.min(lam) < -tol * unit:
             return None
         proven = proven and side_proven

@@ -42,7 +42,6 @@ from .soscert import CertKind, SosCertificate, sym_sos_certificate
 __all__ = [
     "DvCertificate",
     "UnitaryRealization",
-    "VarietySample",
     "RepresentationReport",
     "IsometryError",
     "dv_certificate",
@@ -158,30 +157,6 @@ class UnitaryRealization:
         return UnitaryRealization(self.n, self.m, np.roll(self.U.conj().T, (-self.m, -self.m), (0, 1)))
 
 
-@dataclass(frozen=True, eq=False)
-class VarietySample:
-    """Variety points (z[i], w[i]) and their residuals |p(z[i], w[i])|, as
-    read-only arrays."""
-
-    z: np.ndarray
-    w: np.ndarray
-    residuals: np.ndarray
-
-    def __post_init__(self):
-        for name in ("z", "w", "residuals"):
-            arr = np.array(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self):
-        return len(self.z)
-
-    @property
-    def points(self) -> tuple:
-        """The points as a tuple of (z, w) pairs of Python complex numbers."""
-        return tuple(zip(self.z.tolist(), self.w.tolist()))
-
-
 def dv_certificate(
     p: BivariatePolynomial,
     a: float = 1.0,
@@ -222,9 +197,10 @@ def dv_certificate(
     return DvCertificate(p_sym, (a, b), vec_p, vec_q, smooth)
 
 
-def sample_variety(p: BivariatePolynomial) -> VarietySample:
-    """Variety points inside the bidisk: the fiber roots over jittered circles
-    of z that lie in the disk.  For p of degree (n, m) the circles |z| in
+def sample_variety(p: BivariatePolynomial) -> tuple[np.ndarray, np.ndarray]:
+    """Variety points (z[i], w[i]) inside the bidisk as the read-only pair
+    (z, w): the fiber roots over jittered circles of z that lie in the
+    disk.  For p of degree (n, m) the circles |z| in
     SAMPLE_RADII carry enough equispaced z, each circle turned by a random
     angle from SAMPLE_SEED, for at least 3(n + m) + 10 points on a
     distinguished variety, whose fibers over the disk keep all m roots
@@ -255,16 +231,19 @@ def sample_variety(p: BivariatePolynomial) -> VarietySample:
         raise IsometryError(
             f"insufficient span: found {int(np.sum(keep))} variety points, need {n + m}"
         )
-    return VarietySample(z[keep], w[keep], vals[keep])
+    sample = z[keep], w[keep]
+    for arr in sample:
+        arr.setflags(write=False)
+    return sample
 
 
-def _stacked_maps(cert: DvCertificate, sample: VarietySample):
+def _stacked_maps(cert: DvCertificate, sample):
     """X = (Q; zP) and Y = (wQ; P) at the samples, one column per point,
     both divided by the power of two of their largest entry, so that X*X
     and Y*Y neither underflow nor overflow; the division is exact, and
     every use of the maps is invariant under it.  Q(z, w) is the first m
     rows of X."""
-    z, w = sample.z, sample.w
+    z, w = sample
     qv = cert.vec_q.evaluate(z, w)  # (m, S)
     pv = cert.vec_p.evaluate(z, w)  # (n, S)
     x = np.vstack([qv, z[None, :] * pv])
@@ -280,14 +259,14 @@ def _gram_defect(x, y) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def gram_defect(cert: DvCertificate, sample: VarietySample) -> float:
+def gram_defect(cert: DvCertificate, sample) -> float:
     """Relative defect of X*X = Y*Y, the sampled form of the on-variety
     kernel identity.  A certificate far above the unit scale overflows to a
     defect that is not finite, which fails the Gram gate."""
     return _gram_defect(*_stacked_maps(cert, sample))
 
 
-def lurking_isometry(cert: DvCertificate, sample: VarietySample) -> UnitaryRealization:
+def lurking_isometry(cert: DvCertificate, sample) -> UnitaryRealization:
     """Unitary completion of the isometry (Q; zP) -> (wQ; P) read off the
     variety samples.
 
@@ -331,15 +310,12 @@ def phi_evaluate(rep: UnitaryRealization, z) -> np.ndarray:
     """Phi(z) = A + zB(I - zD)^{-1}C by linear solve.
 
     A scalar z gives the (m, m) matrix; an array of z gives z.shape + (m, m).
+    The pipeline reads Phi only past a gate of rho(D) < RHO_D_MAX, where
+    I - zD is invertible on the closed disk.
     """
     z = np.asarray(z, dtype=np.complex128)
     zc = z[..., None, None]
-    try:
-        core = np.linalg.solve(
-            np.eye(rep.n) - zc * rep.D, np.broadcast_to(rep.C, z.shape + rep.C.shape)
-        )
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"I - zD is singular at some z in {z}") from exc
+    core = np.linalg.solve(np.eye(rep.n) - zc * rep.D, np.broadcast_to(rep.C, z.shape + rep.C.shape))
     return rep.A + (zc * rep.B) @ core
 
 
@@ -401,30 +377,27 @@ def verify_representation(
     p: BivariatePolynomial,
     cert: DvCertificate,
     rep: UnitaryRealization,
-    sample: VarietySample,
+    sample,
 ) -> RepresentationReport:
     """Residual maxima for every claim of the representation theorem.
 
+    Phi is read only when ``d_spectral_radius``, rho(D), is below RHO_D_MAX,
+    where it is analytic on a neighborhood of the closed disk; otherwise
+    ``det_on_samples``, ``eigen_relation``, ``boundary_unitarity`` and
+    ``contractivity_excess`` are NaN and the report fails on rho(D).
     ``boundary_unitarity`` (max |Phi^H Phi - I|) and
     ``contractivity_excess`` (max(0, ||Phi|| - 1), from the largest
-    eigenvalue of Phi^H Phi) are read at the same 128 circle points.  The
-    circle suffices once ``d_spectral_radius``, rho(D), is below 1: Phi is
-    then analytic on a neighborhood of the closed disk, so ||Phi(z)|| is
-    subharmonic and its sup over the disk lies on the circle; the report
-    fails otherwise.  ``qmatrix_min_sv`` is read at z = 0, 64 circle points and
+    eigenvalue of Phi^H Phi) are read at the same 128 circle points, which
+    suffice: ||Phi(z)|| is subharmonic and its sup over the disk lies on
+    the circle.  ``qmatrix_min_sv`` is read at z = 0, 64 circle points and
     every zero of det Q in the closed disk.  ``det_vs_p_rel`` compares p
     with the multiple of the block determinant that matches its largest
     coefficient, over the coefficients of both degrees, so a determinant
     term beyond p's degree counts against it; it is inf when p is zero or
     the determinant has no term there.  Entries far above the unit scale
     overflow to residuals that are not finite, which fail their gates."""
-    z, w = sample.z, sample.w
+    z, w = sample
     x, y = _stacked_maps(cert, sample)
-    qv = x[: len(cert.vec_q)]
-    q_scale = max(np.max(np.abs(qv)), 1e-300)
-    phis = phi_evaluate(rep, z)
-    det_vals = np.linalg.det(w[:, None, None] * np.eye(rep.m) - phis)
-    eig_vals = np.abs(np.einsum("kij,jk->ik", phis, qv) - w * qv)
     det_poly = det_representation(rep)
     both = tuple(max(a, b) for a, b in zip(p.degree, det_poly.degree))
     pv, dv = p.with_degree(both).coeffs, det_poly.with_degree(both).coeffs
@@ -434,26 +407,33 @@ def verify_representation(
     else:
         lam = pv[imax] / dv[imax]
         det_rel = float(np.max(np.abs(lam * dv - pv))) / float(np.max(np.abs(pv)))
-    bphis = phi_evaluate(rep, roots_of_unity(128))
-    gram = np.conj(np.swapaxes(bphis, -1, -2)) @ bphis
-    bdry = float(np.max(np.abs(gram - np.eye(rep.m))))
-    # np.maximum, unlike max, keeps a NaN, so a non-finite Phi fails the
-    # gate; eigvalsh cannot read a Gram matrix that is not finite
-    excess = math.nan
-    if np.isfinite(gram).all():
-        excess = float(np.maximum(0.0, np.sqrt(np.max(np.linalg.eigvalsh(gram))) - 1.0))
+    rho = rep.d_spectral_radius()
+    det_on = eig_rel = bdry = excess = math.nan
+    if rho < RHO_D_MAX:
+        qv = x[: len(cert.vec_q)]
+        phis = phi_evaluate(rep, z)
+        det_on = float(np.max(np.abs(np.linalg.det(w[:, None, None] * np.eye(rep.m) - phis))))
+        eig_vals = np.abs(np.einsum("kij,jk->ik", phis, qv) - w * qv)
+        eig_rel = float(np.max(eig_vals)) / max(np.max(np.abs(qv)), 1e-300)
+        bphis = phi_evaluate(rep, roots_of_unity(128))
+        gram = np.conj(np.swapaxes(bphis, -1, -2)) @ bphis
+        bdry = float(np.max(np.abs(gram - np.eye(rep.m))))
+        # np.maximum, unlike max, keeps a NaN, so a non-finite Phi fails the
+        # gate; eigvalsh cannot read a Gram matrix that is not finite
+        if np.isfinite(gram).all():
+            excess = float(np.maximum(0.0, np.sqrt(np.max(np.linalg.eigvalsh(gram))) - 1.0))
     sv = cert.qmatrix.min_singular_value_on_disk if cert.smooth_on_torus else None
     return RepresentationReport(
         gram_defect=_gram_defect(x, y),
         gram_tolerance=cert.gram_tolerance,
         qmatrix_tolerance=1e-8 * cert.qmatrix.max_singular_value_on_disk,
-        det_on_samples=float(np.max(np.abs(det_vals))),
-        eigen_relation=float(np.max(eig_vals)) / q_scale,
+        det_on_samples=det_on,
+        eigen_relation=eig_rel,
         det_vs_p_rel=det_rel,
         unitarity=rep.unitarity_defect(),
         boundary_unitarity=bdry,
         contractivity_excess=excess,
-        d_spectral_radius=rep.d_spectral_radius(),
+        d_spectral_radius=rho,
         qmatrix_min_sv=sv,
         smooth_on_torus=cert.smooth_on_torus,
     )

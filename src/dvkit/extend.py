@@ -32,7 +32,15 @@ import numpy as np
 
 from .classify import fiber_root_pairs
 from .dvrep import RHO_D_MAX, DvCertificate, UnitaryRealization, phi_evaluate
-from .poly2 import BivariatePolynomial, horner, roots_of_unity
+from .poly2 import (
+    RANGE_BOUND,
+    BivariatePolynomial,
+    MatrixPolynomial,
+    _exponent,
+    _ldexp,
+    horner,
+    roots_of_unity,
+)
 
 __all__ = [
     "ExtensionOperator",
@@ -186,15 +194,21 @@ def expand_extension(op: ExtensionOperator):
     serialization only.  Both parts are recovered by evaluation on
     roots-of-unity nodes and exact inverse DFT; every real or imaginary part
     of a coefficient at or below 1e-12 of the part's largest modulus is then
-    set to zero, and the trailing zeros are trimmed.  Raises ValueError,
-    naming the part, when its samples or coefficients are not finite."""
+    set to zero, and the trailing zeros are trimmed.  The parts are defined
+    up to one common factor, so det Q is read from Q as it is while m times
+    the exponent e of its largest coefficient stays within RANGE_BOUND, and
+    from Q / 2^e beyond, where det Q itself would leave the float range.
+    Raises ValueError, naming the part, when its samples or coefficients
+    are not finite."""
     m, n = op.rep.m, op.rep.n
     fz, fw = op.f.degree
     dz_deg = m * n + fw * n
     nz_deg = n * m + fw * (n + 1) + fz + n
+    e = _exponent(op.cert.qmatrix.coeffs)
+    qmatrix = MatrixPolynomial(_ldexp(op.cert.qmatrix.coeffs, 0 if m * abs(e) <= RANGE_BOUND else -e))
 
     def denom_at(z):
-        qdet = np.linalg.det(op.cert.qmatrix.evaluate(z))
+        qdet = np.linalg.det(qmatrix.evaluate(z))
         core = np.linalg.det(np.eye(n) - np.asarray(z)[..., None, None] * op.rep.D)
         return qdet * core**fw
 

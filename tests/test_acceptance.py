@@ -199,7 +199,7 @@ def test_criterion_5_symmetric_certificate(sym_cert_z3w2):
 def test_criterion_6_representation(rep_z3w2, rep_w3z2):
     details = []
     for cert, sample, rep, report in (rep_z3w2, rep_w3z2):
-        assert len(sample) >= 3 * sum(cert.p.degree) + 10
+        assert len(sample[0]) >= 3 * sum(cert.p.degree) + 10
         assert gram_defect(cert, sample) <= 1e-8
         assert rep.unitarity_defect() <= 1e-10
         assert rep.d_spectral_radius() < 1

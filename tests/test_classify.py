@@ -17,6 +17,7 @@ from conftest import (
 )
 from dvkit.classify import (
     FiberError,
+    ZeroClass,
     ZeroLabel,
     classify_zero_set,
     fiber_root_pairs,
@@ -322,6 +323,13 @@ class TestCircleProof:
             _, _, _, proven = _definite_on_circle(side, -1)
             assert proven and self.dense_definite(side, -1)
 
+    def test_z_degree_32_takes_2n_plus_1_base_samples(self):
+        # the Fourier coefficients of S_w need 2n + 1 = 65 samples: for
+        # 1 + i z^32 / 2 - w, S_w = 1/4 - sin(32 t) reads 1/4 at all 64th
+        # roots of unity, where it would look constant and proven
+        p = poly({(0, 0): 1, (32, 0): 0.5j, (0, 1): -1})
+        assert classify_zero_set(p).label is ZeroLabel.INDETERMINATE
+
     def test_rotated_two_minus_z_minus_w_stays_unproven(self):
         # the torus zero puts the least eigenvalue at 0 between samples
         for a in (0.3, 1.7, 2.9):
@@ -352,6 +360,10 @@ class TestClassification:
     def test_affirmative_labels_have_no_witnesses(self):
         zc = classify_zero_set(z3_minus_w2())
         assert zc.witnesses == ()
+
+    def test_affirmative_label_refuses_witnesses(self):
+        with pytest.raises(ValueError, match="cannot carry witnesses"):
+            ZeroClass(ZeroLabel.STABLE_OPEN, ((0j, 0j),))
 
     def test_indeterminate_collects_witnesses(self):
         # zeros crossing both (D x T) and (D x D): (w - 1/2)(w - 2) = scaled
@@ -588,6 +600,15 @@ class TestSquarefree:
         z_half = poly({(0, 0): -0.5, (1, 0): 1})
         var, _, root, k = repeated_root(z_half * z_half * z3_minus_w2())
         assert (var, k) == ("z", 2) and abs(root - 0.5) <= 1e-8
+
+    def test_constant_fibers_have_no_repeated_root(self):
+        # 2 - z declared at degree (1, 1): every w-fiber is a nonzero constant
+        assert repeated_root(poly({(0, 0): 2, (1, 0): -1}, (1, 1))) is None
+
+    def test_zero_fibers_give_a_nan_root(self):
+        # the zero polynomial: every fiber vanishes, at its formal degree 1
+        var, _, root, k = repeated_root(poly({}, (1, 1)))
+        assert var == "w" and np.isnan(root) and k == 1
 
     @settings(max_examples=40, deadline=None)
     @given(k=st.integers(-1000, 1000))

@@ -688,6 +688,24 @@ class TestCliCommands:
         assert out["d_spectral_radius"] >= 1.0 - 1e-8
         assert out["passed"] is False
 
+    def test_verify_identity_d_reads_no_phi(self, realization_doc, tmp_path, capsys):
+        # D = I makes I - zD singular at z = 1, one of the circle points Phi
+        # was read at, and verify used to exit with that solve's error and
+        # the 128 points as numpy text; Phi is now read only where rho(D) < 1
+        poly_path, doc = realization_doc
+        m, n = doc["m"], doc["n"]
+        u = np.array([[complex(*c) for c in row] for row in doc["U"]])
+        u[m:, m:] = np.eye(n)
+        bad_path = tmp_path / "rep.json"
+        bad_path.write_text(dumps(dict(doc, U=[[[c.real, c.imag] for c in row] for row in u])))
+        assert main(["verify", str(bad_path), poly_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        out = json.loads(captured.out)
+        assert out["passed"] is False and out["d_spectral_radius"] == 1.0
+        for key in ("det_on_samples", "eigen_relation", "boundary_unitarity", "contractivity_excess"):
+            assert out[key] is None
+
     @pytest.mark.parametrize("other", ["higher_degree", "zero"])
     def test_verify_against_mismatched_polynomial_exit_2(self, realization_doc, tmp_path, capsys, other):
         # w^3 - z^2 has its largest coefficient at w^3, where the determinant
@@ -875,7 +893,7 @@ class TestCliCommands:
         assert json.loads(capsys.readouterr().out)["gram_equality"] is True
         _, sample, _, _ = represent(p)
         assert len(seen) == 1
-        assert seen[0].points == sample.points
+        assert all(a.tolist() == b.tolist() for a, b in zip(seen[0], sample))
 
     @pytest.mark.parametrize("rel", [3e-9, 5e-10])
     def test_near_symmetric_dv_classifies_and_represents(self, tmp_path, capsys, rel):
@@ -966,6 +984,28 @@ class TestPowerOfTwoScale:
         f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
         assert main(["extend", str(rep_path), f_path]) == 0
         assert main(["verify", str(rep_path), path]) == 0
+
+    def test_expansion_at_extreme_scale(self, tmp_path, capsys):
+        # det Q(z) of z^3 - w^2 times 2^1000 used to overflow (exit 2), and
+        # times 2^-1000 to underflow to a passing 0 / 0; both parts are now
+        # the unit-scale parts times one common power of two, up to the
+        # rounding of det, which numpy takes through log |det|
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        parts = {}
+        for k in (0, *EXTREME_EXPONENTS):
+            path = write_poly(tmp_path, f"p{k}.json", z3_minus_w2().ldexp(k))
+            rep_path = tmp_path / f"rep{k}.json"
+            assert main(["represent", path, "-o", str(rep_path)]) == 0
+            capsys.readouterr()
+            assert main(["extend", str(rep_path), f_path, "--no-swap", "--expand"]) == 0
+            out = json.loads(capsys.readouterr().out)
+            parts[k] = [poly_from_obj(out[key]) for key in ("numerator", "denominator")]
+        for k in EXTREME_EXPONENTS:
+            shift = parts[k][1].exponent - parts[0][1].exponent
+            for got, want in zip(parts[k], parts[0]):
+                want = want.ldexp(shift).coeffs
+                assert got.coeffs.shape == want.shape
+                assert np.max(np.abs(got.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_corrupted_realization_fails_at_small_scale(self, scaled_haar_run, tmp_path, capsys):
         # P times 1.5 breaks X*X = Y*Y; at 2^-1000 both Gram matrices used to

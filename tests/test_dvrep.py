@@ -62,7 +62,7 @@ class TestDvCertificate:
 
     def test_kernel_identity_on_variety_pairs(self, pipeline_z3w2):
         cert, sample, _, _ = pipeline_z3w2
-        z, w = sample.z, sample.w
+        z, w = sample
         kp = kernel(cert.vec_p, z[:, None], w[:, None], z[None, :], w[None, :])
         kq = kernel(cert.vec_q, z[:, None], w[:, None], z[None, :], w[None, :])
         za = 1 - z[:, None] * np.conj(z[None, :])
@@ -99,18 +99,20 @@ class TestDvCertificate:
 class TestSampleVariety:
     def test_points_on_variety(self, pipeline_z3w2):
         cert, sample, _, _ = pipeline_z3w2
-        z, w = sample.z, sample.w
+        z, w = sample
         assert np.max(np.abs(cert.p.evaluate(z, w))) <= 1e-10 * cert.p.scale
         assert np.all(np.abs(z) < 1) and np.all(np.abs(w) < 1)
 
-    def test_residuals_recorded(self, pipeline_z3w2):
+    def test_sample_is_two_read_only_arrays(self, pipeline_z3w2):
         _, sample, _, _ = pipeline_z3w2
-        assert max(sample.residuals) <= 1e-10
+        z, w = sample
+        assert len(z) == len(w) and not z.flags.writeable and not w.flags.writeable
 
     def test_deterministic_under_seed(self):
         # the circles' jitter comes from one fixed seed
         p = symmetrize(z3_minus_w2())
-        assert sample_variety(p).points == sample_variety(p).points
+        (z0, w0), (z1, w1) = sample_variety(p), sample_variety(p)
+        assert z0.tolist() == z1.tolist() and w0.tolist() == w1.tolist()
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_matches_per_point_newton(self, seed, monkeypatch):
@@ -140,9 +142,9 @@ class TestSampleVariety:
                         w = w - val / dw
                     if abs(p.evaluate(z, w)) <= 1e-12 * scale and abs(w) < 1.0:
                         want.append((z, w))
-        got = sample_variety(p)
+        got = list(zip(*sample_variety(p)))
         assert len(got) == len(want)
-        assert max(abs(a - c) + abs(b - d) for (a, b), (c, d) in zip(got.points, want)) < 1e-12
+        assert max(abs(a - c) + abs(b - d) for (a, b), (c, d) in zip(got, want)) < 1e-12
 
     @pytest.mark.parametrize("d", [8, 12, 16, 20])
     def test_companion_roots_need_no_polish(self, d):
@@ -151,11 +153,11 @@ class TestSampleVariety:
         # the companion roots meet p to 1e-13 * scale unpolished
         p = symmetrize(degree_survey().haar_variety(d, 1))
         n, m = p.degree
-        sample = sample_variety(p)
+        z, w = sample_variety(p)
         per = max(4, int(np.ceil((3 * (n + m) + 10) / (len(SAMPLE_RADII) * m))) + 1)
-        _, counts = np.unique(sample.z, return_counts=True)
+        _, counts = np.unique(z, return_counts=True)
         assert len(counts) == per * len(SAMPLE_RADII) and set(counts.tolist()) == {m}
-        assert np.max(sample.residuals) <= 1e-13 * p.scale
+        assert np.max(np.abs(p.evaluate(z, w))) <= 1e-13 * p.scale
 
     def test_insufficient_span_raises(self):
         # w - 2 has no fiber root in the disk
@@ -197,11 +199,11 @@ class TestLurkingIsometry:
         # so the missing columns come from the completion
         cert, sample, _, _ = pipeline_z3w2
         k = len(cert.vec_q) + len(cert.vec_p) - 1
-        thin = type(sample)(sample.z[:k], sample.w[:k], sample.residuals[:k])
-        rep = lurking_isometry(cert, thin)
-        qv, pv = cert.vec_q.evaluate(thin.z, thin.w), cert.vec_p.evaluate(thin.z, thin.w)
-        x = np.vstack([qv, thin.z * pv])
-        y = np.vstack([thin.w * qv, pv])
+        z, w = (arr[:k] for arr in sample)
+        rep = lurking_isometry(cert, (z, w))
+        qv, pv = cert.vec_q.evaluate(z, w), cert.vec_p.evaluate(z, w)
+        x = np.vstack([qv, z * pv])
+        y = np.vstack([w * qv, pv])
         assert np.linalg.matrix_rank(x, 1e-8 * np.linalg.norm(x, 2)) == k - 1
         assert rep.unitarity_defect() <= 1e-12
         assert np.linalg.norm(rep.U @ x - y) <= 1e-12 * np.linalg.norm(y)
@@ -211,9 +213,18 @@ class TestLurkingIsometry:
         # the last 10 points
         cert, sample, _, _ = pipeline_z3w2
         idx = np.r_[np.zeros(30, dtype=int), np.arange(1, 11)]
-        thin = type(sample)(sample.z[idx], sample.w[idx], sample.residuals[idx])
+        thin = tuple(arr[idx] for arr in sample)
         with pytest.raises(IsometryError, match=r"40 points span rank 5 of m \+ n = 5, their first 30 rank 1"):
             lurking_isometry(cert, thin)
+
+
+class TestUnitaryRealization:
+    def test_block_sizes_must_match(self):
+        with pytest.raises(ValueError, match="block sizes"):
+            UnitaryRealization(1, 1, np.eye(3))
+
+    def test_no_d_block_has_spectral_radius_zero(self):
+        assert UnitaryRealization(1, 0, [[1.0]]).d_spectral_radius() == 0.0
 
 
 class TestPhi:
@@ -244,7 +255,7 @@ class TestPhi:
 
     def test_eigen_relation_at_samples(self, pipeline_z3w2):
         cert, sample, rep, _ = pipeline_z3w2
-        z, w = sample.z, sample.w
+        z, w = sample
         qv = cert.vec_q.evaluate(z, w)
         for k in range(len(z)):
             phi = phi_evaluate(rep, z[k])

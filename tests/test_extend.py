@@ -58,7 +58,7 @@ class TestExtensionValues:
     def test_f_w_agrees_on_variety(self, pipeline_z3w2):
         cert, sample, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, F_W)
-        for z, w in sample.points[:10]:
+        for z, w in zip(*(arr[:10] for arr in sample)):
             assert abs(op(z, w) - w) < 1e-8
 
     def test_f_z_extends_to_z_everywhere(self, pipeline_z3w2):
@@ -90,10 +90,10 @@ class TestExtensionValues:
     def test_pointwise_arrays_match_scalar_calls(self, pipeline_z3w2):
         cert, sample, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, F_ZW + F_W2)
-        z, w = sample.z, sample.w
+        z, w = sample
         got = op.evaluate(z, w)
         assert got.shape == z.shape
-        want = np.array([op(complex(a), complex(b)) for a, b in sample.points])
+        want = np.array([op(complex(a), complex(b)) for a, b in zip(z, w)])
         assert np.max(np.abs(got - want)) < 1e-13
         shared = op.evaluate(z[0], w)  # one z against many w
         assert np.max(np.abs(shared - op.evaluate_grid(z[:1], w)[0])) < 1e-13
@@ -227,7 +227,7 @@ class TestBounds:
     def test_on_variety_agreement_corpus(self, pipeline_z3w2):
         # monomials up to degree (3, 3) plus random polynomials
         cert, sample, rep, _ = pipeline_z3w2
-        z, w = sample.z, sample.w
+        z, w = sample
         rng = np.random.default_rng(9)
         fs = [poly({(i, j): 1}) for i in range(4) for j in range(4)]
         fs += [
@@ -243,7 +243,7 @@ class TestBounds:
         for f in fs:
             op = ExtensionOperator(rep, cert, f)
             fv = np.asarray(f.evaluate(z, w))
-            ev = np.array([op(complex(a), complex(b)) for a, b in sample.points])
+            ev = np.array([op(complex(a), complex(b)) for a, b in zip(z, w)])
             sup_f = sup_norm_on_variety(f, cert.p, 128)
             assert np.max(np.abs(ev - fv)) <= 1e-7 * (1 + sup_f)
 
@@ -305,7 +305,7 @@ class TestChecksReadOnTorus:
             assert report.passed
             assert np.max(np.abs(op.evaluate_grid(pts, pts))) <= report.sup_F_on_bidisk + 1e-12
             scale = 1.0 + report.sup_f_on_variety
-            residual = np.max(np.abs(op.evaluate(sample.z, sample.w) - f.evaluate(sample.z, sample.w)))
+            residual = np.max(np.abs(op.evaluate(*sample) - f.evaluate(*sample)))
             assert residual <= report.on_variety_residual * scale + 1e-14
 
     @pytest.mark.parametrize("name", sorted(DV_CORPUS))

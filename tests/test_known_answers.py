@@ -13,6 +13,8 @@ so that they do not move with the library:
   bidisk.  K of norm 1 gives no zeros on the open bidisk, and none on the
   torus unless K maps its top right singular vector v to a vector u with
   v = diag(z I_n, w I_m) u at some torus point, which a generic draw avoids.
+* Products of linear factors 1 - a z - b w: a factor with |a| + |b| > 1
+  vanishes in the open bidisk, at a depth of about |a| + |b| - 1.
 
 A torus rotation (z, w) -> (e^{ia} z, e^{ib} w) times a unimodular factor
 preserves every answer.
@@ -48,6 +50,36 @@ def norm_one(rng, size):
 def assert_certifies(q, cert):
     report = verify_certificate(q, cert)
     assert report.passed, report.residual
+
+
+def linear_factor(rng, total):
+    """1 - a z - b w with |a| + |b| = total, split by s ~ U(0.05, 0.95),
+    with uniform phases."""
+    s = rng.uniform(0.05, 0.95)
+    pa, pb = np.exp(2j * np.pi * rng.uniform(size=2))
+    return poly({(0, 0): 1, (1, 0): -s * total * pa, (0, 1): -(1 - s) * total * pb})
+
+
+def test_linear_factor_products_with_a_zero_inside_are_indeterminate():
+    # k factors, the first with |a| + |b| = 1 + eps and the others with
+    # |a| + |b| ~ U(0.3, 0.99): a zero in the open bidisk at a depth of
+    # about eps, over an arc of the circle narrower than the base samples,
+    # which only the full-depth circle search reaches
+    rng = np.random.default_rng(5)
+    wrong = []
+    for k in (1, 2, 4, 6, 8):
+        for eps in (1e-5, 1e-4, 1e-3, 1e-2):
+            for _ in range(6):
+                p = linear_factor(rng, 1 + eps)
+                for _ in range(k - 1):
+                    p = p * linear_factor(rng, rng.uniform(0.3, 0.99))
+                zc = classify_zero_set(p)
+                if zc.label is not ZeroLabel.INDETERMINATE or not all(
+                    max(abs(z), abs(w)) <= 1 + 1e-12 and abs(p.evaluate(z, w)) <= zc.tol * p.scale
+                    for z, w in zc.witnesses
+                ):
+                    wrong.append((k, eps, zc.label.value))
+    assert wrong == []
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -93,3 +93,22 @@ def test_compare_dumps_tells_a_changed_verdict(tmp_path, capsys):
     verify.unlink()
     assert compare.main([str(old), str(new)]) == 1
     assert f"VERDICT: z3w2.json.verify.json: only in {old}" in capsys.readouterr().out
+
+
+def test_scale_multiplies_every_polynomial(tmp_path, capsys):
+    # z^3 - w^2 and 4 - z - w times 2^+-1000 keep every exit code of scale
+    # 1, the expansion of the extension included; reflect writes the
+    # scaled polynomial back
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "four.json").write_text(dumps(poly_to_obj(four_minus_z_minus_w())))
+    (corpus / "z3w2.json").write_text(dumps(poly_to_obj(z3_minus_w2())))
+    codes = {}
+    for k in (0, 1000, -1000):
+        dump = tmp_path / f"dump{k}"
+        assert load_script().main([str(corpus), "--dump", str(dump), "--scale", str(k)]) == 0
+        codes[k] = [line.rsplit(" ", 1)[0] for line in capsys.readouterr().out.splitlines()]
+        reflected = json.loads((dump / "z3w2.json.reflect.json").read_text())
+        assert max(abs(re) + abs(im) for row in reflected["coeffs"] for re, im in row) == 2.0**k
+    assert codes[1000] == codes[-1000] == codes[0]
+    assert "z3w2.json extend_expand exit=0" in codes[0]

@@ -47,6 +47,15 @@ def poly_strategy(draw, max_deg=4):
     return random_poly(rng, n, m)
 
 
+class TestConstruction:
+    def test_coefficients_need_two_axes(self):
+        with pytest.raises(ValueError, match="2-D"):
+            BivariatePolynomial(np.ones(3))
+
+    def test_repr_names_the_degree(self):
+        assert repr(z3_minus_w2()) == "BivariatePolynomial(degree=(3,2))"
+
+
 class TestEvaluate:
     def test_constant_term(self):
         assert one_minus_z3w2()(0, 0) == 1
@@ -295,6 +304,10 @@ class TestReflect:
         with pytest.raises(DegreeMismatchError):
             reflect(z3_minus_w2(), (2, 2))
 
+    def test_matrix_degree_mismatch_rejected(self):
+        with pytest.raises(DegreeMismatchError):
+            MatrixPolynomial(np.ones((2, 2, 3))).reflected(1)
+
     @given(poly_strategy())
     @settings(max_examples=40, deadline=None)
     def test_involution(self, p):
@@ -360,6 +373,10 @@ class TestSymmetry:
 
     def test_two_minus_z_minus_w_not_symmetric(self):
         assert symmetry_constant(two_minus_z_minus_w()) is None
+
+    def test_zero_polynomial_refused(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            symmetry_constant(poly({}, (1, 1)))
 
     def test_symmetric_detected(self):
         q = random_symmetric_poly(np.random.default_rng(1), 2, 3)
