@@ -7,8 +7,8 @@ the B side of the paper's identity, and a trigonometric polynomial of
 degree n in z.  Between two samples h apart its least eigenvalue lies at
 most h^2 K / 8 below the smaller of theirs, K a curvature bound on the arc
 read off the Fourier coefficients that 2n + 1 samples fix, so samples bound
-it on all of T.  Each arc gets its own K from the second derivative at its
-midpoint, capped by one K for all of T, and only the arcs left undecided
+it on all of T.  Each arc gets its own K, from the second derivative at
+its midpoint and a bound on the third, and only the arcs left undecided
 are bisected.  q has no zeros on the closed (open) bidisk exactly when no
 fiber over T has a root in the closed (open) disk and neither has q(., 0)
 (DeCarlo, Murray and Saeks 1977).
@@ -20,7 +20,6 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -193,41 +192,31 @@ class _FourierSeries:
 
     One FFT of the samples gives S_1, ..., S_n exactly up to rounding,
     allowed for by EIG_ROUNDING * unit per coefficient; S Hermitian makes
-    S_{-k} = S_k^H.  Both curvature bounds read off these coefficients."""
+    S_{-k} = S_k^H.  Each arc's curvature bound reads off these
+    coefficients."""
 
     def __init__(self, s, n):
-        self.coeffs = np.fft.fft(s, axis=0)[1 : n + 1] / len(s)
-        self.k = np.arange(1, n + 1)
-        self.frob = np.sqrt(np.sum(np.abs(self.coeffs) ** 2, axis=(1, 2)))
-
-    def curvature(self, unit):
-        """Bound sum_{|k| <= n} k^2 ||S_k||_F on ||S''(t)|| over T."""
-        k = self.k
-        return 2.0 * float(np.sum(k * k * (self.frob + EIG_ROUNDING * unit)))
-
-    @cached_property
-    def _derivative_terms(self):
         # -S''(t) = sum_{k >= 1} cos(kt) P_k + sin(kt) Q_k with P_k, Q_k =
         # k^2 (S_k + S_k^H), i k^2 (S_k - S_k^H), flattened to real rows;
-        # sum_{|k| <= n} k^2 and |k|^3, and sum |k|^3 ||S_k||_F.  Set up
-        # once, for every bisection round.
-        k = self.k
-        n, m = self.coeffs.shape[:2]
-        scaled = (k * k)[:, None, None] * self.coeffs
+        # sum_{|k| <= n} k^2 and |k|^3, and sum |k|^3 ||S_k||_F
+        coeffs = np.fft.fft(s, axis=0)[1 : n + 1] / len(s)
+        m = coeffs.shape[1]
+        self.k = k = np.arange(1, n + 1)
+        scaled = (k * k)[:, None, None] * coeffs
         adjoint = scaled.conj().swapaxes(1, 2)
         rows = np.concatenate([scaled + adjoint, 1j * (scaled - adjoint)])
-        rows = rows.reshape(2 * n, m * m).view(float)
-        return rows, 2.0 * float(k @ k), 2.0 * float(np.sum(k**3)), 2.0 * float(k**3 @ self.frob)
+        self.rows = rows.reshape(2 * n, m * m).view(float)
+        self.k2, self.k3 = 2.0 * float(k @ k), 2.0 * float(np.sum(k**3))
+        self.third = 2.0 * float(k**3 @ np.sqrt(np.sum(np.abs(coeffs) ** 2, axis=(1, 2))))
 
     def arc_curvature(self, mid, unit):
         """(a, b) with ||S''(t)|| <= a + b |t - mid| on T, one entry of a per
         entry of ``mid``: a bounds ||S''(mid)||_F and b = sum_{|k| <= n}
         |k|^3 ||S_k||_F bounds ||S'''||."""
-        rows, k2, k3, third = self._derivative_terms
         err = EIG_ROUNDING * unit
         t = np.multiply.outer(mid, self.k)
-        second = np.hstack([np.cos(t), np.sin(t)]) @ rows
-        return np.sqrt(np.einsum("ij,ij->i", second, second)) + k2 * err, third + k3 * err
+        second = np.hstack([np.cos(t), np.sin(t)]) @ self.rows
+        return np.sqrt(np.einsum("ij,ij->i", second, second)) + self.k2 * err, self.third + self.k3 * err
 
 
 def _definite_on_circle(p, sign):
@@ -241,18 +230,17 @@ def _definite_on_circle(p, sign):
     K a bound on |v^H S'' v| over the arc, and lies above the least
     eigenvalues there; so the arc is proven when the smaller end value,
     less the rounding allowance EIG_ROUNDING * unit, exceeds h^2 K / 8.
-    Each arc is judged by its own K, capped by one K for all of T, sum k^2
-    ||S_k|| over the coefficients S_k that one FFT of the base samples
-    gives (:class:`_FourierSeries`): on an arc of width h about c, S''(t)
-    differs from S''(c) by at most |t - c| max||S'''|| <=
-    (h/2) sum |k|^3 ||S_k||, so K = ||S''(c)|| + (h/2) sum |k|^3 ||S_k||
-    bounds ||S''|| there.  Each round bisects the unproven arcs, down to
-    width 2 pi / ARC_FLOOR.  An arc end at or below zero ends the search,
-    and so does an unproven arc whose end lies at or below the slack its
-    own K, taken at the finest width about its midpoint, leaves at that
-    width; neither exit proves anything, they only stop a search.  The
-    samples come back in angular order, each on the uniform grid of their
-    arc width."""
+    Each arc is judged by its own K, read off the coefficients S_k that one
+    FFT of the base samples gives (:class:`_FourierSeries`): on an arc of
+    width h about c, S''(t) differs from S''(c) by at most
+    |t - c| max||S'''|| <= (h/2) sum |k|^3 ||S_k||, so
+    K = ||S''(c)|| + (h/2) sum |k|^3 ||S_k|| bounds ||S''|| there.  Each
+    round bisects the unproven arcs, down to width 2 pi / ARC_FLOOR.  The
+    search stops, proving nothing, at an unproven arc whose end lies at or
+    below the slack its own K, taken at the finest width about its
+    midpoint, leaves at that width; an arc end at or below zero is one.
+    The samples come back in angular order, each on the uniform grid of
+    their arc width."""
     n, count = p.degree[0], CIRCLE_SAMPLES
     while count < 2 * n + 1:
         count *= 2
@@ -274,22 +262,19 @@ def _definite_on_circle(p, sign):
     s, lam[left], unit = sample(left)
     seen[left] = True
     series = _FourierSeries(s, n)
-    curve = series.curvature(unit)
     floor = (np.pi / fine) ** 2 / 2
     proven = False
     while True:
         # an arc of this width is proven when its end exceeds slack * K
         slack = (np.pi * width / fine) ** 2 / 2
         ends = np.minimum(lam[left], lam[(left + width) % fine]) - EIG_ROUNDING * unit
-        if ends.min() <= 0.0:
-            break
         at_mid, third = series.arc_curvature(2 * np.pi * (left + 0.5 * width) / fine, unit)
-        undecided = ends <= slack * np.minimum(curve, at_mid + np.pi * width / fine * third)
+        undecided = ends <= slack * (at_mid + np.pi * width / fine * third)
         if not undecided.any():
             proven = True
             break
         # the arc's own K on the finest arc about its midpoint
-        finest = np.minimum(curve, at_mid[undecided] + np.pi / fine * third)
+        finest = at_mid[undecided] + np.pi / fine * third
         if (ends[undecided] <= floor * finest).any():
             break
         left = left[undecided]

@@ -389,8 +389,8 @@ def verify_representation(
     ``contractivity_excess`` (max(0, ||Phi|| - 1), from the largest
     eigenvalue of Phi^H Phi) are read at the same 128 circle points, which
     suffice: ||Phi(z)|| is subharmonic and its sup over the disk lies on
-    the circle.  ``qmatrix_min_sv`` is read at z = 0, 64 circle points and
-    every zero of det Q in the closed disk.  ``det_vs_p_rel`` compares p
+    the circle.  ``qmatrix_min_sv`` is read at 64 circle points and every
+    zero of det Q in the closed disk.  ``det_vs_p_rel`` compares p
     with the multiple of the block determinant that matches its largest
     coefficient, over the coefficients of both degrees, so a determinant
     term beyond p's degree counts against it; it is inf when p is zero or

@@ -533,14 +533,14 @@ class MatrixPolynomial:
         :attr:`min_singular_value_on_disk` are s * 2^e, s those of Q / 2^e."""
         e = self._range_exponent
         ranged = MatrixPolynomial(_ldexp(self.coeffs, -e))
-        pts = np.concatenate([[0.0 + 0.0j], roots_of_unity(64), self.det_zeros_in_disk])
+        pts = np.concatenate([roots_of_unity(64), self.det_zeros_in_disk])
         return np.linalg.svd(ranged.evaluate(pts), compute_uv=False), e
 
     @property
     def min_singular_value_on_disk(self) -> float:
-        """Least singular value of the square matrix polynomial Q over z = 0,
-        the 64 circle points exp(2 pi i k / 64) and every zero of det Q in
-        the closed disk (:attr:`det_zeros_in_disk`), from one cached SVD.
+        """Least singular value of the square matrix polynomial Q over the 64
+        circle points exp(2 pi i k / 64) and every zero of det Q in the
+        closed disk (:attr:`det_zeros_in_disk`), from one cached SVD.
 
         Q at such a zero is singular, so its singular value, about 0, enters
         the minimum.  With no zero of det Q in the closed disk, Q^{-1} is

@@ -459,8 +459,8 @@ class GwReport:
     with no zeros on the closed bidisk (Geronimo-Woerdeman 2004).
 
     Each minimum is taken by :meth:`MatrixPolynomial.min_singular_value_on_disk`
-    over the circle samples, z = 0 and every zero of the determinant in the
-    closed disk, found by a block companion.  A zero anywhere in the closed
+    over the circle samples and every zero of the determinant in the closed
+    disk, found by a block companion.  A zero anywhere in the closed
     disk, also one on the circle between samples, gives a minimum of about 0;
     without one, the maximum principle puts the minimum on the circle.  Each
     minimum passes above 1e-6 times its matrix's largest singular value over
