@@ -123,11 +123,6 @@ def _max_abs(values) -> float:
     return float(np.max(np.abs(values))) if np.size(values) else 0.0
 
 
-def _powers(w: np.ndarray, m: int) -> np.ndarray:
-    """(1, w, ..., w^{m-1}) as the columns of an (m, len(w)) array."""
-    return w[None, :] ** np.arange(m)[:, None]
-
-
 def _require_analytic(rep: UnitaryRealization, cert: DvCertificate) -> None:
     """Refuse a realization whose F may have a pole in the closed bidisk:
     a zero of det Q in the closed disk (found by the block companion of
@@ -268,7 +263,7 @@ def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     sup_f = _max_abs(fv)
     g = op.rows(circle)
     on_var = _max_abs(horner(g[k].T, w) - fv) / (1.0 + sup_f)
-    sup_F = _max_abs(g @ _powers(circle, op.rep.m))
+    sup_F = _max_abs(horner(g.T[:, :, None], circle))
     ratio = sup_F / sup_f if sup_f > 0 else 0.0
     bound = c_const * sup_f + INFLATION_SLACK * max(1.0, op.f.scale)
     passed = on_var <= 1e-7 and math.isfinite(c_const) and sup_F <= bound
