@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Classify generated Haar distinguished varieties of growing degree.
+"""Classify generated Haar distinguished varieties of growing degree, and
+products of linear factors with a zero just inside the bidisk.
 
 For each d and seed s the variety is det [[A - wI, zB], [C, zD - I]] for a
 Haar unitary U = [[A, B], [C, D]] of size 2d drawn from
@@ -9,8 +10,17 @@ Haar unitary U = [[A, B], [C, D]] of size 2d drawn from
     d s label proven samples=a,b
 
 with the label and proof flag of ``classify_zero_set`` and the number of
-circle samples each of its circle proofs took, in call order.  No timings
-are printed, so the output of two checkouts can be compared with ``diff``:
+circle samples each of its circle proofs took, in call order.  Then one
+line per product of k linear factors 1 - a z - b w, the first with
+|a| + |b| = 1 + eps and so a zero at a depth of about eps in the open
+bidisk, reads
+
+    k eps draw label proven samples=a,b
+
+for k in LINEAR_KS, eps in LINEAR_EPS and 6 draws each, all from one
+``default_rng(5)`` (:func:`linear_factor_products`); the right label is
+Indeterminate.  No timings are printed, so the output of two checkouts can
+be compared with ``diff``:
 
     PYTHONPATH=src python scripts/degree_survey.py > new.txt
 """
@@ -21,9 +31,13 @@ import numpy as np
 
 import dvkit.classify
 from dvkit.dvrep import UnitaryRealization, det_representation
+from dvkit.poly2 import BivariatePolynomial
 
 DEGREES = (8, 10, 11, 12, 13, 14, 15, 16, 18, 20)
 SEEDS = (1, 2)
+LINEAR_KS = (1, 2, 4, 6, 8)
+LINEAR_EPS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+LINEAR_DRAWS = 6
 
 
 def haar_unitary(rng, size):
@@ -42,32 +56,65 @@ def haar_variety(d, seed):
     return det_representation(UnitaryRealization(d, d, u))
 
 
-def survey(degrees=DEGREES, seeds=SEEDS):
-    """(d, s, label, proven, samples) per variety, samples the count of
-    each circle proof of its classification."""
+def linear_factor(rng, total):
+    """1 - a z - b w with |a| + |b| = total, split by s ~ U(0.05, 0.95),
+    with uniform phases.
+
+    ``tests/conftest.py`` loads this copy, as it loads :func:`haar_unitary`."""
+    s = rng.uniform(0.05, 0.95)
+    pa, pb = np.exp(2j * np.pi * rng.uniform(size=2))
+    return BivariatePolynomial.from_terms({(0, 0): 1, (1, 0): -s * total * pa, (0, 1): -(1 - s) * total * pb})
+
+
+def linear_factor_products(ks=LINEAR_KS, eps=LINEAR_EPS, draws=LINEAR_DRAWS):
+    """(k, e, draw, p) for each k in ``ks``, e in ``eps`` and draw: p the
+    product of k linear factors, the first with |a| + |b| = 1 + e and the
+    others with |a| + |b| ~ U(0.3, 0.99), all drawn in turn from one
+    ``default_rng(5)``."""
+    rng = np.random.default_rng(5)
+    for k in ks:
+        for e in eps:
+            for draw in range(draws):
+                p = linear_factor(rng, 1 + e)
+                for _ in range(k - 1):
+                    p = p * linear_factor(rng, rng.uniform(0.3, 0.99))
+                yield k, e, draw, p
+
+
+def classified(p):
+    """(label, proven, samples) of ``classify_zero_set(p)``, samples the
+    count of each of its circle proofs in call order."""
     prove = dvkit.classify._definite_on_circle
-    rows = []
-    for d in degrees:
-        for s in seeds:
-            samples = []
+    samples = []
 
-            def counted(*args, **kwargs):
-                out = prove(*args, **kwargs)
-                samples.append(len(out[0]))
-                return out
+    def counted(*args, **kwargs):
+        out = prove(*args, **kwargs)
+        samples.append(len(out[0]))
+        return out
 
-            dvkit.classify._definite_on_circle = counted
-            try:
-                zc = dvkit.classify.classify_zero_set(haar_variety(d, s))
-            finally:
-                dvkit.classify._definite_on_circle = prove
-            rows.append((d, s, zc.label.value, zc.proven, tuple(samples)))
-    return rows
+    dvkit.classify._definite_on_circle = counted
+    try:
+        zc = dvkit.classify.classify_zero_set(p)
+    finally:
+        dvkit.classify._definite_on_circle = prove
+    return zc.label.value, zc.proven, tuple(samples)
+
+
+def survey(degrees=DEGREES, seeds=SEEDS):
+    """(d, s, label, proven, samples) per Haar variety."""
+    return [(d, s, *classified(haar_variety(d, s))) for d in degrees for s in seeds]
+
+
+def linear_survey(**family):
+    """(k, eps, draw, label, proven, samples) per product of
+    :func:`linear_factor_products`, which takes ``family``."""
+    return [(k, e, draw, *classified(p)) for k, e, draw, p in linear_factor_products(**family)]
 
 
 def main():
-    for d, s, label, proven, samples in survey():
-        print(f"{d} {s} {label} {proven} samples={','.join(map(str, samples))}")
+    for row in survey() + linear_survey():
+        *head, samples = row
+        print(*head, f"samples={','.join(map(str, samples))}")
 
 
 if __name__ == "__main__":

@@ -114,8 +114,11 @@ def disk_spiral(count, radius=1.0):
     return radius * np.sqrt((k + 0.5) / count) * np.exp(2j * np.pi * golden * k)
 
 
-# the one Haar generator, shared with the degree survey
-haar_unitary = load_script("degree_survey").haar_unitary
+# the one Haar generator and the one linear-factor family, shared with the
+# degree survey
+_survey = load_script("degree_survey")
+haar_unitary = _survey.haar_unitary
+linear_factor_products = _survey.linear_factor_products
 
 
 def from_values(fn, n, m):

@@ -1,5 +1,6 @@
 """Smoke test of scripts/degree_survey.py, the classification of generated
-Haar distinguished varieties of growing degree."""
+Haar distinguished varieties of growing degree and of products of linear
+factors with a zero just inside the bidisk."""
 
 import importlib.util
 from pathlib import Path
@@ -26,8 +27,33 @@ def test_degree_8_varieties_are_proven_distinguished():
     assert script.dvkit.classify._definite_on_circle.__name__ == "_definite_on_circle"
 
 
+def test_linear_family_draws_every_k_eps_and_draw_in_turn():
+    script = load_script()
+    rows = list(script.linear_factor_products())
+    assert len(rows) == 150
+    assert [(k, eps, draw) for k, eps, draw, _ in rows] == [
+        (k, eps, draw) for k in (1, 2, 4, 6, 8) for eps in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2) for draw in range(6)
+    ]
+    # k factors of degree (1, 1) each
+    assert all(p.degree == (k, k) for k, _, _, p in rows)
+
+
+def test_linear_products_with_a_zero_inside_read_indeterminate():
+    script = load_script()
+    rows = script.linear_survey(ks=(1, 2), eps=(1e-2,), draws=2)
+    assert [(k, eps, draw) for k, eps, draw, *_ in rows] == [(1, 1e-2, 0), (1, 1e-2, 1), (2, 1e-2, 0), (2, 1e-2, 1)]
+    for *_, label, proven, samples in rows:
+        # one circle proof, unproven, from at least the 64 base samples
+        assert (label, proven) == ("Indeterminate", False)
+        assert len(samples) == 1 and samples[0] >= 64
+
+
 def test_main_prints_one_line_per_variety(capsys, monkeypatch):
+    # a Haar variety's line, then a linear-factor product's
     script = load_script()
     monkeypatch.setattr(script, "survey", lambda: [(8, 1, "DVDefining", True, (144, 218))])
+    monkeypatch.setattr(script, "linear_survey", lambda: [(1, 1e-6, 3, "Indeterminate", False, (69,))])
     script.main()
-    assert capsys.readouterr().out == "8 1 DVDefining True samples=144,218\n"
+    assert capsys.readouterr().out == (
+        "8 1 DVDefining True samples=144,218\n1 1e-06 3 Indeterminate False samples=69\n"
+    )

@@ -1,8 +1,9 @@
 """Seeded inputs whose labels and certificates are known from their
 construction, run through classification and the sums-of-squares route.
 
-The constructions are written out here and in conftest with numpy alone,
-so that they do not move with the library:
+The constructions are written out here, in conftest and in
+scripts/degree_survey.py with numpy alone, so that they do not move with
+the library:
 
 * Haar-unitary distinguished varieties (Agler-McCarthy, Acta Math. 2005):
   for a Haar unitary U = [[A, B], [C, D]], A of size m,
@@ -23,7 +24,15 @@ preserves every answer.
 import numpy as np
 import pytest
 
-from conftest import haar_dv, haar_unitary, kummert, one_minus_z3w2, poly, two_minus_z_minus_w
+from conftest import (
+    haar_dv,
+    haar_unitary,
+    kummert,
+    linear_factor_products,
+    one_minus_z3w2,
+    poly,
+    two_minus_z_minus_w,
+)
 from dvkit.classify import ZeroLabel, classify_zero_set
 from dvkit.dvrep import represent
 from dvkit.poly2 import BivariatePolynomial, reflected_derivatives, symmetrize
@@ -52,12 +61,19 @@ def assert_certifies(q, cert):
     assert report.passed, report.residual
 
 
-def linear_factor(rng, total):
-    """1 - a z - b w with |a| + |b| = total, split by s ~ U(0.05, 0.95),
-    with uniform phases."""
-    s = rng.uniform(0.05, 0.95)
-    pa, pb = np.exp(2j * np.pi * rng.uniform(size=2))
-    return poly({(0, 0): 1, (1, 0): -s * total * pa, (0, 1): -(1 - s) * total * pb})
+def wrong_labels(products):
+    """(k, eps, label) of each product of :func:`linear_factor_products`
+    not labelled Indeterminate with witnesses on its zero set in the closed
+    bidisk."""
+    wrong = []
+    for k, eps, _, p in products:
+        zc = classify_zero_set(p)
+        if zc.label is not ZeroLabel.INDETERMINATE or not all(
+            max(abs(z), abs(w)) <= 1 + 1e-12 and abs(p.evaluate(z, w)) <= zc.tol * p.scale
+            for z, w in zc.witnesses
+        ):
+            wrong.append((k, eps, zc.label.value))
+    return wrong
 
 
 def test_linear_factor_products_with_a_zero_inside_are_indeterminate():
@@ -65,21 +81,21 @@ def test_linear_factor_products_with_a_zero_inside_are_indeterminate():
     # |a| + |b| ~ U(0.3, 0.99): a zero in the open bidisk at a depth of
     # about eps, over an arc of the circle narrower than the base samples,
     # which only the full-depth circle search reaches
-    rng = np.random.default_rng(5)
-    wrong = []
-    for k in (1, 2, 4, 6, 8):
-        for eps in (1e-5, 1e-4, 1e-3, 1e-2):
-            for _ in range(6):
-                p = linear_factor(rng, 1 + eps)
-                for _ in range(k - 1):
-                    p = p * linear_factor(rng, rng.uniform(0.3, 0.99))
-                zc = classify_zero_set(p)
-                if zc.label is not ZeroLabel.INDETERMINATE or not all(
-                    max(abs(z), abs(w)) <= 1 + 1e-12 and abs(p.evaluate(z, w)) <= zc.tol * p.scale
-                    for z, w in zc.witnesses
-                ):
-                    wrong.append((k, eps, zc.label.value))
-    assert wrong == []
+    assert wrong_labels(linear_factor_products(eps=(1e-5, 1e-4, 1e-3, 1e-2))) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 9: at a depth of 1e-6 the circle search stops before it samples "
+    "the arc over which the fibers have a root inside, and 3 of 30 products read StableOpen",
+)
+def test_linear_factor_products_with_a_zero_one_millionth_inside_are_indeterminate():
+    # the 30 products at eps = 1e-6 of the degree survey's family; one at
+    # k = 6 and two at k = 8 read StableOpen, so this passes, and fails as
+    # a strict xfail, once the circle proof decides them
+    products = [x for x in linear_factor_products() if x[1] == 1e-6]
+    assert len(products) == 30
+    assert wrong_labels(products) == []
 
 
 @pytest.mark.parametrize("seed", range(3))
