@@ -58,19 +58,20 @@ def haar_variety(d, seed):
 
 def linear_factor(rng, total):
     """1 - a z - b w with |a| + |b| = total, split by s ~ U(0.05, 0.95),
-    with uniform phases.
-
-    ``tests/conftest.py`` loads this copy, as it loads :func:`haar_unitary`."""
+    with uniform phases."""
     s = rng.uniform(0.05, 0.95)
     pa, pb = np.exp(2j * np.pi * rng.uniform(size=2))
-    return BivariatePolynomial.from_terms({(0, 0): 1, (1, 0): -s * total * pa, (0, 1): -(1 - s) * total * pb})
+    terms = {(0, 0): 1, (1, 0): -s * total * pa, (0, 1): -(1 - s) * total * pb}
+    return BivariatePolynomial.from_terms(terms)
 
 
 def linear_factor_products(ks=LINEAR_KS, eps=LINEAR_EPS, draws=LINEAR_DRAWS):
     """(k, e, draw, p) for each k in ``ks``, e in ``eps`` and draw: p the
     product of k linear factors, the first with |a| + |b| = 1 + e and the
     others with |a| + |b| ~ U(0.3, 0.99), all drawn in turn from one
-    ``default_rng(5)``."""
+    ``default_rng(5)``.
+
+    ``tests/conftest.py`` loads this copy, as it loads :func:`haar_unitary`."""
     rng = np.random.default_rng(5)
     for k in ks:
         for e in eps:

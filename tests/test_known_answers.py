@@ -90,12 +90,10 @@ def test_linear_factor_products_with_a_zero_inside_are_indeterminate():
     "the arc over which the fibers have a root inside, and 3 of 30 products read StableOpen",
 )
 def test_linear_factor_products_with_a_zero_one_millionth_inside_are_indeterminate():
-    # the 30 products at eps = 1e-6 of the degree survey's family; one at
-    # k = 6 and two at k = 8 read StableOpen, so this passes, and fails as
-    # a strict xfail, once the circle proof decides them
-    products = [x for x in linear_factor_products() if x[1] == 1e-6]
-    assert len(products) == 30
-    assert wrong_labels(products) == []
+    # the 30 products at eps = 1e-6 of the degree survey's family, of which
+    # one at k = 6 and two at k = 8 read StableOpen; once the circle proof
+    # decides them this passes, which the strict xfail reports as a failure
+    assert wrong_labels(x for x in linear_factor_products() if x[1] == 1e-6) == []
 
 
 @pytest.mark.parametrize("seed", range(3))
