@@ -41,6 +41,10 @@ __all__ = [
     "repeated_root",
 ]
 
+# The zero-set tolerance: fiber roots within this of the circle, and
+# Schur-Cohn eigenvalues within this times the fiber's squared coefficient
+# norm of zero, count as on it.
+TOL = 1e-7
 # Equispaced circle samples the label search starts from.
 CIRCLE_SAMPLES = 64
 # Undecided arcs of the circle are bisected down to width 2 pi / this.
@@ -78,7 +82,6 @@ class ZeroLabel(Enum):
 class ZeroClass:
     label: ZeroLabel
     witnesses: tuple = ()
-    tol: float = 0.0
     proven: bool = False  # the label holds beyond the sampled resolution
 
     def __post_init__(self):
@@ -288,27 +291,27 @@ def _definite_on_circle(p, sign):
     return np.exp(2j * np.pi * pos / fine), lam[pos], unit, proven
 
 
-def _open_disk_roots(p, zs, tol):
+def _open_disk_roots(p, zs):
     """Points (z, w), z in zs, with w a root of p(z, .) inside the disk by
-    more than ``tol``."""
+    more than TOL."""
     zs = np.asarray(zs, dtype=np.complex128)
     k, w = fiber_root_pairs(p, zs)
-    inside = np.abs(w) < 1.0 - tol
+    inside = np.abs(w) < 1.0 - TOL
     return [(complex(a), complex(b)) for a, b in zip(zs[k[inside]], w[inside])]
 
 
-def _vertical_lines(p, tol):
-    """z0 in the closed disk (to ``tol``) with p(z0, .) identically zero to
-    ``tol * scale``: the lines {z0} x C inside the zero set.
+def _vertical_lines(p):
+    """z0 in the closed disk (to TOL) with p(z0, .) identically zero to
+    TOL * scale: the lines {z0} x C inside the zero set.
 
     Every candidate is a z-root of the largest coefficient column of p."""
     col = p.coeffs[:, int(np.argmax(np.max(np.abs(p.coeffs), axis=0)))]
     z0 = companion_roots(col[: int(_trimmed_degree(col)) + 1])
-    z0 = z0[np.abs(z0) <= 1.0 + tol]
-    return z0[np.max(np.abs(p.fibers(z0)), axis=1) <= tol * p.scale]
+    z0 = z0[np.abs(z0) <= 1.0 + TOL]
+    return z0[np.max(np.abs(p.fibers(z0)), axis=1) <= TOL * p.scale]
 
 
-def _symmetric_label(p, tol):
+def _symmetric_label(p):
     """(DVDefining or SymmetricNonvanishingOffTorus, proven) for a
     torus-symmetric p, or None.  In both variables the self-inversive fibers
     over T must have every root on T, as they do when the derivative fiber's
@@ -318,10 +321,10 @@ def _symmetric_label(p, tol):
     disk has as many roots inside as the one at z = 0: m or 0."""
     proven = True
     for q in (p, transpose_vars(p)):
-        if len(_vertical_lines(q, tol)):
+        if len(_vertical_lines(q)):
             return None
         _, lam, unit, side_proven = _definite_on_circle(q.partial_w(), -1)
-        if np.min(lam) < -tol * unit:
+        if np.min(lam) < -TOL * unit:
             return None
         proven = proven and side_proven
     with suppress(FiberError):
@@ -333,7 +336,7 @@ def _symmetric_label(p, tol):
     return None
 
 
-def classify_zero_set(p: BivariatePolynomial, tol: float = 1e-7) -> ZeroClass:
+def classify_zero_set(p: BivariatePolynomial) -> ZeroClass:
     """Label the zero set of p relative to the bidisk.
 
     A torus-symmetric p is tested for DVDefining (zeros confined to
@@ -344,18 +347,18 @@ def classify_zero_set(p: BivariatePolynomial, tol: float = 1e-7) -> ZeroClass:
     the fiber at z = 0, or the sampled fibers over T whose S_w(z) is not
     clearly positive definite, and up to 16 such roots are the witnesses of
     Indeterminate.  The search starts from CIRCLE_SAMPLES circle samples;
-    roots within ``tol`` of the circle and eigenvalues within ``tol`` times
-    the squared fiber coefficient norm of zero count as on it.  p is first
+    roots within TOL of the circle and eigenvalues within TOL times the
+    squared fiber coefficient norm of zero count as on it.  p is first
     divided by the power of two that brings its scale into [1/2, 1), which
     is exact, so every 2^k p that stays in range gets the same result.
     """
     p = p.ldexp(-p.exponent)
 
     def result(label, proven=False, witnesses=()):
-        return ZeroClass(label, tuple(witnesses), tol, proven)
+        return ZeroClass(label, tuple(witnesses), proven)
 
     if symmetry_constant(p) is not None:
-        found = _symmetric_label(p, tol)
+        found = _symmetric_label(p)
         if found is not None:
             return result(*found)
     z, lam, unit, proven = _definite_on_circle(p, 1)
@@ -363,9 +366,9 @@ def classify_zero_set(p: BivariatePolynomial, tol: float = 1e-7) -> ZeroClass:
     with suppress(FiberError):
         if proven and root_count_in_disk(at_w0, 0.0) == 0:
             return result(ZeroLabel.STABLE_CLOSED, proven=True)
-    zs = np.concatenate([[0.0], z[lam <= tol * unit]])
-    witnesses = _open_disk_roots(p, zs, tol)
-    witnesses += [(z0, w0) for w0, z0 in _open_disk_roots(at_w0, [0.0], tol)]
+    zs = np.concatenate([[0.0], z[lam <= TOL * unit]])
+    witnesses = _open_disk_roots(p, zs)
+    witnesses += [(z0, w0) for w0, z0 in _open_disk_roots(at_w0, [0.0])]
     if not witnesses:
         return result(ZeroLabel.STABLE_OPEN)
     return result(ZeroLabel.INDETERMINATE, witnesses=witnesses[:16])

@@ -32,10 +32,6 @@ from .poly2 import (
 )
 from .soscert import CertKind, sos_certificate, sym_sos_certificate, gw_invertibility, verify_certificate
 
-# Largest coefficient grid ``reflect --at`` may ask for; writing a grid of
-# this size already peaks at about 200 MiB.
-MAX_COEFFS = 1 << 20
-
 
 def _emit(args: argparse.Namespace, obj: dict) -> None:
     text = ser.dumps(obj)
@@ -82,7 +78,7 @@ def _point_pairs(points):
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     p = _load_nonzero_poly(args.poly)
-    zc = classify_mod.classify_zero_set(p, tol=args.tol)
+    zc = classify_mod.classify_zero_set(p)
     _emit(
         args,
         {
@@ -91,21 +87,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "label": zc.label.value,
             "proven": zc.proven,
             "witnesses": _point_pairs(zc.witnesses),
-            "tol": zc.tol,
+            "tol": classify_mod.TOL,
         },
     )
     return 0
 
 
 def _cmd_reflect(args: argparse.Namespace) -> int:
-    p = _load_poly(args.poly)
-    at_degree = tuple(args.at) if args.at else None
-    if at_degree is not None:
-        degree = p.true_degree()
-        if any(d < t for d, t in zip(at_degree, degree)):
-            at = " ".join(map(str, at_degree))
-            return _refuse(f"--at {at} lies below the degree {degree} of {args.poly}")
-    _emit(args, ser.poly_to_obj(reflect(p, at_degree)))
+    _emit(args, ser.poly_to_obj(reflect(_load_poly(args.poly))))
     return 0
 
 
@@ -345,12 +334,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="label the zero set relative to the bidisk")
     sp.add_argument("poly")
-    sp.add_argument("--tol", type=float, default=1e-7)
     output(sp)
 
-    sp = sub.add_parser("reflect", help="reflect at the formal (or given) degree")
+    sp = sub.add_parser("reflect", help="reflect at the degree the document declares")
     sp.add_argument("poly")
-    sp.add_argument("--at", type=int, nargs=2, metavar=("N", "M"), default=None)
     output(sp)
 
     sp = sub.add_parser("sos", help="sums-of-squares certificate")
@@ -385,12 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _argument_error(args: argparse.Namespace) -> str | None:
     """What is wrong with the parsed option values, naming the flag, or
     None; checked before any work."""
-    if hasattr(args, "tol") and not 0.0 < args.tol <= 1e-2:
-        return "--tol must lie in (0, 1e-2]"
-    if getattr(args, "at", None) and min(args.at) >= 0:
-        n, m = args.at
-        if (n + 1) * (m + 1) > MAX_COEFFS:
-            return f"--at {n} {m} asks for {(n + 1) * (m + 1)} coefficients, more than {MAX_COEFFS}"
     if hasattr(args, "a"):
         a, b = args.a, args.b
         if (a is None) != (b is None):

@@ -16,6 +16,7 @@ from conftest import (
     z3_minus_w2,
 )
 from dvkit.classify import (
+    TOL,
     FiberError,
     ZeroClass,
     ZeroLabel,
@@ -159,7 +160,7 @@ class TestBatchedSweep:
         assert zc.label is ZeroLabel.INDETERMINATE
         assert zc.witnesses
         for z, w in zc.witnesses:
-            assert abs(p.evaluate(z, w)) <= zc.tol * p.scale
+            assert abs(p.evaluate(z, w)) <= TOL * p.scale
 
 
 class TestSchurCohn:
@@ -473,7 +474,7 @@ class TestVerticalLines:
         assert zc.label is ZeroLabel.INDETERMINATE
         assert zc.witnesses
         for z, w in zc.witnesses:
-            assert abs(p.evaluate(z, w)) <= zc.tol * p.scale
+            assert abs(p.evaluate(z, w)) <= TOL * p.scale
 
     @pytest.mark.parametrize("angle", [0.0, 0.3])
     def test_line_on_circle_is_stable_open(self, angle):

@@ -98,10 +98,6 @@ class TestRunConfig:
         assert captured.out == ""
         assert captured.err.startswith(f"dvkit: error: {flag} ")
 
-    def test_tol_range(self, capsys):
-        for tol in ("0.5", "0", "-1e-7", "nan", "inf"):
-            self.assert_refused(capsys, ["classify", "missing.json", f"--tol={tol}"], "--tol")
-
     def test_weights_not_both_zero(self, capsys):
         for command in ("sos", "represent"):
             self.assert_refused(capsys, [command, "missing.json", "--a", "0", "--b", "0"], "--a")
@@ -165,12 +161,6 @@ class TestDegenerateInputs:
         assert main(["reflect", path]) == 0
         assert poly_from_obj(json.loads(capsys.readouterr().out)).is_zero()
 
-    @pytest.mark.parametrize("at", [("1000000", "1000000"), ("3", str(1 << 40))], ids=["square", "wide"])
-    def test_huge_reflect_degree_exit_1(self, tmp_path, capsys, at):
-        # the padded grid would take terabytes
-        path = write_poly(tmp_path, "p.json", z3_minus_w2())
-        self.assert_refused(capsys, ["reflect", path, "--at", *at], "--at")
-
 
 @pytest.fixture(scope="module")
 def realization_doc(tmp_path_factory):
@@ -196,14 +186,6 @@ class TestCliCommands:
         assert main(["reflect", path]) == 0
         out = json.loads(capsys.readouterr().out)
         got = poly_from_obj(out)
-        assert max_coeff_distance(got, poly({(1, 1): 2, (1, 0): -1, (0, 1): -1})) == 0
-
-    def test_reflect_at_degree_below_the_declared_one(self, tmp_path, capsys):
-        # declared (1, 2) with a zero last column: (1, 1) is at its true degree
-        p = poly({(0, 0): 2, (1, 0): -1, (0, 1): -1}, (1, 2))
-        assert main(["reflect", write_poly(tmp_path, "p.json", p), "--at", "1", "1"]) == 0
-        got = poly_from_obj(json.loads(capsys.readouterr().out))
-        assert got.degree == (1, 1)
         assert max_coeff_distance(got, poly({(1, 1): 2, (1, 0): -1, (0, 1): -1})) == 0
 
     @pytest.mark.parametrize("command", ["verify", "extend"])
@@ -238,6 +220,8 @@ class TestCliCommands:
             ["classify", "{path}", "--bogus"],
             ["classify", "{path}", "--json"],
             ["sos", "{path}", "--tol", "1e-6"],
+            ["classify", "{path}", "--tol", "1e-6"],
+            ["reflect", "{path}", "--at", "3", "2"],
             ["reflect", "{path}", "--seed", "3"],
             ["sos", "{path}", "--grid", "32"],
             ["extend", "{path}", "{path}", "--seed", "3"],
@@ -255,6 +239,8 @@ class TestCliCommands:
             "unknown_flag",
             "json_flag",
             "tol_off_classify",
+            "tol_on_classify",
+            "at_on_reflect",
             "seed_on_reflect",
             "grid_on_sos",
             "seed_on_extend",
@@ -273,30 +259,10 @@ class TestCliCommands:
         assert main([a.format(path=path) for a in argv]) == 1
         assert capsys.readouterr().err.startswith("usage: dvkit")
 
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [
-            (["reflect", "{path}", "--at", "-1", "2"], "--at"),
-            (["reflect", "{path}", "--at", "3", "1"], "--at"),
-        ],
-        ids=["at_negative", "at_below_degree"],
-    )
-    def test_size_argument_out_of_range_exit_1(self, tmp_path, capsys, argv, flag):
-        # z^3 - w^2 has degree (3, 2)
-        path = write_poly(tmp_path, "p.json", z3_minus_w2())
-        assert main([a.format(path=path) for a in argv]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"dvkit: error: {flag} " in captured.err
-
     def test_consecutive_calls_share_no_state(self, tmp_path, capsys):
         # The parser is built once per process; options of one call must not
         # leak into the next.
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
-        assert main(["classify", path, "--tol", "1e-6"]) == 0
-        assert json.loads(capsys.readouterr().out)["tol"] == 1e-6
-        assert main(["classify", path]) == 0
-        assert json.loads(capsys.readouterr().out)["tol"] == 1e-7
         assert main(["classify", path, "--bogus"]) == 1
         assert "usage" in capsys.readouterr().err
         assert main(["classify", path]) == 0

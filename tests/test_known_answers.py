@@ -33,7 +33,7 @@ from conftest import (
     poly,
     two_minus_z_minus_w,
 )
-from dvkit.classify import ZeroLabel, classify_zero_set
+from dvkit.classify import TOL, ZeroLabel, classify_zero_set
 from dvkit.dvrep import represent
 from dvkit.poly2 import BivariatePolynomial, reflected_derivatives, symmetrize
 from dvkit.soscert import gw_invertibility, sos_certificate, sym_sos_certificate, verify_certificate
@@ -69,7 +69,7 @@ def wrong_labels(products):
     for k, eps, _, p in products:
         zc = classify_zero_set(p)
         if zc.label is not ZeroLabel.INDETERMINATE or not all(
-            max(abs(z), abs(w)) <= 1 + 1e-12 and abs(p.evaluate(z, w)) <= zc.tol * p.scale
+            max(abs(z), abs(w)) <= 1 + 1e-12 and abs(p.evaluate(z, w)) <= TOL * p.scale
             for z, w in zc.witnesses
         ):
             wrong.append((k, eps, zc.label.value))
@@ -220,4 +220,4 @@ def test_vertical_line_traps(p, label):
     zc = classify_zero_set(p)
     assert zc.label is label
     for z, w in zc.witnesses:
-        assert abs(p.evaluate(z, w)) <= zc.tol * p.scale
+        assert abs(p.evaluate(z, w)) <= TOL * p.scale
