@@ -188,8 +188,11 @@ def expand_extension(op: ExtensionOperator):
     F itself stays an evaluator; this expansion exists for inspection and
     serialization only.  Both parts are recovered by evaluation on
     roots-of-unity nodes and exact inverse DFT; every real or imaginary part
-    of a coefficient at or below 1e-12 of the part's largest modulus is then
-    set to zero, and the trailing zeros are trimmed.  The parts are defined
+    of a coefficient at or below the DFT's rounding, the part's coefficient
+    count times the machine epsilon times its largest modulus, is then set
+    to zero, and the trailing zeros are trimmed.  A coarser cut would cost
+    accuracy: det Q falls on the circle far below its largest coefficient,
+    and the error of each dropped part is divided by it.  The parts are defined
     up to one common factor, so det Q is read from Q as it is while m times
     the exponent e of its largest coefficient stays within RANGE_BOUND, and
     from Q / 2^e beyond, where det Q itself would leave the float range.
@@ -222,7 +225,8 @@ def expand_extension(op: ExtensionOperator):
 
     def cut(coeffs):
         parts = np.ascontiguousarray(coeffs).view(np.float64)
-        kept = np.where(np.abs(parts) > 1e-12 * np.max(np.abs(coeffs)), parts, 0.0)
+        rounding = coeffs.size * np.finfo(float).eps * np.max(np.abs(coeffs))
+        kept = np.where(np.abs(parts) > rounding, parts, 0.0)
         part = BivariatePolynomial(kept.view(np.complex128))
         tz, tw = part.true_degree()
         return BivariatePolynomial(part.coeffs[: tz + 1, : tw + 1])

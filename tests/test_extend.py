@@ -12,6 +12,7 @@ from dvkit.dvrep import phi_evaluate, represent
 from dvkit.extend import (
     ExtensionOperator,
     eval_f_of_pair,
+    expand_extension,
     extension_bound,
     sup_norm_on_variety,
     verify_extension,
@@ -248,8 +249,6 @@ class TestBounds:
             assert np.max(np.abs(ev - fv)) <= 1e-7 * (1 + sup_f)
 
     def test_rational_expansion_matches_evaluator(self, pipeline_z3w2):
-        from dvkit.extend import expand_extension
-
         cert, _, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, F_ZW + F_W2)
         num, den = expand_extension(op)
@@ -318,6 +317,31 @@ class TestChecksReadOnTorus:
             op = ExtensionOperator(rep, cert, f)
             want = old_extension_formula(op, z, w)
             assert np.max(np.abs(op.evaluate(z, w) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestExpansion:
+    """expand_extension against the evaluator of F over the whole corpus."""
+
+    @pytest.mark.parametrize("f", [F_W, F_ZW + F_W2, CHECK_FS["random_2x2"]], ids=["w", "zw_plus_w2", "random_2x2"])
+    @pytest.mark.parametrize("name", sorted(DV_CORPUS))
+    def test_expansion_matches_evaluator_on_torus(self, name, f):
+        # |det Q| falls to about 1e-5 of its largest coefficient on the
+        # circle, so a coefficient cut above the DFT's rounding shows here
+        cert, _, rep, _ = corpus_pipeline(name)
+        op = ExtensionOperator(rep, cert, f)
+        num, den = expand_extension(op)
+        grid = roots_of_unity(32)
+        z, w = np.meshgrid(grid, grid, indexing="ij")
+        values = op.evaluate_grid(grid, grid)
+        err = np.max(np.abs(values - num.evaluate(z, w) / den.evaluate(z, 0 * z)))
+        assert err <= 1e-8 * max(1.0, np.max(np.abs(values)))
+
+    def test_single_term_expansion_stays_exact(self, pipeline_z3w2):
+        # F = w on w^2 = z^3: one real coefficient, and a constant denominator
+        cert, _, rep, _ = pipeline_z3w2
+        num, den = expand_extension(ExtensionOperator(rep, cert, F_W))
+        assert num.degree == (0, 1) and den.degree == (0, 0)
+        assert num.coeffs[0, 0] == 0 and num.coeffs[0, 1].imag == 0 == den.coeffs[0, 0].imag
 
 
 class TestAnalyticityGate:
