@@ -8,7 +8,7 @@ import pytest
 
 from conftest import disk_spiral, dv_corpus, poly, random_poly, shift_realization, z3_minus_w2
 from dvkit.classify import fiber_root_pairs
-from dvkit.dvrep import phi_evaluate, represent
+from dvkit.dvrep import UnitaryRealization, phi_evaluate, represent
 from dvkit.extend import (
     ExtensionOperator,
     eval_f_of_pair,
@@ -319,6 +319,29 @@ class TestChecksReadOnTorus:
             assert np.max(np.abs(op.evaluate(z, w) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+class TestOffVariety:
+    """f = w + g p agrees with w on the variety but not off it, so the
+    extension must find w again from the values on V alone: the theorem's
+    content, where f = w is only the identity."""
+
+    G = random_poly(np.random.default_rng(0), 1, 1)
+
+    @pytest.mark.parametrize("name", sorted(DV_CORPUS))
+    def test_extension_of_w_plus_g_p_is_w(self, name):
+        cert, _, rep, _ = corpus_pipeline(name)
+        f = F_W + self.G * DV_CORPUS[name]
+        op = ExtensionOperator(rep, cert, f)
+        report = verify_extension(op)
+        assert report.passed
+        grid = roots_of_unity(64)
+        z, w = np.meshgrid(grid, grid, indexing="ij")
+        assert np.max(np.abs(op.evaluate_grid(grid, grid) - w)) <= 1e-11
+        assert abs(report.sup_f_on_variety - 1) <= 1e-12
+        assert abs(report.sup_F_on_bidisk - 1) <= 1e-12
+        # f itself is far from w off the variety
+        assert np.max(np.abs(f.evaluate(z, w))) >= 5
+
+
 class TestExpansion:
     """expand_extension against the evaluator of F over the whole corpus."""
 
@@ -363,6 +386,19 @@ class TestAnalyticityGate:
             verify_extension(ExtensionOperator(rep, bad, F_W))
         with pytest.raises(ValueError, match="Qmatrix: det Q has a zero"):
             extension_bound(rep, bad)
+
+    @pytest.mark.parametrize("delta, passes", [(1e-7, True), (1e-9, False)])
+    def test_spectral_radius_gate_sits_at_rho_d_max(self, pipeline_z3w2, delta, passes):
+        # D = diag(1 - delta, 0, 0) on either side of RHO_D_MAX = 1 - 1e-8
+        cert, _, rep, _ = pipeline_z3w2
+        u = rep.U.copy()
+        u[rep.m :, rep.m :] = np.diag([1 - delta] + [0] * (rep.n - 1))
+        near = UnitaryRealization(rep.m, rep.n, u)
+        if passes:
+            assert abs(extension_bound(near, cert) - math.sqrt(2)) <= 1e-6
+        else:
+            with pytest.raises(ValueError, match="realization: D has spectral radius"):
+                extension_bound(near, cert)
 
     def test_operator_refuses_mismatched_m(self, pipeline_z3w2):
         # the swapped realization has m = 3 where the certificate has 2
