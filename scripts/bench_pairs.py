@@ -4,7 +4,11 @@
     python scripts/bench_pairs.py OLD NEW --workload W --pairs N --seed S
 
 OLD and NEW are repository checkouts (a ``git clone`` of the parent commit
-next to the working tree, say).  Each pair runs ``perfbench/run.py`` of
+next to the working tree, say).  Before the first pair, ``python -m
+compileall`` compiles ``src`` and ``perfbench`` of both checkouts, so both
+sides import from valid bytecode, even where ``PYTHONDONTWRITEBYTECODE`` is
+set and a fresh clone would otherwise compile every module in every cold
+start that ``setup_s`` times.  Each pair runs ``perfbench/run.py`` of
 both checkouts, each from its own root with its own sources, one after the
 other: OLD first in even pairs and NEW first in odd ones, so drift in the
 machine's load falls on both sides alike.  Every run gets the same seed
@@ -17,7 +21,8 @@ median and quartiles, the number of pairs in which NEW reads better (ties
 count for neither side) and ``gain``: NEW better in at least nine tenths of
 the pairs and its median better than OLD's by more than the distance
 between OLD's quartiles.  Nothing in either checkout is modified apart from
-the work directory ``.perfbench/`` that ``run.py`` itself keeps.
+the ``__pycache__`` directories of that compile step and the work
+directory ``.perfbench/`` that ``run.py`` itself keeps.
 """
 
 from __future__ import annotations
@@ -36,6 +41,14 @@ def _label(checkout):
         ["git", "-C", checkout, "describe", "--always", "--dirty"], capture_output=True, text=True
     )
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def compile_checkout(checkout):
+    """Write the bytecode of a checkout's ``src`` and ``perfbench``."""
+    cmd = [sys.executable, "-m", "compileall", "-q", "src", "perfbench"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: compileall exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -105,6 +118,12 @@ def main(argv=None):
         "pairs": [],
     }
     path = f"BENCH_{args.workload}.json"
+    try:
+        for checkout in (args.old, args.new):
+            compile_checkout(checkout)
+    except RuntimeError as exc:
+        print(f"bench_pairs: {exc}", file=sys.stderr)
+        return 2
     for k in range(args.pairs):
         order = ("old", "new") if k % 2 == 0 else ("new", "old")
         pair = {"first": order[0]}

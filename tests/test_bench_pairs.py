@@ -1,4 +1,5 @@
-"""Summary rule of scripts/bench_pairs.py, on made-up runs."""
+"""Summary rule of scripts/bench_pairs.py, on made-up runs, and its
+compile step."""
 
 import importlib.util
 from pathlib import Path
@@ -50,3 +51,14 @@ def test_one_pair_refused(capsys):
     with pytest.raises(SystemExit):
         load_script().main([".", ".", "--workload", "sos_certify", "--pairs", "1", "--seed", "1"])
     assert "--pairs must be at least 2" in capsys.readouterr().err
+
+
+def test_compile_step_writes_bytecode_where_the_environment_forbids_it(tmp_path, monkeypatch):
+    # the benchmark's cold starts then read bytecode on both sides
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    for name in ("src/pkg/mod.py", "perfbench/run.py"):
+        (tmp_path / name).parent.mkdir(parents=True)
+        (tmp_path / name).write_text("X = 1\n")
+    load_script().compile_checkout(str(tmp_path))
+    for name in ("src/pkg", "perfbench"):
+        assert list((tmp_path / name / "__pycache__").glob("*.pyc")), name
