@@ -192,10 +192,11 @@ def expand_extension(op: ExtensionOperator):
     count times the machine epsilon times its largest modulus, is then set
     to zero, and the trailing zeros are trimmed.  A coarser cut would cost
     accuracy: det Q falls on the circle far below its largest coefficient,
-    and the error of each dropped part is divided by it.  The parts are defined
-    up to one common factor, so det Q is read from Q as it is while m times
-    the exponent e of its largest coefficient stays within RANGE_BOUND, and
-    from Q / 2^e beyond, where det Q itself would leave the float range.
+    and the error of each dropped part is divided by it.  The parts are
+    defined up to one common factor, so det Q is read from Q as it is while
+    m times the exponent e of its largest coefficient stays within
+    RANGE_BOUND, and from Q / 2^e beyond, where det Q itself would leave the
+    float range.
     Raises ValueError, naming the part, when its samples or coefficients
     are not finite."""
     m, n = op.rep.m, op.rep.n

@@ -359,13 +359,6 @@ class TestExpansion:
         err = np.max(np.abs(values - num.evaluate(z, w) / den.evaluate(z, 0 * z)))
         assert err <= 1e-8 * max(1.0, np.max(np.abs(values)))
 
-    def test_single_term_expansion_stays_exact(self, pipeline_z3w2):
-        # F = w on w^2 = z^3: one real coefficient, and a constant denominator
-        cert, _, rep, _ = pipeline_z3w2
-        num, den = expand_extension(ExtensionOperator(rep, cert, F_W))
-        assert num.degree == (0, 1) and den.degree == (0, 0)
-        assert num.coeffs[0, 0] == 0 and num.coeffs[0, 1].imag == 0 == den.coeffs[0, 0].imag
-
 
 class TestAnalyticityGate:
     def test_det_zero_inside_disk_raises(self, pipeline_z3w2):

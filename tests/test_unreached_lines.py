@@ -33,7 +33,7 @@ def test_one_polynomial_corpus(tmp_path, capsys):
         assert (ROOT / name).read_text().splitlines()[int(number) - 1].strip() == text
         unreached.add((name, text))
     # z^3 - w^2 is represented, so the represent handler ran; no call set
-    # an infinite weight, so its refusal did not
+    # a weight that is not finite, so its refusal did not
     assert ("src/dvkit/cli.py", "cert, sample, rep, report = represent(p, args.a, args.b)") not in unreached
     assert ("src/dvkit/cli.py", 'return "--a and --b must be finite"') in unreached
     assert re.search(r"unreached_lines: \d+ of \d+ executable lines reached", captured.err)
