@@ -7,9 +7,13 @@ Every dvkit/1 polynomial document in DIR (``*.json`` with kind
 "polynomial") goes through ``classify``, ``reflect``, ``sos``, ``represent``,
 ``extend --no-swap``, ``extend`` with its default swap check (command
 ``extend_swap``) and ``extend --no-swap --expand`` (command
-``extend_expand``), all with f = w, and ``verify`` of the written
-realization, each run in-process through ``dvkit.cli.main``; the extensions
-and ``verify`` run only when ``represent`` exits 0.  Documents are also read
+``extend_expand``), all with f = w, ``extend --no-swap`` of f = w + g p
+(command ``extend_offvar``), and ``verify`` of the written realization,
+each run in-process through ``dvkit.cli.main``; the extensions and
+``verify`` run only when ``represent`` exits 0.  In ``extend_offvar`` g is
+the fixed degree-(1, 1) polynomial G and p the document's polynomial
+divided by its power of two: f equals w on the variety but not off it, so
+the call exercises the extension theorem, where f = w is the identity.  Documents are also read
 back: ``sos_verify`` is ``verify`` of the certificate ``sos -o`` wrote,
 ``sos_weighted`` is ``sos --a 1 --b 1 -o`` and ``sos_weighted_verify`` the
 ``verify`` of its certificate when it exits 0, and ``verify_dv`` is
@@ -42,8 +46,9 @@ verdict (``passed``, ``label``, ``proven``, ``gram_equality``, ``error``)
 differs or a call's output is missing on one side.
 
 With ``--scale K`` every polynomial document is multiplied by 2^K before
-the calls, which read a copy written under the working directory; f = w
-and the demo stay as they are.  Every verdict should match the unscaled
+the calls, which read a copy written under the working directory; f = w,
+the f of ``extend_offvar`` (read from the unscaled document) and the demo
+stay as they are.  Every verdict should match the unscaled
 run, so the exit codes of the two compare with ``diff``:
 
     diff <(cut -d' ' -f1-3 a.txt) <(python scripts/output_digest.py DIR --scale 1000 | cut -d' ' -f1-3)
@@ -61,9 +66,12 @@ import sys
 import tempfile
 
 from dvkit.cli import main as dvkit_main
+from dvkit.poly2 import BivariatePolynomial
 from dvkit.serialize import dumps, load_path, poly_from_obj, poly_to_obj
 
 F_W = {"schema": "dvkit/1", "kind": "polynomial", "degree": [0, 1], "coeffs": [[[0.0, 0.0], [1.0, 0.0]]]}
+# g of the extend_offvar call's f = w + g p
+G = BivariatePolynomial([[0.5 - 0.25j, -1.0], [0.75j, 1.0 + 0.5j]])
 
 
 def _is_polynomial(path):
@@ -144,8 +152,13 @@ def digest_dir(directory, dump_dir=None, scale=0):
                     cert = json.load(fh)["cert"]
                 with open(dv, "w", encoding="utf-8") as fh:
                     json.dump(cert, fh)
+                p = poly_from_obj(load_path(os.path.join(directory, name)))
+                offvar = "f_offvar_" + name
+                with open(offvar, "w", encoding="utf-8") as fh:
+                    fh.write(dumps(poly_to_obj(poly_from_obj(F_W) + G * p.ldexp(-p.exponent))))
                 for command, argv in (
                     ("extend", ["extend", rep, "f_w.json", "--no-swap"]),
+                    ("extend_offvar", ["extend", rep, offvar, "--no-swap"]),
                     ("extend_swap", ["extend", rep, "f_w.json"]),
                     ("extend_expand", ["extend", rep, "f_w.json", "--no-swap", "--expand"]),
                     ("verify", ["verify", rep, path]),

@@ -163,7 +163,6 @@ def _cmd_extend(args: argparse.Namespace) -> int:
             obj["swap_error"] = str(exc)
         else:
             obj["C_swapped"] = _finite_or_none(c_swapped)
-            obj["C_best"] = _finite_or_none(min(er.C, c_swapped))
     _emit(args, obj)
     return 0 if er.passed else 2
 

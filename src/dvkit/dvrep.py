@@ -48,6 +48,7 @@ __all__ = [
     "sample_variety",
     "lurking_isometry",
     "phi_evaluate",
+    "eigen_relation",
     "det_representation",
     "verify_representation",
     "represent",
@@ -319,6 +320,17 @@ def phi_evaluate(rep: UnitaryRealization, z) -> np.ndarray:
     return rep.A + (zc * rep.B) @ core
 
 
+def eigen_relation(phis: np.ndarray, w: np.ndarray, qv: np.ndarray) -> float:
+    """max |Phi(z) Q(z, w) - w Q(z, w)| over variety points (z, w), relative
+    to the largest |Q(z, w)|: how far each Q(z, w) is from a w-eigenvector
+    of Phi(z).  ``phis`` holds Phi at each point's z, shape (S, m, m), and
+    ``qv`` the vectors Q(z, w), shape (m, S).  The representation report
+    and the extension gate it at 1e-7.  No points give 0, and a value
+    that is not finite fails the gate."""
+    vals = np.abs(np.einsum("kij,jk->ik", phis, qv) - w * qv)
+    return float(np.max(vals, initial=0.0) / max(np.max(np.abs(qv), initial=0.0), 1e-300))
+
+
 def det_representation(rep: UnitaryRealization) -> BivariatePolynomial:
     """Coefficient grid of det [[A - wI, zB], [C, zD - I]].
 
@@ -413,8 +425,7 @@ def verify_representation(
         qv = x[: len(cert.vec_q)]
         phis = phi_evaluate(rep, z)
         det_on = float(np.max(np.abs(np.linalg.det(w[:, None, None] * np.eye(rep.m) - phis))))
-        eig_vals = np.abs(np.einsum("kij,jk->ik", phis, qv) - w * qv)
-        eig_rel = float(np.max(eig_vals)) / max(np.max(np.abs(qv)), 1e-300)
+        eig_rel = eigen_relation(phis, w, qv)
         bphis = phi_evaluate(rep, roots_of_unity(128))
         gram = np.conj(np.swapaxes(bphis, -1, -2)) @ bphis
         bdry = float(np.max(np.abs(gram - np.eye(rep.m))))

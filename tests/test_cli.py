@@ -722,10 +722,11 @@ class TestCliCommands:
         assert out["error"].startswith("realization: D has spectral radius 1")
 
     def test_extend_reports_a_refused_swap(self, realization_doc, tmp_path, capsys):
-        # U = diag(J, 0) with J the reversal: rho(D) = 0 and Q is constant,
-        # so F = e1^T J (1, w)^t = w = f and the extension passes, while the
+        # U = diag(J, 0) with J the reversal realizes det(wI - J) = w^2 - 1,
+        # not z^3 - w^2: F = w = f passes the on-variety check, but the eigen
+        # relation misses by 2, and extend refuses the realization.  The
         # swapped realization has D^H = J^H of spectral radius 1, which
-        # extension_bound refuses
+        # extension_bound refuses, and the report names it
         poly_path, doc = realization_doc
         m, n = doc["m"], doc["n"]
         u = np.zeros((m + n, m + n), dtype=np.complex128)
@@ -733,11 +734,27 @@ class TestCliCommands:
         bad_path = tmp_path / "rep.json"
         bad_path.write_text(dumps(dict(doc, U=[[[c.real, c.imag] for c in row] for row in u])))
         f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
-        assert main(["extend", str(bad_path), f_path]) == 0
+        assert main(["extend", str(bad_path), f_path]) == 2
         out = json.loads(capsys.readouterr().out)
-        assert out["passed"] is True
+        assert out["passed"] is False
+        assert out["on_variety_residual"] <= 1e-7 and abs(out["eigen_relation"] - 2) <= 1e-9
         assert out["C_swapped"] is None and "C_best" not in out
         assert out["swap_error"].startswith("realization: D has spectral radius 1")
+
+    def test_extend_refuses_a_rotated_phi(self, realization_doc, tmp_path, capsys):
+        # diag(e^{0.9i} I_m, I_n) U is unitary with the same D, C and Q, and
+        # its Phi is e^{0.9i} Phi, whose eigenvalues are not the fiber roots
+        # of z^3 - w^2: the eigen relation fails it
+        _, doc = realization_doc
+        rep, _ = realization_from_obj(doc)
+        u = np.diag([np.exp(0.9j)] * rep.m + [1.0] * rep.n) @ rep.U
+        bad_path = tmp_path / "rep.json"
+        bad_path.write_text(dumps(dict(doc, U=[[[c.real, c.imag] for c in row] for row in u])))
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        assert main(["extend", str(bad_path), f_path, "--no-swap"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False and out["eigen_relation"] > 1e-7
+        assert out["on_variety_residual"] <= 1e-7
 
     def test_extend_expand_prints_no_rounding_noise(self, realization_doc, tmp_path, capsys):
         # f = w on z^3 - w^2 extends to F = w: the numerator is c w, with
@@ -770,13 +787,21 @@ class TestCliCommands:
         assert num.coeffs[0, 1].real != 0 and num.coeffs[0, 1].imag == 0
         assert den.coeffs[0, 0].real != 0 and not np.any(den.coeffs.imag)
 
-    def test_extend_expand_refuses_an_overflowing_extension(self, realization_doc, tmp_path, capsys):
-        # f = 1e308 + w overflows the samples of F: the expansion is refused,
-        # naming its part, where a zero numerator used to pass
-        _, doc = realization_doc
+    def test_extend_expand_refuses_an_overflowing_extension(self, tmp_path, capsys):
+        # f = w^2 s(z) on haar_dv_2x2, with s of degree n whose coefficients
+        # of modulus 1.5e308 take the phases that line them up against the
+        # w^0 column of p at unit scale: the numerator's z^n coefficient is
+        # then 1.5e308 times that column's l1 norm, 1.46, past the float
+        # range.  The expansion is refused, naming its part
+        p = dv_corpus()["haar_dv_2x2"]
         rep_path = tmp_path / "rep.json"
-        rep_path.write_text(dumps(doc))
-        f_path = write_poly(tmp_path, "f.json", poly({(0, 0): 1e308, (0, 1): 1}))
+        assert main(["represent", write_poly(tmp_path, "p.json", p), "-o", str(rep_path)]) == 0
+        _, cert = realization_from_obj(json.loads(rep_path.read_text()))
+        column = cert.p.ldexp(-cert.p.exponent).coeffs[::-1, 0]
+        assert np.sum(np.abs(column)) * 1.5 > 1.8
+        s = -1.5e308 * np.conj(column) / np.abs(column)
+        f_path = write_poly(tmp_path, "f.json", BivariatePolynomial(np.outer(s, [0, 0, 1])))
+        capsys.readouterr()
         assert main(["extend", str(rep_path), f_path, "--expand", "--no-swap"]) == 2
         out = json.loads(capsys.readouterr().out)
         assert out["passed"] is False and out["error"].startswith("numerator: ")
@@ -836,7 +861,6 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         # w^2 = z^3 with z and w exchanged: Q(w) is the identity on C^3
         assert abs(out["C_swapped"] - np.sqrt(3)) <= 1e-9
-        assert out["C_best"] == min(out["C"], out["C_swapped"])
 
     def test_verify_dv_certificate_samples_like_represent(self, tmp_path, capsys, monkeypatch):
         # w = z^2 has m = 1, where the default of 3(n + m) + 10 points and a
@@ -893,7 +917,9 @@ class TestCliCommands:
         assert abs(out["C"] - np.sqrt(2)) <= 1e-6
         assert out["on_variety_residual"] <= 1e-7
 
-    def test_extend_swap_reports_best(self, tmp_path, capsys):
+    def test_extend_swap_reports_c_swapped(self, tmp_path, capsys):
+        # C_swapped bounds another extension, the remainder on division by p
+        # in z, so it is reported beside C and never in place of it
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
         rep_path = tmp_path / "rep.json"
         main(["represent", path, "-o", str(rep_path)])
@@ -901,9 +927,7 @@ class TestCliCommands:
         capsys.readouterr()
         assert main(["extend", str(rep_path), f_path]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert "C_swapped" in out
-        if out["C_swapped"] is not None:
-            assert out["C_best"] == min(out["C"], out["C_swapped"])
+        assert out["C_swapped"] is not None and "C_best" not in out
 
 
 def haar_dv_3x3_seed301():
@@ -951,12 +975,16 @@ class TestPowerOfTwoScale:
         assert main(["extend", str(rep_path), f_path]) == 0
         assert main(["verify", str(rep_path), path]) == 0
 
-    def test_expansion_at_extreme_scale(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "f", [poly({(0, 1): 1}), poly({(1, 1): 1, (0, 2): 1, (2, 3): 1j})], ids=["w", "deg_w_3"]
+    )
+    def test_expansion_at_extreme_scale(self, tmp_path, capsys, f):
         # det Q(z) of z^3 - w^2 times 2^1000 used to overflow (exit 2), and
         # times 2^-1000 to underflow to a passing 0 / 0; both parts are now
-        # the unit-scale parts times one common power of two, up to the
-        # rounding of det, which numpy takes through log |det|
-        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        # the unit-scale parts times one common power of two.  f = w is its
+        # own numerator over 1; z w + w^2 + i z^2 w^3, of w-degree 3 > m = 2,
+        # takes the denominator p_m^2
+        f_path = write_poly(tmp_path, "f.json", f)
         parts = {}
         for k in (0, *EXTREME_EXPONENTS):
             path = write_poly(tmp_path, f"p{k}.json", z3_minus_w2().ldexp(k))
@@ -966,6 +994,7 @@ class TestPowerOfTwoScale:
             assert main(["extend", str(rep_path), f_path, "--no-swap", "--expand"]) == 0
             out = json.loads(capsys.readouterr().out)
             parts[k] = [poly_from_obj(out[key]) for key in ("numerator", "denominator")]
+        assert parts[0][1].degree == (0, 0)  # p_m is constant on z^3 - w^2
         for k in EXTREME_EXPONENTS:
             shift = parts[k][1].exponent - parts[0][1].exponent
             for got, want in zip(parts[k], parts[0]):

@@ -11,7 +11,6 @@ from dvkit.classify import fiber_root_pairs
 from dvkit.dvrep import UnitaryRealization, phi_evaluate, represent
 from dvkit.extend import (
     ExtensionOperator,
-    eval_f_of_pair,
     expand_extension,
     extension_bound,
     sup_norm_on_variety,
@@ -24,6 +23,22 @@ F_Z = poly({(1, 0): 1})
 F_ZW = poly({(1, 1): 1})
 F_W2 = poly({(0, 2): 1})
 F_Z_PLUS_W = poly({(1, 0): 1, (0, 1): 1})
+
+
+def eval_f_of_pair(f, z, phi):
+    """f(z I_m, Phi) = sum_k (sum_j c_jk z^j) Phi^k, Horner in the matrix:
+    the matrix function of the paper's formula for F, the reference the
+    remainder is compared against.
+
+    ``z`` is a scalar with ``phi`` of shape (m, m), or an array of z with
+    ``phi`` of shape z.shape + (m, m), one matrix per z.
+    """
+    wcoeffs = f.fibers(z)  # scalar coefficient of each Phi power, per z
+    eye = np.eye(phi.shape[-1])
+    acc = np.zeros(phi.shape, dtype=np.complex128)
+    for k in range(f.degree[1], -1, -1):
+        acc = acc @ phi + wcoeffs[..., k, None, None] * eye
+    return acc
 
 
 class TestEvalOfPair:
@@ -348,8 +363,8 @@ class TestExpansion:
     @pytest.mark.parametrize("f", [F_W, F_ZW + F_W2, CHECK_FS["random_2x2"]], ids=["w", "zw_plus_w2", "random_2x2"])
     @pytest.mark.parametrize("name", sorted(DV_CORPUS))
     def test_expansion_matches_evaluator_on_torus(self, name, f):
-        # |det Q| falls to about 1e-5 of its largest coefficient on the
-        # circle, so a coefficient cut above the DFT's rounding shows here
+        # both forms divide by p in w, the evaluator per z and the
+        # expansion on coefficient grids, so they agree to rounding
         cert, _, rep, _ = corpus_pipeline(name)
         op = ExtensionOperator(rep, cert, f)
         num, den = expand_extension(op)
@@ -357,7 +372,15 @@ class TestExpansion:
         z, w = np.meshgrid(grid, grid, indexing="ij")
         values = op.evaluate_grid(grid, grid)
         err = np.max(np.abs(values - num.evaluate(z, w) / den.evaluate(z, 0 * z)))
-        assert err <= 1e-8 * max(1.0, np.max(np.abs(values)))
+        assert err <= 1e-12 * max(1.0, np.max(np.abs(values)))
+
+    @pytest.mark.parametrize("name", sorted(DV_CORPUS))
+    def test_w_expands_to_w_over_one(self, name):
+        # f = w has w-degree below m >= 2, so it is its own remainder
+        cert, _, rep, _ = corpus_pipeline(name)
+        num, den = expand_extension(ExtensionOperator(rep, cert, F_W))
+        assert rep.m >= 2
+        assert np.array_equal(num.coeffs, [[0, 1]]) and np.array_equal(den.coeffs, [[1]])
 
 
 class TestAnalyticityGate:
@@ -392,6 +415,18 @@ class TestAnalyticityGate:
         else:
             with pytest.raises(ValueError, match="realization: D has spectral radius"):
                 extension_bound(near, cert)
+
+    @pytest.mark.parametrize("root, refused", [(0.5, True), (1.0, True), (1.01, False)])
+    def test_leading_coefficient_gate(self, pipeline_z3w2, root, refused):
+        # p = z^3 - (1 - z / root) w^2: the remainder divides by p_m, so a
+        # zero of p_m in the closed disk is refused, and one outside is not
+        cert, _, rep, _ = pipeline_z3w2
+        bad = dataclasses.replace(cert, p=poly({(3, 0): 1, (0, 2): -1, (1, 2): 1 / root}))
+        if refused:
+            with pytest.raises(ValueError, match="poly: p_m, the leading coefficient of p in w, has a zero"):
+                extension_bound(rep, bad)
+        else:
+            assert abs(extension_bound(rep, bad) - math.sqrt(2)) <= 1e-6
 
     def test_operator_refuses_mismatched_m(self, pipeline_z3w2):
         # the swapped realization has m = 3 where the certificate has 2

@@ -54,6 +54,7 @@ def test_one_line_and_one_dump_per_call(tmp_path, capsys):
         ("z3w2.json", "sos_weighted", 2),
         ("z3w2.json", "represent", 0),
         ("z3w2.json", "extend", 0),
+        ("z3w2.json", "extend_offvar", 0),
         ("z3w2.json", "extend_swap", 0),
         ("z3w2.json", "extend_expand", 0),
         ("z3w2.json", "verify", 0),
