@@ -152,10 +152,10 @@ def extension_bound(rep: UnitaryRealization, cert: DvCertificate) -> float:
 
     Raises ValueError when det Q or p_m has a zero in the closed disk or
     rho(D) is not below RHO_D_MAX.  Otherwise Q^{-1} is analytic on the
-    closed disk, log ||Q|| and log ||Q^{-1}|| are subharmonic, and by the maximum
-    principle the condition number ||Q|| ||Q^{-1}|| takes its sup over the
-    disk on the circle, which the samples stand for.  A Q too large to
-    sample gives a C that is not finite.
+    closed disk, log ||Q|| and log ||Q^{-1}|| are subharmonic, and by the
+    maximum principle the condition number ||Q|| ||Q^{-1}|| takes its sup
+    over the disk on the circle, which the samples stand for.  A Q too
+    large to sample gives a C that is not finite.
     """
     _require_analytic(rep, cert)
     svals = np.linalg.svd(cert.qmatrix.evaluate(roots_of_unity(256)), compute_uv=False)
@@ -226,8 +226,8 @@ def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     over the 128th roots of unity z_k, which are every other one of the 256
     that C reads.
 
-    The pass computes the rows g(z_k), Phi(z_k) and the torus points of the
-    variety over the z_k once.  ``on_variety_residual`` is max |F - f| over
+    The pass computes the rows g(z_k), Phi(z_k), Q(z_k) and the torus
+    points of the variety over the z_k once.  ``on_variety_residual`` is max |F - f| over
     those torus points, relative to 1 + sup_V |f|: a check of the division
     against f.  ``eigen_relation`` is the :func:`dvrep.eigen_relation` of
     Phi and Q at the same points, which ties the realization, and so C, to
@@ -247,7 +247,9 @@ def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     sup_f = _max_abs(fv)
     g = op.rows(circle)
     on_var = _max_abs(horner(g[k].T, w) - fv) / (1.0 + sup_f)
-    eig = eigen_relation(phi_evaluate(op.rep, circle)[k], w, op.cert.vec_q.evaluate(circle[k], w))
+    # Q(z, w) = Qmatrix(z) (1, w, ..., w^{m-1})^t at the torus points
+    qv = horner(np.moveaxis(op.cert.qmatrix.evaluate(circle)[k], 2, 0), w[:, None]).T
+    eig = eigen_relation(phi_evaluate(op.rep, circle)[k], w, qv)
     sup_F = _max_abs(horner(g.T[:, :, None], circle))
     ratio = sup_F / sup_f if sup_f > 0 else 0.0
     bound = c_const * sup_f + INFLATION_SLACK * max(1.0, op.f.scale)

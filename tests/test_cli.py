@@ -774,9 +774,9 @@ class TestCliCommands:
         assert np.max(np.abs(num.evaluate(z, w) / den.evaluate(z, 0) - op.evaluate(z, w))) <= 1e-10
 
     def test_extend_expand_zeroes_imaginary_noise(self, realization_doc, tmp_path, capsys):
-        # F = w on z^3 - w^2 has real numerator and denominator coefficients;
-        # the cut reads real and imaginary parts one by one, so rounding in
-        # the imaginary part of a kept coefficient comes out exactly 0
+        # f = w on z^3 - w^2 is its own remainder: the numerator w over the
+        # denominator 1, with no imaginary part from a p of imaginary
+        # coefficients
         _, doc = realization_doc
         rep_path = tmp_path / "rep.json"
         rep_path.write_text(dumps(doc))
@@ -975,32 +975,30 @@ class TestPowerOfTwoScale:
         assert main(["extend", str(rep_path), f_path]) == 0
         assert main(["verify", str(rep_path), path]) == 0
 
-    @pytest.mark.parametrize(
-        "f", [poly({(0, 1): 1}), poly({(1, 1): 1, (0, 2): 1, (2, 3): 1j})], ids=["w", "deg_w_3"]
-    )
-    def test_expansion_at_extreme_scale(self, tmp_path, capsys, f):
+    def test_expansion_at_extreme_scale(self, tmp_path, capsys):
         # det Q(z) of z^3 - w^2 times 2^1000 used to overflow (exit 2), and
         # times 2^-1000 to underflow to a passing 0 / 0; both parts are now
         # the unit-scale parts times one common power of two.  f = w is its
         # own numerator over 1; z w + w^2 + i z^2 w^3, of w-degree 3 > m = 2,
-        # takes the denominator p_m^2
-        f_path = write_poly(tmp_path, "f.json", f)
-        parts = {}
-        for k in (0, *EXTREME_EXPONENTS):
-            path = write_poly(tmp_path, f"p{k}.json", z3_minus_w2().ldexp(k))
-            rep_path = tmp_path / f"rep{k}.json"
-            assert main(["represent", path, "-o", str(rep_path)]) == 0
-            capsys.readouterr()
-            assert main(["extend", str(rep_path), f_path, "--no-swap", "--expand"]) == 0
-            out = json.loads(capsys.readouterr().out)
-            parts[k] = [poly_from_obj(out[key]) for key in ("numerator", "denominator")]
-        assert parts[0][1].degree == (0, 0)  # p_m is constant on z^3 - w^2
-        for k in EXTREME_EXPONENTS:
-            shift = parts[k][1].exponent - parts[0][1].exponent
-            for got, want in zip(parts[k], parts[0]):
-                want = want.ldexp(shift).coeffs
-                assert got.coeffs.shape == want.shape
-                assert np.max(np.abs(got.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
+        # takes the denominator p_m^2, a constant on this variety
+        for f in (poly({(0, 1): 1}), poly({(1, 1): 1, (0, 2): 1, (2, 3): 1j})):
+            f_path = write_poly(tmp_path, "f.json", f)
+            parts = {}
+            for k in (0, *EXTREME_EXPONENTS):
+                path = write_poly(tmp_path, f"p{k}.json", z3_minus_w2().ldexp(k))
+                rep_path = tmp_path / f"rep{k}.json"
+                assert main(["represent", path, "-o", str(rep_path)]) == 0
+                capsys.readouterr()
+                assert main(["extend", str(rep_path), f_path, "--no-swap", "--expand"]) == 0
+                out = json.loads(capsys.readouterr().out)
+                parts[k] = [poly_from_obj(out[key]) for key in ("numerator", "denominator")]
+            assert parts[0][1].degree == (0, 0)
+            for k in EXTREME_EXPONENTS:
+                shift = parts[k][1].exponent - parts[0][1].exponent
+                for got, want in zip(parts[k], parts[0]):
+                    want = want.ldexp(shift).coeffs
+                    assert got.coeffs.shape == want.shape
+                    assert np.max(np.abs(got.coeffs - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_corrupted_realization_fails_at_small_scale(self, scaled_haar_run, tmp_path, capsys):
         # P times 1.5 breaks X*X = Y*Y; at 2^-1000 both Gram matrices used to
