@@ -325,8 +325,9 @@ def eigen_relation(phis: np.ndarray, w: np.ndarray, qv: np.ndarray) -> float:
     to the largest |Q(z, w)|: how far each Q(z, w) is from a w-eigenvector
     of Phi(z).  ``phis`` holds Phi at each point's z, shape (S, m, m), and
     ``qv`` the vectors Q(z, w), shape (m, S).  The representation report
-    and the extension gate it at 1e-7.  No points give 0, and a value
-    that is not finite fails the gate."""
+    and the extension gate it at 1e-7 (the report 100 times looser off a
+    torus-smooth variety).  No points give 0, and a value that is not
+    finite fails the gate."""
     vals = np.abs(np.einsum("kij,jk->ik", phis, qv) - w * qv)
     return float(np.max(vals, initial=0.0) / max(np.max(np.abs(qv), initial=0.0), 1e-300))
 
