@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .poly2 import BivariatePolynomial, roots_of_unity, symmetry_constant, transpose_vars
+from .poly2 import FIBER_TRIM, BivariatePolynomial, roots_of_unity, symmetry_constant, transpose_vars
 
 __all__ = [
     "ZeroLabel",
@@ -43,7 +43,8 @@ __all__ = [
 
 # The zero-set tolerance: fiber roots within this of the circle, and
 # Schur-Cohn eigenvalues within this times the fiber's squared coefficient
-# norm of zero, count as on it.
+# norm of zero, count as on it.  Torus points, here and in extend, are read
+# to the same band.
 TOL = 1e-7
 # Equispaced circle samples the label search starts from.
 CIRCLE_SAMPLES = 64
@@ -52,9 +53,6 @@ ARC_FLOOR = 1 << 16
 # Rounding allowance on Schur-Cohn eigenvalues, relative to the squared
 # coefficient norm of the fiber.
 EIG_ROUNDING = 1e-12
-# Fiber coefficients at or below this fraction of the fiber's largest one
-# count as zero when the fiber's w-degree is read off.
-FIBER_TRIM = 1e-12
 # Roots of unity in z over which torus_singularities seeks candidates, and
 # its gate on |p|, |p_z| and |p_w| relative to the coefficient scale.
 TORUS_SWEEP = 128
@@ -384,7 +382,7 @@ def torus_singularities(p: BivariatePolynomial) -> SingularityReport:
     is quadratic.  A candidate stops when its step falls below 1e-14 or its
     Hessian determinant is exactly 0 (it then sits on a singular curve, as
     along a repeated factor), after at most 30 steps.  The points kept lie
-    within 1e-6 of the torus with |p|, |p_z| and |p_w| all below
+    within TOL of the torus with |p|, |p_z| and |p_w| all below
     TORUS_TOL * scale, de-duplicated at 1e-5.
     """
     fz, fw = p.partial_z(), p.partial_w()
@@ -416,8 +414,8 @@ def torus_singularities(p: BivariatePolynomial) -> SingularityReport:
 
         bound = TORUS_TOL * scale
         keep = (
-            (np.abs(np.abs(z) - 1.0) < 1e-6)
-            & (np.abs(np.abs(w) - 1.0) < 1e-6)
+            (np.abs(np.abs(z) - 1.0) < TOL)
+            & (np.abs(np.abs(w) - 1.0) < TOL)
             & (np.abs(p.evaluate(z, w)) <= bound)
             & (np.abs(fz.evaluate(z, w)) <= bound)
             & (np.abs(fw.evaluate(z, w)) <= bound)

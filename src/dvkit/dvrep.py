@@ -65,6 +65,14 @@ SAMPLE_SEED = 7
 # analytic on a neighborhood of the closed disk; the representation report
 # and the extension both gate on it.
 RHO_D_MAX = 1.0 - 1e-8
+# Gate on the eigen relation, max |Phi Q - w Q| relative to max |Q| on the
+# variety: the representation report (scaled by its slack) and the
+# extension both read it.
+EIGEN_TOL = 1e-7
+# Gate on the sampled Gram defect X*X = Y*Y of a certificate of a variety
+# smooth on the torus; the representation report's other residual gates
+# loosen by the ratio of a certificate's own Gram gate to this one.
+GRAM_TOL = 1e-8
 
 
 class IsometryError(ValueError):
@@ -92,8 +100,8 @@ class DvCertificate:
     def gram_tolerance(self) -> float:
         """Gate on the sampled Gram defect X*X = Y*Y.  The certificate of a
         variety singular on the torus passes through the dilation limit and
-        carries its extrapolation error, so its gate is 1e-6, not 1e-8."""
-        return 1e-8 if self.smooth_on_torus else 1e-6
+        carries its extrapolation error, so its gate is 1e-6, not GRAM_TOL."""
+        return GRAM_TOL if self.smooth_on_torus else 1e-6
 
     def as_sos(self) -> SosCertificate:
         return SosCertificate(CertKind.DV, self.vec_p, self.vec_q, self.weights)
@@ -325,8 +333,8 @@ def eigen_relation(phis: np.ndarray, w: np.ndarray, qv: np.ndarray) -> float:
     to the largest |Q(z, w)|: how far each Q(z, w) is from a w-eigenvector
     of Phi(z).  ``phis`` holds Phi at each point's z, shape (S, m, m), and
     ``qv`` the vectors Q(z, w), shape (m, S).  The representation report
-    and the extension gate it at 1e-7 (the report 100 times looser off a
-    torus-smooth variety).  No points give 0, and a value that is not
+    and the extension gate it at EIGEN_TOL (the report 100 times looser off
+    a torus-smooth variety).  No points give 0, and a value that is not
     finite fails the gate."""
     vals = np.abs(np.einsum("kij,jk->ik", phis, qv) - w * qv)
     return float(np.max(vals, initial=0.0) / max(np.max(np.abs(qv), initial=0.0), 1e-300))
@@ -367,11 +375,11 @@ class RepresentationReport:
 
     @property
     def passed(self) -> bool:
-        slack = 1.0 if self.smooth_on_torus else self.gram_tolerance / 1e-8
+        slack = self.gram_tolerance / GRAM_TOL
         checks = [
             self.gram_defect <= self.gram_tolerance,
             self.det_on_samples <= 1e-7 * slack,
-            self.eigen_relation <= 1e-7 * slack,
+            self.eigen_relation <= EIGEN_TOL * slack,
             self.det_vs_p_rel <= 1e-6 * slack,
             self.unitarity <= 1e-10,
             self.boundary_unitarity <= 1e-8,

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import fiber_root_pairs
-from .dvrep import RHO_D_MAX, DvCertificate, UnitaryRealization, eigen_relation, phi_evaluate
+from .classify import TOL, fiber_root_pairs
+from .dvrep import EIGEN_TOL, RHO_D_MAX, DvCertificate, UnitaryRealization, eigen_relation, phi_evaluate
 from .poly2 import BivariatePolynomial, MatrixPolynomial, horner, roots_of_unity
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
 # Absolute allowance, per unit of f's coefficient scale, on the inflation
 # check sup|F| <= C sup_V |f| of :func:`verify_extension`.
 INFLATION_SLACK = 1e-6
-# Fiber roots over the circle within this of |w| = 1 are torus points.
-ON_TORUS = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,9 +137,9 @@ def _require_analytic(rep: UnitaryRealization, cert: DvCertificate) -> None:
 
 def _torus_points(p: BivariatePolynomial, circle: np.ndarray):
     """The torus points of the variety of p over the circle samples: the
-    fiber roots within ON_TORUS of |w| = 1, as circle index k and w."""
+    fiber roots within classify's TOL of |w| = 1, as circle index k and w."""
     k, w = fiber_root_pairs(p, circle)
-    on_torus = np.abs(np.abs(w) - 1.0) < ON_TORUS
+    on_torus = np.abs(np.abs(w) - 1.0) < TOL
     return k[on_torus], w[on_torus]
 
 
@@ -242,7 +240,7 @@ def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     :func:`extension_bound` does."""
     c_const = extension_bound(op.rep, op.cert)
     circle = roots_of_unity(128)
-    k, w = _torus_points(op.cert.p, circle)
+    k, w = _torus_points(op.p, circle)
     fv = op.f.evaluate(circle[k], w)
     sup_f = _max_abs(fv)
     g = op.rows(circle)
@@ -253,5 +251,5 @@ def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     sup_F = _max_abs(horner(g.T[:, :, None], circle))
     ratio = sup_F / sup_f if sup_f > 0 else 0.0
     bound = c_const * sup_f + INFLATION_SLACK * max(1.0, op.f.scale)
-    passed = on_var <= 1e-7 and eig <= 1e-7 and math.isfinite(c_const) and sup_F <= bound
+    passed = on_var <= 1e-7 and eig <= EIGEN_TOL and math.isfinite(c_const) and sup_F <= bound
     return ExtensionReport(on_var, eig, sup_F, sup_f, c_const, ratio, passed)

@@ -68,8 +68,12 @@ def roots_of_unity(count: int) -> np.ndarray:
 
 # Relative proportionality tolerance of q against reflect(q), shared by every
 # caller of symmetry_constant, so a polynomial that classifies as symmetric
-# also symmetrizes.
+# also symmetrizes; sym_sos_certificate reads it as the bound on |c - 1|.
 SYMMETRY_TOL = 1e-8
+# Coefficients at or below this fraction of the largest one count as zero
+# when a degree is read off: a fiber's w-degree in classify, and the
+# z-degree swap_transform requires.
+FIBER_TRIM = 1e-12
 # MatrixPolynomial's SVD and block companion divide by a power of two only a
 # largest coefficient beyond 2^+-RANGE_BOUND, and only down to that bound.
 RANGE_BOUND = 500
@@ -372,11 +376,11 @@ def swap_transform(p: BivariatePolynomial) -> BivariatePolynomial:
 
     Carries polynomials defining a distinguished variety to torus-symmetric
     polynomials with no zeros on the closed bidisk off the torus, and back.
-    Requires exact degree n in z (top coefficient row above 1e-12 of the
-    scale); self-inverse when degrees are exact.
+    Requires exact degree n in z (top coefficient row above FIBER_TRIM of
+    the scale); self-inverse when degrees are exact.
     """
     n, _ = p.degree
-    if np.max(np.abs(p.coeffs[n, :])) <= 1e-12 * p.scale:
+    if np.max(np.abs(p.coeffs[n, :])) <= FIBER_TRIM * p.scale:
         raise DegreeMismatchError(
             f"z-degree is declared {n} but coefficient row {n} vanishes"
         )

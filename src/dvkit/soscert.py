@@ -53,6 +53,7 @@ from .classify import (
     schur_cohn_matrix,
 )
 from .poly2 import (
+    SYMMETRY_TOL,
     BivariatePolynomial,
     VectorPolynomial,
     reflect,
@@ -497,7 +498,8 @@ def sym_sos_certificate(
 ) -> SosCertificate:
     """Certificate of (an+bm)|q|^2 - 2 Re[(a z q_z + b w q_w) conj(q)] =
     (1-|z|^2)|A|^2 + (1-|w|^2)|B|^2 for torus-symmetric q without bidisk
-    zeros.
+    zeros: q's :func:`symmetry_constant` must lie within SYMMETRY_TOL of 1,
+    or ValueError asks that it be symmetrized first.
 
     The combination g = a * reflect(q_z) + b * reflect(q_w) reflects back to
     a z q_z + b w q_w, so the plain certificate of g divided by (an + bm)
@@ -518,7 +520,7 @@ def sym_sos_certificate(
     e = q.exponent
     q = q.ldexp(-e)
     c = symmetry_constant(q)
-    if c is None or abs(c - 1) > 1e-6:
+    if c is None or abs(c - 1) > SYMMETRY_TOL:
         raise ValueError("polynomial is not torus-symmetric; symmetrize it first")
     qz_ref, qw_ref = reflected_derivatives(q)
     g = (a * qz_ref).with_degree((n, m)) + (b * qw_ref).with_degree((n, m))
