@@ -19,25 +19,35 @@ bidisk, reads
 
 for k in LINEAR_KS, eps in LINEAR_EPS and 6 draws each, all from one
 ``default_rng(5)`` (:func:`linear_factor_products`); the right label is
-Indeterminate.  No timings are printed, so the output of two checkouts can
-be compared with ``diff``:
+Indeterminate.  Last, one line per eps in NODE_EPS of the node family
+(:func:`node_family`), a distinguished variety of degree (2, 2) with a node
+at a depth eps inside the bidisk, reads
+
+    eps label proven torus_points=N
+
+with N the number of points ``torus_singularities`` finds on its
+symmetrization; the right answers are DVDefining and N = 0.  No timings are
+printed, so the output of two checkouts can be compared with ``diff``:
 
     PYTHONPATH=src python scripts/degree_survey.py > new.txt
 """
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 import dvkit.classify
 from dvkit.dvrep import UnitaryRealization, det_representation
-from dvkit.poly2 import BivariatePolynomial
+from dvkit.poly2 import BivariatePolynomial, symmetrize
 
 DEGREES = (8, 10, 11, 12, 13, 14, 15, 16, 18, 20)
 SEEDS = (1, 2)
 LINEAR_KS = (1, 2, 4, 6, 8)
 LINEAR_EPS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 LINEAR_DRAWS = 6
+NODE_EPS = (1e-1, 3e-2, 1e-2, 5e-3, 3e-3, 2e-3, 1e-3, 3e-4)
 
 
 def haar_unitary(rng, size):
@@ -82,6 +92,24 @@ def linear_factor_products(ks=LINEAR_KS, eps=LINEAR_EPS, draws=LINEAR_DRAWS):
                 yield k, e, draw, p
 
 
+def node_family(eps):
+    """p = (w - z)(den(z) w - num(z)), num/den the elliptic automorphism
+    M_c^-1(e^{0.7i} M_c(z)) of the disk, M_c(z) = (z - c)/(1 - c z) and
+    c = 1 - eps.
+
+    Both factors are graphs of inner functions, so p defines a
+    distinguished variety of degree (2, 2).  They meet only at the fixed
+    points of the automorphism: (c, c), eps inside the bidisk, and
+    (1/c, 1/c) outside it.  So the variety is smooth on the torus for every
+    eps > 0, and its node reaches the torus only in the limit.
+    ``tests/conftest.py`` loads this copy, as it loads :func:`haar_unitary`."""
+    c, e = 1.0 - eps, cmath.exp(0.7j)
+    # num(z) = (c - e c) + (e - c^2) z and den(z) = (1 - c^2 e) + (c e - c) z
+    graph = {(0, 0): e * c - c, (1, 0): c * c - e, (0, 1): 1 - c * c * e, (1, 1): c * e - c}
+    diagonal = {(0, 1): 1, (1, 0): -1}
+    return BivariatePolynomial.from_terms(diagonal) * BivariatePolynomial.from_terms(graph)
+
+
 def classified(p):
     """(label, proven, samples) of ``classify_zero_set(p)``, samples the
     count of each of its circle proofs in call order."""
@@ -112,10 +140,24 @@ def linear_survey(**family):
     return [(k, e, draw, *classified(p)) for k, e, draw, p in linear_factor_products(**family)]
 
 
+def node_survey(eps=NODE_EPS):
+    """(eps, label, proven, torus points) per member of :func:`node_family`,
+    the points those ``torus_singularities`` finds on its symmetrization."""
+    rows = []
+    for e in eps:
+        p = node_family(e)
+        zc = dvkit.classify.classify_zero_set(p)
+        points = dvkit.classify.torus_singularities(symmetrize(p)).points
+        rows.append((e, zc.label.value, zc.proven, len(points)))
+    return rows
+
+
 def main():
     for row in survey() + linear_survey():
         *head, samples = row
         print(*head, f"samples={','.join(map(str, samples))}")
+    for *head, points in node_survey():
+        print(*head, f"torus_points={points}")
 
 
 if __name__ == "__main__":

@@ -114,11 +114,12 @@ def disk_spiral(count, radius=1.0):
     return radius * np.sqrt((k + 0.5) / count) * np.exp(2j * np.pi * golden * k)
 
 
-# the one Haar generator and the one linear-factor family, shared with the
-# degree survey
+# the one Haar generator, the one linear-factor family and the one node
+# family, shared with the degree survey
 _survey = load_script("degree_survey")
 haar_unitary = _survey.haar_unitary
 linear_factor_products = _survey.linear_factor_products
+node_family = _survey.node_family
 
 
 def from_values(fn, n, m):

@@ -1,6 +1,6 @@
 """Smoke test of scripts/degree_survey.py, the classification of generated
-Haar distinguished varieties of growing degree and of products of linear
-factors with a zero just inside the bidisk."""
+Haar distinguished varieties of growing degree, of products of linear
+factors with a zero just inside the bidisk, and of the node family."""
 
 import importlib.util
 from pathlib import Path
@@ -48,12 +48,25 @@ def test_linear_products_with_a_zero_inside_read_indeterminate():
         assert len(samples) == 1 and samples[0] >= 64
 
 
+def test_node_family_rows_read_label_and_torus_points():
+    script = load_script()
+    assert script.NODE_EPS == (1e-1, 3e-2, 1e-2, 5e-3, 3e-3, 2e-3, 1e-3, 3e-4)
+    rows = script.node_survey(eps=(1e-1, 2e-3, 1e-3))
+    # proven down to eps = 3e-3; no torus point down to 1e-3, where the
+    # node is 1e-3 inside the bidisk
+    assert rows == [(1e-1, "DVDefining", True, 0), (2e-3, "DVDefining", False, 0), (1e-3, "DVDefining", False, 0)]
+    assert all(script.node_family(e).degree == (2, 2) for e in script.NODE_EPS)
+
+
 def test_main_prints_one_line_per_variety(capsys, monkeypatch):
-    # a Haar variety's line, then a linear-factor product's
+    # a Haar variety's line, then a linear-factor product's, then a node
+    # family member's
     script = load_script()
     monkeypatch.setattr(script, "survey", lambda: [(8, 1, "DVDefining", True, (144, 218))])
     monkeypatch.setattr(script, "linear_survey", lambda: [(1, 1e-6, 3, "Indeterminate", False, (69,))])
+    monkeypatch.setattr(script, "node_survey", lambda: [(3e-4, "DVDefining", False, 1)])
     script.main()
     assert capsys.readouterr().out == (
         "8 1 DVDefining True samples=144,218\n1 1e-06 3 Indeterminate False samples=69\n"
+        "0.0003 DVDefining False torus_points=1\n"
     )

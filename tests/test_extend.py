@@ -360,11 +360,23 @@ class TestOffVariety:
 class TestExpansion:
     """expand_extension against the evaluator of F over the whole corpus."""
 
-    @pytest.mark.parametrize("f", [F_W, F_ZW + F_W2, CHECK_FS["random_2x2"]], ids=["w", "zw_plus_w2", "random_2x2"])
+    @pytest.mark.parametrize(
+        "f, bound",
+        [
+            (F_W, 1e-12),
+            (F_ZW + F_W2, 1e-12),
+            (CHECK_FS["random_2x2"], 1e-12),
+            (random_poly(np.random.default_rng(5), 3, 9), 1e-8),
+        ],
+        ids=["w", "zw_plus_w2", "random_2x2", "random_3x9"],
+    )
     @pytest.mark.parametrize("name", sorted(DV_CORPUS))
-    def test_expansion_matches_evaluator_on_torus(self, name, f):
+    def test_expansion_matches_evaluator_on_torus(self, name, f, bound):
         # both forms divide by p in w, the evaluator per z and the
-        # expansion on coefficient grids, so they agree to rounding
+        # expansion on coefficient grids, so they agree to rounding; for
+        # deg_w f > m the expansion divides a numerator summed across
+        # cancelling terms by p_m^k, which loses digits (up to 6.5e-9 on
+        # haar_dv_3x3_T for the (3, 9) f)
         cert, _, rep, _ = corpus_pipeline(name)
         op = ExtensionOperator(rep, cert, f)
         num, den = expand_extension(op)
@@ -372,7 +384,7 @@ class TestExpansion:
         z, w = np.meshgrid(grid, grid, indexing="ij")
         values = op.evaluate_grid(grid, grid)
         err = np.max(np.abs(values - num.evaluate(z, w) / den.evaluate(z, 0 * z)))
-        assert err <= 1e-12 * max(1.0, np.max(np.abs(values)))
+        assert err <= bound * max(1.0, np.max(np.abs(values)))
 
     @pytest.mark.parametrize("name", sorted(DV_CORPUS))
     def test_w_expands_to_w_over_one(self, name):

@@ -16,6 +16,10 @@ the library:
   v = diag(z I_n, w I_m) u at some torus point, which a generic draw avoids.
 * Products of linear factors 1 - a z - b w: a factor with |a| + |b| > 1
   vanishes in the open bidisk, at a depth of about |a| + |b| - 1.
+* The node family (w - z)(den(z) w - num(z)), num/den an elliptic
+  automorphism of the disk with fixed points 1 - eps and 1/(1 - eps): both
+  factors are graphs of inner functions, so it defines a distinguished
+  variety, whose one node lies eps inside the bidisk and none on the torus.
 
 A torus rotation (z, w) -> (e^{ia} z, e^{ib} w) times a unimodular factor
 preserves every answer.
@@ -29,12 +33,14 @@ from conftest import (
     haar_unitary,
     kummert,
     linear_factor_products,
+    node_family,
     one_minus_z3w2,
     poly,
     two_minus_z_minus_w,
 )
-from dvkit.classify import TOL, ZeroLabel, classify_zero_set
+from dvkit.classify import TOL, ZeroLabel, classify_zero_set, torus_singularities
 from dvkit.dvrep import represent
+from dvkit.extend import ExtensionOperator, verify_extension
 from dvkit.poly2 import BivariatePolynomial, reflected_derivatives, symmetrize
 from dvkit.soscert import gw_invertibility, sos_certificate, sym_sos_certificate, verify_certificate
 
@@ -94,6 +100,35 @@ def test_linear_factor_products_with_a_zero_one_millionth_inside_are_indetermina
     # one at k = 6 and two at k = 8 read StableOpen; once the circle proof
     # decides them this passes, which the strict xfail reports as a failure
     assert wrong_labels(x for x in linear_factor_products() if x[1] == 1e-6) == []
+
+
+@pytest.mark.parametrize("eps", [1e-1, 3e-2, 1e-2])
+def test_node_family_is_proven_and_represents_and_extends(eps):
+    # the node eps inside the bidisk is still far enough from the torus for
+    # the circle proof and the lurking isometry's Gram gate
+    p = node_family(eps)
+    zc = classify_zero_set(p)
+    assert zc.label is ZeroLabel.DV_DEFINING and zc.proven
+    cert, _, rep, report = represent(p)
+    assert report.passed
+    assert verify_extension(ExtensionOperator(rep, cert, BivariatePolynomial.from_terms({(0, 1): 1}))).passed
+
+
+@pytest.mark.parametrize("eps", [1e-1, 3e-2, 1e-2, 5e-3, 3e-3, 2e-3, 1e-3])
+def test_node_family_has_no_torus_singularity(eps):
+    # the node lies eps inside the bidisk, not on the torus; near it |p|,
+    # |p_z| and |p_w| are all small, so a point the gates on them pass must
+    # also lie within TOL of the torus to count
+    assert torus_singularities(symmetrize(node_family(eps))).points == ()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 14: at eps = 3e-4 one point 4.5e-8 from the torus passes the gates "
+    "of torus_singularities, where the variety has none",
+)
+def test_node_family_at_eps_3e_4_has_no_torus_singularity():
+    assert torus_singularities(symmetrize(node_family(3e-4))).points == ()
 
 
 @pytest.mark.parametrize("seed", range(3))

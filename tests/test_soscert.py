@@ -34,6 +34,7 @@ from dvkit.poly2 import (
     reflected_derivatives,
     side_degrees,
     swap_transform,
+    symmetry_constant,
     symmetrize,
 )
 from dvkit.soscert import (
@@ -728,6 +729,20 @@ class TestSymmetricCertificate:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             sym_sos_certificate(four_minus_z_minus_w(), 1.0, 1.0)
+
+    @pytest.mark.parametrize("gap, accepted", [(1e-7, False), (2e-9, True)])
+    def test_symmetry_constant_gate_sits_at_symmetry_tol(self, sym_cert_z3w2, gap, accepted):
+        # e^{i theta} q has symmetry constant e^{2 i theta} c, c = 1 for the
+        # symmetrized q, so |c - 1| reads about 2 theta: above SYMMETRY_TOL =
+        # 1e-8 the certificate asks for symmetrizing, below it builds
+        q, _ = sym_cert_z3w2
+        rotated = np.exp(0.5j * gap) * q
+        assert abs(abs(symmetry_constant(rotated) - 1) - gap) <= 0.01 * gap
+        if accepted:
+            assert verify_certificate(rotated, sym_sos_certificate(rotated, 1.0, 1.0)).passed
+        else:
+            with pytest.raises(ValueError, match="symmetrize it first"):
+                sym_sos_certificate(rotated, 1.0, 1.0)
 
     def test_rejects_zero_weights(self, sym_cert_z3w2):
         q, _ = sym_cert_z3w2
