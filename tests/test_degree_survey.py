@@ -50,7 +50,6 @@ def test_linear_products_with_a_zero_inside_read_indeterminate():
 
 def test_node_family_rows_read_label_and_torus_points():
     script = load_script()
-    assert script.NODE_EPS == (1e-1, 3e-2, 1e-2, 5e-3, 3e-3, 2e-3, 1e-3, 3e-4)
     rows = script.node_survey(eps=(1e-1, 2e-3, 1e-3))
     # proven down to eps = 3e-3; no torus point down to 1e-3, where the
     # node is 1e-3 inside the bidisk
