@@ -145,19 +145,20 @@ def _torus_points(p: BivariatePolynomial, circle: np.ndarray):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def extension_bound(rep: UnitaryRealization, cert: DvCertificate) -> float:
-    """C = sqrt(m) max ||Q(z)|| ||Q(z)^{-1}|| over the 256th roots of unity;
-    Q and the analyticity gates alone, neither f nor the variety's points.
+    """C = sqrt(m) max ||Q(z)|| ||Q(z)^{-1}|| over the 256th roots of unity,
+    from :meth:`MatrixPolynomial.singular_values_on_circle`; Q and the
+    analyticity gates alone, neither f nor the variety's points.
 
     Raises ValueError when det Q or p_m has a zero in the closed disk or
     rho(D) is not below RHO_D_MAX.  Otherwise Q^{-1} is analytic on the
     closed disk, log ||Q|| and log ||Q^{-1}|| are subharmonic, and by the
     maximum principle the condition number ||Q|| ||Q^{-1}|| takes its sup
-    over the disk on the circle, which the samples stand for.  A Q too
-    large to sample gives a C that is not finite.
+    over the disk on the circle, which the samples stand for, at every
+    scale of Q.  A Q singular at a sample gives a C that is not finite.
     """
     _require_analytic(rep, cert)
-    svals = np.linalg.svd(cert.qmatrix.evaluate(roots_of_unity(256)), compute_uv=False)
-    return math.sqrt(rep.m) * float(np.max(svals[:, 0] / svals[:, -1]))
+    s, _ = cert.qmatrix.singular_values_on_circle(256)
+    return math.sqrt(rep.m) * float(np.max(s[:, 0] / s[:, -1]))
 
 
 def sup_norm_on_variety(
@@ -220,35 +221,34 @@ class ExtensionReport:
 @np.errstate(over="ignore", invalid="ignore")
 def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     """Check F = f on the variety, the eigen relation of the realization and
-    the norm inflation against C of :func:`extension_bound`, from one pass
-    over the 128th roots of unity z_k, which are every other one of the 256
-    that C reads.
+    the norm inflation against C of :func:`extension_bound`, over the 128th
+    roots of unity z_k, which are every other one of the 256 that C reads.
 
-    The pass computes the rows g(z_k), Phi(z_k), Q(z_k) and the torus
-    points of the variety over the z_k once.  ``on_variety_residual`` is max |F - f| over
-    those torus points, relative to 1 + sup_V |f|: a check of the division
-    against f.  ``eigen_relation`` is the :func:`dvrep.eigen_relation` of
-    Phi and Q at the same points, which ties the realization, and so C, to
-    p: where Q(z, w) is a w-eigenvector of Phi(z) on the variety, the
-    paper's F is the remainder that g holds.  Both are analytic on the
+    F is read through the operator's own evaluator, so the checks hold of
+    the values :class:`ExtensionOperator` gives.  ``on_variety_residual`` is
+    max |F - f| over the torus points of the variety over the z_k, relative
+    to 1 + sup_V |f|: a check of the division against f.
+    ``eigen_relation`` is the :func:`dvrep.eigen_relation` of Phi and Q at
+    the same points, which ties the realization, and so C, to p: where
+    Q(z, w) is a w-eigenvector of Phi(z) on the variety, the paper's F is
+    the remainder that the operator computes.  Both are analytic on the
     variety, so by the maximum principle they bound their values inside the
-    bidisk too.  ``sup_F_on_bidisk`` is max |g(z_k) . (1, w, ..., w^{m-1})|
-    over the grid z_k x z_k of the torus, where F, analytic on the closed
-    bidisk, takes its sup.  A value that overflows is not finite and fails
-    the check, and so does a C that is not finite, against which the
-    inflation check would hold vacuously.  Raises ValueError as
+    bidisk too.  ``sup_F_on_bidisk`` is max |F| over the grid z_k x z_k of
+    the torus (:meth:`ExtensionOperator.evaluate_grid`), where F, analytic
+    on the closed bidisk, takes its sup.  A value that overflows is not
+    finite and fails the check, and so does a C that is not finite, against
+    which the inflation check would hold vacuously.  Raises ValueError as
     :func:`extension_bound` does."""
     c_const = extension_bound(op.rep, op.cert)
     circle = roots_of_unity(128)
     k, w = _torus_points(op.p, circle)
     fv = op.f.evaluate(circle[k], w)
     sup_f = _max_abs(fv)
-    g = op.rows(circle)
-    on_var = _max_abs(horner(g[k].T, w) - fv) / (1.0 + sup_f)
+    on_var = _max_abs(op.evaluate(circle[k], w) - fv) / (1.0 + sup_f)
     # Q(z, w) = Qmatrix(z) (1, w, ..., w^{m-1})^t at the torus points
     qv = horner(np.moveaxis(op.cert.qmatrix.evaluate(circle)[k], 2, 0), w[:, None]).T
     eig = eigen_relation(phi_evaluate(op.rep, circle)[k], w, qv)
-    sup_F = _max_abs(horner(g.T[:, :, None], circle))
+    sup_F = _max_abs(op.evaluate_grid(circle, circle))
     ratio = sup_F / sup_f if sup_f > 0 else 0.0
     bound = c_const * sup_f + INFLATION_SLACK * max(1.0, op.f.scale)
     passed = on_var <= 1e-7 and eig <= EIGEN_TOL and math.isfinite(c_const) and sup_F <= bound

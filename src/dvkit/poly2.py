@@ -531,33 +531,36 @@ class MatrixPolynomial:
         e = _exponent(self.coeffs)
         return e - int(np.clip(e, -RANGE_BOUND, RANGE_BOUND))
 
-    @functools.cached_property
-    def _singular_values_on_disk(self) -> tuple[np.ndarray, int]:
-        """(s, e): the singular values at the points of
-        :attr:`min_singular_value_on_disk` are s * 2^e, s those of Q / 2^e."""
+    def singular_values_on_circle(self, count: int) -> tuple[np.ndarray, int]:
+        """(s, e): s[k] the singular values, largest first, of Q / 2^e at
+        exp(2 pi i k / count), e of :attr:`_range_exponent`; Q's are s * 2^e."""
         e = self._range_exponent
         ranged = MatrixPolynomial(_ldexp(self.coeffs, -e))
-        pts = np.concatenate([roots_of_unity(64), self.det_zeros_in_disk])
-        return np.linalg.svd(ranged.evaluate(pts), compute_uv=False), e
+        return np.linalg.svd(ranged.evaluate(roots_of_unity(count)), compute_uv=False), e
+
+    @functools.cached_property
+    def _singular_values_on_disk(self) -> tuple[np.ndarray, int]:
+        """:meth:`singular_values_on_circle` at 64 points, computed once."""
+        return self.singular_values_on_circle(64)
 
     @property
     def min_singular_value_on_disk(self) -> float:
-        """Least singular value of the square matrix polynomial Q over the 64
-        circle points exp(2 pi i k / 64) and every zero of det Q in the
-        closed disk (:attr:`det_zeros_in_disk`), from one cached SVD.
+        """Least singular value of the square matrix polynomial Q over the
+        closed disk: 0.0 when det Q has a zero there (:attr:`det_zeros_in_disk`),
+        and otherwise the least over the 64 circle points, from one cached SVD.
 
-        Q at such a zero is singular, so its singular value, about 0, enters
-        the minimum.  With no zero of det Q in the closed disk, Q^{-1} is
-        analytic there and ||Q^{-1}|| is subharmonic, so the least singular
-        value 1 / ||Q^{-1}|| over the disk is attained on the circle, which
-        the samples stand for.
+        With no such zero, Q^{-1} is analytic on the closed disk and
+        ||Q^{-1}|| is subharmonic, so the least singular value 1 / ||Q^{-1}||
+        over the disk is attained on the circle, which the samples stand for.
         """
+        if len(self.det_zeros_in_disk):
+            return 0.0
         s, e = self._singular_values_on_disk
         return float(np.ldexp(np.min(s), e))
 
     @property
     def max_singular_value_on_disk(self) -> float:
-        """Largest singular value over the same points, from the same SVD:
+        """Largest singular value over the 64 circle points, from the same SVD:
         the scale of a gate on the least one, which no constant unitary
         mixing of the rows of Q moves; inf beyond the float range."""
         s, e = self._singular_values_on_disk
@@ -565,9 +568,11 @@ class MatrixPolynomial:
             return float(np.ldexp(np.max(s), e))
 
     def invertible_on_disk(self, rel: float) -> bool:
-        """Whether the least singular value over the same points exceeds
-        ``rel`` times the largest, compared before they are multiplied back
-        by 2^e, so that the verdict is the same at every scale of Q."""
+        """False when det Q has a zero in the closed disk, else whether the least
+        singular value over the 64 circle points exceeds ``rel`` times the
+        largest, compared before the 2^e, so the verdict holds at every scale."""
+        if len(self.det_zeros_in_disk):
+            return False
         s, _ = self._singular_values_on_disk
         return bool(np.min(s) > rel * np.max(s))
 

@@ -218,6 +218,19 @@ class TestBounds:
         svals = np.linalg.svd(cert.qmatrix.evaluate(roots_of_unity(128)), compute_uv=False)
         assert c >= math.sqrt(rep.m) * np.max(svals[:, 0] / svals[:, -1])
 
+    def test_checks_read_the_exported_evaluator(self, pipeline_z3w2):
+        # an evaluator off by 1e-3 fails the gate, which reads F through
+        # ExtensionOperator.evaluate, and its grid, not through a copy of F
+        class Shifted(ExtensionOperator):
+            def evaluate(self, z, w):
+                return super().evaluate(z, w) + 1e-3
+
+        cert, _, rep, _ = pipeline_z3w2
+        assert verify_extension(ExtensionOperator(rep, cert, F_W)).passed
+        report = verify_extension(Shifted(rep, cert, F_W))
+        assert report.on_variety_residual > 1e-7 and report.sup_F_on_bidisk > 1.0 + 5e-4
+        assert not report.passed
+
     def test_infinite_constant_fails(self, pipeline_z3w2, monkeypatch):
         # a Q singular on the circle gives C = inf, against which the
         # inflation check sup|F| <= C sup|f| would hold for every F

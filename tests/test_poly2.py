@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -178,6 +180,34 @@ class TestDiskMinimum:
         for mat in (cert.vec_first.matrix_in_w(), cert.vec_second.matrix_in_z()):
             assert not mat.coeffs.any()
             assert mat.min_singular_value_on_disk == 0.0
+
+    @pytest.mark.parametrize("a", [0.3, 0.7, 0.123456789, 0.9 + 0.2j])
+    def test_det_zero_in_disk_reads_zero(self, a):
+        # Q = U diag(t - a, 3 + t) is singular at t = a inside the disk; an
+        # SVD at a sampled a reads rounding, 1e-17 to 3e-16, and would call
+        # Q invertible at rel = 0
+        diag = np.zeros((2, 2, 2), dtype=np.complex128)
+        diag[0, 0], diag[1, 1] = [-a, 1], [3, 1]
+        u = haar_unitary(np.random.default_rng(11), 2)
+        mat = MatrixPolynomial(np.einsum("ij,jkl->ikl", u, diag))
+        assert mat.min_singular_value_on_disk == 0.0
+        assert mat.invertible_on_disk(0.0) is False
+
+    def test_range_bound_keeps_a_small_entry_normal(self):
+        # diag(2^1000 (2 - t), 2^-200 (2 - t)) has its det zeros at t = 2;
+        # with RANGE_BOUND at 100 or below, Q / 2^e underflows its second
+        # entry, Q(0) reads singular and a zero is reported at t = 0
+        coeffs = np.zeros((2, 2, 2), dtype=np.complex128)
+        coeffs[0, 0], coeffs[1, 1] = np.ldexp([2.0, -1.0], 1000), np.ldexp([2.0, -1.0], -200)
+        assert len(MatrixPolynomial(coeffs).det_zeros_in_disk) == 0
+
+    def test_range_bound_keeps_a_huge_entry_finite(self):
+        # 2^1023 (1.5 - 0.5 t) reads 2^1024 at t = -1, which overflows
+        # unless Q is divided down, as it is while RANGE_BOUND < 1024
+        mat = MatrixPolynomial(np.ldexp([[[1.5, -0.5]]], 1023))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mat.invertible_on_disk(1e-6)
 
     @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (4, 3), (6, 6)])
     def test_matches_disk_grid_on_haar_qmatrices(self, m, n):
