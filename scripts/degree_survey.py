@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Classify generated Haar distinguished varieties of growing degree, and
-products of linear factors with a zero just inside the bidisk.
+products of linear factors with a zero just inside the bidisk; survey the
+extension constants of the curves w^m = B(z).
 
 For each d and seed s the variety is det [[A - wI, zB], [C, zD - I]] for a
 Haar unitary U = [[A, B], [C, D]] of size 2d drawn from
@@ -26,8 +27,18 @@ at a depth eps inside the bidisk, reads
     eps label proven torus_points=N
 
 with N the number of points ``torus_singularities`` finds on its
-symmetrization; the right answers are DVDefining and N = 0.  No timings are
-printed, so the output of two checkouts can be compared with ``diff``:
+symmetrization; the right answers are DVDefining and N = 0.  Last, one line
+per curve w^m = B(z) of :func:`blaschke_curves`, B a Blaschke product,
+reads
+
+    curve: m=M C=c C_swapped=s
+
+with c the extension constant sqrt(m) sup ||Q|| ||Q^{-1}|| of the curve's
+determinantal representation and s that of the same realization with z and
+w exchanged, "--" where that is refused.  Monomial B give exactly sqrt(m);
+the rows show how far general numerator/denominator pairs drift from that
+floor.  No timings are printed, so the output of two checkouts can be
+compared with ``diff``:
 
     PYTHONPATH=src python scripts/degree_survey.py > new.txt
 """
@@ -39,8 +50,9 @@ import cmath
 import numpy as np
 
 import dvkit.classify
-from dvkit.dvrep import UnitaryRealization, det_representation
-from dvkit.poly2 import BivariatePolynomial, symmetrize
+from dvkit.dvrep import UnitaryRealization, det_representation, represent
+from dvkit.extend import extension_bound
+from dvkit.poly2 import BivariatePolynomial, blaschke_dv, symmetrize
 
 DEGREES = (8, 10, 11, 12, 13, 14, 15, 16, 18, 20)
 SEEDS = (1, 2)
@@ -152,12 +164,40 @@ def node_survey(eps=NODE_EPS):
     return rows
 
 
+def blaschke_curves():
+    """(name, p) for the 8 curves w^m = B(z), m in (2, 3), with p from
+    :func:`dvkit.poly2.blaschke_dv`."""
+    for m in (2, 3):
+        yield f"w^{m} = z^{m}", blaschke_dv(m, [0.0] * m)
+        yield f"w^{m} = z^2 (monomial)", blaschke_dv(m, [0.0, 0.0])
+        yield f"w^{m} = B(z), zeros 0.5, 0", blaschke_dv(m, [0.5, 0.0])
+        yield f"w^{m} = B(z), zeros 0.4, -0.3i", blaschke_dv(m, [0.4, -0.3j])
+
+
+def extension_survey():
+    """(name, m, C, C_swapped) per curve of :func:`blaschke_curves`: the
+    ``extension_bound`` of its representation and of the same realization
+    with z and w exchanged, None where the swapped one is refused."""
+    rows = []
+    for name, p in blaschke_curves():
+        cert, _, rep, _ = represent(p)
+        try:
+            swapped = extension_bound(rep.swapped(), cert.swapped())
+        except ValueError:
+            swapped = None
+        rows.append((name, len(cert.vec_q), extension_bound(rep, cert), swapped))
+    return rows
+
+
 def main():
     for row in survey() + linear_survey():
         *head, samples = row
         print(*head, f"samples={','.join(map(str, samples))}")
     for *head, points in node_survey():
         print(*head, f"torus_points={points}")
+    for name, m, c, swapped in extension_survey():
+        swapped = "--" if swapped is None else f"{swapped:.6f}"
+        print(f"{name}: m={m} C={c:.6f} C_swapped={swapped}")
 
 
 if __name__ == "__main__":

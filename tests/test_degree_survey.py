@@ -1,8 +1,10 @@
 """Smoke test of scripts/degree_survey.py, the classification of generated
 Haar distinguished varieties of growing degree, of products of linear
-factors with a zero just inside the bidisk, and of the node family."""
+factors with a zero just inside the bidisk, and of the node family, and the
+extension constants of the curves w^m = B(z)."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "degree_survey.py"
@@ -57,15 +59,31 @@ def test_node_family_rows_read_label_and_torus_points():
     assert all(script.node_family(e).degree == (2, 2) for e in script.NODE_EPS)
 
 
+def test_extension_constants_of_blaschke_curves():
+    rows = load_script().extension_survey()
+    assert [m for _, m, _, _ in rows] == [2] * 4 + [3] * 4
+    for name, m, c, c_swapped in rows:
+        # every curve of the family is smooth on the torus, so both
+        # orientations give a constant, C at least sqrt(m)
+        assert c >= math.sqrt(m) - 1e-6
+        assert c_swapped is not None and c_swapped >= 1.0
+        if "monomial" in name or name.startswith(f"w^{m} = z^{m}"):
+            assert math.isclose(c, math.sqrt(m), abs_tol=1e-6)
+
+
 def test_main_prints_one_line_per_variety(capsys, monkeypatch):
     # a Haar variety's line, then a linear-factor product's, then a node
-    # family member's
+    # family member's, then a Blaschke curve's, one refused when swapped
     script = load_script()
     monkeypatch.setattr(script, "survey", lambda: [(8, 1, "DVDefining", True, (144, 218))])
     monkeypatch.setattr(script, "linear_survey", lambda: [(1, 1e-6, 3, "Indeterminate", False, (69,))])
     monkeypatch.setattr(script, "node_survey", lambda: [(3e-4, "DVDefining", False, 1)])
+    monkeypatch.setattr(
+        script, "extension_survey", lambda: [("w^2 = z^2", 2, math.sqrt(2), 2.44949), ("w^3 = z^3", 3, 1.75, None)]
+    )
     script.main()
     assert capsys.readouterr().out == (
         "8 1 DVDefining True samples=144,218\n1 1e-06 3 Indeterminate False samples=69\n"
         "0.0003 DVDefining False torus_points=1\n"
+        "w^2 = z^2: m=2 C=1.414214 C_swapped=2.449490\nw^3 = z^3: m=3 C=1.750000 C_swapped=--\n"
     )
