@@ -20,7 +20,7 @@ bidisk, reads
 
 for k in LINEAR_KS, eps in LINEAR_EPS and 6 draws each, all from one
 ``default_rng(5)`` (:func:`linear_factor_products`); the right label is
-Indeterminate.  Last, one line per eps in NODE_EPS of the node family
+Indeterminate.  Then one line per eps in NODE_EPS of the node family
 (:func:`node_family`), a distinguished variety of degree (2, 2) with a node
 at a depth eps inside the bidisk, reads
 
@@ -28,7 +28,7 @@ at a depth eps inside the bidisk, reads
 
 with N the number of points ``torus_singularities`` finds on its
 symmetrization; the right answers are DVDefining and N = 0.  Last, one line
-per curve w^m = B(z) of :func:`blaschke_curves`, B a Blaschke product,
+per curve w^m = B(z) of :func:`extension_survey`, B a Blaschke product,
 reads
 
     curve: m=M C=c C_swapped=s
@@ -164,22 +164,19 @@ def node_survey(eps=NODE_EPS):
     return rows
 
 
-def blaschke_curves():
-    """(name, p) for the 8 curves w^m = B(z), m in (2, 3), with p from
-    :func:`dvkit.poly2.blaschke_dv`."""
-    for m in (2, 3):
-        yield f"w^{m} = z^{m}", blaschke_dv(m, [0.0] * m)
-        yield f"w^{m} = z^2 (monomial)", blaschke_dv(m, [0.0, 0.0])
-        yield f"w^{m} = B(z), zeros 0.5, 0", blaschke_dv(m, [0.5, 0.0])
-        yield f"w^{m} = B(z), zeros 0.4, -0.3i", blaschke_dv(m, [0.4, -0.3j])
-
-
 def extension_survey():
-    """(name, m, C, C_swapped) per curve of :func:`blaschke_curves`: the
-    ``extension_bound`` of its representation and of the same realization
-    with z and w exchanged, None where the swapped one is refused."""
+    """(name, m, C, C_swapped) per curve w^m = B(z), m in (2, 3), from
+    :func:`dvkit.poly2.blaschke_dv`: the ``extension_bound`` of its
+    representation and of the same realization with z and w exchanged,
+    None where the swapped one is refused."""
+    curves = []
+    for m in (2, 3):
+        curves.append((f"w^{m} = z^{m}", blaschke_dv(m, [0.0] * m)))
+        curves.append((f"w^{m} = z^2 (monomial)", blaschke_dv(m, [0.0, 0.0])))
+        curves.append((f"w^{m} = B(z), zeros 0.5, 0", blaschke_dv(m, [0.5, 0.0])))
+        curves.append((f"w^{m} = B(z), zeros 0.4, -0.3i", blaschke_dv(m, [0.4, -0.3j])))
     rows = []
-    for name, p in blaschke_curves():
+    for name, p in curves:
         cert, _, rep, _ = represent(p)
         try:
             swapped = extension_bound(rep.swapped(), cert.swapped())
