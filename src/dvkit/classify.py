@@ -36,6 +36,7 @@ __all__ = [
     "schur_cohn_matrix",
     "root_count_in_disk",
     "classify_zero_set",
+    "torus_points",
     "torus_singularities",
     "is_squarefree",
     "repeated_root",
@@ -43,8 +44,8 @@ __all__ = [
 
 # The zero-set tolerance: fiber roots within this of the circle, and
 # Schur-Cohn eigenvalues within this times the fiber's squared coefficient
-# norm of zero, count as on it.  Torus points, here and in extend, are read
-# to the same band.
+# norm of zero, count as on it.  :func:`torus_points` and every gate of
+# :func:`torus_singularities` read the same band.
 TOL = 1e-7
 # Equispaced circle samples the label search starts from.
 CIRCLE_SAMPLES = 64
@@ -53,10 +54,8 @@ ARC_FLOOR = 1 << 16
 # Rounding allowance on Schur-Cohn eigenvalues, relative to the squared
 # coefficient norm of the fiber.
 EIG_ROUNDING = 1e-12
-# Roots of unity in z over which torus_singularities seeks candidates, and
-# its gate on |p|, |p_z| and |p_w| relative to the coefficient scale.
+# Roots of unity in z over which torus_singularities seeks candidates.
 TORUS_SWEEP = 128
-TORUS_TOL = 1e-8
 # is_squarefree: random fibers tried per variable, the gate on the least
 # normalized |p_w| at their roots, and the seed of the fiber points.
 SQUAREFREE_TRIALS = 5
@@ -372,26 +371,35 @@ def classify_zero_set(p: BivariatePolynomial) -> ZeroClass:
     return result(ZeroLabel.INDETERMINATE, witnesses=witnesses[:16])
 
 
+def torus_points(p: BivariatePolynomial, circle: np.ndarray):
+    """The torus points of the variety of p over the circle samples: the
+    fiber roots within TOL of |w| = 1, as circle index k and w."""
+    k, w = fiber_root_pairs(p, circle)
+    on_torus = np.abs(np.abs(w) - 1.0) < TOL
+    return k[on_torus], w[on_torus]
+
+
 def torus_singularities(p: BivariatePolynomial) -> SingularityReport:
     """Points of the torus where p, p_z and p_w vanish together.
 
-    Sweeps z over TORUS_SWEEP roots of unity and takes the fiber roots within
-    1e-2 of the unit circle as candidates.  All candidates are refined at
-    once by Newton's method on grad p = (p_z, p_w) = 0, whose Jacobian is the
-    Hessian of p; it is nonsingular at an ordinary node, so convergence there
-    is quadratic.  A candidate stops when its step falls below 1e-14 or its
-    Hessian determinant is exactly 0 (it then sits on a singular curve, as
-    along a repeated factor), after at most 30 steps.  The points kept lie
-    within TOL of the torus with |p|, |p_z| and |p_w| all below
-    TORUS_TOL * scale, de-duplicated at 1e-5.
+    The candidates are the :func:`torus_points` over TORUS_SWEEP roots of
+    unity in z.  All are refined at once by Newton's method on
+    grad p = (p_z, p_w) = 0, whose Jacobian is the Hessian of p; it is
+    nonsingular at an ordinary node, so convergence there is quadratic.  A
+    candidate stops when its step falls below 1e-14 or its Hessian
+    determinant is exactly 0 (it then sits on a singular curve, as along a
+    repeated factor), after at most 30 steps.  The points kept lie within
+    TOL of the torus with |p_z| and |p_w| at most TOL * scale and, since p
+    vanishes to second order where its gradient does, |p| at most
+    TOL^2 * scale: a critical point of p off its variety fails that gate.
+    They are de-duplicated at TOL.
     """
     fz, fw = p.partial_z(), p.partial_w()
     fzz, fzw, fww = fz.partial_z(), fz.partial_w(), fw.partial_w()
     scale = p.scale
     circle = roots_of_unity(TORUS_SWEEP)
-    k, w = fiber_root_pairs(p, circle)
-    near = np.abs(np.abs(w) - 1.0) <= 1e-2
-    z, w = circle[k[near]], w[near]
+    k, w = torus_points(p, circle)
+    z = circle[k]
 
     active = np.arange(len(z))
     # A candidate far from any critical point may diverge; it fails the gate.
@@ -412,17 +420,17 @@ def torus_singularities(p: BivariatePolynomial) -> SingularityReport:
             step = np.abs(dz) + np.abs(dw)
             active = active[step >= 1e-14]
 
-        bound = TORUS_TOL * scale
+        bound = TOL * scale
         keep = (
             (np.abs(np.abs(z) - 1.0) < TOL)
             & (np.abs(np.abs(w) - 1.0) < TOL)
-            & (np.abs(p.evaluate(z, w)) <= bound)
+            & (np.abs(p.evaluate(z, w)) <= TOL * bound)
             & (np.abs(fz.evaluate(z, w)) <= bound)
             & (np.abs(fw.evaluate(z, w)) <= bound)
         )
     found = []
     for zz, ww in zip(z[keep], w[keep]):
-        if all(abs(zz - a) + abs(ww - b) > 1e-5 for a, b in found):
+        if all(abs(zz - a) + abs(ww - b) > TOL for a, b in found):
             found.append((complex(zz), complex(ww)))
     return SingularityReport(tuple(found))
 

@@ -432,10 +432,10 @@ def verify_representation(
     det_on = eig_rel = bdry = excess = math.nan
     if rho < RHO_D_MAX:
         qv = x[: len(cert.vec_q)]
-        phis = phi_evaluate(rep, z)
+        # one solve for Phi at the samples and at the 128 circle points
+        phis, bphis = np.split(phi_evaluate(rep, np.concatenate([z, roots_of_unity(128)])), [len(z)])
         det_on = float(np.max(np.abs(np.linalg.det(w[:, None, None] * np.eye(rep.m) - phis))))
         eig_rel = eigen_relation(phis, w, qv)
-        bphis = phi_evaluate(rep, roots_of_unity(128))
         gram = np.conj(np.swapaxes(bphis, -1, -2)) @ bphis
         bdry = float(np.max(np.abs(gram - np.eye(rep.m))))
         # np.maximum, unlike max, keeps a NaN, so a non-finite Phi fails the

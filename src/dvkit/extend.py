@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import TOL, fiber_root_pairs
+from .classify import torus_points
 from .dvrep import EIGEN_TOL, RHO_D_MAX, DvCertificate, UnitaryRealization, eigen_relation, phi_evaluate
 from .poly2 import BivariatePolynomial, MatrixPolynomial, horner, roots_of_unity
 
@@ -135,14 +135,6 @@ def _require_analytic(rep: UnitaryRealization, cert: DvCertificate) -> None:
         )
 
 
-def _torus_points(p: BivariatePolynomial, circle: np.ndarray):
-    """The torus points of the variety of p over the circle samples: the
-    fiber roots within classify's TOL of |w| = 1, as circle index k and w."""
-    k, w = fiber_root_pairs(p, circle)
-    on_torus = np.abs(np.abs(w) - 1.0) < TOL
-    return k[on_torus], w[on_torus]
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def extension_bound(rep: UnitaryRealization, cert: DvCertificate) -> float:
     """C = sqrt(m) max ||Q(z)|| ||Q(z)^{-1}|| over the 256th roots of unity,
@@ -171,7 +163,7 @@ def sup_norm_on_variety(
     principle the sup is attained among the unimodular fiber roots over the
     ``grid_n`` roots of unity in z."""
     circle = roots_of_unity(grid_n)
-    k, w = _torus_points(p, circle)
+    k, w = torus_points(p, circle)
     return _max_abs(f.evaluate(circle[k], w))
 
 
@@ -241,7 +233,7 @@ def verify_extension(op: ExtensionOperator) -> ExtensionReport:
     :func:`extension_bound` does."""
     c_const = extension_bound(op.rep, op.cert)
     circle = roots_of_unity(128)
-    k, w = _torus_points(op.p, circle)
+    k, w = torus_points(op.p, circle)
     fv = op.f.evaluate(circle[k], w)
     sup_f = _max_abs(fv)
     on_var = _max_abs(op.evaluate(circle[k], w) - fv) / (1.0 + sup_f)

@@ -52,10 +52,15 @@ def test_linear_products_with_a_zero_inside_read_indeterminate():
 
 def test_node_family_rows_read_label_and_torus_points():
     script = load_script()
-    rows = script.node_survey(eps=(1e-1, 2e-3, 1e-3))
-    # proven down to eps = 3e-3; no torus point down to 1e-3, where the
-    # node is 1e-3 inside the bidisk
-    assert rows == [(1e-1, "DVDefining", True, 0), (2e-3, "DVDefining", False, 0), (1e-3, "DVDefining", False, 0)]
+    rows = script.node_survey(eps=(1e-1, 2e-3, 1e-3, 3e-4))
+    # proven down to eps = 3e-3; no torus point down to 3e-4, where the
+    # node is 3e-4 inside the bidisk
+    assert rows == [
+        (1e-1, "DVDefining", True, 0),
+        (2e-3, "DVDefining", False, 0),
+        (1e-3, "DVDefining", False, 0),
+        (3e-4, "DVDefining", False, 0),
+    ]
     assert all(script.node_family(e).degree == (2, 2) for e in script.NODE_EPS)
 
 

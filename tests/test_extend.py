@@ -186,12 +186,12 @@ class TestBounds:
 
     def test_constant_reads_q_alone(self, pipeline_z3w2, monkeypatch):
         # C needs Q on the circle, not the variety's torus points
-        import dvkit.extend
+        import dvkit.classify
 
         def refuse(*args, **kwargs):
             raise AssertionError("extension_bound solved for fiber roots")
 
-        monkeypatch.setattr(dvkit.extend, "fiber_root_pairs", refuse)
+        monkeypatch.setattr(dvkit.classify, "fiber_root_pairs", refuse)
         cert, _, rep, _ = pipeline_z3w2
         assert abs(extension_bound(rep, cert) - math.sqrt(2)) <= 1e-6
 
