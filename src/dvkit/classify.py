@@ -23,14 +23,20 @@ from enum import Enum
 
 import numpy as np
 
-from .poly2 import FIBER_TRIM, BivariatePolynomial, roots_of_unity, symmetry_constant, transpose_vars
+from .poly2 import (
+    FIBER_TRIM,
+    BivariatePolynomial,
+    companion_roots,
+    roots_of_unity,
+    symmetry_constant,
+    transpose_vars,
+)
 
 __all__ = [
     "ZeroLabel",
     "ZeroClass",
     "SingularityReport",
     "FiberError",
-    "companion_roots",
     "fiber_roots",
     "fiber_root_pairs",
     "schur_cohn_matrix",
@@ -95,32 +101,6 @@ class SingularityReport:
         return not self.points
 
 
-def _trimmed_degree(coeffs) -> np.ndarray:
-    """Degree of each polynomial, coefficients low to high along the last
-    axis, once trailing coefficients at or below FIBER_TRIM times its
-    largest one are dropped; -1 for an identically zero polynomial."""
-    mag = np.abs(coeffs)
-    kept = mag > FIBER_TRIM * np.max(mag, axis=-1, keepdims=True)
-    top = mag.shape[-1] - 1 - np.argmax(kept[..., ::-1], axis=-1)
-    return np.where(kept.any(axis=-1), top, -1)
-
-
-def companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of univariate polynomials, low-to-high coefficients along the
-    last axis, via the eigenvalues of their companion matrices.
-
-    Batched over the leading axes; every leading coefficient must be nonzero.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    deg = coeffs.shape[-1] - 1
-    if deg == 0:
-        return np.zeros(coeffs.shape[:-1] + (0,), dtype=np.complex128)
-    comp = np.zeros(coeffs.shape[:-1] + (deg, deg), dtype=np.complex128)
-    comp[..., 1:, :-1] = np.eye(deg - 1)
-    comp[..., :, -1] = -(coeffs[..., :-1] / coeffs[..., -1:])
-    return np.linalg.eigvals(comp)
-
-
 def fiber_roots(p: BivariatePolynomial, z: complex) -> np.ndarray:
     """All w with p(z, w) = 0, multiplicities included: the batch of one of
     :func:`fiber_root_pairs`.
@@ -137,17 +117,21 @@ def fiber_root_pairs(p: BivariatePolynomial, zs) -> tuple[np.ndarray, np.ndarray
     """Every fiber root over the flattened zs as flat arrays (k, w), w a
     root of p(zs[k], .), ordered by k and then by root.
 
-    Each fiber is cut to its own w-degree by the FIBER_TRIM rule, so it
-    contributes as many pairs as that degree; a constant or identically
-    zero fiber contributes none.  The fibers of each degree share one
-    batched :func:`companion_roots` solve."""
+    Each fiber is cut to its own w-degree by dropping trailing coefficients
+    at or below FIBER_TRIM times its largest one, so it contributes as many
+    pairs as that degree; a constant or identically zero fiber contributes
+    none.  The fibers of each degree, divided by their leading coefficients,
+    share one batched :func:`companion_roots` solve."""
     zs = np.asarray(zs, dtype=np.complex128).ravel()
     fibers = p.fibers(zs)
-    deg = _trimmed_degree(fibers)
+    mag = np.abs(fibers)
+    kept = mag > FIBER_TRIM * np.max(mag, axis=1, keepdims=True)
+    deg = np.where(kept.any(axis=1), mag.shape[1] - 1 - np.argmax(kept[:, ::-1], axis=1), -1)
     k = np.repeat(np.arange(len(zs)), np.maximum(deg, 0))
     w = np.empty(len(k), dtype=np.complex128)
     for d in set(deg[k].tolist()):
-        w[deg[k] == d] = companion_roots(fibers[deg == d, : d + 1]).ravel()
+        f = fibers[deg == d, : d + 1]
+        w[deg[k] == d] = companion_roots((f[:, :-1] / f[:, -1:])[..., None, None]).ravel()
     return k, w
 
 
@@ -301,9 +285,10 @@ def _vertical_lines(p):
     """z0 in the closed disk (to TOL) with p(z0, .) identically zero to
     TOL * scale: the lines {z0} x C inside the zero set.
 
-    Every candidate is a z-root of the largest coefficient column of p."""
+    Every candidate is a z-root of the largest coefficient column of p,
+    read as the one fiber of a polynomial constant in z."""
     col = p.coeffs[:, int(np.argmax(np.max(np.abs(p.coeffs), axis=0)))]
-    z0 = companion_roots(col[: int(_trimmed_degree(col)) + 1])
+    z0 = fiber_root_pairs(BivariatePolynomial(col[None]), [0.0])[1]
     z0 = z0[np.abs(z0) <= 1.0 + TOL]
     return z0[np.max(np.abs(p.fibers(z0)), axis=1) <= TOL * p.scale]
 

@@ -38,6 +38,7 @@ __all__ = [
     "transpose_vars",
     "derived_dv_poly",
     "blaschke_dv",
+    "companion_roots",
     "horner",
     "roots_of_unity",
 ]
@@ -59,6 +60,21 @@ def horner(coeffs, x) -> np.ndarray:
     for k in range(len(coeffs) - 1, -1, -1):
         acc = acc * x + coeffs[k]
     return acc
+
+
+def companion_roots(lower) -> np.ndarray:
+    """The s d zeros of det(t^d I + sum_{j<d} lower[j] t^j), multiplicities
+    included, for ``lower`` of shape (..., d, s, s) batched over the leading
+    axes: the eigenvalues of the block companion matrix with identity blocks
+    on its subdiagonal and -lower[0], ..., -lower[d-1] down its last block
+    column.  This is the package's one companion matrix; s = 1 gives the
+    roots of scalar monic polynomials.
+    """
+    lower = np.asarray(lower, dtype=np.complex128)
+    *batch, d, s, _ = lower.shape
+    comp = np.zeros((*batch, d * s, d * s), dtype=np.complex128) + np.eye(d * s, k=-s)
+    comp[..., -s:] = -lower.reshape(*batch, d * s, s)
+    return np.linalg.eigvals(comp)
 
 
 def roots_of_unity(count: int) -> np.ndarray:
@@ -580,30 +596,26 @@ class MatrixPolynomial:
     def det_zeros_in_disk(self) -> np.ndarray:
         """Zeros of det Q with |z| <= 1 + O(1e-12), read-only, computed once.
 
-        They come from one eigenvalue solve: the block companion of the
-        reversed polynomial z^d Q(1/z), made monic by Q(0)^{-1}, has the
-        eigenvalues mu = 1/z of the zeros z of det Q, and mu = 0 for each
-        zero at infinity (a singular top coefficient).  A zero counts as in
+        They come from one :func:`companion_roots` solve: the reversed
+        polynomial z^d Q(1/z), made monic by Q(0)^{-1}, has the zeros
+        mu = 1/z of the zeros z of det Q, and mu = 0 for each zero at
+        infinity (a singular top coefficient).  A zero counts as in
         the closed disk when |mu| >= 1 - 1e-12.  An exactly singular Q(0)
         admits no companion and gives the one zero z = 0.  A constant Q
         gives none.  The solve reads Q / 2^e for the e of
         :attr:`_range_exponent`, which has the zeros of Q.
         """
-        size, d = self.shape[0], self.var_degree
         zeros = np.zeros(0, dtype=np.complex128)
-        if d > 0:
+        if self.var_degree > 0:
             # c[k] multiplies t^k
             c = np.moveaxis(_ldexp(self.coeffs, -self._range_exponent), 2, 0)
             try:
-                # [C_0^{-1} C_1, ..., C_0^{-1} C_d] side by side
-                lead = np.linalg.solve(c[0], np.concatenate(list(c[1:]), axis=1))
+                # z^d C_0^{-1} Q(1/z) = z^d I + sum_{j<d} lower[j] z^j
+                lower = np.linalg.solve(c[0], c[:0:-1])
             except np.linalg.LinAlgError:
                 zeros = np.zeros(1, dtype=np.complex128)
             else:
-                comp = np.zeros((d * size, d * size), dtype=np.complex128)
-                comp[:size] = -lead
-                comp[size:, :-size] = np.eye((d - 1) * size)
-                mu = np.linalg.eigvals(comp)
+                mu = companion_roots(lower)
                 zeros = 1.0 / mu[np.abs(mu) >= 1.0 - 1e-12]
         zeros.setflags(write=False)
         return zeros

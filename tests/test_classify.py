@@ -81,6 +81,27 @@ class TestFiberRoots:
         with pytest.raises(FiberError):
             fiber_roots(poly({(1, 0): 1, (1, 1): 1}), 0)  # z(1 + w) at z = 0
 
+    def test_roots_are_the_scalar_companion_eigenvalues(self):
+        # bit for bit: ones on the subdiagonal, -c_k / c_d in the last column
+        rng = np.random.default_rng(45)
+        p = BivariatePolynomial(rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6)))
+        zs = np.exp(2j * np.pi * np.arange(32) / 32)
+        c = p.fibers(zs)
+        comp = np.zeros((32, 5, 5), dtype=np.complex128)
+        comp[:, 1:, :-1] = np.eye(4)
+        comp[:, :, -1] = -c[:, :-1] / c[:, -1:]
+        k, w = fiber_root_pairs(p, zs)
+        assert np.array_equal(k, np.repeat(np.arange(32), 5))
+        assert np.array_equal(w, np.linalg.eigvals(comp).ravel())
+
+    @pytest.mark.parametrize("eps, count", [(1e-11, 2), (1e-13, 1)])
+    def test_trim_drops_a_leading_coefficient_at_1e_12(self, eps, count):
+        # the fiber of eps w^2 + w - 1/2 + z/10 at z = 0.3 has largest
+        # coefficient 1, so its w^2 term stays at 1e-11 and goes at 1e-13;
+        # FIBER_TRIM at 1e-10 or 1e-14 gets one of the two wrong
+        p = poly({(0, 2): eps, (0, 1): 1, (0, 0): -0.5, (1, 0): 0.1})
+        assert len(fiber_root_pairs(p, [0.3])[1]) == count
+
     def test_swap_exchanges_fibers(self):
         # roots of swap_transform(p)(z, .) equal roots of p(1/z, .)
         p = z3_minus_w2()

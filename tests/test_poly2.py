@@ -24,6 +24,7 @@ from dvkit.poly2 import (
     DegreeMismatchError,
     MatrixPolynomial,
     VectorPolynomial,
+    companion_roots,
     derived_dv_poly,
     horner,
     reflect,
@@ -148,6 +149,33 @@ def _planted(seed, z0, size=3):
     return MatrixPolynomial(coeffs)
 
 
+def _mixed_diag(a):
+    """Q = U diag(t - a, 3 + t), U a fixed unitary: det Q vanishes at t = a
+    and t = -3 only."""
+    diag = np.zeros((2, 2, 2), dtype=np.complex128)
+    diag[0, 0], diag[1, 1] = [-a, 1], [3, 1]
+    u = haar_unitary(np.random.default_rng(11), 2)
+    return MatrixPolynomial(np.einsum("ij,jkl->ikl", u, diag))
+
+
+class TestCompanionRoots:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_zeros_of_the_monic_determinant(self, s, d):
+        # a batch of 5 on seeded blocks: s d zeros each, and at each the
+        # monic matrix polynomial t^d I + sum_j lower[j] t^j is singular,
+        # its least singular value below 1e-10 of sum_k ||C_k|| |t|^k
+        rng = np.random.default_rng(10 * s + d)
+        lower = rng.standard_normal((5, d, s, s)) + 1j * rng.standard_normal((5, d, s, s))
+        zeros = companion_roots(lower)
+        assert zeros.shape == (5, s * d)
+        for blocks, at in zip(lower, zeros):
+            coeffs = np.concatenate([blocks, np.eye(s)[None]])
+            sv = np.linalg.svd(horner(coeffs, at[:, None, None]), compute_uv=False)
+            scale = horner(np.linalg.norm(coeffs, 2, axis=(1, 2)), np.abs(at)).real
+            assert np.all(sv[:, -1] <= 1e-10 * scale)
+
+
 class TestDiskMinimum:
     def test_zero_inside_between_grid_nodes(self):
         # radius between the 0.4 and 0.6 circles, angle between two rays
@@ -183,15 +211,21 @@ class TestDiskMinimum:
 
     @pytest.mark.parametrize("a", [0.3, 0.7, 0.123456789, 0.9 + 0.2j])
     def test_det_zero_in_disk_reads_zero(self, a):
-        # Q = U diag(t - a, 3 + t) is singular at t = a inside the disk; an
-        # SVD at a sampled a reads rounding, 1e-17 to 3e-16, and would call
-        # Q invertible at rel = 0
-        diag = np.zeros((2, 2, 2), dtype=np.complex128)
-        diag[0, 0], diag[1, 1] = [-a, 1], [3, 1]
-        u = haar_unitary(np.random.default_rng(11), 2)
-        mat = MatrixPolynomial(np.einsum("ij,jkl->ikl", u, diag))
+        # an SVD at a sampled a reads rounding, 1e-17 to 3e-16, and would
+        # call Q invertible at rel = 0
+        mat = _mixed_diag(a)
         assert mat.min_singular_value_on_disk == 0.0
         assert mat.invertible_on_disk(0.0) is False
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("eps, count", [(1e-13, 1), (1e-11, 0)])
+    def test_closed_disk_band(self, size, eps, count):
+        # a det zero 1e-13 outside the circle counts as in the closed disk
+        # and one 1e-11 outside does not; a band of 1e-10 or 1e-14 in
+        # place of 1e-12 gets one of the two wrong
+        a = (1 + eps) * np.exp(0.7j)
+        mat = MatrixPolynomial([[[-a, 1]]]) if size == 1 else _mixed_diag(a)
+        assert len(mat.det_zeros_in_disk) == count
 
     def test_range_bound_keeps_a_small_entry_normal(self):
         # diag(2^1000 (2 - t), 2^-200 (2 - t)) has its det zeros at t = 2;
