@@ -23,6 +23,7 @@ from conftest import (
     w3_minus_z2,
     z3_minus_w2,
 )
+from dvkit.__main__ import main as entry_main
 from dvkit.cli import main
 from dvkit.dvrep import represent
 from dvkit.extend import ExtensionOperator
@@ -1106,3 +1107,57 @@ def test_import_dvkit_loads_no_numpy():
     env = {**os.environ, "PYTHONPATH": str(Path(dvkit.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout == "False\n"
+
+
+# Records the thread variables at the moment numpy starts to load, then
+# runs the console entry on the command line it is given.
+_ENTRY_PROBE = """
+import json, os, sys
+names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+seen = []
+
+
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append({k: os.environ.get(k) for k in names})
+
+
+sys.meta_path.insert(0, Probe())
+from dvkit.__main__ import main
+
+loaded = "numpy" in sys.modules
+code = main(sys.argv[1:])
+print(json.dumps({"loaded_by_import": loaded, "at_numpy": seen, "code": code}), file=sys.stderr)
+"""
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_entry_sets_thread_variables_before_numpy_loads(tmp_path, preset):
+    path = write_poly(tmp_path, "p.json", z3_minus_w2())
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(dvkit.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    cmd = [sys.executable, "-c", _ENTRY_PROBE, "classify", path]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True, env=env)
+    probe = json.loads(out.stderr.splitlines()[-1])
+    assert probe["loaded_by_import"] is False and probe["code"] == 0
+    want = dict.fromkeys(_THREAD_VARIABLES, "1")
+    if preset is not None:
+        want["OPENBLAS_NUM_THREADS"] = preset
+    assert probe["at_numpy"] == [want]
+    assert json.loads(out.stdout)["label"] == "DVDefining"
+
+
+def test_python_m_dvkit_runs_the_entry(tmp_path, capsys, monkeypatch):
+    # the variables are set here so that the in-process entry leaves this
+    # process's environment as it found it
+    for name in _THREAD_VARIABLES:
+        monkeypatch.setenv(name, "1")
+    path = write_poly(tmp_path, "p.json", z3_minus_w2())
+    env = {**os.environ, "PYTHONPATH": str(Path(dvkit.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-m", "dvkit", "classify", path], capture_output=True, text=True, env=env)
+    assert entry_main(["classify", path]) == out.returncode == 0
+    assert out.stdout == capsys.readouterr().out
