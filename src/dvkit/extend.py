@@ -64,9 +64,6 @@ class ExtensionOperator:
         if len(self.cert.vec_q) != self.rep.m or self.cert.p.degree[1] != self.rep.m:
             raise ValueError("certificate and realization disagree on m")
 
-    def __call__(self, z, w):
-        return self.evaluate(z, w)
-
     @functools.cached_property
     def p(self) -> BivariatePolynomial:
         """cert.p divided by its power of two, exactly: the divisor of F at

@@ -170,23 +170,20 @@ class BivariatePolynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, degree=(0, 0)) -> "BivariatePolynomial":
+    def zero(cls, degree) -> "BivariatePolynomial":
         n, m = degree
         return cls(np.zeros((n + 1, m + 1), dtype=np.complex128))
 
     @classmethod
-    def constant(cls, value, degree=(0, 0)) -> "BivariatePolynomial":
-        n, m = degree
-        grid = np.zeros((n + 1, m + 1), dtype=np.complex128)
-        grid[0, 0] = value
-        return cls(grid)
+    def constant(cls, value) -> "BivariatePolynomial":
+        """``value`` at degree (0, 0)."""
+        return cls(np.full((1, 1), value, dtype=np.complex128))
 
     @classmethod
-    def from_terms(cls, terms: dict, degree=None) -> "BivariatePolynomial":
-        """Build from a {(i, j): coefficient} mapping."""
-        if degree is None:
-            degree = (max(i for i, _ in terms), max(j for _, j in terms))
-        n, m = degree
+    def from_terms(cls, terms: dict) -> "BivariatePolynomial":
+        """Build from a {(i, j): coefficient} mapping, at the degree of its
+        largest indices; :meth:`with_degree` declares a higher one."""
+        n, m = (max((k[a] for k in terms), default=0) for a in (0, 1))
         grid = np.zeros((n + 1, m + 1), dtype=np.complex128)
         for (i, j), c in terms.items():
             grid[i, j] = c
@@ -232,9 +229,6 @@ class BivariatePolynomial:
         return bool(np.all(self.coeffs == 0))
 
     # -- evaluation ---------------------------------------------------
-
-    def __call__(self, z, w):
-        return self.evaluate(z, w)
 
     def evaluate(self, z, w):
         """Evaluate by nested Horner: one :func:`horner` call takes every
@@ -319,30 +313,25 @@ class BivariatePolynomial:
         return f"BivariatePolynomial(degree=({n},{m}))"
 
 
-def reflect(p: BivariatePolynomial, at_degree=None) -> BivariatePolynomial:
-    """Reflection z^n w^m conj(p(1/conj(z), 1/conj(w))) at the stated degree.
+def reflect(p: BivariatePolynomial) -> BivariatePolynomial:
+    """Reflection z^n w^m conj(p(1/conj(z), 1/conj(w))) at p's declared
+    degree (n, m); reflect ``p.with_degree(d)`` for another degree d.
 
     On the grid this is a reversal of both indices with entrywise
-    conjugation, after padding to ``at_degree``.  An involution at fixed
-    degree.  Raises :class:`DegreeMismatchError` when ``at_degree`` is
-    below the true degree.
+    conjugation.  An involution at fixed degree.
     """
-    if at_degree is None:
-        at_degree = p.degree
-    padded = p.with_degree(at_degree)
-    return BivariatePolynomial(np.conj(padded.coeffs[::-1, ::-1]))
+    return BivariatePolynomial(np.conj(p.coeffs[::-1, ::-1]))
 
 
 def reflected_derivatives(q: BivariatePolynomial):
     """(reflection of q_z at (n-1, m), reflection of q_w at (n, m-1)).
 
-    The derivative of a degree-(n, m) polynomial is reflected at the degree
-    generically expected of it, which is what makes the reflection calculus
-    identities (z*q_z + reflected(q_z) = n*q for torus-symmetric q, and the
-    w analogue) hold at the coefficient level.
+    Each derivative is declared at the degree generically expected of it
+    (:func:`side_degrees`) and reflected there, which is what makes the
+    reflection calculus identities (z*q_z + reflected(q_z) = n*q for
+    torus-symmetric q, and the w analogue) hold at the coefficient level.
     """
-    deg_z, deg_w = side_degrees(*q.degree)
-    return reflect(q.partial_z(), deg_z), reflect(q.partial_w(), deg_w)
+    return reflect(q.partial_z()), reflect(q.partial_w())
 
 
 def symmetry_constant(q: BivariatePolynomial) -> complex | None:
@@ -476,9 +465,6 @@ class VectorPolynomial:
     def __iter__(self):
         return (BivariatePolynomial(g) for g in self.coeffs)
 
-    def __getitem__(self, k) -> BivariatePolynomial:
-        return BivariatePolynomial(self.coeffs[k])
-
     def matrix_in_w(self) -> "MatrixPolynomial":
         """A(w), len x (n+1), with V(z, w) = A(w) (1, z, ..., z^n)^t."""
         return MatrixPolynomial(self.coeffs)
@@ -516,10 +502,6 @@ class MatrixPolynomial:
         object.__setattr__(self, "coeffs", _frozen(self.coeffs, 3))
 
     @property
-    def shape(self):
-        return self.coeffs.shape[:2]
-
-    @property
     def var_degree(self):
         return self.coeffs.shape[2] - 1
 
@@ -528,14 +510,10 @@ class MatrixPolynomial:
         t = np.asarray(t, dtype=np.complex128)
         return horner(np.moveaxis(self.coeffs, 2, 0), t[..., None, None])
 
-    def reflected(self, at_degree: int) -> "MatrixPolynomial":
-        """Entrywise t^d conj(entry(1/conj(t))): reversed, conjugated coefficients."""
-        d = at_degree
-        if d < self.var_degree:
-            raise DegreeMismatchError("reflection degree below entry degree")
-        pad = np.zeros(self.shape + (d + 1,), dtype=np.complex128)
-        pad[:, :, : self.coeffs.shape[2]] = self.coeffs
-        return MatrixPolynomial(np.conj(pad[:, :, ::-1]))
+    def reflected(self) -> "MatrixPolynomial":
+        """Entrywise t^d conj(entry(1/conj(t))) at the entries' degree d =
+        :attr:`var_degree`: reversed, conjugated coefficients."""
+        return MatrixPolynomial(np.conj(self.coeffs[:, :, ::-1]))
 
     @functools.cached_property
     def _range_exponent(self) -> int:

@@ -485,7 +485,7 @@ def gw_invertibility(cert: SosCertificate) -> GwReport:
         raise ValueError("certificate has an empty side and no matrix forms")
     deg_a, deg_b = side_degrees(n, m)
     mat_a = cert.vec_first.with_degree(deg_a).matrix_in_w()
-    mat_b = cert.vec_second.with_degree(deg_b).matrix_in_z().reflected(n)
+    mat_b = cert.vec_second.with_degree(deg_b).matrix_in_z().reflected()
     passed = mat_a.invertible_on_disk(1e-6) and mat_b.invertible_on_disk(1e-6)
     return GwReport(mat_a.min_singular_value_on_disk, mat_b.min_singular_value_on_disk, passed)
 

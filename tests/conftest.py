@@ -32,7 +32,8 @@ def load_gen():
 
 
 def poly(terms, degree=None):
-    return BivariatePolynomial.from_terms(terms, degree)
+    p = BivariatePolynomial.from_terms(terms)
+    return p if degree is None else p.with_degree(degree)
 
 
 def z3_minus_w2():
@@ -183,7 +184,7 @@ def random_poly(rng, n, m, scale=1.0):
 def random_symmetric_poly(rng, n, m):
     """Torus-symmetric by construction: r + reflect(r)."""
     r = random_poly(rng, n, m)
-    return r + reflect(r, (n, m))
+    return r + reflect(r)
 
 
 def poly1d_to_grid(coeffs):

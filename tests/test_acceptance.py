@@ -68,8 +68,8 @@ def test_criterion_1_reflection_calculus():
         grid = rng.normal(size=(n + 1, m + 1)) + 1j * rng.normal(size=(n + 1, m + 1))
         q = BivariatePolynomial(grid)
         qr = reflect(q)
-        lhs_z = Z * qr.partial_z() + reflect(q.partial_z(), (n - 1, m)) - n * qr
-        lhs_w = W * qr.partial_w() + reflect(q.partial_w(), (n, m - 1)) - m * qr
+        lhs_z = Z * qr.partial_z() + reflect(q.partial_z()) - n * qr
+        lhs_w = W * qr.partial_w() + reflect(q.partial_w()) - m * qr
         bound = 1e-12 * q.scale * max(n, m)
         worst_coeff = max(
             worst_coeff,

@@ -75,7 +75,7 @@ class TestExtensionValues:
         cert, sample, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, F_W)
         for z, w in zip(*(arr[:10] for arr in sample)):
-            assert abs(op(z, w) - w) < 1e-8
+            assert abs(op.evaluate(z, w) - w) < 1e-8
 
     def test_f_z_extends_to_z_everywhere(self, pipeline_z3w2):
         cert, _, rep, _ = pipeline_z3w2
@@ -84,7 +84,7 @@ class TestExtensionValues:
         for _ in range(25):
             z = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             w = 0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            assert abs(op(z, w) - z) < 1e-10
+            assert abs(op.evaluate(z, w) - z) < 1e-10
 
     def test_grid_evaluator_matches_scalar(self, pipeline_z3w2):
         # F(z, w) = e1^T Q(z)^{-1} f(zI, Phi(z)) Qvec(z, w) with f = z w, from
@@ -101,7 +101,7 @@ class TestExtensionValues:
             for j, w in enumerate(ws):
                 want = np.linalg.solve(qmat, z * phi @ cert.vec_q.evaluate(z, w))[0]
                 assert abs(grid[i, j] - want) < 1e-12
-                assert abs(op(complex(z), complex(w)) - want) < 1e-12
+                assert abs(op.evaluate(complex(z), complex(w)) - want) < 1e-12
 
     def test_pointwise_arrays_match_scalar_calls(self, pipeline_z3w2):
         cert, sample, rep, _ = pipeline_z3w2
@@ -109,7 +109,7 @@ class TestExtensionValues:
         z, w = sample
         got = op.evaluate(z, w)
         assert got.shape == z.shape
-        want = np.array([op(complex(a), complex(b)) for a, b in zip(z, w)])
+        want = np.array([op.evaluate(complex(a), complex(b)) for a, b in zip(z, w)])
         assert np.max(np.abs(got - want)) < 1e-13
         shared = op.evaluate(z[0], w)  # one z against many w
         assert np.max(np.abs(shared - op.evaluate_grid(z[:1], w)[0])) < 1e-13
@@ -120,7 +120,7 @@ class TestExtensionValues:
         op_a = ExtensionOperator(rep, cert, F_ZW)
         op_b = ExtensionOperator(rep, cert, F_W2)
         z, w = 0.4 - 0.3j, 0.2 + 0.6j
-        assert abs(op_sum(z, w) - op_a(z, w) - op_b(z, w)) < 1e-10
+        assert abs(op_sum.evaluate(z, w) - op_a.evaluate(z, w) - op_b.evaluate(z, w)) < 1e-10
 
     def test_zero_function(self, pipeline_z3w2):
         cert, _, rep, _ = pipeline_z3w2
@@ -272,7 +272,7 @@ class TestBounds:
         for f in fs:
             op = ExtensionOperator(rep, cert, f)
             fv = np.asarray(f.evaluate(z, w))
-            ev = np.array([op(complex(a), complex(b)) for a, b in zip(z, w)])
+            ev = np.array([op.evaluate(complex(a), complex(b)) for a, b in zip(z, w)])
             sup_f = sup_norm_on_variety(f, cert.p, 128)
             assert np.max(np.abs(ev - fv)) <= 1e-7 * (1 + sup_f)
 
@@ -285,7 +285,7 @@ class TestBounds:
         for _ in range(25):
             z = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             w = 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-            assert abs(op(z, w) - num(z, w) / den(z, 0)) < 1e-10
+            assert abs(op.evaluate(z, w) - num.evaluate(z, w) / den.evaluate(z, 0)) < 1e-10
 
     def test_swap_orientation_constant(self, pipeline_z3w2):
         # the realization with z and w exchanged yields its own constant;

@@ -679,7 +679,7 @@ class TestGwInvertibility:
                 continue
             deg_a, deg_b = side_degrees(n, m)
             mat_a = cert.vec_first.with_degree(deg_a).matrix_in_w()
-            mat_b = cert.vec_second.with_degree(deg_b).matrix_in_z().reflected(n)
+            mat_b = cert.vec_second.with_degree(deg_b).matrix_in_z().reflected()
             gw = gw_invertibility(cert)
             assert gw.min_sv_first == mat_a.min_singular_value_on_disk, x.name
             assert gw.min_sv_second == mat_b.min_singular_value_on_disk, x.name
@@ -820,7 +820,7 @@ class TestVerification:
         # scale fails by more than ten times the threshold on every kind.
         q, cert = certified
         assert verify_certificate(q, cert).passed
-        report = verify_certificate(q, self.bumped(cert, 1e-6 * cert.vec_first[0].scale))
+        report = verify_certificate(q, self.bumped(cert, 1e-6 * np.abs(cert.vec_first.coeffs[0]).max()))
         assert report.residual > 10 * report.threshold
 
     def test_symmetric_error_of_q_scale_fails(self, sym_cert_z3w2):
@@ -873,7 +873,7 @@ class TestVerification:
         # |lhs - rhs| at pairs of closed-bidisk points, with the kernels
         # evaluated pointwise, over kappa sum |q_ij|^2, is at most the residual
         q, cert = certified
-        broken = self.bumped(cert, 1e-4 * cert.vec_first[0].scale)
+        broken = self.bumped(cert, 1e-4 * np.abs(cert.vec_first.coeffs[0]).max())
         rng = np.random.default_rng(3)
         z, w, zz, ww = np.sqrt(rng.uniform(0, 1, (4, 400))) * np.exp(2j * np.pi * rng.uniform(0, 1, (4, 400)))
         side_a = (1 - z * np.conj(zz)) * kernel(broken.vec_first, z, w, zz, ww)
