@@ -123,43 +123,12 @@ linear_factor_products = _survey.linear_factor_products
 node_family = _survey.node_family
 
 
-def from_values(fn, n, m):
-    """Coefficients of the degree-(n, m) polynomial fn(z, w), read off its
-    values at conjugate roots of unity by an inverse 2-D FFT."""
-    zs = np.exp(-2j * np.pi * np.arange(n + 1) / (n + 1))
-    ws = np.exp(-2j * np.pi * np.arange(m + 1) / (m + 1))
-    return np.fft.ifft2(fn(zs[:, None], ws[None, :]))
-
-
-def kummert(k, n, m):
-    """det(I - K diag(z I_n, w I_m)) (Kummert 1989): no zeros on the closed
-    bidisk for a strict contraction K."""
-
-    def det(z, w):
-        z, w = np.broadcast_arrays(z, w)
-        diag = np.concatenate(
-            [np.repeat(z[..., None], n, -1), np.repeat(w[..., None], m, -1)], -1
-        )
-        return np.linalg.det(np.eye(n + m) - k * diag[..., None, :])
-
-    return from_values(det, n, m)
-
-
-def haar_dv(u, m, n):
-    """det [[A - wI, zB], [C, zD - I]] for U = [[A, B], [C, D]], A of size m:
-    a distinguished variety of degree (n, m) (Agler-McCarthy 2005)."""
-    a, b, c, d = u[:m, :m], u[:m, m:], u[m:, :m], u[m:, m:]
-
-    def det(z, w):
-        z, w = np.broadcast_arrays(z, w)
-        mats = np.zeros(z.shape + (m + n, m + n), dtype=np.complex128)
-        mats[..., :m, :m] = a - w[..., None, None] * np.eye(m)
-        mats[..., :m, m:] = z[..., None, None] * b
-        mats[..., m:, :m] = c
-        mats[..., m:, m:] = z[..., None, None] * d - np.eye(n)
-        return np.linalg.det(mats)
-
-    return from_values(det, n, m)
+# the benchmark generator's constructions: det(I - K diag(z I_n, w I_m))
+# (Kummert 1989), with no zeros on the closed bidisk for a strict contraction
+# K, and the Haar distinguished variety det [[A - wI, zB], [C, zD - I]] of
+# degree (n, m) for U = [[A, B], [C, D]], A of size m (Agler-McCarthy 2005)
+kummert = load_gen().kummert_coeffs
+haar_dv = load_gen().dv_coeffs
 
 
 def dv_corpus():
@@ -185,10 +154,6 @@ def random_symmetric_poly(rng, n, m):
     """Torus-symmetric by construction: r + reflect(r)."""
     r = random_poly(rng, n, m)
     return r + reflect(r)
-
-
-def poly1d_to_grid(coeffs):
-    return np.array(coeffs, dtype=np.complex128)
 
 
 @pytest.fixture(scope="session")
