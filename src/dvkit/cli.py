@@ -17,18 +17,14 @@ from dataclasses import asdict
 from . import classify as classify_mod
 from . import serialize as ser
 from .dvrep import gram_defect, represent, sample_variety, verify_representation
-from .extend import (
-    ExtensionOperator,
-    expand_extension,
-    extension_bound,
-    verify_extension,
-)
+from .extend import ExtensionOperator, expand_extension, verify_extension
 from .poly2 import (
     BivariatePolynomial,
     blaschke_dv,
     derived_dv_poly,
     reflect,
     symmetrize,
+    transpose_vars,
 )
 from .soscert import CertKind, sos_certificate, sym_sos_certificate, gw_invertibility, verify_certificate
 
@@ -155,14 +151,16 @@ def _cmd_extend(args: argparse.Namespace) -> int:
         obj["numerator"] = ser.poly_to_obj(numerator)
         obj["denominator"] = ser.poly_to_obj(denominator)
     if not args.no_swap:
-        # the same variety's realization with z and w exchanged
+        # the extension of f from the same variety's realization with z and
+        # w exchanged, which C_swapped bounds, gated like F
         try:
-            c_swapped = extension_bound(rep.swapped(), cert.swapped())
+            sr = verify_extension(ExtensionOperator(rep.swapped(), cert.swapped(), transpose_vars(f)))
         except (ValueError, ArithmeticError) as exc:  # the reversed orientation can degenerate
             obj["C_swapped"] = None
             obj["swap_error"] = str(exc)
         else:
-            obj["C_swapped"] = _finite_or_none(c_swapped)
+            obj["C_swapped"] = _finite_or_none(sr.C)
+            obj["swapped_passed"] = sr.passed
     _emit(args, obj)
     return 0 if er.passed else 2
 

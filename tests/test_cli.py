@@ -929,6 +929,27 @@ class TestCliCommands:
         assert main(["extend", str(rep_path), f_path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["C_swapped"] is not None and "C_best" not in out
+        assert out["swapped_passed"] is True
+
+    def test_extend_swap_fails_a_perturbed_swapped_extension(self, tmp_path, capsys, monkeypatch):
+        # the extension that C_swapped bounds is gated like F: an error of
+        # 1e-6 in its values alone fails swapped_passed, and F's verdict and
+        # the exit code stay
+        path = write_poly(tmp_path, "p.json", z3_minus_w2())
+        rep_path = tmp_path / "rep.json"
+        main(["represent", path, "-o", str(rep_path)])
+        f_path = write_poly(tmp_path, "f.json", poly({(0, 1): 1}))
+        real = ExtensionOperator.evaluate
+
+        def perturbed(self, z, w):
+            # z^3 - w^2 has m = 2, and its swap m = 3
+            return real(self, z, w) + (1e-6 if self.rep.m == 3 else 0.0)
+
+        monkeypatch.setattr(ExtensionOperator, "evaluate", perturbed)
+        capsys.readouterr()
+        assert main(["extend", str(rep_path), f_path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is True and out["swapped_passed"] is False
 
 
 def haar_dv_3x3_seed301():
