@@ -177,7 +177,7 @@ def extension_survey():
         curves.append((f"w^{m} = B(z), zeros 0.4, -0.3i", blaschke_dv(m, [0.4, -0.3j])))
     rows = []
     for name, p in curves:
-        cert, _, rep, _ = represent(p)
+        cert, rep, _ = represent(p)
         try:
             swapped = extension_bound(rep.swapped(), cert.swapped())
         except ValueError:

@@ -156,13 +156,13 @@ def schur_cohn_matrix(coeffs) -> np.ndarray:
     return out
 
 
-def root_count_in_disk(p: BivariatePolynomial, z: complex) -> int:
-    """Number of roots of p(z, .) inside the unit disk: the negative inertia
+def root_count_in_disk(p: BivariatePolynomial) -> int:
+    """Number of roots of p(0, .) inside the unit disk: the negative inertia
     of its Schur-Cohn matrix at the formal w-degree (a root at infinity is
     outside).  A singular matrix, from a root on the unit circle, a pair of
     roots reflected in it or a zero fiber, raises :class:`FiberError`.
     """
-    fiber = p.fibers(z)
+    fiber = p.fibers(0.0)
     eig = np.linalg.eigvalsh(schur_cohn_matrix(fiber))
     if np.any(np.abs(eig) <= EIG_ROUNDING * np.sum(np.abs(fiber) ** 2)):
         raise FiberError("zero on fiber circle: p(z, .) has a root on |w| = 1 or a reflected pair")
@@ -310,7 +310,7 @@ def _symmetric_label(p):
             return None
         proven = proven and side_proven
     with suppress(FiberError):
-        inside = root_count_in_disk(p, 0.0)
+        inside = root_count_in_disk(p)
         if inside == p.degree[1] > 0:
             return ZeroLabel.DV_DEFINING, proven
         if inside == 0:
@@ -346,7 +346,7 @@ def classify_zero_set(p: BivariatePolynomial) -> ZeroClass:
     z, lam, unit, proven = _definite_on_circle(p, 1)
     at_w0 = transpose_vars(p)
     with suppress(FiberError):
-        if proven and root_count_in_disk(at_w0, 0.0) == 0:
+        if proven and root_count_in_disk(at_w0) == 0:
             return result(ZeroLabel.STABLE_CLOSED, proven=True)
     zs = np.concatenate([[0.0], z[lam <= TOL * unit]])
     witnesses = _open_disk_roots(p, zs)

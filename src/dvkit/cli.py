@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 from . import classify as classify_mod
 from . import serialize as ser
-from .dvrep import gram_defect, represent, sample_variety, verify_representation
+from .dvrep import represent, verify_representation
 from .extend import ExtensionOperator, expand_extension, verify_extension
 from .poly2 import (
     BivariatePolynomial,
@@ -135,7 +135,7 @@ def _note_repeated_factor(p):
 
 def _cmd_represent(args: argparse.Namespace) -> int:
     p = _load_nonzero_poly(args.poly)
-    cert, sample, rep, report = represent(p, args.a, args.b)
+    cert, rep, report = represent(p, args.a, args.b)
     _emit(args, ser.realization_to_obj(rep, cert, _report_obj(report)))
     return 0 if report.passed else 2
 
@@ -173,16 +173,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     obj = {"schema": ser.SCHEMA, "command": "verify", "kind": kind}
     if kind == "realization":
         rep, cert = ser.realization_from_obj(artifact, where=where)
-        sample = sample_variety(cert.p)
-        report = verify_representation(p, cert, rep, sample)
-        obj.update(_report_obj(report))
+        obj.update(_report_obj(verify_representation(p, cert, rep)))
     elif isinstance(kind, str) and kind in {k.value for k in CertKind}:
         dv = ser.dv_cert_from_obj(artifact, where) if kind == CertKind.DV.value else None
         cert = dv.as_sos() if dv is not None else ser.cert_from_obj(artifact, where)
         obj.update(_report_obj(verify_certificate(p, cert)))
         if dv is not None:
             # the Gram identity X*X = Y*Y on the variety sample that represent takes
-            obj["gram_equality"] = gram_defect(dv, sample_variety(dv.p)) <= dv.gram_tolerance
+            obj["gram_equality"] = dv.gram_defect <= dv.gram_tolerance
             obj["passed"] = obj["passed"] and obj["gram_equality"]
     else:
         raise ser.SchemaError(f"{where}.kind: unrecognized artifact kind {kind!r}")
@@ -215,7 +213,7 @@ def demo_corpus():
 def _demo_dv_row(p, expect_sqrt_m=False):
     # represent refuses every label but DVDefining, so a row that gets past
     # it was classified as one
-    cert, _, rep, report = represent(p)
+    cert, rep, report = represent(p)
     checks = {"classified_dv": True, "representation": report.passed}
     f = BivariatePolynomial.from_terms({(0, 1): 1})
     er = verify_extension(ExtensionOperator(rep, cert, f))

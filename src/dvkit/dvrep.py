@@ -96,6 +96,38 @@ class DvCertificate:
         w^{m-1})^t, read from the coefficients of Q."""
         return self.vec_q.matrix_in_z()
 
+    @functools.cached_property
+    def sample(self) -> tuple[np.ndarray, np.ndarray]:
+        """The variety points (z, w) at which the isometry is read and
+        checked: :func:`sample_variety` of p, fixed by the certificate."""
+        return sample_variety(self.p)
+
+    @functools.cached_property
+    def maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """X = (Q; zP) and Y = (wQ; P) at the sample, one column per point,
+        both divided by the power of two of their largest entry, so that X*X
+        and Y*Y neither underflow nor overflow; the division is exact, and
+        every use of the maps is invariant under it.  Q(z, w) is the first m
+        rows of X."""
+        z, w = self.sample
+        qv = self.vec_q.evaluate(z, w)  # (m, S)
+        pv = self.vec_p.evaluate(z, w)  # (n, S)
+        x = np.vstack([qv, z[None, :] * pv])
+        y = np.vstack([w[None, :] * qv, pv])
+        e = max(_exponent(x), _exponent(y))
+        return _ldexp(x, -e), _ldexp(y, -e)
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def gram_defect(self) -> float:
+        """Relative defect of X*X = Y*Y, the sampled form of the on-variety
+        kernel identity.  A certificate far above the unit scale overflows to
+        a defect that is not finite, which fails the Gram gate."""
+        x, y = self.maps
+        gx = x.conj().T @ x
+        gy = y.conj().T @ y
+        return float(np.max(np.abs(gx - gy))) / max(float(np.max(np.abs(gx))), 1e-300)
+
     @property
     def gram_tolerance(self) -> float:
         """Gate on the sampled Gram defect X*X = Y*Y.  The certificate of a
@@ -166,11 +198,7 @@ class UnitaryRealization:
         return UnitaryRealization(self.n, self.m, np.roll(self.U.conj().T, (-self.m, -self.m), (0, 1)))
 
 
-def dv_certificate(
-    p: BivariatePolynomial,
-    a: float = 1.0,
-    b: float = 1.0,
-) -> DvCertificate:
+def dv_certificate(p: BivariatePolynomial, a: float, b: float) -> DvCertificate:
     """Build the variety certificate (P, Q) from the symmetric certificate of
     the z-reversed polynomial.
 
@@ -246,50 +274,21 @@ def sample_variety(p: BivariatePolynomial) -> tuple[np.ndarray, np.ndarray]:
     return sample
 
 
-def _stacked_maps(cert: DvCertificate, sample):
-    """X = (Q; zP) and Y = (wQ; P) at the samples, one column per point,
-    both divided by the power of two of their largest entry, so that X*X
-    and Y*Y neither underflow nor overflow; the division is exact, and
-    every use of the maps is invariant under it.  Q(z, w) is the first m
-    rows of X."""
-    z, w = sample
-    qv = cert.vec_q.evaluate(z, w)  # (m, S)
-    pv = cert.vec_p.evaluate(z, w)  # (n, S)
-    x = np.vstack([qv, z[None, :] * pv])
-    y = np.vstack([w[None, :] * qv, pv])
-    e = max(_exponent(x), _exponent(y))
-    return _ldexp(x, -e), _ldexp(y, -e)
-
-
-def _gram_defect(x, y) -> float:
-    gx = x.conj().T @ x
-    gy = y.conj().T @ y
-    return float(np.max(np.abs(gx - gy))) / max(float(np.max(np.abs(gx))), 1e-300)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def gram_defect(cert: DvCertificate, sample) -> float:
-    """Relative defect of X*X = Y*Y, the sampled form of the on-variety
-    kernel identity.  A certificate far above the unit scale overflows to a
-    defect that is not finite, which fails the Gram gate."""
-    return _gram_defect(*_stacked_maps(cert, sample))
-
-
-def lurking_isometry(cert: DvCertificate, sample) -> UnitaryRealization:
+def lurking_isometry(cert: DvCertificate) -> UnitaryRealization:
     """Unitary completion of the isometry (Q; zP) -> (wQ; P) read off the
-    variety samples.
+    certificate's variety sample.
 
     The Gram equality X*X = Y*Y is asserted, to the certificate's
     ``gram_tolerance``, before any construction; the
     partial isometry between the ranges comes from a thin SVD, and the
     completion maps the orthonormal complement of range(X) onto that of
-    range(Y) in singular-vector order, which makes the result reproducible
-    for a fixed sample.  Its unitarity and rho(D) are gated by
+    range(Y) in singular-vector order, which makes the result
+    reproducible.  Its unitarity and rho(D) are gated by
     :func:`verify_representation`, and rho(D) again by the extension."""
     m = len(cert.vec_q)
     n = len(cert.vec_p)
-    x, y = _stacked_maps(cert, sample)
-    defect = _gram_defect(x, y)
+    x, y = cert.maps
+    defect = cert.gram_defect
     if not defect <= cert.gram_tolerance:
         raise IsometryError(
             f"isometry violated: Gram mismatch {defect:.3e} exceeds {cert.gram_tolerance:.1e}"
@@ -398,7 +397,6 @@ def verify_representation(
     p: BivariatePolynomial,
     cert: DvCertificate,
     rep: UnitaryRealization,
-    sample,
 ) -> RepresentationReport:
     """Residual maxima for every claim of the representation theorem.
 
@@ -417,8 +415,7 @@ def verify_representation(
     term beyond p's degree counts against it; it is inf when p is zero or
     the determinant has no term there.  Entries far above the unit scale
     overflow to residuals that are not finite, which fail their gates."""
-    z, w = sample
-    x, y = _stacked_maps(cert, sample)
+    z, w = cert.sample
     det_poly = det_representation(rep)
     both = tuple(max(a, b) for a, b in zip(p.degree, det_poly.degree))
     pv, dv = p.with_degree(both).coeffs, det_poly.with_degree(both).coeffs
@@ -431,7 +428,7 @@ def verify_representation(
     rho = rep.d_spectral_radius()
     det_on = eig_rel = bdry = excess = math.nan
     if rho < RHO_D_MAX:
-        qv = x[: len(cert.vec_q)]
+        qv = cert.maps[0][: len(cert.vec_q)]
         # one solve for Phi at the samples and at the 128 circle points
         phis, bphis = np.split(phi_evaluate(rep, np.concatenate([z, roots_of_unity(128)])), [len(z)])
         det_on = float(np.max(np.abs(np.linalg.det(w[:, None, None] * np.eye(rep.m) - phis))))
@@ -444,7 +441,7 @@ def verify_representation(
             excess = float(np.maximum(0.0, np.sqrt(np.max(np.linalg.eigvalsh(gram))) - 1.0))
     sv = cert.qmatrix.min_singular_value_on_disk if cert.smooth_on_torus else None
     return RepresentationReport(
-        gram_defect=_gram_defect(x, y),
+        gram_defect=cert.gram_defect,
         gram_tolerance=cert.gram_tolerance,
         qmatrix_tolerance=1e-8 * cert.qmatrix.max_singular_value_on_disk,
         det_on_samples=det_on,
@@ -460,9 +457,8 @@ def verify_representation(
 
 
 def represent(p: BivariatePolynomial, a: float = 1.0, b: float = 1.0):
-    """Full pipeline: certificate, variety sample, unitary, verification."""
+    """Full pipeline: certificate, unitary, verification."""
     cert = dv_certificate(p, a, b)
-    sample = sample_variety(cert.p)
-    rep = lurking_isometry(cert, sample)
-    report = verify_representation(cert.p, cert, rep, sample)
-    return cert, sample, rep, report
+    rep = lurking_isometry(cert)
+    report = verify_representation(cert.p, cert, rep)
+    return cert, rep, report

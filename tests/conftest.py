@@ -56,6 +56,12 @@ def four_minus_z_minus_w():
     return poly({(0, 0): 4, (1, 0): -1, (0, 1): -1})
 
 
+def fiber_at(p, z):
+    """p(z, .) as a polynomial of degree (0, m), whose fiber at z = 0 is the
+    fiber of p at z."""
+    return BivariatePolynomial(p.fibers(z)[None])
+
+
 def max_coeff_distance(p, q):
     """Largest coefficient modulus of p - q, each padded to the larger
     degree."""

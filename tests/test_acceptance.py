@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     disk_spiral,
+    fiber_at,
     four_minus_z_minus_w,
     kernel,
     norm_sq,
@@ -24,7 +25,7 @@ from conftest import (
 )
 from dvkit.classify import ZeroLabel, classify_zero_set, root_count_in_disk
 from dvkit.cli import main
-from dvkit.dvrep import gram_defect, phi_evaluate, represent
+from dvkit.dvrep import phi_evaluate, represent
 from dvkit.extend import ExtensionOperator, extension_bound, verify_extension
 from dvkit.poly2 import (
     BivariatePolynomial,
@@ -112,7 +113,7 @@ def test_criterion_2_classification():
     p = z3_minus_w2()
     for _ in range(20):
         z = complex(0.92 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
-        assert root_count_in_disk(p, z) == 2
+        assert root_count_in_disk(fiber_at(p, z)) == 2
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     stamp(2, f"4 labels + 20 root counts, {elapsed:.2f}s")
@@ -198,9 +199,9 @@ def test_criterion_5_symmetric_certificate(sym_cert_z3w2):
 
 def test_criterion_6_representation(rep_z3w2, rep_w3z2):
     details = []
-    for cert, sample, rep, report in (rep_z3w2, rep_w3z2):
-        assert len(sample[0]) >= 3 * sum(cert.p.degree) + 10
-        assert gram_defect(cert, sample) <= 1e-8
+    for cert, rep, report in (rep_z3w2, rep_w3z2):
+        assert len(cert.sample[0]) >= 3 * sum(cert.p.degree) + 10
+        assert cert.gram_defect <= 1e-8
         assert rep.unitarity_defect() <= 1e-10
         assert rep.d_spectral_radius() < 1
         assert report.det_vs_p_rel <= 1e-6
@@ -221,7 +222,7 @@ def test_criterion_6_representation(rep_z3w2, rep_w3z2):
 
 def test_criterion_7_refined_representation(rep_z3w2, rep_w3z2):
     minima = []
-    for cert, _, _, report in (rep_z3w2, rep_w3z2):
+    for cert, _, report in (rep_z3w2, rep_w3z2):
         assert cert.smooth_on_torus
         sv = cert.qmatrix.min_singular_value_on_disk
         assert sv > 1e-8 * cert.qmatrix.max_singular_value_on_disk
@@ -231,7 +232,7 @@ def test_criterion_7_refined_representation(rep_z3w2, rep_w3z2):
 
 def test_criterion_8_extension():
     t0 = time.perf_counter()
-    cert, sample, rep, _ = represent(z3_minus_w2())
+    cert, rep, _ = represent(z3_minus_w2())
     cs = []
     for f in (W, Z * W, W * W, Z + W):
         op = ExtensionOperator(rep, cert, f)
@@ -240,7 +241,7 @@ def test_criterion_8_extension():
         assert er.sup_F_on_bidisk <= math.sqrt(2) * er.sup_f_on_variety + 1e-6
         assert abs(er.C - math.sqrt(2)) <= 1e-6
         cs.append(er.C)
-    cert3, sample3, rep3, _ = represent(poly({(0, 3): 1, (3, 0): -1}))
+    cert3, rep3, _ = represent(poly({(0, 3): 1, (3, 0): -1}))
     c3 = extension_bound(rep3, cert3)
     assert abs(c3 - math.sqrt(3)) <= 1e-6
     elapsed = time.perf_counter() - t0

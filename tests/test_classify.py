@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     derived_symmetric_poly,
+    fiber_at,
     four_minus_z_minus_w,
     haar_dv,
     haar_unitary,
@@ -221,19 +222,19 @@ class TestSchurCohn:
 
 class TestRootCount:
     def test_two_roots_inside(self):
-        assert root_count_in_disk(z3_minus_w2(), 0.5) == 2
+        assert root_count_in_disk(fiber_at(z3_minus_w2(), 0.5)) == 2
 
     def test_root_outside(self):
-        assert root_count_in_disk(four_minus_z_minus_w(), 0.3) == 0
+        assert root_count_in_disk(fiber_at(four_minus_z_minus_w(), 0.3)) == 0
 
     def test_exterior_roots(self):
-        assert root_count_in_disk(one_minus_z3w2(), 0.5) == 0
+        assert root_count_in_disk(fiber_at(one_minus_z3w2(), 0.5)) == 0
 
     def test_constant_over_disk(self):
         rng = np.random.default_rng(2)
         p = z3_minus_w2()
         counts = {
-            root_count_in_disk(p, complex(0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())))
+            root_count_in_disk(fiber_at(p, complex(0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))))
             for _ in range(20)
         }
         assert counts == {2}
@@ -241,7 +242,7 @@ class TestRootCount:
     def test_zero_on_circle_rejected(self):
         # 1 - zw has |w| = 1 root when |z| = 1
         with pytest.raises(FiberError):
-            root_count_in_disk(poly({(0, 0): 1, (1, 1): -1}), np.exp(0.3j))
+            root_count_in_disk(fiber_at(poly({(0, 0): 1, (1, 1): -1}), np.exp(0.3j)))
 
 
 class TestCircleProof:

@@ -877,14 +877,14 @@ class TestCliCommands:
             seen.append(real(*args, **kwargs))
             return seen[-1]
 
-        real = dvkit.cli.sample_variety
-        monkeypatch.setattr(dvkit.cli, "sample_variety", spy)
+        real = dvkit.dvrep.sample_variety
+        monkeypatch.setattr(dvkit.dvrep, "sample_variety", spy)
         capsys.readouterr()
         assert main(["verify", str(cert_path), path]) == 0
         assert json.loads(capsys.readouterr().out)["gram_equality"] is True
-        _, sample, _, _ = represent(p)
         assert len(seen) == 1
-        assert all(a.tolist() == b.tolist() for a, b in zip(seen[0], sample))
+        cert, _, _ = represent(p)
+        assert all(a.tolist() == b.tolist() for a, b in zip(seen[0], cert.sample))
 
     @pytest.mark.parametrize("rel", [3e-9, 5e-10])
     def test_near_symmetric_dv_classifies_and_represents(self, tmp_path, capsys, rel):

@@ -22,7 +22,6 @@ from dvkit.dvrep import (
     UnitaryRealization,
     det_representation,
     dv_certificate,
-    gram_defect,
     lurking_isometry,
     phi_evaluate,
     represent,
@@ -45,7 +44,7 @@ def degree_survey():
 
 class TestDvCertificate:
     def test_closed_form_for_cubic(self, pipeline_z3w2):
-        cert, _, _, _ = pipeline_z3w2
+        cert, _, _ = pipeline_z3w2
         z, w, zz, ww = 0.3 + 0.1j, -0.2j, 0.15 - 0.4j, 0.7
         u = z * np.conj(zz)
         kp = kernel(cert.vec_p, z, w, zz, ww)
@@ -54,15 +53,15 @@ class TestDvCertificate:
         assert abs(kq - 5 * (1 + w * np.conj(ww))) < 1e-8
 
     def test_qmatrix_constant_multiple_of_unitary(self, pipeline_z3w2):
-        cert, _, _, _ = pipeline_z3w2
+        cert, _, _ = pipeline_z3w2
         q0 = cert.qmatrix.evaluate(0.0)
         assert np.max(np.abs(cert.qmatrix.evaluate(0.5 + 0.2j) - q0)) < 1e-8
         gram = q0.conj().T @ q0
         assert np.max(np.abs(gram - 5 * np.eye(2))) < 1e-8
 
     def test_kernel_identity_on_variety_pairs(self, pipeline_z3w2):
-        cert, sample, _, _ = pipeline_z3w2
-        z, w = sample
+        cert, _, _ = pipeline_z3w2
+        z, w = cert.sample
         kp = kernel(cert.vec_p, z[:, None], w[:, None], z[None, :], w[None, :])
         kq = kernel(cert.vec_q, z[:, None], w[:, None], z[None, :], w[None, :])
         za = 1 - z[:, None] * np.conj(z[None, :])
@@ -71,41 +70,41 @@ class TestDvCertificate:
         assert resid <= 1e-8 * np.max(np.abs(kq))
 
     def test_vector_lengths_match_degrees(self, pipeline_w3z2):
-        cert, _, _, _ = pipeline_w3z2
+        cert, _, _ = pipeline_w3z2
         n, m = cert.p.degree
         assert len(cert.vec_p) == n and len(cert.vec_q) == m
 
     def test_no_component_vanishes(self, pipeline_z3w2):
-        cert, _, _, _ = pipeline_z3w2
+        cert, _, _ = pipeline_z3w2
         for comp in (*cert.vec_p, *cert.vec_q):
             assert comp.scale > 1e-10 * cert.p.scale
 
     def test_global_dv_identity_verifies(self, pipeline_z3w2):
         from dvkit.soscert import verify_certificate
 
-        cert, _, _, _ = pipeline_z3w2
+        cert, _, _ = pipeline_z3w2
         assert verify_certificate(cert.p, cert.as_sos()).residual <= 1e-7
 
     def test_rejects_non_dv(self):
         with pytest.raises(ValueError):
-            dv_certificate(four_minus_z_minus_w())
+            dv_certificate(four_minus_z_minus_w(), 1.0, 1.0)
 
     def test_rejects_squared_factor(self):
         zw1 = poly({(1, 1): 1, (0, 0): -1})
         with pytest.raises(ValueError):
-            dv_certificate(zw1 * zw1)
+            dv_certificate(zw1 * zw1, 1.0, 1.0)
 
 
 class TestSampleVariety:
     def test_points_on_variety(self, pipeline_z3w2):
-        cert, sample, _, _ = pipeline_z3w2
-        z, w = sample
+        cert, _, _ = pipeline_z3w2
+        z, w = cert.sample
         assert np.max(np.abs(cert.p.evaluate(z, w))) <= 1e-10 * cert.p.scale
         assert np.all(np.abs(z) < 1) and np.all(np.abs(w) < 1)
 
     def test_sample_is_two_read_only_arrays(self, pipeline_z3w2):
-        _, sample, _, _ = pipeline_z3w2
-        z, w = sample
+        cert, _, _ = pipeline_z3w2
+        z, w = cert.sample
         assert len(z) == len(w) and not z.flags.writeable and not w.flags.writeable
 
     def test_deterministic_under_seed(self):
@@ -167,21 +166,21 @@ class TestSampleVariety:
 
 class TestLurkingIsometry:
     def test_gram_equality_holds(self, pipeline_z3w2):
-        cert, sample, _, _ = pipeline_z3w2
-        assert gram_defect(cert, sample) <= 1e-8
+        cert, _, _ = pipeline_z3w2
+        assert cert.gram_defect <= 1e-8
 
     def test_unitary_size_and_blocks(self, pipeline_z3w2):
-        _, _, rep, _ = pipeline_z3w2
+        _, rep, _ = pipeline_z3w2
         assert rep.U.shape == (5, 5)
         assert rep.m == 2 and rep.n == 3
         assert rep.unitarity_defect() <= 1e-10
 
     def test_d_spectral_radius_strictly_inside(self, pipeline_z3w2):
-        _, _, rep, _ = pipeline_z3w2
+        _, rep, _ = pipeline_z3w2
         assert rep.d_spectral_radius() < 1 - 1e-8
 
     def test_violated_isometry_raises(self, pipeline_z3w2):
-        cert, sample, _, _ = pipeline_z3w2
+        cert, _, _ = pipeline_z3w2
         broken = type(cert)(
             cert.p,
             cert.weights,
@@ -190,17 +189,18 @@ class TestLurkingIsometry:
             cert.smooth_on_torus,
         )
         with pytest.raises(IsometryError):
-            lurking_isometry(broken, sample)
+            lurking_isometry(broken)
 
-    def test_completion_below_full_rank(self, pipeline_z3w2):
+    def test_completion_below_full_rank(self, pipeline_z3w2, monkeypatch):
         # m + n - 1 points are too few for the saturation check, and they
         # span less than m + n: the two roots over each z share the
         # direction of w in X = sqrt(5) (1, w, z, z^2, z^3) up to a unitary,
         # so the missing columns come from the completion
-        cert, sample, _, _ = pipeline_z3w2
+        cert, _, _ = pipeline_z3w2
         k = len(cert.vec_q) + len(cert.vec_p) - 1
-        z, w = (arr[:k] for arr in sample)
-        rep = lurking_isometry(cert, (z, w))
+        z, w = (arr[:k] for arr in cert.sample)
+        monkeypatch.setattr("dvkit.dvrep.sample_variety", lambda p: (z, w))
+        rep = lurking_isometry(replace(cert))
         qv, pv = cert.vec_q.evaluate(z, w), cert.vec_p.evaluate(z, w)
         x = np.vstack([qv, z * pv])
         y = np.vstack([w * qv, pv])
@@ -208,14 +208,15 @@ class TestLurkingIsometry:
         assert rep.unitarity_defect() <= 1e-12
         assert np.linalg.norm(rep.U @ x - y) <= 1e-12 * np.linalg.norm(y)
 
-    def test_unsaturated_rank_names_both_ranks(self, pipeline_z3w2):
+    def test_unsaturated_rank_names_both_ranks(self, pipeline_z3w2, monkeypatch):
         # 30 copies of one point, then 10 others: the rank still grows in
         # the last 10 points
-        cert, sample, _, _ = pipeline_z3w2
+        cert, _, _ = pipeline_z3w2
         idx = np.r_[np.zeros(30, dtype=int), np.arange(1, 11)]
-        thin = tuple(arr[idx] for arr in sample)
+        thin = tuple(arr[idx] for arr in cert.sample)
+        monkeypatch.setattr("dvkit.dvrep.sample_variety", lambda p: thin)
         with pytest.raises(IsometryError, match=r"40 points span rank 5 of m \+ n = 5, their first 30 rank 1"):
-            lurking_isometry(cert, thin)
+            lurking_isometry(replace(cert))
 
 
 class TestUnitaryRealization:
@@ -229,24 +230,24 @@ class TestUnitaryRealization:
 
 class TestPhi:
     def test_phi_at_zero_is_a_block(self, pipeline_z3w2):
-        _, _, rep, _ = pipeline_z3w2
+        _, rep, _ = pipeline_z3w2
         assert np.max(np.abs(phi_evaluate(rep, 0.0) - rep.A)) < 1e-14
 
     def test_boundary_unitarity(self, pipeline_z3w2):
-        _, _, rep, _ = pipeline_z3w2
+        _, rep, _ = pipeline_z3w2
         for theta in 2 * np.pi * np.arange(128) / 128:
             phi = phi_evaluate(rep, np.exp(1j * theta))
             assert np.max(np.abs(phi.conj().T @ phi - np.eye(rep.m))) <= 1e-8
 
     def test_contractive_inside(self, pipeline_z3w2):
-        _, _, rep, _ = pipeline_z3w2
+        _, rep, _ = pipeline_z3w2
         rng = np.random.default_rng(12)
         for _ in range(200):
             z = np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
             assert np.linalg.norm(phi_evaluate(rep, z), 2) <= 1 + 1e-8
 
     def test_array_argument_stacks_scalar_calls(self, pipeline_z3w2):
-        _, _, rep, _ = pipeline_z3w2
+        _, rep, _ = pipeline_z3w2
         zs = np.array([[0.0, 0.3 - 0.2j, -0.7j], [np.exp(0.4j), 0.9, -0.5 + 0.5j]])
         got = phi_evaluate(rep, zs)
         assert got.shape == zs.shape + (rep.m, rep.m)
@@ -254,8 +255,8 @@ class TestPhi:
         assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_eigen_relation_at_samples(self, pipeline_z3w2):
-        cert, sample, rep, _ = pipeline_z3w2
-        z, w = sample
+        cert, rep, _ = pipeline_z3w2
+        z, w = cert.sample
         qv = cert.vec_q.evaluate(z, w)
         for k in range(len(z)):
             phi = phi_evaluate(rep, z[k])
@@ -267,7 +268,7 @@ class TestPhi:
 
 class TestDetRepresentation:
     def test_block_determinant_proportional_to_p(self, pipeline_z3w2):
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         det = det_representation(rep)
         pv, dv = cert.p.coeffs, det.coeffs
         imax = np.unravel_index(np.argmax(np.abs(pv)), pv.shape)
@@ -296,14 +297,14 @@ class TestDetRepresentation:
         assert np.max(np.abs(phi_evaluate(rep, z) - want)) < 1e-14
 
     def test_degree_bound(self, pipeline_w3z2):
-        _, _, rep, _ = pipeline_w3z2
+        _, rep, _ = pipeline_w3z2
         det = det_representation(rep)
         assert det.degree == (rep.n, rep.m)
 
 
 class TestVerifyRepresentation:
     def test_full_reports_pass(self, pipeline_z3w2, pipeline_w3z2):
-        for cert, sample, rep, report in (pipeline_z3w2, pipeline_w3z2):
+        for cert, rep, report in (pipeline_z3w2, pipeline_w3z2):
             assert report.passed
             assert report.det_vs_p_rel <= 1e-6
             assert report.unitarity <= 1e-10
@@ -311,17 +312,17 @@ class TestVerifyRepresentation:
             assert report.qmatrix_min_sv > 1e-8
 
     def test_corrupted_unitary_reported(self, pipeline_z3w2):
-        cert, sample, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         bad = np.array(rep.U)
         bad[0, 0] += 1e-3
         broken = UnitaryRealization(rep.m, rep.n, bad)
-        report = verify_representation(cert.p, cert, broken, sample)
+        report = verify_representation(cert.p, cert, broken)
         assert 1e-4 < report.unitarity < 1e-2
         assert not report.passed
 
     def test_unimodular_d_eigenvalue_fails(self, pipeline_z3w2):
         # the circle samples bound Phi on the disk only when rho(D) < 1
-        report = pipeline_z3w2[3]
+        report = pipeline_z3w2[2]
         assert report.passed and report.d_spectral_radius < 1.0 - 1e-8
         assert not replace(report, d_spectral_radius=1.0 - 1e-8).passed
 
@@ -338,7 +339,7 @@ class TestMaximumPrinciple:
     circle value it now reports."""
 
     def test_interior_norm_below_circle_sup(self, corpus_pipeline):
-        _, _, rep, report = corpus_pipeline
+        _, rep, report = corpus_pipeline
         assert report.passed
         assert report.d_spectral_radius < 1.0 - 1e-8
         u = np.random.default_rng(5).uniform(size=(200, 2))
@@ -349,7 +350,7 @@ class TestMaximumPrinciple:
 
 @pytest.mark.parametrize("scale", [1e-10, 1e-6, 1e-2, 1.0, 1e3, 1e6])
 def test_qmatrix_gate_is_scale_free(scale):
-    cert, _, _, report = represent(scale * blaschke_dv(2, [0.5, 0]))
+    cert, _, report = represent(scale * blaschke_dv(2, [0.5, 0]))
     assert report.passed
     assert report.qmatrix_tolerance == 1e-8 * cert.qmatrix.max_singular_value_on_disk
     assert report.qmatrix_min_sv > 1e6 * report.qmatrix_tolerance
@@ -359,7 +360,7 @@ def test_qmatrix_gate_is_scale_free(scale):
 def test_qmatrix_gate_is_basis_invariant(seed):
     # a constant unitary mixing of the components of P and of Q keeps every
     # kernel, so it moves neither the Qmatrix gate's scale nor the verdict
-    cert, sample, _, report = represent(blaschke_dv(2, [0.5, 0]))
+    cert, _, report = represent(blaschke_dv(2, [0.5, 0]))
     rng = np.random.default_rng(seed)
     mixed = replace(
         cert,
@@ -368,7 +369,7 @@ def test_qmatrix_gate_is_basis_invariant(seed):
             for key, vec in (("vec_p", cert.vec_p), ("vec_q", cert.vec_q))
         },
     )
-    again = verify_representation(cert.p, mixed, lurking_isometry(mixed, sample), sample)
+    again = verify_representation(cert.p, mixed, lurking_isometry(mixed))
     assert again.passed and report.passed
     assert abs(again.qmatrix_tolerance - report.qmatrix_tolerance) <= 1e-12 * report.qmatrix_tolerance
 
@@ -381,13 +382,13 @@ def singular_pipeline():
 
 class TestSingularVariety:
     def test_runs_and_records_skip(self, singular_pipeline):
-        cert, sample, rep, report = singular_pipeline
+        cert, rep, report = singular_pipeline
         assert not report.smooth_on_torus
         assert report.qmatrix_min_sv is None  # invertibility assertion skipped
         assert report.gram_tolerance == 1e-6
 
     def test_representation_still_valid(self, singular_pipeline):
-        cert, sample, rep, report = singular_pipeline
+        cert, rep, report = singular_pipeline
         assert report.passed
         assert report.unitarity <= 1e-10
         assert rep.d_spectral_radius() < 1
@@ -418,7 +419,7 @@ class TestRepresentOnce:
             ):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        cert, _, _, _ = represent(z3_minus_w2())
+        cert, _, _ = represent(z3_minus_w2())
         # The proven DVDefining label already proves torus smoothness, so the
         # Newton search for torus singularities never runs; the realization
         # is verified once, and the certificate pass whose residual the
@@ -428,6 +429,20 @@ class TestRepresentOnce:
         # the proven label also proves p squarefree
         assert calls["is_squarefree"] == 0
         assert cert.smooth_on_torus
+
+    def test_one_evaluation_of_p_and_q(self, monkeypatch):
+        # the certificate holds X = (Q; zP) and Y = (wQ; P) at its sample,
+        # so the isometry and its verification read one evaluation of each
+        seen = []
+        evaluate = VectorPolynomial.evaluate
+
+        def counted(vec, z, w):
+            seen.append(vec)
+            return evaluate(vec, z, w)
+
+        monkeypatch.setattr(VectorPolynomial, "evaluate", counted)
+        cert, _, _ = represent(z3_minus_w2())
+        assert len(seen) == 2 and {id(v) for v in seen} == {id(cert.vec_p), id(cert.vec_q)}
 
     def test_unproven_label_runs_singularity_search(self, monkeypatch):
         import dvkit.dvrep
@@ -443,7 +458,7 @@ class TestRepresentOnce:
         # (z - w)(z^3 - e^{0.7i} w) is DVDefining but not proven: it has two
         # torus nodes, and the certificate must take the dilation route.
         p = poly({(1, 0): 1, (0, 1): -1}) * poly({(3, 0): 1, (0, 1): -np.exp(0.7j)})
-        cert = dv_certificate(p)
+        cert = dv_certificate(p, 1.0, 1.0)
         assert calls["torus_singularities"] == 1
         assert not cert.smooth_on_torus
 
@@ -451,7 +466,7 @@ class TestRepresentOnce:
 class TestBlaschkeFamily:
     def test_mobius_variety_representation(self):
         p = blaschke_dv(2, [0.5, 0.0])
-        cert, sample, rep, report = represent(p)
+        cert, rep, report = represent(p)
         assert report.passed
         assert cert.smooth_on_torus
 
@@ -513,24 +528,24 @@ def weighted_pipeline(name, a, b):
 class TestSwapped:
     def test_constant_matches_transposed_pipeline(self, name, weights):
         a, b = weights
-        cert, _, rep, _ = weighted_pipeline(name, a, b)
+        cert, rep, _ = weighted_pipeline(name, a, b)
         got = extension_bound(rep.swapped(), cert.swapped())
         # the whole pipeline run again on the transpose serves as the reference
-        cert_t, _, rep_t, _ = represent(transpose_vars(SWAP_INPUTS[name]), b, a)
+        cert_t, rep_t, _ = represent(transpose_vars(SWAP_INPUTS[name]), b, a)
         want = extension_bound(rep_t, cert_t)
         assert abs(got - want) <= 1e-9 * want
 
     def test_swapped_pair_verifies(self, name, weights):
-        cert, _, rep, _ = weighted_pipeline(name, *weights)
+        cert, rep, _ = weighted_pipeline(name, *weights)
         cert_t, rep_t = cert.swapped(), rep.swapped()
         p_t = transpose_vars(cert.p)
         assert np.array_equal(cert_t.p.coeffs, p_t.coeffs)
         assert cert_t.weights == weights[::-1]
-        assert verify_representation(p_t, cert_t, rep_t, sample_variety(p_t)).passed
+        assert verify_representation(p_t, cert_t, rep_t).passed
         assert verify_certificate(p_t, cert_t.as_sos()).passed
 
     def test_swap_is_an_involution(self, name, weights):
-        cert, _, rep, _ = weighted_pipeline(name, *weights)
+        cert, rep, _ = weighted_pipeline(name, *weights)
         rep_t, back = rep.swapped(), rep.swapped().swapped()
         assert (rep_t.m, rep_t.n) == (rep.n, rep.m)
         for got, want in ((rep_t.A, rep.D), (rep_t.B, rep.B), (rep_t.C, rep.C), (rep_t.D, rep.A)):
@@ -547,8 +562,8 @@ def test_torus_singular_swap_refused_like_transposed_pipeline():
     # (z^3 - w^2)(z - w) crosses itself at (1, 1), where det Q vanishes in
     # both orientations
     p = poly({(3, 0): 1, (0, 2): -1}) * poly({(1, 0): 1, (0, 1): -1})
-    cert, _, rep, _ = represent(p)
-    cert_t, _, rep_t, _ = represent(transpose_vars(p))
+    cert, rep, _ = represent(p)
+    cert_t, rep_t, _ = represent(transpose_vars(p))
     zeros = []
     for pair in ((rep.swapped(), cert.swapped()), (rep_t, cert_t)):
         with pytest.raises(ValueError, match="^Qmatrix: det Q has a zero at z = ") as exc:

@@ -61,7 +61,7 @@ class TestEvalOfPair:
 
     def test_matches_eigenvalues_on_circle(self, pipeline_z3w2):
         # f(z I, Phi(z)) is normal on the circle with eigenvalues f(z, w_j)
-        _, _, rep, _ = pipeline_z3w2
+        _, rep, _ = pipeline_z3w2
         z = np.exp(0.83j)
         phi = phi_evaluate(rep, z)
         fm = eval_f_of_pair(F_Z_PLUS_W, z, phi)
@@ -72,13 +72,13 @@ class TestEvalOfPair:
 
 class TestExtensionValues:
     def test_f_w_agrees_on_variety(self, pipeline_z3w2):
-        cert, sample, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, F_W)
-        for z, w in zip(*(arr[:10] for arr in sample)):
+        for z, w in zip(*(arr[:10] for arr in cert.sample)):
             assert abs(op.evaluate(z, w) - w) < 1e-8
 
     def test_f_z_extends_to_z_everywhere(self, pipeline_z3w2):
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, F_Z)
         rng = np.random.default_rng(2)
         for _ in range(25):
@@ -89,7 +89,7 @@ class TestExtensionValues:
     def test_grid_evaluator_matches_scalar(self, pipeline_z3w2):
         # F(z, w) = e1^T Q(z)^{-1} f(zI, Phi(z)) Qvec(z, w) with f = z w, from
         # plain per-point solves
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, F_ZW)
         zs = np.array([0.3, -0.4j, 0.2 + 0.5j])
         ws = np.array([0.6, -0.1 + 0.3j])
@@ -104,9 +104,9 @@ class TestExtensionValues:
                 assert abs(op.evaluate(complex(z), complex(w)) - want) < 1e-12
 
     def test_pointwise_arrays_match_scalar_calls(self, pipeline_z3w2):
-        cert, sample, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, F_ZW + F_W2)
-        z, w = sample
+        z, w = cert.sample
         got = op.evaluate(z, w)
         assert got.shape == z.shape
         want = np.array([op.evaluate(complex(a), complex(b)) for a, b in zip(z, w)])
@@ -115,7 +115,7 @@ class TestExtensionValues:
         assert np.max(np.abs(shared - op.evaluate_grid(z[:1], w)[0])) < 1e-13
 
     def test_linearity(self, pipeline_z3w2):
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         op_sum = ExtensionOperator(rep, cert, F_ZW + F_W2)
         op_a = ExtensionOperator(rep, cert, F_ZW)
         op_b = ExtensionOperator(rep, cert, F_W2)
@@ -123,7 +123,7 @@ class TestExtensionValues:
         assert abs(op_sum.evaluate(z, w) - op_a.evaluate(z, w) - op_b.evaluate(z, w)) < 1e-10
 
     def test_zero_function(self, pipeline_z3w2):
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, poly({(0, 0): 0}))
         report = verify_extension(op)
         assert report.sup_F_on_bidisk == 0 and report.on_variety_residual == 0
@@ -131,7 +131,7 @@ class TestExtensionValues:
 
 class TestOperatorNormStep:
     def test_f_of_pair_norm_bounded_by_variety_sup(self, pipeline_z3w2):
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         rng = np.random.default_rng(4)
         for f in (F_W, F_ZW, F_Z_PLUS_W):
             sup_f = sup_norm_on_variety(f, cert.p, 256)
@@ -143,16 +143,16 @@ class TestOperatorNormStep:
 
 class TestSupNorm:
     def test_monomial_w(self, pipeline_z3w2):
-        cert, _, _, _ = pipeline_z3w2
+        cert, _, _ = pipeline_z3w2
         assert abs(sup_norm_on_variety(F_W, cert.p, 256) - 1.0) < 1e-8
 
     def test_constant(self, pipeline_z3w2):
-        cert, _, _, _ = pipeline_z3w2
+        cert, _, _ = pipeline_z3w2
         assert abs(sup_norm_on_variety(poly({(0, 0): -3j}), cert.p, 64) - 3.0) < 1e-10
 
     def test_z_plus_w_attains_two(self, pipeline_z3w2):
         # (1, 1) lies on the variety closure and maximizes |z + w|
-        cert, _, _, _ = pipeline_z3w2
+        cert, _, _ = pipeline_z3w2
         got = sup_norm_on_variety(F_Z_PLUS_W, cert.p, 512)
         assert abs(got - 2.0) < 1e-3
 
@@ -181,7 +181,7 @@ class TestSupNormOnTorus:
 
 class TestBounds:
     def test_constant_c_sqrt2(self, pipeline_z3w2):
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         assert abs(extension_bound(rep, cert) - math.sqrt(2)) <= 1e-6
 
     def test_constant_reads_q_alone(self, pipeline_z3w2, monkeypatch):
@@ -192,7 +192,7 @@ class TestBounds:
             raise AssertionError("extension_bound solved for fiber roots")
 
         monkeypatch.setattr(dvkit.classify, "fiber_root_pairs", refuse)
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         assert abs(extension_bound(rep, cert) - math.sqrt(2)) <= 1e-6
 
     def test_identity_qmatrix_gives_sqrt_m(self):
@@ -212,7 +212,7 @@ class TestBounds:
     def test_verify_reads_the_one_constant(self):
         # verify_extension's C is extension_bound's, read at the 256th roots
         # of unity, of which its 128-point check pass takes every other one
-        cert, _, rep, _ = corpus_pipeline("haar_dv_6x6")
+        cert, rep, _ = corpus_pipeline("haar_dv_6x6")
         c = verify_extension(ExtensionOperator(rep, cert, F_W)).C
         assert c == extension_bound(rep, cert)
         svals = np.linalg.svd(cert.qmatrix.evaluate(roots_of_unity(128)), compute_uv=False)
@@ -225,7 +225,7 @@ class TestBounds:
             def evaluate(self, z, w):
                 return super().evaluate(z, w) + 1e-3
 
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         assert verify_extension(ExtensionOperator(rep, cert, F_W)).passed
         report = verify_extension(Shifted(rep, cert, F_W))
         assert report.on_variety_residual > 1e-7 and report.sup_F_on_bidisk > 1.0 + 5e-4
@@ -237,13 +237,13 @@ class TestBounds:
         import dvkit.extend
 
         monkeypatch.setattr(dvkit.extend, "extension_bound", lambda rep, cert: math.inf)
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         report = verify_extension(ExtensionOperator(rep, cert, F_W))
         assert report.C == math.inf and report.on_variety_residual <= 1e-7
         assert not report.passed
 
     def test_ratio_bounded(self, pipeline_z3w2):
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         for f in (F_W, F_ZW, F_W2, F_Z_PLUS_W):
             report = verify_extension(ExtensionOperator(rep, cert, f))
             assert report.passed
@@ -255,8 +255,8 @@ class TestBounds:
 
     def test_on_variety_agreement_corpus(self, pipeline_z3w2):
         # monomials up to degree (3, 3) plus random polynomials
-        cert, sample, rep, _ = pipeline_z3w2
-        z, w = sample
+        cert, rep, _ = pipeline_z3w2
+        z, w = cert.sample
         rng = np.random.default_rng(9)
         fs = [poly({(i, j): 1}) for i in range(4) for j in range(4)]
         fs += [
@@ -277,7 +277,7 @@ class TestBounds:
             assert np.max(np.abs(ev - fv)) <= 1e-7 * (1 + sup_f)
 
     def test_rational_expansion_matches_evaluator(self, pipeline_z3w2):
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         op = ExtensionOperator(rep, cert, F_ZW + F_W2)
         num, den = expand_extension(op)
         assert num.degree[1] <= rep.m - 1
@@ -290,7 +290,7 @@ class TestBounds:
     def test_swap_orientation_constant(self, pipeline_z3w2):
         # the realization with z and w exchanged yields its own constant;
         # both are valid
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         best = min(math.sqrt(2), extension_bound(rep.swapped(), cert.swapped()))
         assert best <= math.sqrt(3) + 1e-6
 
@@ -324,7 +324,7 @@ class TestChecksReadOnTorus:
 
     @pytest.mark.parametrize("name", sorted(DV_CORPUS))
     def test_interior_checks_within_torus_values(self, name):
-        cert, sample, rep, _ = corpus_pipeline(name)
+        cert, rep, _ = corpus_pipeline(name)
         pts = disk_spiral(64)
         for f in CHECK_FS.values():
             op = ExtensionOperator(rep, cert, f)
@@ -332,12 +332,12 @@ class TestChecksReadOnTorus:
             assert report.passed
             assert np.max(np.abs(op.evaluate_grid(pts, pts))) <= report.sup_F_on_bidisk + 1e-12
             scale = 1.0 + report.sup_f_on_variety
-            residual = np.max(np.abs(op.evaluate(*sample) - f.evaluate(*sample)))
+            residual = np.max(np.abs(op.evaluate(*cert.sample) - f.evaluate(*cert.sample)))
             assert residual <= report.on_variety_residual * scale + 1e-14
 
     @pytest.mark.parametrize("name", sorted(DV_CORPUS))
     def test_row_form_matches_vector_form(self, name):
-        cert, _, rep, _ = corpus_pipeline(name)
+        cert, rep, _ = corpus_pipeline(name)
         rng = np.random.default_rng(37)
         z = np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
         w = np.sqrt(rng.uniform(size=40)) * np.exp(2j * np.pi * rng.uniform(size=40))
@@ -356,7 +356,7 @@ class TestOffVariety:
 
     @pytest.mark.parametrize("name", sorted(DV_CORPUS))
     def test_extension_of_w_plus_g_p_is_w(self, name):
-        cert, _, rep, _ = corpus_pipeline(name)
+        cert, rep, _ = corpus_pipeline(name)
         f = F_W + self.G * DV_CORPUS[name]
         op = ExtensionOperator(rep, cert, f)
         report = verify_extension(op)
@@ -390,7 +390,7 @@ class TestExpansion:
         # deg_w f > m the expansion divides a numerator summed across
         # cancelling terms by p_m^k, which loses digits (up to 6.5e-9 on
         # haar_dv_3x3_T for the (3, 9) f)
-        cert, _, rep, _ = corpus_pipeline(name)
+        cert, rep, _ = corpus_pipeline(name)
         op = ExtensionOperator(rep, cert, f)
         num, den = expand_extension(op)
         grid = roots_of_unity(32)
@@ -402,7 +402,7 @@ class TestExpansion:
     @pytest.mark.parametrize("name", sorted(DV_CORPUS))
     def test_w_expands_to_w_over_one(self, name):
         # f = w has w-degree below m >= 2, so it is its own remainder
-        cert, _, rep, _ = corpus_pipeline(name)
+        cert, rep, _ = corpus_pipeline(name)
         num, den = expand_extension(ExtensionOperator(rep, cert, F_W))
         assert rep.m >= 2
         assert np.array_equal(num.coeffs, [[0, 1]]) and np.array_equal(den.coeffs, [[1]])
@@ -411,7 +411,7 @@ class TestExpansion:
 class TestAnalyticityGate:
     def test_det_zero_inside_disk_raises(self, pipeline_z3w2):
         # Q(z) diag(z - 1/2, 1): det Q vanishes at z = 1/2
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         factor = np.zeros((2, 2, 2), dtype=complex)
         factor[0, 0] = [-0.5, 1.0]
         factor[1, 1, 0] = 1.0
@@ -431,7 +431,7 @@ class TestAnalyticityGate:
     @pytest.mark.parametrize("delta, passes", [(1e-7, True), (1e-9, False)])
     def test_spectral_radius_gate_sits_at_rho_d_max(self, pipeline_z3w2, delta, passes):
         # D = diag(1 - delta, 0, 0) on either side of RHO_D_MAX = 1 - 1e-8
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         u = rep.U.copy()
         u[rep.m :, rep.m :] = np.diag([1 - delta] + [0] * (rep.n - 1))
         near = UnitaryRealization(rep.m, rep.n, u)
@@ -445,7 +445,7 @@ class TestAnalyticityGate:
     def test_leading_coefficient_gate(self, pipeline_z3w2, root, refused):
         # p = z^3 - (1 - z / root) w^2: the remainder divides by p_m, so a
         # zero of p_m in the closed disk is refused, and one outside is not
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         bad = dataclasses.replace(cert, p=poly({(3, 0): 1, (0, 2): -1, (1, 2): 1 / root}))
         if refused:
             with pytest.raises(ValueError, match="poly: p_m, the leading coefficient of p in w, has a zero"):
@@ -455,14 +455,14 @@ class TestAnalyticityGate:
 
     def test_operator_refuses_mismatched_m(self, pipeline_z3w2):
         # the swapped realization has m = 3 where the certificate has 2
-        cert, _, rep, _ = pipeline_z3w2
+        cert, rep, _ = pipeline_z3w2
         with pytest.raises(ValueError, match="certificate and realization disagree on m"):
             ExtensionOperator(rep.swapped(), cert, F_W)
 
     def test_torus_singular_variety_refused(self):
         # (w - z)(w - z^2): the branches cross at (1, 1), where det Q vanishes
         p = poly({(0, 2): 1, (1, 1): -1, (2, 1): -1, (3, 0): 1})
-        cert, _, rep, report = represent(p)
+        cert, rep, report = represent(p)
         assert report.passed and not cert.smooth_on_torus
         with pytest.raises(ValueError, match="Qmatrix: det Q has a zero"):
             verify_extension(ExtensionOperator(rep, cert, F_W))
@@ -474,7 +474,7 @@ def test_array_holding_types_compare_by_identity_and_hash(pipeline_z3w2, cert_fo
     # works
     from dvkit.soscert import compute_moments
 
-    cert, _, rep, _ = pipeline_z3w2
+    cert, rep, _ = pipeline_z3w2
     objects = [
         cert.p,
         cert.vec_p,

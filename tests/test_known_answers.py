@@ -109,7 +109,7 @@ def test_node_family_is_proven_and_represents_and_extends(eps):
     p = node_family(eps)
     zc = classify_zero_set(p)
     assert zc.label is ZeroLabel.DV_DEFINING and zc.proven
-    cert, _, rep, report = represent(p)
+    cert, rep, report = represent(p)
     assert report.passed
     assert verify_extension(ExtensionOperator(rep, cert, BivariatePolynomial.from_terms({(0, 1): 1}))).passed
 
@@ -196,7 +196,7 @@ def test_haar_variety_round_trips_through_represent(d):
     for grid in (coeffs, coeffs.T):
         q = rotated(grid, rng)
         assert classify_zero_set(q).label is ZeroLabel.DV_DEFINING
-        _, _, _, report = represent(q)
+        _, _, report = represent(q)
         assert report.passed
         assert report.det_vs_p_rel <= 1e-11
 

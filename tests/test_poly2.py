@@ -247,7 +247,7 @@ class TestDiskMinimum:
     def test_matches_disk_grid_on_haar_qmatrices(self, m, n):
         coeffs = haar_dv(haar_unitary(np.random.default_rng(50 + m + n), m + n), m, n)
         for grid in (coeffs, coeffs.T):
-            qmat = dv_certificate(BivariatePolynomial(grid)).qmatrix
+            qmat = dv_certificate(BivariatePolynomial(grid), 1.0, 1.0).qmatrix
             assert qmat.min_singular_value_on_disk == _disk_grid_min(qmat, 64)
 
 

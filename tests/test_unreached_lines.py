@@ -34,7 +34,7 @@ def test_one_polynomial_corpus(tmp_path, capsys):
         unreached.add((name, text))
     # z^3 - w^2 is represented, so the represent handler ran; no call set
     # a weight that is not finite, so its refusal did not
-    assert ("src/dvkit/cli.py", "cert, sample, rep, report = represent(p, args.a, args.b)") not in unreached
+    assert ("src/dvkit/cli.py", "cert, rep, report = represent(p, args.a, args.b)") not in unreached
     assert ("src/dvkit/cli.py", 'return "--a and --b must be finite"') in unreached
     # extend's gate reads F through the evaluator dvkit exports
     assert ("src/dvkit/extend.py", "g = self.rows(zs).reshape(z.shape + (self.rep.m,))") not in unreached
