@@ -165,7 +165,7 @@ def root_count_in_disk(p: BivariatePolynomial) -> int:
     fiber = p.fibers(0.0)
     eig = np.linalg.eigvalsh(schur_cohn_matrix(fiber))
     if np.any(np.abs(eig) <= EIG_ROUNDING * np.sum(np.abs(fiber) ** 2)):
-        raise FiberError("zero on fiber circle: p(z, .) has a root on |w| = 1 or a reflected pair")
+        raise FiberError("zero on fiber circle: p(0, .) has a root on |w| = 1 or a reflected pair")
     return int(np.sum(eig < 0))
 
 
