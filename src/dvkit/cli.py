@@ -210,7 +210,7 @@ def demo_corpus():
     }
 
 
-def _demo_dv_row(p, expect_sqrt_m=False):
+def _demo_dv_row(p, expect_sqrt_m):
     # represent refuses every label but DVDefining, so a row that gets past
     # it was classified as one
     cert, rep, report = represent(p)
@@ -379,7 +379,7 @@ def _argument_error(args: argparse.Namespace) -> str | None:
     return None
 
 
-def main(argv=None) -> int:
+def main(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -398,7 +398,3 @@ def main(argv=None) -> int:
         print(ser.dumps({"schema": ser.SCHEMA, "error": str(exc), "passed": False}))
         print(f"dvkit: failed: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

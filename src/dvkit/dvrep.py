@@ -107,11 +107,14 @@ class DvCertificate:
         """X = (Q; zP) and Y = (wQ; P) at the sample, one column per point,
         both divided by the power of two of their largest entry, so that X*X
         and Y*Y neither underflow nor overflow; the division is exact, and
-        every use of the maps is invariant under it.  Q(z, w) is the first m
-        rows of X."""
+        every use of the maps is invariant under it.  P and Q are divided by
+        the power of two of their largest coefficient before they are
+        evaluated, so that a certificate at the top of the float range does
+        not overflow at the sample.  Q(z, w) is the first m rows of X."""
         z, w = self.sample
-        qv = self.vec_q.evaluate(z, w)  # (m, S)
-        pv = self.vec_p.evaluate(z, w)  # (n, S)
+        e = max(_exponent(self.vec_q.coeffs), _exponent(self.vec_p.coeffs))
+        qv = self.vec_q.ldexp(-e).evaluate(z, w)  # (m, S)
+        pv = self.vec_p.ldexp(-e).evaluate(z, w)  # (n, S)
         x = np.vstack([qv, z[None, :] * pv])
         y = np.vstack([w[None, :] * qv, pv])
         e = max(_exponent(x), _exponent(y))
@@ -443,7 +446,7 @@ def verify_representation(
     return RepresentationReport(
         gram_defect=cert.gram_defect,
         gram_tolerance=cert.gram_tolerance,
-        qmatrix_tolerance=1e-8 * cert.qmatrix.max_singular_value_on_disk,
+        qmatrix_tolerance=cert.qmatrix.disk_bound(1e-8),
         det_on_samples=det_on,
         eigen_relation=eig_rel,
         det_vs_p_rel=det_rel,

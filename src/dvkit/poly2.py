@@ -552,23 +552,14 @@ class MatrixPolynomial:
         s, e = self._singular_values_on_disk
         return float(np.ldexp(np.min(s), e))
 
-    @property
-    def max_singular_value_on_disk(self) -> float:
-        """Largest singular value over the 64 circle points, from the same SVD:
-        the scale of a gate on the least one, which no constant unitary
-        mixing of the rows of Q moves; inf beyond the float range."""
+    def disk_bound(self, rel: float) -> float:
+        """``rel`` times the largest singular value over the 64 circle points,
+        from the same SVD: the gate on :attr:`min_singular_value_on_disk`,
+        which no constant unitary mixing of the rows of Q moves.  The product
+        is formed before the 2^e, so the bound overflows only where ``rel``
+        times that largest value does, not where the largest value does."""
         s, e = self._singular_values_on_disk
-        with np.errstate(over="ignore"):
-            return float(np.ldexp(np.max(s), e))
-
-    def invertible_on_disk(self, rel: float) -> bool:
-        """False when det Q has a zero in the closed disk, else whether the least
-        singular value over the 64 circle points exceeds ``rel`` times the
-        largest, compared before the 2^e, so the verdict holds at every scale."""
-        if len(self.det_zeros_in_disk):
-            return False
-        s, _ = self._singular_values_on_disk
-        return bool(np.min(s) > rel * np.max(s))
+        return float(np.ldexp(rel * np.max(s), e))
 
     @functools.cached_property
     def det_zeros_in_disk(self) -> np.ndarray:

@@ -107,15 +107,11 @@ def poly_to_obj(p: BivariatePolynomial) -> dict:
 def poly_from_obj(obj: dict, where: str = "polynomial") -> BivariatePolynomial:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
-    if "coeffs" not in obj:
-        raise SchemaError(f"{where}.coeffs: missing")
-    if "degree" not in obj:
-        raise SchemaError(f"{where}.degree: missing")
-    degree = obj["degree"]
+    rows = _required(obj, "coeffs", where)
+    degree = _required(obj, "degree", where)
     if not (isinstance(degree, list) and len(degree) == 2 and all(map(_is_count, degree))):
         raise SchemaError(f"{where}.degree: expected [n, m], non-negative integers")
     n, m = int(degree[0]), int(degree[1])
-    rows = obj["coeffs"]
     if not (
         isinstance(rows, list)
         and len(rows) == n + 1
@@ -137,7 +133,7 @@ def _vec_from_obj(items, where: str) -> VectorPolynomial:
     return VectorPolynomial.of(poly_from_obj(o, f"{where}[{k}]") for k, o in enumerate(items))
 
 
-def cert_to_obj(cert: SosCertificate, poly: BivariatePolynomial | None = None) -> dict:
+def cert_to_obj(cert: SosCertificate, poly: BivariatePolynomial | None) -> dict:
     obj = {
         "schema": SCHEMA,
         "kind": cert.kind.value,
@@ -150,7 +146,7 @@ def cert_to_obj(cert: SosCertificate, poly: BivariatePolynomial | None = None) -
     return obj
 
 
-def cert_from_obj(obj: dict, where: str = "certificate") -> SosCertificate:
+def cert_from_obj(obj: dict, where: str) -> SosCertificate:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
     try:
@@ -185,7 +181,7 @@ def dv_cert_to_obj(cert: DvCertificate) -> dict:
     return obj
 
 
-def dv_cert_from_obj(obj: dict, where: str = "certificate") -> DvCertificate:
+def dv_cert_from_obj(obj: dict, where: str) -> DvCertificate:
     if not isinstance(obj, dict) or obj.get("kind") != CertKind.DV.value:
         raise SchemaError(f"{where}.kind: expected a DV certificate")
     if "poly" not in obj:
@@ -232,7 +228,7 @@ def realization_to_obj(
     }
 
 
-def realization_from_obj(obj: dict, where: str = "realization"):
+def realization_from_obj(obj: dict, where: str):
     if not isinstance(obj, dict) or obj.get("kind") != "realization":
         raise SchemaError(f"{where}.kind: expected a realization document")
     for key in ("m", "n"):

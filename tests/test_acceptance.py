@@ -225,7 +225,7 @@ def test_criterion_7_refined_representation(rep_z3w2, rep_w3z2):
     for cert, _, report in (rep_z3w2, rep_w3z2):
         assert cert.smooth_on_torus
         sv = cert.qmatrix.min_singular_value_on_disk
-        assert sv > 1e-8 * cert.qmatrix.max_singular_value_on_disk
+        assert sv > cert.qmatrix.disk_bound(1e-8)
         minima.append(sv)
     stamp(7, f"sigma_min {min(minima):.3e}")
 

@@ -56,8 +56,8 @@ class TestSerialization:
         assert max_coeff_distance(q, p) == 0
 
     def test_cert_round_trip(self, cert_four):
-        obj = json.loads(dumps(cert_to_obj(cert_four)))
-        back = cert_from_obj(obj)
+        obj = json.loads(dumps(cert_to_obj(cert_four, None)))
+        back = cert_from_obj(obj, "certificate")
         assert back.kind == cert_four.kind
         z, w, zz, ww = 0.3, 0.2j, -0.1, 0.4
         assert (
@@ -747,7 +747,7 @@ class TestCliCommands:
         # its Phi is e^{0.9i} Phi, whose eigenvalues are not the fiber roots
         # of z^3 - w^2: the eigen relation fails it
         _, doc = realization_doc
-        rep, _ = realization_from_obj(doc)
+        rep, _ = realization_from_obj(doc, "realization")
         u = np.diag([np.exp(0.9j)] * rep.m + [1.0] * rep.n) @ rep.U
         bad_path = tmp_path / "rep.json"
         bad_path.write_text(dumps(dict(doc, U=[[[c.real, c.imag] for c in row] for row in u])))
@@ -768,7 +768,7 @@ class TestCliCommands:
         out = json.loads(capsys.readouterr().out)
         num, den = poly_from_obj(out["numerator"]), poly_from_obj(out["denominator"])
         assert num.coeffs[0, 1] != 0 and np.count_nonzero(num.coeffs) == 1
-        rep, cert = realization_from_obj(doc)
+        rep, cert = realization_from_obj(doc, "realization")
         op = ExtensionOperator(rep, cert, poly({(0, 1): 1}))
         t = np.exp(2j * np.pi * np.arange(16) / 16)
         z, w = t[:, None], t[None, :]
@@ -797,7 +797,7 @@ class TestCliCommands:
         p = dv_corpus()["haar_dv_2x2"]
         rep_path = tmp_path / "rep.json"
         assert main(["represent", write_poly(tmp_path, "p.json", p), "-o", str(rep_path)]) == 0
-        _, cert = realization_from_obj(json.loads(rep_path.read_text()))
+        _, cert = realization_from_obj(json.loads(rep_path.read_text()), "realization")
         column = cert.p.ldexp(-cert.p.exponent).coeffs[::-1, 0]
         assert np.sum(np.abs(column)) * 1.5 > 1.8
         s = -1.5e308 * np.conj(column) / np.abs(column)
@@ -809,7 +809,7 @@ class TestCliCommands:
 
     @staticmethod
     def _run_overflowing(tmp_path, entry, command):
-        """``python -m dvkit.cli`` of ``command`` on the haar_dv_3x3
+        """``python -m dvkit`` of ``command`` on the haar_dv_3x3
         realization with one entry of 1e308, of U or of a Q coefficient;
         exit 2 with one JSON report and no numpy text on stderr."""
         path = write_poly(tmp_path, "p.json", dv_corpus()["haar_dv_3x3"])
@@ -823,7 +823,7 @@ class TestCliCommands:
         rep_path.write_text(dumps(doc))
         last = write_poly(tmp_path, "f.json", poly({(0, 1): 1})) if command == "extend" else path
         env = {**os.environ, "PYTHONPATH": str(Path(dvkit.__file__).parents[1])}
-        cmd = [sys.executable, "-m", "dvkit.cli", command, str(rep_path), last]
+        cmd = [sys.executable, "-m", "dvkit", command, str(rep_path), last]
         run = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert run.returncode == 2
         assert all(line.startswith("dvkit:") for line in run.stderr.splitlines())
@@ -1118,7 +1118,7 @@ class TestDeterminism:
         path = write_poly(tmp_path, "p.json", z3_minus_w2())
         rep_path = tmp_path / "rep.json"
         main(["represent", path, "-o", str(rep_path)])
-        realization_from_obj(json.loads(rep_path.read_text()))
+        realization_from_obj(json.loads(rep_path.read_text()), "realization")
 
 
 def test_import_dvkit_loads_no_numpy():

@@ -30,7 +30,14 @@ from dvkit.dvrep import (
 )
 from dvkit.classify import ZeroLabel, classify_zero_set, fiber_roots, is_squarefree
 from dvkit.extend import extension_bound
-from dvkit.poly2 import BivariatePolynomial, VectorPolynomial, blaschke_dv, symmetrize, transpose_vars
+from dvkit.poly2 import (
+    BivariatePolynomial,
+    VectorPolynomial,
+    _exponent,
+    blaschke_dv,
+    symmetrize,
+    transpose_vars,
+)
 from dvkit.soscert import verify_certificate
 
 DV_CORPUS = dv_corpus()
@@ -348,11 +355,19 @@ class TestMaximumPrinciple:
         assert np.max(norms) <= 1.0 + report.contractivity_excess + 1e-14
 
 
-@pytest.mark.parametrize("scale", [1e-10, 1e-6, 1e-2, 1.0, 1e3, 1e6])
-def test_qmatrix_gate_is_scale_free(scale):
-    cert, _, report = represent(scale * blaschke_dv(2, [0.5, 0]))
+@pytest.mark.parametrize(
+    "p, scale",
+    [pytest.param(blaschke_dv(2, [0.5, 0]), s, id=str(s)) for s in (1e-10, 1e-6, 1e-2, 1.0, 1e3, 1e6)]
+    # at 2^1020 the largest singular value of Q lies beyond the float range,
+    # and at 2^1021 so do the values of P and Q at the sample
+    + [pytest.param(DV_CORPUS["haar_dv_6x6"], 2.0**k, id=f"haar_dv_6x6-2^{k}") for k in (1020, 1021)],
+)
+def test_qmatrix_gate_is_scale_free(p, scale):
+    unit = represent(p)[2]
+    cert, _, report = represent(scale * p)
     assert report.passed
-    assert report.qmatrix_tolerance == 1e-8 * cert.qmatrix.max_singular_value_on_disk
+    assert report.qmatrix_tolerance == cert.qmatrix.disk_bound(1e-8)
+    assert abs(report.qmatrix_tolerance - scale * unit.qmatrix_tolerance) <= 1e-12 * report.qmatrix_tolerance
     assert report.qmatrix_min_sv > 1e6 * report.qmatrix_tolerance
 
 
@@ -432,17 +447,21 @@ class TestRepresentOnce:
 
     def test_one_evaluation_of_p_and_q(self, monkeypatch):
         # the certificate holds X = (Q; zP) and Y = (wQ; P) at its sample,
-        # so the isometry and its verification read one evaluation of each
+        # so the isometry and its verification read one evaluation of each,
+        # of P and of Q divided by one common power of two
         seen = []
         evaluate = VectorPolynomial.evaluate
 
         def counted(vec, z, w):
-            seen.append(vec)
+            seen.append(vec.coeffs)
             return evaluate(vec, z, w)
 
         monkeypatch.setattr(VectorPolynomial, "evaluate", counted)
         cert, _, _ = represent(z3_minus_w2())
-        assert len(seen) == 2 and {id(v) for v in seen} == {id(cert.vec_p), id(cert.vec_q)}
+        e = max(_exponent(cert.vec_q.coeffs), _exponent(cert.vec_p.coeffs))
+        assert len(seen) == 2 and e != 0
+        assert np.array_equal(seen[0], cert.vec_q.ldexp(-e).coeffs)
+        assert np.array_equal(seen[1], cert.vec_p.ldexp(-e).coeffs)
 
     def test_unproven_label_runs_singularity_search(self, monkeypatch):
         import dvkit.dvrep

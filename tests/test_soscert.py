@@ -409,6 +409,23 @@ class TestBoundaryDilation:
         assert report.residual <= 1e-6
 
 
+@functools.cache
+def gw_thinned_certificates():
+    """(certificate, GW verdict) for the certificate of a Kummert polynomial
+    of degree (2, 2), and for copies whose first vector's first component is
+    multiplied by 1e-5 and by 1e-7."""
+    cert = sos_certificate(BivariatePolynomial(kummert(0.8 * haar_unitary(np.random.default_rng(3), 4), 2, 2)))
+    out = []
+    for factor, want in ((1.0, True), (1e-5, True), (1e-7, False)):
+        coeffs = cert.vec_first.coeffs.copy()
+        coeffs[0] *= factor
+        thinned = SosCertificate(cert.kind, VectorPolynomial(coeffs), cert.vec_second)
+        gw = gw_invertibility(thinned)
+        assert gw.passed is want and min(gw.min_sv_first, gw.min_sv_second) > 0.0
+        out.append((thinned, want))
+    return out
+
+
 def rotated_two_minus_z_minus_w():
     q = two_minus_z_minus_w()
     return BivariatePolynomial(q.coeffs * np.exp(0.7j * np.arange(2))[:, None] * np.exp(-1.3j * np.arange(2)))
@@ -622,6 +639,19 @@ class TestGwInvertibility:
         assert gw.passed
         unit = gw_invertibility(cert_four)
         assert abs(gw.min_sv_first / c - unit.min_sv_first) <= 1e-9 * unit.min_sv_first
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(-1074, 1023))
+    def test_verdict_holds_at_every_power_of_two(self, k):
+        # both bounds of the gate are formed before the power of two, so a
+        # certificate scaled exactly by 2^k keeps its verdict: two that pass,
+        # one of them thinned to 1e-5 of a component, and one thinned to
+        # 1e-7, which fails on the ratio with no det zero in the disk
+        for cert, want in gw_thinned_certificates():
+            scaled = SosCertificate(cert.kind, cert.vec_first.ldexp(k), cert.vec_second.ldexp(k))
+            for vec, back in ((cert.vec_first, scaled.vec_first), (cert.vec_second, scaled.vec_second)):
+                assume(np.array_equal(back.ldexp(-k).coeffs, vec.coeffs))
+            assert gw_invertibility(scaled).passed is want
 
     @pytest.mark.parametrize("seed", range(3))
     def test_verdict_is_basis_invariant(self, seed):
