@@ -6,7 +6,10 @@
 Both trees hold one JSON file per CLI call, ``<file>.<command>.json``.  For
 every command and every numeric key (nested keys joined by ".", list entries
 marked "[]") the script prints how many values it compared and the largest
-relative difference |a - b| / max(|a|, |b|) among them.  It then lists every
+relative difference |a - b| / max(|a|, |b|) among them.  For every key
+named ``residual`` it also prints how many values rose and how many fell
+from OLD to NEW, and the geometric mean of NEW / OLD over the pairs where
+both are positive and finite (1 when there are none).  It then lists every
 verdict that differs, at any depth: a ``passed``, ``label``, ``proven``,
 ``gram_equality`` or ``error`` key whose value changed or that one side
 lacks, and every file present on one side only.  It exits 1 if it listed
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -52,9 +56,11 @@ def _show(x):
 
 
 def compare(old_dir, new_dir):
-    """(stats, verdicts, others): stats maps (command, key) to [count, max
-    relative difference]; verdicts and others are lines naming a difference."""
-    stats, verdicts, others = {}, [], []
+    """(stats, verdicts, others, residuals): stats maps (command, key) to
+    [count, max relative difference] and residuals maps (command, key) of
+    every ``residual`` key to its (old, new) pairs; verdicts and others are
+    lines naming a difference."""
+    stats, verdicts, others, residuals = {}, [], [], {}
     names = sorted(set(os.listdir(old_dir)) | set(os.listdir(new_dir)))
     for name in names:
         sides = [os.path.join(d, name) for d in (old_dir, new_dir)]
@@ -72,9 +78,21 @@ def compare(old_dir, new_dir):
                 scale = max(abs(a), abs(b))
                 entry[0] += 1
                 entry[1] = max(entry[1], abs(a - b) / scale if scale else 0.0)
+                if key == "residual":
+                    residuals.setdefault((command, path), []).append((a, b))
             elif a != b:
                 others.append(f"{name} {path}: {_show(a)[:60]} -> {_show(b)[:60]}")
-    return stats, verdicts, others
+    return stats, verdicts, others, residuals
+
+
+def residual_shift(pairs):
+    """(rose, fell, geometric mean of new / old) over (old, new) pairs; the
+    mean reads the pairs where both are positive and finite, and is 1
+    without any."""
+    rose = sum(b > a for a, b in pairs)
+    fell = sum(b < a for a, b in pairs)
+    logs = [math.log(b / a) for a, b in pairs if 0 < a < math.inf and 0 < b < math.inf]
+    return rose, fell, math.exp(sum(logs) / len(logs)) if logs else 1.0
 
 
 def main(argv=None):
@@ -85,9 +103,12 @@ def main(argv=None):
     for d in (args.old, args.new):
         if not os.path.isdir(d):
             ap.error(f"{d}: not a directory")
-    stats, verdicts, others = compare(args.old, args.new)
+    stats, verdicts, others, residuals = compare(args.old, args.new)
     for (command, path), (count, rel) in sorted(stats.items()):
         print(f"{command} {path} count={count} max_rel={rel:.3g}")
+    for (command, path), pairs in sorted(residuals.items()):
+        rose, fell, ratio = residual_shift(pairs)
+        print(f"{command} {path} rose={rose} fell={fell} geomean_ratio={ratio:.3g}")
     for line in others:
         print(f"differs: {line}")
     for line in verdicts:

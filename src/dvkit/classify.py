@@ -144,16 +144,19 @@ def schur_cohn_matrix(coeffs) -> np.ndarray:
 
     Entry (i, k) exceeds entry (i+1, k+1) by conj(a_{m-1-i}) a_{m-1-k} -
     a_{i+1} conj(a_{k+1}), so the matrix sums that matrix's diagonal shifts.
+    The sums run with the batch axes last, so each shift adds long rows;
+    the (..., m, m) result is a view of that array.
     """
     a = np.asarray(coeffs)
     a = a.astype(np.result_type(a, np.complex128), copy=False)
-    m = a.shape[-1] - 1
-    u, v = a[..., :m][..., ::-1], a[..., 1:]
-    step = np.conj(u)[..., :, None] * u[..., None, :] - v[..., :, None] * np.conj(v)[..., None, :]
+    batch, m = a.shape[:-1], a.shape[-1] - 1
+    a = np.ascontiguousarray(a.reshape(-1, m + 1).T)
+    u, v = a[:m][::-1], a[1:]
+    step = np.conj(u)[:, None] * u[None, :] - v[:, None] * np.conj(v)[None, :]
     out = step.copy()
     for t in range(1, m):
-        out[..., :-t, :-t] += step[..., t:, t:]
-    return out
+        out[:-t, :-t] += step[t:, t:]
+    return out.transpose(2, 0, 1).reshape(batch + (m, m))
 
 
 def root_count_in_disk(p: BivariatePolynomial) -> int:
@@ -182,8 +185,9 @@ class _FourierSeries:
     def __init__(self, s, n):
         # -S''(t) = sum_{k >= 1} cos(kt) P_k + sin(kt) Q_k with P_k, Q_k =
         # k^2 (S_k + S_k^H), i k^2 (S_k - S_k^H), flattened to real rows;
-        # sum_{|k| <= n} k^2 and |k|^3, and sum |k|^3 ||S_k||_F
-        coeffs = np.fft.fft(s, axis=0)[1 : n + 1] / len(s)
+        # sum_{|k| <= n} k^2 and |k|^3, and sum |k|^3 ||S_k||_F; the samples
+        # are read sample-major, whatever the layout of ``s``
+        coeffs = np.fft.fft(np.ascontiguousarray(s), axis=0)[1 : n + 1] / len(s)
         m = coeffs.shape[1]
         self.k = k = np.arange(1, n + 1)
         scaled = (k * k)[:, None, None] * coeffs

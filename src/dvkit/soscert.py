@@ -25,13 +25,14 @@ Moments are two-dimensional Fourier coefficients.  Their w-integrals at a
 node z are exact: the Toeplitz matrix of the fiber density 1/|q(z, .)|^2 is
 the inverse of the fiber's Schur-Cohn matrix (Gohberg-Semencul), so one
 small Cholesky factorization per node gives them, with no roots, residues
-or 2-D FFT.  A single 1-D quadrature in z follows, whose grid doubles by
-adding the odd nodes to the columns already computed.  The dilates of the
-dilation route share that loop: each level computes the new nodes of every
-dilate not yet converged in one batch, each dilate converges on its own,
-and one basis factorization per side serves them all.  Every step acts on
-each node or matrix alone, so each dilate gets, to the bit, what it would
-get alone.
+or 2-D FFT; the factorizations of a level run as one sweep across its
+nodes.  A single 1-D quadrature in z follows, whose grid doubles by adding
+the inverse FFT of the odd nodes' columns, turned by one radix-2 twiddle,
+to the window already computed.  The dilates of the dilation route share
+that loop: each level computes the new nodes of every dilate not yet
+converged in one batch, each dilate converges on its own, and one basis
+factorization per side serves them all.  Every step acts on each node or
+matrix alone, so each dilate gets, to the bit, what it would get alone.
 
 Every certificate identity is a polynomial identity in (z, w, conj Z,
 conj W), so :func:`verify_certificate` compares coefficients: one tensor of
@@ -143,7 +144,10 @@ def _moment_column(fibers):
     S^-1 e_m lists J_m..J_0.  S is positive definite exactly when every root
     of the padded fiber, roots at infinity included, lies outside the closed
     disk; degree drops and all-zero top coefficient columns need no special
-    case.  With S = L L^H, S^-1 e_m is one back substitution in L^H.
+    case.  With S = L L^H, S^-1 e_m is one back substitution in L^H.  Both
+    run across all fibers at once, the fiber axis last, looping over the
+    rows of L only; a pivot d_j^2 that is not positive at some fiber, NaN
+    included, raises StabilityError.
 
     A fiber root near the circle leaves S nearly singular, and rounding S to
     double then costs eps cond(S) relative in the column.  J_0 tr(S) lies
@@ -155,72 +159,66 @@ def _moment_column(fibers):
     shape = np.shape(fibers)
     padded = np.concatenate([fibers, np.zeros(shape[:-1] + (1,))], axis=-1).reshape(-1, shape[-1] + 1)
     s = schur_cohn_matrix(padded)
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        raise StabilityError("fiber root inside the closed disk on the contour") from None
-    diag = np.einsum("nii->ni", chol).real
-    col = np.zeros(s.shape[:-1], dtype=np.complex128)
-    col[:, -1] = 1.0 / diag[:, -1] ** 2
-    for i in range(s.shape[-1] - 2, -1, -1):
-        col[:, i] = -np.sum(np.conj(chol[:, i + 1 :, i]) * col[:, i + 1 :], axis=1) / diag[:, i]
-    near = np.flatnonzero(col[:, -1].real * np.einsum("nii->n", s).real > REFINE_COND)
+    t = s.transpose(1, 2, 0)  # S[i, k] at every fiber, a view of the kernel's array
+    rows = t.shape[0]
+    chol = np.zeros_like(t)
+    diag, trace = np.empty(t.shape[1:]), np.zeros(t.shape[2])
+    for j in range(rows):
+        # column j of L: (S[j:, j] - sum_{k<j} L[j:, k] conj(L[j, k])) / d_j,
+        # the sum formed before it is subtracted, as LAPACK's unblocked
+        # Cholesky forms it
+        rest = t[j:, j] - sum(chol[j:, k] * np.conj(chol[j, k]) for k in range(j))
+        pivot = rest[0].real
+        if not np.all(pivot > 0):
+            raise StabilityError("fiber root inside the closed disk on the contour")
+        diag[j] = np.sqrt(pivot)
+        chol[j + 1 :, j] = rest[1:] / diag[j]
+        trace += t[j, j].real
+    col = np.empty(t.shape[1:], dtype=np.complex128)
+    col[-1] = 1.0 / diag[-1] ** 2
+    for i in range(rows - 2, -1, -1):
+        col[i] = -sum(np.conj(chol[k, i]) * col[k] for k in range(i + 1, rows)) / diag[i]
+    near = np.flatnonzero(col[-1].real * trace > REFINE_COND)
     if len(near):
-        last = np.eye(s.shape[-1])[-1]
+        last = np.eye(rows)[-1]
         s_ext = schur_cohn_matrix(padded[near].astype(np.clongdouble))
-        fix = (last - np.einsum("nij,nj->ni", s_ext, col[near])).astype(np.complex128)
-        col[near] += np.linalg.solve(s[near], fix[..., None])[..., 0]
-    return col[:, ::-1].reshape(shape)
-
-
-def _moment_window(qs, size, cols=None):
-    """Windows of the same-degree polynomials ``qs`` from their moment
-    columns at ``size`` nodes, and those columns, shaped (len(qs), m+1,
-    size).
-
-    ``cols`` are each polynomial's columns at size/2 nodes: those nodes are
-    the even nodes of this grid, so only the size/2 odd nodes are computed
-    afresh.  The new fibers of every polynomial go through one
-    :func:`_moment_column` call and every column through one inverse FFT.
-    Each polynomial's returned columns are an array of its own, so holding
-    them holds nothing of the others'."""
-    n, m = qs[0].degree
-    step = 1 if cols is None else 2
-    nodes = np.exp(2j * np.pi * np.arange(step - 1, size, step) / size)
-    fresh = _moment_column(np.stack([q.fibers(nodes) for q in qs])).transpose(0, 2, 1)
-    if cols is None:
-        cols = fresh
-    else:
-        both = np.empty((len(qs), m + 1, size), dtype=np.complex128)
-        for k, old in enumerate(cols):
-            both[k, :, 0::2] = old
-        both[:, :, 1::2] = fresh
-        cols = both
-    spectra = np.fft.ifft(cols, axis=-1)  # spectra[k, b, a % size] = raw mu(a, b) of qs[k]
-    a = np.arange(-n, n + 1)
-    # mu(a, -b) = conj(mu(-a, b)) fills the columns b < 0
-    lower = np.conj(spectra[:, :0:-1, (-a) % size]).transpose(0, 2, 1)
-    windows = np.concatenate([lower, spectra[:, :, a % size].transpose(0, 2, 1)], axis=-1)
-    return windows, [col.copy() for col in cols]
+        fix = (last - np.einsum("nij,jn->ni", s_ext, col[:, near])).astype(np.complex128)
+        col[:, near] += np.linalg.solve(s[near], fix[..., None])[..., 0].T
+    return col[::-1].T.reshape(shape)
 
 
 def _moment_tables(qs):
     """Moment tables of the same-degree polynomials ``qs``, climbing their
     quadrature grids together.
 
-    Each level doubles the grids of the unconverged polynomials in one
-    :func:`_moment_window` call; each leaves at the level where its own
-    window agrees with the one before to 1e-9 relative.  The polynomials
-    advancing together hold at most GRID_CAP nodes between them, so a
-    batch that converges late climbs its last levels in smaller groups, the
-    first unconverged polynomial always among them; it raises
-    QuadratureError once that one reaches GRID_CAP nodes unconverged.  Only
-    the unconverged polynomials hold columns, each its own.
+    A level of ``size`` nodes exp(2 pi i k / size) keeps, for each
+    polynomial, only its half window: the means over the nodes of z^a J_b(z)
+    for |a| <= n and b = 0..m, one inverse FFT of the moment columns.  The
+    odd nodes of the doubled grid are the old ones turned by omega =
+    exp(i pi / size), so doubling computes their columns alone and adds
+    omega^a times their inverse FFT to the half window, one radix-2 step;
+    mu(a, -b) = conj(mu(-a, b)) fills in the rest of the window.  Each
+    level doubles the grids of the unconverged polynomials with one
+    :func:`_moment_column` call on their new fibers, formed from one table
+    of node powers; each leaves at the level where its own window agrees
+    with the one before to 1e-9 relative.  The grids advancing together
+    hold at most GRID_CAP nodes between them, so a batch that converges
+    late climbs its last levels in smaller groups, the first unconverged
+    polynomial always among them; it raises QuadratureError once that one
+    reaches GRID_CAP nodes unconverged.
     """
     n, m = qs[0].degree
+    a = np.arange(-n, n + 1)
+
+    def node_means(group, size, step):
+        # half windows over the nodes k = step - 1, 2 step - 1, ... < size
+        nodes = np.exp(2j * np.pi * np.arange(step - 1, size, step) / size)
+        powers = nodes[:, None] ** np.arange(n + 1)
+        cols = _moment_column(np.stack([powers @ qs[k].coeffs for k in group]))
+        return np.fft.ifft(cols.transpose(0, 2, 1), axis=-1)[:, :, a % len(nodes)].transpose(0, 2, 1)
+
     size = 1 << max(8, math.ceil(math.log2(max(1, 16 * (n + m)))))
-    wins, cols = _moment_window(qs, size)
-    wins, sizes = list(wins), [size] * len(qs)
+    halves, sizes = list(node_means(range(len(qs)), size, 1)), [size] * len(qs)
     tables = [None] * len(qs)
     pending = list(range(len(qs)))
     while pending:
@@ -228,19 +226,20 @@ def _moment_tables(qs):
         if size >= GRID_CAP:
             raise QuadratureError("quadrature unresolved: moment window did not converge")
         group = [k for k in pending if sizes[k] == size][: max(1, GRID_CAP // (2 * size))]
-        nxt, both = _moment_window([qs[k] for k in group], 2 * size, [cols[k] for k in group])
-        prev = np.stack([wins[k] for k in group])
+        prev = np.stack([halves[k] for k in group])
+        nxt = 0.5 * (prev + np.exp(1j * np.pi * a / size)[:, None] * node_means(group, 2 * size, 2))
+        # the lower half of a window holds the same moduli as the upper
         scale = np.maximum(np.max(np.abs(nxt), axis=(1, 2)), 1e-300)
         errs = np.max(np.abs(nxt - prev), axis=(1, 2)) / scale
         for i, k in enumerate(group):
             if errs[i] <= 1e-9:
-                mu00 = nxt[i, n, m].real
-                tables[k] = MomentTable(qs[k], math.sqrt(1.0 / mu00), nxt[i] / mu00, 2 * size)
-                wins[k] = cols[k] = None
+                window = np.concatenate([np.conj(nxt[i, ::-1, :0:-1]), nxt[i]], axis=-1)
+                mu00 = window[n, m].real
+                tables[k] = MomentTable(qs[k], math.sqrt(1.0 / mu00), window / mu00, 2 * size)
+                halves[k] = None
                 pending.remove(k)
             else:
-                wins[k], cols[k], sizes[k] = nxt[i], both[i], 2 * size
-        del both  # a converged member's columns go now, not after the next level
+                halves[k], sizes[k] = nxt[i], 2 * size
     return tables
 
 
@@ -251,13 +250,15 @@ def compute_moments(q: BivariatePolynomial) -> MomentTable:
     gives the exact w-integrals J_0..J_m, refined once where a fiber root
     nears the circle; no roots, residues or 2-D FFT are involved.  A 1-D
     quadrature in z then gives the window.  Its grid starts at the smallest
-    power of two >= max(256, 16(n+m)) and doubles, adding only the odd
-    nodes, until the window agrees with the doubled grid's to 1e-9 relative,
-    up to GRID_CAP = 2^20 nodes.  A fiber root inside the closed disk on the
+    power of two >= max(256, 16(n+m)) and doubles until the window agrees
+    with the doubled grid's to 1e-9 relative, up to GRID_CAP = 2^20 nodes.
+    A doubling computes the columns of the odd nodes alone and adds
+    omega^a times their inverse FFT to the window, omega = exp(i pi / N)
+    for a grid of N nodes.  A fiber root inside the closed disk on the
     contour (a zero of q on the closed bidisk, or q(z, 0) = 0) raises
     StabilityError.  This is the batch of one of the loop that the dilates
-    of the dilation route share: they climb the grid together, one
-    Schur-Cohn solve and one inverse FFT per level, each converging on its
+    of the dilation route share: they climb the grid together, one sweep of
+    Schur-Cohn solves and one inverse FFT per level, each converging on its
     own, and every table is the one q alone would get, to the bit.
     """
     return _moment_tables([q])[0]
@@ -435,6 +436,17 @@ def _dilation_certificate(q):
     return _refactor_kernel_tensor(ta0, n), _refactor_kernel_tensor(tb0, m)
 
 
+def _times_power_of_two(vec_a, vec_b, e):
+    """Both certificate vectors times 2^e.  A coefficient carried past the
+    float range raises OverflowError: a certificate that is not finite
+    would only fail every later gate, for a reason that does not name it."""
+    with np.errstate(over="ignore"):
+        vec_a, vec_b = vec_a.ldexp(e), vec_b.ldexp(e)
+    if not (np.isfinite(vec_a.coeffs).all() and np.isfinite(vec_b.coeffs).all()):
+        raise OverflowError(f"certificate overflow: 2^{e} times the certificate leaves the float range")
+    return vec_a, vec_b
+
+
 def sos_certificate(q: BivariatePolynomial) -> SosCertificate:
     """Two-square certificate q qbar - reflect(q) reflect(q)bar =
     (1-|z|^2)|A|^2 + (1-|w|^2)|B|^2 for q with no zeros on the bidisk.
@@ -445,12 +457,13 @@ def sos_certificate(q: BivariatePolynomial) -> SosCertificate:
     q is zero.  q is first divided by the power of two that brings its
     scale into [1/2, 1) and both vectors are multiplied back by it, which
     is exact: the certificate of 2^k q is 2^k times that of q wherever both
-    stay in range.
+    stay in range.  A certificate beyond the float range raises
+    OverflowError.
     """
     e = q.exponent
     q = q.ldexp(-e)
     vec_a, vec_b = _stability_route(q)(q)
-    return SosCertificate(CertKind.COLE_WERMER, vec_a.ldexp(e), vec_b.ldexp(e))
+    return SosCertificate(CertKind.COLE_WERMER, *_times_power_of_two(vec_a, vec_b, e))
 
 
 @dataclass(frozen=True)
@@ -510,7 +523,8 @@ def sym_sos_certificate(
     direct route when True and the dilation route when False, and skips
     classifying g; None classifies g.  Like :func:`sos_certificate`, it
     builds from q divided by a power of two and multiplies both vectors
-    back, so it is exactly covariant under 2^k q.
+    back, so it is exactly covariant under 2^k q, and a certificate beyond
+    the float range raises OverflowError.
     """
     if a < 0 or b < 0 or (a == 0 and b == 0):
         raise ValueError("weights must be non-negative and not both zero")
@@ -535,7 +549,7 @@ def sym_sos_certificate(
         build = _direct_certificate if smooth else _dilation_certificate
     vec_a, vec_b = build(g)
     scale = 1.0 / math.sqrt(a * n + b * m)
-    vec_a, vec_b = vec_a.scaled(scale).ldexp(e), vec_b.scaled(scale).ldexp(e)
+    vec_a, vec_b = _times_power_of_two(vec_a.scaled(scale), vec_b.scaled(scale), e)
     return SosCertificate(CertKind.SYMMETRIC, vec_a, vec_b, (a, b))
 
 
@@ -611,7 +625,10 @@ def verify_certificate(q: BivariatePolynomial, cert: SosCertificate) -> Verifica
                 diff = (kappa - zpow - wpow) * qq - ka - kb
             else:
                 diff = (b * m - a * n + zpow - wpow) * qq + ka - kb
-        l1 = float(np.sum(np.abs(diff)))
+        # the nonzero terms alone, in order, so that zero padding leaves the
+        # grouping of the sum, and so its rounding, as it is
+        mags = np.abs(diff)
+        l1 = float(np.sum(mags[mags != 0]))
     denom = kappa * float(np.sum(np.abs(q.coeffs) ** 2))
     residual = l1 / denom if denom > 0 else math.inf
     return VerificationReport(residual, 1e-7)

@@ -352,6 +352,13 @@ class TestCliCommands:
             outputs.append(capsys.readouterr())
         assert outputs[1] == outputs[2] == outputs[0]
 
+    def test_represent_names_certificate_overflow_exit_2(self, tmp_path, capsys):
+        # a finite polynomial whose certificate lies beyond the float range
+        path = write_poly(tmp_path, "huge.json", dv_corpus()["haar_dv_6x6"].ldexp(1023))
+        assert main(["represent", path, "-o", str(tmp_path / "rep.json")]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False and out["error"].startswith("certificate overflow")
+
     def test_extend_refuses_det_q_zero_exit_2(self, realization_doc, tmp_path, capsys):
         # the first row of Q(z) loses its constant term: Q(0) is singular, so
         # det Q vanishes at z = 0

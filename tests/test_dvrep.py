@@ -371,6 +371,32 @@ def test_qmatrix_gate_is_scale_free(p, scale):
     assert report.qmatrix_min_sv > 1e6 * report.qmatrix_tolerance
 
 
+@pytest.mark.parametrize("factor, want", [(1e-7, True), (1e-9, False)])
+def test_qmatrix_gate_factor_is_pinned(factor, want):
+    # Q of the Blaschke variety thinned in one component puts the least
+    # singular value of Qmatrix at about factor/2 of its largest: 4.5e-8
+    # passes the 1e-8 gate and 4.5e-10 fails it, so a gate at 1e-6 or at
+    # 1e-10 gives the wrong verdict on one of them.  Only the Qmatrix
+    # fields of the report move; the others are the certificate's own.
+    cert, rep, report = represent(blaschke_dv(2, [0.5, 0]))
+    coeffs = cert.vec_q.coeffs.copy()
+    coeffs[0] *= factor
+    thinned = verify_representation(cert.p, replace(cert, vec_q=VectorPolynomial(coeffs)), rep)
+    ratio = thinned.qmatrix_min_sv / thinned.qmatrix_tolerance * 1e-8
+    assert factor / 3 < ratio < factor
+    gated = replace(report, qmatrix_min_sv=thinned.qmatrix_min_sv, qmatrix_tolerance=thinned.qmatrix_tolerance)
+    assert report.passed and gated.passed is want
+
+
+def test_certificate_overflow_is_named():
+    # the largest coefficient of p * 2^1023 is 9.4e307, finite, but its
+    # certificate's lies beyond the float range
+    p = DV_CORPUS["haar_dv_6x6"].ldexp(1023)
+    assert np.isfinite(p.coeffs).all()
+    with pytest.raises(OverflowError, match="certificate overflow"):
+        represent(p)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_qmatrix_gate_is_basis_invariant(seed):
     # a constant unitary mixing of the components of P and of Q keeps every

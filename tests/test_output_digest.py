@@ -3,8 +3,11 @@ tools that compare the CLI outputs of two checkouts."""
 
 import importlib.util
 import json
+import math
 import re
 from pathlib import Path
+
+import pytest
 
 from conftest import four_minus_z_minus_w, one_minus_z3w2, z3_minus_w2
 from dvkit.serialize import dumps, poly_to_obj
@@ -94,6 +97,23 @@ def test_compare_dumps_tells_a_changed_verdict(tmp_path, capsys):
     verify.unlink()
     assert compare.main([str(old), str(new)]) == 1
     assert f"VERDICT: z3w2.json.verify.json: only in {old}" in capsys.readouterr().out
+
+
+def test_compare_dumps_counts_residual_shifts(tmp_path, capsys):
+    # one residual rises 8-fold, one halves and one stays: the geometric
+    # mean of new / old is 2, and moved residuals alone leave the exit 0
+    compare = load_script("compare_dumps")
+    old, new = tmp_path / "old", tmp_path / "new"
+    for side, values in ((old, (1e-15, 4e-14, 3e-16)), (new, (8e-15, 2e-14, 3e-16))):
+        side.mkdir()
+        for k, value in enumerate(values):
+            doc = {"verification": {"passed": True, "residual": value}}
+            (side / f"q{k}.json.sos.json").write_text(json.dumps(doc))
+    assert compare.main([str(old), str(new)]) == 0
+    out = capsys.readouterr().out
+    assert "sos verification.residual rose=1 fell=1 geomean_ratio=1.59\n" in out
+    assert compare.residual_shift([(1e-15, 8e-15), (4e-14, 2e-14)]) == (1, 1, pytest.approx(2.0))
+    assert compare.residual_shift([(0.0, 1e-16), (1e-16, math.inf)]) == (2, 0, 1.0)
 
 
 def test_scale_multiplies_every_polynomial(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import functools
 import warnings
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -45,7 +44,6 @@ from dvkit.soscert import (
     SubspaceError,
     _gram,
     _moment_column,
-    _moment_window,
     compute_moments,
     gw_invertibility,
     sos_certificate,
@@ -170,6 +168,41 @@ class TestResidueFirst:
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double"
     )
+    @given(st.lists(stable_fiber(), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_column_matches_per_fiber_lapack(self, fibers):
+        # the Cholesky and back substitution that run across all fibers at
+        # once, against one LAPACK factorization and solve per fiber; each
+        # fiber is padded with zero top coefficients to length 8.  Both
+        # columns are refined against S formed in long double, as the kernel
+        # refines an ill-conditioned fiber, so they agree to 1e-13 unless the
+        # long double rounding of S, eps cond(S), allows more (seven roots
+        # of modulus 1.5-2 in two clusters make cond(S) about 2e7)
+        batch = np.array([np.pad(f, (0, 8 - len(f))) for f in fibers])
+        got = _moment_column(batch)
+        for f, col in zip(batch, got):
+            padded = np.append(f, 0.0)
+            s, last = schur_cohn_matrix(padded), np.eye(len(f))[-1]
+            np.linalg.cholesky(s)
+            want = np.linalg.solve(s, last)
+            fix = (last - schur_cohn_matrix(padded.astype(np.clongdouble)) @ want).astype(np.complex128)
+            want = (want + np.linalg.solve(s, fix))[::-1]
+            allowed = max(1e-13, 10 * np.finfo(np.longdouble).eps * np.linalg.cond(s))
+            assert np.max(np.abs(col - want)) <= allowed * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("bad", [[0.5, 1.0], [np.nan, 1.0]], ids=["root_inside", "nan"])
+    def test_one_bad_fiber_refuses_the_batch(self, bad):
+        # one fiber among many whose pivot is not positive, from a root
+        # inside the disk or a NaN coefficient
+        batch = np.tile([2.0, -1.0 + 0.5j], (300, 1))
+        assert np.all(np.isfinite(_moment_column(batch)))
+        batch[137] = bad
+        with pytest.raises(StabilityError, match="fiber root inside the closed disk"):
+            _moment_column(batch)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double"
+    )
     def test_root_near_circle_refined(self):
         # a0 + a1 w with |a1| = 1 and a0 = 1 + 1e-6: J_0 = 1/(|a0|^2 - |a1|^2)
         # and J_1 = -conj(a1 / a0) J_0, exact in rationals; without the long
@@ -180,11 +213,19 @@ class TestResidueFirst:
         j1 = -complex(Fraction(a1.real) * j0 / Fraction(a0), -Fraction(a1.imag) * j0 / Fraction(a0))
         assert np.max(np.abs(col - [float(j0), j1])) <= 2e-13 * float(j0)
 
-    def test_reused_columns_match_fresh_window(self):
-        _, cols = _moment_window([self.STABLE], 256)
-        reused, _ = _moment_window([self.STABLE], 512, cols)
-        fresh, _ = _moment_window([self.STABLE], 512)
-        assert np.max(np.abs(reused - fresh)) <= 1e-15
+    def test_odd_node_sums_match_fresh_level(self):
+        # STABLE converges at 512 nodes: its window is the 256-node level's
+        # plus the odd nodes' radix-2 term, against one inverse FFT of the
+        # columns at all 512 nodes
+        mom = compute_moments(self.STABLE)
+        assert mom.grid_size == 512
+        n, m = self.STABLE.degree
+        nodes = np.exp(2j * np.pi * np.arange(512) / 512)
+        spectra = np.fft.ifft(_moment_column(self.STABLE.fibers(nodes)).T, axis=-1)
+        a = np.arange(-n, n + 1)
+        half = spectra[:, a % 512].T
+        fresh = np.concatenate([np.conj(half[::-1, :0:-1]), half], axis=-1)
+        assert np.max(np.abs(mom.window - fresh / fresh[n, m].real)) <= 1e-15
 
     def test_doubling_computes_only_new_nodes(self, monkeypatch):
         sizes = []
@@ -460,59 +501,29 @@ class TestDilationBatch:
 
     def test_late_members_advance_in_groups(self, monkeypatch):
         # at a cap of 4096 nodes the nine dilates below cannot all double
-        # together even from 256 nodes; the groups that do advance hold at
-        # most the cap between them, and every table is still the one its
-        # polynomial gets alone
+        # together even from 256 nodes; the grids of the groups that do
+        # advance hold at most the cap between them, and every table is
+        # still the one its polynomial gets alone.  The first level computes
+        # every node of its grid, each later one the odd nodes alone.
         q = two_minus_z_minus_w()
         radii = soscert.DILATION_RADII + (0.9999, 0.9999)
         alone = [compute_moments(soscert.dilate(q, r)) for r in radii]
         held = []
-        window = soscert._moment_window
+        column = soscert._moment_column
 
-        def counted(qs, size, cols=None):
-            held.append(len(qs) * size)
-            return window(qs, size, cols)
+        def counted(fibers):
+            members, nodes = np.shape(fibers)[:2]
+            held.append(members * nodes * (2 if held else 1))
+            return column(fibers)
 
         monkeypatch.setattr(soscert, "GRID_CAP", 4096)
-        monkeypatch.setattr(soscert, "_moment_window", counted)
+        monkeypatch.setattr(soscert, "_moment_column", counted)
         tables = soscert._moment_tables([soscert.dilate(q, r) for r in radii])
-        assert max(held) <= 4096 and max(t.grid_size for t in tables) == 4096
+        assert held[0] == 9 * 256 and max(held) <= 4096 and max(t.grid_size for t in tables) == 4096
         for table, want in zip(tables, alone):
             assert np.array_equal(table.window, want.window)
+            assert table.normalizer_c == want.normalizer_c
             assert table.grid_size == want.grid_size
-
-    def test_only_pending_members_hold_columns(self, monkeypatch):
-        # at a cap of 4096 nodes the nine dilates converge at different
-        # levels and some wait while others double; at the start of every
-        # level, and after the loop, the live columns are exactly the latest
-        # ones of the members still unconverged, each an array of its own
-        q = two_minus_z_minus_w()
-        dilates = [soscert.dilate(q, r) for r in soscert.DILATION_RADII + (0.9999, 0.9999)]
-        index = {id(d): k for k, d in enumerate(dilates)}
-        calls, seen = [], []
-        window = soscert._moment_window
-
-        def snapshot():
-            seen.append({(t, k): r() is not None for t, (_, refs) in enumerate(calls) for k, r in refs.items()})
-
-        def watched(qs, size, cols=None):
-            snapshot()
-            wins, grown = window(qs, size, cols)
-            assert all(col.base is None for col in grown)
-            members = [index[id(p)] for p in qs]
-            calls.append((members, {k: weakref.ref(col) for k, col in zip(members, grown)}))
-            return wins, grown
-
-        monkeypatch.setattr(soscert, "GRID_CAP", 4096)
-        monkeypatch.setattr(soscert, "_moment_window", watched)
-        soscert._moment_tables(dilates)
-        snapshot()
-        assert len({len(members) for members, _ in calls}) > 2  # groups of several sizes
-        for now, alive in enumerate(seen):
-            for (t, k), live in alive.items():
-                latest = max(u for u in range(now) if k in calls[u][0]) == t
-                pending = any(k in members for members, _ in calls[now:])
-                assert live == (latest and pending), (now, t, k)
 
     @pytest.mark.parametrize(
         "q",
