@@ -236,7 +236,6 @@ def _moment_tables(qs):
                 window = np.concatenate([np.conj(nxt[i, ::-1, :0:-1]), nxt[i]], axis=-1)
                 mu00 = window[n, m].real
                 tables[k] = MomentTable(qs[k], math.sqrt(1.0 / mu00), window / mu00, 2 * size)
-                halves[k] = None
                 pending.remove(k)
             else:
                 halves[k], sizes[k] = nxt[i], 2 * size
