@@ -122,6 +122,35 @@ def node_family(eps):
     return BivariatePolynomial.from_terms(diagonal) * BivariatePolynomial.from_terms(graph)
 
 
+def kummert_torus_zero(n, m, s):
+    """det(I - K diag(z I_n, w I_m)) for a K of norm 1 that puts a zero on
+    the torus: StableOpen, of degree (n, m).
+
+    From ``default_rng(100 n + 10 m + s)``: V a Haar unitary of size n + m,
+    C a complex Gaussian of size n + m - 1 scaled to norm 0.8, M = V (1 + C)
+    V^H with 1 + C block diagonal, and a, b uniform in [0, 2 pi).  Then
+    K = D^H M for D = diag(e^{ia} I_n, e^{ib} I_m) has norm 1, so the
+    polynomial has no zero in the open bidisk, and K D = D^H M D has the
+    eigenvalue 1, so it vanishes at (e^{ia}, e^{ib}).  The coefficients are
+    read off the values at roots of unity by a 2-D FFT.
+    ``tests/conftest.py`` loads this copy, as it loads :func:`haar_unitary`."""
+    rng = np.random.default_rng(100 * n + 10 * m + s)
+    size = n + m
+    v = haar_unitary(rng, size)
+    c = rng.normal(size=(size - 1, size - 1)) + 1j * rng.normal(size=(size - 1, size - 1))
+    core = np.zeros((size, size), dtype=np.complex128)
+    core[0, 0], core[1:, 1:] = 1.0, 0.8 * c / np.linalg.norm(c, 2)
+    a, b = rng.uniform(0.0, 2 * np.pi, 2)
+    k = np.conj(np.repeat([np.exp(1j * a), np.exp(1j * b)], [n, m]))[:, None] * (v @ core @ v.conj().T)
+    # diag(z I_n, w I_m) over the (n + 1) x (m + 1) grid of roots of unity
+    zs = np.exp(2j * np.pi * np.arange(n + 1) / (n + 1))[:, None, None]
+    ws = np.exp(2j * np.pi * np.arange(m + 1) / (m + 1))[None, :, None]
+    shape = (n + 1, m + 1)
+    diag = np.concatenate([np.broadcast_to(zs, shape + (n,)), np.broadcast_to(ws, shape + (m,))], axis=-1)
+    values = np.linalg.det(np.eye(size) - k * diag[..., None, :])
+    return BivariatePolynomial(np.fft.fft2(values) / ((n + 1) * (m + 1)))
+
+
 def classified(p):
     """(label, proven, samples) of ``classify_zero_set(p)``, samples the
     count of each of its circle proofs in call order."""

@@ -16,7 +16,7 @@ from dataclasses import asdict
 
 from . import classify as classify_mod
 from . import serialize as ser
-from .dvrep import represent, verify_representation
+from .dvrep import GRAM_TOL, represent, verify_representation
 from .extend import ExtensionOperator, expand_extension, verify_extension
 from .poly2 import (
     BivariatePolynomial,
@@ -180,7 +180,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         obj.update(_report_obj(verify_certificate(p, cert)))
         if dv is not None:
             # the Gram identity X*X = Y*Y on the variety sample that represent takes
-            obj["gram_equality"] = dv.gram_defect <= dv.gram_tolerance
+            obj["gram_equality"] = dv.gram_defect <= GRAM_TOL
             obj["passed"] = obj["passed"] and obj["gram_equality"]
     else:
         raise ser.SchemaError(f"{where}.kind: unrecognized artifact kind {kind!r}")

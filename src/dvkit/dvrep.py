@@ -66,12 +66,10 @@ SAMPLE_SEED = 7
 # and the extension both gate on it.
 RHO_D_MAX = 1.0 - 1e-8
 # Gate on the eigen relation, max |Phi Q - w Q| relative to max |Q| on the
-# variety: the representation report (scaled by its slack) and the
-# extension both read it.
+# variety: the representation report and the extension both read it.
 EIGEN_TOL = 1e-7
-# Gate on the sampled Gram defect X*X = Y*Y of a certificate of a variety
-# smooth on the torus; the representation report's other residual gates
-# loosen by the ratio of a certificate's own Gram gate to this one.
+# Gate on the sampled Gram defect X*X = Y*Y of every certificate: the
+# isometry, the representation report and ``verify`` read it.
 GRAM_TOL = 1e-8
 
 
@@ -130,13 +128,6 @@ class DvCertificate:
         gx = x.conj().T @ x
         gy = y.conj().T @ y
         return float(np.max(np.abs(gx - gy))) / max(float(np.max(np.abs(gx))), 1e-300)
-
-    @property
-    def gram_tolerance(self) -> float:
-        """Gate on the sampled Gram defect X*X = Y*Y.  The certificate of a
-        variety singular on the torus passes through the dilation limit and
-        carries its extrapolation error, so its gate is 1e-6, not GRAM_TOL."""
-        return GRAM_TOL if self.smooth_on_torus else 1e-6
 
     def as_sos(self) -> SosCertificate:
         return SosCertificate(CertKind.DV, self.vec_p, self.vec_q, self.weights)
@@ -281,9 +272,9 @@ def lurking_isometry(cert: DvCertificate) -> UnitaryRealization:
     """Unitary completion of the isometry (Q; zP) -> (wQ; P) read off the
     certificate's variety sample.
 
-    The Gram equality X*X = Y*Y is asserted, to the certificate's
-    ``gram_tolerance``, before any construction; the
-    partial isometry between the ranges comes from a thin SVD, and the
+    The Gram equality X*X = Y*Y is asserted, to GRAM_TOL, before any
+    construction; the partial isometry between the ranges comes from a thin
+    SVD, and the
     completion maps the orthonormal complement of range(X) onto that of
     range(Y) in singular-vector order, which makes the result
     reproducible.  Its unitarity and rho(D) are gated by
@@ -292,10 +283,8 @@ def lurking_isometry(cert: DvCertificate) -> UnitaryRealization:
     n = len(cert.vec_p)
     x, y = cert.maps
     defect = cert.gram_defect
-    if not defect <= cert.gram_tolerance:
-        raise IsometryError(
-            f"isometry violated: Gram mismatch {defect:.3e} exceeds {cert.gram_tolerance:.1e}"
-        )
+    if not defect <= GRAM_TOL:
+        raise IsometryError(f"isometry violated: Gram mismatch {defect:.3e} exceeds {GRAM_TOL:.1e}")
     ux, sx, vxh = np.linalg.svd(x)
     rank = int(np.sum(sx > RANK_TOL * sx[0]))
     if x.shape[1] > rank + 10:
@@ -335,9 +324,8 @@ def eigen_relation(phis: np.ndarray, w: np.ndarray, qv: np.ndarray) -> float:
     to the largest |Q(z, w)|: how far each Q(z, w) is from a w-eigenvector
     of Phi(z).  ``phis`` holds Phi at each point's z, shape (S, m, m), and
     ``qv`` the vectors Q(z, w), shape (m, S).  The representation report
-    and the extension gate it at EIGEN_TOL (the report 100 times looser off
-    a torus-smooth variety).  No points give 0, and a value that is not
-    finite fails the gate."""
+    and the extension gate it at EIGEN_TOL.  No points give 0, and a value
+    that is not finite fails the gate."""
     vals = np.abs(np.einsum("kij,jk->ik", phis, qv) - w * qv)
     return float(np.max(vals, initial=0.0) / max(np.max(np.abs(qv), initial=0.0), 1e-300))
 
@@ -377,12 +365,11 @@ class RepresentationReport:
 
     @property
     def passed(self) -> bool:
-        slack = self.gram_tolerance / GRAM_TOL
         checks = [
             self.gram_defect <= self.gram_tolerance,
-            self.det_on_samples <= 1e-7 * slack,
-            self.eigen_relation <= EIGEN_TOL * slack,
-            self.det_vs_p_rel <= 1e-6 * slack,
+            self.det_on_samples <= 1e-7,
+            self.eigen_relation <= EIGEN_TOL,
+            self.det_vs_p_rel <= 1e-6,
             self.unitarity <= 1e-10,
             self.boundary_unitarity <= 1e-8,
             self.contractivity_excess <= 1e-8,
@@ -445,7 +432,7 @@ def verify_representation(
     sv = cert.qmatrix.min_singular_value_on_disk if cert.smooth_on_torus else None
     return RepresentationReport(
         gram_defect=cert.gram_defect,
-        gram_tolerance=cert.gram_tolerance,
+        gram_tolerance=GRAM_TOL,
         qmatrix_tolerance=cert.qmatrix.disk_bound(1e-8),
         det_on_samples=det_on,
         eigen_relation=eig_rel,

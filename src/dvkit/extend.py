@@ -111,16 +111,18 @@ def _max_abs(values) -> float:
 
 def _require_analytic(rep: UnitaryRealization, cert: DvCertificate) -> None:
     """Refuse a realization whose F may have a pole in the closed bidisk:
-    a zero of det Q in the closed disk (found by the block companion of
-    :attr:`MatrixPolynomial.det_zeros_in_disk`), rho(D) not below
-    RHO_D_MAX, a NaN radius included, or a zero in the closed disk of p_m,
-    the leading w-coefficient of p, which the remainder divides by."""
-    zeros = cert.qmatrix.det_zeros_in_disk
-    if len(zeros):
-        raise ValueError(
-            f"Qmatrix: det Q has a zero at z = {complex(zeros[0]):.6g} in the closed disk, "
-            "so Q^-1 and the extension are not analytic on the closed bidisk"
+    Q failing the Qmatrix gate of the representation report (a zero of
+    det Q in the closed disk, which is named, or one just outside), rho(D)
+    not below RHO_D_MAX, a NaN radius included, or a zero in the closed
+    disk of p_m, the leading w-coefficient of p, which F divides by."""
+    qmatrix = cert.qmatrix
+    sigma, bound = qmatrix.min_singular_value_on_disk, qmatrix.disk_bound(1e-8)
+    if not sigma > bound:
+        zeros = qmatrix.det_zeros_in_disk
+        why = f"det Q has a zero at z = {complex(zeros[0]):.6g} in the closed disk" if len(zeros) else (
+            f"Q's least singular value on the closed disk, {sigma:.3e}, is not above {bound:.3e}"
         )
+        raise ValueError(f"Qmatrix: {why}, so Q^-1 and the extension are not analytic on the closed bidisk")
     rho = rep.d_spectral_radius()
     if not rho < RHO_D_MAX:
         raise ValueError(
@@ -140,9 +142,9 @@ def extension_bound(rep: UnitaryRealization, cert: DvCertificate) -> float:
     from :meth:`MatrixPolynomial.singular_values_on_circle`; Q and the
     analyticity gates alone, neither f nor the variety's points.
 
-    Raises ValueError when det Q or p_m has a zero in the closed disk or
-    rho(D) is not below RHO_D_MAX.  Otherwise Q^{-1} is analytic on the
-    closed disk, log ||Q|| and log ||Q^{-1}|| are subharmonic, and by the
+    Raises ValueError when Q fails the Qmatrix gate, p_m has a zero in
+    the closed disk or rho(D) is not below RHO_D_MAX.  Otherwise Q^{-1} is
+    analytic on the closed disk, log ||Q|| and log ||Q^{-1}|| are subharmonic, and by the
     maximum principle the condition number ||Q|| ||Q^{-1}|| takes its sup
     over the disk on the circle, which the samples stand for, at every
     scale of Q.  A Q singular at a sample gives a C that is not finite.

@@ -206,7 +206,7 @@ def dv_cert_from_obj(obj: dict, where: str) -> DvCertificate:
     smooth = obj.get("smooth_on_torus", True)
     if not isinstance(smooth, bool):
         raise SchemaError(f"{where}.smooth_on_torus: expected true or false, got {json.dumps(smooth)}")
-    # false loosens the Gram gate and skips the Qmatrix gate, so it is checked
+    # false skips the Qmatrix gate, so it is checked
     if not smooth and torus_singularities(p).smooth_on_torus:
         raise SchemaError(
             f"{where}.smooth_on_torus: false, but {where}.poly has no singular point on the torus"

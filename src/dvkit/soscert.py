@@ -15,24 +15,16 @@ Gram matrix; it gives orthonormal bases E, F of the complements, which satisfy
     |q|^2 - |reflect(q)|^2 = c^2 [ (1-|z|^2) |E|^2 + (1-|w|^2) |F|^2 ],
 
 which after absorbing c into the vectors is the two-square decomposition for
-a polynomial with no zeros on the closed bidisk.  Polynomials that are only
-zero-free on the open bidisk (torus zeros allowed) are handled by dilating
-q_r(z, w) = q(rz, rw), building certificates along r -> 1, and extrapolating
-the (unitary-invariant) kernel coefficient tensors to r = 1; a torus-symmetric
-one has |q| = |reflect(q)| everywhere, so its certificate is zero.
+a polynomial with no zeros on the closed bidisk.  One zero-free only on the
+open bidisk (torus zeros allowed) refines the certificate of its dilate
+q(0.9z, 0.9w) by Gauss-Newton on its own identity; a torus-symmetric one has
+|q| = |reflect(q)| everywhere, so its certificate is zero.
 
 Moments are two-dimensional Fourier coefficients.  Their w-integrals at a
 node z are exact: the Toeplitz matrix of the fiber density 1/|q(z, .)|^2 is
 the inverse of the fiber's Schur-Cohn matrix (Gohberg-Semencul), so one
 small Cholesky factorization per node gives them, with no roots, residues
-or 2-D FFT; the factorizations of a level run as one sweep across its
-nodes.  A single 1-D quadrature in z follows, whose grid doubles by adding
-the inverse FFT of the odd nodes' columns, turned by one radix-2 twiddle,
-to the window already computed.  The dilates of the dilation route share
-that loop: each level computes the new nodes of every dilate not yet
-converged in one batch, each dilate converges on its own, and one basis
-factorization per side serves them all.  Every step acts on each node or
-matrix alone, so each dilate gets, to the bit, what it would get alone.
+or 2-D FFT; a 1-D quadrature in z follows.
 
 Every certificate identity is a polynomial identity in (z, w, conj Z,
 conj W), so :func:`verify_certificate` compares coefficients: one tensor of
@@ -80,16 +72,10 @@ __all__ = [
     "dilate",
 ]
 
-# Certificate coefficients of the dilated family q(rz, rw) approach the
-# boundary-zero limit like sqrt(1 - r) (measured, and stable across the
-# corpus), so extrapolation runs in h = sqrt(1 - r); the radii are geometric
-# in h, which makes polynomial extrapolation to h = 0 well conditioned.
-DILATION_RADII = (0.9, 0.97, 0.99, 0.997, 0.999, 0.9997, 0.9999)
 # Condition estimate J_0 tr(S) of a fiber's Schur-Cohn matrix S above which
 # its moment column is refined in long double.
 REFINE_COND = 1e2
-# Largest quadrature grid of a moment table; the polynomials of a batch
-# that double their grids together hold at most this many nodes between them.
+# Largest quadrature grid of a moment table.
 GRID_CAP = 1 << 20
 
 
@@ -187,80 +173,43 @@ def _moment_column(fibers):
     return col[::-1].T.reshape(shape)
 
 
-def _moment_tables(qs):
-    """Moment tables of the same-degree polynomials ``qs``, climbing their
-    quadrature grids together.
-
-    A level of ``size`` nodes exp(2 pi i k / size) keeps, for each
-    polynomial, only its half window: the means over the nodes of z^a J_b(z)
-    for |a| <= n and b = 0..m, one inverse FFT of the moment columns.  The
-    odd nodes of the doubled grid are the old ones turned by omega =
-    exp(i pi / size), so doubling computes their columns alone and adds
-    omega^a times their inverse FFT to the half window, one radix-2 step;
-    mu(a, -b) = conj(mu(-a, b)) fills in the rest of the window.  Each
-    level doubles the grids of the unconverged polynomials with one
-    :func:`_moment_column` call on their new fibers, formed from one table
-    of node powers; each leaves at the level where its own window agrees
-    with the one before to 1e-9 relative.  The grids advancing together
-    hold at most GRID_CAP nodes between them, so a batch that converges
-    late climbs its last levels in smaller groups, the first unconverged
-    polynomial always among them; it raises QuadratureError once that one
-    reaches GRID_CAP nodes unconverged.
-    """
-    n, m = qs[0].degree
-    a = np.arange(-n, n + 1)
-
-    def node_means(group, size, step):
-        # half windows over the nodes k = step - 1, 2 step - 1, ... < size
-        nodes = np.exp(2j * np.pi * np.arange(step - 1, size, step) / size)
-        powers = nodes[:, None] ** np.arange(n + 1)
-        cols = _moment_column(np.stack([powers @ qs[k].coeffs for k in group]))
-        return np.fft.ifft(cols.transpose(0, 2, 1), axis=-1)[:, :, a % len(nodes)].transpose(0, 2, 1)
-
-    size = 1 << max(8, math.ceil(math.log2(max(1, 16 * (n + m)))))
-    halves, sizes = list(node_means(range(len(qs)), size, 1)), [size] * len(qs)
-    tables = [None] * len(qs)
-    pending = list(range(len(qs)))
-    while pending:
-        size = sizes[pending[0]]
-        if size >= GRID_CAP:
-            raise QuadratureError("quadrature unresolved: moment window did not converge")
-        group = [k for k in pending if sizes[k] == size][: max(1, GRID_CAP // (2 * size))]
-        prev = np.stack([halves[k] for k in group])
-        nxt = 0.5 * (prev + np.exp(1j * np.pi * a / size)[:, None] * node_means(group, 2 * size, 2))
-        # the lower half of a window holds the same moduli as the upper
-        scale = np.maximum(np.max(np.abs(nxt), axis=(1, 2)), 1e-300)
-        errs = np.max(np.abs(nxt - prev), axis=(1, 2)) / scale
-        for i, k in enumerate(group):
-            if errs[i] <= 1e-9:
-                window = np.concatenate([np.conj(nxt[i, ::-1, :0:-1]), nxt[i]], axis=-1)
-                mu00 = window[n, m].real
-                tables[k] = MomentTable(qs[k], math.sqrt(1.0 / mu00), window / mu00, 2 * size)
-                pending.remove(k)
-            else:
-                halves[k], sizes[k] = nxt[i], 2 * size
-    return tables
-
-
 def compute_moments(q: BivariatePolynomial) -> MomentTable:
     """Moment table of the normalized density c^2/|q|^2 on the torus.
 
-    One Cholesky factorization of the fiber's Schur-Cohn matrix per z-node
-    gives the exact w-integrals J_0..J_m, refined once where a fiber root
-    nears the circle; no roots, residues or 2-D FFT are involved.  A 1-D
-    quadrature in z then gives the window.  Its grid starts at the smallest
-    power of two >= max(256, 16(n+m)) and doubles until the window agrees
-    with the doubled grid's to 1e-9 relative, up to GRID_CAP = 2^20 nodes.
-    A doubling computes the columns of the odd nodes alone and adds
-    omega^a times their inverse FFT to the window, omega = exp(i pi / N)
-    for a grid of N nodes.  A fiber root inside the closed disk on the
-    contour (a zero of q on the closed bidisk, or q(z, 0) = 0) raises
-    StabilityError.  This is the batch of one of the loop that the dilates
-    of the dilation route share: they climb the grid together, one sweep of
-    Schur-Cohn solves and one inverse FFT per level, each converging on its
-    own, and every table is the one q alone would get, to the bit.
+    :func:`_moment_column` gives the exact w-integrals J_0..J_m at each
+    z-node, and a 1-D quadrature in z the window: the means over ``size``
+    nodes exp(2 pi i k / size) of z^a J_b(z) for |a| <= n and b = 0..m, one
+    inverse FFT of the columns, with mu(a, -b) = conj(mu(-a, b)) for the
+    rest.  The grid starts at the smallest power of two >= max(256,
+    16(n+m)) and doubles until the window agrees with the doubled grid's to
+    1e-9 relative; past GRID_CAP nodes it raises QuadratureError.  The odd
+    nodes of the doubled grid are the old ones turned by omega =
+    exp(i pi / size), so a doubling computes their columns alone and adds
+    omega^a times their inverse FFT, one radix-2 step.  A fiber root inside
+    the closed disk on the contour (a zero of q on the closed bidisk, or
+    q(z, 0) = 0) raises StabilityError.
     """
-    return _moment_tables([q])[0]
+    n, m = q.degree
+    a = np.arange(-n, n + 1)
+
+    def node_means(size, step):
+        # half window over the nodes k = step - 1, 2 step - 1, ... < size
+        nodes = np.exp(2j * np.pi * np.arange(step - 1, size, step) / size)
+        cols = _moment_column((nodes[:, None] ** np.arange(n + 1)) @ q.coeffs)
+        return np.fft.ifft(cols.T, axis=-1)[:, a % len(nodes)].T
+
+    size = 1 << max(8, math.ceil(math.log2(max(1, 16 * (n + m)))))
+    half = node_means(size, 1)
+    while size < GRID_CAP:
+        nxt = 0.5 * (half + np.exp(1j * np.pi * a / size)[:, None] * node_means(2 * size, 2))
+        size *= 2
+        # the lower half of a window holds the same moduli as the upper
+        if np.max(np.abs(nxt - half)) / max(np.max(np.abs(nxt)), 1e-300) <= 1e-9:
+            window = np.concatenate([np.conj(nxt[::-1, :0:-1]), nxt], axis=-1)
+            mu00 = window[n, m].real
+            return MomentTable(q, math.sqrt(1.0 / mu00), window / mu00, size)
+        half = nxt
+    raise QuadratureError("quadrature unresolved: moment window did not converge")
 
 
 def _gram(window, rows, cols):
@@ -273,45 +222,42 @@ def _gram(window, rows, cols):
     return window[..., c[None, :, 0] - r[:, None, 0] + n, c[None, :, 1] - r[:, None, 1] + m]
 
 
-def _complement_basis(windows, shifted, rest, degree):
-    """For each window of the stack ``windows``, an orthonormal basis, in
-    its moment inner product, of the complement of span(shifted) in
-    span(shifted + rest): len(rest) components of ``degree``.
+def _complement_basis(window, shifted, rest, degree):
+    """An orthonormal basis, in the moment inner product of ``window``, of
+    the complement of span(shifted) in span(shifted + rest): len(rest)
+    components of ``degree``.
 
     With the Gram matrix G of shifted + rest factored as L L^H, B = L^-H is
     upper triangular with B^H G B = I, and G B = L is lower triangular, so
     the trailing len(rest) columns of B, one solve against L^H, are
-    orthonormal and orthogonal to every shifted monomial.  The stack's Gram
-    matrices go through one Cholesky and one solve call, each matrix on its
-    own.  No threshold is involved; a G that is not numerically positive
-    definite raises SubspaceError."""
+    orthonormal and orthogonal to every shifted monomial.  No threshold is
+    involved; a G that is not numerically positive definite raises
+    SubspaceError."""
     family = shifted + rest
     try:
-        chol = np.linalg.cholesky(_gram(windows, family, family))
+        chol = np.linalg.cholesky(_gram(window, family, family))
     except np.linalg.LinAlgError:
         raise SubspaceError("subspace degenerate: Gram matrix not positive definite") from None
-    # b carries the batch axis, so solve reads it as a stack of matrices
-    # under numpy 1.x's broadcasting rule as well as numpy 2's
-    tail = np.broadcast_to(np.eye(len(family))[:, len(shifted) :], chol.shape[:-1] + (len(rest),))
-    basis = np.linalg.solve(np.conj(chol).swapaxes(-1, -2), tail)
-    grids = np.zeros((len(windows), len(rest), degree[0] + 1, degree[1] + 1), dtype=np.complex128)
+    basis = np.linalg.solve(np.conj(chol).T, np.eye(len(family))[:, len(shifted) :])
+    grid = np.zeros((len(rest), degree[0] + 1, degree[1] + 1), dtype=np.complex128)
     i, j = np.asarray(family, dtype=np.intp).reshape(-1, 2).T
-    grids[:, :, i, j] = basis.swapaxes(-1, -2)
-    return [VectorPolynomial(g) for g in grids]
+    grid[:, i, j] = basis.T
+    return VectorPolynomial(grid)
 
 
-def _kernel_pairs(degree, windows):
+def _kernel_pairs(degree, window):
     """Orthonormal bases (E, F) of the two complements whose kernels build
-    the certificate, for each window of a stack of same-degree moment
-    windows; for q of degree (n, m), E has exactly n components of degree
-    <= (n-1, m) and F exactly m of degree <= (n, m-1)."""
+    the certificate, from a moment window; for q of degree (n, m), E has
+    exactly n components of degree <= (n-1, m) and F exactly m of degree
+    <= (n, m-1)."""
     n, m = degree
     deg_e, deg_f = side_degrees(n, m)
     shift1 = [(i, j) for i in range(n) for j in range(1, m + 1)]
-    vecs_e = _complement_basis(windows, shift1, [(i, 0) for i in range(n)], deg_e)
     shift2 = [(i, j) for i in range(n) for j in range(m)]
-    vecs_f = _complement_basis(windows, shift2, [(n, j) for j in range(m)], deg_f)
-    return list(zip(vecs_e, vecs_f))
+    return (
+        _complement_basis(window, shift1, [(i, 0) for i in range(n)], deg_e),
+        _complement_basis(window, shift2, [(n, j) for j in range(m)], deg_f),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,43 +289,12 @@ def _stability_route(q):
     )
 
 
-def _certificate_vectors(tables):
-    """Certificate vectors from the moment tables of same-degree polynomials
-    zero-free on the closed bidisk: each table's complement bases scaled by
-    its normalizer.  One factorization per side serves all the tables, and
-    each pair is the one its table alone would give."""
-    pairs = _kernel_pairs(tables[0].q.degree, np.stack([t.window for t in tables]))
-    return [(e.scaled(t.normalizer_c), f.scaled(t.normalizer_c)) for t, (e, f) in zip(tables, pairs)]
-
-
 def _direct_certificate(q):
-    """Certificate vectors for q with no zeros on the closed bidisk, from
-    its own moment table."""
-    return _certificate_vectors([compute_moments(q)])[0]
-
-
-def _refactor_kernel_tensor(tensor, rank):
-    """Recover a vector at the tensor's degree from a kernel coefficient
-    tensor: eigh of the PSD Gram-in-coefficient-space form, keeping the
-    leading ``rank`` modes."""
-    rows, cols = tensor.shape[:2]
-    gram = tensor.reshape(rows * cols, rows * cols)
-    gram = 0.5 * (gram + gram.conj().T)
-    evals, evecs = np.linalg.eigh(gram)
-    keep = np.argsort(evals)[::-1][:rank]
-    modes = evecs[:, keep] * np.sqrt(np.maximum(evals[keep], 0.0))
-    return VectorPolynomial(modes.T.reshape(rank, rows, cols))
-
-
-def _neville_to_zero(hs, tables):
-    """Polynomial extrapolation of table-valued data to h = 0."""
-    tab = list(tables)
-    for lev in range(1, len(hs)):
-        tab = [
-            (hs[i] * tab[i + 1] - hs[i + lev] * tab[i]) / (hs[i] - hs[i + lev])
-            for i in range(len(hs) - lev)
-        ]
-    return tab[0]
+    """Certificate vectors for q with no zeros on the closed bidisk: the
+    complement bases of its own moment table, scaled by its normalizer."""
+    table = compute_moments(q)
+    vec_e, vec_f = _kernel_pairs(q.degree, table.window)
+    return vec_e.scaled(table.normalizer_c), vec_f.scaled(table.normalizer_c)
 
 
 def _kernel_tensor(vec):
@@ -387,8 +302,8 @@ def _kernel_tensor(vec):
     T[i,j,k,l] = sum_c a_c[i,j] conj(a_c[k,l]).
 
     Invariant under any constant unitary mixing of the components, which
-    makes it the right object to compare or extrapolate when the basis
-    itself is only determined up to unitary equivalence.  An empty vector
+    makes it the right object to compare when the basis itself is only
+    determined up to unitary equivalence.  An empty vector
     (the side of a certificate with n = 0 or m = 0) gives the zero tensor.
     """
     count, rows, cols = vec.coeffs.shape
@@ -407,32 +322,127 @@ def _zero_certificate(q):
 
 
 def _dilation_certificate(q):
-    """Certificate for q stable on the open bidisk with torus zeros.
-
-    Certificates for the dilates q(rz, rw) exist by closed-bidisk stability;
-    their kernel coefficient tensors (invariant under the per-radius unitary
-    freedom of the orthonormal bases) are extrapolated to r = 1 in the
-    variable sqrt(1 - r) and refactored into vectors of the right rank.  A
-    repeated factor, double fiber roots at every radius, is refused first.
-    The dilates are certified as one batch: they share each level of the
-    moment quadrature and one basis factorization per side, and each
-    converges on its own, so every radius gets the certificate it would get
-    alone.
-    """
+    """Certificate for q stable on the open bidisk with torus zeros: the
+    dilate q(0.9z, 0.9w) has no zeros on the closed bidisk, and its
+    certificate starts :func:`_refined`.  A repeated factor, double fiber
+    roots at every radius, is refused first."""
     if not is_squarefree(q):
         raise QuadratureError("colliding fiber roots at every radius: q has a repeated factor")
+    return _refined(q, *_direct_certificate(dilate(q, 0.9)))
+
+
+def _refined(q, vec_a, vec_b):
+    """Certificate vectors of q refined from (vec_a, vec_b) by Gauss-Newton
+    on the identity that :func:`verify_certificate` checks,
+    D = q (x) q* - q~ (x) q~* - (1 - zZ*) K_A - (1 - wW*) K_B = 0.
+
+    x holds the components as columns at degree (n, m), and S multiplies
+    A's by z and B's by w: D = T - x x^H + Sx (Sx)^H, J d = E + E^H with
+    E = d x^H - Sd (Sx)^H, and J^H R = 2 (R x - S^H R Sx) on the supports,
+    adjoint in Re tr(X^H Y).  A step solves J d = D in least squares on a
+    Golub-Kahan space of J orthogonal to the unitary mixings x H within a
+    side, which J annihilates, grown until LSQR's normal-residual estimate
+    falls below 1e-10 or to 2^13 / (n + 1)(m + 1) directions; a dense solve
+    on the stored J v resolves the small singular values that a torus zero
+    drives to 0 (Knese, arXiv 0909.1818, reaches such q as the limit of
+    their dilates).  The trials t in (2, 1, 1/2, 1/4) of the quadratic
+    D(x + t d) cost one J d and one D(d), t = 2 for the linear convergence
+    toward a singular solution; a step that does not halve ||D|| meets the
+    best multiple of the last, which crosses a fold.  The loop ends at
+    ||D|| < 1e-15 sum |q_ij|^2, after 30 steps, at a step that does not
+    lower ||D||, or that does not halve it while ||D|| >= 1e-10 of that."""
     n, m = q.degree
-    hs = [math.sqrt(1.0 - r) for r in DILATION_RADII]
-    pairs = _certificate_vectors(_moment_tables([dilate(q, r) for r in DILATION_RADII]))
-    ta_list = [_kernel_tensor(vec_a) for vec_a, _ in pairs]
-    tb_list = [_kernel_tensor(vec_b) for _, vec_b in pairs]
-    for tensors in (ta_list, tb_list):
-        gaps = [float(np.max(np.abs(tensors[k + 1] - tensors[k]))) for k in range(len(hs) - 1)]
-        if gaps[-1] > gaps[0]:
-            raise QuadratureError("dilation certificates are not converging toward r = 1")
-    ta0 = _neville_to_zero(hs, ta_list)
-    tb0 = _neville_to_zero(hs, tb_list)
-    return _refactor_kernel_tensor(ta0, n), _refactor_kernel_tensor(tb0, m)
+    rows, cols = (n + 1) * (m + 1), n + m
+    flat, side = np.arange(rows)[:, None], np.arange(cols) >= n
+    support = np.where(side, flat % (m + 1) < m, flat < n * (m + 1))
+    # the flat index i (m + 1) + j moves by m + 1 under z and by 1 under w
+    moves = [flat + sign * np.where(side, 1, m + 1) for sign in (-1, 1)]
+    x = np.vstack([v.with_degree((n, m)).coeffs.reshape(len(v), rows) for v in (vec_a, vec_b)]).T
+    qv, qr = q.coeffs.ravel(), reflect(q).with_degree((n, m)).coeffs.ravel()
+    target = np.outer(qv, np.conj(qv)) - np.outer(qr, np.conj(qr))
+    scale = float(np.sum(np.abs(qv) ** 2))
+
+    def shift(v, back=False):
+        to = moves[back]
+        return np.where((to >= 0) & (to < rows), v[to % rows, np.arange(cols)], 0)
+
+    def form(v):
+        sv = shift(v)
+        return v @ np.conj(v).T - sv @ np.conj(sv).T
+
+    def packed(v):
+        return np.ascontiguousarray(v).view(np.float64).ravel()
+
+    def jac(v):
+        e = v @ np.conj(x).T - shift(v) @ np.conj(sx).T
+        return e + np.conj(e).T
+
+    def jac_h(r):
+        return packed(2 * (r @ x - shift(r @ sx, back=True)) * support)
+
+    def step():
+        e = np.einsum("rj,kl->jkrl", x, np.eye(cols))
+        e, et = e[np.equal.outer(side, side)], e.swapaxes(0, 1)[np.equal.outer(side, side)]
+        mixings = np.concatenate([e - et, 1j * (e + et)]).view(np.float64).reshape(-1, 2 * x.size)
+        u, sv, _ = np.linalg.svd(mixings.T, full_matrices=False)
+        fixed = u[:, sv > 1e-12 * sv[0]].T
+        basis = np.vstack([fixed, np.zeros(((1 << 13) // rows, 2 * x.size))])
+        known, images, anorm = len(fixed), [], 0.0
+
+        def orth(v):
+            for _ in range(2):
+                v = v - (basis[:known] @ v) @ basis[:known]
+            return v
+
+        u = d / np.linalg.norm(d)
+        v = orth(jac_h(u))
+        alpha = rhobar = np.linalg.norm(v)
+        while alpha > 0 and known < len(basis):
+            basis[known], known = v / alpha, known + 1
+            images.append(packed(jv := jac(basis[known - 1].view(np.complex128).reshape(x.shape))))
+            u = jv - alpha * u
+            beta = np.linalg.norm(u)
+            anorm = math.sqrt(anorm**2 + alpha**2 + beta**2)
+            if beta == 0:
+                break
+            u = u / beta
+            v = orth(jac_h(u) - beta * basis[known - 1])
+            # LSQR: ||J^H r|| = ||r|| alpha |c| for the last plane rotation c
+            alpha, rho = np.linalg.norm(v), math.hypot(rhobar, beta)
+            c, rhobar = rhobar / rho, -rhobar / rho * alpha
+            if alpha * abs(c) <= 1e-10 * anorm:
+                break
+        y = np.linalg.lstsq(np.reshape(images, (-1, 2 * rows * rows)).T, packed(d), rcond=1e-12)[0]
+        # the SVD of the mixings can leave rounding off the supports
+        return (y @ basis[len(fixed) : known]).view(np.complex128).reshape(x.shape) * support
+
+    def line(v, ts):
+        # (||D(x + t v)||, t v) at the best t of ts; None takes every
+        # stationary point of ||D(x + t v)||^2, a quartic in t
+        lin, quad = jac(v), form(v)
+        if ts is None:
+            pairs = ((quad, quad), (lin, quad), (lin, lin), (d, quad), (d, lin))
+            qq, lq, ll, dq, dl = (np.vdot(f, g).real for f, g in pairs)
+            roots = np.roots([4 * qq, 6 * lq, 2 * ll - 4 * dq, -2 * dl])
+            ts = roots.real[np.abs(roots.imag) <= 1e-9 * np.abs(roots)]
+        trials = ((np.linalg.norm(d - t * lin - t * t * quad), t * v) for t in ts)
+        return min(trials, key=lambda c: c[0], default=(math.inf, v))
+
+    d, sx, last = target - form(x), shift(x), None
+    res = np.linalg.norm(d)
+    for _ in range(30):
+        if not res >= 1e-15 * scale:
+            break
+        best, dx = line(step(), (2.0, 1.0, 0.5, 0.25))
+        if not best <= 0.5 * res and last is not None:
+            best, dx = min((best, dx), line(last, None), key=lambda c: c[0])
+        if not (best < res and (best <= 0.5 * res or res < 1e-10 * scale)):
+            break
+        x, last = x + dx, dx
+        d, sx = target - form(x), shift(x)
+        res = np.linalg.norm(d)
+    parts = zip(np.split(x, [n], axis=1), side_degrees(n, m))
+    return tuple(VectorPolynomial(v.T.reshape(-1, n + 1, m + 1)).with_degree(deg) for v, deg in parts)
 
 
 def _times_power_of_two(vec_a, vec_b, e):

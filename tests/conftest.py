@@ -106,7 +106,7 @@ def subspace_kernel_pair(q, moments):
     the certificate of q, from its moment table alone."""
     from dvkit.soscert import _kernel_pairs
 
-    return _kernel_pairs(q.degree, moments.window[None])[0]
+    return _kernel_pairs(q.degree, moments.window)
 
 
 def norm_sq(vec, z, w):
@@ -121,10 +121,12 @@ def disk_spiral(count, radius=1.0):
     return radius * np.sqrt((k + 0.5) / count) * np.exp(2j * np.pi * golden * k)
 
 
-# the one Haar generator, the one linear-factor family and the one node
-# family, shared with the degree survey
+# the one Haar generator, the one linear-factor family, the one node family
+# and the Kummert polynomials with a torus zero, shared with the degree survey
 _survey = load_script("degree_survey")
 haar_unitary = _survey.haar_unitary
+haar_variety = _survey.haar_variety
+kummert_torus_zero = _survey.kummert_torus_zero
 linear_factor_products = _survey.linear_factor_products
 node_family = _survey.node_family
 

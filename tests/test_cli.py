@@ -617,20 +617,31 @@ class TestCliCommands:
         assert main(["verify", str(rep_path), path]) == 0
 
     def test_torus_singular_realization_and_certificate_verify(self, tmp_path, capsys):
-        # (z^2 - w)(z^3 - w) crosses itself at (1, 1): its certificate comes
-        # from the dilation limit, with a Gram defect near 1.3e-8, which the
-        # certificate's own gate of 1e-6 admits on every path; its claim
+        # (z^2 - w)(z^3 - w) crosses itself at (1, 1): its certificate is
+        # refined from a dilate's on the variety's own identity, and passes
+        # the Gram gate of a torus-smooth variety on every path; its claim
         # smooth_on_torus: false holds, so both documents still load
         path = write_poly(tmp_path, "p.json", poly({(2, 0): 1, (0, 1): -1}) * poly({(3, 0): 1, (0, 1): -1}))
         rep_path, cert_path = tmp_path / "rep.json", tmp_path / "cert.json"
         assert main(["represent", path, "-o", str(rep_path)]) == 0
         doc = json.loads(rep_path.read_text())
         assert doc["cert"]["smooth_on_torus"] is False
-        assert doc["report"]["gram_tolerance"] == 1e-6
+        assert doc["report"]["gram_tolerance"] == 1e-8
         cert_path.write_text(json.dumps(doc["cert"]))
         capsys.readouterr()
         assert main(["verify", str(rep_path), path]) == 0
-        assert json.loads(capsys.readouterr().out)["gram_tolerance"] == 1e-6
+        assert json.loads(capsys.readouterr().out)["gram_tolerance"] == 1e-8
+        assert main(["verify", str(cert_path), path]) == 0
+        assert json.loads(capsys.readouterr().out)["gram_equality"] is True
+
+    def test_crossing_certificate_verifies(self, tmp_path, capsys):
+        # (z^3 - w^2)(z - w) crosses itself at (1, 1); the cert member of its
+        # realization passes verify's coefficient check and Gram gate
+        path = write_poly(tmp_path, "p.json", z3_minus_w2() * poly({(1, 0): 1, (0, 1): -1}))
+        rep_path, cert_path = tmp_path / "rep.json", tmp_path / "cert.json"
+        assert main(["represent", path, "-o", str(rep_path)]) == 0
+        cert_path.write_text(json.dumps(json.loads(rep_path.read_text())["cert"]))
+        capsys.readouterr()
         assert main(["verify", str(cert_path), path]) == 0
         assert json.loads(capsys.readouterr().out)["gram_equality"] is True
 
@@ -835,14 +846,20 @@ class TestCliCommands:
         assert run.returncode == 2
         assert all(line.startswith("dvkit:") for line in run.stderr.splitlines())
         out = json.loads(run.stdout)
-        assert out["passed"] is False and None in out.values()
+        assert out["passed"] is False
         return out
 
     @pytest.mark.parametrize("entry", ["U", "Q"])
     def test_extend_overflow_prints_nulls_and_no_numpy_text(self, tmp_path, entry):
-        # one entry of 1e308, of U or of a Q coefficient, overflows F or C:
-        # extend fails with nulls for the values that overflowed
-        self._run_overflowing(tmp_path, entry, "extend")
+        # one U entry of 1e308 overflows F: extend fails with nulls for the
+        # values that overflowed.  One Q coefficient of 1e308 leaves Q's
+        # least singular value over the closed disk below 1e-8 of its
+        # largest, so the closed-disk gate refuses it by name before C
+        out = self._run_overflowing(tmp_path, entry, "extend")
+        if entry == "U":
+            assert None in out.values()
+        else:
+            assert out["error"].startswith("Qmatrix: Q's least singular value on the closed disk")
 
     def test_verify_overflow_prints_a_report(self, tmp_path):
         # one U entry of 1e308 leaves Phi^H Phi not finite: verify fails with

@@ -31,15 +31,18 @@ import pytest
 from conftest import (
     haar_dv,
     haar_unitary,
+    haar_variety,
     kummert,
+    kummert_torus_zero,
     linear_factor_products,
     node_family,
     one_minus_z3w2,
     poly,
     two_minus_z_minus_w,
+    z3_minus_w2,
 )
 from dvkit.classify import TOL, ZeroLabel, classify_zero_set, torus_singularities
-from dvkit.dvrep import represent
+from dvkit.dvrep import GRAM_TOL, represent
 from dvkit.extend import ExtensionOperator, verify_extension
 from dvkit.poly2 import BivariatePolynomial, reflected_derivatives, symmetrize
 from dvkit.soscert import gw_invertibility, sos_certificate, sym_sos_certificate, verify_certificate
@@ -142,6 +145,51 @@ def test_rotated_two_minus_z_minus_w_fails_gw_invertibility(seed):
     gw = gw_invertibility(sos_certificate(q))
     assert not gw.passed
     assert max(gw.min_sv_first, gw.min_sv_second) <= 1e-12
+
+
+STABLE_OPEN = {
+    "two_minus_z_minus_w": two_minus_z_minus_w(),
+    "three_minus_z_minus_w_minus_zw": poly({(0, 0): 3, (1, 0): -1, (0, 1): -1, (1, 1): -1}),
+    "times_four_minus_z_minus_w": two_minus_z_minus_w() * poly({(0, 0): 4, (1, 0): -1, (0, 1): -1}),
+    "two_minus_z2_minus_w": poly({(0, 0): 2, (2, 0): -1, (0, 1): -1}),
+    "two_minus_z_minus_w3": poly({(0, 0): 2, (1, 0): -1, (0, 3): -1}),
+    "one_minus_w": poly({(0, 0): 1, (0, 1): -1}),
+    "one_minus_w_three_minus_w": poly({(0, 0): 3, (0, 1): -4, (0, 2): 1}),
+    "times_two_minus_iz_minus_w": two_minus_z_minus_w() * poly({(0, 0): 2, (1, 0): -1j, (0, 1): -1}),
+    **{
+        f"kummert_torus_zero_{n}_{m}_s{s}": kummert_torus_zero(n, m, s)
+        for n, m in [(1, 1), (2, 2), (3, 3), (2, 3), (4, 2)]
+        for s in (1, 2)
+    },
+}
+
+
+@pytest.mark.parametrize("q", STABLE_OPEN.values(), ids=STABLE_OPEN.keys())
+def test_stable_open_certificate_reaches_rounding(q):
+    # torus zeros, so the dilation route: the certificate of q(0.9z, 0.9w)
+    # refined on q's own identity holds it to rounding
+    assert classify_zero_set(q).label is ZeroLabel.STABLE_OPEN
+    assert verify_certificate(q, sos_certificate(q)).residual <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        z3_minus_w2() * poly({(1, 0): 1, (0, 1): -1}),
+        poly({(0, 1): 1, (1, 0): -1}) * poly({(0, 1): 1, (2, 0): -1}),
+        poly({(2, 0): 1, (0, 1): -1}) * poly({(3, 0): 1, (0, 1): -1}),
+        haar_variety(2, 1) * haar_variety(2, 2),
+    ],
+    ids=["z3_minus_w2_times_z_minus_w", "w_minus_z_times_w_minus_z2", "z2_minus_w_times_z3_minus_w", "haar_2_1_times_2_2"],
+)
+def test_torus_singular_variety_represents_under_the_smooth_gates(p):
+    # branches crossing on the torus: the dilation route, held to the Gram
+    # gate of a torus-smooth variety; the crossing of two Haar varieties is
+    # distinguished, as a union of distinguished varieties is
+    cert, _, report = represent(p)
+    assert not report.smooth_on_torus and report.passed
+    assert report.gram_defect <= GRAM_TOL and report.det_vs_p_rel <= 1e-12
+    assert verify_certificate(cert.p, cert.as_sos()).residual <= 1e-13
 
 
 @pytest.mark.parametrize("n, m", DEGREES)

@@ -467,68 +467,14 @@ def gw_thinned_certificates():
     return out
 
 
-def rotated_two_minus_z_minus_w():
-    q = two_minus_z_minus_w()
-    return BivariatePolynomial(q.coeffs * np.exp(0.7j * np.arange(2))[:, None] * np.exp(-1.3j * np.arange(2)))
-
-
 class TestDilationBatch:
-    """The dilates of the dilation route climb one quadrature grid together
-    and share one basis factorization per side; each must get, to the bit,
-    what it gets as a batch of one."""
+    """The basis solves and the quadrature cap, which once served a batch
+    of dilates and now serve one table."""
 
     @pytest.mark.parametrize(
         "q",
-        [
-            two_minus_z_minus_w(),
-            rotated_two_minus_z_minus_w(),
-            two_minus_z_minus_w() * four_minus_z_minus_w(),  # StableOpen at degree (2, 2)
-        ],
-        ids=["two_minus_z_minus_w", "rotated", "times_four_minus_z_minus_w"],
-    )
-    def test_members_match_batch_of_one(self, q):
-        dilates = [soscert.dilate(q, r) for r in soscert.DILATION_RADII]
-        tables = soscert._moment_tables(dilates)
-        pairs = soscert._kernel_pairs(q.degree, np.stack([t.window for t in tables]))
-        for d, table, pair in zip(dilates, tables, pairs):
-            alone = compute_moments(d)
-            assert np.array_equal(table.window, alone.window)
-            assert table.normalizer_c == alone.normalizer_c
-            assert table.grid_size == alone.grid_size
-            for got, want in zip(pair, subspace_kernel_pair(d, alone)):
-                assert np.array_equal(got.coeffs, want.coeffs)
-        assert verify_certificate(q, sos_certificate(q)).passed
-
-    def test_late_members_advance_in_groups(self, monkeypatch):
-        # at a cap of 4096 nodes the nine dilates below cannot all double
-        # together even from 256 nodes; the grids of the groups that do
-        # advance hold at most the cap between them, and every table is
-        # still the one its polynomial gets alone.  The first level computes
-        # every node of its grid, each later one the odd nodes alone.
-        q = two_minus_z_minus_w()
-        radii = soscert.DILATION_RADII + (0.9999, 0.9999)
-        alone = [compute_moments(soscert.dilate(q, r)) for r in radii]
-        held = []
-        column = soscert._moment_column
-
-        def counted(fibers):
-            members, nodes = np.shape(fibers)[:2]
-            held.append(members * nodes * (2 if held else 1))
-            return column(fibers)
-
-        monkeypatch.setattr(soscert, "GRID_CAP", 4096)
-        monkeypatch.setattr(soscert, "_moment_column", counted)
-        tables = soscert._moment_tables([soscert.dilate(q, r) for r in radii])
-        assert held[0] == 9 * 256 and max(held) <= 4096 and max(t.grid_size for t in tables) == 4096
-        for table, want in zip(tables, alone):
-            assert np.array_equal(table.window, want.window)
-            assert table.normalizer_c == want.normalizer_c
-            assert table.grid_size == want.grid_size
-
-    @pytest.mark.parametrize(
-        "q",
-        [four_minus_z_minus_w(), two_minus_z_minus_w(), poly({(0, 0): 3, (0, 1): -4, (0, 2): 1})],
-        ids=["direct", "dilation", "empty_shifted_family"],
+        [four_minus_z_minus_w(), poly({(0, 0): 3, (0, 1): -4, (0, 2): 1})],
+        ids=["direct", "empty_shifted_family"],
     )
     def test_stacked_solves_read_alike_under_numpy_1_and_2(self, q, monkeypatch):
         # for a stack of matrices a, numpy 1.x reads a b with one axis fewer
@@ -545,27 +491,23 @@ class TestDilationBatch:
 
     def test_cap_raises_quadrature_error(self, monkeypatch):
         # the dilate at r = 0.9999 needs 4096 nodes
+        q = soscert.dilate(two_minus_z_minus_w(), 0.9999)
+        assert compute_moments(q).grid_size == 4096
         monkeypatch.setattr(soscert, "GRID_CAP", 2048)
         with pytest.raises(QuadratureError, match="quadrature unresolved"):
-            sos_certificate(two_minus_z_minus_w())
-        with pytest.raises(QuadratureError, match="quadrature unresolved"):
-            compute_moments(soscert.dilate(two_minus_z_minus_w(), 0.9999))
-
-    def test_torus_zero_in_batch_raises_stability_error(self):
-        q = two_minus_z_minus_w()
-        with pytest.raises(StabilityError, match="fiber root inside the closed disk"):
-            soscert._moment_tables([soscert.dilate(q, 0.9), q])
+            compute_moments(q)
 
     def test_degenerate_member_raises_subspace_error(self):
+        # a window of all ones: every Gram matrix it gives has rank 1
         q = four_minus_z_minus_w()
         window = compute_moments(q).window
         with pytest.raises(SubspaceError, match="subspace degenerate"):
-            soscert._kernel_pairs(q.degree, np.stack([window, np.ones_like(window)]))
+            soscert._kernel_pairs(q.degree, np.ones_like(window))
 
 
 class TestEmptySide:
     """n = 0 or m = 0 leaves one side of the certificate without components;
-    the dilation route treats it as a zero kernel."""
+    the dilation route's refinement carries no unknowns for it."""
 
     @pytest.mark.parametrize(
         "p",
@@ -580,8 +522,8 @@ class TestEmptySide:
         n, m = p.degree
         assert len(cert.vec_first) == n and len(cert.vec_second) == m
         assert verify_certificate(p, cert).passed
-        # the dilation limit holds to 1e-10 of the largest term (at least 1)
-        # on a closed-bidisk grid and at pairs of closed-bidisk points
+        # the refined certificate holds to 1e-10 of the largest term (at
+        # least 1) on a closed-bidisk grid and at pairs of closed-bidisk points
         pts = disk_spiral(64)
         assert self.pair_residual(p, cert, pts[:, None], pts[None, :]) <= 1e-10
         rng = np.random.default_rng(5)
@@ -614,20 +556,6 @@ class TestEmptySide:
         with pytest.raises(QuadratureError, match="repeated factor"):
             sos_certificate(p)
         assert dilated == []
-
-    def test_second_side_gates_convergence(self, monkeypatch):
-        # 1 - w has no first side; a second side whose kernel tensors grow
-        # across the radii must still be refused
-        def growing(tables):
-            assert len(tables) == len(soscert.DILATION_RADII)
-            return [
-                (VectorPolynomial.of([]), VectorPolynomial.of([BivariatePolynomial([[k * k]])]))
-                for k in range(1, len(tables) + 1)
-            ]
-
-        monkeypatch.setattr(soscert, "_certificate_vectors", growing)
-        with pytest.raises(QuadratureError, match="not converging"):
-            sos_certificate(poly({(0, 0): 1, (0, 1): -1}))
 
 
 class TestGwInvertibility:
