@@ -322,10 +322,11 @@ def _zero_certificate(q):
 
 
 def _dilation_certificate(q):
-    """Certificate for q stable on the open bidisk with torus zeros: the
-    dilate q(0.9z, 0.9w) has no zeros on the closed bidisk, and its
-    certificate starts :func:`_refined`.  A repeated factor, double fiber
-    roots at every radius, is refused first."""
+    """Certificate for q stable on the open bidisk with torus zeros, the
+    limit of its dilates' certificates (Knese, arXiv 0909.1818): the dilate
+    q(0.9z, 0.9w) has no zeros on the closed bidisk, and its certificate
+    starts :func:`_refined`.  A repeated factor, double fiber roots at every
+    radius, is refused first."""
     if not is_squarefree(q):
         raise QuadratureError("colliding fiber roots at every radius: q has a repeated factor")
     return _refined(q, *_direct_certificate(dilate(q, 0.9)))
@@ -344,8 +345,7 @@ def _refined(q, vec_a, vec_b):
     side, which J annihilates, grown until LSQR's normal-residual estimate
     falls below 1e-10 or to 2^13 / (n + 1)(m + 1) directions; a dense solve
     on the stored J v resolves the small singular values that a torus zero
-    drives to 0 (Knese, arXiv 0909.1818, reaches such q as the limit of
-    their dilates).  The trials t in (2, 1, 1/2, 1/4) of the quadratic
+    drives to 0.  The trials t in (2, 1, 1/2, 1/4) of the quadratic
     D(x + t d) cost one J d and one D(d), t = 2 for the linear convergence
     toward a singular solution; a step that does not halve ||D|| meets the
     best multiple of the last, which crosses a fold.  The loop ends at
@@ -428,6 +428,7 @@ def _refined(q, vec_a, vec_b):
         trials = ((np.linalg.norm(d - t * lin - t * t * quad), t * v) for t in ts)
         return min(trials, key=lambda c: c[0], default=(math.inf, v))
 
+    # jac, jac_h, step and line read the iterate x, sx = shift(x) and D = d
     d, sx, last = target - form(x), shift(x), None
     res = np.linalg.norm(d)
     for _ in range(30):

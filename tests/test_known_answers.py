@@ -180,7 +180,12 @@ def test_stable_open_certificate_reaches_rounding(q):
         poly({(2, 0): 1, (0, 1): -1}) * poly({(3, 0): 1, (0, 1): -1}),
         haar_variety(2, 1) * haar_variety(2, 2),
     ],
-    ids=["z3_minus_w2_times_z_minus_w", "w_minus_z_times_w_minus_z2", "z2_minus_w_times_z3_minus_w", "haar_2_1_times_2_2"],
+    ids=[
+        "z3_minus_w2_times_z_minus_w",
+        "w_minus_z_times_w_minus_z2",
+        "z2_minus_w_times_z3_minus_w",
+        "haar_2_1_times_2_2",
+    ],
 )
 def test_torus_singular_variety_represents_under_the_smooth_gates(p):
     # branches crossing on the torus: the dilation route, held to the Gram

@@ -468,8 +468,7 @@ def gw_thinned_certificates():
 
 
 class TestDilationBatch:
-    """The basis solves and the quadrature cap, which once served a batch
-    of dilates and now serve one table."""
+    """The basis solves and the quadrature cap of one moment table."""
 
     @pytest.mark.parametrize(
         "q",
