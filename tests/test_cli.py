@@ -627,6 +627,7 @@ class TestCliCommands:
         doc = json.loads(rep_path.read_text())
         assert doc["cert"]["smooth_on_torus"] is False
         assert doc["report"]["gram_tolerance"] == 1e-8
+        assert doc["report"]["gram_defect"] <= 1e-13 and doc["report"]["det_vs_p_rel"] <= 1e-12
         cert_path.write_text(json.dumps(doc["cert"]))
         capsys.readouterr()
         assert main(["verify", str(rep_path), path]) == 0

@@ -430,10 +430,14 @@ class TestSingularVariety:
         assert report.gram_tolerance == 1e-8
 
     def test_representation_still_valid(self, singular_pipeline):
+        # the refined certificate holds to rounding, under the gates of a
+        # variety smooth on the torus
         cert, rep, report = singular_pipeline
         assert report.passed
         assert report.unitarity <= 1e-10
         assert rep.d_spectral_radius() < 1
+        assert report.gram_defect <= 1e-13 and report.det_vs_p_rel <= 1e-12
+        assert verify_certificate(cert.p, cert.as_sos()).residual <= 1e-13
 
 
 class TestRepresentOnce:

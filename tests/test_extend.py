@@ -466,6 +466,7 @@ class TestAnalyticityGate:
         p = poly({(0, 2): 1, (1, 1): -1, (2, 1): -1, (3, 0): 1})
         cert, rep, report = represent(p)
         assert report.passed and not cert.smooth_on_torus
+        assert report.gram_defect <= 1e-13 and report.det_vs_p_rel <= 1e-12
         assert not cert.qmatrix.min_singular_value_on_disk > cert.qmatrix.disk_bound(1e-8)
         refusal = "^Qmatrix: (det Q has a zero|Q's least singular value on the closed disk)"
         with pytest.raises(ValueError, match=refusal):
